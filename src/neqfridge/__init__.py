@@ -66,8 +66,10 @@ from .experiments import (
     MinCopResult,
     SweepSpec,
     cooling_window,
+    cooling_windows,
     high_temperature_saturation,
     maximize_cooling_power,
+    maximize_cooling_powers,
     minimize_cop,
     random_ensemble,
     sweep,

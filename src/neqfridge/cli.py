@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -276,32 +275,13 @@ def cmd_maximize(args) -> int:
     return 0
 
 
-def _flipped_populations(frame, t2, t3, t1):
-    """Populations with the wrong Boltzmann-exponent sign (debug only)."""
-    correct = tilde_populations(frame, t2, t3, t1=t1)
-    flip = lambda r: 1.0 - r
-    r22, r23, r32, r33 = (flip(correct.r22), flip(correct.r23),
-                          flip(correct.r32), flip(correct.r33))
-    c2, s2 = frame.cos_half_sq, frame.sin_half_sq
-    rt2 = c2 * r22 + s2 * r23
-    rt3 = c2 * r33 + s2 * r32
-    return replace(
-        correct,
-        r22=r22, r23=r23, r32=r32, r33=r33,
-        rtilde2=rt2, rtilde3=rt3,
-        ttilde2=frame.eps2 / math.log((1.0 - rt2) / rt2),
-        ttilde3=frame.eps3 / math.log((1.0 - rt3) / rt3),
-        s2=2.0 * rt2 - 1.0, s3=2.0 * rt3 - 1.0,
-    )
-
-
 def _validate_one(params: ModelParams, tol: float, rng: np.random.Generator,
                   flip_exponent: bool = False) -> dict[str, dict]:
     """Invariant groups for one parameter point, as {name: {passed, max_error}}."""
     frame = resolve_resonance(params)
-    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-    if flip_exponent:
-        pops = _flipped_populations(frame, params.t2, params.t3, params.t1)
+    flipped = lambda e, t: 1.0 - thermal_population(e, t)  # wrong Boltzmann-exponent sign
+    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1,
+                             population=flipped if flip_exponent else thermal_population)
     groups: dict[str, dict] = {}
 
     pop_values = [pops.r1, pops.r22, pops.r23, pops.r32, pops.r33,

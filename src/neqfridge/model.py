@@ -15,8 +15,8 @@ of a thermal qubit with gap E at temperature T is r = 1/(1 + exp(E/T)) < 1/2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,9 +107,11 @@ class ModelParams:
 class Frame:
     """Derived diagonalization data of the two-qubit machine.
 
+    The fields are floats, or arrays of one shape for a batch of frames.
     ``unitary`` is the 4x4 rotation mixing the singly-excited machine states;
     ``eigvecs`` holds the machine eigenvectors as columns ordered
     (psi_00, psi_01, psi_10, psi_11) with eigenvalues (ebar, lam, -lam, -ebar).
+    Both exist for single frames only and are built on first use.
     """
 
     e2: float
@@ -119,8 +121,6 @@ class Frame:
     eps2: float
     eps3: float
     theta: float
-    unitary: np.ndarray
-    eigvecs: np.ndarray
 
     @property
     def e1(self) -> float:
@@ -128,38 +128,42 @@ class Frame:
 
     @property
     def cos_half_sq(self) -> float:
-        return math.cos(0.5 * self.theta) ** 2
+        return np.cos(0.5 * self.theta) ** 2
 
     @property
     def sin_half_sq(self) -> float:
-        return math.sin(0.5 * self.theta) ** 2
+        return np.sin(0.5 * self.theta) ** 2
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        c, s = np.cos(0.5 * self.theta), np.sin(0.5 * self.theta)
+        return np.array([[1, 0, 0, 0], [0, c, s, 0], [0, -s, c, 0], [0, 0, 0, 1]], dtype=complex)
+
+    @cached_property
+    def eigvecs(self) -> np.ndarray:
+        return self.unitary.conj().T
 
 
-def resonant_frame(e1: float, e3: float, gamma: float) -> Frame:
+def resonant_frame(e1, e3, gamma) -> Frame:
     """Diagonalization frame with the spiral gap adjusted for resonance.
 
     delta_e = sqrt(E1^2 - 4 gamma^2) makes the dressed gap difference
-    eps2 - eps3 = 2*lam equal E1 exactly.
+    eps2 - eps3 = 2*lam equal E1 exactly.  The inputs may be floats or
+    arrays that broadcast together.
     """
-    if e1 <= 0 or e3 <= 0:
+    if np.any(e1 <= 0) or np.any(e3 <= 0):
         raise ParameterError(f"qubit gaps must be positive: E1={e1}, E3={e3}")
-    if gamma < 0:
+    if np.any(gamma < 0):
         raise ParameterError(f"internal coupling must be nonnegative: gamma={gamma}")
-    if gamma > 0.5 * e1:
+    if np.any(gamma > 0.5 * e1):
         raise ResonanceInfeasibleError(
             f"resonance infeasible: gamma > E1/2 (gamma={gamma}, E1={e1})"
         )
-    delta_e = math.sqrt(max(e1 * e1 - 4.0 * gamma * gamma, 0.0))
+    delta_e = np.sqrt(np.maximum(e1 * e1 - 4.0 * gamma * gamma, 0.0))
     e2 = e3 + delta_e
     ebar = 0.5 * (e2 + e3)
     lam = 0.5 * e1  # resonance by construction
-    theta = math.atan2(2.0 * gamma, delta_e)
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    unitary = np.eye(4, dtype=complex)
-    unitary[1, 1] = c
-    unitary[1, 2] = s
-    unitary[2, 1] = -s
-    unitary[2, 2] = c
+    theta = np.arctan2(2.0 * gamma, delta_e)
     return Frame(
         e2=e2,
         delta_e=delta_e,
@@ -168,8 +172,6 @@ def resonant_frame(e1: float, e3: float, gamma: float) -> Frame:
         eps2=ebar + lam,
         eps3=ebar - lam,
         theta=theta,
-        unitary=unitary,
-        eigvecs=unitary.conj().T,
     )
 
 
@@ -193,14 +195,13 @@ def tilde_operator(frame: Frame, first: str, fridge_ops: str) -> np.ndarray:
     return np.kron(_SINGLE_QUBIT[first], fridge_tilde_operator(frame, fridge_ops))
 
 
-def thermal_population(energy: float, temperature: float) -> float:
-    """Excited-state population of a thermal qubit, 1/(1 + exp(E/T))."""
-    if energy <= 0 or temperature <= 0:
+def thermal_population(energy, temperature):
+    """Excited-state population of a thermal qubit, 1/(1 + exp(E/T)), elementwise."""
+    if np.any((energy <= 0) | (temperature <= 0)):
         raise ParameterError(f"need E > 0 and T > 0, got E={energy}, T={temperature}")
     x = energy / temperature
-    if x > 700.0:  # exp would overflow; population is numerically zero
-        return 0.0
-    return 1.0 / (1.0 + math.exp(x))
+    # past E/T = 700 exp would overflow; the population is numerically zero
+    return (x <= 700.0) / (1.0 + np.exp(np.minimum(x, 700.0)))
 
 
 @dataclass(frozen=True)
@@ -239,24 +240,26 @@ class ThermalPopulations:
         return 1.0 / self.ttilde3
 
 
-def tilde_populations(frame: Frame, t2: float, t3: float, t1: float | None = None) -> ThermalPopulations:
+def tilde_populations(frame: Frame, t2, t3, t1=None,
+                      population=thermal_population) -> ThermalPopulations:
     """Populations and effective temperatures of the dressed machine qubits.
 
     Each dressed qubit is pushed by both baths; the combined fixed point is
     the mixture rtilde_nu = cos^2(theta/2) r_{nu,nu} + sin^2(theta/2) r_{nu,mu}
     and defines the effective temperature ttilde_nu through the Boltzmann
-    ratio at gap eps_nu.
+    ratio at gap eps_nu.  ``population(E, T)`` gives the machine-bath
+    populations r_{nu,mu}; the target always uses :func:`thermal_population`.
     """
     c2 = frame.cos_half_sq
     s2 = frame.sin_half_sq
-    r22 = thermal_population(frame.eps2, t2)
-    r23 = thermal_population(frame.eps2, t3)
-    r32 = thermal_population(frame.eps3, t2)
-    r33 = thermal_population(frame.eps3, t3)
+    r22 = population(frame.eps2, t2)
+    r23 = population(frame.eps2, t3)
+    r32 = population(frame.eps3, t2)
+    r33 = population(frame.eps3, t3)
     rtilde2 = c2 * r22 + s2 * r23
     rtilde3 = c2 * r33 + s2 * r32
-    ttilde2 = frame.eps2 / math.log((1.0 - rtilde2) / rtilde2)
-    ttilde3 = frame.eps3 / math.log((1.0 - rtilde3) / rtilde3)
+    ttilde2 = frame.eps2 / np.log((1.0 - rtilde2) / rtilde2)
+    ttilde3 = frame.eps3 / np.log((1.0 - rtilde3) / rtilde3)
     r1 = s1 = None
     if t1 is not None:
         r1 = thermal_population(frame.e1, t1)
@@ -276,24 +279,28 @@ def thermal_populations(params: ModelParams, frame: Frame | None = None) -> Ther
     return tilde_populations(frame, params.t2, params.t3, t1=params.t1)
 
 
-def virtual_temperature(frame: Frame, pops: ThermalPopulations) -> float:
+def virtual_temperature(frame: Frame, pops: ThermalPopulations, masked: bool = False):
     """Effective temperature of the virtual qubit from its population ratio.
 
     Raises :class:`VirtualTemperaturePoleError` at the pole where the two
-    singly-excited machine eigenstates are equally populated.
+    singly-excited machine eigenstates are equally populated; with
+    ``masked`` the pole points are NaN instead.
     """
-    log_ratio = math.log(
+    log_ratio = np.log(
         ((1.0 - pops.rtilde2) * pops.rtilde3) / (pops.rtilde2 * (1.0 - pops.rtilde3))
     )
-    if log_ratio == 0.0:
+    pole = log_ratio == 0.0
+    if not np.any(pole):
+        return (frame.eps2 - frame.eps3) / log_ratio
+    if not masked:
         raise VirtualTemperaturePoleError("virtual-qubit populations are equal")
-    return (frame.eps2 - frame.eps3) / log_ratio
+    return np.where(pole, np.nan, (frame.eps2 - frame.eps3) / np.where(pole, 1.0, log_ratio))
 
 
-def virtual_coherence(frame: Frame, pops: ThermalPopulations) -> float:
+def virtual_coherence(frame: Frame, pops: ThermalPopulations):
     """l1 coherence of the virtual qubit in the machine steady state."""
     r2, r3 = pops.rtilde2, pops.rtilde3
-    return abs(r2 - r3) / (r2 + r3 - 2.0 * r2 * r3) * math.sin(frame.theta)
+    return np.abs(r2 - r3) / (r2 + r3 - 2.0 * r2 * r3) * np.sin(frame.theta)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .model import (
     Frame,
     ModelParams,
     ThermalPopulations,
+    resonant_frame,
     tilde_operator,
     virtual_coherence,
     virtual_temperature,
@@ -113,17 +114,12 @@ def heat_currents(
     qt2g = -float(np.trace(0.5 * frame.eps2 * tilde_operator(frame, "i", "zi") @ dg_rho).real)
     qt3g = -float(np.trace(0.5 * frame.eps3 * tilde_operator(frame, "i", "iz") @ dg_rho).real)
 
-    d = steady.decomposition.d
-    c2, s2 = frame.cos_half_sq, frame.sin_half_sq
-    q1_closed = -0.25 * params.g * d * params.e1
-    q2_closed = -q23 + 0.25 * params.g * d * (frame.eps2 * c2 - frame.eps3 * s2)
-    q3_closed = q23 - 0.25 * params.g * d * (frame.eps3 * c2 - frame.eps2 * s2)
-
+    closed = currents_closed(params, frame, pops, steady.decomposition.d)
     return CurrentReport(
         q1=q1, q2=q2, q3=q3, q23=q23,
         q1g=q1g, q2g=q2 + q23, q3g=q3 - q23,
         qt2g=qt2g, qt3g=qt3g,
-        q1_closed=q1_closed, q2_closed=q2_closed, q3_closed=q3_closed,
+        q1_closed=closed["q1"], q2_closed=closed["q2"], q3_closed=closed["q3"],
     )
 
 
@@ -164,31 +160,35 @@ def cooling_condition(e1: float, e3: float, gamma: float) -> bool:
     Requires 2 gamma^2 < E3 * sqrt(E1^2 - 4 gamma^2); equivalently the COP
     denominator is positive.
     """
-    if gamma > 0.5 * e1:
-        raise ParameterError(f"resonance infeasible: gamma > E1/2 (gamma={gamma}, E1={e1})")
-    delta_e = math.sqrt(max(e1 * e1 - 4.0 * gamma * gamma, 0.0))
-    return 2.0 * gamma * gamma < e3 * delta_e
+    return 2.0 * gamma * gamma < e3 * resonant_frame(e1, e3, gamma).delta_e
 
 
 def critical_gamma(e1: float, e3: float) -> float:
     """Coupling at which the cooling condition turns off (closed form)."""
-    return math.sqrt(0.5 * e3 * (math.sqrt(e3 * e3 + e1 * e1) - e3))
+    return np.sqrt(0.5 * e3 * (np.sqrt(e3 * e3 + e1 * e1) - e3))
 
 
-def cop_g(frame: Frame) -> float:
-    """Machine COP E1 / (eps3 cos^2(theta/2) - eps2 sin^2(theta/2))."""
+def cop_g(frame: Frame, masked: bool = False):
+    """Machine COP E1 / (eps3 cos^2(theta/2) - eps2 sin^2(theta/2)).
+
+    Raises :class:`NonCoolingRegimeError` where the denominator is not
+    positive; with ``masked`` those points are NaN instead.
+    """
     denominator = frame.eps3 * frame.cos_half_sq - frame.eps2 * frame.sin_half_sq
-    if denominator <= 0.0:
+    invalid = denominator <= 0.0
+    if not np.any(invalid):
+        return frame.e1 / denominator
+    if not masked:
         raise NonCoolingRegimeError(
-            f"COP denominator not positive ({denominator:.3e}); cooling condition violated"
+            f"COP denominator not positive ({np.min(denominator):.3e}); cooling condition violated"
         )
-    return frame.e1 / denominator
+    return np.where(invalid, np.nan, frame.e1 / np.where(invalid, 1.0, denominator))
 
 
 def cop_carnot(t1: float, t2: float, t3: float) -> float:
     """Carnot COP (b2 - b3) / (b1 - b2) of the three-bath refrigerator."""
     b1, b2, b3 = 1.0 / t1, 1.0 / t2, 1.0 / t3
-    if b1 <= b2:
+    if np.any(b1 <= b2):
         raise ParameterError(f"Carnot COP needs T1 < T2, got T1={t1}, T2={t2}")
     return (b2 - b3) / (b1 - b2)
 
@@ -212,7 +212,7 @@ def max_cop_identity(frame: Frame, pops: ThermalPopulations, t1: float) -> float
     b1 = 1.0 / t1
     bt2, bt3 = pops.btilde2, pops.btilde3
     denominator = (
-        b1 * math.cos(frame.theta) - bt2 * frame.cos_half_sq + bt3 * frame.sin_half_sq
+        b1 * np.cos(frame.theta) - bt2 * frame.cos_half_sq + bt3 * frame.sin_half_sq
     )
     return (bt2 - bt3) / denominator
 
@@ -243,21 +243,24 @@ def eta_star_min(gamma_over_e3: float) -> float:
     return (u * u + 4.0 * x * x) / (u - 2.0 * x * x)
 
 
-def local_target_temperature(a1: float, e1: float) -> float:
+def local_target_temperature(a1, e1, masked: bool = False):
     """Temperature of the reduced target state from its Bloch z component.
 
     a1 = 0 means equal populations (infinite temperature, returned as inf);
-    a1 > 0 means inversion and raises.
+    a1 > 0 means inversion and raises, as does |a1| >= 1.  With ``masked``
+    the points that would raise are NaN instead.
     """
-    if abs(a1) >= 1.0:
-        raise ParameterError(f"Bloch component out of range: a1={a1}")
-    if a1 > 0.0:
+    out_of_range = np.abs(a1) >= 1.0
+    invalid = out_of_range | (a1 > 0.0)
+    if np.any(invalid) and not masked:
+        if np.any(out_of_range):
+            raise ParameterError(f"Bloch component out of range: a1={a1}")
         raise PopulationInversionError(
-            f"target populations inverted (a1={a1:.3e}): no positive temperature"
+            f"target populations inverted (a1={np.max(a1):.3e}): no positive temperature"
         )
-    if a1 == 0.0:
-        return math.inf
-    return e1 / math.log((1.0 - a1) / (1.0 + a1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        temperature = e1 / np.log((1.0 - a1) / (1.0 + a1))
+    return np.where(invalid, np.nan, temperature) if np.any(invalid) else temperature
 
 
 def performance_report(

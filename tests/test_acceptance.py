@@ -201,7 +201,7 @@ def test_criterion_7_power_cop_bounds():
     start = time.perf_counter()
     rows, meta = random_ensemble(EnsembleSpec(n=1000, eta_c=1.0, seed=7))
     elapsed = time.perf_counter() - start
-    assert elapsed <= 120.0
+    assert elapsed <= 15.0
     assert len(rows) == 1000
     for row in rows:
         assert row["eta_star"] <= eta_star_max(1.0, row["gamma_over_e3"]) + 1e-9
@@ -219,7 +219,7 @@ def test_criterion_7_power_cop_bounds():
     print(f"\nACCEPTANCE 7 PASS: 1000 models inside the bound band (slack 1e-9); "
           f"{len(near)} flagged near-bound (C <= 0.12 holds), {len(close)} within 10% of "
           f"the bound with max C {max(r['coherence'] for r in close):.3f}; "
-          f"runtime {elapsed:.1f}s <= 120s")
+          f"runtime {elapsed:.1f}s <= 15s")
 
 
 def test_criterion_7s_near_bound_coherence_hot_ensemble():

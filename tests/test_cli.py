@@ -73,6 +73,15 @@ class TestFigureCommand:
         data = [l for l in lines if not l.startswith("#")][1:]
         assert len(data) == 20
 
+    def test_fig4_window_metadata_is_plain_floats(self, tmp_path):
+        assert main(["figure", "fig4", "--points", "5", "--gamma", "0.2",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "fig4a.csv").read_text().splitlines()
+        line = next(l for l in lines if l.startswith("# window_gamma_0.2: "))
+        left, right = (float(v) for v in line.split(": ", 1)[1].strip("[]").split(", "))
+        assert left == pytest.approx(0.40653601327, abs=1e-9)
+        assert right == pytest.approx(3.92413296025, abs=1e-9)
+
     def test_fig5_files(self, tmp_path):
         assert main(["figure", "fig5", "--points", "15", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig5a.csv").exists()

@@ -22,8 +22,24 @@ from neqfridge import (
     sweep_fig4,
     sweep_fig5,
 )
-from neqfridge.experiments import deviation, extracted_current, find_root, golden_section_max
-from neqfridge.observables import critical_gamma
+from neqfridge.experiments import (
+    _draw_model,
+    cooling_windows,
+    deviation,
+    extracted_current,
+    find_root,
+    golden_section_max,
+)
+from neqfridge.errors import ParameterError
+from neqfridge.model import thermal_populations, virtual_coherence
+from neqfridge.observables import (
+    cooling_condition,
+    cop_carnot,
+    critical_gamma,
+    currents_closed,
+    eta_star_max,
+)
+from neqfridge.steadystate import steady_coefficients
 
 FIG4_BASE = ModelParams(e1=1.0, e3=4.0, gamma=0.2, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
 
@@ -272,8 +288,38 @@ class TestGenericSweep:
         assert skipped and all(s["value"] > 0.5 for s in skipped)
         assert len(rows) + len(skipped) == 9
 
+    def test_non_cooling_points_are_nan(self):
+        # past the critical coupling the machine COP is undefined; the sweep
+        # marks exactly the points where the single-point call raises
+        from neqfridge.errors import NonCoolingRegimeError
+
+        gamma_c = critical_gamma(1.0, 4.0)
+        spec = SweepSpec(base=replace(FIG4_BASE, e1=1.0), axis="gamma",
+                         lo=gamma_c - 0.02, hi=0.5, points=41)
+        rows, skipped = sweep(spec)
+        assert len(rows) == 41 and not skipped
+        flags = []
+        for row in rows:
+            try:
+                cop_g(resonant_frame(row["e1"], row["e3"], row["gamma"]))
+                raises = False
+            except NonCoolingRegimeError:
+                raises = True
+            assert np.isnan(row["eta_g"]) == raises
+            assert raises == (not cooling_condition(row["e1"], row["e3"], row["gamma"]))
+            flags.append(raises)
+        assert any(flags) and not all(flags)
+
+    def test_unordered_temperatures_when_allowed(self):
+        # a limit-study base with T1 > T2 keeps its flag through every point
+        base = replace(FIG4_BASE, t1=3.0, require_ordered_temps=False)
+        rows, skipped = sweep(SweepSpec(base=base, axis="e1", lo=0.5, hi=2.0, points=7))
+        assert len(rows) == 7 and not skipped
+        assert all(row["t1"] == 3.0 for row in rows)
+        with pytest.raises(ParameterError):
+            replace(base, require_ordered_temps=True)
+
     def test_bad_spec(self):
-        from neqfridge.errors import ParameterError
 
         with pytest.raises(ParameterError):
             SweepSpec(base=FIG4_BASE, axis="nope", lo=0.0, hi=1.0, points=5)
@@ -320,11 +366,87 @@ class TestEnsemble:
         assert near, "expected near-bound models in the hot ensemble"
         assert max(r["coherence"] for r in near) <= 0.12
 
-    def test_thread_cap_does_not_change_results(self, small, monkeypatch):
-        rows, _ = small
-        monkeypatch.setenv("NEQFRIDGE_THREADS", "4")
-        rows_mt, _ = random_ensemble(EnsembleSpec(n=60, seed=7))
-        assert rows == rows_mt
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_batch_matches_scalar_reference(self, seed):
+        # the batched screening, bisection and golden-section search agree
+        # with a point-by-point search replayed on the same random stream
+        _check_against_scalar(EnsembleSpec(n=20, seed=seed))
+
+    def test_scan_errors_are_resamples(self):
+        # at eta_c = 6 large couplings push the dressed gap eps3 below zero
+        # at the low end of the scan; such a draw is redrawn, as in the
+        # point-by-point search, and does not abort the ensemble
+        errors = _check_against_scalar(EnsembleSpec(n=20, seed=7, eta_c=6.0))
+        assert errors > 0
+
+
+def _check_against_scalar(spec: EnsembleSpec) -> int:
+    """Compare random_ensemble with the scalar reference; returns how many
+    draws the reference rejected because their scan raised."""
+    rows, meta = random_ensemble(spec)
+    rng = np.random.default_rng(spec.seed)
+    reference, resamples, errors = [], 0, 0
+    while len(reference) < spec.n:
+        try:
+            base = _draw_model(rng, spec)
+            window = _scalar_window(base)
+        except ParameterError:
+            errors += 1
+            window = None
+        if window is None:
+            resamples += 1
+        else:
+            reference.append((base, window, _scalar_max_power(base, window, spec.eta_c)))
+    assert meta["resamples"] == resamples
+    batch_windows = cooling_windows([base for base, _, _ in reference])
+    for row, window, (base, ref_window, ref) in zip(rows, batch_windows, reference):
+        assert [row[k] for k in ("e3", "t2", "t3", "gamma", "t1")] == \
+            [getattr(base, k) for k in ("e3", "t2", "t3", "gamma", "t1")]
+        assert window.left == pytest.approx(ref_window[0], abs=1e-11)
+        assert window.right == pytest.approx(ref_window[1], abs=1e-11)
+        assert row["near_bound"] == ref["near_bound"]
+        for key in ("e1", "eta_star", "eta_tot_star", "coherence"):
+            assert row[key] == pytest.approx(ref[key], rel=1e-6, abs=0.0)
+        assert row["q1g_max"] == pytest.approx(ref["q1g_max"], rel=1e-12, abs=0.0)
+    return errors
+
+
+def _scalar_window(base: ModelParams):
+    """The window search one point at a time; None where it finds no window."""
+    f = lambda e1: deviation(e1, base)
+    lo = 2.0 * base.gamma * (1.0 + 1e-9)
+    hi = base.e3 * cop_carnot(base.t1, base.t2, base.t3) * (1.0 + 1e-6)
+    grid = np.linspace(lo, hi, 400)
+    values = [f(e) for e in grid]
+    crossings = [i for i in range(399)
+                 if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0)]
+    if min(values) >= 0.0 or not crossings:
+        return None
+    root = lambda k: find_root(f, grid[k], grid[k + 1], tol=1e-13)
+    if values[0] < 0.0:
+        return grid[0], root(crossings[0])
+    return root(crossings[0]), root(crossings[-1])
+
+
+def _scalar_max_power(base: ModelParams, window, eta_c: float) -> dict:
+    """Max-power observables from a point-by-point scan and golden-section search."""
+    power = lambda e1: extracted_current(e1, base)
+    grid = np.linspace(window[0], window[1], 400)
+    i = int(np.argmax([power(e) for e in grid]))
+    e1, q1g_max = golden_section_max(power, grid[max(i - 1, 0)], grid[min(i + 1, 399)], tol=1e-8)
+    params = replace(base, e1=e1)
+    frame = resonant_frame(e1, base.e3, base.gamma)
+    pops = thermal_populations(params, frame)
+    currents = currents_closed(params, frame, pops, steady_coefficients(pops, base.p, base.g).d)
+    eta_star = cop_g(frame)
+    x = base.gamma / base.e3
+    upper, lower = eta_star_max(eta_c, x), eta_star_min(x)
+    return {
+        "e1": e1, "q1g_max": q1g_max, "eta_star": eta_star,
+        "eta_tot_star": currents["q1"] / currents["q3"],
+        "coherence": virtual_coherence(frame, pops),
+        "near_bound": int(((upper - eta_star) / (upper - lower) if upper > lower else 0.0) < 0.05),
+    }
 
 
 @pytest.fixture(scope="module")
