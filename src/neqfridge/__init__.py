@@ -28,21 +28,24 @@ from .model import (
     virtual_temperature,
 )
 from .dissipation import (
+    GeneratorParts,
     JumpOperatorSet,
     LindbladChannel,
     assemble_liouvillian,
+    build_generator_parts,
     fridge_channel,
     jump_operator_set,
     reset_channel,
     tilde_channel,
 )
 from .steadystate import (
+    OracleSolve,
     SteadyDecomposition,
     SteadyStateResult,
     analytic_steady_state,
     numeric_steady_state,
+    solve_oracle,
     steady_coefficients,
-    validate,
 )
 from .observables import (
     CurrentReport,
@@ -77,3 +80,4 @@ from .experiments import (
     sweep_fig4,
     sweep_fig5,
 )
+from .invariants import ValidationReport, validate

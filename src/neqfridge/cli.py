@@ -20,22 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dissipation import assemble_liouvillian, build_generator_parts
 from .errors import (
     DegenerateSteadyStateError,
     EmptyCoolingWindowError,
     NeqFridgeError,
     ParameterError,
 )
-from .linalg import density_matrix_defects, hermiticity_defect
-from .model import (
-    ModelParams,
-    resolve_resonance,
-    thermal_population,
-    tilde_populations,
-)
+from .invariants import validate
+from .model import ModelParams
 from .observables import heat_currents, performance_report
-from .steadystate import analytic_steady_state, numeric_steady_state, steady_coefficients
+from .steadystate import solve_oracle
 from .experiments import (
     EnsembleSpec,
     SweepSpec,
@@ -62,18 +56,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+def _plain(obj):
+    """JSON-native copy of a report: numpy scalars as Python values, non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
-def _dumps(report: dict) -> str:
-    return json.dumps(report, indent=2, default=_json_default)
+def _emit(report: dict, out: str | None) -> None:
+    """Write a report as strict JSON to ``out``, or to stdout."""
+    text = json.dumps(_plain(report), indent=2, allow_nan=False)
+    if out:
+        Path(out).write_text(text + "\n")
+    else:
+        print(text)
 
 
 def write_csv(path: Path, metadata: dict, columns: list[str], rows: list[dict]) -> None:
@@ -101,10 +103,10 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve_params(args) -> ModelParams:
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    config = _load_config(args.config) if args.config else {}
     resolved = {}
     for name in PARAM_FLAGS:
-        flag = getattr(args, name, None)
+        flag = getattr(args, name)
         if flag is not None:
             resolved[name] = flag
         elif name in config:
@@ -121,25 +123,17 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     for name in PARAM_FLAGS:
         parser.add_argument(f"--{name}", type=float, default=None)
     parser.add_argument("--config", default=None, help="key = value file with flag defaults")
-    parser.add_argument("--out", default=None, help="output file or directory")
-    parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--points", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=7)
 
 
-def _steady_report(params: ModelParams, tol: float) -> tuple[dict, bool]:
-    frame = resolve_resonance(params)
-    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-    analytic = analytic_steady_state(params)
-    numeric = numeric_steady_state(params)
-    deltas = {
-        name: abs(analytic.decomposition.as_dict()[name] - numeric.decomposition.as_dict()[name])
-        for name in analytic.decomposition.as_dict()
-    }
+def cmd_steady(args) -> int:
+    params = _resolve_params(args)
+    oracle = solve_oracle(params)
+    frame, pops = oracle.parts.frame, oracle.parts.pops
+    analytic, numeric = oracle.analytic, oracle.numeric
     currents = heat_currents(params, frame, pops, numeric)
     perf = performance_report(params, frame, pops, numeric, currents)
     norm = params.e1 * params.p
-    report = {
+    _emit({
         "version": __version__,
         "command": "steady",
         "params": params.as_dict(),
@@ -157,7 +151,7 @@ def _steady_report(params: ModelParams, tol: float) -> tuple[dict, bool]:
         "residuals": {
             "analytic": analytic.residual,
             "numeric": numeric.residual,
-            "max_coefficient_delta": max(deltas.values()),
+            "max_coefficient_delta": oracle.max_delta,
             "off_family_max": numeric.off_family_max,
         },
         "currents": {
@@ -176,19 +170,7 @@ def _steady_report(params: ModelParams, tol: float) -> tuple[dict, bool]:
             "eta_tilde": perf.eta_tilde, "tv": perf.tv, "t1s": perf.t1s,
             "coherence": perf.coherence, "cooling": perf.cooling,
         },
-    }
-    ok = max(deltas.values()) <= tol
-    return report, ok
-
-
-def cmd_steady(args) -> int:
-    params = _resolve_params(args)
-    report, _ = _steady_report(params, args.tol)
-    text = _dumps(report)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    }, args.out)
     return 0
 
 
@@ -257,7 +239,7 @@ def cmd_sweep(args) -> int:
 def cmd_maximize(args) -> int:
     params = _resolve_params(args)
     result = maximize_cooling_power(params)
-    report = {
+    _emit({
         "version": __version__,
         "command": "maximize",
         "params": params.as_dict(),
@@ -266,125 +248,8 @@ def cmd_maximize(args) -> int:
         "eta_g_star": result.eta_g_star,
         "window": {"left": result.window.left, "right": result.window.right,
                    "left_is_boundary": result.window.left_is_boundary},
-    }
-    text = _dumps(report)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    }, args.out)
     return 0
-
-
-def _validate_one(params: ModelParams, tol: float, rng: np.random.Generator,
-                  flip_exponent: bool = False) -> dict[str, dict]:
-    """Invariant groups for one parameter point, as {name: {passed, max_error}}."""
-    frame = resolve_resonance(params)
-    flipped = lambda e, t: 1.0 - thermal_population(e, t)  # wrong Boltzmann-exponent sign
-    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1,
-                             population=flipped if flip_exponent else thermal_population)
-    groups: dict[str, dict] = {}
-
-    pop_values = [pops.r1, pops.r22, pops.r23, pops.r32, pops.r33,
-                  pops.rtilde2, pops.rtilde3]
-    pop_err = max(max(0.0, r - 0.5, -r) for r in pop_values)
-    groups["population_range"] = {"passed": pop_err == 0.0, "max_error": pop_err}
-
-    balance_err = max(
-        abs(pops.r(nu, mu) - thermal_population(
-            frame.eps2 if nu == 2 else frame.eps3,
-            params.t2 if mu == 2 else params.t3))
-        for nu in (2, 3) for mu in (2, 3)
-    )
-    groups["detailed_balance"] = {"passed": balance_err <= 1e-12, "max_error": balance_err}
-
-    liouvillian = assemble_liouvillian(params, frame, pops)
-    analytic = analytic_steady_state(params)
-    try:
-        from .linalg import steady_null_space, vec
-
-        rho_n = steady_null_space(liouvillian)
-        residual = float(np.linalg.norm(liouvillian @ vec(rho_n)))
-        from .steadystate import decompose
-
-        decomp_n, off = decompose(rho_n, frame)
-        deltas = {
-            k: abs(v - decomp_n.as_dict()[k]) for k, v in
-            (steady_coefficients(pops, params.p, params.g).as_dict()
-             if flip_exponent else analytic.decomposition.as_dict()).items()
-        }
-        max_delta = max(deltas.values())
-        groups["oracle_equivalence"] = {
-            "passed": max_delta <= tol and residual <= 1e-10 and off <= 1e-10,
-            "max_error": max_delta,
-        }
-        herm, trace_dev, min_eig = density_matrix_defects(rho_n)
-        groups["steady_state_positivity"] = {
-            "passed": herm <= 1e-12 and trace_dev <= 1e-12 and min_eig >= -1e-10,
-            "max_error": max(herm, trace_dev, max(0.0, -min_eig)),
-        }
-        steady = numeric_steady_state(params)
-    except DegenerateSteadyStateError as exc:
-        groups["oracle_equivalence"] = {"passed": False, "max_error": math.inf,
-                                        "error": str(exc)}
-        return groups
-
-    currents = heat_currents(params, frame, pops, steady)
-    first_law = abs(currents.q1 + currents.q2 + currents.q3)
-    groups["first_law"] = {"passed": first_law <= 1e-10, "max_error": first_law}
-    route = currents.max_route_delta
-    groups["current_route_agreement"] = {"passed": route <= 1e-9, "max_error": route}
-    q1g_err = abs(currents.q1g - currents.q1)
-    c2, s2 = frame.cos_half_sq, frame.sin_half_sq
-    tilde_err = max(
-        abs(currents.q1g + currents.qt2g + currents.qt3g),
-        abs(currents.q2g - (currents.qt2g * c2 + currents.qt3g * s2)),
-        abs(currents.q3g - (currents.qt3g * c2 + currents.qt2g * s2)),
-    )
-    groups["tilde_current_identities"] = {
-        "passed": q1g_err <= 1e-10 and tilde_err <= 1e-10,
-        "max_error": max(q1g_err, tilde_err),
-    }
-
-    # channel algebra on a random Hermitian matrix
-    parts = build_generator_parts(params, frame, pops)
-    raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    herm_in = 0.5 * (raw + raw.conj().T)
-    alg_err = 0.0
-    for channel in (parts.d1, parts.d2, parts.d3):
-        out = channel.apply(herm_in)
-        alg_err = max(alg_err, abs(np.trace(out)), hermiticity_defect(out))
-    groups["channel_algebra"] = {"passed": alg_err <= 1e-10, "max_error": alg_err}
-
-    # localized channels agree with the delocalized pair on the family
-    from .dissipation import tilde_channel
-    from .steadystate import family_operators
-
-    loc_err = 0.0
-    t2c = tilde_channel(2, frame, pops, params.p)
-    t3c = tilde_channel(3, frame, pops, params.p)
-    for op in family_operators(frame).values():
-        direct = parts.d2.apply(op) + parts.d3.apply(op)
-        local = t2c.apply(op) + t3c.apply(op)
-        loc_err = max(loc_err, float(np.max(np.abs(direct - local))))
-    groups["localization_identity"] = {"passed": loc_err <= 1e-12, "max_error": loc_err}
-
-    # d sign vs cooling sign vs achieved temperature
-    d = steady.decomposition.d
-    a1 = steady.decomposition.a1
-    sign_ok = True
-    if pops.s1 is not None and d != 0.0:
-        cooled = a1 < pops.s1
-        sign_ok = (d < 0.0) == (currents.q1g > 0.0) == cooled
-    groups["sign_chain"] = {"passed": bool(sign_ok), "max_error": 0.0 if sign_ok else 1.0}
-
-    # zero net flow against a fictitious bath at the achieved temperature
-    from .dissipation import reset_channel
-
-    r1s = 0.5 * (1.0 + a1)
-    fict = reset_channel(1, params.p, r1s)
-    flow = abs(np.trace(parts.hams.htot @ fict.apply(steady.rho)).real)
-    groups["fictitious_bath"] = {"passed": flow <= 1e-10, "max_error": float(flow)}
-    return groups
 
 
 def cmd_validate(args) -> int:
@@ -407,25 +272,18 @@ def cmd_validate(args) -> int:
                 g=rng.uniform(0.002, 0.03),
             ))
     results = []
-    all_passed = True
     for params in points:
-        groups = _validate_one(params, args.tol, rng, flip_exponent=args.debug_flip_rnm_exponent)
-        point_passed = all(g["passed"] for g in groups.values())
-        all_passed = all_passed and point_passed
-        results.append({"params": params.as_dict(), "passed": point_passed, "groups": groups})
-    report = {
+        report = validate(params, args.tol, rng)
+        results.append({"params": params.as_dict(), "passed": report.passed, "groups": report.groups})
+    all_passed = all(result["passed"] for result in results)
+    _emit({
         "version": __version__,
         "command": "validate",
         "tolerance": args.tol,
         "points": len(points),
         "passed": all_passed,
         "results": results,
-    }
-    text = _dumps(report)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    }, args.out)
     return 0 if all_passed else 4
 
 
@@ -455,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="write CSV data for a standard figure")
     p_fig.add_argument("name", choices=("fig3", "fig4", "fig5", "fig6"))
-    _add_param_flags(p_fig)
+    p_fig.add_argument("--gamma", type=float, default=None, help="a single coupling curve")
+    p_fig.add_argument("--points", type=int, default=200)
+    p_fig.add_argument("--seed", type=int, default=7)
     p_fig.add_argument("--n", type=int, default=1000, help="ensemble size (fig6)")
     p_fig.set_defaults(func=cmd_figure)
 
@@ -464,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--axis", choices=("beta3", "e1", "gamma"), required=True)
     p_sweep.add_argument("--lo", type=float, required=True)
     p_sweep.add_argument("--hi", type=float, required=True)
+    p_sweep.add_argument("--points", type=int, default=200)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_max = sub.add_parser("maximize", help="maximize the cooling power over the target gap")
@@ -473,16 +334,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the invariant suite")
     _add_param_flags(p_val)
     p_val.add_argument("--grid", type=int, default=5, help="number of random grid points")
-    p_val.add_argument("--debug-flip-rnm-exponent", action="store_true",
-                       help=argparse.SUPPRESS)
+    p_val.add_argument("--tol", type=float, default=1e-8)
+    p_val.add_argument("--seed", type=int, default=7)
     p_val.set_defaults(func=cmd_validate)
 
     p_ens = sub.add_parser("ensemble", help="random-refrigerator ensemble to CSV")
-    _add_param_flags(p_ens)
     p_ens.add_argument("--n", type=int, default=1000)
     p_ens.add_argument("--eta-c", type=float, default=1.0)
+    p_ens.add_argument("--seed", type=int, default=7)
     p_ens.set_defaults(func=cmd_ensemble)
 
+    for subparser in sub.choices.values():
+        subparser.add_argument("--out", default=None, help="output file or directory")
     return parser
 
 

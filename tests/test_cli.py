@@ -2,7 +2,22 @@ import json
 
 import pytest
 
+from neqfridge import validate
 from neqfridge.cli import main
+from neqfridge.model import thermal_population
+
+from conftest import P0
+
+# group names of `validate`, in report order
+GROUPS = [
+    "population_range", "detailed_balance", "oracle_equivalence", "steady_state_positivity",
+    "first_law", "current_route_agreement", "tilde_current_identities", "channel_algebra",
+    "localization_identity", "sign_chain", "fictitious_bath",
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 class TestSteadyCommand:
@@ -53,6 +68,19 @@ class TestSteadyCommand:
         config.write_text("gamma 0.3\n")
         assert main(["steady", "--config", str(config)]) == 2
 
+    def test_equal_temperatures_write_strict_json(self, tmp_path):
+        # eta_c is infinite at T1 = T2; strict JSON has no Infinity
+        out = tmp_path / "steady.json"
+        assert main(["steady", "--t1", "2", "--t2", "2", "--t3", "2", "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert report["performance"]["eta_c"] is None
+        assert report["residuals"]["numeric"] <= 1e-10
+
+    @pytest.mark.parametrize("flag", ["--tol", "--points", "--seed"])
+    def test_unread_flags_are_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            main(["steady", flag, "0"])
+
 
 class TestFigureCommand:
     def test_fig3_files(self, tmp_path):
@@ -81,6 +109,11 @@ class TestFigureCommand:
         left, right = (float(v) for v in line.split(": ", 1)[1].strip("[]").split(", "))
         assert left == pytest.approx(0.40653601327, abs=1e-9)
         assert right == pytest.approx(3.92413296025, abs=1e-9)
+
+    @pytest.mark.parametrize("flag", ["--e1", "--config", "--tol"])
+    def test_rejects_unread_flags(self, flag):
+        with pytest.raises(SystemExit):
+            main(["figure", "fig3", flag, "1"])
 
     def test_fig5_files(self, tmp_path):
         assert main(["figure", "fig5", "--points", "15", "--out", str(tmp_path)]) == 0
@@ -145,16 +178,42 @@ class TestValidateCommand:
         out = tmp_path / "validate.json"
         assert main(["validate", "--grid", "3", "--seed", "5", "--out", str(out)]) == 0
 
-    def test_flipped_exponent_fails_named_invariants(self, tmp_path):
-        out = tmp_path / "flip.json"
-        code = main([
-            "validate", "--gamma", "0.3", "--debug-flip-rnm-exponent", "--out", str(out),
-        ])
-        assert code == 4
-        report = json.loads(out.read_text())
-        groups = report["results"][0]["groups"]
-        assert groups["population_range"]["passed"] is False
-        assert groups["detailed_balance"]["passed"] is False
+    def test_flipped_exponent_fails_named_invariants(self):
+        # the wrong Boltzmann-exponent sign for the machine-bath populations
+        report = validate(P0, population=lambda e, t: 1.0 - thermal_population(e, t))
+        assert not report.passed
+        assert report.groups["population_range"]["passed"] is False
+        assert report.groups["detailed_balance"]["passed"] is False
+
+    @pytest.mark.parametrize("flags", [["--g", "0"], ["--t1", "2", "--t2", "2", "--t3", "2"]])
+    def test_non_cooling_points_pass(self, tmp_path, flags):
+        # d is SVD noise at these points, so the sign chain has no sign to check
+        out = tmp_path / "validate.json"
+        assert main(["validate", *flags, "--out", str(out)]) == 0
+        groups = json.loads(out.read_text())["results"][0]["groups"]
+        assert list(groups) == GROUPS
+        assert groups["sign_chain"]["passed"] is True
+
+    def test_degenerate_point_fails_oracle_group(self, tmp_path):
+        # p = 1e-12 leaves a second singular value below the degeneracy threshold
+        out = tmp_path / "validate.json"
+        assert main(["validate", "--p", "1e-12", "--out", str(out)]) == 4
+        groups = json.loads(out.read_text(), parse_constant=_reject_constant)["results"][0]["groups"]
+        assert list(groups) == ["population_range", "detailed_balance", "oracle_equivalence"]
+        assert groups["population_range"]["passed"] and groups["detailed_balance"]["passed"]
+        oracle = groups["oracle_equivalence"]
+        assert oracle["passed"] is False
+        assert oracle["max_error"] is None
+        assert "degenerate" in oracle["error"]
+
+    def test_seeded_grid_groups_unchanged(self, tmp_path):
+        # every group passes at every point of the seed-7 grid
+        out = tmp_path / "validate.json"
+        assert main(["validate", "--grid", "20", "--seed", "7", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert len(results) == 20
+        assert [[(name, g["passed"]) for name, g in r["groups"].items()] for r in results] \
+            == [[(name, True) for name in GROUPS]] * 20
 
 
 class TestEnsembleCommand:
@@ -176,7 +235,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise DegenerateSteadyStateError("synthetic degeneracy")
 
-        monkeypatch.setattr(cli, "analytic_steady_state", boom)
+        monkeypatch.setattr(cli, "solve_oracle", boom)
         assert main(["steady", "--out", str(tmp_path / "x.json")]) == 3
 
     def test_missing_config_maps_to_2(self):

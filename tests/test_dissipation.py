@@ -223,31 +223,39 @@ class TestLiouvillian:
         expected += reset_channel(1, params.p, pops.r1).superoperator()
         expected += reset_channel(2, params.p, pops.r22).superoperator()
         expected += reset_channel(3, params.p, pops.r33).superoperator()
-        assert np.max(np.abs(assemble_liouvillian(params) - expected)) < 1e-15
+        assert np.max(np.abs(assemble_liouvillian(build_generator_parts(params)) - expected)) < 1e-15
 
     def test_decoupled_target_product_annihilated(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
         frame = resolve_resonance(params)
         pops = thermal_populations(params, frame)
-        residual = assemble_liouvillian(params) @ vec(product_state(frame, pops))
+        residual = assemble_liouvillian(build_generator_parts(params)) @ vec(product_state(frame, pops))
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_trace_preserving(self, p0):
-        left = vec(np.eye(8)).conj() @ assemble_liouvillian(p0)
+        left = vec(np.eye(8)).conj() @ assemble_liouvillian(build_generator_parts(p0))
         assert np.max(np.abs(left)) < 1e-12
 
     def test_unique_zero_eigenvalue(self, p0):
-        eigenvalues = np.linalg.eigvals(assemble_liouvillian(p0))
+        eigenvalues = np.linalg.eigvals(assemble_liouvillian(build_generator_parts(p0)))
         scale = np.max(np.abs(eigenvalues))
         near_zero = np.abs(eigenvalues) < 1e-12 * scale
         assert int(np.sum(near_zero)) == 1
         assert np.max(np.real(eigenvalues[~near_zero])) < 0.0
 
+    def test_action_matches_assembled_generator(self):
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            parts = build_generator_parts(random_feasible(rng))
+            rho = random_hermitian(rng)
+            expected = assemble_liouvillian(parts) @ vec(rho)
+            assert np.max(np.abs(vec(parts.apply(rho)) - expected)) < 1e-13
+
     def test_localized_variant_shares_steady_state(self, p0):
         from neqfridge.linalg import steady_null_space
 
-        rho_full = steady_null_space(assemble_liouvillian(p0))
-        rho_localized = steady_null_space(assemble_liouvillian(p0, localized=True))
+        rho_full = steady_null_space(assemble_liouvillian(build_generator_parts(p0)))
+        rho_localized = steady_null_space(assemble_liouvillian(build_generator_parts(p0), localized=True))
         assert np.max(np.abs(rho_full - rho_localized)) < 1e-10
 
     def test_channel_algebra_random_parameters(self):

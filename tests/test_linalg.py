@@ -6,6 +6,7 @@ from neqfridge import (
     ModelParams,
     analytic_steady_state,
     assemble_liouvillian,
+    build_generator_parts,
     embed,
     kron,
     partial_trace,
@@ -142,7 +143,7 @@ class TestVectorization:
 class TestSteadyNullSpace:
     def test_uncoupled_resets_give_bare_product(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
-        rho = steady_null_space(assemble_liouvillian(params))
+        rho = steady_null_space(assemble_liouvillian(build_generator_parts(params)))
         taus = [
             np.diag([r, 1.0 - r])
             for r in (
@@ -158,19 +159,19 @@ class TestSteadyNullSpace:
         from neqfridge.observables import product_state
 
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
-        rho = steady_null_space(assemble_liouvillian(params))
+        rho = steady_null_space(assemble_liouvillian(build_generator_parts(params)))
         frame = resolve_resonance(params)
         pops = thermal_populations(params, frame)
         assert np.max(np.abs(rho - product_state(frame, pops))) < 1e-12
 
     def test_matches_closed_form_at_benchmark(self, p0):
-        liouvillian = assemble_liouvillian(p0)
+        liouvillian = assemble_liouvillian(build_generator_parts(p0))
         rho = steady_null_space(liouvillian)
         assert np.max(np.abs(rho - analytic_steady_state(p0).rho)) < 1e-8
         assert np.linalg.norm(liouvillian @ vec(rho)) < 1e-10
 
     def test_output_is_density_matrix(self, p0):
-        rho = steady_null_space(assemble_liouvillian(p0))
+        rho = steady_null_space(assemble_liouvillian(build_generator_parts(p0)))
         herm, trace_dev, min_eig = density_matrix_defects(rho)
         assert herm < 1e-12
         assert trace_dev < 1e-12

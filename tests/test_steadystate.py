@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,11 +14,33 @@ from neqfridge import (
 )
 from neqfridge.dissipation import reset_channel
 from neqfridge.linalg import density_matrix_defects
-from neqfridge.model import build_hamiltonians, resolve_resonance, thermal_populations, tilde_populations
+from neqfridge.model import (
+    build_hamiltonians,
+    resolve_resonance,
+    thermal_populations,
+    tilde_operator,
+    tilde_populations,
+)
 from neqfridge.observables import local_target_temperature
 from neqfridge.steadystate import decompose, family_operators, reconstruct_state
 
-from conftest import P0, random_feasible
+from conftest import P0, random_feasible, random_hermitian
+
+
+def loop_decompose(rho, frame):
+    """Reference projection: one trace per lab-frame operator, 64 dressed Pauli strings."""
+    z1 = tilde_operator(frame, "z", "ii")
+    z2 = tilde_operator(frame, "i", "zi")
+    z3 = tilde_operator(frame, "i", "iz")
+    y = -1j * tilde_operator(frame, "+", "-+") + 1j * tilde_operator(frame, "-", "+-")
+    ops = {"a1": z1, "a2": z2, "a3": z3, "b12": z1 @ z2, "b13": z1 @ z3, "b23": z2 @ z3,
+           "c": z1 @ z2 @ z3, "d": y}
+    coeffs = {name: 8.0 * np.trace(op.conj().T @ rho).real / np.trace(op.conj().T @ op).real
+              for name, op in ops.items()}
+    leftover = rho - (np.eye(8) + sum(coeffs[name] * op for name, op in ops.items())) / 8.0
+    off = max(abs(np.trace(tilde_operator(frame, a, b + c).conj().T @ leftover))
+              for a, b, c in product("ixyz", repeat=3))
+    return coeffs, off
 
 
 class TestClosedForm:
@@ -135,6 +158,18 @@ class TestNumericRoute:
         assert off < 1e-12
         rebuilt = reconstruct_state(decomp, frame)
         assert np.max(np.abs(rebuilt - result.rho)) < 1e-14
+
+    def test_decompose_matches_loop_reference(self, p0):
+        rng = np.random.default_rng(23)
+        cases = [(analytic_steady_state(p0).rho, resolve_resonance(p0))]
+        cases += [(random_hermitian(rng), resolve_resonance(random_feasible(rng))) for _ in range(5)]
+        for rho, frame in cases:
+            decomp, off = decompose(rho, frame)
+            coeffs, ref_off = loop_decompose(rho, frame)
+            for name, value in decomp.as_dict().items():
+                assert abs(value - coeffs[name]) < 1e-12
+            assert abs(off - ref_off) < 1e-12
+        assert ref_off > 0.1  # a random matrix leaves the family
 
     def test_family_operators_are_orthogonal(self, p0):
         ops = list(family_operators(resolve_resonance(p0)).values())
