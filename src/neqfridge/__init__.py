@@ -33,7 +33,6 @@ from .dissipation import (
     LindbladChannel,
     assemble_liouvillian,
     build_generator_parts,
-    fridge_channel,
     jump_operator_set,
     reset_channel,
     tilde_channel,

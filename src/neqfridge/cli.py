@@ -130,7 +130,7 @@ def cmd_steady(args) -> int:
     oracle = solve_oracle(params)
     frame, pops = oracle.parts.frame, oracle.parts.pops
     analytic, numeric = oracle.analytic, oracle.numeric
-    currents = heat_currents(params, frame, pops, numeric)
+    currents = heat_currents(oracle.parts, numeric)
     perf = performance_report(params, frame, pops, numeric, currents)
     norm = params.e1 * params.p
     _emit({

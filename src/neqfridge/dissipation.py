@@ -6,52 +6,81 @@ eigenoperators of the machine Hamiltonian, so dissipation produces
 transitions between machine eigenstates without destroying them.  On the
 steady-state operator family these delocalized channels are equivalent to
 two local reset channels on the dressed qubits (the "tilde" channels).
+
+Every jump operator is a constant Pauli-string table, rotated into the lab
+frame by one batched product with the frame's dressing; channels stack their
+jumps once and act, or assemble their 64x64 matrix, without Kronecker
+products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import commutator_superop, dissipator_superop, embed, SIGMA_MINUS, SIGMA_PLUS
+from .linalg import commutator_superop, embed, pauli_string, sandwich_superop, SIGMA_MINUS, SIGMA_PLUS
 from .model import (
     Frame,
     Hamiltonians,
     ModelParams,
     ThermalPopulations,
     build_hamiltonians,
-    fridge_tilde_operator,
     resolve_resonance,
     thermal_populations,
 )
+
+# (nu, mu, dressed machine ladder) of the four nonzero eigenoperator pairs,
+# and the bare tables that the frame rotates into their lab-frame form
+_JUMP_SPECS = ((2, 2, "+i"), (3, 2, "z+"), (3, 3, "i+"), (2, 3, "+z"))
+_JUMP_STRINGS = np.array([pauli_string("i" + ops) for _, _, ops in _JUMP_SPECS])
+_TILDE_RAISING = {2: _JUMP_STRINGS[0], 3: _JUMP_STRINGS[2]}
 
 
 @dataclass(frozen=True)
 class LindbladChannel:
     """Weighted jump operators defining one dissipative channel.
 
-    Each (L, w) pair contributes w * (L rho L+ - {L+L, rho}/2).
+    Each (L, w) pair contributes w * (L rho L+ - {L+L, rho}/2).  The jumps
+    are stacked once, on first use, together with K = sum w L+L.
     """
 
     jumps: tuple[tuple[np.ndarray, float], ...]
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w L, L+, K) with the jumps along the first axis of the first two."""
+        ops = np.array([op for op, _ in self.jumps], dtype=complex)
+        weights = np.array([weight for _, weight in self.jumps], dtype=float)
+        weighted = weights[:, None, None] * ops
+        ops_dag = ops.conj().transpose(0, 2, 1)
+        return weighted, ops_dag, (ops_dag @ weighted).sum(axis=0)
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(rho, dtype=complex))
-        for op, weight in self.jumps:
-            opd = op.conj().T
-            anti = opd @ op
-            out += weight * (op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti))
-        return out
+        """Channel action on one operator or on a stack (..., d, d)."""
+        weighted, ops_dag, anti = self._stacked
+        rho = np.asarray(rho, dtype=complex)
+        jumped = (weighted @ rho[..., None, :, :] @ ops_dag).sum(axis=-3)
+        return jumped - 0.5 * (anti @ rho + rho @ anti)
 
     def superoperator(self) -> np.ndarray:
-        dim = self.jumps[0][0].shape[0]
-        total = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for op, weight in self.jumps:
-            total += dissipator_superop(op, weight)
-        return total
+        """Matrix sum w kron(conj L, L) - (kron(I, K) + kron(K^T, I))/2, as one contraction."""
+        weighted, ops_dag, anti = self._stacked
+        eye = np.eye(anti.shape[0], dtype=complex)
+        half = -0.5 * anti
+        return sandwich_superop(np.concatenate([weighted, [half, eye]]),
+                                np.concatenate([ops_dag, [eye, half]]))
+
+
+@cache
+def _local_ladder(qubit: int, n_qubits: int) -> np.ndarray:
+    """Read-only stack (sigma^+, sigma^-) of one qubit among n_qubits."""
+    ladder = np.array([embed(SIGMA_PLUS, qubit, n_qubits), embed(SIGMA_MINUS, qubit, n_qubits)])
+    ladder.flags.writeable = False
+    return ladder
 
 
 def reset_channel(qubit: int, rate: float, population: float, n_qubits: int = 3) -> LindbladChannel:
@@ -64,8 +93,7 @@ def reset_channel(qubit: int, rate: float, population: float, n_qubits: int = 3)
         raise ParameterError(f"population must lie in (0, 1), got {population}")
     if rate <= 0:
         raise ParameterError(f"rate must be positive, got {rate}")
-    plus = embed(SIGMA_PLUS, qubit, n_qubits)
-    minus = embed(SIGMA_MINUS, qubit, n_qubits)
+    plus, minus = _local_ladder(qubit, n_qubits)
     return LindbladChannel(jumps=((plus, rate * population), (minus, rate * (1.0 - population))))
 
 
@@ -95,61 +123,54 @@ class JumpOperatorSet:
     def for_bath(self, mu: int) -> tuple[JumpPair, ...]:
         return tuple(pair for pair in self.pairs if pair.mu == mu)
 
+    def channel(self, mu: int, pops: ThermalPopulations, rate: float) -> LindbladChannel:
+        """Delocalized dissipator of bath mu acting on the coupled machine.
+
+        Sums the two eigenoperator channels driven by bath mu, each weighted
+        by the thermal population at its own transition frequency.
+        """
+        if mu not in (2, 3):
+            raise ParameterError(f"machine baths are 2 and 3, got {mu}")
+        jumps = []
+        for pair in self.for_bath(mu):
+            r = pops.r(pair.nu, mu)
+            jumps.append((pair.plus, rate * r))
+            jumps.append((pair.minus, rate * (1.0 - r)))
+        return LindbladChannel(jumps=tuple(jumps))
+
 
 def jump_operator_set(frame: Frame) -> JumpOperatorSet:
     """Decompose the bare machine ladder operators into eigenoperators.
 
     Projecting sigma_mu^+- onto the machine eigenbasis leaves exactly four
-    nonzero pairs; the sign on the (nu=2, mu=3) pair follows from the
-    projection and is observably irrelevant (channels are quadratic in the
-    jumps).
+    nonzero pairs, dressed ladder operators with prefactors cos or sin of
+    theta/2, all rotated into the lab frame at once; the sign on the
+    (nu=2, mu=3) pair follows from the projection and is observably
+    irrelevant (channels are quadratic in the jumps).
     """
     c = math.cos(0.5 * frame.theta)
     s = math.sin(0.5 * frame.theta)
-    specs = (
-        (2, 2, c, "+i"),
-        (3, 2, s, "z+"),
-        (3, 3, c, "i+"),
-        (2, 3, -s, "+z"),
-    )
-    pairs = []
-    for nu, mu, pref, ops in specs:
-        plus = embed(pref * fridge_tilde_operator(frame, ops), (2, 3))
-        pairs.append(
-            JumpPair(
-                nu=nu,
-                mu=mu,
-                prefactor=pref,
-                frequency=frame.eps2 if nu == 2 else frame.eps3,
-                plus=plus,
-                minus=plus.conj().T,
-            )
+    prefactors = (c, s, c, -s)
+    plus = np.reshape(prefactors, (4, 1, 1)) * frame.to_lab(_JUMP_STRINGS)
+    minus = plus.conj().transpose(0, 2, 1)
+    return JumpOperatorSet(pairs=tuple(
+        JumpPair(
+            nu=nu,
+            mu=mu,
+            prefactor=pref,
+            frequency=frame.eps2 if nu == 2 else frame.eps3,
+            plus=plus[k],
+            minus=minus[k],
         )
-    return JumpOperatorSet(pairs=tuple(pairs))
-
-
-def fridge_channel(mu: int, frame: Frame, pops: ThermalPopulations, rate: float) -> LindbladChannel:
-    """Delocalized dissipator of bath mu acting on the coupled machine.
-
-    Sums the two eigenoperator channels driven by bath mu, each weighted by
-    the thermal population at its own transition frequency.
-    """
-    if mu not in (2, 3):
-        raise ParameterError(f"machine baths are 2 and 3, got {mu}")
-    jumps = []
-    for pair in jump_operator_set(frame).for_bath(mu):
-        r = pops.r(pair.nu, mu)
-        jumps.append((pair.plus, rate * r))
-        jumps.append((pair.minus, rate * (1.0 - r)))
-    return LindbladChannel(jumps=tuple(jumps))
+        for k, ((nu, mu, _), pref) in enumerate(zip(_JUMP_SPECS, prefactors))
+    ))
 
 
 def tilde_channel(nu: int, frame: Frame, pops: ThermalPopulations, rate: float) -> LindbladChannel:
     """Local reset channel on dressed qubit nu with its mixed population."""
     if nu not in (2, 3):
         raise ParameterError(f"dressed machine qubits are 2 and 3, got {nu}")
-    ops_plus = "+i" if nu == 2 else "i+"
-    plus = embed(fridge_tilde_operator(frame, ops_plus), (2, 3))
+    plus = frame.to_lab(_TILDE_RAISING[nu])
     r = pops.rtilde2 if nu == 2 else pops.rtilde3
     return LindbladChannel(jumps=((plus, rate * r), (plus.conj().T, rate * (1.0 - r))))
 
@@ -186,14 +207,15 @@ def build_generator_parts(
     pops = pops if pops is not None else thermal_populations(params, frame)
     if pops.r1 is None:
         raise ParameterError("populations lack the target entry r1")
+    jumps = jump_operator_set(frame)
     return GeneratorParts(
         params=params,
         frame=frame,
         pops=pops,
         hams=build_hamiltonians(params, frame),
         d1=reset_channel(1, params.p, pops.r1),
-        d2=fridge_channel(2, frame, pops, params.p),
-        d3=fridge_channel(3, frame, pops, params.p),
+        d2=jumps.channel(2, pops, params.p),
+        d3=jumps.channel(3, pops, params.p),
     )
 
 

@@ -90,7 +90,7 @@ def validate(params: ModelParams, tol: float = 1e-8, rng: np.random.Generator | 
         "max_error": max(herm, trace_dev, max(0.0, -min_eig)),
     }
 
-    currents = heat_currents(params, frame, pops, steady)
+    currents = heat_currents(parts, steady)
     groups["first_law"] = _group(abs(currents.q1 + currents.q2 + currents.q3), 1e-10)
     groups["current_route_agreement"] = _group(currents.max_route_delta, 1e-9)
     c2, s2 = frame.cos_half_sq, frame.sin_half_sq
@@ -111,9 +111,10 @@ def validate(params: ModelParams, tol: float = 1e-8, rng: np.random.Generator | 
 
     t2c = tilde_channel(2, frame, pops, params.p)
     t3c = tilde_channel(3, frame, pops, params.p)
-    groups["localization_identity"] = _group(max(
-        np.max(np.abs((parts.d2.apply(op) + parts.d3.apply(op)) - (t2c.apply(op) + t3c.apply(op))))
-        for op in family_operators(frame).values()), 1e-12)
+    family = np.array(list(family_operators(frame).values()))
+    groups["localization_identity"] = _group(np.max(np.abs(
+        (parts.d2.apply(family) + parts.d3.apply(family)) - (t2c.apply(family) + t3c.apply(family)))),
+        1e-12)
 
     # d < 0 iff the machine cools iff the target ends below its bath
     # temperature; a |d| at SVD noise level carries no sign

@@ -25,9 +25,31 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |0><1|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
 
 
+_SINGLE_QUBIT = {
+    "i": IDENTITY_2,
+    "x": SIGMA_X,
+    "y": SIGMA_Y,
+    "z": SIGMA_Z,
+    "+": SIGMA_PLUS,
+    "-": SIGMA_MINUS,
+}
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with the left factor most significant."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def pauli_string(labels: str) -> np.ndarray:
+    """Product operator over one label per qubit from {'i','x','y','z','+','-'}.
+
+    The first label acts on qubit 1, e.g. ``'z+i'`` is sigma_1^z sigma_2^+.
+    The model builds its constant operator tables with it at import.
+    """
+    out = np.ones((1, 1), dtype=complex)
+    for label in labels:
+        out = np.kron(out, _SINGLE_QUBIT[label])
+    return out
 
 
 def embed(op: np.ndarray, acting_on, n_qubits: int = 3) -> np.ndarray:
@@ -89,23 +111,42 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape(d, d, order="F")
 
 
+def sandwich_superop(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> sum_k lefts[k] @ rho @ rights[k] under column-stacking.
+
+    ``lefts`` and ``rights`` are stacks (k, d, d); the matrix is the sum of
+    kron(rights[k].T, lefts[k]), formed as one contraction over k.
+    """
+    lefts = np.asarray(lefts, dtype=complex)
+    rights = np.asarray(rights, dtype=complex)
+    dim = lefts.shape[-1]
+    # entry [(b, a), (d, c)] of kron(B.T, A) is B[d, b] A[a, c]
+    terms = np.tensordot(rights, lefts, axes=(0, 0))
+    return terms.transpose(1, 2, 0, 3).reshape(dim * dim, dim * dim)
+
+
 def commutator_superop(h: np.ndarray) -> np.ndarray:
     """Matrix of rho -> -i[h, rho] under column-stacking."""
     h = np.asarray(h, dtype=complex)
     eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    return sandwich_superop([-1j * h, eye], [eye, 1j * h])
 
 
-def dissipator_superop(jump: np.ndarray, weight: float = 1.0) -> np.ndarray:
-    """Matrix of rho -> weight * (L rho L+ - {L+L, rho}/2)."""
-    jump = np.asarray(jump, dtype=complex)
-    eye = np.eye(jump.shape[0], dtype=complex)
-    anti = jump.conj().T @ jump
-    return weight * (
-        np.kron(jump.conj(), jump)
-        - 0.5 * np.kron(eye, anti)
-        - 0.5 * np.kron(anti.T, eye)
-    )
+def rotate_superop(superop: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """S G S^+ with S = kron(conj u, u), the matrix of rho -> u rho u^+.
+
+    This is the generator G acting on operators written in the basis that u
+    rotates into.  S is never formed: u and conj u act on the two halves of
+    the row index, and again on the column index through the adjoint.
+    """
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[0]
+
+    def rotate_rows(m: np.ndarray) -> np.ndarray:
+        half = np.matmul(u, m.reshape(d, d, d * d))
+        return (u.conj() @ half.reshape(d, d ** 3)).reshape(d * d, d * d)
+
+    return rotate_rows(rotate_rows(np.asarray(superop, dtype=complex)).conj().T).conj().T
 
 
 def steady_null_space(liouvillian: np.ndarray, degeneracy_ratio: float = 1e-9) -> np.ndarray:

@@ -21,24 +21,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, ResonanceInfeasibleError, VirtualTemperaturePoleError
-from .linalg import (
-    IDENTITY_2,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    embed,
-)
+from .linalg import pauli_string
 
-_SINGLE_QUBIT = {
-    "i": IDENTITY_2,
-    "x": SIGMA_X,
-    "y": SIGMA_Y,
-    "z": SIGMA_Z,
-    "+": SIGMA_PLUS,
-    "-": SIGMA_MINUS,
-}
+# bare three-qubit tables; the Hamiltonians are these times the model's scalars
+SIGMA_Z1 = pauli_string("zii")
+SIGMA_Z2 = pauli_string("izi")
+SIGMA_Z3 = pauli_string("iiz")
+_EXCHANGE = pauli_string("i+-") + pauli_string("i-+")
+# the tripartite coupling in the dressed frame: s1+ s2~- s3~+ + s1- s2~+ s3~-
+_TRIPARTITE = pauli_string("+-+") + pauli_string("-+-")
 
 
 @dataclass(frozen=True)
@@ -109,9 +100,11 @@ class Frame:
 
     The fields are floats, or arrays of one shape for a batch of frames.
     ``unitary`` is the 4x4 rotation mixing the singly-excited machine states;
-    ``eigvecs`` holds the machine eigenvectors as columns ordered
+    its adjoint holds the machine eigenvectors as columns ordered
     (psi_00, psi_01, psi_10, psi_11) with eigenvalues (ebar, lam, -lam, -ebar).
-    Both exist for single frames only and are built on first use.
+    ``dressing`` is W = kron(I2, unitary) on the three qubits, which takes a
+    dressed-frame operator B to its lab-frame form W^+ B W.  Both exist for
+    single frames only and are built on first use, as do the two rotations.
     """
 
     e2: float
@@ -140,8 +133,18 @@ class Frame:
         return np.array([[1, 0, 0, 0], [0, c, s, 0], [0, -s, c, 0], [0, 0, 0, 1]], dtype=complex)
 
     @cached_property
-    def eigvecs(self) -> np.ndarray:
-        return self.unitary.conj().T
+    def dressing(self) -> np.ndarray:
+        w = np.zeros((8, 8), dtype=complex)
+        w[:4, :4] = w[4:, 4:] = self.unitary
+        return w
+
+    def to_lab(self, dressed: np.ndarray) -> np.ndarray:
+        """W^+ B W for one dressed-frame operator B or a stack (..., 8, 8)."""
+        return self.dressing.conj().T @ dressed @ self.dressing
+
+    def to_dressed(self, lab: np.ndarray) -> np.ndarray:
+        """W A W^+, the inverse of :meth:`to_lab`."""
+        return self.dressing @ lab @ self.dressing.conj().T
 
 
 def resonant_frame(e1, e3, gamma) -> Frame:
@@ -178,21 +181,6 @@ def resonant_frame(e1, e3, gamma) -> Frame:
 def resolve_resonance(params: ModelParams) -> Frame:
     """Frame for a full parameter set."""
     return resonant_frame(params.e1, params.e3, params.gamma)
-
-
-def fridge_tilde_operator(frame: Frame, ops: str) -> np.ndarray:
-    """4x4 machine-space operator built from dressed single-qubit operators.
-
-    ``ops`` is a two-character string over {'i','x','y','z','+','-'} for the
-    dressed spiral and engine slots, e.g. ``'z+'`` for sigma~2^z sigma~3^+.
-    """
-    bare = np.kron(_SINGLE_QUBIT[ops[0]], _SINGLE_QUBIT[ops[1]])
-    return frame.unitary.conj().T @ bare @ frame.unitary
-
-
-def tilde_operator(frame: Frame, first: str, fridge_ops: str) -> np.ndarray:
-    """8x8 operator: bare op on the target times a dressed machine operator."""
-    return np.kron(_SINGLE_QUBIT[first], fridge_tilde_operator(frame, fridge_ops))
 
 
 def thermal_population(energy, temperature):
@@ -318,19 +306,10 @@ def build_hamiltonians(params: ModelParams, frame: Frame) -> Hamiltonians:
 
     The tripartite term couples the target ladder operators to the virtual
     qubit raising/lowering operators |psi_01><psi_10| and its adjoint; at
-    resonance it commutes with the free part.
+    resonance it commutes with the free part.  Every term is a constant
+    table times a model scalar; only the tripartite one needs the frame.
     """
-    h1 = embed(0.5 * params.e1 * SIGMA_Z, 1)
-    hfridge4 = (
-        0.5 * frame.e2 * np.kron(SIGMA_Z, IDENTITY_2)
-        + 0.5 * params.e3 * np.kron(IDENTITY_2, SIGMA_Z)
-        + params.gamma * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
-    )
-    hfridge = embed(hfridge4, (2, 3))
-    psi01 = frame.eigvecs[:, 1]
-    psi10 = frame.eigvecs[:, 2]
-    sig_v_plus = np.outer(psi01, psi10.conj())
-    hg = params.g * (
-        np.kron(SIGMA_PLUS, sig_v_plus.conj().T) + np.kron(SIGMA_MINUS, sig_v_plus)
-    )
+    h1 = 0.5 * params.e1 * SIGMA_Z1
+    hfridge = 0.5 * frame.e2 * SIGMA_Z2 + 0.5 * params.e3 * SIGMA_Z3 + params.gamma * _EXCHANGE
+    hg = params.g * frame.to_lab(_TRIPARTITE)
     return Hamiltonians(h1=h1, hfridge=hfridge, hg=hg, htot=h1 + hfridge + hg)

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import build_generator_parts
+from .dissipation import GeneratorParts
 from .errors import NonCoolingRegimeError, ParameterError, PopulationInversionError, VirtualTemperaturePoleError
 from .model import (
+    SIGMA_Z2,
+    SIGMA_Z3,
     Frame,
     ModelParams,
     ThermalPopulations,
     resonant_frame,
-    tilde_operator,
     virtual_coherence,
     virtual_temperature,
 )
@@ -78,41 +79,34 @@ def product_state(frame: Frame, pops: ThermalPopulations) -> np.ndarray:
     """Lab-frame product of the target thermal state and the dressed machine state."""
     if pops.r1 is None:
         raise ParameterError("populations lack the target entry r1")
-    target = np.diag([pops.r1, 1.0 - pops.r1]).astype(complex)
-    fridge_diag = np.diag(
-        [
-            pops.rtilde2 * pops.rtilde3,
-            pops.rtilde2 * (1.0 - pops.rtilde3),
-            (1.0 - pops.rtilde2) * pops.rtilde3,
-            (1.0 - pops.rtilde2) * (1.0 - pops.rtilde3),
-        ]
-    ).astype(complex)
-    fridge = frame.unitary.conj().T @ fridge_diag @ frame.unitary
-    return np.kron(target, fridge)
+    target = np.array([pops.r1, 1.0 - pops.r1])
+    fridge = np.array([
+        pops.rtilde2 * pops.rtilde3,
+        pops.rtilde2 * (1.0 - pops.rtilde3),
+        (1.0 - pops.rtilde2) * pops.rtilde3,
+        (1.0 - pops.rtilde2) * (1.0 - pops.rtilde3),
+    ])
+    return frame.to_lab(np.diag(np.outer(target, fridge).ravel()))
 
 
-def heat_currents(
-    params: ModelParams,
-    frame: Frame,
-    pops: ThermalPopulations,
-    steady: SteadyStateResult,
-) -> CurrentReport:
-    """All stationary currents, with the closed forms alongside the traces."""
-    parts = build_generator_parts(params, frame, pops)
+def heat_currents(parts: GeneratorParts, steady: SteadyStateResult) -> CurrentReport:
+    """All stationary currents at the point of ``parts``, with the closed forms alongside the traces."""
+    params, frame, pops, hams = parts.params, parts.frame, parts.pops, parts.hams
     rho = steady.rho
-    htot = parts.hams.htot
-    q1 = float(np.trace(htot @ parts.d1.apply(rho)).real)
-    q2 = float(np.trace(htot @ parts.d2.apply(rho)).real)
-    q3 = float(np.trace(htot @ parts.d3.apply(rho)).real)
+    q1 = float(np.trace(hams.htot @ parts.d1.apply(rho)).real)
+    q2 = float(np.trace(hams.htot @ parts.d2.apply(rho)).real)
+    q3 = float(np.trace(hams.htot @ parts.d3.apply(rho)).real)
 
     rho0 = product_state(frame, pops)
-    q23 = float(np.trace(parts.hams.hfridge @ parts.d3.apply(rho0)).real)
+    q23 = float(np.trace(hams.hfridge @ parts.d3.apply(rho0)).real)
 
-    hg = parts.hams.hg
+    hg = hams.hg
     dg_rho = -1j * (hg @ rho - rho @ hg)
-    q1g = -float(np.trace(parts.hams.h1 @ dg_rho).real)
-    qt2g = -float(np.trace(0.5 * frame.eps2 * tilde_operator(frame, "i", "zi") @ dg_rho).real)
-    qt3g = -float(np.trace(0.5 * frame.eps3 * tilde_operator(frame, "i", "iz") @ dg_rho).real)
+    q1g = -float(np.trace(hams.h1 @ dg_rho).real)
+    # the dressed sigma_z's are the bare tables in the dressed frame
+    dg_dressed = frame.to_dressed(dg_rho)
+    qt2g = -float(np.trace(0.5 * frame.eps2 * SIGMA_Z2 @ dg_dressed).real)
+    qt3g = -float(np.trace(0.5 * frame.eps3 * SIGMA_Z3 @ dg_dressed).real)
 
     closed = currents_closed(params, frame, pops, steady.decomposition.d)
     return CurrentReport(

@@ -6,8 +6,10 @@ triple products, and one antisymmetric coherence operator Y).  The family
 closes under the generator, so the coefficients solve a small linear system
 whose solution is implemented here verbatim.
 
-The numeric route: the 64x64 generator is assembled and its kernel extracted
-by singular value decomposition.  The two routes adjudicate one another; the
+The numeric route: the 64x64 generator is assembled from constant operator
+tables (no per-point Kronecker products), taken into the dressed frame and
+its kernel extracted there by singular value decomposition; the state is
+rotated back to the lab frame.  The two routes adjudicate one another; the
 package treats the null space as ground truth and the closed form as the
 fast path validated against it; :func:`solve_oracle` runs both at one point
 from one generator.
@@ -22,34 +24,21 @@ import numpy as np
 
 from .dissipation import GeneratorParts, assemble_liouvillian, build_generator_parts
 from .errors import ParameterError
-from .linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, steady_null_space
-from .model import Frame, ModelParams, ThermalPopulations
-
-
-def _string(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.kron(a, np.kron(b, c))
-
+from .linalg import pauli_string, rotate_superop, steady_null_space
+from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, Frame, ModelParams, ThermalPopulations
 
 # The nine-operator family in the dressed frame (target, dressed spiral,
 # dressed engine), in SteadyDecomposition order after the identity; the last
 # entry is the coherence operator Y = -i s1+ s2~- s3~+ + i s1- s2~+ s3~-.
-_Z1 = _string(SIGMA_Z, IDENTITY_2, IDENTITY_2)
-_Z2 = _string(IDENTITY_2, SIGMA_Z, IDENTITY_2)
-_Z3 = _string(IDENTITY_2, IDENTITY_2, SIGMA_Z)
 _FAMILY_NAMES = ("identity", "a1", "a2", "a3", "b12", "b13", "b23", "c", "d")
 _FAMILY = np.array([
-    np.eye(8), _Z1, _Z2, _Z3, _Z1 @ _Z2, _Z1 @ _Z3, _Z2 @ _Z3, _Z1 @ _Z2 @ _Z3,
-    -1j * _string(SIGMA_PLUS, SIGMA_MINUS, SIGMA_PLUS) + 1j * _string(SIGMA_MINUS, SIGMA_PLUS, SIGMA_MINUS),
+    np.eye(8), SIGMA_Z1, SIGMA_Z2, SIGMA_Z3,
+    SIGMA_Z1 @ SIGMA_Z2, SIGMA_Z1 @ SIGMA_Z3, SIGMA_Z2 @ SIGMA_Z3, SIGMA_Z1 @ SIGMA_Z2 @ SIGMA_Z3,
+    -1j * pauli_string("+-+") + 1j * pauli_string("-+-"),
 ], dtype=complex)
 _FAMILY_NORM_SQ = np.einsum("kij,kij->k", _FAMILY.conj(), _FAMILY).real
 # all 64 Pauli strings, the basis in which the off-family leftover is read
-_PAULI_STRINGS = np.array([_string(*labels) for labels in
-                           product((IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z), repeat=3)])
-
-
-def _dressing(frame: Frame) -> np.ndarray:
-    """W with W^+ B W the lab-frame form of a dressed-frame operator B."""
-    return np.kron(IDENTITY_2, frame.unitary)
+_PAULI_STRINGS = np.array([pauli_string("".join(labels)) for labels in product("ixyz", repeat=3)])
 
 
 @dataclass(frozen=True)
@@ -91,8 +80,7 @@ class SteadyStateResult:
 
 def family_operators(frame: Frame) -> dict[str, np.ndarray]:
     """The nine-operator family spanning the steady state, keyed by name."""
-    w = _dressing(frame)
-    return dict(zip(_FAMILY_NAMES, w.conj().T @ _FAMILY @ w))
+    return dict(zip(_FAMILY_NAMES, frame.to_lab(_FAMILY)))
 
 
 def steady_coefficients(pops: ThermalPopulations, p: float, g: float) -> SteadyDecomposition:
@@ -124,9 +112,8 @@ def steady_coefficients(pops: ThermalPopulations, p: float, g: float) -> SteadyD
 
 def reconstruct_state(decomposition: SteadyDecomposition, frame: Frame) -> np.ndarray:
     """Lab-frame density matrix from decomposition coefficients."""
-    w = _dressing(frame)
     coeffs = np.array([1.0, *decomposition.as_dict().values()])
-    return w.conj().T @ np.tensordot(coeffs, _FAMILY, 1) @ w / 8.0
+    return frame.to_lab(np.tensordot(coeffs, _FAMILY, 1)) / 8.0
 
 
 def decompose(rho: np.ndarray, frame: Frame) -> tuple[SteadyDecomposition, float]:
@@ -137,8 +124,7 @@ def decompose(rho: np.ndarray, frame: Frame) -> tuple[SteadyDecomposition, float
     the largest coefficient on the dressed Pauli strings orthogonal to the
     family.  Both are read off one basis change into the dressed frame.
     """
-    w = _dressing(frame)
-    dressed = w @ rho @ w.conj().T
+    dressed = frame.to_dressed(rho)
     coeffs = 8.0 * np.einsum("kij,ij->k", _FAMILY.conj(), dressed).real / _FAMILY_NORM_SQ
     coeffs[0] = 1.0  # the reconstruction keeps unit trace
     leftover = dressed - np.tensordot(coeffs, _FAMILY, 1) / 8.0
@@ -165,11 +151,17 @@ def analytic_steady_state(params: ModelParams, parts: GeneratorParts | None = No
 def numeric_steady_state(params: ModelParams, parts: GeneratorParts | None = None) -> SteadyStateResult:
     """Steady state from the kernel of the assembled generator.
 
-    ``parts`` is the point's generator, built here when not given.
+    ``parts`` is the point's generator, built here when not given.  The
+    kernel is read in the dressed frame (the same singular values), where
+    the dissipators map diagonal states to diagonal states entry by entry:
+    at g = 0 the coefficient d then comes out near 1e-20, where the lab-frame
+    kernel leaves it at the 1e-14 rounding level.
     """
     parts = parts if parts is not None else build_generator_parts(params)
-    rho = steady_null_space(assemble_liouvillian(parts))
-    decomposition, off = decompose(rho, parts.frame)
+    frame = parts.frame
+    generator = rotate_superop(assemble_liouvillian(parts), frame.dressing)
+    rho = frame.to_lab(steady_null_space(generator))
+    decomposition, off = decompose(rho, frame)
     return SteadyStateResult(
         rho=rho, decomposition=decomposition, method="numeric",
         residual=float(np.linalg.norm(parts.apply(rho))), off_family_max=off,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from neqfridge import ModelParams
+from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 # canonical benchmark point used throughout the suite
 P0 = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4.0 / 3.0, t2=2.0, t3=4.0, p=0.01, g=0.01)
@@ -33,3 +34,51 @@ def random_hermitian(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
 @pytest.fixture
 def p0() -> ModelParams:
     return P0
+
+
+# Kron-built references.  The package builds these operators from constant
+# tables and batched products; the tests compare it against these direct
+# constructions, one jump and one tensor factor at a time.
+SINGLE_QUBIT = {
+    "i": IDENTITY_2,
+    "x": SIGMA_X,
+    "y": SIGMA_Y,
+    "z": SIGMA_Z,
+    "+": SIGMA_PLUS,
+    "-": SIGMA_MINUS,
+}
+
+
+def fridge_tilde_operator(frame, ops: str) -> np.ndarray:
+    """4x4 machine operator from dressed single-qubit operators, e.g. 'z+'."""
+    bare = np.kron(SINGLE_QUBIT[ops[0]], SINGLE_QUBIT[ops[1]])
+    return frame.unitary.conj().T @ bare @ frame.unitary
+
+
+def tilde_operator(frame, first: str, fridge_ops: str) -> np.ndarray:
+    """8x8 operator: bare op on the target times a dressed machine operator."""
+    return np.kron(SINGLE_QUBIT[first], fridge_tilde_operator(frame, fridge_ops))
+
+
+def loop_apply(jumps, rho: np.ndarray) -> np.ndarray:
+    """Channel action summed one (L, w) jump at a time."""
+    out = np.zeros_like(np.asarray(rho, dtype=complex))
+    for op, weight in jumps:
+        opd = op.conj().T
+        anti = opd @ op
+        out += weight * (op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti))
+    return out
+
+
+def kron_commutator_superop(h: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> -i[h, rho] under column-stacking, from two krons."""
+    eye = np.eye(h.shape[0], dtype=complex)
+    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+
+
+def kron_dissipator_superop(jump: np.ndarray, weight: float) -> np.ndarray:
+    """Matrix of rho -> weight * (L rho L+ - {L+L, rho}/2), from three krons."""
+    eye = np.eye(jump.shape[0], dtype=complex)
+    anti = jump.conj().T @ jump
+    return weight * (np.kron(jump.conj(), jump) - 0.5 * np.kron(eye, anti)
+                     - 0.5 * np.kron(anti.T, eye))

@@ -28,7 +28,6 @@ from neqfridge import (
     numeric_steady_state,
     random_ensemble,
     resonant_frame,
-    resolve_resonance,
     sweep_fig3,
     sweep_fig4,
     sweep_fig5,
@@ -69,10 +68,8 @@ def test_criterion_2_first_law_and_current_identity():
     worst_sum = worst_id = 0.0
     for _ in range(200):
         params = random_feasible(rng)
-        frame = resolve_resonance(params)
-        pops = thermal_populations(params, frame)
-        steady = numeric_steady_state(params)
-        currents = heat_currents(params, frame, pops, steady)
+        parts = build_generator_parts(params)
+        currents = heat_currents(parts, numeric_steady_state(params, parts))
         worst_sum = max(worst_sum, abs(currents.q1 + currents.q2 + currents.q3))
         worst_id = max(worst_id, abs(currents.q1g - currents.q1))
     assert worst_sum <= 1e-10
@@ -290,7 +287,7 @@ def test_criterion_9_property_suite():
                    if steady.decomposition.a1 < 0 else math.inf)
             assert cooling == (t1s < params.t1)
 
-        currents = heat_currents(params, frame, pops, steady)
+        currents = heat_currents(parts, steady)
         c2, s2 = frame.cos_half_sq, frame.sin_half_sq
         assert abs(currents.q1g + currents.qt2g + currents.qt3g) < 1e-10
         assert abs(currents.q2g - (currents.qt2g * c2 + currents.qt3g * s2)) < 1e-10

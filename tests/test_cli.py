@@ -40,9 +40,11 @@ class TestSteadyCommand:
         assert code == 2
         assert "resonance infeasible" in capsys.readouterr().err
 
-    def test_no_interaction_point(self, tmp_path):
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.45, 0.5])
+    def test_no_interaction_point(self, tmp_path, gamma):
+        # the lab-frame kernel leaves d at about 1e-14 here; the dressed-frame one does not
         out = tmp_path / "steady.json"
-        code = main(["steady", "--g", "0", "--out", str(out)])
+        code = main(["steady", "--g", "0", "--gamma", str(gamma), "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
         assert abs(report["decomposition"]["d"]) < 1e-14
@@ -225,6 +227,36 @@ class TestEnsembleCommand:
         data = [l for l in lines if not l.startswith("#")]
         assert len(data) == 21
         assert "eta_star_ratio" in data[0]
+
+
+class TestGeneratorBuilds:
+    @pytest.fixture
+    def build_count(self, monkeypatch):
+        import sys
+
+        from neqfridge import dissipation
+
+        calls = []
+        original = dissipation.build_generator_parts
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # every module that binds the name, so no caller goes around the counter
+        for name, module in list(sys.modules.items()):
+            if name.startswith("neqfridge") and hasattr(module, "build_generator_parts"):
+                monkeypatch.setattr(module, "build_generator_parts", counted)
+        return calls
+
+    def test_one_build_per_steady_call(self, build_count, tmp_path):
+        assert main(["steady", "--out", str(tmp_path / "steady.json")]) == 0
+        assert len(build_count) == 1
+
+    def test_one_build_per_single_point_validate(self, build_count, tmp_path):
+        # a parameter flag makes validate check that one point instead of a grid
+        assert main(["validate", "--gamma", "0.3", "--out", str(tmp_path / "validate.json")]) == 0
+        assert len(build_count) == 1
 
 
 class TestExitCodes:

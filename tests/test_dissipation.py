@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from neqfridge import (
     ModelParams,
     ParameterError,
     assemble_liouvillian,
-    fridge_channel,
     jump_operator_set,
     reset_channel,
     tilde_channel,
@@ -23,7 +23,33 @@ from neqfridge.model import (
 from neqfridge.observables import product_state
 from neqfridge.steadystate import family_operators
 
-from conftest import random_feasible, random_hermitian
+from conftest import (
+    P0,
+    kron_commutator_superop,
+    kron_dissipator_superop,
+    loop_apply,
+    random_feasible,
+    random_hermitian,
+    tilde_operator,
+)
+
+
+def grid_box_points(seed: int, count: int) -> list[ModelParams]:
+    """P0 and seeded draws from the box of `validate --grid`, with g = 0 and gamma = E1/2 among them."""
+    rng = np.random.default_rng(seed)
+    points = [P0]
+    for _ in range(count):
+        e1 = rng.uniform(0.5, 2.0)
+        t1 = rng.uniform(0.5, 2.0)
+        t2 = t1 + rng.uniform(0.0, 2.0)
+        points.append(ModelParams(
+            e1=e1, e3=rng.uniform(2.0, 8.0), gamma=rng.uniform(0.0, 0.49) * e1,
+            t1=t1, t2=t2, t3=t2 + rng.uniform(0.0, 4.0),
+            p=rng.uniform(0.002, 0.03), g=rng.uniform(0.002, 0.03),
+        ))
+    points[1] = replace(points[1], g=0.0)
+    points[2] = replace(points[2], gamma=0.5 * points[2].e1)
+    return points
 
 
 class TestResetChannel:
@@ -114,7 +140,7 @@ class TestJumpOperators:
     def test_sign_of_cross_jump_is_observably_irrelevant(self, p0):
         frame = resolve_resonance(p0)
         pops = thermal_populations(p0, frame)
-        channel = fridge_channel(3, frame, pops, p0.p)
+        channel = jump_operator_set(frame).channel(3, pops, p0.p)
         flipped = LindbladChannel(jumps=tuple(
             (-op, w) if i >= 2 else (op, w) for i, (op, w) in enumerate(channel.jumps)
         ))
@@ -127,7 +153,7 @@ class TestFridgeChannel:
         frame = resolve_resonance(params)
         pops = thermal_populations(params, frame)
         for mu, qubit in ((2, 2), (3, 3)):
-            delocalized = fridge_channel(mu, frame, pops, params.p).superoperator()
+            delocalized = jump_operator_set(frame).channel(mu, pops, params.p).superoperator()
             r = pops.r(mu, mu)
             local = reset_channel(qubit, params.p, r).superoperator()
             assert np.max(np.abs(delocalized - local)) < 1e-15
@@ -137,8 +163,8 @@ class TestFridgeChannel:
         frame = resolve_resonance(params)
         pops = thermal_populations(params, frame)
         rho = product_state(frame, pops)  # equals tau_1 x Gibbs at T2 = T3
-        total = fridge_channel(2, frame, pops, params.p).apply(rho) \
-            + fridge_channel(3, frame, pops, params.p).apply(rho)
+        jumps = jump_operator_set(frame)
+        total = jumps.channel(2, pops, params.p).apply(rho) + jumps.channel(3, pops, params.p).apply(rho)
         assert np.max(np.abs(total)) < 1e-16
 
     def test_localization_identity_on_family(self):
@@ -147,8 +173,9 @@ class TestFridgeChannel:
             params = random_feasible(rng)
             frame = resolve_resonance(params)
             pops = thermal_populations(params, frame)
-            d2 = fridge_channel(2, frame, pops, params.p)
-            d3 = fridge_channel(3, frame, pops, params.p)
+            jumps = jump_operator_set(frame)
+            d2 = jumps.channel(2, pops, params.p)
+            d3 = jumps.channel(3, pops, params.p)
             t2 = tilde_channel(2, frame, pops, params.p)
             t3 = tilde_channel(3, frame, pops, params.p)
             for op in family_operators(frame).values():
@@ -166,7 +193,7 @@ class TestFridgeChannel:
         fridge_diag = np.diag(rng.uniform(0.1, 1.0, size=4)).astype(complex)
         rho = w.conj().T @ np.kron(target_block, fridge_diag) @ w
         for mu in (2, 3):
-            out = w @ fridge_channel(mu, frame, pops, p0.p).apply(rho) @ w.conj().T
+            out = w @ jump_operator_set(frame).channel(mu, pops, p0.p).apply(rho) @ w.conj().T
             blocks = out.reshape(2, 4, 2, 4)
             for f1 in range(4):
                 for f2 in range(4):
@@ -176,8 +203,6 @@ class TestFridgeChannel:
     def test_detailed_balance_per_transition(self, p0):
         # each single-transition channel alone drives its dressed qubit
         # toward the Boltzmann ratio of its own bath
-        from neqfridge.model import tilde_operator
-
         frame = resolve_resonance(p0)
         pops = thermal_populations(p0, frame)
         pairs = jump_operator_set(frame).pairs
@@ -211,7 +236,43 @@ class TestTildeChannel:
             assert np.max(np.abs(tilde_channel(nu, frame, pops, p0.p).apply(rho0))) < 1e-15
 
 
+class TestStackedChannel:
+    def test_apply_matches_loop_reference(self):
+        rng = np.random.default_rng(31)
+        for params in grid_box_points(31, 5):
+            parts = build_generator_parts(params)
+            frame, pops = parts.frame, parts.pops
+            channels = (parts.d1, parts.d2, parts.d3,
+                        tilde_channel(2, frame, pops, params.p), tilde_channel(3, frame, pops, params.p))
+            for channel in channels:
+                for _ in range(3):
+                    probe = random_hermitian(rng)
+                    assert np.max(np.abs(channel.apply(probe) - loop_apply(channel.jumps, probe))) < 1e-15
+
+    def test_apply_on_a_stack_matches_one_at_a_time(self, p0):
+        rng = np.random.default_rng(32)
+        channel = build_generator_parts(p0).d3
+        probes = np.array([random_hermitian(rng) for _ in range(4)])
+        stacked = channel.apply(probes)
+        for probe, out in zip(probes, stacked):
+            assert np.max(np.abs(out - channel.apply(probe))) < 1e-16
+
+
 class TestLiouvillian:
+    @pytest.mark.parametrize("localized", [False, True])
+    def test_matches_per_jump_kron_reference(self, localized):
+        for params in grid_box_points(33, 20):
+            parts = build_generator_parts(params)
+            machine = (parts.d2, parts.d3)
+            if localized:
+                machine = tuple(tilde_channel(nu, parts.frame, parts.pops, params.p) for nu in (2, 3))
+            expected = kron_commutator_superop(parts.hams.htot)
+            for channel in (parts.d1, *machine):
+                for op, weight in channel.jumps:
+                    expected = expected + kron_dissipator_superop(op, weight)
+            assembled = assemble_liouvillian(parts, localized=localized)
+            assert np.max(np.abs(assembled - expected)) < 1e-14
+
     def test_uncoupled_case_is_sum_of_resets(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
         frame = resolve_resonance(params)

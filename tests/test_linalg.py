@@ -3,6 +3,7 @@ import pytest
 
 from neqfridge import (
     DegenerateSteadyStateError,
+    LindbladChannel,
     ModelParams,
     analytic_steady_state,
     assemble_liouvillian,
@@ -22,7 +23,6 @@ from neqfridge.linalg import (
     SIGMA_Z,
     commutator_superop,
     density_matrix_defects,
-    dissipator_superop,
 )
 
 from conftest import random_hermitian
@@ -137,7 +137,8 @@ class TestVectorization:
         x = random_hermitian(rng, 4)
         anti = jump.conj().T @ jump
         direct = 0.7 * (jump @ x @ jump.conj().T - 0.5 * (anti @ x + x @ anti))
-        assert np.allclose(unvec(dissipator_superop(jump, 0.7) @ vec(x)), direct)
+        channel = LindbladChannel(jumps=((jump, 0.7),))
+        assert np.allclose(unvec(channel.superoperator() @ vec(x)), direct)
 
 
 class TestSteadyNullSpace:

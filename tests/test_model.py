@@ -18,10 +18,9 @@ from neqfridge import (
 )
 from neqfridge.dissipation import tilde_channel
 from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, kron
-from neqfridge.model import fridge_tilde_operator
 from neqfridge.observables import product_state
 
-from conftest import random_feasible
+from conftest import fridge_tilde_operator, random_feasible
 
 
 class TestModelParams:
@@ -294,8 +293,9 @@ class TestHamiltonians:
         # direct assembly from the eigenvector columns as the oracle
         frame = resolve_resonance(p0)
         hams = build_hamiltonians(p0, frame)
-        psi01 = frame.eigvecs[:, 1]
-        psi10 = frame.eigvecs[:, 2]
+        eigvecs = frame.unitary.conj().T
+        psi01 = eigvecs[:, 1]
+        psi10 = eigvecs[:, 2]
         zero = np.array([1.0, 0.0])
         one = np.array([0.0, 1.0])
         # raising the target lowers the virtual qubit: |1, psi01> -> |0, psi10>

@@ -10,6 +10,7 @@ from neqfridge import (
     ParameterError,
     PopulationInversionError,
     analytic_steady_state,
+    build_generator_parts,
     cooling_condition,
     cop_carnot,
     cop_g,
@@ -36,10 +37,9 @@ from conftest import P0, random_feasible
 
 @pytest.fixture(scope="module")
 def benchmark_currents():
-    frame = resolve_resonance(P0)
-    pops = thermal_populations(P0, frame)
-    steady = numeric_steady_state(P0)
-    return frame, pops, steady, heat_currents(P0, frame, pops, steady)
+    parts = build_generator_parts(P0)
+    steady = numeric_steady_state(P0, parts)
+    return parts.frame, parts.pops, steady, heat_currents(parts, steady)
 
 
 class TestHeatCurrents:
@@ -63,10 +63,8 @@ class TestHeatCurrents:
 
     def test_no_interaction_currents(self):
         params = replace(P0, g=0.0)
-        frame = resolve_resonance(params)
-        pops = thermal_populations(params, frame)
-        steady = numeric_steady_state(params)
-        currents = heat_currents(params, frame, pops, steady)
+        parts = build_generator_parts(params)
+        currents = heat_currents(parts, numeric_steady_state(params, parts))
         assert abs(currents.q1) < 1e-15
         assert abs(currents.q1g) < 1e-15
         assert currents.q2 == pytest.approx(-currents.q23, abs=1e-14)
@@ -74,20 +72,18 @@ class TestHeatCurrents:
 
     def test_equal_machine_baths_kill_internal_current(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=2.0, t2=2.0, t3=2.0, p=0.01, g=0.01)
-        frame = resolve_resonance(params)
-        pops = thermal_populations(params, frame)
-        steady = numeric_steady_state(params)
-        currents = heat_currents(params, frame, pops, steady)
+        parts = build_generator_parts(params)
+        currents = heat_currents(parts, numeric_steady_state(params, parts))
         assert abs(currents.q23) < 1e-15
 
     def test_scalar_route_matches_trace_route(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
             params = random_feasible(rng)
-            frame = resolve_resonance(params)
-            pops = thermal_populations(params, frame)
-            steady = numeric_steady_state(params)
-            trace_route = heat_currents(params, frame, pops, steady)
+            parts = build_generator_parts(params)
+            frame, pops = parts.frame, parts.pops
+            steady = numeric_steady_state(params, parts)
+            trace_route = heat_currents(parts, steady)
             scalar = currents_closed(params, frame, pops, steady.decomposition.d)
             assert scalar["q23"] == pytest.approx(trace_route.q23, abs=1e-12)
             assert scalar["q1"] == pytest.approx(trace_route.q1, abs=1e-12)

@@ -18,13 +18,12 @@ from neqfridge.model import (
     build_hamiltonians,
     resolve_resonance,
     thermal_populations,
-    tilde_operator,
     tilde_populations,
 )
 from neqfridge.observables import local_target_temperature
 from neqfridge.steadystate import decompose, family_operators, reconstruct_state
 
-from conftest import P0, random_feasible, random_hermitian
+from conftest import P0, random_feasible, random_hermitian, tilde_operator
 
 
 def loop_decompose(rho, frame):
