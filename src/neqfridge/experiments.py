@@ -39,10 +39,11 @@ from .observables import (
     eta_star_min,
     local_target_temperature,
 )
-from .steadystate import steady_coefficients
+from .steadystate import deviation_coefficient, steady_coefficients
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_ROOT_TOL = 1e-13  # window-endpoint bisection tolerance
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_ROOT_TOL = 1e-13  # window-endpoint root tolerance
 _CHUNK = 8  # models per grid scan: bounds the scan's memory, not the batch size
 _PARAM_NAMES = ("e1", "e3", "gamma", "t1", "t2", "t3", "p", "g")
 BatchFunc = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, idx): x for models idx
@@ -149,7 +150,7 @@ def deviation(e1, base: ModelParams | _Batch):
     """Steady-state deviation coefficient d at target gap(s) e1 (base's own E1 is unused)."""
     frame = resonant_frame(e1, base.e3, base.gamma)
     pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
-    return steady_coefficients(pops, base.p, base.g).d
+    return deviation_coefficient(pops, base.p, base.g)
 
 
 def extracted_current(e1, base: ModelParams | _Batch):
@@ -157,59 +158,116 @@ def extracted_current(e1, base: ModelParams | _Batch):
     return -0.25 * base.g * deviation(e1, base) * e1
 
 
-def _bisect(func: BatchFunc, a, b, fa, fb, tol: float) -> np.ndarray:
-    """Bisect many brackets [a, b] with end values fa, fb at once, each by
-    the scalar rule: an exact zero ends it, else it halves while b - a > tol."""
+def _chandrupatla(func: BatchFunc, a, b, fa, fb, tol: float) -> np.ndarray:
+    """Find a sign change in many brackets [a, b] with end values fa, fb at once.
+
+    Chandrupatla's method: each step interpolates the inverse function
+    quadratically through the last three points where that is safe and
+    bisects otherwise, always keeping a sign bracket; a step moves at least
+    tol/2, so an iterate next to the root is followed by one across it, and
+    a bracket at most 2 tol wide is bisected.  Per bracket, an exact zero
+    ends the search, and a search stops once its bracket is at most tol wide
+    and returns the bracket's midpoint.  On a simple root this takes far
+    fewer evaluations than bisection; near a multiple root the interpolation
+    converges only linearly and can take a few more.
+    """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    done = (fa == 0.0) | (fb == 0.0)
-    root = np.where(fa == 0.0, a, b)
-    if np.any(~done & (fa * fb > 0)):
+    open_ = (fa != 0.0) & (fb != 0.0)
+    if np.any(open_ & (np.sign(fa) == np.sign(fb))):
         raise ValueError("root not bracketed")
-    active = np.flatnonzero(~done)
-    while (active := active[b[active] - a[active] > tol]).size:
-        mid = 0.5 * (a[active] + b[active])
-        fm = func(mid, active)
-        hit = fm == 0.0
-        root[active[hit]], done[active[hit]] = mid[hit], True
-        lower = (fa[active] * fm < 0) & ~hit
-        upper = ~lower & ~hit
-        b[active[lower]], fb[active[lower]] = mid[lower], fm[lower]
-        a[active[upper]], fa[active[upper]] = mid[upper], fm[upper]
-        active = active[~hit]
-    root[~done] = 0.5 * (a[~done] + b[~done])
-    return root
+    root = np.where(fa == 0.0, a, b)
+    idx = np.flatnonzero(open_)
+    # (point, value) pairs: p1 the newest point, p2 the bracket end across
+    # the root from it, p3 the point they replaced
+    p1, p2 = np.array([a[idx], fa[idx]]), np.array([b[idx], fb[idx]])
+    p3, t, width = p2, np.full(idx.size, 0.5), np.abs(b[idx] - a[idx])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            wide = width > tol
+            if not wide.all():
+                root[idx[~wide]] = 0.5 * (p1[0, ~wide] + p2[0, ~wide])
+                idx, p1, p2, p3, t = idx[wide], p1[:, wide], p2[:, wide], p3[:, wide], t[wide]
+            if not idx.size:
+                return root
+            x = p1[0] + t * (p2[0] - p1[0])
+            new = np.array([x, func(x, idx)])
+            same = np.sign(new[1]) == np.sign(p1[1])
+            p1, p2, p3 = new, np.where(same, p2, p1), np.where(same, p1, p2)
+            (x1, f1), (x2, f2), (x3, f3) = p1, p2, p3
+            x2[f1 == 0.0] = x1[f1 == 0.0]  # an exact zero closes the bracket on itself
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
+                         f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+            # step at least tol/2 from x1; within 2 tol, bisection ends the search
+            width = np.abs(x2 - x1)
+            least = 0.5 * tol / width
+            t = np.where(width > 2.0 * tol, np.clip(t, least, 1.0 - least), 0.5)
 
 
-def _golden(func: BatchFunc, a, b, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization on many intervals [a, b] at once, each
-    by the scalar update rule while b - a > tol."""
+def _brent_max(func: BatchFunc, a, b, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize on many intervals [a, b] at once by Brent's bounded method.
+
+    Golden-section steps with safeguarded parabolic ones, as in
+    ``scipy.optimize.fminbound``: per interval, x is the best point so far,
+    w the second best and v the one before; a search stops once both
+    bracket ends lie within 2 (sqrt(eps) |x| + tol/3) of x and returns x and
+    func(x).
+    """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    every = np.arange(a.size)
-    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    f1, f2 = func(x1, every), func(x2, every)
-    active = every
-    while (active := active[b[active] - a[active] > tol]).size:
-        rise = f1[active] < f2[active]
-        up, down = active[rise], active[~rise]
-        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
-        x2[up] = a[up] + _INVPHI * (b[up] - a[up])
-        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
-        x1[down] = b[down] - _INVPHI * (b[down] - a[down])
-        fresh = func(np.where(rise, x2[active], x1[active]), active)
-        f2[up], f1[down] = fresh[rise], fresh[~rise]
-    x = 0.5 * (a + b)
-    return x, func(x, every)
+    best = np.empty((2, a.size))
+    idx = np.arange(a.size)
+    x = a + _GOLDEN * (b - a)
+    # (point, value) pairs of x, w and v; the values are of -func, which is minimized
+    px = pw = pv = np.array([x, -func(x, idx)])
+    e = rat = np.zeros_like(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            xm = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * np.abs(px[0]) + tol / 3.0
+            wide = np.abs(px[0] - xm) > 2.0 * tol1 - 0.5 * (b - a)
+            if not wide.all():
+                best[:, idx[~wide]] = px[:, ~wide]
+                idx, a, b, px, pw, pv, e, rat, xm, tol1 = (
+                    z[..., wide] for z in (idx, a, b, px, pw, pv, e, rat, xm, tol1))
+            if not idx.size:
+                return best[0], -best[1]
+            (x, fx), (w, fw), (v, fv) = px, pw, pv
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = np.where(q > 0.0, -p, p), np.abs(q)
+            fit = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                   & (p > q * (a - x)) & (p < q * (b - x)))
+            e = np.where(fit, rat, np.where(x >= xm, a - x, b - x))
+            rat = np.where(fit, p / q, _GOLDEN * e)
+            # a parabolic step must not land within 2 tol1 of a bracket end
+            edge = fit & ((x + rat - a < 2.0 * tol1) | (b - x - rat < 2.0 * tol1))
+            rat = np.where(edge, np.where(xm >= x, tol1, -tol1), rat)
+            u = x + np.where(rat >= 0.0, 1.0, -1.0) * np.maximum(np.abs(rat), tol1)
+            pu = np.array([u, -func(u, idx)])
+            better = pu[1] <= fx
+            won, lost = np.where(better, pu, px), np.where(better, px, pu)
+            # the losing point becomes the bracket end on its side
+            low = lost[0] < won[0]
+            a, b = np.where(low, lost[0], a), np.where(low, b, lost[0])
+            shift = better | (pu[1] <= fw) | (w == x)
+            third = (pu[1] <= fv) | (v == x) | (v == w)
+            pv = np.where(shift, pw, np.where(third, lost, pv))
+            pw = np.where(shift, lost, pw)
+            px = won
 
 
 def find_root(func, a: float, b: float, tol: float = 1e-10) -> float:
-    """Bisection for a sign change of func on [a, b]."""
+    """Root of func in a sign-change bracket [a, b]; see :func:`_chandrupatla`."""
     batch = lambda x, _: np.array([func(v) for v in x.tolist()])
-    return float(_bisect(batch, [a], [b], [func(a)], [func(b)], tol)[0])
+    return float(_chandrupatla(batch, [a], [b], [func(a)], [func(b)], tol)[0])
 
 
 def golden_section_max(func, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Golden-section maximizer of a unimodal function on [a, b]."""
-    x, fx = _golden(lambda x, _: np.array([func(v) for v in x.tolist()]), [a], [b], tol)
+    """Maximizer of a unimodal function on [a, b] and its value; see :func:`_brent_max`."""
+    x, fx = _brent_max(lambda x, _: np.array([func(v) for v in x.tolist()]), [a], [b], tol)
     return float(x[0]), float(fx[0])
 
 
@@ -223,13 +281,13 @@ def _scan(func: BatchFunc, lo: np.ndarray, hi: np.ndarray, points: int):
 
 
 def _maximize(func: BatchFunc, lo: np.ndarray, hi: np.ndarray, points: int, tol: float):
-    """Per model: the grid maximum, refined by golden section between its neighbours."""
+    """Per model: the grid maximum, refined by Brent's method between its neighbours."""
     a, b = np.empty_like(lo), np.empty_like(hi)
     for idx, grid, values in _scan(func, lo, hi, points):
         best, rows = np.argmax(values, axis=1), np.arange(idx.size)
         a[idx] = grid[rows, np.maximum(best - 1, 0)]
         b[idx] = grid[rows, np.minimum(best + 1, points - 1)]
-    return _golden(func, a, b, tol)
+    return _brent_max(func, a, b, tol)
 
 
 def _raise_first(outcomes: list) -> list:
@@ -299,7 +357,7 @@ def _screen_windows(bases: Sequence[ModelParams], e1_lo=None, e1_hi=None, points
             elif not change[row].any():
                 out[i] = EmptyCoolingWindowError(f"cooling region extends beyond the scan "
                                                  f"range {scanned}; pass an explicit e1_hi")
-            elif d[0] < 0.0:  # a zero end value makes the bisection return the boundary
+            elif d[0] < 0.0:  # a zero end value makes the root finder return the boundary
                 out[i] = (True, [(x[0], x[0], 0.0, 0.0), brackets[0]])
             else:
                 out[i] = (False, brackets)
@@ -307,11 +365,11 @@ def _screen_windows(bases: Sequence[ModelParams], e1_lo=None, e1_hi=None, points
 
 
 def _solve_windows(bases: Sequence[ModelParams], screened: list, tol: float) -> list:
-    """Bisect the brackets of all screened models at once into windows."""
+    """Root-find the brackets of all screened models at once into windows."""
     found = [(i, out) for i, out in enumerate(screened) if not isinstance(out, NeqFridgeError)]
     models = _Batch.of([bases[i] for i, _ in found for _ in range(2)])
-    roots = _bisect(lambda x, j: deviation(x, models.take(j)),
-                    *np.array([out[1] for _, out in found]).reshape(-1, 4).T, tol)
+    roots = _chandrupatla(lambda x, j: deviation(x, models.take(j)),
+                          *np.array([out[1] for _, out in found]).reshape(-1, 4).T, tol)
     windows = list(screened)
     for (i, (boundary, _)), (left, right) in zip(found, roots.reshape(-1, 2).tolist()):
         windows[i] = CoolingWindow(left, right, left_is_boundary=boundary)
@@ -434,7 +492,7 @@ def sweep_fig3(
         base_coh = virtual_coherence(frame, tilde_populations(frame, t2, t2))
         params = _Batch(e1=e1, e3=e3, gamma=gamma, t1=t1, t2=t2, t3=1.0 / beta3, p=p, g=g)
         pops = tilde_populations(frame, t2, params.t3, t1=t1)
-        d = steady_coefficients(pops, p, g).d
+        d = deviation_coefficient(pops, p, g)
         rows += _rows(
             params,
             beta3=beta3,
@@ -468,7 +526,7 @@ def sweep_fig4(
         params = _Batch(**{**base.as_dict(), "e1": np.linspace(window.left, window.right, points)})
         frame = resonant_frame(params.e1, e3, base.gamma)
         pops = tilde_populations(frame, t2, t3, t1=t1)
-        currents = currents_closed(params, frame, pops, steady_coefficients(pops, p, g).d)
+        currents = currents_closed(params, frame, pops, deviation_coefficient(pops, p, g))
         rows += _rows(
             params,
             eta_g=cop_g(frame),
@@ -623,7 +681,7 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[list[dict], dict]:
     params = replace(_Batch.of(bases), e1=np.array([r.e1_star for r in results]))
     frame = resonant_frame(params.e1, params.e3, params.gamma)
     pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-    currents = currents_closed(params, frame, pops, steady_coefficients(pops, params.p, params.g).d)
+    currents = currents_closed(params, frame, pops, deviation_coefficient(pops, params.p, params.g))
     x = params.gamma / params.e3
     eta_star = np.array([r.eta_g_star for r in results])
     upper = [eta_star_max(spec.eta_c, v) for v in x.tolist()]

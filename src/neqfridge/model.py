@@ -198,26 +198,33 @@ class ThermalPopulations:
 
     ``r22 .. r33`` are the four bath populations r_{nu,mu} at gap eps_nu and
     bath temperature T_mu; ``rtilde`` are the mixed populations of the
-    dressed qubits, ``ttilde`` their effective temperatures and ``s*`` the
-    Bloch z components.  ``r1``/``s1`` describe the target and are only set
-    when a target temperature was supplied.
+    dressed qubits at the dressed gaps ``eps2``/``eps3``.  ``r1`` is the
+    target population, only set when a target temperature was supplied.  The
+    effective temperatures ``ttilde``, their inverses ``btilde`` and the
+    Bloch z components ``s*`` are derived on read, so a caller that needs
+    only the populations (the deviation kernel) never computes them.
     """
 
+    eps2: float
+    eps3: float
     r22: float
     r23: float
     r32: float
     r33: float
     rtilde2: float
     rtilde3: float
-    ttilde2: float
-    ttilde3: float
-    s2: float
-    s3: float
     r1: float | None = None
-    s1: float | None = None
 
     def r(self, nu: int, mu: int) -> float:
         return {(2, 2): self.r22, (2, 3): self.r23, (3, 2): self.r32, (3, 3): self.r33}[(nu, mu)]
+
+    @property
+    def ttilde2(self) -> float:
+        return self.eps2 / np.log((1.0 - self.rtilde2) / self.rtilde2)
+
+    @property
+    def ttilde3(self) -> float:
+        return self.eps3 / np.log((1.0 - self.rtilde3) / self.rtilde3)
 
     @property
     def btilde2(self) -> float:
@@ -227,10 +234,22 @@ class ThermalPopulations:
     def btilde3(self) -> float:
         return 1.0 / self.ttilde3
 
+    @property
+    def s1(self) -> float | None:
+        return None if self.r1 is None else 2.0 * self.r1 - 1.0
+
+    @property
+    def s2(self) -> float:
+        return 2.0 * self.rtilde2 - 1.0
+
+    @property
+    def s3(self) -> float:
+        return 2.0 * self.rtilde3 - 1.0
+
 
 def tilde_populations(frame: Frame, t2, t3, t1=None,
                       population=thermal_population) -> ThermalPopulations:
-    """Populations and effective temperatures of the dressed machine qubits.
+    """Populations of the dressed machine qubits.
 
     Each dressed qubit is pushed by both baths; the combined fixed point is
     the mixture rtilde_nu = cos^2(theta/2) r_{nu,nu} + sin^2(theta/2) r_{nu,mu}
@@ -244,20 +263,11 @@ def tilde_populations(frame: Frame, t2, t3, t1=None,
     r23 = population(frame.eps2, t3)
     r32 = population(frame.eps3, t2)
     r33 = population(frame.eps3, t3)
-    rtilde2 = c2 * r22 + s2 * r23
-    rtilde3 = c2 * r33 + s2 * r32
-    ttilde2 = frame.eps2 / np.log((1.0 - rtilde2) / rtilde2)
-    ttilde3 = frame.eps3 / np.log((1.0 - rtilde3) / rtilde3)
-    r1 = s1 = None
-    if t1 is not None:
-        r1 = thermal_population(frame.e1, t1)
-        s1 = 2.0 * r1 - 1.0
     return ThermalPopulations(
+        eps2=frame.eps2, eps3=frame.eps3,
         r22=r22, r23=r23, r32=r32, r33=r33,
-        rtilde2=rtilde2, rtilde3=rtilde3,
-        ttilde2=ttilde2, ttilde3=ttilde3,
-        s2=2.0 * rtilde2 - 1.0, s3=2.0 * rtilde3 - 1.0,
-        r1=r1, s1=s1,
+        rtilde2=c2 * r22 + s2 * r23, rtilde3=c2 * r33 + s2 * r32,
+        r1=None if t1 is None else thermal_population(frame.e1, t1),
     )
 
 

@@ -269,7 +269,9 @@ def performance_report(
         eta_g = cop_g(frame)
     except NonCoolingRegimeError:
         eta_g = None
-    eta_tot = currents.q1 / currents.q3 if currents.q3 != 0.0 else None
+    # a q3 within the two current routes' disagreement is rounding noise
+    resolved = abs(currents.q3) > currents.max_route_delta
+    eta_tot = currents.q1 / currents.q3 if resolved else None
     eta_c = cop_carnot(params.t1, params.t2, params.t3) if params.t1 < params.t2 else math.inf
     try:
         eta_tilde = cop_tilde(pops, params.t1)

@@ -83,22 +83,33 @@ def family_operators(frame: Frame) -> dict[str, np.ndarray]:
     return dict(zip(_FAMILY_NAMES, frame.to_lab(_FAMILY)))
 
 
+def deviation_coefficient(pops: ThermalPopulations, p: float, g: float) -> float:
+    """Closed-form deviation coefficient d from the bath populations.
+
+    d is proportional to the imbalance between the two directions of the
+    resonant three-body exchange; its sign decides cooling.  It reads only
+    r1 and the two mixed populations, so window and power searches call it
+    without the other seven coefficients.
+    """
+    if pops.r1 is None:
+        raise ParameterError("populations lack the target entry r1")
+    r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
+    q1, qt2, qt3 = 1.0 - r1, 1.0 - rt2, 1.0 - rt3  # ground-state populations
+    numerator = 48.0 * (q1 * rt2 * qt3 - r1 * qt2 * rt3) * p * g
+    om12 = r1 * qt2 + q1 * rt2
+    om23 = rt2 * qt3 + qt2 * rt3
+    om31 = r1 * rt3 + q1 * qt3
+    return numerator / (9.0 * p * p + (14.0 + 4.0 * (om12 + om23 + om31)) * g * g)
+
+
 def steady_coefficients(pops: ThermalPopulations, p: float, g: float) -> SteadyDecomposition:
     """Closed-form steady-state coefficients from the bath populations.
 
-    The deviation d is proportional to the imbalance between the two
-    directions of the resonant three-body exchange; the remaining
+    The deviation d comes from :func:`deviation_coefficient`; the remaining
     coefficients follow from the per-channel balance conditions.
     """
-    if pops.r1 is None or pops.s1 is None:
-        raise ParameterError("populations lack the target entry r1")
-    r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
+    d = deviation_coefficient(pops, p, g)
     s1, s2, s3 = pops.s1, pops.s2, pops.s3
-    numerator = 48.0 * ((1.0 - r1) * rt2 * (1.0 - rt3) - r1 * (1.0 - rt2) * rt3) * p * g
-    om12 = r1 * (1.0 - rt2) + (1.0 - r1) * rt2
-    om23 = rt2 * (1.0 - rt3) + (1.0 - rt2) * rt3
-    om31 = r1 * rt3 + (1.0 - r1) * (1.0 - rt3)
-    d = numerator / (9.0 * p * p + (14.0 + 4.0 * (om12 + om23 + om31)) * g * g)
     k = (g / p) * (0.5 * d)
     a1 = s1 + k
     a2 = s2 - k

@@ -82,3 +82,47 @@ def kron_dissipator_superop(jump: np.ndarray, weight: float) -> np.ndarray:
     anti = jump.conj().T @ jump
     return weight * (np.kron(jump.conj(), jump) - 0.5 * np.kron(eye, anti)
                      - 0.5 * np.kron(anti.T, eye))
+
+
+# Plain scalar search references.  The package finds roots by Chandrupatla's
+# method and maxima by Brent's; the tests replay these textbook loops, one
+# evaluation at a time, to check it against an independent search.
+INVPHI = (5.0 ** 0.5 - 1.0) / 2.0
+
+
+def bisect_root(func, a: float, b: float, tol: float) -> float:
+    """Bisection: an exact zero ends the search, else halve while b - a > tol."""
+    fa, fb = func(a), func(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError("root not bracketed")
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        fm = func(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def golden_max(func, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximization while b - a > tol; the midpoint and its value."""
+    x1, x2 = b - INVPHI * (b - a), a + INVPHI * (b - a)
+    f1, f2 = func(x1), func(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + INVPHI * (b - a)
+            f2 = func(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - INVPHI * (b - a)
+            f1 = func(x1)
+    x = 0.5 * (a + b)
+    return x, func(x)

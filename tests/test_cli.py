@@ -70,6 +70,18 @@ class TestSteadyCommand:
         config.write_text("gamma 0.3\n")
         assert main(["steady", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("temps, resolved", [
+        (("2", "2", "2"), False), (("1", "1", "1"), False), (("1.99", "2", "2.01"), True),
+    ])
+    def test_eta_tot_needs_resolved_currents(self, tmp_path, temps, resolved):
+        # with all baths at one temperature q1 and q3 are rounding noise, no
+        # larger than the disagreement of the two current routes
+        out = tmp_path / "steady.json"
+        t1, t2, t3 = temps
+        assert main(["steady", "--t1", t1, "--t2", t2, "--t3", t3, "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert (report["performance"]["eta_tot"] is not None) == resolved
+
     def test_equal_temperatures_write_strict_json(self, tmp_path):
         # eta_c is infinite at T1 = T2; strict JSON has no Infinity
         out = tmp_path / "steady.json"

@@ -1,8 +1,11 @@
 import collections
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neqfridge import (
     EmptyCoolingWindowError,
@@ -23,7 +26,10 @@ from neqfridge import (
     sweep_fig5,
 )
 from neqfridge.experiments import (
+    _Batch,
+    _chandrupatla,
     _draw_model,
+    _scan_range,
     cooling_windows,
     deviation,
     extracted_current,
@@ -31,7 +37,7 @@ from neqfridge.experiments import (
     golden_section_max,
 )
 from neqfridge.errors import ParameterError
-from neqfridge.model import thermal_populations, virtual_coherence
+from neqfridge.model import thermal_populations, tilde_populations, virtual_coherence
 from neqfridge.observables import (
     cooling_condition,
     cop_carnot,
@@ -41,7 +47,37 @@ from neqfridge.observables import (
 )
 from neqfridge.steadystate import steady_coefficients
 
+from conftest import bisect_root, golden_max
+
 FIG4_BASE = ModelParams(e1=1.0, e3=4.0, gamma=0.2, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
+
+
+def _counted(func):
+    """func, and the list of the points it has been called at."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return func(x)
+
+    return counted, calls
+
+
+def _bisection_count(a: float, b: float, tol: float) -> int:
+    """Evaluations bisection needs to shrink [a, b] to tol: both ends, then one per halving."""
+    count, width = 2, b - a
+    while width > tol:
+        count, width = count + 1, 0.5 * width
+    return count
+
+
+# monotone functions with a simple root at r; s sets the width of the
+# region where each one is close to linear
+MONOTONE = {
+    "cubic": lambda x, r, s: (x - r) ** 3 + s * s * (x - r),
+    "tanh": lambda x, r, s: math.tanh((x - r) / s),
+    "exp": lambda x, r, s: math.expm1((x - r) / s),
+}
 
 
 class TestRootAndSearchHelpers:
@@ -53,6 +89,129 @@ class TestRootAndSearchHelpers:
         x, fx = golden_section_max(lambda x: -(x - 0.3) ** 2, -1.0, 1.0, tol=1e-10)
         assert x == pytest.approx(0.3, abs=1e-8)
         assert fx == pytest.approx(0.0, abs=1e-15)
+
+    def test_root_evaluation_count(self):
+        # bisection makes 41 evaluations here
+        func, calls = _counted(lambda x: x * x - 2.0)
+        find_root(func, 0.0, 2.0, tol=1e-12)
+        assert len(calls) <= 12
+
+    def test_max_evaluation_count(self):
+        # golden section makes 53 evaluations here
+        func, calls = _counted(lambda x: -(x - 0.3) ** 2)
+        golden_section_max(func, -1.0, 1.0, tol=1e-10)
+        assert len(calls) <= 12
+
+
+class TestRootFinderEdges:
+    def test_zero_at_an_end_returns_that_end(self):
+        assert find_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert find_root(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+    def test_zero_at_an_iterate_ends_that_search(self):
+        # both searches start at the midpoint 1.0, an exact zero of the first
+        # function only; the second goes on alone
+        batches = []
+
+        def func(x, idx):
+            batches.append(idx.tolist())
+            return np.where(idx == 0, x - 1.0, x * x - 2.0)
+
+        roots = _chandrupatla(func, [0.0, 0.0], [2.0, 2.0], [-1.0, -2.0], [1.0, 2.0], 1e-12)
+        assert roots[0] == 1.0
+        assert roots[1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert batches[0] == [0, 1] and len(batches) > 1
+        assert all(batch == [1] for batch in batches[1:])
+
+    def test_unbracketed_input_raises(self):
+        with pytest.raises(ValueError, match="root not bracketed"):
+            find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_boundary_window_comes_back_unchanged(self):
+        # at gamma = 0 the window starts at the scan's lower end, not at a root
+        base = replace(FIG4_BASE, gamma=0.0)
+        window = cooling_window(base)
+        assert window.left_is_boundary
+        assert window.left == _scan_range(base, None, None)[0]
+
+    # Interpolation wins once the function is close to linear at the
+    # tolerance scale and enough halvings remain to make up for the steps
+    # it spends before that.  With a tolerance within ten halvings of the
+    # bracket, a cubic whose root sits in a near-triple region (small s)
+    # can take one evaluation more than bisection (a = 0, width = 1,
+    # fraction = 0.5703125, s = 0.0234375, tol = 1e-3), so tolerances here
+    # stay at or below 1e-4 of the bracket; the window search uses 1e-13 on
+    # grid cells of about 1e-2.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(MONOTONE)),
+        a=st.floats(-10.0, 10.0),
+        width=st.floats(1e-3, 10.0),
+        fraction=st.floats(0.0, 1.0),
+        scale=st.floats(0.02, 100.0),
+        digits=st.integers(4, 13),
+    )
+    def test_monotone_brackets(self, family, a, width, fraction, scale, digits):
+        b, tol = a + width, width * 10.0 ** -digits
+        r = a + fraction * width
+        func, calls = _counted(lambda x: MONOTONE[family](x, r, scale * width))
+        root = find_root(func, a, b, tol=tol)
+        assert abs(root - r) <= tol
+        assert len(calls) <= _bisection_count(a, b, tol)
+
+
+def _kernel_cases() -> list:
+    """(e1, parameters) pairs: an 8 x 400 window-scan grid over eight seeded
+    ensemble models as one batch, then eight of its points per model as floats."""
+    rng = np.random.default_rng(3)
+    bases = [_draw_model(rng, EnsembleSpec(n=8, seed=3)) for _ in range(8)]
+    lo, hi = np.array([_scan_range(base, None, None) for base in bases]).T
+    grid = np.linspace(lo, hi, 400, axis=1)
+    cases = [(grid, _Batch.of(bases).take(np.arange(8)[:, None]))]
+    return cases + [(x, base) for base, row in zip(bases, grid) for x in row[::57].tolist()]
+
+
+class TestDeviationKernel:
+    def test_deviation_is_steady_d_bit_for_bit(self):
+        cases = _kernel_cases()
+        assert cases[0][0].shape == (8, 400) and isinstance(cases[1][0], float)
+        for e1, params in cases:
+            frame = resonant_frame(e1, params.e3, params.gamma)
+            pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
+            np.testing.assert_array_equal(deviation(e1, params),
+                                          steady_coefficients(pops, params.p, params.g).d)
+
+    def test_derived_values_match_the_stored_formulas(self):
+        # the formulas tilde_populations evaluated and stored before these
+        # values were derived on read
+        for e1, params in _kernel_cases():
+            frame = resonant_frame(e1, params.e3, params.gamma)
+            pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
+            rt2, rt3 = pops.rtilde2, pops.rtilde3
+            np.testing.assert_array_equal(pops.ttilde2, frame.eps2 / np.log((1.0 - rt2) / rt2))
+            np.testing.assert_array_equal(pops.ttilde3, frame.eps3 / np.log((1.0 - rt3) / rt3))
+            np.testing.assert_array_equal(pops.s1, 2.0 * pops.r1 - 1.0)
+            np.testing.assert_array_equal(pops.s2, 2.0 * rt2 - 1.0)
+            np.testing.assert_array_equal(pops.s3, 2.0 * rt3 - 1.0)
+
+    def test_ensemble_kernel_calls(self, monkeypatch):
+        # fig6 at n = 100 made 101 deviation and 102 steady_coefficients
+        # calls with bisection and golden section
+        from neqfridge import experiments, steadystate
+
+        calls = collections.Counter()
+        for function in (experiments.deviation, steadystate.steady_coefficients):
+            def counted(*args, _function=function, **kwargs):
+                calls[_function.__name__] += 1
+                return _function(*args, **kwargs)
+
+            # every module that binds the name, so no caller goes around the counter
+            for name, module in list(sys.modules.items()):
+                if name.startswith("neqfridge") and getattr(module, function.__name__, None) is function:
+                    monkeypatch.setattr(module, function.__name__, counted)
+        random_ensemble(EnsembleSpec(n=100, seed=7))
+        assert 0 < calls["deviation"] <= 70
+        assert calls["steady_coefficients"] <= 2
 
 
 class TestCoolingWindow:
@@ -368,8 +527,9 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_batch_matches_scalar_reference(self, seed):
-        # the batched screening, bisection and golden-section search agree
-        # with a point-by-point search replayed on the same random stream
+        # the batched screening, root finds and power maxima agree with a
+        # point-by-point bisection and golden-section search replayed on the
+        # same random stream
         _check_against_scalar(EnsembleSpec(n=20, seed=seed))
 
     def test_scan_errors_are_resamples(self):
@@ -422,7 +582,7 @@ def _scalar_window(base: ModelParams):
                  if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0)]
     if min(values) >= 0.0 or not crossings:
         return None
-    root = lambda k: find_root(f, grid[k], grid[k + 1], tol=1e-13)
+    root = lambda k: bisect_root(f, grid[k], grid[k + 1], tol=1e-13)
     if values[0] < 0.0:
         return grid[0], root(crossings[0])
     return root(crossings[0]), root(crossings[-1])
@@ -433,7 +593,7 @@ def _scalar_max_power(base: ModelParams, window, eta_c: float) -> dict:
     power = lambda e1: extracted_current(e1, base)
     grid = np.linspace(window[0], window[1], 400)
     i = int(np.argmax([power(e) for e in grid]))
-    e1, q1g_max = golden_section_max(power, grid[max(i - 1, 0)], grid[min(i + 1, 399)], tol=1e-8)
+    e1, q1g_max = golden_max(power, grid[max(i - 1, 0)], grid[min(i + 1, 399)], tol=1e-8)
     params = replace(base, e1=e1)
     frame = resonant_frame(e1, base.e3, base.gamma)
     pops = thermal_populations(params, frame)

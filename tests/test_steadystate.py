@@ -128,7 +128,6 @@ class TestOracleEquivalence:
             rtilde2=frame.cos_half_sq * (1 - pops.r22) + frame.sin_half_sq * (1 - pops.r23),
             rtilde3=frame.cos_half_sq * (1 - pops.r33) + frame.sin_half_sq * (1 - pops.r32),
         )
-        flipped = replace(flipped, s2=2 * flipped.rtilde2 - 1, s3=2 * flipped.rtilde3 - 1)
         wrong = steady_coefficients(flipped, p0.p, p0.g)
         numeric = numeric_steady_state(p0)
         assert abs(wrong.d - numeric.decomposition.d) > 1e-3
