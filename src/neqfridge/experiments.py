@@ -44,7 +44,8 @@ from .steadystate import deviation_coefficient, steady_coefficients
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _ROOT_TOL = 1e-13  # window-endpoint root tolerance
-_CHUNK = 8  # models per grid scan: bounds the scan's memory, not the batch size
+_SEARCH_TOL = 1e-8  # tolerance of the window-screening and power searches
+_CHUNK = 8  # the fewest draws random_ensemble screens in one round
 _PARAM_NAMES = ("e1", "e3", "gamma", "t1", "t2", "t3", "p", "g")
 BatchFunc = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, idx): x for models idx
 
@@ -74,8 +75,8 @@ class EnsembleSpec:
 
     The internal coupling is an integer multiple of E3*eta_c/gamma_steps and
     the cold-bath temperature is fixed by the Carnot constraint
-    b1 = b2 + (b2 - b3)/eta_c.  Infeasible draws (empty cooling window) are
-    rejected and redrawn.
+    b1 = b2 + (b2 - b3)/eta_c.  Draws whose window search finds no window,
+    or raises, are rejected and redrawn.
     """
 
     n: int
@@ -158,6 +159,19 @@ def extracted_current(e1, base: ModelParams | _Batch):
     return -0.25 * base.g * deviation(e1, base) * e1
 
 
+def log_odds_gap(e1, base: ModelParams | _Batch):
+    """f(E1) = E1/T1 - ln[(1 - r~2) r~3 / (r~2 (1 - r~3))] at target gap(s) e1.
+
+    d's numerator is q1 r~2 q~3 - r1 q~2 r~3 (q = 1 - r), its denominator is
+    positive and ln(q1/r1) = E1/T1, so f has the sign of d wherever g > 0:
+    the cooling window is {f < 0}, and f depends on neither p nor g.
+    """
+    frame = resonant_frame(e1, base.e3, base.gamma)
+    pops = tilde_populations(frame, base.t2, base.t3)
+    rt2, rt3 = pops.rtilde2, pops.rtilde3
+    return e1 / base.t1 - np.log((1.0 - rt2) * rt3 / (rt2 * (1.0 - rt3)))
+
+
 def _chandrupatla(func: BatchFunc, a, b, fa, fb, tol: float) -> np.ndarray:
     """Find a sign change in many brackets [a, b] with end values fa, fb at once.
 
@@ -205,14 +219,14 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb, tol: float) -> np.ndarray:
             t = np.where(width > 2.0 * tol, np.clip(t, least, 1.0 - least), 0.5)
 
 
-def _brent_max(func: BatchFunc, a, b, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _brent_max(func: BatchFunc, a, b, tol: float, stop=np.inf) -> tuple[np.ndarray, np.ndarray]:
     """Maximize on many intervals [a, b] at once by Brent's bounded method.
 
     Golden-section steps with safeguarded parabolic ones, as in
     ``scipy.optimize.fminbound``: per interval, x is the best point so far,
     w the second best and v the one before; a search stops once both
-    bracket ends lie within 2 (sqrt(eps) |x| + tol/3) of x and returns x and
-    func(x).
+    bracket ends lie within 2 (sqrt(eps) |x| + tol/3) of x, or as soon as
+    func(x) exceeds ``stop``, and returns x and func(x).
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     best = np.empty((2, a.size))
@@ -225,7 +239,7 @@ def _brent_max(func: BatchFunc, a, b, tol: float) -> tuple[np.ndarray, np.ndarra
         while True:
             xm = 0.5 * (a + b)
             tol1 = _SQRT_EPS * np.abs(px[0]) + tol / 3.0
-            wide = np.abs(px[0] - xm) > 2.0 * tol1 - 0.5 * (b - a)
+            wide = (np.abs(px[0] - xm) > 2.0 * tol1 - 0.5 * (b - a)) & ~(px[1] < -stop)
             if not wide.all():
                 best[:, idx[~wide]] = px[:, ~wide]
                 idx, a, b, px, pw, pv, e, rat, xm, tol1 = (
@@ -271,25 +285,6 @@ def golden_section_max(func, a: float, b: float, tol: float = 1e-8) -> tuple[flo
     return float(x[0]), float(fx[0])
 
 
-def _scan(func: BatchFunc, lo: np.ndarray, hi: np.ndarray, points: int):
-    """Yield (idx, grid, func on grid) for _CHUNK models at a time, the grid
-    being points wide over [lo[i], hi[i]] for model i."""
-    for start in range(0, lo.size, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, lo.size))
-        grid = np.linspace(lo[idx], hi[idx], points, axis=1)
-        yield idx, grid, func(grid, idx[:, None])
-
-
-def _maximize(func: BatchFunc, lo: np.ndarray, hi: np.ndarray, points: int, tol: float):
-    """Per model: the grid maximum, refined by Brent's method between its neighbours."""
-    a, b = np.empty_like(lo), np.empty_like(hi)
-    for idx, grid, values in _scan(func, lo, hi, points):
-        best, rows = np.argmax(values, axis=1), np.arange(idx.size)
-        a[idx] = grid[rows, np.maximum(best - 1, 0)]
-        b[idx] = grid[rows, np.minimum(best + 1, points - 1)]
-    return _brent_max(func, a, b, tol)
-
-
 def _raise_first(outcomes: list) -> list:
     """The outcomes, unless one is an error: then the first error is raised."""
     for outcome in outcomes:
@@ -321,46 +316,52 @@ def _scan_range(base: ModelParams, e1_lo: float | None, e1_hi: float | None):
     return e1_lo, e1_hi
 
 
-def _screen_windows(bases: Sequence[ModelParams], e1_lo=None, e1_hi=None, points=400) -> list:
-    """Scan each model's deviation for the sign changes bounding its window.
+def _screen_windows(bases: Sequence[ModelParams], e1_lo=None, e1_hi=None) -> list:
+    """Find a point inside each model's cooling window, which brackets both edges.
 
-    Per model the result is the error its window search raises, or the pair
-    (left edge is the scan boundary, brackets (a, b, d(a), d(b)) of both edges).
+    f (:func:`log_odds_gap`) is read at both ends of every scan range in one
+    call; where neither end has f < 0, a batched Brent minimization of f
+    stops at its first point with f < 0.  Per model the result is the error
+    its window search raises, or the pair (left edge is the scan boundary,
+    brackets (a, b, f(a), f(b)) of both edges).
     """
     out = [_outcome(_scan_range, base, e1_lo, e1_hi) for base in bases]
     index = [i for i, outcome in enumerate(out) if not isinstance(outcome, NeqFridgeError)]
-    lo, hi = np.array([out[i] for i in index]).reshape(-1, 2).T
+    ends = np.array([out[i] for i in index]).reshape(-1, 2)
     models = _Batch.of([bases[i] for i in index])
-    failed: dict[int, NeqFridgeError] = {}
-
-    def scan(x: np.ndarray, j: np.ndarray) -> np.ndarray:
-        try:
-            return deviation(x, models.take(j))
-        except NeqFridgeError:  # find the models whose scan raises, one at a time
-            rows = [_outcome(deviation, x[r], models.take(j[r])) for r in range(len(j))]
-            failed.update((int(j[r, 0]), row) for r, row in enumerate(rows)
-                          if isinstance(row, NeqFridgeError))
-            return np.array([np.full(x.shape[1], np.nan) if isinstance(row, NeqFridgeError)
-                             else row for row in rows])
-
-    for idx, grid, v in _scan(scan, lo, hi, points):
-        change = (v[:, :-1] == 0.0) | ((v[:, :-1] > 0.0) != (v[:, 1:] > 0.0))
-        first, last = np.argmax(change, axis=1), points - 2 - np.argmax(change[:, ::-1], axis=1)
-        for row, j in enumerate(idx):
-            x, d, i, scanned = grid[row], v[row], index[j], f"[{lo[j]:.6g}, {hi[j]:.6g}]"
-            brackets = [(x[k], x[k + 1], d[k], d[k + 1]) for k in (first[row], last[row])]
-            if j in failed:
-                out[i] = failed[j]
-            elif d.min() >= 0.0:
-                out[i] = EmptyCoolingWindowError(
-                    f"no cooling found in {scanned} for gamma={bases[i].gamma}")
-            elif not change[row].any():
-                out[i] = EmptyCoolingWindowError(f"cooling region extends beyond the scan "
-                                                 f"range {scanned}; pass an explicit e1_hi")
-            elif d[0] < 0.0:  # a zero end value makes the root finder return the boundary
-                out[i] = (True, [(x[0], x[0], 0.0, 0.0), brackets[0]])
-            else:
-                out[i] = (False, brackets)
+    try:
+        f_ends = log_odds_gap(ends, models.take(np.arange(len(index))[:, None]))
+    except NeqFridgeError:
+        # find the models whose ends raise, one at a time; the dressed gap eps3
+        # grows with E1, so a model that evaluates at both ends does in between
+        rows = [_outcome(log_odds_gap, row, models.take(j)) for j, row in enumerate(ends)]
+        for j, row in enumerate(rows):
+            if isinstance(row, NeqFridgeError):
+                out[index[j]], rows[j] = row, np.full(2, np.nan)
+        f_ends = np.array(rows).reshape(-1, 2)
+    (lo, hi), (f_lo, f_hi) = ends.T, f_ends.T
+    # the lower end is the best point until a search finds a lower one
+    low = f_hi < f_lo
+    x, fx = np.where(low, hi, lo), np.where(low, f_hi, f_lo)
+    search = np.flatnonzero((f_lo >= 0.0) & (f_hi >= 0.0))
+    if search.size:
+        x[search], negative = _brent_max(lambda e1, j: -log_odds_gap(e1, models.take(search[j])),
+                                         lo[search], hi[search], _SEARCH_TOL, stop=0.0)
+        fx[search] = -negative
+    for i, a, b, fa, fb, c, fc in zip(index, *(v.tolist() for v in (lo, hi, f_lo, f_hi, x, fx))):
+        if isinstance(out[i], NeqFridgeError):
+            continue
+        scanned = f"[{a:.6g}, {b:.6g}]"
+        if not (fc < 0.0 and bases[i].g > 0.0):  # at g = 0 nothing cools
+            out[i] = EmptyCoolingWindowError(
+                f"no cooling found in {scanned} for gamma={bases[i].gamma}")
+        elif fb < 0.0:
+            out[i] = EmptyCoolingWindowError(f"cooling region extends beyond the scan "
+                                             f"range {scanned}; pass an explicit e1_hi")
+        elif fa < 0.0:  # a zero end value makes the root finder return the boundary
+            out[i] = (True, [(a, a, 0.0, 0.0), (a, b, fa, fb)])
+        else:
+            out[i] = (False, [(a, c, fa, fc), (c, b, fc, fb)])
     return out
 
 
@@ -368,7 +369,7 @@ def _solve_windows(bases: Sequence[ModelParams], screened: list, tol: float) -> 
     """Root-find the brackets of all screened models at once into windows."""
     found = [(i, out) for i, out in enumerate(screened) if not isinstance(out, NeqFridgeError)]
     models = _Batch.of([bases[i] for i, _ in found for _ in range(2)])
-    roots = _chandrupatla(lambda x, j: deviation(x, models.take(j)),
+    roots = _chandrupatla(lambda x, j: log_odds_gap(x, models.take(j)),
                           *np.array([out[1] for _, out in found]).reshape(-1, 4).T, tol)
     windows = list(screened)
     for (i, (boundary, _)), (left, right) in zip(found, roots.reshape(-1, 2).tolist()):
@@ -380,45 +381,44 @@ def cooling_windows(
     bases: Sequence[ModelParams],
     e1_lo: float | None = None,
     e1_hi: float | None = None,
-    scan_points: int = 400,
     tol: float = _ROOT_TOL,
 ) -> list:
     """Locate the d(E1) = 0 roots bounding each model's cooling region.
 
     The E1 field of every base is ignored.  The default scan range is
-    (2*gamma, E3 * Carnot COP); the right end always lies outside the
-    window, so a 400-point scan brackets both sign changes.  The default
-    root tolerance is tight enough that the endpoint COP identity holds to
-    better than 1e-10.  Returns per model its :class:`CoolingWindow`, or the
+    (2*gamma, E3 * Carnot COP), whose right end lies outside the window.  A
+    window needs a point x with f(x) < 0 (f of :func:`log_odds_gap`, which
+    has d's sign) and f >= 0 at the right end; Chandrupatla's method finds
+    its edges between x and the ends, and f < 0 at the left end makes that
+    end the left edge.  At g = 0 every window is empty.  The default root
+    tolerance is tight enough that the endpoint COP identity holds to better
+    than 1e-10.  Returns per model its :class:`CoolingWindow`, or the
     :class:`ParameterError` or :class:`EmptyCoolingWindowError` that
     :func:`cooling_window` raises for it.
     """
-    return _solve_windows(bases, _screen_windows(bases, e1_lo, e1_hi, scan_points), tol)
+    return _solve_windows(bases, _screen_windows(bases, e1_lo, e1_hi), tol)
 
 
 def cooling_window(
     base: ModelParams,
     e1_lo: float | None = None,
     e1_hi: float | None = None,
-    scan_points: int = 400,
     tol: float = _ROOT_TOL,
 ) -> CoolingWindow:
     """The cooling window of one model; see :func:`cooling_windows`."""
-    return _raise_first(cooling_windows([base], e1_lo, e1_hi, scan_points, tol))[0]
+    return _raise_first(cooling_windows([base], e1_lo, e1_hi, tol))[0]
 
 
 def maximize_cooling_powers(
     bases: Sequence[ModelParams],
     windows: Sequence[CoolingWindow] | None = None,
-    grid_points: int = 400,
-    tol: float = 1e-8,
+    tol: float = _SEARCH_TOL,
 ) -> list[MaxPowerResult]:
-    """Maximize Q1^g over each model's cooling window and report the COP there."""
+    """Maximize Q1^g over each model's whole cooling window and report the COP there."""
     windows = windows if windows is not None else _raise_first(cooling_windows(bases))
     models = _Batch.of(bases)
-    e1_star, q1g_max = _maximize(lambda x, j: extracted_current(x, models.take(j)),
-                                 np.array([w.left for w in windows]),
-                                 np.array([w.right for w in windows]), grid_points, tol)
+    e1_star, q1g_max = _brent_max(lambda x, j: extracted_current(x, models.take(j)),
+                                  *np.array([(w.left, w.right) for w in windows]).T, tol)
     eta_g_star = cop_g(resonant_frame(e1_star, models.e3, models.gamma))
     return [
         MaxPowerResult(e1_star=e, q1g_max=q, eta_g_star=eta, window=w)
@@ -429,26 +429,22 @@ def maximize_cooling_powers(
 def maximize_cooling_power(
     base: ModelParams,
     window: CoolingWindow | None = None,
-    grid_points: int = 400,
-    tol: float = 1e-8,
+    tol: float = _SEARCH_TOL,
 ) -> MaxPowerResult:
     """Maximize Q1^g over the cooling window of one model."""
     windows = [window] if window is not None else None
-    return maximize_cooling_powers([base], windows, grid_points, tol)[0]
+    return maximize_cooling_powers([base], windows, tol)[0]
 
 
 def minimize_cop(
     base: ModelParams,
     window: CoolingWindow | None = None,
-    grid_points: int = 400,
-    tol: float = 1e-8,
+    tol: float = _SEARCH_TOL,
 ) -> MinCopResult:
-    """Minimize the machine COP over the cooling window."""
+    """Minimize the machine COP over the cooling window by Brent's method."""
     window = window if window is not None else cooling_window(base)
-    e1_star, negative_cop = _maximize(
-        lambda x, _: -cop_g(resonant_frame(x, base.e3, base.gamma)),
-        np.array([window.left]), np.array([window.right]), grid_points, tol,
-    )
+    e1_star, negative_cop = _brent_max(lambda x, _: -cop_g(resonant_frame(x, base.e3, base.gamma)),
+                                       [window.left], [window.right], tol)
     return MinCopResult(float(e1_star[0]), -float(negative_cop[0]), window)
 
 
@@ -653,16 +649,19 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[list[dict], dict]:
     Each accepted model is optimized over the target gap; rows carry the
     COP-at-max-power ratio, the thermodynamic COP there, the virtual-qubit
     coherence at the optimum, and whether the model sits within 5% of the
-    upper bound (relative to the bound gap).  Candidates are screened a
-    chunk at a time; each draw takes the same random numbers whatever its
-    outcome, so drawing ahead leaves the accepted models unchanged.
+    upper bound (relative to the bound gap).  Candidates are screened in
+    rounds of half again as many draws as the acceptance ratio so far says
+    the remaining models need; each draw takes the same random numbers
+    whatever its outcome, so drawing ahead leaves the accepted models unchanged.
     """
     rng = np.random.default_rng(spec.seed)
     accepted: list[tuple[ModelParams, tuple]] = []
     resamples = 0
     attempts_cap = 200 * spec.n
     while len(accepted) < spec.n:
-        drawn = [_outcome(_draw_model, rng, spec) for _ in range(_CHUNK)]
+        ratio = (resamples + len(accepted)) / len(accepted) if accepted else 1.0
+        size = max(_CHUNK, math.ceil(1.5 * (spec.n - len(accepted)) * ratio))
+        drawn = [_outcome(_draw_model, rng, spec) for _ in range(size)]
         screened = iter(_screen_windows([m for m in drawn if isinstance(m, ModelParams)]))
         for model in drawn:
             outcome = next(screened) if isinstance(model, ModelParams) else model

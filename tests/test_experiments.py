@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neqfridge import (
+    CoolingWindow,
     EmptyCoolingWindowError,
     EnsembleSpec,
     ModelParams,
@@ -36,7 +37,7 @@ from neqfridge.experiments import (
     find_root,
     golden_section_max,
 )
-from neqfridge.errors import ParameterError
+from neqfridge.errors import NeqFridgeError, ParameterError
 from neqfridge.model import thermal_populations, tilde_populations, virtual_coherence
 from neqfridge.observables import (
     cooling_condition,
@@ -196,13 +197,16 @@ class TestDeviationKernel:
 
     def test_ensemble_kernel_calls(self, monkeypatch):
         # fig6 at n = 100 made 101 deviation and 102 steady_coefficients
-        # calls with bisection and golden section
+        # calls with bisection and golden section, and its 400-point scans
+        # evaluated about 900 kernel points per accepted model
         from neqfridge import experiments, steadystate
 
-        calls = collections.Counter()
-        for function in (experiments.deviation, steadystate.steady_coefficients):
+        calls, points = collections.Counter(), collections.Counter()
+        kernels = (experiments.deviation, experiments.log_odds_gap)
+        for function in (*kernels, steadystate.steady_coefficients):
             def counted(*args, _function=function, **kwargs):
                 calls[_function.__name__] += 1
+                points[_function.__name__] += np.size(args[0])
                 return _function(*args, **kwargs)
 
             # every module that binds the name, so no caller goes around the counter
@@ -210,7 +214,8 @@ class TestDeviationKernel:
                 if name.startswith("neqfridge") and getattr(module, function.__name__, None) is function:
                     monkeypatch.setattr(module, function.__name__, counted)
         random_ensemble(EnsembleSpec(n=100, seed=7))
-        assert 0 < calls["deviation"] <= 70
+        assert 0 < sum(calls[kernel.__name__] for kernel in kernels) <= 70
+        assert sum(points[kernel.__name__] for kernel in kernels) <= 100 * 100
         assert calls["steady_coefficients"] <= 2
 
 
@@ -236,12 +241,66 @@ class TestCoolingWindow:
         with pytest.raises(EmptyCoolingWindowError):
             cooling_window(base)
 
+    def test_a_raising_model_leaves_its_batch_alone(self):
+        # at eta_c = 6 a coupling above E3 makes the dressed gap
+        # eps3 = E3 - gamma negative at the low end of the scan; that model's
+        # search raises and the models batched with it keep their windows
+        bad = ModelParams(e1=6.0, e3=2.0, gamma=2.4, t1=1.8, t2=2.0, t3=4.0, p=0.005, g=0.005)
+        with pytest.raises(ParameterError, match="need E > 0"):
+            deviation(_scan_range(bad, None, None)[0], bad)
+        uncoupled = replace(FIG4_BASE, gamma=0.0)
+        first, raised, last = cooling_windows([FIG4_BASE, bad, uncoupled])
+        assert isinstance(raised, ParameterError)
+        assert first.left == pytest.approx(0.40653601327, abs=1e-9)
+        assert first.right == pytest.approx(3.92413296025, abs=1e-9)
+        assert last.left_is_boundary and last.right == pytest.approx(4.0, abs=1e-9)
+        for window, base in ((first, FIG4_BASE), (last, uncoupled)):
+            alone = cooling_window(base)
+            assert window.left == pytest.approx(alone.left, abs=1e-12)
+            assert window.right == pytest.approx(alone.right, abs=1e-12)
+
     def test_window_requires_cold_target(self):
         from neqfridge.errors import ParameterError
 
         base = ModelParams(e1=1.0, e3=4.0, gamma=0.2, t1=2.0, t2=2.0, t3=4.0, p=0.01, g=0.01)
         with pytest.raises(ParameterError):
             cooling_window(base)
+
+
+@st.composite
+def ensemble_draws(draw) -> ModelParams:
+    """One model drawn like random_ensemble's, over the default EnsembleSpec
+    ranges.  T3/T2 stays 1e-9 above one: at 1 + 2e-16 the three temperatures
+    agree to rounding, and d and f are rounding noise that can disagree in sign."""
+    spec = EnsembleSpec(n=1, eta_c=draw(st.sampled_from([0.5, 1.0, 3.0, 6.0])))
+    e3, t2 = draw(st.floats(*spec.e3_range)), draw(st.floats(*spec.t2_range))
+    t3 = t2 * draw(st.floats(1.0 + 1e-9, spec.t3_mult_range[1]))
+    gamma = draw(st.integers(1, spec.max_gamma_step)) * e3 * spec.eta_c / spec.gamma_steps
+    t1 = 1.0 / (1.0 / t2 + (1.0 / t2 - 1.0 / t3) / spec.eta_c)
+    p = g = 0.01 * e3 / 4.0
+    return ModelParams(e1=max(1.0, 2.5 * gamma), e3=e3, gamma=gamma, t1=t1, t2=t2, t3=t3, p=p, g=g)
+
+
+class TestWindowsAgainstFineScan:
+    # The search trusts f to dip below zero on one interval; a 4000-point
+    # scan of d over the same range checks that on a batch of draws
+    @settings(max_examples=120, deadline=None)
+    @given(bases=st.lists(ensemble_draws(), min_size=1, max_size=6))
+    def test_windows_match_a_fine_scan(self, bases):
+        for base, window in zip(bases, cooling_windows(bases)):
+            try:
+                grid = np.linspace(*_scan_range(base, None, None), 4000)
+                d = deviation(grid, base)
+            except NeqFridgeError as exc:
+                assert type(window) is type(exc)
+                continue
+            cell, cool = grid[1] - grid[0], grid[d < 0.0]
+            if 0 < cool.size < grid.size:  # the scan sees a sign change
+                assert isinstance(window, CoolingWindow)
+                assert abs(window.left - cool[0]) <= cell
+                assert abs(window.right - cool[-1]) <= cell
+            else:
+                assert not isinstance(window, CoolingWindow) or window.right - window.left < cell
 
 
 class TestOptimizers:
@@ -572,12 +631,13 @@ def _check_against_scalar(spec: EnsembleSpec) -> int:
 
 
 def _scalar_window(base: ModelParams):
-    """The window search one point at a time; None where it finds no window."""
+    """The window from a 400-point scan (one array call) and point-by-point
+    bisection in the scan cells of its sign changes; None where it finds no window."""
     f = lambda e1: deviation(e1, base)
     lo = 2.0 * base.gamma * (1.0 + 1e-9)
     hi = base.e3 * cop_carnot(base.t1, base.t2, base.t3) * (1.0 + 1e-6)
     grid = np.linspace(lo, hi, 400)
-    values = [f(e) for e in grid]
+    values = f(grid).tolist()
     crossings = [i for i in range(399)
                  if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0)]
     if min(values) >= 0.0 or not crossings:
@@ -589,10 +649,11 @@ def _scalar_window(base: ModelParams):
 
 
 def _scalar_max_power(base: ModelParams, window, eta_c: float) -> dict:
-    """Max-power observables from a point-by-point scan and golden-section search."""
+    """Max-power observables from a 400-point scan (one array call) and a
+    point-by-point golden-section search between the neighbours of its maximum."""
     power = lambda e1: extracted_current(e1, base)
     grid = np.linspace(window[0], window[1], 400)
-    i = int(np.argmax([power(e) for e in grid]))
+    i = int(np.argmax(power(grid)))
     e1, q1g_max = golden_max(power, grid[max(i - 1, 0)], grid[min(i + 1, 399)], tol=1e-8)
     params = replace(base, e1=e1)
     frame = resonant_frame(e1, base.e3, base.gamma)
