@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
 )
 from .invariants import validate
-from .model import ModelParams
+from .model import PARAM_NAMES, ModelParams
 from .observables import heat_currents, performance_report
 from .steadystate import solve_oracle
 from .experiments import (
@@ -40,8 +40,6 @@ from .experiments import (
     sweep_fig4,
     sweep_fig5,
 )
-
-PARAM_FLAGS = ("e1", "e3", "gamma", "t1", "t2", "t3", "p", "g")
 
 DEFAULT_PARAMS = {
     "e1": 1.0, "e3": 4.0, "gamma": 0.3,
@@ -89,8 +87,8 @@ def write_csv(path: Path, metadata: dict, columns: list[str], rows: list[dict]) 
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_config(path: str) -> dict:
-    values: dict[str, str] = {}
+def _load_config(path: str) -> dict[str, float]:
+    values: dict[str, float] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -98,29 +96,27 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise ParameterError(f"bad config line (expected key = value): {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key] = val
+        if key not in PARAM_NAMES:
+            raise ParameterError(
+                f"unknown config key {key!r}; expected one of {', '.join(PARAM_NAMES)}")
+        try:
+            values[key] = float(val)
+        except ValueError:
+            raise ParameterError(f"config value for {key} is not a number: {val!r}")
     return values
 
 
 def _resolve_params(args) -> ModelParams:
-    config = _load_config(args.config) if args.config else {}
-    resolved = {}
-    for name in PARAM_FLAGS:
-        flag = getattr(args, name)
-        if flag is not None:
-            resolved[name] = flag
-        elif name in config:
-            try:
-                resolved[name] = float(config[name])
-            except ValueError:
-                raise ParameterError(f"config value for {name} is not a number: {config[name]!r}")
-        else:
-            resolved[name] = DEFAULT_PARAMS[name]
+    """Flags over the config file over the defaults."""
+    resolved = {**DEFAULT_PARAMS, **(_load_config(args.config) if args.config else {})}
+    for name in PARAM_NAMES:
+        if getattr(args, name) is not None:
+            resolved[name] = getattr(args, name)
     return ModelParams(**resolved)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    for name in PARAM_FLAGS:
+    for name in PARAM_NAMES:
         parser.add_argument(f"--{name}", type=float, default=None)
     parser.add_argument("--config", default=None, help="key = value file with flag defaults")
 
@@ -174,29 +170,22 @@ def cmd_steady(args) -> int:
     return 0
 
 
-def _figure_metadata(name: str, args, extra: dict | None = None) -> dict:
-    meta = {"figure": name, "points": args.points, "seed": args.seed}
-    if extra:
-        meta.update(extra)
-    return meta
-
-
 def cmd_figure(args) -> int:
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     name = args.name
+    meta = {"figure": name, "points": args.points, "seed": args.seed}
     if name == "fig3":
         gammas = (args.gamma,) if args.gamma is not None else None
         rows = sweep_fig3(points=args.points, gammas=gammas)
         cols = ["beta3", "gamma", "e1", "e3", "t1", "t2", "t3", "p", "g"]
-        write_csv(outdir / "fig3a.csv", _figure_metadata(name, args), cols + ["q1g"], rows)
-        write_csv(outdir / "fig3b.csv", _figure_metadata(name, args), cols + ["delta_c"], rows)
+        write_csv(outdir / "fig3a.csv", meta, cols + ["q1g"], rows)
+        write_csv(outdir / "fig3b.csv", meta, cols + ["delta_c"], rows)
     elif name == "fig4":
         gammas = (args.gamma,) if args.gamma is not None else (0.2, 0.4, 0.6)
         rows, windows = sweep_fig4(points=args.points, gammas=gammas)
-        meta = _figure_metadata(name, args, {
-            f"window_gamma_{g}": f"[{w.left!r}, {w.right!r}]" for g, w in windows.items()
-        })
+        meta.update({f"window_gamma_{g}": f"[{w.left!r}, {w.right!r}]"
+                     for g, w in windows.items()})
         cols = ["e1", "gamma", "e3", "t1", "t2", "t3", "p", "g",
                 "window_left", "window_right"]
         write_csv(outdir / "fig4a.csv", meta, cols + ["eta_g", "eta_tot"], rows)
@@ -204,19 +193,19 @@ def cmd_figure(args) -> int:
     elif name == "fig5":
         gammas = (args.gamma,) if args.gamma is not None else (0.1, 0.2, 0.3)
         rows, skipped = sweep_fig5(points=args.points, gammas=gammas)
-        meta = _figure_metadata(name, args, {"skipped_points": len(skipped)})
+        meta["skipped_points"] = len(skipped)
         cols = ["beta3", "gamma", "e1", "e3", "t1", "t2", "t3", "p", "g"]
         write_csv(outdir / "fig5a.csv", meta, cols + ["eta_ratio"], rows)
         write_csv(outdir / "fig5b.csv", meta, cols + ["coherence"], rows)
     elif name == "fig6":
         spec = EnsembleSpec(n=args.n, seed=args.seed)
-        rows, meta = random_ensemble(spec)
-        metadata = _figure_metadata(name, args, meta)
+        rows, ensemble_meta = random_ensemble(spec)
+        meta.update(ensemble_meta)
         cols = ["gamma_over_e3", "e1", "e3", "gamma", "t1", "t2", "t3", "p", "g"]
-        write_csv(outdir / "fig6a.csv", metadata,
+        write_csv(outdir / "fig6a.csv", meta,
                   cols + ["eta_star_ratio", "eta_star_max", "eta_star_min",
                           "eta_tot_star", "near_bound"], rows)
-        write_csv(outdir / "fig6b.csv", metadata, cols + ["coherence", "near_bound"], rows)
+        write_csv(outdir / "fig6b.csv", meta, cols + ["coherence", "near_bound"], rows)
     else:
         raise ParameterError(f"unknown figure {name!r}")
     return 0
@@ -255,7 +244,7 @@ def cmd_maximize(args) -> int:
 def cmd_validate(args) -> int:
     rng = np.random.default_rng(args.seed)
     points = []
-    if any(getattr(args, name) is not None for name in PARAM_FLAGS) or args.config:
+    if any(getattr(args, name) is not None for name in PARAM_NAMES) or args.config:
         points.append(_resolve_params(args))
     else:
         points.append(ModelParams(**DEFAULT_PARAMS))

@@ -17,14 +17,16 @@ driven by a seeded numpy PCG64 generator and are bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import EmptyCoolingWindowError, NeqFridgeError, ParameterError
 from .model import (
+    PARAM_NAMES,
     ModelParams,
+    _gaps,
     resonant_frame,
     tilde_populations,
     virtual_coherence,
@@ -46,7 +48,6 @@ _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _ROOT_TOL = 1e-13  # window-endpoint root tolerance
 _SEARCH_TOL = 1e-8  # tolerance of the window-screening and power searches
 _CHUNK = 8  # the fewest draws random_ensemble screens in one round
-_PARAM_NAMES = ("e1", "e3", "gamma", "t1", "t2", "t3", "p", "g")
 BatchFunc = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, idx): x for models idx
 
 
@@ -65,8 +66,12 @@ class SweepSpec:
             raise ParameterError(f"unknown sweep axis {self.axis!r}")
         if not self.lo < self.hi:
             raise ParameterError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.points < 2:
-            raise ParameterError(f"need at least 2 points, got {self.points}")
+        _check_points(self.points)
+
+
+def _check_points(points: int) -> None:
+    if points < 2:
+        raise ParameterError(f"need at least 2 points, got {points}")
 
 
 @dataclass(frozen=True)
@@ -89,10 +94,20 @@ class EnsembleSpec:
     max_gamma_step: int = 40
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ParameterError(f"ensemble size must be >= 1, got {self.n}")
-        if self.eta_c <= 0:
-            raise ParameterError(f"eta_c must be positive, got {self.eta_c}")
+        mult_lo, mult_hi = self.t3_mult_range
+        rules = {
+            "n": (">= 1", self.n >= 1),
+            "eta_c": ("positive", self.eta_c > 0),
+            "e3_range": ("0 < lo <= hi", 0 < self.e3_range[0] <= self.e3_range[1]),
+            "t2_range": ("0 < lo <= hi", 0 < self.t2_range[0] <= self.t2_range[1]),
+            # at hi = 1 every draw has T1 = T2 = T3, and nothing can cool
+            "t3_mult_range": ("1 <= lo <= hi, 1 < hi", 1 <= mult_lo <= mult_hi and 1 < mult_hi),
+            "gamma_steps": (">= 1", self.gamma_steps >= 1),
+            "max_gamma_step": (">= 1", self.max_gamma_step >= 1),
+        }
+        for name, (rule, holds) in rules.items():
+            if not holds:
+                raise ParameterError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -123,43 +138,22 @@ class MinCopResult:
     window: CoolingWindow
 
 
-@dataclass(frozen=True)
-class _Batch:
-    """Unvalidated :class:`ModelParams` fields as floats or broadcasting arrays."""
+def deviation(e1, base: ModelParams):
+    """Steady-state deviation coefficient d at target gap(s) e1 (base's own E1 is unused).
 
-    e1: float | np.ndarray
-    e3: float | np.ndarray
-    gamma: float | np.ndarray
-    t1: float | np.ndarray
-    t2: float | np.ndarray
-    t3: float | np.ndarray
-    p: float | np.ndarray
-    g: float | np.ndarray
-
-    @classmethod
-    def of(cls, bases: Sequence[ModelParams]) -> _Batch:
-        return cls(**{k: np.array([getattr(b, k) for b in bases]) for k in _PARAM_NAMES})
-
-    def take(self, idx: np.ndarray) -> _Batch:
-        return _Batch(**{k: v[idx] for k, v in self.as_dict().items()})
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _PARAM_NAMES}
-
-
-def deviation(e1, base: ModelParams | _Batch):
-    """Steady-state deviation coefficient d at target gap(s) e1 (base's own E1 is unused)."""
+    Only the frame at e1 is checked; base, one model or a batch that
+    broadcasts against e1, was validated when it was built."""
     frame = resonant_frame(e1, base.e3, base.gamma)
     pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
     return deviation_coefficient(pops, base.p, base.g)
 
 
-def extracted_current(e1, base: ModelParams | _Batch):
+def extracted_current(e1, base: ModelParams):
     """Tripartite cooling current Q1^g at target gap(s) e1."""
     return -0.25 * base.g * deviation(e1, base) * e1
 
 
-def log_odds_gap(e1, base: ModelParams | _Batch):
+def log_odds_gap(e1, base: ModelParams):
     """f(E1) = E1/T1 - ln[(1 - r~2) r~3 / (r~2 (1 - r~3))] at target gap(s) e1.
 
     d's numerator is q1 r~2 q~3 - r1 q~2 r~3 (q = 1 - r), its denominator is
@@ -301,45 +295,52 @@ def _outcome(func, *args):
         return exc
 
 
-def _scan_range(base: ModelParams, e1_lo: float | None, e1_hi: float | None):
-    if e1_lo is None:
-        e1_lo = 2.0 * base.gamma * (1.0 + 1e-9) if base.gamma > 0 else 1e-9 * base.e3
-    if e1_hi is None:
-        if base.t1 >= base.t2:
-            raise ParameterError("window scan needs T1 < T2 or an explicit e1_hi")
-        # the right root never exceeds E3 * eta_c; at gamma = 0 it sits
-        # exactly there, so pad the scan a little past it
-        e1_hi = base.e3 * cop_carnot(base.t1, base.t2, base.t3) * (1.0 + 1e-6)
-    if e1_hi <= e1_lo:
-        raise EmptyCoolingWindowError(
-            f"scan range empty: [{e1_lo:.6g}, {e1_hi:.6g}] for gamma={base.gamma}")
-    return e1_lo, e1_hi
+def _stack(bases: Sequence[ModelParams]) -> ModelParams:
+    """The models as one batch, each field an array over them."""
+    fields = {name: np.array([getattr(b, name) for b in bases]) for name in PARAM_NAMES}
+    return ModelParams(**fields, require_ordered_temps=all(b.require_ordered_temps for b in bases))
 
 
-def _screen_windows(bases: Sequence[ModelParams], e1_lo=None, e1_hi=None) -> list:
+def _scan_range(models: ModelParams) -> tuple:
+    """The scan ranges [lo, hi] of a batch, and per model None or the error
+    that rules its window search out: T1 >= T2, an empty range, or a frame
+    that fails at lo.  The dressed gap eps3 only grows with E1, so a frame
+    that holds at lo holds on the whole range.
+    """
+    e3, gamma, t1, t2, t3 = models.e3, models.gamma, models.t1, models.t2, models.t3
+    cold = models.beta1 > models.beta2
+    lo = np.where(gamma > 0, 2.0 * gamma * (1.0 + 1e-9), 1e-9 * e3)
+    # the right root never exceeds E3 times the Carnot COP; at gamma = 0 it
+    # sits exactly there, so pad the scan a little past it
+    hi = np.full(e3.shape, np.nan)
+    hi[cold] = e3[cold] * cop_carnot(t1[cold], t2[cold], t3[cold]) * (1.0 + 1e-6)
+    framed = _gaps(lo, e3, gamma)[2]
+    errors = [None] * e3.size
+    for i in np.flatnonzero(~(cold & (hi > lo) & framed)).tolist():
+        if not cold[i]:
+            errors[i] = ParameterError("window scan needs T1 < T2")
+        elif not hi[i] > lo[i]:
+            errors[i] = EmptyCoolingWindowError(
+                f"scan range empty: [{lo[i]:.6g}, {hi[i]:.6g}] for gamma={gamma[i]}")
+        else:
+            errors[i] = _outcome(resonant_frame, lo[i], e3[i], gamma[i])
+    return lo, hi, errors
+
+
+def _screen_windows(bases: Sequence[ModelParams]) -> list:
     """Find a point inside each model's cooling window, which brackets both edges.
 
-    f (:func:`log_odds_gap`) is read at both ends of every scan range in one
-    call; where neither end has f < 0, a batched Brent minimization of f
-    stops at its first point with f < 0.  Per model the result is the error
-    its window search raises, or the pair (left edge is the scan boundary,
-    brackets (a, b, f(a), f(b)) of both edges).
+    f (:func:`log_odds_gap`) is read at both ends of every scan range that
+    :func:`_scan_range` accepts in one call; where neither end has f < 0, a
+    batched Brent minimization of f stops at its first point with f < 0.
+    Per model the result is the error its window search raises, or the pair
+    (left edge is the scan boundary, brackets (a, b, f(a), f(b)) of both edges).
     """
-    out = [_outcome(_scan_range, base, e1_lo, e1_hi) for base in bases]
-    index = [i for i, outcome in enumerate(out) if not isinstance(outcome, NeqFridgeError)]
-    ends = np.array([out[i] for i in index]).reshape(-1, 2)
-    models = _Batch.of([bases[i] for i in index])
-    try:
-        f_ends = log_odds_gap(ends, models.take(np.arange(len(index))[:, None]))
-    except NeqFridgeError:
-        # find the models whose ends raise, one at a time; the dressed gap eps3
-        # grows with E1, so a model that evaluates at both ends does in between
-        rows = [_outcome(log_odds_gap, row, models.take(j)) for j, row in enumerate(ends)]
-        for j, row in enumerate(rows):
-            if isinstance(row, NeqFridgeError):
-                out[index[j]], rows[j] = row, np.full(2, np.nan)
-        f_ends = np.array(rows).reshape(-1, 2)
-    (lo, hi), (f_lo, f_hi) = ends.T, f_ends.T
+    models = _stack(bases)
+    lo, hi, out = _scan_range(models)
+    index = np.flatnonzero([error is None for error in out])
+    models, lo, hi = models.take(index), lo[index], hi[index]
+    f_lo, f_hi = log_odds_gap(np.array([lo, hi]), models)
     # the lower end is the best point until a search finds a lower one
     low = f_hi < f_lo
     x, fx = np.where(low, hi, lo), np.where(low, f_hi, f_lo)
@@ -348,16 +349,15 @@ def _screen_windows(bases: Sequence[ModelParams], e1_lo=None, e1_hi=None) -> lis
         x[search], negative = _brent_max(lambda e1, j: -log_odds_gap(e1, models.take(search[j])),
                                          lo[search], hi[search], _SEARCH_TOL, stop=0.0)
         fx[search] = -negative
-    for i, a, b, fa, fb, c, fc in zip(index, *(v.tolist() for v in (lo, hi, f_lo, f_hi, x, fx))):
-        if isinstance(out[i], NeqFridgeError):
-            continue
+    columns = (v.tolist() for v in (index, lo, hi, f_lo, f_hi, x, fx))
+    for i, a, b, fa, fb, c, fc in zip(*columns):
         scanned = f"[{a:.6g}, {b:.6g}]"
         if not (fc < 0.0 and bases[i].g > 0.0):  # at g = 0 nothing cools
             out[i] = EmptyCoolingWindowError(
                 f"no cooling found in {scanned} for gamma={bases[i].gamma}")
         elif fb < 0.0:
-            out[i] = EmptyCoolingWindowError(f"cooling region extends beyond the scan "
-                                             f"range {scanned}; pass an explicit e1_hi")
+            out[i] = EmptyCoolingWindowError(
+                f"cooling region extends beyond the scan range {scanned}")
         elif fa < 0.0:  # a zero end value makes the root finder return the boundary
             out[i] = (True, [(a, a, 0.0, 0.0), (a, b, fa, fb)])
         else:
@@ -368,7 +368,7 @@ def _screen_windows(bases: Sequence[ModelParams], e1_lo=None, e1_hi=None) -> lis
 def _solve_windows(bases: Sequence[ModelParams], screened: list, tol: float) -> list:
     """Root-find the brackets of all screened models at once into windows."""
     found = [(i, out) for i, out in enumerate(screened) if not isinstance(out, NeqFridgeError)]
-    models = _Batch.of([bases[i] for i, _ in found for _ in range(2)])
+    models = _stack([bases[i] for i, _ in found for _ in range(2)])
     roots = _chandrupatla(lambda x, j: log_odds_gap(x, models.take(j)),
                           *np.array([out[1] for _, out in found]).reshape(-1, 4).T, tol)
     windows = list(screened)
@@ -377,36 +377,28 @@ def _solve_windows(bases: Sequence[ModelParams], screened: list, tol: float) -> 
     return windows
 
 
-def cooling_windows(
-    bases: Sequence[ModelParams],
-    e1_lo: float | None = None,
-    e1_hi: float | None = None,
-    tol: float = _ROOT_TOL,
-) -> list:
+def cooling_windows(bases: Sequence[ModelParams], tol: float = _ROOT_TOL) -> list:
     """Locate the d(E1) = 0 roots bounding each model's cooling region.
 
-    The E1 field of every base is ignored.  The default scan range is
+    The E1 field of every base is ignored.  The scan range is
     (2*gamma, E3 * Carnot COP), whose right end lies outside the window.  A
     window needs a point x with f(x) < 0 (f of :func:`log_odds_gap`, which
     has d's sign) and f >= 0 at the right end; Chandrupatla's method finds
     its edges between x and the ends, and f < 0 at the left end makes that
     end the left edge.  At g = 0 every window is empty.  The default root
     tolerance is tight enough that the endpoint COP identity holds to better
-    than 1e-10.  Returns per model its :class:`CoolingWindow`, or the
+    than 1e-10.  A model with T1 >= T2, an empty range or a frame that fails
+    at the range's low end (eps3 <= 0 there) is rejected before any search.
+    Returns per model its :class:`CoolingWindow`, or the
     :class:`ParameterError` or :class:`EmptyCoolingWindowError` that
     :func:`cooling_window` raises for it.
     """
-    return _solve_windows(bases, _screen_windows(bases, e1_lo, e1_hi), tol)
+    return _solve_windows(bases, _screen_windows(bases), tol)
 
 
-def cooling_window(
-    base: ModelParams,
-    e1_lo: float | None = None,
-    e1_hi: float | None = None,
-    tol: float = _ROOT_TOL,
-) -> CoolingWindow:
+def cooling_window(base: ModelParams, tol: float = _ROOT_TOL) -> CoolingWindow:
     """The cooling window of one model; see :func:`cooling_windows`."""
-    return _raise_first(cooling_windows([base], e1_lo, e1_hi, tol))[0]
+    return _raise_first(cooling_windows([base], tol))[0]
 
 
 def maximize_cooling_powers(
@@ -416,7 +408,7 @@ def maximize_cooling_powers(
 ) -> list[MaxPowerResult]:
     """Maximize Q1^g over each model's whole cooling window and report the COP there."""
     windows = windows if windows is not None else _raise_first(cooling_windows(bases))
-    models = _Batch.of(bases)
+    models = _stack(bases)
     e1_star, q1g_max = _brent_max(lambda x, j: extracted_current(x, models.take(j)),
                                   *np.array([(w.left, w.right) for w in windows]).T, tol)
     eta_g_star = cop_g(resonant_frame(e1_star, models.e3, models.gamma))
@@ -448,18 +440,13 @@ def minimize_cop(
     return MinCopResult(float(e1_star[0]), -float(negative_cop[0]), window)
 
 
-def _rows(params: ModelParams | _Batch, require_ordered_temps: bool = True,
-          **extra) -> list[dict]:
-    """Rows from parameter and extra columns (floats or arrays), each row's
-    parameter set validated as a :class:`ModelParams` with the given flag."""
+def _rows(params: ModelParams, **extra) -> list[dict]:
+    """One row per model of a parameter batch, validated when it was built,
+    with extra columns (floats or arrays of the batch's size)."""
     columns = {**params.as_dict(), **extra}
     size = max(np.size(value) for value in columns.values())
     lists = [np.broadcast_to(value, size).tolist() for value in columns.values()]
-    rows = [dict(zip(columns, values)) for values in zip(*lists)]
-    for row in rows:
-        ModelParams(**{k: row[k] for k in _PARAM_NAMES},
-                    require_ordered_temps=require_ordered_temps)
-    return rows
+    return [dict(zip(columns, values)) for values in zip(*lists)]
 
 
 def sweep_fig3(
@@ -479,6 +466,7 @@ def sweep_fig3(
     the (E1=1, E3=4) machine.  The coherence change is relative to the
     degenerate-bath point T3 = T2.
     """
+    _check_points(points)
     if gammas is None:
         gammas = (0.48, 0.49, critical_gamma(e1, e3), 0.50)
     beta3 = np.linspace(beta3_lo, 1.0 / t2, points)
@@ -486,7 +474,7 @@ def sweep_fig3(
     for gamma in gammas:
         frame = resonant_frame(e1, e3, gamma)
         base_coh = virtual_coherence(frame, tilde_populations(frame, t2, t2))
-        params = _Batch(e1=e1, e3=e3, gamma=gamma, t1=t1, t2=t2, t3=1.0 / beta3, p=p, g=g)
+        params = ModelParams(e1=e1, e3=e3, gamma=gamma, t1=t1, t2=t2, t3=1.0 / beta3, p=p, g=g)
         pops = tilde_populations(frame, t2, params.t3, t1=t1)
         d = deviation_coefficient(pops, p, g)
         rows += _rows(
@@ -509,6 +497,7 @@ def sweep_fig4(
     g: float = 0.01,
 ) -> tuple[list[dict], dict[float, CoolingWindow]]:
     """COPs and coherence versus target gap inside each cooling window."""
+    _check_points(points)
     bases = [
         ModelParams(
             e1=max(1.0, 2.5 * gamma) if gamma > 0 else 1.0,
@@ -519,7 +508,7 @@ def sweep_fig4(
     windows = _raise_first(cooling_windows(bases))
     rows = []
     for base, window in zip(bases, windows):
-        params = _Batch(**{**base.as_dict(), "e1": np.linspace(window.left, window.right, points)})
+        params = replace(base, e1=np.linspace(window.left, window.right, points))
         frame = resonant_frame(params.e1, e3, base.gamma)
         pops = tilde_populations(frame, t2, t3, t1=t1)
         currents = currents_closed(params, frame, pops, deviation_coefficient(pops, p, g))
@@ -551,6 +540,7 @@ def sweep_fig5(
     point (the d = 0 surface).  Points with a nonpositive virtual
     temperature are skipped and reported separately.
     """
+    _check_points(points)
     if beta3_hi is None:
         beta3_hi = 1.0 / t2 - 1e-4  # the Carnot ratio is 0/0 at beta3 = beta2
     beta3 = np.linspace(beta3_lo, beta3_hi, points)
@@ -563,8 +553,8 @@ def sweep_fig5(
         keep = tv > 0.0
         skipped += [{"gamma": gamma, "beta3": b, "tv": v}
                     for b, v in zip(beta3[~keep].tolist(), tv[~keep].tolist())]
-        params = _Batch(e1=e1, e3=e3, gamma=gamma, t1=tv[keep], t2=t2,
-                        t3=1.0 / beta3[keep], p=p, g=g)
+        params = ModelParams(e1=e1, e3=e3, gamma=gamma, t1=tv[keep], t2=t2,
+                             t3=1.0 / beta3[keep], p=p, g=g)
         rows += _rows(
             params,
             beta3=beta3[keep],
@@ -574,10 +564,23 @@ def sweep_fig5(
     return rows, skipped
 
 
-def _sweep_rows(points: list[tuple[float, ModelParams]],
-                require_ordered_temps: bool) -> list[dict]:
-    """The standard observable set at (axis value, parameters) points."""
-    params = _Batch.of([point for _, point in points])
+def sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
+    """Generic 1-D sweep emitting the standard observable set per point.
+
+    Points with invalid parameters, a nonpositive dressed gap included,
+    are skipped with the reason; an observable undefined at a point (no
+    cooling regime, virtual-temperature pole, inverted target) is NaN there.
+    """
+    points: list[tuple[float, ModelParams]] = []
+    skipped: list[dict] = []
+    field = {"beta3": "t3", "e1": "e1", "gamma": "gamma"}[spec.axis]
+    for value in np.linspace(spec.lo, spec.hi, spec.points).tolist():
+        try:
+            points.append((value, replace(
+                spec.base, **{field: 1.0 / value if spec.axis == "beta3" else value})))
+        except ParameterError as exc:
+            skipped.append({"axis": spec.axis, "value": value, "reason": str(exc)})
+    params = _stack([point for _, point in points])
     frame = resonant_frame(params.e1, params.e3, params.gamma)
     pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
     decomp = steady_coefficients(pops, params.p, params.g)
@@ -585,7 +588,6 @@ def _sweep_rows(points: list[tuple[float, ModelParams]],
     q3 = currents["q3"]
     return _rows(
         params,
-        require_ordered_temps,
         axis_value=[value for value, _ in points],
         d=decomp.d,
         q1g=currents["q1g"],
@@ -595,37 +597,7 @@ def _sweep_rows(points: list[tuple[float, ModelParams]],
         tv=virtual_temperature(frame, pops, masked=True),
         t1s=local_target_temperature(decomp.a1, params.e1, masked=True),
         coherence=virtual_coherence(frame, pops),
-    )
-
-
-def sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
-    """Generic 1-D sweep emitting the standard observable set per point.
-
-    Points with invalid parameters are skipped; an observable undefined at
-    a point (no cooling regime, virtual-temperature pole, inverted target)
-    is NaN there.
-    """
-    points: list[tuple[float, ModelParams]] = []
-    skipped: list[dict] = []
-    field = {"beta3": "t3", "e1": "e1", "gamma": "gamma"}[spec.axis]
-    ordered = spec.base.require_ordered_temps
-    for value in np.linspace(spec.lo, spec.hi, spec.points).tolist():
-        try:
-            points.append((value, replace(
-                spec.base, **{field: 1.0 / value if spec.axis == "beta3" else value})))
-        except ParameterError as exc:
-            skipped.append({"axis": spec.axis, "value": value, "reason": str(exc)})
-    try:
-        return (_sweep_rows(points, ordered) if points else []), skipped
-    except ParameterError:
-        pass  # a dressed gap the populations reject: find those points one by one
-    rows = []
-    for point in points:
-        try:
-            rows += _sweep_rows([point], ordered)
-        except ParameterError as exc:
-            skipped.append({"axis": spec.axis, "value": point[0], "reason": str(exc)})
-    return rows, sorted(skipped, key=lambda s: s["value"])
+    ), skipped
 
 
 def _draw_model(rng: np.random.Generator, spec: EnsembleSpec) -> ModelParams:
@@ -677,7 +649,7 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[list[dict], dict]:
     bases = [model for model, _ in accepted]
     windows = _solve_windows(bases, [outcome for _, outcome in accepted], _ROOT_TOL)
     results = maximize_cooling_powers(bases, windows)
-    params = replace(_Batch.of(bases), e1=np.array([r.e1_star for r in results]))
+    params = replace(_stack(bases), e1=np.array([r.e1_star for r in results]))
     frame = resonant_frame(params.e1, params.e3, params.gamma)
     pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
     currents = currents_closed(params, frame, pops, deviation_coefficient(pops, params.p, params.g))
@@ -699,19 +671,9 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[list[dict], dict]:
         q1g_max=[r.q1g_max for r in results],
         near_bound=near_bound,
     )
-    meta = {
-        "rng": "numpy-PCG64",
-        "seed": spec.seed,
-        "n": spec.n,
-        "eta_c": spec.eta_c,
-        "resamples": resamples,
-        "e3_range": list(spec.e3_range),
-        "t2_range": list(spec.t2_range),
-        "t3_mult_range": list(spec.t3_mult_range),
-        "gamma_steps": spec.gamma_steps,
-        "max_gamma_step": spec.max_gamma_step,
-    }
-    return rows, meta
+    # every spec field, the ranges as lists, which is how the CSV metadata prints them
+    spec_fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(spec).items()}
+    return rows, {"rng": "numpy-PCG64", "resamples": resamples, **spec_fields}
 
 
 def high_temperature_saturation(
@@ -739,16 +701,16 @@ def high_temperature_saturation(
         )
         for x, kappa in cases
     ]
-    rows = []
-    for (x, kappa), base, result in zip(cases, bases, maximize_cooling_powers(bases)):
-        bound = eta_star_max(eta_c, x)
-        rows += _rows(
-            replace(base, e1=result.e1_star),
-            gamma_over_e3=x,
-            kappa=kappa,
-            eta_star=result.eta_g_star,
-            eta_star_bound=bound,
-            rel_gap=(bound - result.eta_g_star) / bound,
-            e1_over_t1=result.e1_star / (t1 * kappa),
-        )
-    return rows
+    results = maximize_cooling_powers(bases)
+    e1_star, eta_star = np.array([(r.e1_star, r.eta_g_star) for r in results]).T
+    x, kappa = np.array(cases).T
+    bound = np.array([eta_star_max(eta_c, v) for v in x.tolist()])
+    return _rows(
+        replace(_stack(bases), e1=e1_star),
+        gamma_over_e3=x,
+        kappa=kappa,
+        eta_star=eta_star,
+        eta_star_bound=bound,
+        rel_gap=(bound - eta_star) / bound,
+        e1_over_t1=e1_star / (t1 * kappa),
+    )

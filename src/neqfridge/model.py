@@ -15,7 +15,7 @@ of a thermal qubit with gap E at temperature T is r = 1/(1 + exp(E/T)) < 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -34,12 +34,14 @@ _TRIPARTITE = pauli_string("+-+") + pauli_string("-+-")
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The eight physical inputs defining one refrigerator instance.
+    """The eight physical inputs of one refrigerator, or of a batch as arrays.
 
-    The spiral gap E2 is never an input: it is fixed by the resonance
-    condition (see :func:`resolve_resonance`).  Temperatures must satisfy
-    T1 <= T2 <= T3 unless ``require_ordered_temps`` is switched off for
-    limit studies.
+    Construction checks every element, rule by rule, and reports the first
+    broken rule at its first broken element.  The spiral gap E2 is never an
+    input: it is fixed by the resonance condition (see
+    :func:`resolve_resonance`), and the dressed engine gap eps3 it implies
+    must be positive.  Temperatures must satisfy T1 <= T2 <= T3 unless
+    ``require_ordered_temps`` is switched off for limit studies.
     """
 
     e1: float
@@ -53,26 +55,16 @@ class ModelParams:
     require_ordered_temps: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.e1 <= 0 or self.e3 <= 0:
-            raise ParameterError(f"qubit gaps must be positive: E1={self.e1}, E3={self.e3}")
-        if self.gamma < 0:
-            raise ParameterError(f"internal coupling must be nonnegative: gamma={self.gamma}")
-        if self.gamma > 0.5 * self.e1:
-            raise ResonanceInfeasibleError(
-                f"resonance infeasible: gamma > E1/2 (gamma={self.gamma}, E1={self.e1})"
-            )
-        if min(self.t1, self.t2, self.t3) <= 0:
-            raise ParameterError(
-                f"temperatures must be positive: T=({self.t1}, {self.t2}, {self.t3})"
-            )
-        if self.require_ordered_temps and not (self.t1 <= self.t2 <= self.t3):
-            raise ParameterError(
-                f"fridge regime requires T1 <= T2 <= T3, got ({self.t1}, {self.t2}, {self.t3})"
-            )
-        if self.p <= 0:
-            raise ParameterError(f"dissipation rate must be positive: p={self.p}")
-        if self.g < 0:
-            raise ParameterError(f"tripartite coupling must be nonnegative: g={self.g}")
+        t1, t2, t3 = self.t1, self.t2, self.t3
+        _frame_gaps(
+            self.e1, self.e3, self.gamma,
+            ((t1 > 0) & (t2 > 0) & (t3 > 0), ParameterError,
+             "temperatures must be positive: T=({}, {}, {})", t1, t2, t3),
+            (((t1 <= t2) & (t2 <= t3)) | (not self.require_ordered_temps), ParameterError,
+             "fridge regime requires T1 <= T2 <= T3, got ({}, {}, {})", t1, t2, t3),
+            (self.p > 0, ParameterError, "dissipation rate must be positive: p={}", self.p),
+            (self.g >= 0, ParameterError, "tripartite coupling must be nonnegative: g={}", self.g),
+        )
 
     @property
     def beta1(self) -> float:
@@ -87,11 +79,61 @@ class ModelParams:
         return 1.0 / self.t3
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "e1": self.e1, "e3": self.e3, "gamma": self.gamma,
-            "t1": self.t1, "t2": self.t2, "t3": self.t3,
-            "p": self.p, "g": self.g,
-        }
+        return {name: getattr(self, name) for name in PARAM_NAMES}
+
+    def take(self, idx) -> ModelParams:
+        """The models ``idx`` of a batch whose fields are arrays, not validated again."""
+        part = object.__new__(ModelParams)
+        vars(part).update({name: value[idx] for name, value in self.as_dict().items()},
+                          require_ordered_temps=self.require_ordered_temps)
+        return part
+
+
+PARAM_NAMES = tuple(f.name for f in fields(ModelParams) if f.name != "require_ordered_temps")
+
+
+def _require(holds, error, message: str, *values) -> None:
+    """Raise ``error(message)``, formatted with the values at the first element
+    where ``holds`` fails, unless it holds everywhere."""
+    if holds.all() if getattr(holds, "ndim", 0) else holds:  # a scalar needs no reduction
+        return
+    shape = np.broadcast_shapes(*(np.shape(value) for value in values))
+    at = np.argmin(np.broadcast_to(holds, shape))
+    raise error(message.format(*(np.broadcast_to(v, shape).flat[at] for v in values)))
+
+
+def _gaps(e1, e3, gamma) -> tuple:
+    """delta_e = sqrt(E1^2 - 4 gamma^2), the dressed engine gap
+    eps3 = E3 + delta_e/2 - E1/2 and, elementwise, whether the frame rules
+    hold: E1, E3 > 0, 0 <= gamma <= E1/2 and eps3 > 0.
+
+    eps3 only grows with E1, since d eps3/dE1 = E1/(2 delta_e) - 1/2 >= 0.
+    """
+    delta_e = np.sqrt(np.maximum(e1 * e1 - 4.0 * gamma * gamma, 0.0))
+    eps3 = 0.5 * ((e3 + delta_e) + e3) - 0.5 * e1
+    return delta_e, eps3, (e1 > 0) & (e3 > 0) & (gamma >= 0) & (gamma <= 0.5 * e1) & (eps3 > 0)
+
+
+def _frame_gaps(e1, e3, gamma, *rules) -> tuple:
+    """delta_e and eps3 of :func:`_gaps` once its rules hold, which costs one
+    combined ``all`` when they do.  ``rules``, more :func:`_require` argument
+    tuples, are checked before the dressed-gap rule, derived from the others.
+    """
+    delta_e, eps3, holds = _gaps(e1, e3, gamma)
+    framed = holds.all() if holds.ndim else holds
+    if not framed:
+        _require((e1 > 0) & (e3 > 0), ParameterError,
+                 "qubit gaps must be positive: E1={}, E3={}", e1, e3)
+        _require(gamma >= 0, ParameterError,
+                 "internal coupling must be nonnegative: gamma={}", gamma)
+        _require(gamma <= 0.5 * e1, ResonanceInfeasibleError,
+                 "resonance infeasible: gamma > E1/2 (gamma={}, E1={})", gamma, e1)
+    for rule in rules:
+        _require(*rule)
+    if not framed:
+        _require(eps3 > 0, ParameterError, "dressed engine gap must be positive: "
+                 "eps3={} at E1={}, E3={}, gamma={}", eps3, e1, e3, gamma)
+    return delta_e, eps3
 
 
 @dataclass(frozen=True)
@@ -152,17 +194,11 @@ def resonant_frame(e1, e3, gamma) -> Frame:
 
     delta_e = sqrt(E1^2 - 4 gamma^2) makes the dressed gap difference
     eps2 - eps3 = 2*lam equal E1 exactly.  The inputs may be floats or
-    arrays that broadcast together.
+    arrays that broadcast together.  Raises :class:`ParameterError` unless
+    E1, E3 > 0, gamma >= 0 and the dressed engine gap eps3 is positive, and
+    :class:`ResonanceInfeasibleError` where gamma > E1/2.
     """
-    if np.any(e1 <= 0) or np.any(e3 <= 0):
-        raise ParameterError(f"qubit gaps must be positive: E1={e1}, E3={e3}")
-    if np.any(gamma < 0):
-        raise ParameterError(f"internal coupling must be nonnegative: gamma={gamma}")
-    if np.any(gamma > 0.5 * e1):
-        raise ResonanceInfeasibleError(
-            f"resonance infeasible: gamma > E1/2 (gamma={gamma}, E1={e1})"
-        )
-    delta_e = np.sqrt(np.maximum(e1 * e1 - 4.0 * gamma * gamma, 0.0))
+    delta_e, eps3 = _frame_gaps(e1, e3, gamma)
     e2 = e3 + delta_e
     ebar = 0.5 * (e2 + e3)
     lam = 0.5 * e1  # resonance by construction
@@ -173,7 +209,7 @@ def resonant_frame(e1, e3, gamma) -> Frame:
         ebar=ebar,
         lam=lam,
         eps2=ebar + lam,
-        eps3=ebar - lam,
+        eps3=eps3,
         theta=theta,
     )
 
@@ -187,6 +223,11 @@ def thermal_population(energy, temperature):
     """Excited-state population of a thermal qubit, 1/(1 + exp(E/T)), elementwise."""
     if np.any((energy <= 0) | (temperature <= 0)):
         raise ParameterError(f"need E > 0 and T > 0, got E={energy}, T={temperature}")
+    return _population(energy, temperature)
+
+
+def _population(energy, temperature):
+    """:func:`thermal_population` without its check, for validated gaps and temperatures."""
     x = energy / temperature
     # past E/T = 700 exp would overflow; the population is numerically zero
     return (x <= 700.0) / (1.0 + np.exp(np.minimum(x, 700.0)))
@@ -248,15 +289,18 @@ class ThermalPopulations:
 
 
 def tilde_populations(frame: Frame, t2, t3, t1=None,
-                      population=thermal_population) -> ThermalPopulations:
+                      population=_population) -> ThermalPopulations:
     """Populations of the dressed machine qubits.
 
     Each dressed qubit is pushed by both baths; the combined fixed point is
     the mixture rtilde_nu = cos^2(theta/2) r_{nu,nu} + sin^2(theta/2) r_{nu,mu}
     and defines the effective temperature ttilde_nu through the Boltzmann
     ratio at gap eps_nu.  ``population(E, T)`` gives the machine-bath
-    populations r_{nu,mu}; the target always uses :func:`thermal_population`.
+    populations r_{nu,mu}.  The gaps come from a checked frame, so one check
+    of the temperatures, the target's included, covers the population law.
     """
+    _require((t2 > 0) & (t3 > 0) & (t1 is None or t1 > 0), ParameterError,
+             "temperatures must be positive: T=({}, {}, {})", t1, t2, t3)
     c2 = frame.cos_half_sq
     s2 = frame.sin_half_sq
     r22 = population(frame.eps2, t2)
@@ -267,7 +311,7 @@ def tilde_populations(frame: Frame, t2, t3, t1=None,
         eps2=frame.eps2, eps3=frame.eps3,
         r22=r22, r23=r23, r32=r32, r33=r33,
         rtilde2=c2 * r22 + s2 * r23, rtilde3=c2 * r33 + s2 * r32,
-        r1=None if t1 is None else thermal_population(frame.e1, t1),
+        r1=None if t1 is None else _population(frame.e1, t1),
     )
 
 

@@ -40,6 +40,11 @@ class TestSteadyCommand:
         assert code == 2
         assert "resonance infeasible" in capsys.readouterr().err
 
+    def test_negative_dressed_gap_exits_2(self, capsys):
+        # a valid-looking point whose dressed engine gap eps3 is -0.4
+        assert main(["steady", "--e1", "4.8", "--e3", "2", "--gamma", "2.4"]) == 2
+        assert "dressed engine gap must be positive: eps3=" in capsys.readouterr().err
+
     @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.45, 0.5])
     def test_no_interaction_point(self, tmp_path, gamma):
         # the lab-frame kernel leaves d at about 1e-14 here; the dressed-frame one does not
@@ -69,6 +74,12 @@ class TestSteadyCommand:
         config = tmp_path / "bad.cfg"
         config.write_text("gamma 0.3\n")
         assert main(["steady", "--config", str(config)]) == 2
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "typo.cfg"
+        config.write_text("gama = 0.45\n")
+        assert main(["steady", "--config", str(config)]) == 2
+        assert "unknown config key 'gama'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("temps, resolved", [
         (("2", "2", "2"), False), (("1", "1", "1"), False), (("1.99", "2", "2.01"), True),
@@ -128,6 +139,11 @@ class TestFigureCommand:
     def test_rejects_unread_flags(self, flag):
         with pytest.raises(SystemExit):
             main(["figure", "fig3", flag, "1"])
+
+    @pytest.mark.parametrize("name, points", [("fig3", "-1"), ("fig4", "0"), ("fig5", "1")])
+    def test_too_few_points_exit_2(self, tmp_path, capsys, name, points):
+        assert main(["figure", name, "--points", points, "--out", str(tmp_path)]) == 2
+        assert f"need at least 2 points, got {points}" in capsys.readouterr().err
 
     def test_fig5_files(self, tmp_path):
         assert main(["figure", "fig5", "--points", "15", "--out", str(tmp_path)]) == 0

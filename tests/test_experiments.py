@@ -27,17 +27,17 @@ from neqfridge import (
     sweep_fig5,
 )
 from neqfridge.experiments import (
-    _Batch,
     _chandrupatla,
     _draw_model,
     _scan_range,
+    _stack,
     cooling_windows,
     deviation,
     extracted_current,
     find_root,
     golden_section_max,
 )
-from neqfridge.errors import NeqFridgeError, ParameterError
+from neqfridge.errors import ParameterError
 from neqfridge.model import thermal_populations, tilde_populations, virtual_coherence
 from neqfridge.observables import (
     cooling_condition,
@@ -133,7 +133,7 @@ class TestRootFinderEdges:
         base = replace(FIG4_BASE, gamma=0.0)
         window = cooling_window(base)
         assert window.left_is_boundary
-        assert window.left == _scan_range(base, None, None)[0]
+        assert window.left == _scan_range(_stack([base]))[0][0]
 
     # Interpolation wins once the function is close to linear at the
     # tolerance scale and enough halvings remain to make up for the steps
@@ -166,9 +166,9 @@ def _kernel_cases() -> list:
     ensemble models as one batch, then eight of its points per model as floats."""
     rng = np.random.default_rng(3)
     bases = [_draw_model(rng, EnsembleSpec(n=8, seed=3)) for _ in range(8)]
-    lo, hi = np.array([_scan_range(base, None, None) for base in bases]).T
+    lo, hi, _ = _scan_range(_stack(bases))
     grid = np.linspace(lo, hi, 400, axis=1)
-    cases = [(grid, _Batch.of(bases).take(np.arange(8)[:, None]))]
+    cases = [(grid, _stack(bases).take(np.arange(8)[:, None]))]
     return cases + [(x, base) for base, row in zip(bases, grid) for x in row[::57].tolist()]
 
 
@@ -198,12 +198,14 @@ class TestDeviationKernel:
     def test_ensemble_kernel_calls(self, monkeypatch):
         # fig6 at n = 100 made 101 deviation and 102 steady_coefficients
         # calls with bisection and golden section, and its 400-point scans
-        # evaluated about 900 kernel points per accepted model
-        from neqfridge import experiments, steadystate
+        # evaluated about 900 kernel points per accepted model; its 150 draws
+        # once cost 250 ModelParams checks, and the kernels checked every population
+        from neqfridge import experiments, model, steadystate
 
         calls, points = collections.Counter(), collections.Counter()
         kernels = (experiments.deviation, experiments.log_odds_gap)
-        for function in (*kernels, steadystate.steady_coefficients):
+        watched = (experiments._draw_model, model.thermal_population)
+        for function in (*kernels, steadystate.steady_coefficients, *watched):
             def counted(*args, _function=function, **kwargs):
                 calls[_function.__name__] += 1
                 points[_function.__name__] += np.size(args[0])
@@ -213,10 +215,20 @@ class TestDeviationKernel:
             for name, module in list(sys.modules.items()):
                 if name.startswith("neqfridge") and getattr(module, function.__name__, None) is function:
                     monkeypatch.setattr(module, function.__name__, counted)
+        post_init = ModelParams.__post_init__
+
+        def counted_post_init(self):
+            calls["ModelParams"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counted_post_init)
         random_ensemble(EnsembleSpec(n=100, seed=7))
         assert 0 < sum(calls[kernel.__name__] for kernel in kernels) <= 70
         assert sum(points[kernel.__name__] for kernel in kernels) <= 100 * 100
         assert calls["steady_coefficients"] <= 2
+        # validated once per draw and once per batch; the kernels check only their frames
+        assert calls["thermal_population"] == 0
+        assert 100 <= calls["_draw_model"] <= calls["ModelParams"] <= calls["_draw_model"] + 10
 
 
 class TestCoolingWindow:
@@ -246,8 +258,8 @@ class TestCoolingWindow:
         # eps3 = E3 - gamma negative at the low end of the scan; that model's
         # search raises and the models batched with it keep their windows
         bad = ModelParams(e1=6.0, e3=2.0, gamma=2.4, t1=1.8, t2=2.0, t3=4.0, p=0.005, g=0.005)
-        with pytest.raises(ParameterError, match="need E > 0"):
-            deviation(_scan_range(bad, None, None)[0], bad)
+        with pytest.raises(ParameterError, match="dressed engine gap must be positive"):
+            deviation(_scan_range(_stack([bad]))[0], bad)
         uncoupled = replace(FIG4_BASE, gamma=0.0)
         first, raised, last = cooling_windows([FIG4_BASE, bad, uncoupled])
         assert isinstance(raised, ParameterError)
@@ -287,13 +299,16 @@ class TestWindowsAgainstFineScan:
     @settings(max_examples=120, deadline=None)
     @given(bases=st.lists(ensemble_draws(), min_size=1, max_size=6))
     def test_windows_match_a_fine_scan(self, bases):
-        for base, window in zip(bases, cooling_windows(bases)):
-            try:
-                grid = np.linspace(*_scan_range(base, None, None), 4000)
-                d = deviation(grid, base)
-            except NeqFridgeError as exc:
-                assert type(window) is type(exc)
+        lo, hi, errors = _scan_range(_stack(bases))
+        for base, window, a, b, error in zip(bases, cooling_windows(bases), lo, hi, errors):
+            grid = np.linspace(a, b, 4000)
+            if error is not None:
+                assert type(window) is type(error)
+                if b > a:  # a frame rejection: the grid itself must raise
+                    with pytest.raises(type(error)):
+                        deviation(grid, base)
                 continue
+            d = deviation(grid, base)  # the frame at a holds on the whole range
             cell, cool = grid[1] - grid[0], grid[d < 0.0]
             if 0 < cool.size < grid.size:  # the scan sees a sign change
                 assert isinstance(window, CoolingWindow)
@@ -505,6 +520,8 @@ class TestGenericSweep:
         rows, skipped = sweep(spec)
         assert skipped and all(s["value"] > 0.5 for s in skipped)
         assert len(rows) + len(skipped) == 9
+        rows, skipped = sweep(SweepSpec(base=FIG4_BASE, axis="gamma", lo=0.6, hi=0.8, points=3))
+        assert rows == [] and len(skipped) == 3
 
     def test_non_cooling_points_are_nan(self):
         # past the critical coupling the machine COP is undefined; the sweep
@@ -528,6 +545,18 @@ class TestGenericSweep:
             flags.append(raises)
         assert any(flags) and not all(flags)
 
+    def test_negative_dressed_gap_points_are_skipped(self):
+        # E1 < 1.8 breaks gamma <= E1/2; at E1 = 2 the dressed engine gap
+        # eps3 = E3 + sqrt(E1^2 - 4 gamma^2)/2 - E1/2 is -0.064
+        base = ModelParams(e1=3, e3=0.5, gamma=0.9, t1=1, t2=2, t3=4, p=.01, g=.01)
+        rows, skipped = sweep(SweepSpec(base=base, axis="e1", lo=1, hi=4, points=13))
+        assert len(rows) == 8 and len(skipped) == 5
+        assert [s["value"] for s in skipped] == [1.0, 1.25, 1.5, 1.75, 2.0]
+        assert all(s["reason"].startswith("resonance infeasible") for s in skipped[:4])
+        reason = skipped[4]["reason"]
+        assert reason.startswith("dressed engine gap must be positive: eps3=-0.0641")
+        assert reason.endswith("at E1=2.0, E3=0.5, gamma=0.9")
+
     def test_unordered_temperatures_when_allowed(self):
         # a limit-study base with T1 > T2 keeps its flag through every point
         base = replace(FIG4_BASE, t1=3.0, require_ordered_temps=False)
@@ -543,6 +572,24 @@ class TestGenericSweep:
             SweepSpec(base=FIG4_BASE, axis="nope", lo=0.0, hi=1.0, points=5)
         with pytest.raises(ParameterError):
             SweepSpec(base=FIG4_BASE, axis="e1", lo=1.0, hi=0.5, points=5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("e3_range", (-1.0, -0.5)),
+    ("e3_range", (0.0, 1.0)),
+    ("e3_range", (3.0, 2.0)),
+    ("t2_range", (0.0, 4.0)),
+    ("t2_range", (4.0, 1.0)),
+    ("t3_mult_range", (0.5, 5.0)),
+    ("t3_mult_range", (3.0, 2.0)),
+    ("t3_mult_range", (1.0, 1.0)),
+    ("gamma_steps", 0),
+    ("max_gamma_step", 0),
+])
+def test_bad_ensemble_spec(field, value):
+    # these once leaked a ZeroDivisionError or stalled the sampler
+    with pytest.raises(ParameterError, match=field):
+        EnsembleSpec(n=2, **{field: value})
 
 
 @pytest.fixture(scope="module")

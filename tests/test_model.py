@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,22 @@ class TestModelParams:
         base.update(kwargs)
         with pytest.raises(ParameterError):
             ModelParams(**base)
+
+    def test_dressed_gap_rule_is_named(self):
+        with pytest.raises(ParameterError, match=r"eps3=-0\.39999\d* at E1=4\.8, E3=2, gamma=2\.4"):
+            ModelParams(e1=4.8, e3=2, gamma=2.4, t1=1.0, t2=2.0, t3=4.0, p=0.01, g=0.01)
+        # eps3 grows with E1: the same machine at a larger target gap is valid
+        assert ModelParams(e1=6.0, e3=2, gamma=2.4, t1=1.0, t2=2.0, t3=4.0, p=0.01, g=0.01)
+
+    def test_batch_reports_its_first_broken_element(self):
+        e1 = np.array([1.0, 0.4, 1.0, 0.5])
+        with pytest.raises(ResonanceInfeasibleError,
+                           match=r"^resonance infeasible: gamma > E1/2 \(gamma=0\.3, E1=0\.4\)$"):
+            ModelParams(e1=e1, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
+        batch = ModelParams(e1=e1[[0, 2]], e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0,
+                            t3=np.array([4.0, 5.0]), p=0.01, g=0.01)
+        with pytest.raises(ParameterError, match="requires T1 <= T2 <= T3, got \\(1\\.3+, 2\\.0, 1\\.5\\)"):
+            replace(batch, t3=np.array([4.0, 1.5]))
 
     def test_ordering_relaxable(self):
         params = ModelParams(
@@ -192,6 +209,14 @@ class TestTildePopulations:
         for nu in (2, 3):
             out = tilde_channel(nu, frame, pops, 0.01).apply(rho0)
             assert np.max(np.abs(out)) < 1e-15
+
+    @pytest.mark.parametrize("t2, t3, t1", [(-2.0, 4.0, None), (2.0, 0.0, None), (2.0, 4.0, 0.0),
+                                            (2.0, np.array([4.0, -1.0]), 1.0)])
+    def test_nonpositive_temperature_raises(self, t2, t3, t1):
+        # the gaps come from a checked frame; the temperatures are checked here
+        frame = resonant_frame(1.0, 4.0, 0.3)
+        with pytest.raises(ParameterError, match="temperatures must be positive"):
+            tilde_populations(frame, t2, t3, t1=t1)
 
 
 class TestVirtualQubit:
