@@ -7,6 +7,7 @@ from .errors import (
     EmptyCoolingWindowError,
     NeqFridgeError,
     NonCoolingRegimeError,
+    NonHermitianGeneratorError,
     ParameterError,
     PopulationInversionError,
     ResonanceInfeasibleError,

@@ -6,7 +6,7 @@ validate | ensemble.  Single-point reports are JSON; tables are CSV with
 identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 user/config error, 3 numerical degeneracy,
-4 invariant failure.
+4 invariant failure or another package error.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,7 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="neqfridge",
@@ -339,8 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and reused for the rest of the
+    process, so in-process callers pay for it once; importing the module
+    does not build it.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, EmptyCoolingWindowError, FileNotFoundError) as exc:

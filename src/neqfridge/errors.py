@@ -17,6 +17,10 @@ class DegenerateSteadyStateError(NeqFridgeError):
     """The generator kernel is not one-dimensional or carries no trace."""
 
 
+class NonHermitianGeneratorError(NeqFridgeError):
+    """A generator matrix that does not map Hermitian operators to Hermitian ones."""
+
+
 class VirtualTemperaturePoleError(NeqFridgeError):
     """Virtual-qubit population ratio equals one: infinite virtual temperature."""
 

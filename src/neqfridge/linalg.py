@@ -1,9 +1,11 @@
-"""Dense complex linear algebra on the small fixed dimensions used by the model.
+"""Dense linear algebra on the small fixed dimensions used by the model.
 
 Everything works on plain numpy arrays: 2x2 single-qubit operators, 4x4
 fridge operators, 8x8 three-qubit operators and the 64x64 vectorized
 generator.  Vectorization is column-stacking throughout, so that
-vec(A @ rho @ B) = kron(B.T, A) @ vec(rho).
+vec(A @ rho @ B) = kron(B.T, A) @ vec(rho).  Operators and generators are
+complex; the kernel solve takes the generator into the Pauli-string basis,
+where a Hermiticity-preserving generator is a real matrix.
 
 Qubit ordering convention: |q1 q2 q3> with qubit 1 most significant, and
 |0> is the *higher*-energy state of each qubit (sigma_z = |0><0| - |1><1|).
@@ -12,10 +14,12 @@ Qubit ordering convention: |q1 q2 q3> with qubit 1 most significant, and
 from __future__ import annotations
 
 import math
+from functools import cache
+from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateSteadyStateError
+from .errors import DegenerateSteadyStateError, NonHermitianGeneratorError, ParameterError
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -149,21 +153,48 @@ def rotate_superop(superop: np.ndarray, u: np.ndarray) -> np.ndarray:
     return rotate_rows(rotate_rows(np.asarray(superop, dtype=complex)).conj().T).conj().T
 
 
+@cache
+def pauli_basis(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d^2 Pauli strings of ``n_qubits`` qubits as a stack (d^2, d, d) and
+    the matrix T whose columns are their vectorizations; T / sqrt(d) is unitary."""
+    strings = np.array([pauli_string("".join(labels)) for labels in product("ixyz", repeat=n_qubits)])
+    t = strings.reshape(len(strings), -1, order="F").T
+    strings.flags.writeable = t.flags.writeable = False  # shared by every caller
+    return strings, t
+
+
 def steady_null_space(liouvillian: np.ndarray, degeneracy_ratio: float = 1e-9) -> np.ndarray:
     """Unique trace-one Hermitian kernel state of a Lindblad generator matrix.
 
-    The kernel vector is the right singular vector of the smallest singular
-    value; a second singular value below ``degeneracy_ratio * s_max`` signals
-    a degenerate steady space.
+    The generator G acts on operators of dimension d = 2^n (n >= 1 qubits);
+    any other dimension raises :class:`ParameterError`.  The kernel is read in
+    the Pauli-string basis, G_r = T^+ G T / d with the columns of T the
+    vectorized strings P_b.  A generator that preserves Hermiticity is real
+    there; an imaginary part above 1e-12 of the real one raises
+    :class:`NonHermitianGeneratorError`.  T / sqrt(d) is unitary, so G_r has
+    the singular values of G.  The kernel vector v is the right singular
+    vector of the smallest one, and the state is sum_b v_b P_b; a second
+    singular value below ``degeneracy_ratio * s_max`` signals a degenerate
+    steady space.
     """
     liouvillian = np.asarray(liouvillian, dtype=complex)
-    _, s, vh = np.linalg.svd(liouvillian)
+    d = math.isqrt(liouvillian.shape[0])
+    n_qubits = d.bit_length() - 1
+    if liouvillian.shape != (d * d, d * d) or d < 2 or d != 1 << n_qubits:
+        raise ParameterError(
+            f"generator of shape {liouvillian.shape} does not act on the operators "
+            "of n >= 1 qubits: its side must be 4^n")
+    strings, t = pauli_basis(n_qubits)
+    rotated = t.conj().T @ liouvillian @ t / d
+    if np.max(np.abs(rotated.imag)) > 1e-12 * np.max(np.abs(rotated.real)):
+        raise NonHermitianGeneratorError("generator does not preserve Hermiticity")
+    _, s, vh = np.linalg.svd(rotated.real)
     if s[0] == 0.0 or s[-2] < degeneracy_ratio * s[0]:
         raise DegenerateSteadyStateError(
             f"steady space is degenerate: singular values {s[-2]:.3e}, {s[-1]:.3e} "
             f"below threshold {degeneracy_ratio:.0e} * {s[0]:.3e}"
         )
-    rho = unvec(vh[-1].conj())
+    rho = np.tensordot(vh[-1], strings, axes=1) / math.sqrt(d)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise DegenerateSteadyStateError("kernel vector carries no trace")

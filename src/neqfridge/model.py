@@ -52,7 +52,7 @@ class ModelParams:
     t3: float
     p: float
     g: float
-    require_ordered_temps: bool = field(default=True, repr=False, compare=False)
+    require_ordered_temps: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
         t1, t2, t3 = self.t1, self.t2, self.t3
@@ -80,6 +80,18 @@ class ModelParams:
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
+
+    def __eq__(self, other) -> bool:
+        """Field-by-field equality of scalars or arrays; ``require_ordered_temps`` is ignored."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in PARAM_NAMES)
+
+    def __hash__(self) -> int:
+        values = self.as_dict().values()
+        if any(np.ndim(value) for value in values):
+            raise TypeError("a batch ModelParams is unhashable")
+        return hash(tuple(float(value) for value in values))
 
     def take(self, idx) -> ModelParams:
         """The models ``idx`` of a batch whose fields are arrays, not validated again."""

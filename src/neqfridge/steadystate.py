@@ -8,23 +8,22 @@ whose solution is implemented here verbatim.
 
 The numeric route: the 64x64 generator is assembled from constant operator
 tables (no per-point Kronecker products), taken into the dressed frame and
-its kernel extracted there by singular value decomposition; the state is
-rotated back to the lab frame.  The two routes adjudicate one another; the
-package treats the null space as ground truth and the closed form as the
-fast path validated against it; :func:`solve_oracle` runs both at one point
-from one generator.
+its kernel extracted there by a real singular value decomposition in the
+Pauli-string basis; the state is rotated back to the lab frame.  The two
+routes adjudicate one another; the package treats the null space as ground
+truth and the closed form as the fast path validated against it;
+:func:`solve_oracle` runs both at one point from one generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .dissipation import GeneratorParts, assemble_liouvillian, build_generator_parts
 from .errors import ParameterError
-from .linalg import pauli_string, rotate_superop, steady_null_space
+from .linalg import pauli_basis, pauli_string, rotate_superop, steady_null_space
 from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, Frame, ModelParams, ThermalPopulations
 
 # The nine-operator family in the dressed frame (target, dressed spiral,
@@ -38,7 +37,7 @@ _FAMILY = np.array([
 ], dtype=complex)
 _FAMILY_NORM_SQ = np.einsum("kij,kij->k", _FAMILY.conj(), _FAMILY).real
 # all 64 Pauli strings, the basis in which the off-family leftover is read
-_PAULI_STRINGS = np.array([pauli_string("".join(labels)) for labels in product("ixyz", repeat=3)])
+_PAULI_STRINGS = pauli_basis(3)[0]
 
 
 @dataclass(frozen=True)
@@ -164,9 +163,10 @@ def numeric_steady_state(params: ModelParams, parts: GeneratorParts | None = Non
 
     ``parts`` is the point's generator, built here when not given.  The
     kernel is read in the dressed frame (the same singular values), where
-    the dissipators map diagonal states to diagonal states entry by entry:
-    at g = 0 the coefficient d then comes out near 1e-20, where the lab-frame
-    kernel leaves it at the 1e-14 rounding level.
+    the dissipators map diagonal states to diagonal states entry by entry,
+    from a real SVD in that frame's Pauli-string basis: at g = 0 the
+    coefficient d then comes out near 1e-26, where the lab-frame kernel
+    leaves it at the 1e-14 rounding level.
     """
     parts = parts if parts is not None else build_generator_parts(params)
     frame = parts.frame

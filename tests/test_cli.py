@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import neqfridge
 from neqfridge import validate
 from neqfridge.cli import main
 from neqfridge.model import thermal_population
@@ -300,3 +305,33 @@ class TestExitCodes:
 
     def test_missing_config_maps_to_2(self):
         assert main(["steady", "--config", "/nonexistent/path.cfg"]) == 2
+
+    def test_non_hermitian_generator_maps_to_4(self, monkeypatch, tmp_path, capsys):
+        from neqfridge import steadystate
+        from neqfridge.linalg import commutator_superop
+
+        # a generator that does not preserve Hermiticity reaches the kernel solve
+        monkeypatch.setattr(steadystate, "rotate_superop",
+                            lambda *args: commutator_superop(1j * np.diag(np.arange(8.0))))
+        assert main(["steady", "--out", str(tmp_path / "x.json")]) == 4
+        assert "does not preserve Hermiticity" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_earlier_calls_leave_no_trace(self, tmp_path):
+        first, last = tmp_path / "first.json", tmp_path / "last.json"
+        assert main(["steady", "--out", str(first)]) == 0
+        assert main(["steady", "--g", "0.02", "--out", str(tmp_path / "g.json")]) == 0
+        assert main(["validate", "--grid", "2", "--out", str(tmp_path / "v.json")]) == 0
+        assert main(["steady", "--out", str(last)]) == 0
+        assert last.read_bytes() == first.read_bytes()
+
+    def test_import_does_not_build_the_parser(self):
+        code = ("import neqfridge.cli as cli; "
+                "assert cli.build_parser.cache_info().currsize == 0; "
+                "cli.main(['--version'])")
+        src = os.path.dirname(os.path.dirname(neqfridge.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("neqfridge ")

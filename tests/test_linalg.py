@@ -5,6 +5,9 @@ from neqfridge import (
     DegenerateSteadyStateError,
     LindbladChannel,
     ModelParams,
+    NeqFridgeError,
+    NonHermitianGeneratorError,
+    ParameterError,
     analytic_steady_state,
     assemble_liouvillian,
     build_generator_parts,
@@ -23,6 +26,8 @@ from neqfridge.linalg import (
     SIGMA_Z,
     commutator_superop,
     density_matrix_defects,
+    pauli_basis,
+    rotate_superop,
 )
 
 from conftest import random_hermitian
@@ -190,3 +195,55 @@ class TestSteadyNullSpace:
         channel = reset_channel(1, rate=0.1, population=0.3, n_qubits=2)
         with pytest.raises(DegenerateSteadyStateError):
             steady_null_space(channel.superoperator())
+
+
+def _reset_generator(n_qubits):
+    """Sum of one reset channel per qubit: a generator with a one-dimensional kernel."""
+    from neqfridge.dissipation import reset_channel
+
+    return sum(reset_channel(q, rate=0.1 * q, population=0.2 + 0.1 * q, n_qubits=n_qubits).superoperator()
+               for q in range(1, n_qubits + 1))
+
+
+class TestPauliBasis:
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_columns_are_orthogonal_vectorized_strings(self, n_qubits):
+        strings, t = pauli_basis(n_qubits)
+        d = 2 ** n_qubits
+        assert np.array_equal(t.conj().T @ t, d * np.eye(d * d))
+        for b in (0, 1, d * d - 1):
+            assert np.array_equal(t[:, b], vec(strings[b]))
+
+    @pytest.mark.parametrize("case", ["p0_dressed", "p0_lab", "reset_2", "reset_1"])
+    def test_real_generator_keeps_the_singular_values(self, p0, case):
+        from neqfridge.model import resolve_resonance
+
+        if case.startswith("p0"):
+            generator = assemble_liouvillian(build_generator_parts(p0))
+            if case == "p0_dressed":
+                generator = rotate_superop(generator, resolve_resonance(p0).dressing)
+        else:
+            generator = _reset_generator(int(case[-1]))
+        n_qubits = (generator.shape[0].bit_length() - 1) // 2
+        _, t = pauli_basis(n_qubits)
+        real = t.conj().T @ generator @ t / 2 ** n_qubits
+        assert np.max(np.abs(real.imag)) <= 1e-12 * np.max(np.abs(real.real))
+        s_real = np.linalg.svd(real.real, compute_uv=False)
+        s_complex = np.linalg.svd(generator, compute_uv=False)
+        assert np.max(np.abs(s_real - s_complex)) <= 1e-12 * s_complex[0]
+
+    def test_reset_kernel_is_the_product_of_fixed_points(self):
+        rho = steady_null_space(_reset_generator(2))
+        assert np.max(np.abs(rho - kron(np.diag([0.3, 0.7]), np.diag([0.4, 0.6])))) < 1e-14
+
+    def test_non_hermitian_generator_raises(self):
+        rng = np.random.default_rng(8)
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.raises(NonHermitianGeneratorError, match="does not preserve Hermiticity"):
+            steady_null_space(commutator_superop(h))
+        assert issubclass(NonHermitianGeneratorError, NeqFridgeError)
+
+    @pytest.mark.parametrize("shape", [(9, 9), (36, 36), (15, 15), (16, 4), (1, 1), (0, 0)])
+    def test_dimension_not_a_power_of_two_raises(self, shape):
+        with pytest.raises(ParameterError, match="its side must be 4\\^n"):
+            steady_null_space(np.zeros(shape))

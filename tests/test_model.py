@@ -66,6 +66,25 @@ class TestModelParams:
         with pytest.raises(ParameterError, match="requires T1 <= T2 <= T3, got \\(1\\.3+, 2\\.0, 1\\.5\\)"):
             replace(batch, t3=np.array([4.0, 1.5]))
 
+    def test_scalar_equality_and_hash(self, p0):
+        same = ModelParams(**p0.as_dict())
+        assert same == p0 and hash(same) == hash(p0)
+        assert replace(p0, g=0.02) != p0
+        # the ordering switch is not a parameter
+        relaxed = ModelParams(**p0.as_dict(), require_ordered_temps=False)
+        assert relaxed == p0 and hash(relaxed) == hash(p0)
+        assert len({p0, same, relaxed, replace(p0, g=0.02)}) == 2
+
+    def test_batch_equality_and_hash(self, p0):
+        batch = replace(p0, e1=np.array([1.0, 2.0]), t3=np.array([4.0, 5.0]))
+        same = replace(p0, e1=np.array([1.0, 2.0]), t3=np.array([4.0, 5.0]))
+        assert batch == same
+        assert batch != replace(same, t3=np.array([4.0, 6.0]))
+        assert batch != replace(same, e1=np.array([1.0, 2.0, 1.5]), t3=4.0)
+        assert batch != p0
+        with pytest.raises(TypeError, match="a batch ModelParams is unhashable"):
+            hash(batch)
+
     def test_ordering_relaxable(self):
         params = ModelParams(
             e1=1.0, e3=4.0, gamma=0.3, t1=3.0, t2=2.0, t3=4.0, p=0.01, g=0.01,
