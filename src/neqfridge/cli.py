@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .errors import (
     ParameterError,
 )
 from .invariants import validate
-from .model import PARAM_NAMES, ModelParams
+from .model import PARAM_NAMES, REFERENCE, ModelParams
 from .observables import heat_currents, performance_report
 from .steadystate import solve_oracle
 from .experiments import (
@@ -41,13 +42,6 @@ from .experiments import (
     sweep_fig4,
     sweep_fig5,
 )
-
-DEFAULT_PARAMS = {
-    "e1": 1.0, "e3": 4.0, "gamma": 0.3,
-    "t1": 4.0 / 3.0, "t2": 2.0, "t3": 4.0,
-    "p": 0.01, "g": 0.01,
-}
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -108,12 +102,12 @@ def _load_config(path: str) -> dict[str, float]:
 
 
 def _resolve_params(args) -> ModelParams:
-    """Flags over the config file over the defaults."""
-    resolved = {**DEFAULT_PARAMS, **(_load_config(args.config) if args.config else {})}
+    """Flags over the config file over the reference model."""
+    resolved = _load_config(args.config) if args.config else {}
     for name in PARAM_NAMES:
         if getattr(args, name) is not None:
             resolved[name] = getattr(args, name)
-    return ModelParams(**resolved)
+    return replace(REFERENCE, **resolved)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -176,14 +170,13 @@ def cmd_figure(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     name = args.name
     meta = {"figure": name, "points": args.points, "seed": args.seed}
+    gammas = (args.gamma,) if args.gamma is not None else None
     if name == "fig3":
-        gammas = (args.gamma,) if args.gamma is not None else None
         rows = sweep_fig3(points=args.points, gammas=gammas)
         cols = ["beta3", "gamma", "e1", "e3", "t1", "t2", "t3", "p", "g"]
         write_csv(outdir / "fig3a.csv", meta, cols + ["q1g"], rows)
         write_csv(outdir / "fig3b.csv", meta, cols + ["delta_c"], rows)
     elif name == "fig4":
-        gammas = (args.gamma,) if args.gamma is not None else (0.2, 0.4, 0.6)
         rows, windows = sweep_fig4(points=args.points, gammas=gammas)
         meta.update({f"window_gamma_{g}": f"[{w.left!r}, {w.right!r}]"
                      for g, w in windows.items()})
@@ -192,7 +185,6 @@ def cmd_figure(args) -> int:
         write_csv(outdir / "fig4a.csv", meta, cols + ["eta_g", "eta_tot"], rows)
         write_csv(outdir / "fig4b.csv", meta, cols + ["coherence"], rows)
     elif name == "fig5":
-        gammas = (args.gamma,) if args.gamma is not None else (0.1, 0.2, 0.3)
         rows, skipped = sweep_fig5(points=args.points, gammas=gammas)
         meta["skipped_points"] = len(skipped)
         cols = ["beta3", "gamma", "e1", "e3", "t1", "t2", "t3", "p", "g"]
@@ -248,7 +240,7 @@ def cmd_validate(args) -> int:
     if any(getattr(args, name) is not None for name in PARAM_NAMES) or args.config:
         points.append(_resolve_params(args))
     else:
-        points.append(ModelParams(**DEFAULT_PARAMS))
+        points.append(REFERENCE)
         for _ in range(max(args.grid - 1, 0)):
             e1 = rng.uniform(0.5, 2.0)
             points.append(ModelParams(

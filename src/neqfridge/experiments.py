@@ -1,17 +1,19 @@
 """Parameter sweeps, root finding and optimization pipelines.
 
-These regenerate the data behind the package's standard figures: the
-cooling-current sweeps over the engine-bath inverse temperature, the COP
-sweeps over the target gap with cooling-window endpoints, the endpoint-COP
-ratio sweeps, the random-refrigerator ensemble for the power-COP bounds,
-and the high-temperature saturation study.
+These regenerate the data behind the package's standard figures, each
+varying the reference refrigerator ``model.REFERENCE``: the cooling-current
+sweeps over the engine-bath inverse temperature, the COP sweeps over the
+target gap with cooling-window endpoints, the endpoint-COP ratio sweeps, the
+random-refrigerator ensemble for the power-COP bounds, and the
+high-temperature saturation study.
 
 All evaluations go through the matrix-free closed-form coefficients, which
 are validated against the generator null space elsewhere.  The closed forms
 take numpy arrays, so each curve of a sweep, and each step of a window
-search or power maximization over a batch of models, is one kernel call.
-Every emitted row carries the full resolved parameter set.  Ensembles are
-driven by a seeded numpy PCG64 generator and are bit-reproducible.
+search or power maximization over a batch of models (one ``ModelParams``
+whose fields broadcast), is one kernel call.  Every emitted row carries the
+full resolved parameter set.  Ensembles are driven by a seeded numpy PCG64
+generator and are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import EmptyCoolingWindowError, NeqFridgeError, ParameterError
 from .model import (
     PARAM_NAMES,
+    REFERENCE,
     ModelParams,
     _gaps,
     resonant_frame,
@@ -162,8 +165,7 @@ def log_odds_gap(e1, base: ModelParams):
     """
     frame = resonant_frame(e1, base.e3, base.gamma)
     pops = tilde_populations(frame, base.t2, base.t3)
-    rt2, rt3 = pops.rtilde2, pops.rtilde3
-    return e1 / base.t1 - np.log((1.0 - rt2) * rt3 / (rt2 * (1.0 - rt3)))
+    return e1 / base.t1 - pops.virtual_log_odds
 
 
 def _chandrupatla(func: BatchFunc, a, b, fa, fb, tol: float) -> np.ndarray:
@@ -295,10 +297,10 @@ def _outcome(func, *args):
         return exc
 
 
-def _stack(bases: Sequence[ModelParams]) -> ModelParams:
-    """The models as one batch, each field an array over them."""
-    fields = {name: np.array([getattr(b, name) for b in bases]) for name in PARAM_NAMES}
-    return ModelParams(**fields, require_ordered_temps=all(b.require_ordered_temps for b in bases))
+def _stack(models: list[ModelParams]) -> ModelParams:
+    """One-model parameter sets as one batch, each field an array over them."""
+    fields = {name: np.array([getattr(m, name) for m in models]) for name in PARAM_NAMES}
+    return ModelParams(**fields, require_ordered_temps=all(m.require_ordered_temps for m in models))
 
 
 def _scan_range(models: ModelParams) -> tuple:
@@ -321,14 +323,14 @@ def _scan_range(models: ModelParams) -> tuple:
             errors[i] = ParameterError("window scan needs T1 < T2")
         elif not hi[i] > lo[i]:
             errors[i] = EmptyCoolingWindowError(
-                f"scan range empty: [{lo[i]:.6g}, {hi[i]:.6g}] for gamma={gamma[i]}")
+                f"scan range empty: [{float(lo[i])!r}, {float(hi[i])!r}] for gamma={gamma[i]}")
         else:
             errors[i] = _outcome(resonant_frame, lo[i], e3[i], gamma[i])
     return lo, hi, errors
 
 
-def _screen_windows(bases: Sequence[ModelParams]) -> list:
-    """Find a point inside each model's cooling window, which brackets both edges.
+def _screen_windows(models: ModelParams) -> list:
+    """Find a point inside each batch model's cooling window, which brackets both edges.
 
     f (:func:`log_odds_gap`) is read at both ends of every scan range that
     :func:`_scan_range` accepts in one call; where neither end has f < 0, a
@@ -336,7 +338,6 @@ def _screen_windows(bases: Sequence[ModelParams]) -> list:
     Per model the result is the error its window search raises, or the pair
     (left edge is the scan boundary, brackets (a, b, f(a), f(b)) of both edges).
     """
-    models = _stack(bases)
     lo, hi, out = _scan_range(models)
     index = np.flatnonzero([error is None for error in out])
     models, lo, hi = models.take(index), lo[index], hi[index]
@@ -349,12 +350,11 @@ def _screen_windows(bases: Sequence[ModelParams]) -> list:
         x[search], negative = _brent_max(lambda e1, j: -log_odds_gap(e1, models.take(search[j])),
                                          lo[search], hi[search], _SEARCH_TOL, stop=0.0)
         fx[search] = -negative
-    columns = (v.tolist() for v in (index, lo, hi, f_lo, f_hi, x, fx))
-    for i, a, b, fa, fb, c, fc in zip(*columns):
-        scanned = f"[{a:.6g}, {b:.6g}]"
-        if not (fc < 0.0 and bases[i].g > 0.0):  # at g = 0 nothing cools
-            out[i] = EmptyCoolingWindowError(
-                f"no cooling found in {scanned} for gamma={bases[i].gamma}")
+    columns = (v.tolist() for v in (index, lo, hi, f_lo, f_hi, x, fx, models.gamma, models.g))
+    for i, a, b, fa, fb, c, fc, gamma, g in zip(*columns):
+        scanned = f"[{a!r}, {b!r}]"
+        if not (fc < 0.0 and g > 0.0):  # at g = 0 nothing cools
+            out[i] = EmptyCoolingWindowError(f"no cooling found in {scanned} for gamma={gamma}")
         elif fb < 0.0:
             out[i] = EmptyCoolingWindowError(
                 f"cooling region extends beyond the scan range {scanned}")
@@ -365,52 +365,53 @@ def _screen_windows(bases: Sequence[ModelParams]) -> list:
     return out
 
 
-def _solve_windows(bases: Sequence[ModelParams], screened: list, tol: float) -> list:
-    """Root-find the brackets of all screened models at once into windows."""
-    found = [(i, out) for i, out in enumerate(screened) if not isinstance(out, NeqFridgeError)]
-    models = _stack([bases[i] for i, _ in found for _ in range(2)])
-    roots = _chandrupatla(lambda x, j: log_odds_gap(x, models.take(j)),
-                          *np.array([out[1] for _, out in found]).reshape(-1, 4).T, tol)
+def _solve_windows(models: ModelParams, screened: list) -> list:
+    """Root-find the brackets of all screened models of a 1-D batch at once into windows."""
+    found = [i for i, out in enumerate(screened) if not isinstance(out, NeqFridgeError)]
+    # each model's left-edge bracket, then its right-edge one
+    pairs = models.take(np.repeat(np.array(found, dtype=int), 2))
+    roots = _chandrupatla(lambda x, j: log_odds_gap(x, pairs.take(j)),
+                          *np.array([screened[i][1] for i in found]).reshape(-1, 4).T, _ROOT_TOL)
     windows = list(screened)
-    for (i, (boundary, _)), (left, right) in zip(found, roots.reshape(-1, 2).tolist()):
-        windows[i] = CoolingWindow(left, right, left_is_boundary=boundary)
+    for i, (left, right) in zip(found, roots.reshape(-1, 2).tolist()):
+        windows[i] = CoolingWindow(left, right, left_is_boundary=screened[i][0])
     return windows
 
 
-def cooling_windows(bases: Sequence[ModelParams], tol: float = _ROOT_TOL) -> list:
-    """Locate the d(E1) = 0 roots bounding each model's cooling region.
+def cooling_windows(models: ModelParams) -> list:
+    """Locate the d(E1) = 0 roots bounding the cooling region of each model
+    of ``models``, one model or a batch whose fields broadcast.
 
-    The E1 field of every base is ignored.  The scan range is
-    (2*gamma, E3 * Carnot COP), whose right end lies outside the window.  A
-    window needs a point x with f(x) < 0 (f of :func:`log_odds_gap`, which
-    has d's sign) and f >= 0 at the right end; Chandrupatla's method finds
-    its edges between x and the ends, and f < 0 at the left end makes that
-    end the left edge.  At g = 0 every window is empty.  The default root
-    tolerance is tight enough that the endpoint COP identity holds to better
-    than 1e-10.  A model with T1 >= T2, an empty range or a frame that fails
-    at the range's low end (eps3 <= 0 there) is rejected before any search.
-    Returns per model its :class:`CoolingWindow`, or the
-    :class:`ParameterError` or :class:`EmptyCoolingWindowError` that
-    :func:`cooling_window` raises for it.
+    The E1 field is ignored.  The scan range is (2*gamma, E3 * Carnot COP),
+    whose right end lies outside the window.  A window needs a point x with
+    f(x) < 0 (f of :func:`log_odds_gap`, which has d's sign) and f >= 0 at
+    the right end; Chandrupatla's method finds its edges between x and the
+    ends, and f < 0 at the left end makes that end the left edge.  At g = 0
+    every window is empty.  The root tolerance, 1e-13, is tight enough that
+    the endpoint COP identity holds to better than 1e-10.  A model with
+    T1 >= T2, an empty range or a frame that fails at the range's low end
+    (eps3 <= 0 there) is rejected before any search.  Returns per model its
+    :class:`CoolingWindow`, or the :class:`ParameterError` or
+    :class:`EmptyCoolingWindowError` that :func:`cooling_window` raises for it.
     """
-    return _solve_windows(bases, _screen_windows(bases), tol)
+    models = models.as_batch()
+    return _solve_windows(models, _screen_windows(models))
 
 
-def cooling_window(base: ModelParams, tol: float = _ROOT_TOL) -> CoolingWindow:
+def cooling_window(base: ModelParams) -> CoolingWindow:
     """The cooling window of one model; see :func:`cooling_windows`."""
-    return _raise_first(cooling_windows([base], tol))[0]
+    return _raise_first(cooling_windows(base))[0]
 
 
 def maximize_cooling_powers(
-    bases: Sequence[ModelParams],
-    windows: Sequence[CoolingWindow] | None = None,
-    tol: float = _SEARCH_TOL,
+    models: ModelParams, windows: Sequence[CoolingWindow] | None = None
 ) -> list[MaxPowerResult]:
-    """Maximize Q1^g over each model's whole cooling window and report the COP there."""
-    windows = windows if windows is not None else _raise_first(cooling_windows(bases))
-    models = _stack(bases)
+    """Maximize Q1^g over the whole cooling window of each model of
+    ``models`` (as in :func:`cooling_windows`) and report the COP there."""
+    models = models.as_batch()
+    windows = windows if windows is not None else _raise_first(cooling_windows(models))
     e1_star, q1g_max = _brent_max(lambda x, j: extracted_current(x, models.take(j)),
-                                  *np.array([(w.left, w.right) for w in windows]).T, tol)
+                                  *np.array([(w.left, w.right) for w in windows]).T, _SEARCH_TOL)
     eta_g_star = cop_g(resonant_frame(e1_star, models.e3, models.gamma))
     return [
         MaxPowerResult(e1_star=e, q1g_max=q, eta_g_star=eta, window=w)
@@ -418,23 +419,14 @@ def maximize_cooling_powers(
     ]
 
 
-def maximize_cooling_power(
-    base: ModelParams,
-    window: CoolingWindow | None = None,
-    tol: float = _SEARCH_TOL,
-) -> MaxPowerResult:
+def maximize_cooling_power(base: ModelParams) -> MaxPowerResult:
     """Maximize Q1^g over the cooling window of one model."""
-    windows = [window] if window is not None else None
-    return maximize_cooling_powers([base], windows, tol)[0]
+    return maximize_cooling_powers(base)[0]
 
 
-def minimize_cop(
-    base: ModelParams,
-    window: CoolingWindow | None = None,
-    tol: float = _SEARCH_TOL,
-) -> MinCopResult:
-    """Minimize the machine COP over the cooling window by Brent's method."""
-    window = window if window is not None else cooling_window(base)
+def minimize_cop(base: ModelParams, tol: float = _SEARCH_TOL) -> MinCopResult:
+    """Minimize the machine COP over the cooling window of one model by Brent's method."""
+    window = cooling_window(base)
     e1_star, negative_cop = _brent_max(lambda x, _: -cop_g(resonant_frame(x, base.e3, base.gamma)),
                                        [window.left], [window.right], tol)
     return MinCopResult(float(e1_star[0]), -float(negative_cop[0]), window)
@@ -449,69 +441,57 @@ def _rows(params: ModelParams, **extra) -> list[dict]:
     return [dict(zip(columns, values)) for values in zip(*lists)]
 
 
-def sweep_fig3(
-    points: int = 200,
-    gammas: tuple[float, ...] | None = None,
-    beta3_lo: float = 0.01,
-    e1: float = 1.0,
-    e3: float = 4.0,
-    t1: float = 2.0,
-    t2: float = 2.0,
-    p: float = 0.01,
-    g: float = 0.01,
-) -> list[dict]:
+def sweep_fig3(points: int = 200, gammas: tuple[float, ...] | None = None) -> list[dict]:
     """Cooling current and coherence change versus engine-bath coldness.
 
-    One curve per coupling value; defaults bracket the critical coupling of
-    the (E1=1, E3=4) machine.  The coherence change is relative to the
+    One curve per coupling value of the reference refrigerator with
+    T1 = T2, over beta3 from 0.01 to beta2; the default couplings bracket
+    its critical coupling.  The coherence change is relative to the
     degenerate-bath point T3 = T2.
     """
     _check_points(points)
+    ref = replace(REFERENCE, t1=REFERENCE.t2)
+    e1, e3, t2 = ref.e1, ref.e3, ref.t2
     if gammas is None:
         gammas = (0.48, 0.49, critical_gamma(e1, e3), 0.50)
-    beta3 = np.linspace(beta3_lo, 1.0 / t2, points)
+    beta3 = np.linspace(0.01, 1.0 / t2, points)
     rows = []
     for gamma in gammas:
         frame = resonant_frame(e1, e3, gamma)
         base_coh = virtual_coherence(frame, tilde_populations(frame, t2, t2))
-        params = ModelParams(e1=e1, e3=e3, gamma=gamma, t1=t1, t2=t2, t3=1.0 / beta3, p=p, g=g)
-        pops = tilde_populations(frame, t2, params.t3, t1=t1)
-        d = deviation_coefficient(pops, p, g)
+        params = replace(ref, gamma=gamma, t3=1.0 / beta3)
+        pops = tilde_populations(frame, t2, params.t3, t1=params.t1)
+        d = deviation_coefficient(pops, ref.p, ref.g)
         rows += _rows(
             params,
             beta3=beta3,
-            q1g=-0.25 * g * d * e1,
+            q1g=-0.25 * ref.g * d * e1,
             delta_c=virtual_coherence(frame, pops) - base_coh,
         )
     return rows
 
 
 def sweep_fig4(
-    points: int = 200,
-    gammas: tuple[float, ...] = (0.2, 0.4, 0.6),
-    e3: float = 4.0,
-    t1: float = 4.0 / 3.0,
-    t2: float = 2.0,
-    t3: float = 4.0,
-    p: float = 0.01,
-    g: float = 0.01,
+    points: int = 200, gammas: tuple[float, ...] | None = None
 ) -> tuple[list[dict], dict[float, CoolingWindow]]:
-    """COPs and coherence versus target gap inside each cooling window."""
+    """COPs and coherence versus target gap inside each cooling window.
+
+    One curve per coupling value (default 0.2, 0.4, 0.6) of the reference
+    refrigerator; all windows are searched in one batch.
+    """
     _check_points(points)
-    bases = [
-        ModelParams(
-            e1=max(1.0, 2.5 * gamma) if gamma > 0 else 1.0,
-            e3=e3, gamma=gamma, t1=t1, t2=t2, t3=t3, p=p, g=g,
-        )
-        for gamma in gammas
-    ]
-    windows = _raise_first(cooling_windows(bases))
+    gammas = gammas if gammas is not None else (0.2, 0.4, 0.6)
+    # fmax is max(1.0, x) for every x, NaN included
+    models = replace(REFERENCE, e1=np.fmax(1.0, 2.5 * np.array(gammas)),
+                     gamma=np.array(gammas)).as_batch()
+    windows = _raise_first(cooling_windows(models))
     rows = []
-    for base, window in zip(bases, windows):
-        params = replace(base, e1=np.linspace(window.left, window.right, points))
-        frame = resonant_frame(params.e1, e3, base.gamma)
-        pops = tilde_populations(frame, t2, t3, t1=t1)
-        currents = currents_closed(params, frame, pops, deviation_coefficient(pops, p, g))
+    for i, window in enumerate(windows):
+        params = replace(models.take(i), e1=np.linspace(window.left, window.right, points))
+        frame = resonant_frame(params.e1, params.e3, params.gamma)
+        pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
+        currents = currents_closed(params, frame, pops,
+                                   deviation_coefficient(pops, params.p, params.g))
         rows += _rows(
             params,
             eta_g=cop_g(frame),
@@ -525,22 +505,20 @@ def sweep_fig4(
 
 def sweep_fig5(
     points: int = 200,
-    gammas: tuple[float, ...] = (0.1, 0.2, 0.3),
+    gammas: tuple[float, ...] | None = None,
     beta3_lo: float = 0.01,
     beta3_hi: float | None = None,
-    e1: float = 1.0,
-    e3: float = 4.0,
-    t2: float = 2.0,
-    p: float = 0.01,
-    g: float = 0.01,
 ) -> tuple[list[dict], list[dict]]:
     """Endpoint COP over Carnot, and coherence, versus engine-bath coldness.
 
-    The cold-bath temperature is set to the virtual temperature at every
-    point (the d = 0 surface).  Points with a nonpositive virtual
-    temperature are skipped and reported separately.
+    One curve per coupling value (default 0.1, 0.2, 0.3) of the reference
+    refrigerator, whose cold-bath temperature is set to the virtual
+    temperature at every point (the d = 0 surface).  Points with a
+    nonpositive virtual temperature are skipped and reported separately.
     """
     _check_points(points)
+    gammas = gammas if gammas is not None else (0.1, 0.2, 0.3)
+    e1, e3, t2 = REFERENCE.e1, REFERENCE.e3, REFERENCE.t2
     if beta3_hi is None:
         beta3_hi = 1.0 / t2 - 1e-4  # the Carnot ratio is 0/0 at beta3 = beta2
     beta3 = np.linspace(beta3_lo, beta3_hi, points)
@@ -553,8 +531,7 @@ def sweep_fig5(
         keep = tv > 0.0
         skipped += [{"gamma": gamma, "beta3": b, "tv": v}
                     for b, v in zip(beta3[~keep].tolist(), tv[~keep].tolist())]
-        params = ModelParams(e1=e1, e3=e3, gamma=gamma, t1=tv[keep], t2=t2,
-                             t3=1.0 / beta3[keep], p=p, g=g)
+        params = replace(REFERENCE, gamma=gamma, t1=tv[keep], t3=1.0 / beta3[keep])
         rows += _rows(
             params,
             beta3=beta3[keep],
@@ -634,7 +611,7 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[list[dict], dict]:
         ratio = (resamples + len(accepted)) / len(accepted) if accepted else 1.0
         size = max(_CHUNK, math.ceil(1.5 * (spec.n - len(accepted)) * ratio))
         drawn = [_outcome(_draw_model, rng, spec) for _ in range(size)]
-        screened = iter(_screen_windows([m for m in drawn if isinstance(m, ModelParams)]))
+        screened = iter(_screen_windows(_stack([m for m in drawn if isinstance(m, ModelParams)])))
         for model in drawn:
             outcome = next(screened) if isinstance(model, ModelParams) else model
             if len(accepted) == spec.n:
@@ -646,10 +623,10 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[list[dict], dict]:
             else:
                 accepted.append((model, outcome))
 
-    bases = [model for model, _ in accepted]
-    windows = _solve_windows(bases, [outcome for _, outcome in accepted], _ROOT_TOL)
-    results = maximize_cooling_powers(bases, windows)
-    params = replace(_stack(bases), e1=np.array([r.e1_star for r in results]))
+    models = _stack([model for model, _ in accepted])
+    windows = _solve_windows(models, [outcome for _, outcome in accepted])
+    results = maximize_cooling_powers(models, windows)
+    params = replace(models, e1=np.array([r.e1_star for r in results]))
     frame = resonant_frame(params.e1, params.e3, params.gamma)
     pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
     currents = currents_closed(params, frame, pops, deviation_coefficient(pops, params.p, params.g))
@@ -679,38 +656,27 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[list[dict], dict]:
 def high_temperature_saturation(
     x_values: tuple[float, ...] = (0.0, 0.05, 0.1),
     kappas: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0),
-    e3: float = 4.0,
-    t1: float = 4.0 / 3.0,
-    t2: float = 2.0,
-    t3: float = 4.0,
-    p: float = 0.01,
-    g: float = 0.01,
 ) -> list[dict]:
     """Approach of the max-power COP to its upper bound as temperatures grow.
 
-    All three bath temperatures are scaled by kappa, which leaves the Carnot
-    COP fixed; the relative gap to the bound should shrink toward zero.
+    The reference refrigerator at gamma = x E3, with all three bath
+    temperatures scaled by kappa, which leaves the Carnot COP fixed; the
+    relative gap to the bound should shrink toward zero.
     """
-    eta_c = cop_carnot(t1, t2, t3)
-    cases = [(x, kappa) for x in x_values for kappa in kappas]
-    bases = [
-        ModelParams(
-            e1=max(1.0, 2.5 * x * e3) if x > 0 else 1.0,
-            e3=e3, gamma=x * e3,
-            t1=t1 * kappa, t2=t2 * kappa, t3=t3 * kappa, p=p, g=g,
-        )
-        for x, kappa in cases
-    ]
-    results = maximize_cooling_powers(bases)
+    ref = REFERENCE
+    eta_c = cop_carnot(ref.t1, ref.t2, ref.t3)
+    x, kappa = np.array([(x, kappa) for x in x_values for kappa in kappas]).T
+    models = replace(ref, e1=np.fmax(1.0, 2.5 * x * ref.e3), gamma=x * ref.e3,
+                     t1=ref.t1 * kappa, t2=ref.t2 * kappa, t3=ref.t3 * kappa)
+    results = maximize_cooling_powers(models)
     e1_star, eta_star = np.array([(r.e1_star, r.eta_g_star) for r in results]).T
-    x, kappa = np.array(cases).T
     bound = np.array([eta_star_max(eta_c, v) for v in x.tolist()])
     return _rows(
-        replace(_stack(bases), e1=e1_star),
+        replace(models, e1=e1_star),
         gamma_over_e3=x,
         kappa=kappa,
         eta_star=eta_star,
         eta_star_bound=bound,
         rel_gap=(bound - eta_star) / bound,
-        e1_over_t1=e1_star / (t1 * kappa),
+        e1_over_t1=e1_star / models.t1,
     )

@@ -95,9 +95,16 @@ class ModelParams:
 
     def take(self, idx) -> ModelParams:
         """The models ``idx`` of a batch whose fields are arrays, not validated again."""
+        return self._unchecked({name: value[idx] for name, value in self.as_dict().items()})
+
+    def as_batch(self) -> ModelParams:
+        """This model or batch as one 1-D batch (fields broadcast), not validated again."""
+        values = np.broadcast_arrays(*self.as_dict().values())
+        return self._unchecked({name: np.ravel(v) for name, v in zip(PARAM_NAMES, values)})
+
+    def _unchecked(self, values: dict) -> ModelParams:
         part = object.__new__(ModelParams)
-        vars(part).update({name: value[idx] for name, value in self.as_dict().items()},
-                          require_ordered_temps=self.require_ordered_temps)
+        vars(part).update(values, require_ordered_temps=self.require_ordered_temps)
         return part
 
 
@@ -146,6 +153,10 @@ def _frame_gaps(e1, e3, gamma, *rules) -> tuple:
         _require(eps3 > 0, ParameterError, "dressed engine gap must be positive: "
                  "eps3={} at E1={}, E3={}, gamma={}", eps3, e1, e3, gamma)
     return delta_e, eps3
+
+
+# the reference refrigerator of the figures and the CLI defaults
+REFERENCE = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4.0 / 3.0, t2=2.0, t3=4.0, p=0.01, g=0.01)
 
 
 @dataclass(frozen=True)
@@ -253,9 +264,10 @@ class ThermalPopulations:
     bath temperature T_mu; ``rtilde`` are the mixed populations of the
     dressed qubits at the dressed gaps ``eps2``/``eps3``.  ``r1`` is the
     target population, only set when a target temperature was supplied.  The
-    effective temperatures ``ttilde``, their inverses ``btilde`` and the
-    Bloch z components ``s*`` are derived on read, so a caller that needs
-    only the populations (the deviation kernel) never computes them.
+    effective temperatures ``ttilde``, their inverses ``btilde``, the Bloch
+    z components ``s*`` and the virtual qubit's log-odds are derived on
+    read, so a caller that needs only the populations (the deviation
+    kernel) never computes them.
     """
 
     eps2: float
@@ -278,6 +290,12 @@ class ThermalPopulations:
     @property
     def ttilde3(self) -> float:
         return self.eps3 / np.log((1.0 - self.rtilde3) / self.rtilde3)
+
+    @property
+    def virtual_log_odds(self):
+        """ln[(1 - r~2) r~3 / (r~2 (1 - r~3))], the virtual qubit's gap over its temperature."""
+        r2, r3 = self.rtilde2, self.rtilde3
+        return np.log(((1.0 - r2) * r3) / (r2 * (1.0 - r3)))
 
     @property
     def btilde2(self) -> float:
@@ -340,9 +358,7 @@ def virtual_temperature(frame: Frame, pops: ThermalPopulations, masked: bool = F
     singly-excited machine eigenstates are equally populated; with
     ``masked`` the pole points are NaN instead.
     """
-    log_ratio = np.log(
-        ((1.0 - pops.rtilde2) * pops.rtilde3) / (pops.rtilde2 * (1.0 - pops.rtilde3))
-    )
+    log_ratio = pops.virtual_log_odds
     pole = log_ratio == 0.0
     if not np.any(pole):
         return (frame.eps2 - frame.eps3) / log_ratio

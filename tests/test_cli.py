@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,13 @@ def _reject_constant(name):
 
 
 class TestSteadyCommand:
+    def test_defaults_are_the_reference_model(self, tmp_path):
+        from neqfridge.model import REFERENCE
+
+        out = tmp_path / "steady.json"
+        assert main(["steady", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["params"] == REFERENCE.as_dict()
+
     def test_benchmark_report(self, tmp_path):
         out = tmp_path / "steady.json"
         code = main([
@@ -139,6 +147,19 @@ class TestFigureCommand:
         left, right = (float(v) for v in line.split(": ", 1)[1].strip("[]").split(", "))
         assert left == pytest.approx(0.40653601327, abs=1e-9)
         assert right == pytest.approx(3.92413296025, abs=1e-9)
+
+    def test_fig4_empty_window_prints_the_scanned_range(self, tmp_path, capsys):
+        # E1 = 5 at gamma = 2: the scan runs from 4 (1 + 1e-9) to 4 (1 + 1e-6)
+        from neqfridge.experiments import _scan_range, _stack
+        from neqfridge.model import REFERENCE
+
+        assert main(["figure", "fig4", "--gamma", "2.0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no cooling found in [")
+        lo, hi, _ = _scan_range(_stack([replace(REFERENCE, e1=5.0, gamma=2.0)]))
+        scanned = err.split("[", 1)[1].split("]", 1)[0]
+        assert [float(v) for v in scanned.split(", ")] == [lo[0], hi[0]]
+        assert lo[0] < hi[0]
 
     @pytest.mark.parametrize("flag", ["--e1", "--config", "--tol"])
     def test_rejects_unread_flags(self, flag):

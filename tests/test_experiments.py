@@ -36,9 +36,16 @@ from neqfridge.experiments import (
     extracted_current,
     find_root,
     golden_section_max,
+    log_odds_gap,
+    maximize_cooling_powers,
 )
 from neqfridge.errors import ParameterError
-from neqfridge.model import thermal_populations, tilde_populations, virtual_coherence
+from neqfridge.model import (
+    thermal_populations,
+    tilde_populations,
+    virtual_coherence,
+    virtual_temperature,
+)
 from neqfridge.observables import (
     cooling_condition,
     cop_carnot,
@@ -231,6 +238,34 @@ class TestDeviationKernel:
         assert 100 <= calls["_draw_model"] <= calls["ModelParams"] <= calls["_draw_model"] + 10
 
 
+    def test_virtual_log_odds_is_the_stored_formula(self):
+        # the expression log_odds_gap and virtual_temperature each wrote out
+        # before they read the ThermalPopulations property
+        for e1, params in _kernel_cases():
+            frame = resonant_frame(e1, params.e3, params.gamma)
+            pops = tilde_populations(frame, params.t2, params.t3)
+            rt2, rt3 = pops.rtilde2, pops.rtilde3
+            log_odds = np.log((1.0 - rt2) * rt3 / (rt2 * (1.0 - rt3)))
+            np.testing.assert_array_equal(pops.virtual_log_odds, log_odds)
+            np.testing.assert_array_equal(log_odds_gap(e1, params), e1 / params.t1 - log_odds)
+            np.testing.assert_array_equal(virtual_temperature(frame, pops),
+                                          (frame.eps2 - frame.eps3) / log_odds)
+
+    def test_ensemble_stacks_draws_and_accepted_models_once(self, monkeypatch):
+        from neqfridge import experiments
+
+        sizes = []
+
+        def counted(models):
+            sizes.append(len(models))
+            return stack(models)
+
+        stack = experiments._stack
+        monkeypatch.setattr(experiments, "_stack", counted)
+        random_ensemble(EnsembleSpec(n=100, seed=7))
+        assert sizes == [150, 100]
+
+
 class TestCoolingWindow:
     def test_benchmark_window(self):
         window = cooling_window(FIG4_BASE)
@@ -261,7 +296,7 @@ class TestCoolingWindow:
         with pytest.raises(ParameterError, match="dressed engine gap must be positive"):
             deviation(_scan_range(_stack([bad]))[0], bad)
         uncoupled = replace(FIG4_BASE, gamma=0.0)
-        first, raised, last = cooling_windows([FIG4_BASE, bad, uncoupled])
+        first, raised, last = cooling_windows(_stack([FIG4_BASE, bad, uncoupled]))
         assert isinstance(raised, ParameterError)
         assert first.left == pytest.approx(0.40653601327, abs=1e-9)
         assert first.right == pytest.approx(3.92413296025, abs=1e-9)
@@ -270,6 +305,46 @@ class TestCoolingWindow:
             alone = cooling_window(base)
             assert window.left == pytest.approx(alone.left, abs=1e-12)
             assert window.right == pytest.approx(alone.right, abs=1e-12)
+
+    def test_batch_of_field_arrays_matches_one_model_calls(self):
+        # FIG4_BASE, the dressed-gap rejection of the test above and an
+        # uncoupled model, as field arrays; t2 and t3 are shared scalars
+        batch = ModelParams(
+            e1=np.array([1.0, 6.0, 1.0]), e3=np.array([4.0, 2.0, 4.0]),
+            gamma=np.array([0.2, 2.4, 0.0]), t1=np.array([4 / 3, 1.8, 4 / 3]),
+            t2=2.0, t3=4.0, p=np.array([0.01, 0.005, 0.01]), g=np.array([0.01, 0.005, 0.01]))
+        bad = ModelParams(e1=6.0, e3=2.0, gamma=2.4, t1=1.8, t2=2.0, t3=4.0, p=0.005, g=0.005)
+        models = [FIG4_BASE, bad, replace(FIG4_BASE, gamma=0.0)]
+        assert all(batch.as_batch().take(i) == model for i, model in enumerate(models))
+        windows = cooling_windows(batch)
+        with pytest.raises(ParameterError) as alone:
+            cooling_window(models[1])
+        assert type(windows[1]) is type(alone.value) and str(windows[1]) == str(alone.value)
+        with pytest.raises(ParameterError) as raised:
+            maximize_cooling_powers(batch)
+        assert type(raised.value) is type(alone.value) and str(raised.value) == str(alone.value)
+        good = batch.as_batch().take(np.array([0, 2]))
+        results = maximize_cooling_powers(good)
+        for i, window, result in zip((0, 2), (windows[0], windows[2]), results):
+            single = maximize_cooling_power(models[i])
+            for got, want in ((window, single.window), (result.window, single.window)):
+                assert got.left == pytest.approx(want.left, abs=1e-12)
+                assert got.right == pytest.approx(want.right, abs=1e-12)
+                assert got.left_is_boundary == want.left_is_boundary
+            for key in ("e1_star", "q1g_max", "eta_g_star"):
+                assert getattr(result, key) == pytest.approx(getattr(single, key), abs=1e-12)
+
+    def test_one_model_is_a_batch_of_one(self):
+        windows = cooling_windows(FIG4_BASE)
+        assert len(windows) == 1 and windows[0] == cooling_window(FIG4_BASE)
+        assert len(maximize_cooling_powers(FIG4_BASE)) == 1
+
+    def test_empty_scan_range_message_prints_its_ends_exactly(self):
+        base = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=1.99, t2=2.0, t3=2.0000001, p=0.01, g=0.01)
+        lo, hi, errors = _scan_range(_stack([base]))
+        assert str(errors[0]).startswith("scan range empty: [")
+        scanned = str(errors[0]).split("[", 1)[1].split("]", 1)[0]
+        assert [float(v) for v in scanned.split(", ")] == [lo[0], hi[0]]
 
     def test_window_requires_cold_target(self):
         from neqfridge.errors import ParameterError
@@ -300,7 +375,7 @@ class TestWindowsAgainstFineScan:
     @given(bases=st.lists(ensemble_draws(), min_size=1, max_size=6))
     def test_windows_match_a_fine_scan(self, bases):
         lo, hi, errors = _scan_range(_stack(bases))
-        for base, window, a, b, error in zip(bases, cooling_windows(bases), lo, hi, errors):
+        for base, window, a, b, error in zip(bases, cooling_windows(_stack(bases)), lo, hi, errors):
             grid = np.linspace(a, b, 4000)
             if error is not None:
                 assert type(window) is type(error)
@@ -664,7 +739,7 @@ def _check_against_scalar(spec: EnsembleSpec) -> int:
         else:
             reference.append((base, window, _scalar_max_power(base, window, spec.eta_c)))
     assert meta["resamples"] == resamples
-    batch_windows = cooling_windows([base for base, _, _ in reference])
+    batch_windows = cooling_windows(_stack([base for base, _, _ in reference]))
     for row, window, (base, ref_window, ref) in zip(rows, batch_windows, reference):
         assert [row[k] for k in ("e3", "t2", "t3", "gamma", "t1")] == \
             [getattr(base, k) for k in ("e3", "t2", "t3", "gamma", "t1")]
