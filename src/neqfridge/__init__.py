@@ -13,7 +13,7 @@ from .errors import (
     ResonanceInfeasibleError,
     VirtualTemperaturePoleError,
 )
-from .linalg import embed, kron, partial_trace, steady_null_space, unvec, vec
+from .linalg import steady_null_space, vec
 from .model import (
     Frame,
     Hamiltonians,
@@ -30,7 +30,6 @@ from .model import (
 )
 from .dissipation import (
     GeneratorParts,
-    JumpOperatorSet,
     LindbladChannel,
     assemble_liouvillian,
     build_generator_parts,

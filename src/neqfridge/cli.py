@@ -166,9 +166,13 @@ def cmd_steady(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    name = args.name
+    if name == "fig6" and args.gamma is not None:
+        raise ParameterError("figure fig6 does not read --gamma")
+    if name != "fig6" and args.n is not None:
+        raise ParameterError(f"figure {name} does not read --n")
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
-    name = args.name
     meta = {"figure": name, "points": args.points, "seed": args.seed}
     gammas = (args.gamma,) if args.gamma is not None else None
     if name == "fig3":
@@ -191,7 +195,7 @@ def cmd_figure(args) -> int:
         write_csv(outdir / "fig5a.csv", meta, cols + ["eta_ratio"], rows)
         write_csv(outdir / "fig5b.csv", meta, cols + ["coherence"], rows)
     elif name == "fig6":
-        spec = EnsembleSpec(n=args.n, seed=args.seed)
+        spec = EnsembleSpec(n=1000 if args.n is None else args.n, seed=args.seed)
         rows, ensemble_meta = random_ensemble(spec)
         meta.update(ensemble_meta)
         cols = ["gamma_over_e3", "e1", "e3", "gamma", "t1", "t2", "t3", "p", "g"]
@@ -296,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="write CSV data for a standard figure")
     p_fig.add_argument("name", choices=("fig3", "fig4", "fig5", "fig6"))
-    p_fig.add_argument("--gamma", type=float, default=None, help="a single coupling curve")
+    p_fig.add_argument("--gamma", type=float, default=None, help="a single coupling curve (fig3-fig5)")
     p_fig.add_argument("--points", type=int, default=200)
     p_fig.add_argument("--seed", type=int, default=7)
-    p_fig.add_argument("--n", type=int, default=1000, help="ensemble size (fig6)")
+    p_fig.add_argument("--n", type=int, default=None, help="ensemble size (fig6, default 1000)")
     p_fig.set_defaults(func=cmd_figure)
 
     p_sweep = sub.add_parser("sweep", help="generic 1-D sweep to CSV")

@@ -300,7 +300,7 @@ def _outcome(func, *args):
 def _stack(models: list[ModelParams]) -> ModelParams:
     """One-model parameter sets as one batch, each field an array over them."""
     fields = {name: np.array([getattr(m, name) for m in models]) for name in PARAM_NAMES}
-    return ModelParams(**fields, require_ordered_temps=all(m.require_ordered_temps for m in models))
+    return ModelParams(**fields)
 
 
 def _scan_range(models: ModelParams) -> tuple:

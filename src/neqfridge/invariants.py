@@ -58,27 +58,29 @@ def validate(params: ModelParams, tol: float = 1e-8, rng: np.random.Generator | 
 
     ``tol`` bounds the coefficient deltas between the two routes.  ``rng``
     draws the Hermitian probe of the channel-algebra group (seed 0 when
-    omitted).  ``population(E, T)`` gives the machine-bath populations, as
-    in :func:`neqfridge.model.tilde_populations`; a wrong law fails the
-    population groups.
+    omitted).  ``population(E, T)`` gives the machine-bath populations that
+    the two population groups check, as in
+    :func:`neqfridge.model.tilde_populations`; a wrong law fails them.  The
+    oracle solve and the later groups use the model's own populations.
     """
     frame = resolve_resonance(params)
-    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1, population=population)
-    pop_values = (pops.r1, pops.r22, pops.r23, pops.r32, pops.r33, pops.rtilde2, pops.rtilde3)
+    law = tilde_populations(frame, params.t2, params.t3, t1=params.t1, population=population)
+    pop_values = (law.r1, law.r22, law.r23, law.r32, law.r33, law.rtilde2, law.rtilde3)
     groups = {
         "population_range": _group(max(max(0.0, r - 0.5, -r) for r in pop_values), 0.0),
         "detailed_balance": _group(max(
-            abs(pops.r(nu, mu) - thermal_population(frame.eps2 if nu == 2 else frame.eps3,
-                                                    params.t2 if mu == 2 else params.t3))
+            abs(law.r(nu, mu) - thermal_population(frame.eps2 if nu == 2 else frame.eps3,
+                                                   params.t2 if mu == 2 else params.t3))
             for nu in (2, 3) for mu in (2, 3)), 1e-12),
     }
     try:
-        oracle = solve_oracle(params, frame, pops)
+        oracle = solve_oracle(params)
     except DegenerateSteadyStateError as exc:
         groups["oracle_equivalence"] = {"passed": False, "max_error": math.inf, "error": str(exc)}
         return ValidationReport(groups=groups, deltas={}, residual_numeric=math.inf,
                                 off_family_max=math.inf)
     parts, steady = oracle.parts, oracle.numeric
+    frame, pops = parts.frame, parts.pops
     off = max(oracle.analytic.off_family_max, steady.off_family_max)
     groups["oracle_equivalence"] = {
         "passed": bool(oracle.max_delta <= tol and steady.residual <= 1e-10 and off <= 1e-10),

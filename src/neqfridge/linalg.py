@@ -2,7 +2,8 @@
 
 Everything works on plain numpy arrays: 2x2 single-qubit operators, 4x4
 fridge operators, 8x8 three-qubit operators and the 64x64 vectorized
-generator.  Vectorization is column-stacking throughout, so that
+generator.  Operators on several qubits are built once as Pauli strings,
+products with one single-qubit factor per qubit.  Vectorization is column-stacking throughout, so that
 vec(A @ rho @ B) = kron(B.T, A) @ vec(rho).  Operators and generators are
 complex; the kernel solve takes the generator into the Pauli-string basis,
 where a Hermiticity-preserving generator is a real matrix.
@@ -39,16 +40,11 @@ _SINGLE_QUBIT = {
 }
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor most significant."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def pauli_string(labels: str) -> np.ndarray:
     """Product operator over one label per qubit from {'i','x','y','z','+','-'}.
 
     The first label acts on qubit 1, e.g. ``'z+i'`` is sigma_1^z sigma_2^+.
-    The model builds its constant operator tables with it at import.
+    The model builds its constant operator tables with it.
     """
     out = np.ones((1, 1), dtype=complex)
     for label in labels:
@@ -56,63 +52,9 @@ def pauli_string(labels: str) -> np.ndarray:
     return out
 
 
-def embed(op: np.ndarray, acting_on, n_qubits: int = 3) -> np.ndarray:
-    """Tensor `op` with identities so it acts on the listed qubit slots.
-
-    `acting_on` is a 1-based qubit index or tuple of distinct indices; the
-    slot order of `op` follows the tuple order.
-    """
-    if isinstance(acting_on, int):
-        acting_on = (acting_on,)
-    acting_on = tuple(acting_on)
-    if len(set(acting_on)) != len(acting_on):
-        raise IndexError(f"repeated qubit index in {acting_on}")
-    if any(q < 1 or q > n_qubits for q in acting_on):
-        raise IndexError(f"qubit index out of range 1..{n_qubits}: {acting_on}")
-    op = np.asarray(op, dtype=complex)
-    k = len(acting_on)
-    if op.shape != (2 ** k, 2 ** k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} qubit slot(s)")
-    rest = [q for q in range(1, n_qubits + 1) if q not in acting_on]
-    full = np.kron(op, np.eye(2 ** len(rest), dtype=complex))
-    order = list(acting_on) + rest
-    perm = [order.index(q) for q in range(1, n_qubits + 1)]
-    tensor = full.reshape((2,) * (2 * n_qubits))
-    tensor = tensor.transpose(tuple(perm) + tuple(n_qubits + p for p in perm))
-    return tensor.reshape(2 ** n_qubits, 2 ** n_qubits)
-
-
-def partial_trace(rho: np.ndarray, keep, n_qubits: int = 3) -> np.ndarray:
-    """Reduced operator on the kept qubits (1-based indices, ascending order)."""
-    if isinstance(keep, int):
-        keep = (keep,)
-    keep = tuple(sorted(set(keep)))
-    if not keep or any(q < 1 or q > n_qubits for q in keep):
-        raise IndexError(f"keep must be a nonempty subset of 1..{n_qubits}: {keep}")
-    rho = np.asarray(rho, dtype=complex)
-    rows = [chr(ord("a") + i) for i in range(n_qubits)]
-    cols = [chr(ord("a") + n_qubits + i) for i in range(n_qubits)]
-    for q in range(1, n_qubits + 1):
-        if q not in keep:
-            cols[q - 1] = rows[q - 1]
-    out = "".join(rows[q - 1] for q in keep) + "".join(cols[q - 1] for q in keep)
-    tensor = rho.reshape((2,) * (2 * n_qubits))
-    d = 2 ** len(keep)
-    return np.einsum("".join(rows + cols) + "->" + out, tensor).reshape(d, d)
-
-
 def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
+    """Column-stacking vectorization, the convention of every superoperator here."""
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise ValueError(f"length {v.size} is not a perfect square")
-    return v.reshape(d, d, order="F")
 
 
 def sandwich_superop(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:

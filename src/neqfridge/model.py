@@ -15,7 +15,7 @@ of a thermal qubit with gap E at temperature T is r = 1/(1 + exp(E/T)) < 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -40,8 +40,7 @@ class ModelParams:
     broken rule at its first broken element.  The spiral gap E2 is never an
     input: it is fixed by the resonance condition (see
     :func:`resolve_resonance`), and the dressed engine gap eps3 it implies
-    must be positive.  Temperatures must satisfy T1 <= T2 <= T3 unless
-    ``require_ordered_temps`` is switched off for limit studies.
+    must be positive.  Temperatures must satisfy T1 <= T2 <= T3.
     """
 
     e1: float
@@ -52,7 +51,6 @@ class ModelParams:
     t3: float
     p: float
     g: float
-    require_ordered_temps: bool = field(default=True, repr=False)
 
     def __post_init__(self) -> None:
         t1, t2, t3 = self.t1, self.t2, self.t3
@@ -60,7 +58,7 @@ class ModelParams:
             self.e1, self.e3, self.gamma,
             ((t1 > 0) & (t2 > 0) & (t3 > 0), ParameterError,
              "temperatures must be positive: T=({}, {}, {})", t1, t2, t3),
-            (((t1 <= t2) & (t2 <= t3)) | (not self.require_ordered_temps), ParameterError,
+            ((t1 <= t2) & (t2 <= t3), ParameterError,
              "fridge regime requires T1 <= T2 <= T3, got ({}, {}, {})", t1, t2, t3),
             (self.p > 0, ParameterError, "dissipation rate must be positive: p={}", self.p),
             (self.g >= 0, ParameterError, "tripartite coupling must be nonnegative: g={}", self.g),
@@ -82,7 +80,7 @@ class ModelParams:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
     def __eq__(self, other) -> bool:
-        """Field-by-field equality of scalars or arrays; ``require_ordered_temps`` is ignored."""
+        """Field-by-field equality of scalars or arrays."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in PARAM_NAMES)
@@ -102,13 +100,14 @@ class ModelParams:
         values = np.broadcast_arrays(*self.as_dict().values())
         return self._unchecked({name: np.ravel(v) for name, v in zip(PARAM_NAMES, values)})
 
-    def _unchecked(self, values: dict) -> ModelParams:
+    @staticmethod
+    def _unchecked(values: dict) -> ModelParams:
         part = object.__new__(ModelParams)
-        vars(part).update(values, require_ordered_temps=self.require_ordered_temps)
+        vars(part).update(values)
         return part
 
 
-PARAM_NAMES = tuple(f.name for f in fields(ModelParams) if f.name != "require_ordered_temps")
+PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 
 
 def _require(holds, error, message: str, *values) -> None:
@@ -121,12 +120,15 @@ def _require(holds, error, message: str, *values) -> None:
     raise error(message.format(*(np.broadcast_to(v, shape).flat[at] for v in values)))
 
 
+@np.errstate(invalid="ignore")
 def _gaps(e1, e3, gamma) -> tuple:
     """delta_e = sqrt(E1^2 - 4 gamma^2), the dressed engine gap
     eps3 = E3 + delta_e/2 - E1/2 and, elementwise, whether the frame rules
     hold: E1, E3 > 0, 0 <= gamma <= E1/2 and eps3 > 0.
 
     eps3 only grows with E1, since d eps3/dE1 = E1/(2 delta_e) - 1/2 >= 0.
+    Infinite gaps or couplings give inf - inf = nan without a warning; the
+    nan then fails the eps3 rule, which names it.
     """
     delta_e = np.sqrt(np.maximum(e1 * e1 - 4.0 * gamma * gamma, 0.0))
     eps3 = 0.5 * ((e3 + delta_e) + e3) - 0.5 * e1

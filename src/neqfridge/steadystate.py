@@ -11,8 +11,9 @@ tables (no per-point Kronecker products), taken into the dressed frame and
 its kernel extracted there by a real singular value decomposition in the
 Pauli-string basis; the state is rotated back to the lab frame.  The two
 routes adjudicate one another; the package treats the null space as ground
-truth and the closed form as the fast path validated against it;
-:func:`solve_oracle` runs both at one point from one generator.
+truth and the closed form as the fast path validated against it.  Both
+routes take a point's :class:`~neqfridge.dissipation.GeneratorParts`;
+:func:`solve_oracle` builds it once from the parameters and runs both.
 """
 
 from __future__ import annotations
@@ -142,13 +143,12 @@ def decompose(rho: np.ndarray, frame: Frame) -> tuple[SteadyDecomposition, float
     return SteadyDecomposition(*coeffs[1:]), float(off)
 
 
-def analytic_steady_state(params: ModelParams, parts: GeneratorParts | None = None) -> SteadyStateResult:
-    """Closed-form steady state reconstructed in the lab frame.
+def analytic_steady_state(parts: GeneratorParts) -> SteadyStateResult:
+    """Closed-form steady state of the point ``parts``, reconstructed in the lab frame.
 
-    ``parts`` is the point's generator, built here when not given; the
-    residual is the norm of its action on the state.
+    The residual is the norm of the generator's action on the state.
     """
-    parts = parts if parts is not None else build_generator_parts(params)
+    params = parts.params
     decomposition = steady_coefficients(parts.pops, params.p, params.g)
     rho = reconstruct_state(decomposition, parts.frame)
     _, off = decompose(rho, parts.frame)
@@ -158,17 +158,15 @@ def analytic_steady_state(params: ModelParams, parts: GeneratorParts | None = No
     )
 
 
-def numeric_steady_state(params: ModelParams, parts: GeneratorParts | None = None) -> SteadyStateResult:
-    """Steady state from the kernel of the assembled generator.
+def numeric_steady_state(parts: GeneratorParts) -> SteadyStateResult:
+    """Steady state of the point ``parts`` from the kernel of its assembled generator.
 
-    ``parts`` is the point's generator, built here when not given.  The
-    kernel is read in the dressed frame (the same singular values), where
+    The kernel is read in the dressed frame (the same singular values), where
     the dissipators map diagonal states to diagonal states entry by entry,
     from a real SVD in that frame's Pauli-string basis: at g = 0 the
     coefficient d then comes out near 1e-26, where the lab-frame kernel
     leaves it at the 1e-14 rounding level.
     """
-    parts = parts if parts is not None else build_generator_parts(params)
     frame = parts.frame
     generator = rotate_superop(assemble_liouvillian(parts), frame.dressing)
     rho = frame.to_lab(steady_null_space(generator))
@@ -193,19 +191,15 @@ class OracleSolve:
         return max(self.deltas.values())
 
 
-def solve_oracle(
-    params: ModelParams,
-    frame: Frame | None = None,
-    pops: ThermalPopulations | None = None,
-) -> OracleSolve:
+def solve_oracle(params: ModelParams) -> OracleSolve:
     """Solve one point both ways and compare the routes coefficient by coefficient.
 
     Raises :class:`DegenerateSteadyStateError` when the generator kernel is
     not one-dimensional.
     """
-    parts = build_generator_parts(params, frame, pops)
-    analytic = analytic_steady_state(params, parts)
-    numeric = numeric_steady_state(params, parts)
+    parts = build_generator_parts(params)
+    analytic = analytic_steady_state(parts)
+    numeric = numeric_steady_state(parts)
     a = analytic.decomposition.as_dict()
     n = numeric.decomposition.as_dict()
     return OracleSolve(parts=parts, analytic=analytic, numeric=numeric,

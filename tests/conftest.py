@@ -60,6 +60,15 @@ def tilde_operator(frame, first: str, fridge_ops: str) -> np.ndarray:
     return np.kron(SINGLE_QUBIT[first], fridge_tilde_operator(frame, fridge_ops))
 
 
+def weighted_jumps(channel) -> list[tuple[np.ndarray, float]]:
+    """(L, w) pairs of a channel: each raising jump at rate*r, then its adjoint at rate*(1 - r)."""
+    pairs = []
+    for raising, r in zip(channel.raising, channel.populations):
+        pairs.append((raising, channel.rate * r))
+        pairs.append((raising.conj().T, channel.rate * (1.0 - r)))
+    return pairs
+
+
 def loop_apply(jumps, rho: np.ndarray) -> np.ndarray:
     """Channel action summed one (L, w) jump at a time."""
     out = np.zeros_like(np.asarray(rho, dtype=complex))

@@ -69,7 +69,7 @@ def test_criterion_2_first_law_and_current_identity():
     for _ in range(200):
         params = random_feasible(rng)
         parts = build_generator_parts(params)
-        currents = heat_currents(parts, numeric_steady_state(params, parts))
+        currents = heat_currents(parts, numeric_steady_state(parts))
         worst_sum = max(worst_sum, abs(currents.q1 + currents.q2 + currents.q3))
         worst_id = max(worst_id, abs(currents.q1g - currents.q1))
     assert worst_sum <= 1e-10
@@ -272,7 +272,7 @@ def test_criterion_9_property_suite():
             assert np.max(np.abs(delocalized - localized)) < 1e-12
 
         # steady state: validity, residual, sign chain, dressed currents
-        steady = analytic_steady_state(params)
+        steady = analytic_steady_state(build_generator_parts(params))
         assert steady.residual < 1e-10
         eigs = np.linalg.eigvalsh(steady.rho)
         assert eigs.min() > -1e-10

@@ -166,6 +166,28 @@ class TestFigureCommand:
         with pytest.raises(SystemExit):
             main(["figure", "fig3", flag, "1"])
 
+    @pytest.mark.parametrize("name, flag, value", [
+        ("fig6", "--gamma", "0.5"), ("fig3", "--n", "5"), ("fig4", "--n", "5"), ("fig5", "--n", "5"),
+    ])
+    def test_flags_the_figure_does_not_read_exit_2(self, tmp_path, capsys, name, flag, value):
+        out = tmp_path / "out"
+        assert main(["figure", name, flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: figure {name} does not read {flag}\n"
+        assert not out.exists()
+
+    def test_fig6_default_size_is_1000(self, tmp_path):
+        default, explicit = tmp_path / "default", tmp_path / "explicit"
+        assert main(["figure", "fig6", "--out", str(default)]) == 0
+        assert main(["figure", "fig6", "--n", "1000", "--out", str(explicit)]) == 0
+        for name in ("fig6a.csv", "fig6b.csv"):
+            assert (default / name).read_bytes() == (explicit / name).read_bytes()
+
+    def test_infinite_coupling_exits_2_without_a_warning(self, tmp_path, capsys):
+        # E1 = 2.5 gamma is infinite too; the suite turns a RuntimeWarning into an error
+        assert main(["figure", "fig4", "--gamma", "inf", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: dressed engine gap must be positive: eps3=nan at E1=inf, E3=4.0, gamma=inf\n")
+
     @pytest.mark.parametrize("name, points", [("fig3", "-1"), ("fig4", "0"), ("fig5", "1")])
     def test_too_few_points_exit_2(self, tmp_path, capsys, name, points):
         assert main(["figure", name, "--points", points, "--out", str(tmp_path)]) == 2

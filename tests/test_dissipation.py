@@ -13,7 +13,7 @@ from neqfridge import (
     tilde_channel,
 )
 from neqfridge.dissipation import LindbladChannel, build_generator_parts
-from neqfridge.linalg import hermiticity_defect, vec
+from neqfridge.linalg import IDENTITY_2, SIGMA_PLUS, hermiticity_defect, vec
 from neqfridge.model import (
     build_hamiltonians,
     resolve_resonance,
@@ -31,6 +31,7 @@ from conftest import (
     random_feasible,
     random_hermitian,
     tilde_operator,
+    weighted_jumps,
 )
 
 
@@ -50,6 +51,12 @@ def grid_box_points(seed: int, count: int) -> list[ModelParams]:
     points[1] = replace(points[1], g=0.0)
     points[2] = replace(points[2], gamma=0.5 * points[2].e1)
     return points
+
+
+def localize(parts):
+    """The point with its machine baths acting through the dressed-local channels."""
+    frame, pops, p = parts.frame, parts.pops, parts.params.p
+    return replace(parts, d2=tilde_channel(2, frame, pops, p), d3=tilde_channel(3, frame, pops, p))
 
 
 class TestResetChannel:
@@ -89,111 +96,122 @@ class TestResetChannel:
         with pytest.raises(ParameterError):
             reset_channel(1, rate=0.0, population=0.3)
 
+    def test_ladder_is_a_shared_read_only_table(self):
+        raising = reset_channel(2, rate=0.01, population=0.3).raising
+        assert raising is reset_channel(2, rate=0.02, population=0.4).raising
+        assert not raising.flags.writeable
+        assert np.array_equal(raising, [np.kron(IDENTITY_2, np.kron(SIGMA_PLUS, IDENTITY_2))])
+
+
+# (nu, mu, dressed machine ladder) of the four jumps of jump_operator_set, in
+# order: nu labels the dressed qubit whose gap is the transition frequency, mu
+# the bath driving it
+JUMP_SPECS = ((2, 2, "+i"), (3, 2, "z+"), (3, 3, "i+"), (2, 3, "+z"))
+
+
+def read_prefactors(frame, jumps) -> list[float]:
+    """Each jump's real prefactor, read back against its kron-built dressed ladder."""
+    prefactors = []
+    for jump, (_, _, ladder) in zip(jumps, JUMP_SPECS):
+        reference = tilde_operator(frame, "i", ladder)
+        prefactor = np.vdot(reference, jump) / np.vdot(reference, reference)
+        assert abs(prefactor.imag) < 1e-15
+        assert np.max(np.abs(jump - prefactor.real * reference)) < 1e-15
+        prefactors.append(prefactor.real)
+    return prefactors
+
 
 class TestJumpOperators:
     def test_decoupled_frame(self):
-        from neqfridge.linalg import SIGMA_PLUS, embed
-
-        ops = jump_operator_set(resonant_frame(1.0, 4.0, 0.0))
-        by_label = {(p.nu, p.mu): p for p in ops.pairs}
-        assert np.max(np.abs(by_label[(3, 2)].plus)) == 0.0
-        assert np.max(np.abs(by_label[(2, 3)].plus)) == 0.0
-        assert np.array_equal(by_label[(2, 2)].plus, embed(SIGMA_PLUS, 2))
-        assert np.array_equal(by_label[(3, 3)].plus, embed(SIGMA_PLUS, 3))
+        jumps = jump_operator_set(resonant_frame(1.0, 4.0, 0.0))
+        assert jumps.shape == (4, 8, 8)
+        assert np.max(np.abs(jumps[1])) == 0.0
+        assert np.max(np.abs(jumps[3])) == 0.0
+        assert np.array_equal(jumps[0], np.kron(IDENTITY_2, np.kron(SIGMA_PLUS, IDENTITY_2)))
+        assert np.array_equal(jumps[2], np.kron(IDENTITY_2, np.kron(IDENTITY_2, SIGMA_PLUS)))
 
     def test_maximal_mixing_prefactors(self):
-        ops = jump_operator_set(resonant_frame(1.0, 4.0, 0.5))
-        for pair in ops.pairs:
-            assert abs(pair.prefactor) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+        frame = resonant_frame(1.0, 4.0, 0.5)
+        for prefactor in read_prefactors(frame, jump_operator_set(frame)):
+            assert abs(prefactor) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
     def test_benchmark_half_angles(self):
-        ops = jump_operator_set(resonant_frame(1.0, 4.0, 0.3))
-        by_label = {(p.nu, p.mu): p for p in ops.pairs}
-        assert by_label[(2, 2)].prefactor == pytest.approx(math.sqrt(0.9), abs=1e-15)
-        assert by_label[(3, 2)].prefactor == pytest.approx(math.sqrt(0.1), abs=1e-15)
-        assert by_label[(2, 3)].prefactor == pytest.approx(-math.sqrt(0.1), abs=1e-15)
+        frame = resonant_frame(1.0, 4.0, 0.3)
+        expected = (math.sqrt(0.9), math.sqrt(0.1), math.sqrt(0.9), -math.sqrt(0.1))
+        assert read_prefactors(frame, jump_operator_set(frame)) == pytest.approx(expected, abs=1e-15)
 
     def test_adjoint_pairs_and_completeness(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
-            params = random_feasible(rng)
-            frame = resolve_resonance(params)
-            ops = jump_operator_set(frame)
-            for pair in ops.pairs:
-                assert np.max(np.abs(pair.minus - pair.plus.conj().T)) < 1e-12
-            for mu in (2, 3):
-                total = sum(p.prefactor ** 2 for p in ops.for_bath(mu))
-                assert total == pytest.approx(1.0, abs=1e-12)
+            parts = build_generator_parts(random_feasible(rng))
+            prefactors = read_prefactors(parts.frame, jump_operator_set(parts.frame))
+            # each bath's two prefactors square to one
+            assert prefactors[0] ** 2 + prefactors[1] ** 2 == pytest.approx(1.0, abs=1e-12)
+            assert prefactors[2] ** 2 + prefactors[3] ** 2 == pytest.approx(1.0, abs=1e-12)
+            # every channel pairs each raising jump with its adjoint as the lowering one
+            for channel in (parts.d1, parts.d2, parts.d3):
+                _, ops_dag, _ = channel._stacked
+                ops = ops_dag.conj().transpose(0, 2, 1)
+                assert np.array_equal(ops[0::2], channel.raising)
+                assert np.max(np.abs(ops[1::2] - channel.raising.conj().transpose(0, 2, 1))) < 1e-12
 
     def test_eigenoperator_frequencies(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             params = random_feasible(rng)
             frame = resolve_resonance(params)
-            hams = build_hamiltonians(params, frame)
-            for pair in jump_operator_set(frame).pairs:
-                if np.max(np.abs(pair.plus)) == 0.0:
-                    continue
-                comm = hams.hfridge @ pair.plus - pair.plus @ hams.hfridge
-                assert np.max(np.abs(comm - pair.frequency * pair.plus)) < 1e-12
+            hfridge = build_hamiltonians(params, frame).hfridge
+            for jump, (nu, _, _) in zip(jump_operator_set(frame), JUMP_SPECS):
+                frequency = frame.eps2 if nu == 2 else frame.eps3
+                lowering = jump.conj().T
+                comm = hfridge @ jump - jump @ hfridge
+                assert np.max(np.abs(comm - frequency * jump)) < 1e-12
+                comm = hfridge @ lowering - lowering @ hfridge
+                assert np.max(np.abs(comm + frequency * lowering)) < 1e-12
 
     def test_sign_of_cross_jump_is_observably_irrelevant(self, p0):
-        frame = resolve_resonance(p0)
-        pops = thermal_populations(p0, frame)
-        channel = jump_operator_set(frame).channel(3, pops, p0.p)
-        flipped = LindbladChannel(jumps=tuple(
-            (-op, w) if i >= 2 else (op, w) for i, (op, w) in enumerate(channel.jumps)
-        ))
+        channel = build_generator_parts(p0).d3
+        flipped = replace(channel, raising=channel.raising * np.reshape([1.0, -1.0], (2, 1, 1)))
         assert np.max(np.abs(channel.superoperator() - flipped.superoperator())) < 1e-15
 
 
 class TestFridgeChannel:
     def test_reduces_to_reset_without_coupling(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
-        frame = resolve_resonance(params)
-        pops = thermal_populations(params, frame)
-        for mu, qubit in ((2, 2), (3, 3)):
-            delocalized = jump_operator_set(frame).channel(mu, pops, params.p).superoperator()
-            r = pops.r(mu, mu)
-            local = reset_channel(qubit, params.p, r).superoperator()
-            assert np.max(np.abs(delocalized - local)) < 1e-15
+        parts = build_generator_parts(params)
+        for channel, qubit in ((parts.d2, 2), (parts.d3, 3)):
+            local = reset_channel(qubit, params.p, parts.pops.r(qubit, qubit)).superoperator()
+            assert np.max(np.abs(channel.superoperator() - local)) < 1e-15
 
     def test_equilibrium_baths_fix_gibbs_state(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.35, t1=2.0, t2=2.0, t3=2.0, p=0.01, g=0.01)
-        frame = resolve_resonance(params)
-        pops = thermal_populations(params, frame)
-        rho = product_state(frame, pops)  # equals tau_1 x Gibbs at T2 = T3
-        jumps = jump_operator_set(frame)
-        total = jumps.channel(2, pops, params.p).apply(rho) + jumps.channel(3, pops, params.p).apply(rho)
-        assert np.max(np.abs(total)) < 1e-16
+        parts = build_generator_parts(params)
+        rho = product_state(parts.frame, parts.pops)  # equals tau_1 x Gibbs at T2 = T3
+        assert np.max(np.abs(parts.d2.apply(rho) + parts.d3.apply(rho))) < 1e-16
 
     def test_localization_identity_on_family(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             params = random_feasible(rng)
-            frame = resolve_resonance(params)
-            pops = thermal_populations(params, frame)
-            jumps = jump_operator_set(frame)
-            d2 = jumps.channel(2, pops, params.p)
-            d3 = jumps.channel(3, pops, params.p)
+            parts = build_generator_parts(params)
+            frame, pops = parts.frame, parts.pops
             t2 = tilde_channel(2, frame, pops, params.p)
             t3 = tilde_channel(3, frame, pops, params.p)
             for op in family_operators(frame).values():
-                delocalized = d2.apply(op) + d3.apply(op)
+                delocalized = parts.d2.apply(op) + parts.d3.apply(op)
                 localized = t2.apply(op) + t3.apply(op)
                 assert np.max(np.abs(delocalized - localized)) < 1e-12
 
     def test_preserves_machine_eigenbasis_populations(self, p0):
         # a state diagonal in the dressed machine basis stays diagonal there
         rng = np.random.default_rng(15)
-        frame = resolve_resonance(p0)
-        pops = thermal_populations(p0, frame)
-        w = np.kron(np.eye(2), frame.unitary)
+        parts = build_generator_parts(p0)
+        w = np.kron(np.eye(2), parts.frame.unitary)
         target_block = random_hermitian(rng, 2)
         fridge_diag = np.diag(rng.uniform(0.1, 1.0, size=4)).astype(complex)
         rho = w.conj().T @ np.kron(target_block, fridge_diag) @ w
-        for mu in (2, 3):
-            out = w @ jump_operator_set(frame).channel(mu, pops, p0.p).apply(rho) @ w.conj().T
+        for channel in (parts.d2, parts.d3):
+            out = w @ channel.apply(rho) @ w.conj().T
             blocks = out.reshape(2, 4, 2, 4)
             for f1 in range(4):
                 for f2 in range(4):
@@ -205,15 +223,15 @@ class TestFridgeChannel:
         # toward the Boltzmann ratio of its own bath
         frame = resolve_resonance(p0)
         pops = thermal_populations(p0, frame)
-        pairs = jump_operator_set(frame).pairs
-        for pair in pairs:
-            r = pops.r(pair.nu, pair.mu)
-            single = LindbladChannel(jumps=((pair.plus, p0.p * r), (pair.minus, p0.p * (1 - r))))
-            z_nu = tilde_operator(frame, "i", "zi" if pair.nu == 2 else "iz")
+        jumps = jump_operator_set(frame)
+        for k, (nu, mu, _) in enumerate(JUMP_SPECS):
+            r = pops.r(nu, mu)
+            single = LindbladChannel(jumps[k:k + 1], p0.p, (r,))
+            z_nu = tilde_operator(frame, "i", "zi" if nu == 2 else "iz")
             # equilibrium state of that transition: dressed qubit nu at r
             diag2 = np.diag([r, 1.0 - r]).astype(complex)
             other = np.diag([0.35, 0.65]).astype(complex)
-            fridge4 = np.kron(diag2, other) if pair.nu == 2 else np.kron(other, diag2)
+            fridge4 = np.kron(diag2, other) if nu == 2 else np.kron(other, diag2)
             rho = np.kron(np.eye(2) / 2.0, frame.unitary.conj().T @ fridge4 @ frame.unitary)
             flow = np.trace(z_nu @ single.apply(rho))
             assert abs(flow) < 1e-15
@@ -245,9 +263,10 @@ class TestStackedChannel:
             channels = (parts.d1, parts.d2, parts.d3,
                         tilde_channel(2, frame, pops, params.p), tilde_channel(3, frame, pops, params.p))
             for channel in channels:
+                jumps = weighted_jumps(channel)
                 for _ in range(3):
                     probe = random_hermitian(rng)
-                    assert np.max(np.abs(channel.apply(probe) - loop_apply(channel.jumps, probe))) < 1e-15
+                    assert np.max(np.abs(channel.apply(probe) - loop_apply(jumps, probe))) < 1e-15
 
     def test_apply_on_a_stack_matches_one_at_a_time(self, p0):
         rng = np.random.default_rng(32)
@@ -263,15 +282,13 @@ class TestLiouvillian:
     def test_matches_per_jump_kron_reference(self, localized):
         for params in grid_box_points(33, 20):
             parts = build_generator_parts(params)
-            machine = (parts.d2, parts.d3)
             if localized:
-                machine = tuple(tilde_channel(nu, parts.frame, parts.pops, params.p) for nu in (2, 3))
+                parts = localize(parts)
             expected = kron_commutator_superop(parts.hams.htot)
-            for channel in (parts.d1, *machine):
-                for op, weight in channel.jumps:
+            for channel in (parts.d1, parts.d2, parts.d3):
+                for op, weight in weighted_jumps(channel):
                     expected = expected + kron_dissipator_superop(op, weight)
-            assembled = assemble_liouvillian(parts, localized=localized)
-            assert np.max(np.abs(assembled - expected)) < 1e-14
+            assert np.max(np.abs(assemble_liouvillian(parts) - expected)) < 1e-14
 
     def test_uncoupled_case_is_sum_of_resets(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
@@ -315,8 +332,9 @@ class TestLiouvillian:
     def test_localized_variant_shares_steady_state(self, p0):
         from neqfridge.linalg import steady_null_space
 
-        rho_full = steady_null_space(assemble_liouvillian(build_generator_parts(p0)))
-        rho_localized = steady_null_space(assemble_liouvillian(build_generator_parts(p0), localized=True))
+        parts = build_generator_parts(p0)
+        rho_full = steady_null_space(assemble_liouvillian(parts))
+        rho_localized = steady_null_space(assemble_liouvillian(localize(parts)))
         assert np.max(np.abs(rho_full - rho_localized)) < 1e-10
 
     def test_channel_algebra_random_parameters(self):

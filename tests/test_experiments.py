@@ -632,15 +632,6 @@ class TestGenericSweep:
         assert reason.startswith("dressed engine gap must be positive: eps3=-0.0641")
         assert reason.endswith("at E1=2.0, E3=0.5, gamma=0.9")
 
-    def test_unordered_temperatures_when_allowed(self):
-        # a limit-study base with T1 > T2 keeps its flag through every point
-        base = replace(FIG4_BASE, t1=3.0, require_ordered_temps=False)
-        rows, skipped = sweep(SweepSpec(base=base, axis="e1", lo=0.5, hi=2.0, points=7))
-        assert len(rows) == 7 and not skipped
-        assert all(row["t1"] == 3.0 for row in rows)
-        with pytest.raises(ParameterError):
-            replace(base, require_ordered_temps=True)
-
     def test_bad_spec(self):
 
         with pytest.raises(ParameterError):

@@ -11,12 +11,8 @@ from neqfridge import (
     analytic_steady_state,
     assemble_liouvillian,
     build_generator_parts,
-    embed,
-    kron,
-    partial_trace,
     steady_null_space,
     thermal_population,
-    unvec,
     vec,
 )
 from neqfridge.linalg import (
@@ -27,104 +23,80 @@ from neqfridge.linalg import (
     commutator_superop,
     density_matrix_defects,
     pauli_basis,
+    pauli_string,
     rotate_superop,
 )
+from neqfridge.dissipation import reset_channel
 
 from conftest import random_hermitian
 
 
 class TestKron:
+    """Kronecker-product conventions of pauli_string: the left factor is most significant."""
+
     def test_identity(self):
-        assert np.array_equal(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
+        assert np.array_equal(pauli_string("ii"), np.eye(4))
 
     def test_sigma_z_pair(self):
-        assert np.array_equal(kron(SIGMA_Z, SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
+        assert np.array_equal(pauli_string("zz"), np.diag([1.0, -1.0, -1.0, 1.0]))
 
     def test_raising_lowering(self):
         # hand evaluation: single unit entry at row |01>, column |10>
         expected = np.zeros((4, 4))
         expected[1, 2] = 1.0
-        assert np.array_equal(kron(SIGMA_PLUS, SIGMA_MINUS), expected)
+        assert np.array_equal(pauli_string("+-"), expected)
 
     def test_associativity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-            left = kron(kron(a, b), c)
-            right = kron(a, kron(b, c))
-            assert np.max(np.abs(left - right)) < 1e-14
+        for labels in ("xyz", "+z-", "iyx", "-+i"):
+            left = np.kron(pauli_string(labels[:2]), pauli_string(labels[2]))
+            right = np.kron(pauli_string(labels[0]), pauli_string(labels[1:]))
+            assert np.array_equal(left, pauli_string(labels))
+            assert np.array_equal(right, pauli_string(labels))
 
 
 class TestEmbed:
+    """Single-qubit operators placed on the slots of three qubits: pauli_string
+    labels, and the reset ladder of one numbered qubit."""
+
     def test_identity_slot(self):
-        assert np.array_equal(embed(IDENTITY_2, 2), np.eye(8))
+        assert np.array_equal(pauli_string("iii"), np.eye(8))
 
     def test_sigma_z_qubit1(self):
-        assert np.array_equal(embed(SIGMA_Z, 1), np.diag([1.0] * 4 + [-1.0] * 4))
+        assert np.array_equal(pauli_string("zii"), np.diag([1.0] * 4 + [-1.0] * 4))
 
     def test_pair_raising_lowering(self):
         # sigma_2^+ sigma_3^- maps |q1 1 0> -> |q1 0 1>: unit entries per q1 state
-        op = embed(kron(SIGMA_PLUS, SIGMA_MINUS), (2, 3))
         expected = np.zeros((8, 8))
         expected[0b001, 0b010] = 1.0
         expected[0b101, 0b110] = 1.0
-        assert np.array_equal(op, expected)
-
-    def test_slot_order_follows_tuple(self):
-        direct = embed(kron(SIGMA_PLUS, SIGMA_MINUS), (3, 1))
-        swapped = embed(kron(SIGMA_MINUS, SIGMA_PLUS), (1, 3))
-        assert np.array_equal(direct, swapped)
+        assert np.array_equal(pauli_string("i+-"), expected)
 
     def test_agrees_with_explicit_kron(self):
-        rng = np.random.default_rng(1)
-        a = random_hermitian(rng, 2)
-        assert np.allclose(embed(a, 2), kron(IDENTITY_2, kron(a, IDENTITY_2)))
+        single = {"i": IDENTITY_2, "z": SIGMA_Z, "+": SIGMA_PLUS, "-": SIGMA_MINUS}
+        for labels in ("+ii", "i+i", "ii+", "z-i", "-iz"):
+            a, b, c = (single[label] for label in labels)
+            assert np.array_equal(pauli_string(labels), np.kron(a, np.kron(b, c)))
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            embed(SIGMA_Z, 4)
-        with pytest.raises(IndexError):
-            embed(kron(SIGMA_Z, SIGMA_Z), (2, 2))
+        # the reset ladder places sigma^+ on one numbered slot
+        for qubit in (0, 4):
+            with pytest.raises(ParameterError, match="qubit must lie in 1..3"):
+                reset_channel(qubit, rate=0.01, population=0.3)
 
 
 class TestPartialTrace:
-    def test_product_factorization(self):
-        t1 = np.diag([0.3, 0.7])
-        t2 = np.diag([0.2, 0.8])
-        t3 = np.diag([0.45, 0.55])
-        rho = kron(t1, kron(t2, t3))
-        assert np.allclose(partial_trace(rho, 1), t1, atol=1e-14)
-        assert np.allclose(partial_trace(rho, (2, 3)), kron(t2, t3), atol=1e-14)
-
-    def test_maximally_mixed(self):
-        assert np.allclose(partial_trace(np.eye(8) / 8.0, (2, 3)), np.eye(4) / 4.0)
-
-    def test_embed_duality(self):
-        rng = np.random.default_rng(2)
-        for qubits in (1, 2, 3, (1, 2), (2, 3), (1, 3)):
-            k = 1 if isinstance(qubits, int) else 2
-            a = random_hermitian(rng, 2 ** k)
-            rho = random_hermitian(rng, 8)
-            lhs = np.trace(embed(a, qubits) @ rho)
-            rhs = np.trace(a @ partial_trace(rho, qubits))
-            assert abs(lhs - rhs) < 1e-12
-
     def test_target_reduction_is_thermalish(self, p0):
-        # reduced target state of the steady state is diagonal with the
-        # Bloch-z component of the decomposition
-        result = analytic_steady_state(p0)
-        reduced = partial_trace(result.rho, 1)
-        assert abs(reduced[0, 1]) < 1e-14
-        bloch = (reduced[0, 0] - reduced[1, 1]).real
-        assert abs(bloch - result.decomposition.a1) < 1e-12
+        # the reduced target state of the steady state is diagonal with the
+        # Bloch-z component of the decomposition: <s1^+> = 0 and <sz1> = a1
+        result = analytic_steady_state(build_generator_parts(p0))
+        coherence = np.trace(pauli_string("+ii") @ result.rho)
+        bloch = np.trace(pauli_string("zii") @ result.rho)
+        assert abs(coherence) < 1e-14
+        assert abs(bloch.imag) < 1e-14
+        assert abs(bloch.real - result.decomposition.a1) < 1e-12
 
 
 class TestVectorization:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert np.array_equal(unvec(vec(m)), m)
-
     def test_column_stacking_convention(self):
         rng = np.random.default_rng(4)
         a, x, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
@@ -134,16 +106,20 @@ class TestVectorization:
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 4)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.allclose(unvec(commutator_superop(h) @ vec(x)), -1j * (h @ x - x @ h))
+        assert np.allclose(commutator_superop(h) @ vec(x), vec(-1j * (h @ x - x @ h)))
 
     def test_dissipator_superop(self):
         rng = np.random.default_rng(6)
         jump = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         x = random_hermitian(rng, 4)
-        anti = jump.conj().T @ jump
-        direct = 0.7 * (jump @ x @ jump.conj().T - 0.5 * (anti @ x + x @ anti))
-        channel = LindbladChannel(jumps=((jump, 0.7),))
-        assert np.allclose(unvec(channel.superoperator() @ vec(x)), direct)
+
+        def dissipator(op, weight):
+            anti = op.conj().T @ op
+            return weight * (op @ x @ op.conj().T - 0.5 * (anti @ x + x @ anti))
+
+        direct = dissipator(jump, 0.7 * 0.3) + dissipator(jump.conj().T, 0.7 * (1.0 - 0.3))
+        channel = LindbladChannel(jump[None], 0.7, (0.3,))
+        assert np.allclose(channel.superoperator() @ vec(x), vec(direct))
 
 
 class TestSteadyNullSpace:
@@ -158,7 +134,7 @@ class TestSteadyNullSpace:
                 thermal_population(4.0, 4.0),
             )
         ]
-        assert np.max(np.abs(rho - kron(taus[0], kron(taus[1], taus[2])))) < 1e-12
+        assert np.max(np.abs(rho - np.kron(taus[0], np.kron(taus[1], taus[2])))) < 1e-12
 
     def test_decoupled_target_gives_dressed_product(self, p0):
         from neqfridge.model import resolve_resonance, thermal_populations
@@ -173,7 +149,7 @@ class TestSteadyNullSpace:
     def test_matches_closed_form_at_benchmark(self, p0):
         liouvillian = assemble_liouvillian(build_generator_parts(p0))
         rho = steady_null_space(liouvillian)
-        assert np.max(np.abs(rho - analytic_steady_state(p0).rho)) < 1e-8
+        assert np.max(np.abs(rho - analytic_steady_state(build_generator_parts(p0)).rho)) < 1e-8
         assert np.linalg.norm(liouvillian @ vec(rho)) < 1e-10
 
     def test_output_is_density_matrix(self, p0):
@@ -190,8 +166,6 @@ class TestSteadyNullSpace:
     def test_genuinely_degenerate_generator_detected(self):
         # a reset channel touching only one of two qubits leaves a
         # four-dimensional kernel
-        from neqfridge.dissipation import reset_channel
-
         channel = reset_channel(1, rate=0.1, population=0.3, n_qubits=2)
         with pytest.raises(DegenerateSteadyStateError):
             steady_null_space(channel.superoperator())
@@ -199,8 +173,6 @@ class TestSteadyNullSpace:
 
 def _reset_generator(n_qubits):
     """Sum of one reset channel per qubit: a generator with a one-dimensional kernel."""
-    from neqfridge.dissipation import reset_channel
-
     return sum(reset_channel(q, rate=0.1 * q, population=0.2 + 0.1 * q, n_qubits=n_qubits).superoperator()
                for q in range(1, n_qubits + 1))
 
@@ -234,7 +206,7 @@ class TestPauliBasis:
 
     def test_reset_kernel_is_the_product_of_fixed_points(self):
         rho = steady_null_space(_reset_generator(2))
-        assert np.max(np.abs(rho - kron(np.diag([0.3, 0.7]), np.diag([0.4, 0.6])))) < 1e-14
+        assert np.max(np.abs(rho - np.kron(np.diag([0.3, 0.7]), np.diag([0.4, 0.6])))) < 1e-14
 
     def test_non_hermitian_generator_raises(self):
         rng = np.random.default_rng(8)

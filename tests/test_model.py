@@ -18,7 +18,7 @@ from neqfridge import (
     virtual_temperature,
 )
 from neqfridge.dissipation import tilde_channel
-from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, kron
+from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
 from neqfridge.observables import product_state
 
 from conftest import fridge_tilde_operator, random_feasible
@@ -70,10 +70,7 @@ class TestModelParams:
         same = ModelParams(**p0.as_dict())
         assert same == p0 and hash(same) == hash(p0)
         assert replace(p0, g=0.02) != p0
-        # the ordering switch is not a parameter
-        relaxed = ModelParams(**p0.as_dict(), require_ordered_temps=False)
-        assert relaxed == p0 and hash(relaxed) == hash(p0)
-        assert len({p0, same, relaxed, replace(p0, g=0.02)}) == 2
+        assert len({p0, same, replace(p0, g=0.02)}) == 2
 
     def test_batch_equality_and_hash(self, p0):
         batch = replace(p0, e1=np.array([1.0, 2.0]), t3=np.array([4.0, 5.0]))
@@ -84,13 +81,6 @@ class TestModelParams:
         assert batch != p0
         with pytest.raises(TypeError, match="a batch ModelParams is unhashable"):
             hash(batch)
-
-    def test_ordering_relaxable(self):
-        params = ModelParams(
-            e1=1.0, e3=4.0, gamma=0.3, t1=3.0, t2=2.0, t3=4.0, p=0.01, g=0.01,
-            require_ordered_temps=False,
-        )
-        assert params.t1 == 3.0
 
 
 class TestResonantFrame:
@@ -132,8 +122,8 @@ class TestResonantFrame:
             t = frame.theta
             formula = (
                 math.cos(t / 4) ** 2 * np.eye(4)
-                + math.sin(t / 4) ** 2 * kron(SIGMA_Z, SIGMA_Z)
-                + math.sin(t / 2) * (kron(SIGMA_PLUS, SIGMA_MINUS) - kron(SIGMA_MINUS, SIGMA_PLUS))
+                + math.sin(t / 4) ** 2 * np.kron(SIGMA_Z, SIGMA_Z)
+                + math.sin(t / 2) * (np.kron(SIGMA_PLUS, SIGMA_MINUS) - np.kron(SIGMA_MINUS, SIGMA_PLUS))
             )
             assert np.max(np.abs(frame.unitary - formula)) < 1e-14
 
@@ -145,11 +135,11 @@ class TestResonantFrame:
             u = frame.unitary
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
             # dressed diagonal transforms back to the machine Hamiltonian
-            diag = 0.5 * frame.eps2 * kron(SIGMA_Z, IDENTITY_2) + 0.5 * frame.eps3 * kron(IDENTITY_2, SIGMA_Z)
+            diag = 0.5 * frame.eps2 * np.kron(SIGMA_Z, IDENTITY_2) + 0.5 * frame.eps3 * np.kron(IDENTITY_2, SIGMA_Z)
             hfridge = (
-                0.5 * frame.e2 * kron(SIGMA_Z, IDENTITY_2)
-                + 0.5 * params.e3 * kron(IDENTITY_2, SIGMA_Z)
-                + params.gamma * (kron(SIGMA_PLUS, SIGMA_MINUS) + kron(SIGMA_MINUS, SIGMA_PLUS))
+                0.5 * frame.e2 * np.kron(SIGMA_Z, IDENTITY_2)
+                + 0.5 * params.e3 * np.kron(IDENTITY_2, SIGMA_Z)
+                + params.gamma * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
             )
             assert np.max(np.abs(u.conj().T @ diag @ u - hfridge)) < 1e-12
             # resonance and consistency of lambda with the gap formula

@@ -38,7 +38,7 @@ from conftest import P0, random_feasible
 @pytest.fixture(scope="module")
 def benchmark_currents():
     parts = build_generator_parts(P0)
-    steady = numeric_steady_state(P0, parts)
+    steady = numeric_steady_state(parts)
     return parts.frame, parts.pops, steady, heat_currents(parts, steady)
 
 
@@ -64,7 +64,7 @@ class TestHeatCurrents:
     def test_no_interaction_currents(self):
         params = replace(P0, g=0.0)
         parts = build_generator_parts(params)
-        currents = heat_currents(parts, numeric_steady_state(params, parts))
+        currents = heat_currents(parts, numeric_steady_state(parts))
         assert abs(currents.q1) < 1e-15
         assert abs(currents.q1g) < 1e-15
         assert currents.q2 == pytest.approx(-currents.q23, abs=1e-14)
@@ -73,7 +73,7 @@ class TestHeatCurrents:
     def test_equal_machine_baths_kill_internal_current(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=2.0, t2=2.0, t3=2.0, p=0.01, g=0.01)
         parts = build_generator_parts(params)
-        currents = heat_currents(parts, numeric_steady_state(params, parts))
+        currents = heat_currents(parts, numeric_steady_state(parts))
         assert abs(currents.q23) < 1e-15
 
     def test_scalar_route_matches_trace_route(self):
@@ -82,7 +82,7 @@ class TestHeatCurrents:
             params = random_feasible(rng)
             parts = build_generator_parts(params)
             frame, pops = parts.frame, parts.pops
-            steady = numeric_steady_state(params, parts)
+            steady = numeric_steady_state(parts)
             trace_route = heat_currents(parts, steady)
             scalar = currents_closed(params, frame, pops, steady.decomposition.d)
             assert scalar["q23"] == pytest.approx(trace_route.q23, abs=1e-12)
@@ -242,7 +242,7 @@ class TestLocalTemperature:
             local_target_temperature(0.2, 1.0)
 
     def test_benchmark_cooling(self, p0):
-        steady = analytic_steady_state(p0)
+        steady = analytic_steady_state(build_generator_parts(p0))
         t1s = local_target_temperature(steady.decomposition.a1, p0.e1)
         assert t1s == pytest.approx(1.2416939114838779, abs=1e-10)
         assert t1s < p0.t1

@@ -12,7 +12,7 @@ from neqfridge import (
     validate,
     virtual_temperature,
 )
-from neqfridge.dissipation import reset_channel
+from neqfridge.dissipation import build_generator_parts, reset_channel
 from neqfridge.linalg import density_matrix_defects
 from neqfridge.model import (
     build_hamiltonians,
@@ -102,7 +102,7 @@ class TestOracleEquivalence:
         # regression guard: counting the population-overlap sum twice
         # changes d well beyond the oracle tolerance
         pops = thermal_populations(p0)
-        numeric = numeric_steady_state(p0)
+        numeric = numeric_steady_state(build_generator_parts(p0))
         r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
         num = 48.0 * ((1 - r1) * rt2 * (1 - rt3) - r1 * (1 - rt2) * rt3) * p0.p * p0.g
         om = (r1 * (1 - rt2) + (1 - r1) * rt2) + (rt2 * (1 - rt3) + (1 - rt2) * rt3) \
@@ -111,7 +111,7 @@ class TestOracleEquivalence:
         assert abs(d_doubled - numeric.decomposition.d) > 1e-4
 
     def test_doubled_triple_sum_rejected(self, p0):
-        numeric = numeric_steady_state(p0)
+        numeric = numeric_steady_state(build_generator_parts(p0))
         decomp = steady_coefficients(thermal_populations(p0), p0.p, p0.g)
         pops = thermal_populations(p0)
         k = (p0.g / p0.p) * decomp.d / 2.0
@@ -129,7 +129,7 @@ class TestOracleEquivalence:
             rtilde3=frame.cos_half_sq * (1 - pops.r33) + frame.sin_half_sq * (1 - pops.r32),
         )
         wrong = steady_coefficients(flipped, p0.p, p0.g)
-        numeric = numeric_steady_state(p0)
+        numeric = numeric_steady_state(build_generator_parts(p0))
         assert abs(wrong.d - numeric.decomposition.d) > 1e-3
 
 
@@ -138,20 +138,20 @@ class TestNumericRoute:
         # the kernel state carries no weight outside the nine-operator family
         rng = np.random.default_rng(18)
         for _ in range(10):
-            result = numeric_steady_state(random_feasible(rng))
+            result = numeric_steady_state(build_generator_parts(random_feasible(rng)))
             assert result.off_family_max < 1e-10
             assert result.residual < 1e-10
 
     def test_density_matrix_invariants(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
-            result = numeric_steady_state(random_feasible(rng))
+            result = numeric_steady_state(build_generator_parts(random_feasible(rng)))
             herm, trace_dev, min_eig = density_matrix_defects(result.rho)
             assert herm < 1e-12 and trace_dev < 1e-12 and min_eig > -1e-10
 
     def test_decompose_reconstruct_round_trip(self, p0):
         frame = resolve_resonance(p0)
-        result = analytic_steady_state(p0)
+        result = analytic_steady_state(build_generator_parts(p0))
         decomp, off = decompose(result.rho, frame)
         assert off < 1e-12
         rebuilt = reconstruct_state(decomp, frame)
@@ -159,7 +159,7 @@ class TestNumericRoute:
 
     def test_decompose_matches_loop_reference(self, p0):
         rng = np.random.default_rng(23)
-        cases = [(analytic_steady_state(p0).rho, resolve_resonance(p0))]
+        cases = [(analytic_steady_state(build_generator_parts(p0)).rho, resolve_resonance(p0))]
         cases += [(random_hermitian(rng), resolve_resonance(random_feasible(rng))) for _ in range(5)]
         for rho, frame in cases:
             decomp, off = decompose(rho, frame)
@@ -205,7 +205,7 @@ class TestSignChain:
         for _ in range(10):
             params = random_feasible(rng)
             frame = resolve_resonance(params)
-            steady = analytic_steady_state(params)
+            steady = analytic_steady_state(build_generator_parts(params))
             hams = build_hamiltonians(params, frame)
             a1 = steady.decomposition.a1
             fictitious = reset_channel(1, params.p, 0.5 * (1.0 + a1))
