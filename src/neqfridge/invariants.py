@@ -2,7 +2,8 @@
 
 Each group is ``{"passed": bool, "max_error": float}`` and names one
 physical or algebraic law: the bath populations, the agreement of the two
-steady-state routes, the state itself, the first law and the current
+steady-state routes, the charge symmetry (Q = n2 + n3) that the numeric
+route's block solve relies on, the state itself, the first law and the current
 identities, the channel algebra, the equivalence of the delocalized machine
 dissipators with local channels on the dressed qubits on the steady-state
 family (Hofer et al., NJP 19, 123037 (2017)), the cooling sign chain and the
@@ -86,6 +87,7 @@ def validate(params: ModelParams, tol: float = 1e-8, rng: np.random.Generator | 
         "passed": bool(oracle.max_delta <= tol and steady.residual <= 1e-10 and off <= 1e-10),
         "max_error": float(oracle.max_delta),
     }
+    groups["charge_symmetry"] = _group(steady.charge_leakage, 1e-12)
     herm, trace_dev, min_eig = density_matrix_defects(steady.rho)
     groups["steady_state_positivity"] = {
         "passed": herm <= 1e-12 and trace_dev <= 1e-12 and min_eig >= -1e-10,

@@ -3,10 +3,10 @@
 Everything works on plain numpy arrays: 2x2 single-qubit operators, 4x4
 fridge operators, 8x8 three-qubit operators and the 64x64 vectorized
 generator.  Operators on several qubits are built once as Pauli strings,
-products with one single-qubit factor per qubit.  Vectorization is column-stacking throughout, so that
-vec(A @ rho @ B) = kron(B.T, A) @ vec(rho).  Operators and generators are
-complex; the kernel solve takes the generator into the Pauli-string basis,
-where a Hermiticity-preserving generator is a real matrix.
+products with one single-qubit factor per qubit.  Vectorization is
+column-stacking throughout, so vec(A @ rho @ B) = kron(B.T, A) @ vec(rho).
+The kernel solve reads a charge-conserving generator block by block, the
+state's block in a real basis of Pauli-type strings.
 
 Qubit ordering convention: |q1 q2 q3> with qubit 1 most significant, and
 |0> is the *higher*-energy state of each qubit (sigma_z = |0><0| - |1><1|).
@@ -105,38 +105,68 @@ def pauli_basis(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return strings, t
 
 
-def steady_null_space(liouvillian: np.ndarray, degeneracy_ratio: float = 1e-9) -> np.ndarray:
+@cache
+def charge_sectors(charges: tuple[int, ...]) -> tuple:
+    """Blocks of a generator that maps |a><b| to operators of the same charge
+    difference q_a - q_b: the charge-0 sector's orthonormal Hermitian basis
+    B_j (n0, d, d), the unitary T0 of their vectorizations there, the
+    ``np.ix_`` index of the charge-0 block and of each positive difference's
+    block, and the mask of the entries between blocks.  The B_j are
+    Gram-Schmidt over the Pauli strings cut to the sector, fewest x and y
+    factors first, which keeps coherence noise out of a diagonal kernel.
+    """
+    q = np.asarray(charges)
+    n_qubits = len(q).bit_length() - 1
+    diff = np.subtract.outer(q, q).ravel(order="F")  # at vec position a + d b
+    weights = [sum(c in "xy" for c in labels) for labels in product("ixyz", repeat=n_qubits)]
+    basis: list[np.ndarray] = []
+    for v in pauli_basis(n_qubits)[1].T[np.argsort(weights, kind="stable")] * (diff == 0):
+        v = v - sum(np.vdot(b, v) * b for b in basis)
+        if np.linalg.norm(v) > 1e-9:
+            basis.append(v / np.linalg.norm(v))
+    vecs = np.array(basis)
+    positions = [np.flatnonzero(diff == c) for c in np.unique(diff[diff >= 0])]  # 0 first
+    out = (vecs.reshape(-1, len(q), len(q)).transpose(0, 2, 1), vecs[:, positions[0]].T,
+           np.subtract.outer(diff, diff) != 0, *positions)
+    for array in out:
+        array.flags.writeable = False  # shared by every caller
+    blocks = tuple(np.ix_(idx, idx) for idx in positions)
+    return out[0], out[1], blocks[0], blocks[1:], out[2]
+
+
+def steady_null_space(liouvillian: np.ndarray, charges: tuple[int, ...] | None = None,
+                      degeneracy_ratio: float = 1e-9) -> np.ndarray:
     """Unique trace-one Hermitian kernel state of a Lindblad generator matrix.
 
-    The generator G acts on operators of dimension d = 2^n (n >= 1 qubits);
-    any other dimension raises :class:`ParameterError`.  The kernel is read in
-    the Pauli-string basis, G_r = T^+ G T / d with the columns of T the
-    vectorized strings P_b.  A generator that preserves Hermiticity is real
-    there; an imaginary part above 1e-12 of the real one raises
-    :class:`NonHermitianGeneratorError`.  T / sqrt(d) is unitary, so G_r has
-    the singular values of G.  The kernel vector v is the right singular
-    vector of the smallest one, and the state is sum_b v_b P_b; a second
-    singular value below ``degeneracy_ratio * s_max`` signals a degenerate
-    steady space.
+    G acts on the operators of n >= 1 qubits (else :class:`ParameterError`)
+    and conserves the ``charges`` of the basis states (all 0 when omitted).
+    The state is sum_j v_j B_j, v the right singular vector of the smallest
+    singular value of the charge-0 block G_0 = T0^+ G T0 (:func:`charge_sectors`),
+    which is real for a generator that preserves Hermiticity (an imaginary
+    part above 1e-12 of the real one raises :class:`NonHermitianGeneratorError`).
+    The block of difference -c conjugates that of +c, so G_0 and the positive
+    blocks hold every singular value of G: a second one below
+    ``degeneracy_ratio * s_max`` signals a degenerate steady space.
     """
     liouvillian = np.asarray(liouvillian, dtype=complex)
     d = math.isqrt(liouvillian.shape[0])
-    n_qubits = d.bit_length() - 1
-    if liouvillian.shape != (d * d, d * d) or d < 2 or d != 1 << n_qubits:
+    if liouvillian.shape != (d * d, d * d) or d < 2 or d & (d - 1):
         raise ParameterError(
             f"generator of shape {liouvillian.shape} does not act on the operators "
             "of n >= 1 qubits: its side must be 4^n")
-    strings, t = pauli_basis(n_qubits)
-    rotated = t.conj().T @ liouvillian @ t / d
+    strings, t0, block0, blocks, _ = charge_sectors(charges or (0,) * d)
+    rotated = t0.conj().T @ liouvillian[block0] @ t0
     if np.max(np.abs(rotated.imag)) > 1e-12 * np.max(np.abs(rotated.real)):
         raise NonHermitianGeneratorError("generator does not preserve Hermiticity")
     _, s, vh = np.linalg.svd(rotated.real)
-    if s[0] == 0.0 or s[-2] < degeneracy_ratio * s[0]:
+    others = [np.linalg.svd(liouvillian[block], compute_uv=False) for block in blocks]
+    s_max, second = max([s[0], *(o[0] for o in others)]), min([s[-2], *(o[-1] for o in others)])
+    if s_max == 0.0 or second < degeneracy_ratio * s_max:
         raise DegenerateSteadyStateError(
-            f"steady space is degenerate: singular values {s[-2]:.3e}, {s[-1]:.3e} "
-            f"below threshold {degeneracy_ratio:.0e} * {s[0]:.3e}"
+            f"steady space is degenerate: singular values {second:.3e}, {s[-1]:.3e} "
+            f"below threshold {degeneracy_ratio:.0e} * {s_max:.3e}"
         )
-    rho = np.tensordot(vh[-1], strings, axes=1) / math.sqrt(d)
+    rho = np.tensordot(vh[-1], strings, axes=1)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:
         raise DegenerateSteadyStateError("kernel vector carries no trace")

@@ -40,7 +40,8 @@ class ModelParams:
     broken rule at its first broken element.  The spiral gap E2 is never an
     input: it is fixed by the resonance condition (see
     :func:`resolve_resonance`), and the dressed engine gap eps3 it implies
-    must be positive.  Temperatures must satisfy T1 <= T2 <= T3.
+    must be positive.  Temperatures must satisfy T1 <= T2 <= T3, and every
+    field must be finite.
     """
 
     e1: float
@@ -63,6 +64,11 @@ class ModelParams:
             (self.p > 0, ParameterError, "dissipation rate must be positive: p={}", self.p),
             (self.g >= 0, ParameterError, "tripartite coupling must be nonnegative: g={}", self.g),
         )
+        # the fields are nonnegative, so one sum is finite unless a field is not
+        finite = self.e1 + self.e3 + self.gamma + t1 + t2 + t3 + self.p + self.g < np.inf
+        if not (finite.all() if getattr(finite, "ndim", 0) else finite):
+            for name, value in self.as_dict().items():  # overflowing finite fields pass here
+                _require(np.isfinite(value), ParameterError, f"{name} must be finite, got {{}}", value)
 
     @property
     def beta1(self) -> float:

@@ -7,9 +7,9 @@ closes under the generator, so the coefficients solve a small linear system
 whose solution is implemented here verbatim.
 
 The numeric route: the 64x64 generator is assembled from constant operator
-tables (no per-point Kronecker products), taken into the dressed frame and
-its kernel extracted there by a real singular value decomposition in the
-Pauli-string basis; the state is rotated back to the lab frame.  The two
+tables (no per-point Kronecker products) and taken into the dressed frame.
+It conserves the machine charge n2 + n3, and the kernel is a real SVD of
+its 24x24 charge-0 block; the state is rotated back to the lab frame.  The two
 routes adjudicate one another; the package treats the null space as ground
 truth and the closed form as the fast path validated against it.  Both
 routes take a point's :class:`~neqfridge.dissipation.GeneratorParts`;
@@ -24,7 +24,7 @@ import numpy as np
 
 from .dissipation import GeneratorParts, assemble_liouvillian, build_generator_parts
 from .errors import ParameterError
-from .linalg import pauli_basis, pauli_string, rotate_superop, steady_null_space
+from .linalg import charge_sectors, pauli_basis, pauli_string, rotate_superop, steady_null_space
 from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, Frame, ModelParams, ThermalPopulations
 
 # The nine-operator family in the dressed frame (target, dressed spiral,
@@ -39,6 +39,8 @@ _FAMILY = np.array([
 _FAMILY_NORM_SQ = np.einsum("kij,kij->k", _FAMILY.conj(), _FAMILY).real
 # all 64 Pauli strings, the basis in which the off-family leftover is read
 _PAULI_STRINGS = pauli_basis(3)[0]
+# the machine charge n2 + n3 of each basis state |q1 q2 q3>; the generator conserves it
+MACHINE_CHARGES = tuple(bin(state & 3).count("1") for state in range(8))
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,7 @@ class SteadyStateResult:
     method: str  # "analytic" | "numeric"
     residual: float
     off_family_max: float
+    charge_leakage: float = 0.0
 
 
 def family_operators(frame: Frame) -> dict[str, np.ndarray]:
@@ -163,23 +166,27 @@ def numeric_steady_state(parts: GeneratorParts) -> SteadyStateResult:
 
     The kernel is read in the dressed frame (the same singular values), where
     the dissipators map diagonal states to diagonal states entry by entry,
-    from a real SVD in that frame's Pauli-string basis: at g = 0 the
-    coefficient d then comes out near 1e-26, where the lab-frame kernel
-    leaves it at the 1e-14 rounding level.
+    from the charge-0 block in Pauli-type strings: at g = 0 the coefficient d
+    then comes out below 1e-30, where the lab-frame kernel leaves it at the
+    1e-14 rounding level.  ``charge_leakage`` is the largest generator entry
+    between charge blocks, which the solve does not read, over the largest.
     """
     frame = parts.frame
     generator = rotate_superop(assemble_liouvillian(parts), frame.dressing)
-    rho = frame.to_lab(steady_null_space(generator))
+    rho = frame.to_lab(steady_null_space(generator, MACHINE_CHARGES))
     decomposition, off = decompose(rho, frame)
+    entries = np.abs(generator)
+    leakage = np.max(entries[charge_sectors(MACHINE_CHARGES)[-1]]) / np.max(entries)
     return SteadyStateResult(
         rho=rho, decomposition=decomposition, method="numeric",
         residual=float(np.linalg.norm(parts.apply(rho))), off_family_max=off,
+        charge_leakage=float(leakage),
     )
 
 
 @dataclass(frozen=True)
 class OracleSolve:
-    """Both steady-state routes at one point, from one generator and one SVD."""
+    """Both steady-state routes at one point, from one generator and one kernel solve."""
 
     parts: GeneratorParts
     analytic: SteadyStateResult

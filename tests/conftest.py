@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,28 @@ def weighted_jumps(channel) -> list[tuple[np.ndarray, float]]:
         pairs.append((raising, channel.rate * r))
         pairs.append((raising.conj().T, channel.rate * (1.0 - r)))
     return pairs
+
+
+def pauli_null_space(liouvillian: np.ndarray) -> np.ndarray:
+    """Kernel state from one real SVD of the whole generator in the Pauli-string
+    basis, its strings built one kron at a time: the reference for the
+    package's block-by-block solve."""
+    d = int(round(np.sqrt(liouvillian.shape[0])))
+    n_qubits = d.bit_length() - 1
+    strings = []
+    for labels in product("ixyz", repeat=n_qubits):
+        string = np.ones((1, 1), dtype=complex)
+        for label in labels:
+            string = np.kron(string, SINGLE_QUBIT[label])
+        strings.append(string)
+    t = np.array([string.reshape(-1, order="F") for string in strings]).T
+    rotated = t.conj().T @ liouvillian @ t / d
+    assert np.max(np.abs(rotated.imag)) <= 1e-12 * np.max(np.abs(rotated.real))
+    _, s, vh = np.linalg.svd(rotated.real)
+    assert s[-2] >= 1e-9 * s[0]
+    rho = sum(v * string for v, string in zip(vh[-1], strings))
+    rho = rho / np.trace(rho)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def loop_apply(jumps, rho: np.ndarray) -> np.ndarray:

@@ -10,13 +10,14 @@ import pytest
 import neqfridge
 from neqfridge import validate
 from neqfridge.cli import main
-from neqfridge.model import thermal_population
+from neqfridge.model import build_hamiltonians, thermal_population
 
 from conftest import P0
 
 # group names of `validate`, in report order
 GROUPS = [
-    "population_range", "detailed_balance", "oracle_equivalence", "steady_state_positivity",
+    "population_range", "detailed_balance", "oracle_equivalence", "charge_symmetry",
+    "steady_state_positivity",
     "first_law", "current_route_agreement", "tilde_current_identities", "channel_algebra",
     "localization_identity", "sign_chain", "fictitious_bath",
 ]
@@ -68,6 +69,20 @@ class TestSteadyCommand:
         assert abs(report["decomposition"]["d"]) < 1e-14
         assert abs(report["currents"]["q1g"]) < 1e-15
         assert report["performance"]["t1s"] == pytest.approx(report["params"]["t1"], abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 0.45, 0.5])
+    def test_no_interaction_point_keeps_d_at_zero(self, tmp_path, gamma):
+        # the charge-0 block's kernel carries no coherence noise at g = 0
+        out = tmp_path / "steady.json"
+        assert main(["steady", "--g", "0", "--gamma", str(gamma), "--out", str(out)]) == 0
+        assert abs(json.loads(out.read_text())["decomposition"]["d"]) <= 1e-20
+
+    @pytest.mark.parametrize("command, flag", [
+        ("steady", "--e3"), ("steady", "--p"), ("steady", "--g"), ("maximize", "--p"),
+    ])
+    def test_infinite_field_exits_2(self, capsys, command, flag):
+        assert main([command, flag, "inf"]) == 2
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be finite, got inf\n"
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "fridge.cfg"
@@ -255,6 +270,25 @@ class TestValidateCommand:
     def test_small_grid_passes(self, tmp_path):
         out = tmp_path / "validate.json"
         assert main(["validate", "--grid", "3", "--seed", "5", "--out", str(out)]) == 0
+
+    def test_charge_breaking_term_fails_charge_symmetry(self, monkeypatch, tmp_path):
+        from neqfridge import dissipation
+        from neqfridge.linalg import pauli_string
+
+        def with_spiral_drive(params, frame):
+            # sigma_x on qubit 2 changes the machine charge n2 + n3 by one
+            hams = build_hamiltonians(params, frame)
+            return replace(hams, htot=hams.htot + 0.01 * pauli_string("ixi"))
+
+        monkeypatch.setattr(dissipation, "build_hamiltonians", with_spiral_drive)
+        group = validate(P0).groups["charge_symmetry"]
+        assert group["passed"] is False
+        assert group["max_error"] > 1e-4
+        out = tmp_path / "steady.json"
+        assert main(["steady", "--out", str(out)]) == 0
+        residuals = json.loads(out.read_text())["residuals"]
+        assert residuals["charge_leakage"] == group["max_error"]
+        assert residuals["numeric"] > 1e-5
 
     def test_flipped_exponent_fails_named_invariants(self):
         # the wrong Boltzmann-exponent sign for the machine-bath populations

@@ -20,6 +20,7 @@ from neqfridge.linalg import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
+    charge_sectors,
     commutator_superop,
     density_matrix_defects,
     pauli_basis,
@@ -27,6 +28,8 @@ from neqfridge.linalg import (
     rotate_superop,
 )
 from neqfridge.dissipation import reset_channel
+from neqfridge.model import resolve_resonance
+from neqfridge.steadystate import MACHINE_CHARGES
 
 from conftest import random_hermitian
 
@@ -219,3 +222,49 @@ class TestPauliBasis:
     def test_dimension_not_a_power_of_two_raises(self, shape):
         with pytest.raises(ParameterError, match="its side must be 4\\^n"):
             steady_null_space(np.zeros(shape))
+
+
+def _population_generator(up: float, down: float, dephasing: float) -> np.ndarray:
+    """One qubit: rates up (|0><0| from |1><1|) and down between the populations,
+    coherences damped at ``dephasing``; vec positions |0><0|, |1><0|, |0><1|, |1><1|."""
+    generator = np.diag([-down, -dephasing, -dephasing, -up]).astype(complex)
+    generator[0, 3], generator[3, 0] = up, down
+    return generator
+
+
+class TestChargeBlocks:
+    def test_second_mode_in_a_charged_block_is_detected(self):
+        # the charge-0 block (the populations) has a one-dimensional kernel,
+        # but the undamped coherence |1><0| of charge difference +1 is stationary too
+        charges = (0, 1)
+        with pytest.raises(DegenerateSteadyStateError, match="degenerate"):
+            steady_null_space(_population_generator(0.3, 0.1, 0.0), charges)
+        rho = steady_null_space(_population_generator(0.3, 0.1, 0.2), charges)
+        assert np.max(np.abs(rho - np.diag([0.75, 0.25]))) < 1e-15
+
+    @pytest.mark.parametrize("frame", ["dressed", "lab"])
+    def test_blocks_hold_every_singular_value(self, p0, frame):
+        generator = assemble_liouvillian(build_generator_parts(p0))
+        if frame == "dressed":
+            generator = rotate_superop(generator, resolve_resonance(p0).dressing)
+        _, t0, block0, blocks, between = charge_sectors(MACHINE_CHARGES)
+        assert [generator[block].shape for block in (block0, *blocks)] == [(24, 24), (16, 16), (4, 4)]
+        assert np.max(np.abs(generator[between])) <= 1e-15 * np.max(np.abs(generator))
+        block_values = [np.linalg.svd((t0.conj().T @ generator[block0] @ t0).real, compute_uv=False)]
+        for block in blocks:  # the block of difference -c repeats that of +c
+            block_values += 2 * [np.linalg.svd(generator[block], compute_uv=False)]
+        union = np.sort(np.concatenate(block_values))[::-1]
+        full = np.linalg.svd(generator, compute_uv=False)
+        assert union.shape == full.shape
+        assert np.max(np.abs(union - full)) <= 1e-12 * full[0]
+
+    def test_charge_sector_basis_is_pauli_type(self):
+        strings, t0, _, _, _ = charge_sectors(MACHINE_CHARGES)
+        assert np.allclose(t0.conj().T @ t0, np.eye(24), atol=1e-15)
+        machine = [pauli_string(labels) for labels in ("ii", "iz", "zi", "zz")]
+        machine += [(pauli_string("xx") + pauli_string("yy")) / np.sqrt(2),
+                    (pauli_string("xy") - pauli_string("yx")) / np.sqrt(2)]
+        expected = [np.kron(pauli_string(p1), m) / np.sqrt(8) for p1 in "ixyz" for m in machine]
+        overlaps = np.abs(np.einsum("aij,bij->ab", np.conj(expected), strings))
+        assert np.allclose(np.sort(overlaps, axis=1)[:, -1], 1.0, atol=1e-15)  # each up to sign
+        assert np.allclose(overlaps @ overlaps.T, np.eye(24), atol=1e-15)

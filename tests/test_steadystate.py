@@ -1,5 +1,8 @@
+import importlib.util
+import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,8 @@ from neqfridge import (
     validate,
     virtual_temperature,
 )
-from neqfridge.dissipation import build_generator_parts, reset_channel
-from neqfridge.linalg import density_matrix_defects
+from neqfridge.dissipation import assemble_liouvillian, build_generator_parts, reset_channel
+from neqfridge.linalg import density_matrix_defects, rotate_superop
 from neqfridge.model import (
     build_hamiltonians,
     resolve_resonance,
@@ -23,7 +26,17 @@ from neqfridge.model import (
 from neqfridge.observables import local_target_temperature
 from neqfridge.steadystate import decompose, family_operators, reconstruct_state
 
-from conftest import P0, random_feasible, random_hermitian, tilde_operator
+from conftest import P0, pauli_null_space, random_feasible, random_hermitian, tilde_operator
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, which draws its seeded oracle points."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def loop_decompose(rho, frame):
@@ -174,6 +187,21 @@ class TestNumericRoute:
         for i, a in enumerate(ops):
             for b in ops[i + 1:]:
                 assert abs(np.trace(a.conj().T @ b)) < 1e-12
+
+
+class TestChargeGradedSolve:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_full_pauli_basis_solve(self, seed):
+        workloads = benchmark_workloads()
+        for point in workloads.oracle_points(seed, workloads.ORACLE_POINTS):
+            parts = build_generator_parts(ModelParams(**point))
+            frame = parts.frame
+            generator = rotate_superop(assemble_liouvillian(parts), frame.dressing)
+            reference, _ = decompose(frame.to_lab(pauli_null_space(generator)), frame)
+            numeric = numeric_steady_state(parts)
+            assert numeric.charge_leakage <= 1e-15
+            got, want = numeric.decomposition.as_dict(), reference.as_dict()
+            assert max(abs(got[name] - want[name]) for name in want) <= 1e-12, point
 
 
 class TestSignChain:
