@@ -3,7 +3,8 @@
 Subcommands: steady | figure {fig3,fig4,fig5,fig6} | sweep | maximize |
 validate | ensemble.  Single-point reports are JSON; tables are CSV with
 '#'-prefixed metadata lines carrying the fully resolved configuration, so
-identical invocations produce byte-identical files.
+identical invocations produce byte-identical files; a table's columns are
+formatted once per command (:func:`_cells`), for all the files it writes.
 
 Exit codes: 0 success, 2 user/config error, 3 numerical degeneracy,
 4 invariant failure or another package error.
@@ -43,12 +44,6 @@ from .experiments import (
     sweep_fig5,
 )
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _plain(obj):
     """JSON-native copy of a report: numpy scalars as Python values, non-finite floats as None."""
     if isinstance(obj, dict):
@@ -71,14 +66,20 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
-def write_csv(path: Path, metadata: dict, columns: list[str], rows: list[dict]) -> None:
+def _cells(table: dict[str, np.ndarray], columns) -> dict[str, list[str]]:
+    """The named columns of a table as CSV cells: floats as %.17g, integers as str."""
+    return {name: list(map("%.17g".__mod__ if table[name].dtype.kind == "f" else str,
+                           table[name].tolist()))
+            for name in columns}
+
+
+def write_csv(path: Path, metadata: dict, columns: list[str], cells: dict[str, list[str]]) -> None:
+    """Write the named columns of :func:`_cells` under '#' metadata lines and a header."""
     lines = [f"# neqfridge {__version__}"]
-    for key in sorted(metadata):
-        lines.append(f"# {key}: {metadata[key]}")
+    lines += [f"# {key}: {metadata[key]}" for key in sorted(metadata)]
     lines.append(f"# columns: {','.join(columns)}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col, math.nan)) for col in columns))
+    lines += map(",".join, zip(*(cells[col] for col in columns)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -177,49 +178,43 @@ def cmd_figure(args) -> int:
     meta = {"figure": name, "points": args.points, "seed": args.seed}
     gammas = (args.gamma,) if args.gamma is not None else None
     if name == "fig3":
-        rows = sweep_fig3(points=args.points, gammas=gammas)
+        table = sweep_fig3(points=args.points, gammas=gammas)
         cols = ["beta3", "gamma", "e1", "e3", "t1", "t2", "t3", "p", "g"]
-        write_csv(outdir / "fig3a.csv", meta, cols + ["q1g"], rows)
-        write_csv(outdir / "fig3b.csv", meta, cols + ["delta_c"], rows)
+        own = (["q1g"], ["delta_c"])
     elif name == "fig4":
-        rows, windows = sweep_fig4(points=args.points, gammas=gammas)
+        table, windows = sweep_fig4(points=args.points, gammas=gammas)
         meta.update({f"window_gamma_{g}": f"[{w.left!r}, {w.right!r}]"
                      for g, w in windows.items()})
-        cols = ["e1", "gamma", "e3", "t1", "t2", "t3", "p", "g",
-                "window_left", "window_right"]
-        write_csv(outdir / "fig4a.csv", meta, cols + ["eta_g", "eta_tot"], rows)
-        write_csv(outdir / "fig4b.csv", meta, cols + ["coherence"], rows)
+        cols = ["e1", "gamma", "e3", "t1", "t2", "t3", "p", "g", "window_left", "window_right"]
+        own = (["eta_g", "eta_tot"], ["coherence"])
     elif name == "fig5":
-        rows, skipped = sweep_fig5(points=args.points, gammas=gammas)
+        table, skipped = sweep_fig5(points=args.points, gammas=gammas)
         meta["skipped_points"] = len(skipped)
         cols = ["beta3", "gamma", "e1", "e3", "t1", "t2", "t3", "p", "g"]
-        write_csv(outdir / "fig5a.csv", meta, cols + ["eta_ratio"], rows)
-        write_csv(outdir / "fig5b.csv", meta, cols + ["coherence"], rows)
-    elif name == "fig6":
+        own = (["eta_ratio"], ["coherence"])
+    else:  # fig6; the parser accepts no other name
         spec = EnsembleSpec(n=1000 if args.n is None else args.n, seed=args.seed)
-        rows, ensemble_meta = random_ensemble(spec)
+        table, ensemble_meta = random_ensemble(spec)
         meta.update(ensemble_meta)
         cols = ["gamma_over_e3", "e1", "e3", "gamma", "t1", "t2", "t3", "p", "g"]
-        write_csv(outdir / "fig6a.csv", meta,
-                  cols + ["eta_star_ratio", "eta_star_max", "eta_star_min",
-                          "eta_tot_star", "near_bound"], rows)
-        write_csv(outdir / "fig6b.csv", meta, cols + ["coherence", "near_bound"], rows)
-    else:
-        raise ParameterError(f"unknown figure {name!r}")
+        own = (["eta_star_ratio", "eta_star_max", "eta_star_min", "eta_tot_star", "near_bound"],
+               ["coherence", "near_bound"])
+    cells = _cells(table, cols + own[0] + own[1])
+    for suffix, extra in zip("ab", own):
+        write_csv(outdir / f"{name}{suffix}.csv", meta, cols + extra, cells)
     return 0
 
 
 def cmd_sweep(args) -> int:
     params = _resolve_params(args)
     spec = SweepSpec(base=params, axis=args.axis, lo=args.lo, hi=args.hi, points=args.points)
-    rows, skipped = sweep(spec)
+    table, skipped = sweep(spec)
     cols = ["axis_value", "e1", "e3", "gamma", "t1", "t2", "t3", "p", "g",
             "d", "q1g", "q23", "eta_g", "eta_tot", "tv", "t1s", "coherence"]
     meta = {"axis": args.axis, "lo": args.lo, "hi": args.hi,
             "points": args.points, "skipped_points": len(skipped),
             "base": " ".join(f"{k}={v!r}" for k, v in params.as_dict().items())}
-    out = Path(args.out) if args.out else Path("sweep.csv")
-    write_csv(out, meta, cols, rows)
+    write_csv(Path(args.out or "sweep.csv"), meta, cols, _cells(table, cols))
     return 0
 
 
@@ -275,13 +270,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    spec = EnsembleSpec(n=args.n, eta_c=args.eta_c, seed=args.seed)
-    rows, meta = random_ensemble(spec)
+    table, meta = random_ensemble(EnsembleSpec(n=args.n, eta_c=args.eta_c, seed=args.seed))
     cols = ["gamma_over_e3", "e1", "e3", "gamma", "t1", "t2", "t3", "p", "g",
             "eta_star", "eta_star_ratio", "eta_star_max", "eta_star_min",
             "eta_tot_star", "coherence", "q1g_max", "near_bound"]
-    out = Path(args.out) if args.out else Path("ensemble.csv")
-    write_csv(out, meta, cols, rows)
+    write_csv(Path(args.out or "ensemble.csv"), meta, cols, _cells(table, cols))
     return 0
 
 
@@ -347,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, EmptyCoolingWindowError, FileNotFoundError) as exc:
+    except (ParameterError, EmptyCoolingWindowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegenerateSteadyStateError as exc:

@@ -11,9 +11,9 @@ All evaluations go through the matrix-free closed-form coefficients, which
 are validated against the generator null space elsewhere.  The closed forms
 take numpy arrays, so each curve of a sweep, and each step of a window
 search or power maximization over a batch of models (one ``ModelParams``
-whose fields broadcast), is one kernel call.  Every emitted row carries the
-full resolved parameter set.  Ensembles are driven by a seeded numpy PCG64
-generator and are bit-reproducible.
+whose fields broadcast), is one kernel call.  Tables hold one array per
+column, and every row carries the full resolved parameter set.  Ensembles
+are driven by a seeded numpy PCG64 generator and are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -289,10 +289,10 @@ def _raise_first(outcomes: list) -> list:
     return outcomes
 
 
-def _outcome(func, *args):
-    """func(*args), or the package error it raises."""
+def _outcome(func, *args, **kwargs):
+    """func(*args, **kwargs), or the package error it raises."""
     try:
-        return func(*args)
+        return func(*args, **kwargs)
     except NeqFridgeError as exc:
         return exc
 
@@ -432,16 +432,20 @@ def minimize_cop(base: ModelParams, tol: float = _SEARCH_TOL) -> MinCopResult:
     return MinCopResult(float(e1_star[0]), -float(negative_cop[0]), window)
 
 
-def _rows(params: ModelParams, **extra) -> list[dict]:
-    """One row per model of a parameter batch, validated when it was built,
-    with extra columns (floats or arrays of the batch's size)."""
+def _rows(params: ModelParams, **extra) -> dict[str, np.ndarray]:
+    """A validated batch's table: one read-only column per field and extra, broadcast."""
     columns = {**params.as_dict(), **extra}
-    size = max(np.size(value) for value in columns.values())
-    lists = [np.broadcast_to(value, size).tolist() for value in columns.values()]
-    return [dict(zip(columns, values)) for values in zip(*lists)]
+    shape = np.broadcast_shapes(*map(np.shape, columns.values()))
+    return {name: np.broadcast_to(value, shape) for name, value in columns.items()}
 
 
-def sweep_fig3(points: int = 200, gammas: tuple[float, ...] | None = None) -> list[dict]:
+def _concat(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Tables with the same columns, one after another; no tables make no columns."""
+    names = tables[0] if tables else {}
+    return {name: np.concatenate([table[name] for table in tables]) for name in names}
+
+
+def sweep_fig3(points: int = 200, gammas: tuple[float, ...] | None = None) -> dict[str, np.ndarray]:
     """Cooling current and coherence change versus engine-bath coldness.
 
     One curve per coupling value of the reference refrigerator with
@@ -455,25 +459,24 @@ def sweep_fig3(points: int = 200, gammas: tuple[float, ...] | None = None) -> li
     if gammas is None:
         gammas = (0.48, 0.49, critical_gamma(e1, e3), 0.50)
     beta3 = np.linspace(0.01, 1.0 / t2, points)
-    rows = []
+    curves = []
     for gamma in gammas:
         frame = resonant_frame(e1, e3, gamma)
         base_coh = virtual_coherence(frame, tilde_populations(frame, t2, t2))
         params = replace(ref, gamma=gamma, t3=1.0 / beta3)
         pops = tilde_populations(frame, t2, params.t3, t1=params.t1)
-        d = deviation_coefficient(pops, ref.p, ref.g)
-        rows += _rows(
+        curves.append(_rows(
             params,
             beta3=beta3,
-            q1g=-0.25 * ref.g * d * e1,
+            q1g=-0.25 * ref.g * deviation_coefficient(pops, ref.p, ref.g) * e1,
             delta_c=virtual_coherence(frame, pops) - base_coh,
-        )
-    return rows
+        ))
+    return _concat(curves)
 
 
 def sweep_fig4(
     points: int = 200, gammas: tuple[float, ...] | None = None
-) -> tuple[list[dict], dict[float, CoolingWindow]]:
+) -> tuple[dict[str, np.ndarray], dict[float, CoolingWindow]]:
     """COPs and coherence versus target gap inside each cooling window.
 
     One curve per coupling value (default 0.2, 0.4, 0.6) of the reference
@@ -485,22 +488,22 @@ def sweep_fig4(
     models = replace(REFERENCE, e1=np.fmax(1.0, 2.5 * np.array(gammas)),
                      gamma=np.array(gammas)).as_batch()
     windows = _raise_first(cooling_windows(models))
-    rows = []
+    curves = []
     for i, window in enumerate(windows):
         params = replace(models.take(i), e1=np.linspace(window.left, window.right, points))
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
         currents = currents_closed(params, frame, pops,
                                    deviation_coefficient(pops, params.p, params.g))
-        rows += _rows(
+        curves.append(_rows(
             params,
             eta_g=cop_g(frame),
             eta_tot=currents["q1"] / currents["q3"],
             coherence=virtual_coherence(frame, pops),
             window_left=window.left,
             window_right=window.right,
-        )
-    return rows, dict(zip(gammas, windows))
+        ))
+    return _concat(curves), dict(zip(gammas, windows))
 
 
 def sweep_fig5(
@@ -508,7 +511,7 @@ def sweep_fig5(
     gammas: tuple[float, ...] | None = None,
     beta3_lo: float = 0.01,
     beta3_hi: float | None = None,
-) -> tuple[list[dict], list[dict]]:
+) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Endpoint COP over Carnot, and coherence, versus engine-bath coldness.
 
     One curve per coupling value (default 0.1, 0.2, 0.3) of the reference
@@ -522,8 +525,7 @@ def sweep_fig5(
     if beta3_hi is None:
         beta3_hi = 1.0 / t2 - 1e-4  # the Carnot ratio is 0/0 at beta3 = beta2
     beta3 = np.linspace(beta3_lo, beta3_hi, points)
-    rows: list[dict] = []
-    skipped: list[dict] = []
+    curves, skipped = [], []
     for gamma in gammas:
         frame = resonant_frame(e1, e3, gamma)
         pops = tilde_populations(frame, t2, 1.0 / beta3)
@@ -532,45 +534,46 @@ def sweep_fig5(
         skipped += [{"gamma": gamma, "beta3": b, "tv": v}
                     for b, v in zip(beta3[~keep].tolist(), tv[~keep].tolist())]
         params = replace(REFERENCE, gamma=gamma, t1=tv[keep], t3=1.0 / beta3[keep])
-        rows += _rows(
+        curves.append(_rows(
             params,
             beta3=beta3[keep],
             eta_ratio=cop_g(frame) / cop_carnot(params.t1, t2, params.t3),
             coherence=virtual_coherence(frame, pops)[keep],
-        )
-    return rows, skipped
+        ))
+    return _concat(curves), skipped
 
 
-def sweep(spec: SweepSpec) -> tuple[list[dict], list[dict]]:
+def sweep(spec: SweepSpec) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Generic 1-D sweep emitting the standard observable set per point.
 
-    Points with invalid parameters, a nonpositive dressed gap included,
-    are skipped with the reason; an observable undefined at a point (no
-    cooling regime, virtual-temperature pole, inverted target) is NaN there.
+    Points with invalid parameters (eps3 <= 0 or beta3 = 0 among them) are
+    skipped with the reason; an observable undefined at a point (no cooling
+    regime, virtual-temperature pole, inverted target) is NaN there.
     """
-    points: list[tuple[float, ModelParams]] = []
-    skipped: list[dict] = []
     field = {"beta3": "t3", "e1": "e1", "gamma": "gamma"}[spec.axis]
-    for value in np.linspace(spec.lo, spec.hi, spec.points).tolist():
-        try:
-            points.append((value, replace(
-                spec.base, **{field: 1.0 / value if spec.axis == "beta3" else value})))
-        except ParameterError as exc:
-            skipped.append({"axis": spec.axis, "value": value, "reason": str(exc)})
-    params = _stack([point for _, point in points])
+    values = np.linspace(spec.lo, spec.hi, spec.points)
+    with np.errstate(divide="ignore", over="ignore"):
+        axis = 1.0 / values if spec.axis == "beta3" else values
+    try:
+        params, keep, skipped = replace(spec.base, **{field: axis}), slice(None), []
+    except ParameterError:
+        outcomes = [_outcome(replace, spec.base, **{field: x}) for x in axis.tolist()]
+        keep = np.array([isinstance(outcome, ModelParams) for outcome in outcomes])
+        skipped = [{"axis": spec.axis, "value": value, "reason": str(outcome)}
+                   for value, outcome, kept in zip(values.tolist(), outcomes, keep) if not kept]
+        params = replace(spec.base, **{field: axis[keep]})
     frame = resonant_frame(params.e1, params.e3, params.gamma)
     pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
     decomp = steady_coefficients(pops, params.p, params.g)
     currents = currents_closed(params, frame, pops, decomp.d)
-    q3 = currents["q3"]
     return _rows(
         params,
-        axis_value=[value for value, _ in points],
+        axis_value=values[keep],
         d=decomp.d,
         q1g=currents["q1g"],
         q23=currents["q23"],
         eta_g=cop_g(frame, masked=True),
-        eta_tot=currents["q1"] / np.where(q3 != 0.0, q3, np.nan),
+        eta_tot=currents["q1"] / np.where(currents["q3"] != 0.0, currents["q3"], np.nan),
         tv=virtual_temperature(frame, pops, masked=True),
         t1s=local_target_temperature(decomp.a1, params.e1, masked=True),
         coherence=virtual_coherence(frame, pops),
@@ -592,10 +595,10 @@ def _draw_model(rng: np.random.Generator, spec: EnsembleSpec) -> ModelParams:
     )
 
 
-def random_ensemble(spec: EnsembleSpec) -> tuple[list[dict], dict]:
+def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     """Max-power COPs of seeded random refrigerators at fixed Carnot COP.
 
-    Each accepted model is optimized over the target gap; rows carry the
+    Each accepted model is optimized over the target gap; its row carries the
     COP-at-max-power ratio, the thermodynamic COP there, the virtual-qubit
     coherence at the optimum, and whether the model sits within 5% of the
     upper bound (relative to the bound gap).  Candidates are screened in
@@ -636,7 +639,7 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[list[dict], dict]:
     lower = [eta_star_min(v) for v in x.tolist()]
     near_bound = [int(((hi - eta) / (hi - lo) if hi > lo else 0.0) < 0.05)
                   for hi, lo, eta in zip(upper, lower, eta_star.tolist())]
-    rows = _rows(
+    table = _rows(
         params,
         gamma_over_e3=x,
         eta_star=eta_star,
@@ -650,13 +653,13 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[list[dict], dict]:
     )
     # every spec field, the ranges as lists, which is how the CSV metadata prints them
     spec_fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(spec).items()}
-    return rows, {"rng": "numpy-PCG64", "resamples": resamples, **spec_fields}
+    return table, {"rng": "numpy-PCG64", "resamples": resamples, **spec_fields}
 
 
 def high_temperature_saturation(
     x_values: tuple[float, ...] = (0.0, 0.05, 0.1),
     kappas: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0),
-) -> list[dict]:
+) -> dict[str, np.ndarray]:
     """Approach of the max-power COP to its upper bound as temperatures grow.
 
     The reference refrigerator at gamma = x E3, with all three bath

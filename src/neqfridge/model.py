@@ -126,19 +126,20 @@ def _require(holds, error, message: str, *values) -> None:
     raise error(message.format(*(np.broadcast_to(v, shape).flat[at] for v in values)))
 
 
-@np.errstate(invalid="ignore")
+@np.errstate(invalid="ignore", over="ignore")
 def _gaps(e1, e3, gamma) -> tuple:
     """delta_e = sqrt(E1^2 - 4 gamma^2), the dressed engine gap
     eps3 = E3 + delta_e/2 - E1/2 and, elementwise, whether the frame rules
-    hold: E1, E3 > 0, 0 <= gamma <= E1/2 and eps3 > 0.
+    hold: E1, E3 > 0, 0 <= gamma <= E1/2 and 0 < eps3 < inf.
 
     eps3 only grows with E1, since d eps3/dE1 = E1/(2 delta_e) - 1/2 >= 0.
-    Infinite gaps or couplings give inf - inf = nan without a warning; the
-    nan then fails the eps3 rule, which names it.
+    An infinite E1 gives nan and huge finite fields overflow eps3 to inf,
+    both without a warning; either fails an eps3 rule, which names it.
     """
     delta_e = np.sqrt(np.maximum(e1 * e1 - 4.0 * gamma * gamma, 0.0))
     eps3 = 0.5 * ((e3 + delta_e) + e3) - 0.5 * e1
-    return delta_e, eps3, (e1 > 0) & (e3 > 0) & (gamma >= 0) & (gamma <= 0.5 * e1) & (eps3 > 0)
+    return delta_e, eps3, ((e1 > 0) & (e3 > 0) & (gamma >= 0) & (gamma <= 0.5 * e1)
+                           & (eps3 > 0) & (eps3 < np.inf))
 
 
 def _frame_gaps(e1, e3, gamma, *rules) -> tuple:
@@ -159,6 +160,9 @@ def _frame_gaps(e1, e3, gamma, *rules) -> tuple:
         _require(*rule)
     if not framed:
         _require(eps3 > 0, ParameterError, "dressed engine gap must be positive: "
+                 "eps3={} at E1={}, E3={}, gamma={}", eps3, e1, e3, gamma)
+        # an infinite E3 is left to ModelParams' finite-field rule, which names it
+        _require(holds | (e3 == np.inf), ParameterError, "dressed engine gap overflows: "
                  "eps3={} at E1={}, E3={}, gamma={}", eps3, e1, e3, gamma)
     return delta_e, eps3
 

@@ -159,3 +159,17 @@ def golden_max(func, a: float, b: float, tol: float) -> tuple[float, float]:
             f1 = func(x1)
     x = 0.5 * (a + b)
     return x, func(x)
+
+
+def per_cell_csv(metadata: dict, columns: list[str], rows: list[dict], version: str) -> str:
+    """A table as CSV text written cell by cell from row dicts, floats through
+    ``format(v, ".17g")``: the reference for the package's column writer."""
+    lines = [f"# neqfridge {version}"]
+    for key in sorted(metadata):
+        lines.append(f"# {key}: {metadata[key]}")
+    lines.append(f"# columns: {','.join(columns)}")
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(format(row[col], ".17g") if isinstance(row[col], float)
+                              else str(row[col]) for col in columns))
+    return "\n".join(lines) + "\n"

@@ -103,23 +103,23 @@ def test_criterion_4_fig3_reproduction():
     """Three qualitative current classes in coupling order, with the roots
     of the current and of the coherence change coinciding."""
     start = time.perf_counter()
-    rows = sweep_fig3(points=200)
+    table = sweep_fig3(points=200)
     elapsed = time.perf_counter() - start
     assert elapsed <= 10.0
 
-    curves = collections.defaultdict(list)
-    for row in rows:
-        curves[row["gamma"]].append(row)
-    for rows_of_gamma in curves.values():
-        rows_of_gamma.sort(key=lambda r: r["beta3"])
+    def q1g_curve(gamma):
+        """q1g of one coupling's curve, in increasing beta3."""
+        at = table["gamma"] == gamma
+        return table["q1g"][at][np.argsort(table["beta3"][at], kind="stable")].tolist()
+
     gamma_c = critical_gamma(1.0, 4.0)
 
-    q48 = [r["q1g"] for r in curves[0.48]][:-1]
+    q48 = q1g_curve(0.48)[:-1]
     assert min(q48) > 0 and all(a >= b for a, b in zip(q48, q48[1:]))
-    q49 = [r["q1g"] for r in curves[0.49]][:-1]
+    q49 = q1g_curve(0.49)[:-1]
     assert q49[0] < 0 < q49[-1]
     for gamma in (gamma_c, 0.50):
-        assert max(r["q1g"] for r in curves[gamma][:-1]) <= 0
+        assert max(q1g_curve(gamma)[:-1]) <= 0
 
     # shared zero of the current and the coherence change (class-2 curve)
     frame = resonant_frame(1.0, 4.0, 0.49)
@@ -144,7 +144,7 @@ def test_criterion_4_fig3_reproduction():
 def test_criterion_5_fig4_reproduction():
     """Window endpoints: vanishing thermodynamic COP and the dressed COP
     identity; COP ordering inside every window."""
-    rows, windows = sweep_fig4(points=200)
+    table, windows = sweep_fig4(points=200)
     worst_tot = worst_identity = 0.0
     for gamma, window in windows.items():
         for edge in (window.left, window.right):
@@ -162,32 +162,33 @@ def test_criterion_5_fig4_reproduction():
             )
     assert worst_tot <= 1e-8
     assert worst_identity <= 1e-10
-    for row in rows:
-        assert row["eta_g"] >= row["eta_tot"]
-        assert row["eta_g"] <= 1.0 + 1e-12
+    assert (table["eta_g"] >= table["eta_tot"]).all()
+    assert (table["eta_g"] <= 1.0 + 1e-12).all()
     print(f"\nACCEPTANCE 5 PASS: endpoint |eta_tot| {worst_tot:.2e} <= 1e-8, endpoint COP "
           f"identity delta {worst_identity:.2e} <= 1e-10, eta_tot <= eta_g <= eta_c on "
-          f"{len(rows)} window points")
+          f"{table['e1'].size} window points")
 
 
 def test_criterion_6_fig5_limits():
     """Endpoint COP ratio approaches one at bath degeneracy; coupling
     ordering holds at every sampled point."""
-    rows, _ = sweep_fig5(points=200)
+    table, _ = sweep_fig5(points=200)
+    beta3, eta_ratio, coherence = table["beta3"], table["eta_ratio"], table["coherence"]
     by_beta = collections.defaultdict(dict)
-    for row in rows:
-        by_beta[round(row["beta3"], 12)][row["gamma"]] = row
+    for i, (b, gamma) in enumerate(zip(beta3.tolist(), table["gamma"].tolist())):
+        by_beta[round(b, 12)][gamma] = i
     worst_limit = 0.0
     for gamma in (0.1, 0.2, 0.3):
-        closest = max((r for r in rows if r["gamma"] == gamma), key=lambda r: r["beta3"])
-        assert closest["beta3"] == pytest.approx(0.5 - 1e-4, abs=1e-12)
-        worst_limit = max(worst_limit, abs(closest["eta_ratio"] - 1.0))
+        at = np.flatnonzero(table["gamma"] == gamma)
+        closest = at[np.argmax(beta3[at])]
+        assert beta3[closest] == pytest.approx(0.5 - 1e-4, abs=1e-12)
+        worst_limit = max(worst_limit, abs(eta_ratio[closest] - 1.0))
     assert worst_limit <= 1e-3
     for group in by_beta.values():
         if len(group) != 3:
             continue
-        assert group[0.1]["eta_ratio"] > group[0.2]["eta_ratio"] > group[0.3]["eta_ratio"]
-        assert group[0.1]["coherence"] < group[0.2]["coherence"] < group[0.3]["coherence"]
+        assert eta_ratio[group[0.1]] > eta_ratio[group[0.2]] > eta_ratio[group[0.3]]
+        assert coherence[group[0.1]] < coherence[group[0.2]] < coherence[group[0.3]]
     print(f"\nACCEPTANCE 6 PASS: |eta_g/eta_c - 1| {worst_limit:.2e} <= 1e-3 at "
           f"beta3 = beta2 - 1e-4; coupling ordering at all sampled beta3")
 
@@ -196,54 +197,50 @@ def test_criterion_7_power_cop_bounds():
     """Seeded 1000-model ensemble respects the max-power COP band; models
     flagged near the upper bound carry little coherence."""
     start = time.perf_counter()
-    rows, meta = random_ensemble(EnsembleSpec(n=1000, eta_c=1.0, seed=7))
+    table, meta = random_ensemble(EnsembleSpec(n=1000, eta_c=1.0, seed=7))
     elapsed = time.perf_counter() - start
     assert elapsed <= 15.0
-    assert len(rows) == 1000
-    for row in rows:
-        assert row["eta_star"] <= eta_star_max(1.0, row["gamma_over_e3"]) + 1e-9
-        assert row["eta_star"] >= eta_star_min(row["gamma_over_e3"]) - 1e-9
-    near = [r for r in rows if r["near_bound"]]
-    assert all(r["coherence"] <= 0.12 for r in near)
+    assert table["eta_star"].size == 1000
+    for eta_star, x in zip(table["eta_star"].tolist(), table["gamma_over_e3"].tolist()):
+        assert eta_star <= eta_star_max(1.0, x) + 1e-9
+        assert eta_star >= eta_star_min(x) - 1e-9
+    near = table["coherence"][table["near_bound"] != 0]
+    assert (near <= 0.12).all()
     # clustering at the bound: models within twice the flag distance still
     # sit below the coherence ceiling
-    close = [
-        r for r in rows
-        if (r["eta_star_max"] - r["eta_star"]) / (r["eta_star_max"] - r["eta_star_min"]) < 0.10
-    ]
-    assert close, "expected models approaching the bound"
-    assert max(r["coherence"] for r in close) <= 0.12
+    upper, lower = table["eta_star_max"], table["eta_star_min"]
+    close = table["coherence"][(upper - table["eta_star"]) / (upper - lower) < 0.10]
+    assert close.size, "expected models approaching the bound"
+    assert close.max() <= 0.12
     print(f"\nACCEPTANCE 7 PASS: 1000 models inside the bound band (slack 1e-9); "
-          f"{len(near)} flagged near-bound (C <= 0.12 holds), {len(close)} within 10% of "
-          f"the bound with max C {max(r['coherence'] for r in close):.3f}; "
+          f"{near.size} flagged near-bound (C <= 0.12 holds), {close.size} within 10% of "
+          f"the bound with max C {close.max():.3f}; "
           f"runtime {elapsed:.1f}s <= 15s")
 
 
 def test_criterion_7s_near_bound_coherence_hot_ensemble():
     """Supplementary: with hotter machine baths the 5% flag fires, and every
     flagged model stays below the coherence ceiling."""
-    rows, _ = random_ensemble(EnsembleSpec(n=300, seed=11, t2_range=(4.0, 12.0)))
-    near = [r for r in rows if r["near_bound"]]
-    assert near
-    worst = max(r["coherence"] for r in near)
+    table, _ = random_ensemble(EnsembleSpec(n=300, seed=11, t2_range=(4.0, 12.0)))
+    near = table["coherence"][table["near_bound"] != 0]
+    assert near.size
+    worst = near.max()
     assert worst <= 0.12
-    print(f"\nACCEPTANCE 7 SUPPLEMENT PASS: {len(near)} near-bound models in the hot "
+    print(f"\nACCEPTANCE 7 SUPPLEMENT PASS: {near.size} near-bound models in the hot "
           f"ensemble, max coherence {worst:.3f} <= 0.12")
 
 
 def test_criterion_8_high_temperature_saturation():
     """At twenty-fold temperatures the max-power COP is within 2% of its
     bound; without coupling it reproduces half the Carnot value."""
-    rows = high_temperature_saturation(x_values=(0.0, 0.05, 0.1), kappas=(20.0,))
-    worst = 0.0
-    for row in rows:
-        assert row["rel_gap"] <= 0.02
-        worst = max(worst, row["rel_gap"])
-    uncoupled = next(r for r in rows if r["gamma_over_e3"] == 0.0)
-    assert uncoupled["eta_star_bound"] == pytest.approx(0.5, abs=1e-15)
-    assert abs(uncoupled["eta_star"] - 0.5) <= 0.01
+    table = high_temperature_saturation(x_values=(0.0, 0.05, 0.1), kappas=(20.0,))
+    assert (table["rel_gap"] <= 0.02).all()
+    worst = max(0.0, table["rel_gap"].max())
+    uncoupled = np.flatnonzero(table["gamma_over_e3"] == 0.0)[0]
+    assert table["eta_star_bound"][uncoupled] == pytest.approx(0.5, abs=1e-15)
+    assert abs(table["eta_star"][uncoupled] - 0.5) <= 0.01
     print(f"\nACCEPTANCE 8 PASS: kappa=20 relative gap to the bound {worst:.4%} <= 2%; "
-          f"uncoupled limit eta* = {uncoupled['eta_star']:.4f} vs eta_c/2 = 0.5")
+          f"uncoupled limit eta* = {table['eta_star'][uncoupled]:.4f} vs eta_c/2 = 0.5")
 
 
 def test_criterion_9_property_suite():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,10 @@ import pytest
 
 import neqfridge
 from neqfridge import validate
-from neqfridge.cli import main
+from neqfridge.cli import _cells, main, write_csv
 from neqfridge.model import build_hamiltonians, thermal_population
 
-from conftest import P0
+from conftest import P0, per_cell_csv
 
 # group names of `validate`, in report order
 GROUPS = [
@@ -83,6 +84,14 @@ class TestSteadyCommand:
     def test_infinite_field_exits_2(self, capsys, command, flag):
         assert main([command, flag, "inf"]) == 2
         assert capsys.readouterr().err == f"error: {flag[2:]} must be finite, got inf\n"
+
+    @pytest.mark.parametrize("command", ["steady", "maximize"])
+    def test_overflowing_dressed_gap_exits_2(self, capsys, command):
+        # a finite E3 whose dressed gap eps3 = E3 + delta_e/2 - E1/2 overflows;
+        # the suite turns the overflow RuntimeWarning into an error
+        assert main([command, "--e3", "1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "error: dressed engine gap overflows: eps3=inf at E1=1.0, E3=1e+308, gamma=0.3\n")
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "fridge.cfg"
@@ -236,6 +245,61 @@ class TestSweepCommand:
         data = [l for l in lines if not l.startswith("#")]
         assert data[0].split(",")[0] == "axis_value"
         assert len(data) == 13
+
+    @pytest.mark.parametrize("lo", ["0", "1e-310"])  # 1/1e-310 overflows
+    def test_zero_beta3_is_a_skipped_point(self, tmp_path, lo):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "beta3", "--lo", lo, "--hi", "0.4",
+                     "--points", "5", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "# skipped_points: 1" in lines
+        data = [l for l in lines if not l.startswith("#")]
+        assert [row.split(",")[0] for row in data[1:]] == [
+            "0.10000000000000001", "0.20000000000000001", "0.30000000000000004",
+            "0.40000000000000002"]
+
+    def test_all_points_skipped_writes_the_header_only(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--axis", "e1", "--lo", "0.1", "--hi", "0.5", "--points", "3",
+                     "--gamma", "0.3", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "# skipped_points: 3" in lines
+        assert [l for l in lines if not l.startswith("#")] == [
+            "axis_value,e1,e3,gamma,t1,t2,t3,p,g,d,q1g,q23,eta_g,eta_tot,tv,t1s,coherence"]
+
+    def test_directory_as_output_exits_2(self, tmp_path, capsys):
+        assert main(["sweep", "--axis", "e1", "--lo", "1", "--hi", "2", "--points", "3",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
+
+class TestCsvWriter:
+    """write_csv over formatted columns against a cell-by-cell writer over row dicts."""
+
+    SPECIAL = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.1]
+
+    def _same_bytes(self, tmp_path, table: dict, columns: list[str]) -> None:
+        meta = {"figure": "test", "points": 3}
+        out = tmp_path / "table.csv"
+        write_csv(out, meta, columns, _cells(table, columns))
+        rows = [dict(zip(table, values)) for values in zip(*(c.tolist() for c in table.values()))]
+        assert out.read_text() == per_cell_csv(meta, columns, rows, neqfridge.__version__)
+
+    def test_special_floats_and_an_integer_column(self, tmp_path):
+        x = np.array(self.SPECIAL)
+        table = {"x": x, "neg": -x, "near_bound": np.arange(x.size) % 2,
+                 "count": np.array([0, -3, 7, 2**53 + 1, 10**17, -(10**18), 2**63 - 1])}
+        self._same_bytes(tmp_path, table, ["x", "neg", "near_bound", "count"])
+        self._same_bytes(tmp_path, table, ["near_bound", "x"])
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(5).integers(0, 2**64, size=2000, dtype=np.uint64)
+        self._same_bytes(tmp_path, {"x": bits.view(np.float64)}, ["x"])
+
+    def test_zero_rows(self, tmp_path):
+        table = {"x": np.array([]), "near_bound": np.array([], dtype=int)}
+        self._same_bytes(tmp_path, table, ["x", "near_bound"])
 
 
 class TestMaximizeCommand:

@@ -424,12 +424,13 @@ class TestOptimizers:
 
 @pytest.fixture(scope="module")
 def curves():
-    rows = sweep_fig3(points=160)
-    grouped = collections.defaultdict(list)
-    for row in rows:
-        grouped[row["gamma"]].append(row)
-    for rows_of_gamma in grouped.values():
-        rows_of_gamma.sort(key=lambda r: r["beta3"])
+    """The fig3 table split by coupling, each curve in increasing beta3."""
+    table = sweep_fig3(points=160)
+    grouped = {}
+    for gamma in np.unique(table["gamma"]).tolist():
+        at = np.flatnonzero(table["gamma"] == gamma)
+        at = at[np.argsort(table["beta3"][at], kind="stable")]
+        grouped[gamma] = {name: column[at] for name, column in table.items()}
     return grouped
 
 
@@ -438,31 +439,30 @@ class TestFig3Sweep:
         gammas = sorted(curves)
         assert gammas == sorted([0.48, 0.49, critical_gamma(1.0, 4.0), 0.50])
         # class 1: positive throughout, growing with the engine temperature
-        q = [r["q1g"] for r in curves[0.48]][:-1]
+        q = curves[0.48]["q1g"][:-1].tolist()
         assert min(q) > 0
         assert all(a >= b for a, b in zip(q, q[1:]))  # decreasing in beta3
         # class 2: positive near degeneracy, negative when the bath is hot
-        q = [r["q1g"] for r in curves[0.49]][:-1]
+        q = curves[0.49]["q1g"][:-1].tolist()
         assert q[0] < 0 < q[-1]
         # class 3: never positive at and beyond the critical coupling
         for gamma in (critical_gamma(1.0, 4.0), 0.50):
-            q = [r["q1g"] for r in curves[gamma]][:-1]
+            q = curves[gamma]["q1g"][:-1].tolist()
             assert max(q) <= 0
-        q = [r["q1g"] for r in curves[0.50]][:-1]
+        q = curves[0.50]["q1g"][:-1].tolist()
         assert all(abs(a) >= abs(b) for a, b in zip(q, q[1:]))
 
     def test_degenerate_endpoint_is_exactly_zero(self, curves):
-        for gamma, rows in curves.items():
-            last = rows[-1]
-            assert last["beta3"] == 0.5
-            assert abs(last["q1g"]) < 1e-18
-            assert last["delta_c"] == 0.0
+        for gamma, curve in curves.items():
+            assert curve["beta3"][-1] == 0.5
+            assert abs(curve["q1g"][-1]) < 1e-18
+            assert curve["delta_c"][-1] == 0.0
 
     def test_current_and_coherence_share_sign(self, curves):
-        for rows in curves.values():
-            for row in rows[:-1]:
-                if abs(row["q1g"]) > 1e-12:
-                    assert np.sign(row["q1g"]) == np.sign(row["delta_c"])
+        for curve in curves.values():
+            q1g, delta_c = curve["q1g"][:-1], curve["delta_c"][:-1]
+            away = np.abs(q1g) > 1e-12
+            assert (np.sign(q1g[away]) == np.sign(delta_c[away])).all()
 
     def test_shared_root(self):
         # the current and the coherence change cross zero together
@@ -484,9 +484,9 @@ class TestFig3Sweep:
         assert abs(root_q - root_c) < 1e-8
 
     def test_rows_carry_full_parameter_set(self, curves):
-        row = next(iter(curves.values()))[0]
+        curve = next(iter(curves.values()))
         for key in ("e1", "e3", "gamma", "t1", "t2", "t3", "p", "g"):
-            assert key in row
+            assert curve[key].shape == curve["beta3"].shape
 
 
 @pytest.fixture(scope="module")
@@ -499,7 +499,7 @@ class TestFig4Sweep:
         from neqfridge.model import tilde_populations
         from neqfridge.observables import max_cop_identity
 
-        rows, windows = fig4_data
+        _, windows = fig4_data
         for gamma, window in windows.items():
             for edge in (window.left, window.right):
                 frame = resonant_frame(edge, 4.0, gamma)
@@ -517,10 +517,9 @@ class TestFig4Sweep:
                 assert abs(cop_g(frame) - max_cop_identity(frame, pops, 4.0 / 3.0)) < 1e-10
 
     def test_cop_ordering_within_window(self, fig4_data):
-        rows, _ = fig4_data
-        for row in rows:
-            assert row["eta_g"] >= row["eta_tot"]
-            assert row["eta_g"] <= 1.0 + 1e-12  # eta_c = 1 for these baths
+        table, _ = fig4_data
+        assert (table["eta_g"] >= table["eta_tot"]).all()
+        assert (table["eta_g"] <= 1.0 + 1e-12).all()  # eta_c = 1 for these baths
 
     def test_coupling_enhances_cop_and_reduces_total_cop(self):
         # at the shared interior point E1 = 1 the machine COP beats the bare
@@ -549,54 +548,53 @@ def fig5_data():
 
 class TestFig5Sweep:
     def test_ratio_approaches_one_at_degeneracy(self, fig5_data):
-        rows, _ = fig5_data
+        table, _ = fig5_data
         for gamma in (0.1, 0.2, 0.3):
-            closest = max(
-                (r for r in rows if r["gamma"] == gamma), key=lambda r: r["beta3"]
-            )
-            assert closest["beta3"] == pytest.approx(0.5 - 1e-4, abs=1e-12)
-            assert abs(closest["eta_ratio"] - 1.0) < 1e-3
+            at = np.flatnonzero(table["gamma"] == gamma)
+            closest = at[np.argmax(table["beta3"][at])]
+            assert table["beta3"][closest] == pytest.approx(0.5 - 1e-4, abs=1e-12)
+            assert abs(table["eta_ratio"][closest] - 1.0) < 1e-3
 
     def test_coupling_ordering_at_every_point(self, fig5_data):
-        rows, _ = fig5_data
+        table, _ = fig5_data
+        eta_ratio, coherence = table["eta_ratio"], table["coherence"]
         by_beta = collections.defaultdict(dict)
-        for r in rows:
-            by_beta[round(r["beta3"], 12)][r["gamma"]] = r
+        for i, (beta3, gamma) in enumerate(zip(table["beta3"].tolist(), table["gamma"].tolist())):
+            by_beta[round(beta3, 12)][gamma] = i
         for group in by_beta.values():
             if len(group) != 3:
                 continue
-            assert group[0.1]["eta_ratio"] > group[0.2]["eta_ratio"] > group[0.3]["eta_ratio"]
-            assert group[0.1]["coherence"] < group[0.2]["coherence"] < group[0.3]["coherence"]
+            assert eta_ratio[group[0.1]] > eta_ratio[group[0.2]] > eta_ratio[group[0.3]]
+            assert coherence[group[0.1]] < coherence[group[0.2]] < coherence[group[0.3]]
 
     def test_regression_point(self):
         # pinned after the first verified run
-        rows, _ = sweep_fig5(points=2, gammas=(0.2,), beta3_lo=0.25, beta3_hi=0.26)
-        row = rows[0]
-        assert row["beta3"] == 0.25
-        assert row["eta_ratio"] == pytest.approx(0.975555742882317, abs=1e-12)
-        assert row["coherence"] == pytest.approx(0.23849793242945685, abs=1e-12)
-        assert row["t1"] == pytest.approx(0.7274840984792199, abs=1e-12)
+        table, _ = sweep_fig5(points=2, gammas=(0.2,), beta3_lo=0.25, beta3_hi=0.26)
+        assert table["beta3"][0] == 0.25
+        assert table["eta_ratio"][0] == pytest.approx(0.975555742882317, abs=1e-12)
+        assert table["coherence"][0] == pytest.approx(0.23849793242945685, abs=1e-12)
+        assert table["t1"][0] == pytest.approx(0.7274840984792199, abs=1e-12)
 
     def test_skipped_points_reported(self, fig5_data):
-        rows, skipped = fig5_data
+        table, skipped = fig5_data
         assert isinstance(skipped, list)
-        assert len(rows) + len(skipped) == 3 * 120
+        assert table["beta3"].size + len(skipped) == 3 * 120
 
 
 class TestGenericSweep:
     def test_beta3_axis(self):
         spec = SweepSpec(base=FIG4_BASE, axis="beta3", lo=0.05, hi=0.45, points=10)
-        rows, skipped = sweep(spec)
-        assert len(rows) == 10 and not skipped
-        assert {"d", "q1g", "eta_g", "eta_tot", "tv", "t1s", "coherence"} <= set(rows[0])
+        table, skipped = sweep(spec)
+        assert table["axis_value"].size == 10 and not skipped
+        assert {"d", "q1g", "eta_g", "eta_tot", "tv", "t1s", "coherence"} <= set(table)
 
     def test_gamma_axis_skips_infeasible(self):
         spec = SweepSpec(base=FIG4_BASE, axis="gamma", lo=0.0, hi=0.8, points=9)
-        rows, skipped = sweep(spec)
+        table, skipped = sweep(spec)
         assert skipped and all(s["value"] > 0.5 for s in skipped)
-        assert len(rows) + len(skipped) == 9
-        rows, skipped = sweep(SweepSpec(base=FIG4_BASE, axis="gamma", lo=0.6, hi=0.8, points=3))
-        assert rows == [] and len(skipped) == 3
+        assert table["axis_value"].size + len(skipped) == 9
+        table, skipped = sweep(SweepSpec(base=FIG4_BASE, axis="gamma", lo=0.6, hi=0.8, points=3))
+        assert all(column.size == 0 for column in table.values()) and len(skipped) == 3
 
     def test_non_cooling_points_are_nan(self):
         # past the critical coupling the machine COP is undefined; the sweep
@@ -606,17 +604,17 @@ class TestGenericSweep:
         gamma_c = critical_gamma(1.0, 4.0)
         spec = SweepSpec(base=replace(FIG4_BASE, e1=1.0), axis="gamma",
                          lo=gamma_c - 0.02, hi=0.5, points=41)
-        rows, skipped = sweep(spec)
-        assert len(rows) == 41 and not skipped
+        table, skipped = sweep(spec)
+        assert table["axis_value"].size == 41 and not skipped
         flags = []
-        for row in rows:
+        for e1, e3, gamma, eta_g in zip(*(table[k].tolist() for k in ("e1", "e3", "gamma", "eta_g"))):
             try:
-                cop_g(resonant_frame(row["e1"], row["e3"], row["gamma"]))
+                cop_g(resonant_frame(e1, e3, gamma))
                 raises = False
             except NonCoolingRegimeError:
                 raises = True
-            assert np.isnan(row["eta_g"]) == raises
-            assert raises == (not cooling_condition(row["e1"], row["e3"], row["gamma"]))
+            assert np.isnan(eta_g) == raises
+            assert raises == (not cooling_condition(e1, e3, gamma))
             flags.append(raises)
         assert any(flags) and not all(flags)
 
@@ -624,8 +622,8 @@ class TestGenericSweep:
         # E1 < 1.8 breaks gamma <= E1/2; at E1 = 2 the dressed engine gap
         # eps3 = E3 + sqrt(E1^2 - 4 gamma^2)/2 - E1/2 is -0.064
         base = ModelParams(e1=3, e3=0.5, gamma=0.9, t1=1, t2=2, t3=4, p=.01, g=.01)
-        rows, skipped = sweep(SweepSpec(base=base, axis="e1", lo=1, hi=4, points=13))
-        assert len(rows) == 8 and len(skipped) == 5
+        table, skipped = sweep(SweepSpec(base=base, axis="e1", lo=1, hi=4, points=13))
+        assert table["axis_value"].size == 8 and len(skipped) == 5
         assert [s["value"] for s in skipped] == [1.0, 1.25, 1.5, 1.75, 2.0]
         assert all(s["reason"].startswith("resonance infeasible") for s in skipped[:4])
         reason = skipped[4]["reason"]
@@ -665,37 +663,37 @@ def small():
 
 class TestEnsemble:
     def test_deterministic(self, small):
-        rows, meta = small
-        rows2, meta2 = random_ensemble(EnsembleSpec(n=60, seed=7))
-        assert rows == rows2
+        table, meta = small
+        table2, meta2 = random_ensemble(EnsembleSpec(n=60, seed=7))
+        assert table.keys() == table2.keys()
+        assert all(np.array_equal(table[k], table2[k]) for k in table)
         assert meta == meta2
-        rows3, _ = random_ensemble(EnsembleSpec(n=60, seed=8))
-        assert rows != rows3
+        table3, _ = random_ensemble(EnsembleSpec(n=60, seed=8))
+        assert not all(np.array_equal(table[k], table3[k]) for k in table)
 
     def test_bounds_hold(self, small):
-        rows, _ = small
-        for row in rows:
-            assert row["eta_star"] <= row["eta_star_max"] + 1e-9
-            assert row["eta_star"] >= row["eta_star_min"] - 1e-9
-            assert row["eta_star_min"] == pytest.approx(
-                eta_star_min(row["gamma_over_e3"]), abs=1e-12)
+        table, _ = small
+        assert (table["eta_star"] <= table["eta_star_max"] + 1e-9).all()
+        assert (table["eta_star"] >= table["eta_star_min"] - 1e-9).all()
+        for lower, x in zip(table["eta_star_min"].tolist(), table["gamma_over_e3"].tolist()):
+            assert lower == pytest.approx(eta_star_min(x), abs=1e-12)
 
     def test_every_model_is_feasible(self, small):
         from neqfridge.observables import cooling_condition
 
-        rows, _ = small
-        for row in rows:
-            assert cooling_condition(row["e1"], row["e3"], row["gamma"])
-            assert row["q1g_max"] > 0
-            assert row["gamma_over_e3"] <= 0.2 + 1e-12
+        table, _ = small
+        for e1, e3, gamma in zip(*(table[k].tolist() for k in ("e1", "e3", "gamma"))):
+            assert cooling_condition(e1, e3, gamma)
+        assert (table["q1g_max"] > 0).all()
+        assert (table["gamma_over_e3"] <= 0.2 + 1e-12).all()
 
     def test_near_bound_models_have_small_coherence(self):
         # hotter machine baths approach the bound; saturating models carry
         # little virtual-qubit coherence
-        rows, _ = random_ensemble(EnsembleSpec(n=300, seed=11, t2_range=(4.0, 12.0)))
-        near = [r for r in rows if r["near_bound"]]
-        assert near, "expected near-bound models in the hot ensemble"
-        assert max(r["coherence"] for r in near) <= 0.12
+        table, _ = random_ensemble(EnsembleSpec(n=300, seed=11, t2_range=(4.0, 12.0)))
+        near = table["coherence"][table["near_bound"] != 0]
+        assert near.size, "expected near-bound models in the hot ensemble"
+        assert near.max() <= 0.12
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_batch_matches_scalar_reference(self, seed):
@@ -715,7 +713,7 @@ class TestEnsemble:
 def _check_against_scalar(spec: EnsembleSpec) -> int:
     """Compare random_ensemble with the scalar reference; returns how many
     draws the reference rejected because their scan raised."""
-    rows, meta = random_ensemble(spec)
+    table, meta = random_ensemble(spec)
     rng = np.random.default_rng(spec.seed)
     reference, resamples, errors = [], 0, 0
     while len(reference) < spec.n:
@@ -731,15 +729,16 @@ def _check_against_scalar(spec: EnsembleSpec) -> int:
             reference.append((base, window, _scalar_max_power(base, window, spec.eta_c)))
     assert meta["resamples"] == resamples
     batch_windows = cooling_windows(_stack([base for base, _, _ in reference]))
-    for row, window, (base, ref_window, ref) in zip(rows, batch_windows, reference):
-        assert [row[k] for k in ("e3", "t2", "t3", "gamma", "t1")] == \
+    assert table["e1"].size == len(reference)
+    for i, (window, (base, ref_window, ref)) in enumerate(zip(batch_windows, reference)):
+        assert [table[k][i] for k in ("e3", "t2", "t3", "gamma", "t1")] == \
             [getattr(base, k) for k in ("e3", "t2", "t3", "gamma", "t1")]
         assert window.left == pytest.approx(ref_window[0], abs=1e-11)
         assert window.right == pytest.approx(ref_window[1], abs=1e-11)
-        assert row["near_bound"] == ref["near_bound"]
+        assert table["near_bound"][i] == ref["near_bound"]
         for key in ("e1", "eta_star", "eta_tot_star", "coherence"):
-            assert row[key] == pytest.approx(ref[key], rel=1e-6, abs=0.0)
-        assert row["q1g_max"] == pytest.approx(ref["q1g_max"], rel=1e-12, abs=0.0)
+            assert table[key][i] == pytest.approx(ref[key], rel=1e-6, abs=0.0)
+        assert table["q1g_max"][i] == pytest.approx(ref["q1g_max"], rel=1e-12, abs=0.0)
     return errors
 
 
@@ -791,8 +790,9 @@ def ht_table():
 class TestHighTemperatureSaturation:
     def test_gap_shrinks_with_temperature_scale(self, ht_table):
         by_x = collections.defaultdict(list)
-        for row in ht_table:
-            by_x[row["gamma_over_e3"]].append((row["kappa"], row["rel_gap"]))
+        for x, kappa, rel_gap in zip(*(ht_table[k].tolist()
+                                       for k in ("gamma_over_e3", "kappa", "rel_gap"))):
+            by_x[x].append((kappa, rel_gap))
         for gaps in by_x.values():
             gaps.sort()
             values = [g for _, g in gaps]
@@ -800,8 +800,7 @@ class TestHighTemperatureSaturation:
             assert values[-1] < 0.02
 
     def test_uncoupled_limit_recovers_half_carnot(self, ht_table):
-        row = max(
-            (r for r in ht_table if r["gamma_over_e3"] == 0.0), key=lambda r: r["kappa"]
-        )
-        assert row["eta_star_bound"] == pytest.approx(0.5, abs=1e-15)
-        assert row["eta_star"] == pytest.approx(0.5, rel=0.02)
+        at = np.flatnonzero(ht_table["gamma_over_e3"] == 0.0)
+        hottest = at[np.argmax(ht_table["kappa"][at])]
+        assert ht_table["eta_star_bound"][hottest] == pytest.approx(0.5, abs=1e-15)
+        assert ht_table["eta_star"][hottest] == pytest.approx(0.5, rel=0.02)
