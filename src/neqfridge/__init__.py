@@ -20,10 +20,8 @@ from .model import (
     ModelParams,
     ThermalPopulations,
     build_hamiltonians,
-    resolve_resonance,
     resonant_frame,
     thermal_population,
-    thermal_populations,
     tilde_populations,
     virtual_coherence,
     virtual_temperature,
@@ -48,7 +46,7 @@ from .steadystate import (
 )
 from .observables import (
     CurrentReport,
-    PerformanceReport,
+    closed_form_table,
     cooling_condition,
     cop_carnot,
     cop_g,
@@ -59,20 +57,17 @@ from .observables import (
     heat_currents,
     local_target_temperature,
     max_cop_identity,
-    performance_report,
 )
 from .experiments import (
     CoolingWindow,
     EnsembleSpec,
     MaxPowerResult,
-    MinCopResult,
     SweepSpec,
     cooling_window,
     cooling_windows,
     high_temperature_saturation,
     maximize_cooling_power,
     maximize_cooling_powers,
-    minimize_cop,
     random_ensemble,
     sweep,
     sweep_fig3,

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .invariants import validate
 from .model import PARAM_NAMES, REFERENCE, ModelParams
-from .observables import heat_currents, performance_report
+from .observables import closed_form_table, heat_currents
 from .steadystate import solve_oracle
 from .experiments import (
     EnsembleSpec,
@@ -123,7 +123,7 @@ def cmd_steady(args) -> int:
     frame, pops = oracle.parts.frame, oracle.parts.pops
     analytic, numeric = oracle.analytic, oracle.numeric
     currents = heat_currents(oracle.parts, numeric)
-    perf = performance_report(params, frame, pops, numeric, currents)
+    point = {name: column[0] for name, column in closed_form_table(params).items()}
     norm = params.e1 * params.p
     _emit({
         "version": __version__,
@@ -159,9 +159,9 @@ def cmd_steady(args) -> int:
             },
         },
         "performance": {
-            "eta_g": perf.eta_g, "eta_tot": perf.eta_tot, "eta_c": perf.eta_c,
-            "eta_tilde": perf.eta_tilde, "tv": perf.tv, "t1s": perf.t1s,
-            "coherence": perf.coherence, "cooling": perf.cooling,
+            "eta_g": point["eta_g"], "eta_tot": currents.eta_tot, "eta_c": point["eta_c"],
+            "eta_tilde": point["eta_tilde"], "tv": point["tv"], "t1s": point["t1s"],
+            "coherence": point["coherence"], "cooling": currents.q1g > 0.0,
         },
     }, args.out)
     return 0

@@ -31,8 +31,8 @@ from .model import (
     ModelParams,
     ThermalPopulations,
     build_hamiltonians,
-    resolve_resonance,
-    thermal_populations,
+    resonant_frame,
+    tilde_populations,
 )
 
 # (nu, mu, dressed machine ladder) of the four nonzero machine jumps, in the
@@ -155,8 +155,8 @@ def build_generator_parts(params: ModelParams) -> GeneratorParts:
     """The point's Hamiltonians and its three channels: the target reset and
     the delocalized machine channels, each weighted by the population at its
     own transition frequency."""
-    frame = resolve_resonance(params)
-    pops = thermal_populations(params, frame)
+    frame = resonant_frame(params.e1, params.e3, params.gamma)
+    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
     jumps = jump_operator_set(frame)
     return GeneratorParts(
         params=params,

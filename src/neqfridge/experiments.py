@@ -9,11 +9,13 @@ high-temperature saturation study.
 
 All evaluations go through the matrix-free closed-form coefficients, which
 are validated against the generator null space elsewhere.  The closed forms
-take numpy arrays, so each curve of a sweep, and each step of a window
-search or power maximization over a batch of models (one ``ModelParams``
-whose fields broadcast), is one kernel call.  Tables hold one array per
-column, and every row carries the full resolved parameter set.  Ensembles
-are driven by a seeded numpy PCG64 generator and are bit-reproducible.
+take numpy arrays, so each step of a window search or power maximization
+over a batch of models (one ``ModelParams`` whose fields broadcast) is one
+kernel call, and each figure, sweep or ensemble builds one batch and reads
+its observables from one :func:`~neqfridge.observables.closed_form_table`
+call (fig3 and fig5 make a second).  Tables hold one array per column, and
+every row carries the full resolved parameter set.  Ensembles are driven by
+a seeded numpy PCG64 generator and are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -25,26 +27,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptyCoolingWindowError, NeqFridgeError, ParameterError
-from .model import (
-    PARAM_NAMES,
-    REFERENCE,
-    ModelParams,
-    _gaps,
-    resonant_frame,
-    tilde_populations,
-    virtual_coherence,
-    virtual_temperature,
-)
+from .model import PARAM_NAMES, REFERENCE, ModelParams, _gaps, resonant_frame, tilde_populations
 from .observables import (
+    closed_form_table,
     cop_carnot,
     cop_g,
     critical_gamma,
-    currents_closed,
     eta_star_max,
     eta_star_min,
-    local_target_temperature,
 )
-from .steadystate import deviation_coefficient, steady_coefficients
+from .steadystate import deviation_coefficient
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
@@ -131,13 +123,6 @@ class MaxPowerResult:
     e1_star: float
     q1g_max: float
     eta_g_star: float
-    window: CoolingWindow
-
-
-@dataclass(frozen=True)
-class MinCopResult:
-    e1_star: float
-    eta_g_min: float
     window: CoolingWindow
 
 
@@ -267,18 +252,6 @@ def _brent_max(func: BatchFunc, a, b, tol: float, stop=np.inf) -> tuple[np.ndarr
             pv = np.where(shift, pw, np.where(third, lost, pv))
             pw = np.where(shift, lost, pw)
             px = won
-
-
-def find_root(func, a: float, b: float, tol: float = 1e-10) -> float:
-    """Root of func in a sign-change bracket [a, b]; see :func:`_chandrupatla`."""
-    batch = lambda x, _: np.array([func(v) for v in x.tolist()])
-    return float(_chandrupatla(batch, [a], [b], [func(a)], [func(b)], tol)[0])
-
-
-def golden_section_max(func, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Maximizer of a unimodal function on [a, b] and its value; see :func:`_brent_max`."""
-    x, fx = _brent_max(lambda x, _: np.array([func(v) for v in x.tolist()]), [a], [b], tol)
-    return float(x[0]), float(fx[0])
 
 
 def _raise_first(outcomes: list) -> list:
@@ -424,54 +397,27 @@ def maximize_cooling_power(base: ModelParams) -> MaxPowerResult:
     return maximize_cooling_powers(base)[0]
 
 
-def minimize_cop(base: ModelParams, tol: float = _SEARCH_TOL) -> MinCopResult:
-    """Minimize the machine COP over the cooling window of one model by Brent's method."""
-    window = cooling_window(base)
-    e1_star, negative_cop = _brent_max(lambda x, _: -cop_g(resonant_frame(x, base.e3, base.gamma)),
-                                       [window.left], [window.right], tol)
-    return MinCopResult(float(e1_star[0]), -float(negative_cop[0]), window)
-
-
-def _rows(params: ModelParams, **extra) -> dict[str, np.ndarray]:
-    """A validated batch's table: one read-only column per field and extra, broadcast."""
-    columns = {**params.as_dict(), **extra}
-    shape = np.broadcast_shapes(*map(np.shape, columns.values()))
-    return {name: np.broadcast_to(value, shape) for name, value in columns.items()}
-
-
-def _concat(tables: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Tables with the same columns, one after another; no tables make no columns."""
-    names = tables[0] if tables else {}
-    return {name: np.concatenate([table[name] for table in tables]) for name in names}
-
-
 def sweep_fig3(points: int = 200, gammas: tuple[float, ...] | None = None) -> dict[str, np.ndarray]:
     """Cooling current and coherence change versus engine-bath coldness.
 
     One curve per coupling value of the reference refrigerator with
     T1 = T2, over beta3 from 0.01 to beta2; the default couplings bracket
     its critical coupling.  The coherence change is relative to the
-    degenerate-bath point T3 = T2.
+    degenerate-bath point T3 = T2.  All curves are one batch, coupling-major.
     """
     _check_points(points)
     ref = replace(REFERENCE, t1=REFERENCE.t2)
-    e1, e3, t2 = ref.e1, ref.e3, ref.t2
     if gammas is None:
-        gammas = (0.48, 0.49, critical_gamma(e1, e3), 0.50)
-    beta3 = np.linspace(0.01, 1.0 / t2, points)
-    curves = []
-    for gamma in gammas:
-        frame = resonant_frame(e1, e3, gamma)
-        base_coh = virtual_coherence(frame, tilde_populations(frame, t2, t2))
-        params = replace(ref, gamma=gamma, t3=1.0 / beta3)
-        pops = tilde_populations(frame, t2, params.t3, t1=params.t1)
-        curves.append(_rows(
-            params,
-            beta3=beta3,
-            q1g=-0.25 * ref.g * deviation_coefficient(pops, ref.p, ref.g) * e1,
-            delta_c=virtual_coherence(frame, pops) - base_coh,
-        ))
-    return _concat(curves)
+        gammas = (0.48, 0.49, critical_gamma(ref.e1, ref.e3), 0.50)
+    gamma = np.array(gammas, dtype=float)[:, None]
+    beta3 = np.linspace(0.01, 1.0 / ref.t2, points)
+    table = closed_form_table(replace(ref, gamma=gamma, t3=1.0 / beta3))
+    degenerate = closed_form_table(replace(ref, gamma=gamma, t3=ref.t2))
+    return {
+        **table,
+        "beta3": np.tile(beta3, gamma.size),
+        "delta_c": table["coherence"] - np.repeat(degenerate["coherence"], points),
+    }
 
 
 def sweep_fig4(
@@ -480,30 +426,22 @@ def sweep_fig4(
     """COPs and coherence versus target gap inside each cooling window.
 
     One curve per coupling value (default 0.2, 0.4, 0.6) of the reference
-    refrigerator; all windows are searched in one batch.
+    refrigerator; all windows are searched in one batch, and all curves are
+    one batch, window-major.
     """
     _check_points(points)
     gammas = gammas if gammas is not None else (0.2, 0.4, 0.6)
+    gamma = np.array(gammas, dtype=float)[:, None]
     # fmax is max(1.0, x) for every x, NaN included
-    models = replace(REFERENCE, e1=np.fmax(1.0, 2.5 * np.array(gammas)),
-                     gamma=np.array(gammas)).as_batch()
+    models = replace(REFERENCE, e1=np.fmax(1.0, 2.5 * gamma), gamma=gamma)
     windows = _raise_first(cooling_windows(models))
-    curves = []
-    for i, window in enumerate(windows):
-        params = replace(models.take(i), e1=np.linspace(window.left, window.right, points))
-        frame = resonant_frame(params.e1, params.e3, params.gamma)
-        pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-        currents = currents_closed(params, frame, pops,
-                                   deviation_coefficient(pops, params.p, params.g))
-        curves.append(_rows(
-            params,
-            eta_g=cop_g(frame),
-            eta_tot=currents["q1"] / currents["q3"],
-            coherence=virtual_coherence(frame, pops),
-            window_left=window.left,
-            window_right=window.right,
-        ))
-    return _concat(curves), dict(zip(gammas, windows))
+    lefts, rights = np.array([(w.left, w.right) for w in windows]).T
+    table = closed_form_table(replace(models, e1=np.linspace(lefts, rights, points, axis=1)))
+    return {
+        **table,
+        "window_left": np.repeat(lefts, points),
+        "window_right": np.repeat(rights, points),
+    }, dict(zip(gammas, windows))
 
 
 def sweep_fig5(
@@ -516,31 +454,26 @@ def sweep_fig5(
 
     One curve per coupling value (default 0.1, 0.2, 0.3) of the reference
     refrigerator, whose cold-bath temperature is set to the virtual
-    temperature at every point (the d = 0 surface).  Points with a
-    nonpositive virtual temperature are skipped and reported separately.
+    temperature at every point (the d = 0 surface).  A point needs
+    0 < Tv < T2 to be a refrigerator with a Carnot COP; the others (Tv NaN
+    at its pole among them) are skipped and reported separately with Tv.
+    All curves are one batch, coupling-major.
     """
     _check_points(points)
     gammas = gammas if gammas is not None else (0.1, 0.2, 0.3)
-    e1, e3, t2 = REFERENCE.e1, REFERENCE.e3, REFERENCE.t2
+    t2 = REFERENCE.t2
     if beta3_hi is None:
         beta3_hi = 1.0 / t2 - 1e-4  # the Carnot ratio is 0/0 at beta3 = beta2
     beta3 = np.linspace(beta3_lo, beta3_hi, points)
-    curves, skipped = [], []
-    for gamma in gammas:
-        frame = resonant_frame(e1, e3, gamma)
-        pops = tilde_populations(frame, t2, 1.0 / beta3)
-        tv = virtual_temperature(frame, pops)
-        keep = tv > 0.0
-        skipped += [{"gamma": gamma, "beta3": b, "tv": v}
-                    for b, v in zip(beta3[~keep].tolist(), tv[~keep].tolist())]
-        params = replace(REFERENCE, gamma=gamma, t1=tv[keep], t3=1.0 / beta3[keep])
-        curves.append(_rows(
-            params,
-            beta3=beta3[keep],
-            eta_ratio=cop_g(frame) / cop_carnot(params.t1, t2, params.t3),
-            coherence=virtual_coherence(frame, pops)[keep],
-        ))
-    return _concat(curves), skipped
+    grid = closed_form_table(replace(REFERENCE, gamma=np.array(gammas, dtype=float)[:, None],
+                                     t3=1.0 / beta3))
+    beta3, tv = np.tile(beta3, len(gammas)), grid["tv"]
+    keep = (tv > 0.0) & (tv < t2)
+    skipped = [{"gamma": g, "beta3": b, "tv": v} for g, b, v in
+               zip(grid["gamma"][~keep].tolist(), beta3[~keep].tolist(), tv[~keep].tolist())]
+    table = closed_form_table(replace(REFERENCE, gamma=grid["gamma"][keep], t1=tv[keep],
+                                      t3=grid["t3"][keep]))
+    return {**table, "beta3": beta3[keep], "eta_ratio": table["eta_g"] / table["eta_c"]}, skipped
 
 
 def sweep(spec: SweepSpec) -> tuple[dict[str, np.ndarray], list[dict]]:
@@ -562,22 +495,7 @@ def sweep(spec: SweepSpec) -> tuple[dict[str, np.ndarray], list[dict]]:
         skipped = [{"axis": spec.axis, "value": value, "reason": str(outcome)}
                    for value, outcome, kept in zip(values.tolist(), outcomes, keep) if not kept]
         params = replace(spec.base, **{field: axis[keep]})
-    frame = resonant_frame(params.e1, params.e3, params.gamma)
-    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-    decomp = steady_coefficients(pops, params.p, params.g)
-    currents = currents_closed(params, frame, pops, decomp.d)
-    return _rows(
-        params,
-        axis_value=values[keep],
-        d=decomp.d,
-        q1g=currents["q1g"],
-        q23=currents["q23"],
-        eta_g=cop_g(frame, masked=True),
-        eta_tot=currents["q1"] / np.where(currents["q3"] != 0.0, currents["q3"], np.nan),
-        tv=virtual_temperature(frame, pops, masked=True),
-        t1s=local_target_temperature(decomp.a1, params.e1, masked=True),
-        coherence=virtual_coherence(frame, pops),
-    ), skipped
+    return {**closed_form_table(params), "axis_value": values[keep]}, skipped
 
 
 def _draw_model(rng: np.random.Generator, spec: EnsembleSpec) -> ModelParams:
@@ -629,27 +547,22 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     models = _stack([model for model, _ in accepted])
     windows = _solve_windows(models, [outcome for _, outcome in accepted])
     results = maximize_cooling_powers(models, windows)
-    params = replace(models, e1=np.array([r.e1_star for r in results]))
-    frame = resonant_frame(params.e1, params.e3, params.gamma)
-    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-    currents = currents_closed(params, frame, pops, deviation_coefficient(pops, params.p, params.g))
-    x = params.gamma / params.e3
+    table = closed_form_table(replace(models, e1=np.array([r.e1_star for r in results])))
+    x = table["gamma"] / table["e3"]
     eta_star = np.array([r.eta_g_star for r in results])
     upper = [eta_star_max(spec.eta_c, v) for v in x.tolist()]
     lower = [eta_star_min(v) for v in x.tolist()]
     near_bound = [int(((hi - eta) / (hi - lo) if hi > lo else 0.0) < 0.05)
                   for hi, lo, eta in zip(upper, lower, eta_star.tolist())]
-    table = _rows(
-        params,
+    table.update(
         gamma_over_e3=x,
         eta_star=eta_star,
         eta_star_ratio=eta_star / spec.eta_c,
-        eta_star_max=upper,
-        eta_star_min=lower,
-        eta_tot_star=currents["q1"] / currents["q3"],
-        coherence=virtual_coherence(frame, pops),
-        q1g_max=[r.q1g_max for r in results],
-        near_bound=near_bound,
+        eta_star_max=np.array(upper),
+        eta_star_min=np.array(lower),
+        eta_tot_star=table["eta_tot"],
+        q1g_max=np.array([r.q1g_max for r in results]),
+        near_bound=np.array(near_bound),
     )
     # every spec field, the ranges as lists, which is how the CSV metadata prints them
     spec_fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(spec).items()}
@@ -674,12 +587,12 @@ def high_temperature_saturation(
     results = maximize_cooling_powers(models)
     e1_star, eta_star = np.array([(r.e1_star, r.eta_g_star) for r in results]).T
     bound = np.array([eta_star_max(eta_c, v) for v in x.tolist()])
-    return _rows(
-        replace(models, e1=e1_star),
-        gamma_over_e3=x,
-        kappa=kappa,
-        eta_star=eta_star,
-        eta_star_bound=bound,
-        rel_gap=(bound - eta_star) / bound,
-        e1_over_t1=e1_star / models.t1,
-    )
+    return {
+        **replace(models, e1=e1_star).as_batch().as_dict(),
+        "gamma_over_e3": x,
+        "kappa": kappa,
+        "eta_star": eta_star,
+        "eta_star_bound": bound,
+        "rel_gap": (bound - eta_star) / bound,
+        "e1_over_t1": e1_star / models.t1,
+    }

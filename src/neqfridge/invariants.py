@@ -21,7 +21,7 @@ import numpy as np
 from .dissipation import reset_channel, tilde_channel
 from .errors import DegenerateSteadyStateError
 from .linalg import density_matrix_defects, hermiticity_defect
-from .model import ModelParams, resolve_resonance, thermal_population, tilde_populations
+from .model import ModelParams, resonant_frame, thermal_population, tilde_populations
 from .observables import heat_currents
 from .steadystate import family_operators, solve_oracle
 
@@ -64,7 +64,7 @@ def validate(params: ModelParams, tol: float = 1e-8, rng: np.random.Generator | 
     :func:`neqfridge.model.tilde_populations`; a wrong law fails them.  The
     oracle solve and the later groups use the model's own populations.
     """
-    frame = resolve_resonance(params)
+    frame = resonant_frame(params.e1, params.e3, params.gamma)
     law = tilde_populations(frame, params.t2, params.t3, t1=params.t1, population=population)
     pop_values = (law.r1, law.r22, law.r23, law.r32, law.r33, law.rtilde2, law.rtilde3)
     groups = {

@@ -39,7 +39,7 @@ class ModelParams:
     Construction checks every element, rule by rule, and reports the first
     broken rule at its first broken element.  The spiral gap E2 is never an
     input: it is fixed by the resonance condition (see
-    :func:`resolve_resonance`), and the dressed engine gap eps3 it implies
+    :func:`resonant_frame`), and the dressed engine gap eps3 it implies
     must be positive.  Temperatures must satisfy T1 <= T2 <= T3, and every
     field must be finite.
     """
@@ -249,11 +249,6 @@ def resonant_frame(e1, e3, gamma) -> Frame:
     )
 
 
-def resolve_resonance(params: ModelParams) -> Frame:
-    """Frame for a full parameter set."""
-    return resonant_frame(params.e1, params.e3, params.gamma)
-
-
 def thermal_population(energy, temperature):
     """Excited-state population of a thermal qubit, 1/(1 + exp(E/T)), elementwise."""
     if np.any((energy <= 0) | (temperature <= 0)):
@@ -355,12 +350,6 @@ def tilde_populations(frame: Frame, t2, t3, t1=None,
         rtilde2=c2 * r22 + s2 * r23, rtilde3=c2 * r33 + s2 * r32,
         r1=None if t1 is None else _population(frame.e1, t1),
     )
-
-
-def thermal_populations(params: ModelParams, frame: Frame | None = None) -> ThermalPopulations:
-    """Full population set (including the target) for a parameter point."""
-    frame = frame if frame is not None else resolve_resonance(params)
-    return tilde_populations(frame, params.t2, params.t3, t1=params.t1)
 
 
 def virtual_temperature(frame: Frame, pops: ThermalPopulations, masked: bool = False):

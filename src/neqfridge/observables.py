@@ -5,6 +5,12 @@ against each dissipator at the steady state, and through closed forms in the
 deviation coefficient d.  The tripartite-interaction currents Q_i^g isolate
 the part of the flow caused by the weak three-body coupling; the machine
 COP eta_g = Q1^g / Q3^g depends only on the diagonalization frame.
+
+:func:`closed_form_table` is the one closed-form chain from parameters to
+observables (frame, populations, coefficients, currents, then the COPs, the
+virtual temperature, the target temperature and the coherence), evaluated
+on a batch of models; every sweep, figure and ensemble row and the
+``steady`` performance block read it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipation import GeneratorParts
-from .errors import NonCoolingRegimeError, ParameterError, PopulationInversionError, VirtualTemperaturePoleError
+from .errors import NonCoolingRegimeError, ParameterError, PopulationInversionError
 from .model import (
     SIGMA_Z2,
     SIGMA_Z3,
@@ -23,10 +29,11 @@ from .model import (
     ModelParams,
     ThermalPopulations,
     resonant_frame,
+    tilde_populations,
     virtual_coherence,
     virtual_temperature,
 )
-from .steadystate import SteadyStateResult
+from .steadystate import SteadyStateResult, steady_coefficients
 
 
 @dataclass(frozen=True)
@@ -60,19 +67,11 @@ class CurrentReport:
             abs(self.q3 - self.q3_closed),
         )
 
-
-@dataclass(frozen=True)
-class PerformanceReport:
-    """COPs, reference bounds and the temperatures reached."""
-
-    eta_g: float | None
-    eta_tot: float | None
-    eta_c: float
-    eta_tilde: float | None
-    tv: float | None
-    t1s: float | None
-    coherence: float
-    cooling: bool
+    @property
+    def eta_tot(self) -> float | None:
+        """Total-current COP q1/q3, or None where q3 is within the two
+        routes' disagreement and so rounding noise."""
+        return self.q1 / self.q3 if abs(self.q3) > self.max_route_delta else None
 
 
 def product_state(frame: Frame, pops: ThermalPopulations) -> np.ndarray:
@@ -187,12 +186,17 @@ def cop_carnot(t1: float, t2: float, t3: float) -> float:
     return (b2 - b3) / (b1 - b2)
 
 
-def cop_tilde(pops: ThermalPopulations, t1: float) -> float:
-    """Current ratio of the dressed two-qubit picture, (bt2 - bt3)/(b1 - bt2)."""
-    b1 = 1.0 / t1
-    if b1 == pops.btilde2:
-        raise ParameterError("dressed COP undefined: beta1 equals dressed beta2")
-    return (pops.btilde2 - pops.btilde3) / (b1 - pops.btilde2)
+def cop_tilde(pops: ThermalPopulations, t1):
+    """Current ratio of the dressed two-qubit picture, (bt2 - bt3)/(b1 - bt2).
+
+    NaN where beta1 equals the dressed beta~2, at which the ratio is undefined.
+    """
+    bt2 = pops.btilde2
+    denominator = 1.0 / t1 - bt2
+    invalid = denominator == 0.0
+    if not np.any(invalid):
+        return (bt2 - pops.btilde3) / denominator
+    return np.where(invalid, np.nan, (bt2 - pops.btilde3) / np.where(invalid, 1.0, denominator))
 
 
 def max_cop_identity(frame: Frame, pops: ThermalPopulations, t1: float) -> float:
@@ -257,41 +261,47 @@ def local_target_temperature(a1, e1, masked: bool = False):
     return np.where(invalid, np.nan, temperature) if np.any(invalid) else temperature
 
 
-def performance_report(
-    params: ModelParams,
-    frame: Frame,
-    pops: ThermalPopulations,
-    steady: SteadyStateResult,
-    currents: CurrentReport,
-) -> PerformanceReport:
-    """Collect COPs, bounds and achieved temperatures for one point."""
-    try:
-        eta_g = cop_g(frame)
-    except NonCoolingRegimeError:
-        eta_g = None
-    # a q3 within the two current routes' disagreement is rounding noise
-    resolved = abs(currents.q3) > currents.max_route_delta
-    eta_tot = currents.q1 / currents.q3 if resolved else None
-    eta_c = cop_carnot(params.t1, params.t2, params.t3) if params.t1 < params.t2 else math.inf
-    try:
-        eta_tilde = cop_tilde(pops, params.t1)
-    except ParameterError:
-        eta_tilde = None
-    try:
-        tv = virtual_temperature(frame, pops)
-    except VirtualTemperaturePoleError:
-        tv = None
-    try:
-        t1s = local_target_temperature(steady.decomposition.a1, params.e1)
-    except PopulationInversionError:
-        t1s = None
-    return PerformanceReport(
-        eta_g=eta_g,
-        eta_tot=eta_tot,
-        eta_c=eta_c,
-        eta_tilde=eta_tilde,
-        tv=tv,
-        t1s=t1s,
-        coherence=virtual_coherence(frame, pops),
-        cooling=currents.q1g > 0.0,
-    )
+def closed_form_table(params: ModelParams) -> dict[str, np.ndarray]:
+    """The closed-form observables of each model of ``params`` (one model, or
+    a batch whose fields broadcast), as 1-D columns over ``params.as_batch()``.
+
+    Columns: the eight parameter fields; the deviation d, the bath currents
+    q1 and q3, the cooling current q1g and the internal current q23; the
+    machine COP eta_g, the total-current COP eta_tot = q1/q3, the Carnot COP
+    eta_c, the dressed COP eta_tilde; the virtual temperature tv, the target
+    temperature t1s and the virtual-qubit coherence.  An observable that is
+    undefined at a point is NaN there: eta_g past the cooling condition,
+    eta_tot at q3 = 0, eta_c at beta1 <= beta2, eta_tilde at beta1 =
+    beta~2, tv at its pole and t1s where the target's Bloch component a1 is
+    not in (-1, 0].  The chain runs on the fields' own shapes, so one model
+    is evaluated on scalars, and the columns are broadcast and flattened at
+    the end.
+    """
+    frame = resonant_frame(params.e1, params.e3, params.gamma)
+    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
+    decomp = steady_coefficients(pops, params.p, params.g)
+    currents = currents_closed(params, frame, pops, decomp.d)
+    q3 = currents["q3"]
+    t1, t2, t3 = np.broadcast_arrays(params.t1, params.t2, params.t3)
+    cold = 1.0 / t1 > 1.0 / t2
+    eta_c = np.full(cold.shape, np.nan)
+    eta_c[cold] = cop_carnot(t1[cold], t2[cold], t3[cold])
+    columns = {
+        **params.as_dict(),
+        "d": decomp.d,
+        "q1": currents["q1"],
+        "q3": q3,
+        "q1g": currents["q1g"],
+        "q23": currents["q23"],
+        "eta_g": cop_g(frame, masked=True),
+        "eta_tot": currents["q1"] / np.where(q3 != 0.0, q3, np.nan),
+        "eta_c": eta_c,
+        "eta_tilde": cop_tilde(pops, params.t1),
+        "tv": virtual_temperature(frame, pops, masked=True),
+        "t1s": local_target_temperature(decomp.a1, params.e1, masked=True),
+        "coherence": virtual_coherence(frame, pops),
+    }
+    block = np.empty((len(columns),) + np.broadcast(*columns.values()).shape)
+    for i, value in enumerate(columns.values()):
+        block[i] = value
+    return dict(zip(columns, block.reshape(len(columns), -1)))

@@ -1,9 +1,14 @@
+import importlib.util
+import sys
+from dataclasses import dataclass
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neqfridge import ModelParams
+from neqfridge import CoolingWindow, ModelParams, cooling_window, cop_g, resonant_frame
+from neqfridge.experiments import _brent_max, _chandrupatla
 from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 # canonical benchmark point used throughout the suite
@@ -26,6 +31,16 @@ def random_feasible(rng: np.random.Generator) -> ModelParams:
         p=rng.uniform(0.002, 0.03),
         g=rng.uniform(0.002, 0.03),
     )
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, which draws its seeded oracle points."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def random_hermitian(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
@@ -159,6 +174,37 @@ def golden_max(func, a: float, b: float, tol: float) -> tuple[float, float]:
             f1 = func(x1)
     x = 0.5 * (a + b)
     return x, func(x)
+
+
+# One-element calls of the package's batched searches, for scalar checks.
+
+def find_root(func, a: float, b: float, tol: float = 1e-10) -> float:
+    """Root of func in a sign-change bracket [a, b] by the package's
+    Chandrupatla search, one evaluation per step."""
+    batch = lambda x, _: np.array([func(v) for v in x.tolist()])
+    return float(_chandrupatla(batch, [a], [b], [func(a)], [func(b)], tol)[0])
+
+
+def golden_section_max(func, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
+    """Maximizer of a unimodal function on [a, b] and its value, by the
+    package's Brent search, one evaluation per step."""
+    x, fx = _brent_max(lambda x, _: np.array([func(v) for v in x.tolist()]), [a], [b], tol)
+    return float(x[0]), float(fx[0])
+
+
+@dataclass(frozen=True)
+class MinCopResult:
+    e1_star: float
+    eta_g_min: float
+    window: CoolingWindow
+
+
+def minimize_cop(base: ModelParams, tol: float = 1e-8) -> MinCopResult:
+    """Minimize the machine COP over the cooling window of one model by Brent's method."""
+    window = cooling_window(base)
+    e1_star, negative_cop = _brent_max(lambda x, _: -cop_g(resonant_frame(x, base.e3, base.gamma)),
+                                       [window.left], [window.right], tol)
+    return MinCopResult(float(e1_star[0]), -float(negative_cop[0]), window)
 
 
 def per_cell_csv(metadata: dict, columns: list[str], rows: list[dict], version: str) -> str:

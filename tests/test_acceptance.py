@@ -36,13 +36,11 @@ from neqfridge import (
     virtual_temperature,
 )
 from neqfridge.dissipation import build_generator_parts, reset_channel, tilde_channel
-from neqfridge.experiments import find_root
 from neqfridge.linalg import hermiticity_defect
-from neqfridge.model import thermal_populations
 from neqfridge.observables import currents_closed
 from neqfridge.steadystate import family_operators, steady_coefficients
 
-from conftest import P0, random_feasible, random_hermitian
+from conftest import P0, find_root, random_feasible, random_hermitian
 
 
 def test_criterion_1_oracle_equivalence():
@@ -151,7 +149,7 @@ def test_criterion_5_fig4_reproduction():
             params = ModelParams(e1=edge, e3=4.0, gamma=gamma,
                                  t1=4.0 / 3.0, t2=2.0, t3=4.0, p=0.01, g=0.01)
             frame = resonant_frame(edge, 4.0, gamma)
-            pops = thermal_populations(params, frame)
+            pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
             d = steady_coefficients(pops, params.p, params.g).d
             closed = currents_closed(params, frame, pops, d)
             worst_tot = max(worst_tot, abs(closed["q1"] / closed["q3"]))

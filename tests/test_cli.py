@@ -130,6 +130,16 @@ class TestSteadyCommand:
         report = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert (report["performance"]["eta_tot"] is not None) == resolved
 
+    def test_cold_point_reports_t1s_as_null(self, tmp_path):
+        # the closed-form a1 is -1.0 exactly here, outside the range of a
+        # temperature; the report masks it instead of exiting 2
+        out = tmp_path / "steady.json"
+        assert main(["steady", "--t1", "0.01", "--t2", "0.02", "--t3", "0.03",
+                     "--out", str(out)]) == 0
+        performance = json.loads(out.read_text(), parse_constant=_reject_constant)["performance"]
+        assert performance["t1s"] is None
+        assert performance["tv"] == pytest.approx(0.028144787439425716, rel=1e-12)
+
     def test_equal_temperatures_write_strict_json(self, tmp_path):
         # eta_c is infinite at T1 = T2; strict JSON has no Infinity
         out = tmp_path / "steady.json"
@@ -221,6 +231,19 @@ class TestFigureCommand:
         assert main(["figure", "fig5", "--points", "15", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig5a.csv").exists()
         assert (tmp_path / "fig5b.csv").exists()
+
+    @pytest.mark.parametrize("gamma, skipped", [("0.49", 49), ("0.5", 200)])
+    def test_fig5_skips_points_without_a_cold_virtual_temperature(self, tmp_path, gamma, skipped):
+        # a point with Tv >= T2 (2.07 at beta3 = 0.01 for gamma = 0.49) is skipped,
+        # not built as a model with T1 > T2; with every point skipped the files hold headers only
+        assert main(["figure", "fig5", "--gamma", gamma, "--out", str(tmp_path)]) == 0
+        for suffix, own in (("a", "eta_ratio"), ("b", "coherence")):
+            lines = (tmp_path / f"fig5{suffix}.csv").read_text().splitlines()
+            assert f"# skipped_points: {skipped}" in lines
+            data = [l for l in lines if not l.startswith("#")]
+            assert data[0] == f"beta3,gamma,e1,e3,t1,t2,t3,p,g,{own}"
+            assert len(data) == 1 + 200 - skipped
+            assert all(0.0 < float(row.split(",")[4]) < 2.0 for row in data[1:])
 
     def test_fig6_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"

@@ -14,12 +14,7 @@ from neqfridge import (
 )
 from neqfridge.dissipation import LindbladChannel, build_generator_parts
 from neqfridge.linalg import IDENTITY_2, SIGMA_PLUS, hermiticity_defect, vec
-from neqfridge.model import (
-    build_hamiltonians,
-    resolve_resonance,
-    resonant_frame,
-    thermal_populations,
-)
+from neqfridge.model import build_hamiltonians, resonant_frame, tilde_populations
 from neqfridge.observables import product_state
 from neqfridge.steadystate import family_operators
 
@@ -159,7 +154,7 @@ class TestJumpOperators:
         rng = np.random.default_rng(13)
         for _ in range(5):
             params = random_feasible(rng)
-            frame = resolve_resonance(params)
+            frame = resonant_frame(params.e1, params.e3, params.gamma)
             hfridge = build_hamiltonians(params, frame).hfridge
             for jump, (nu, _, _) in zip(jump_operator_set(frame), JUMP_SPECS):
                 frequency = frame.eps2 if nu == 2 else frame.eps3
@@ -221,8 +216,8 @@ class TestFridgeChannel:
     def test_detailed_balance_per_transition(self, p0):
         # each single-transition channel alone drives its dressed qubit
         # toward the Boltzmann ratio of its own bath
-        frame = resolve_resonance(p0)
-        pops = thermal_populations(p0, frame)
+        frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
+        pops = tilde_populations(frame, p0.t2, p0.t3, t1=p0.t1)
         jumps = jump_operator_set(frame)
         for k, (nu, mu, _) in enumerate(JUMP_SPECS):
             r = pops.r(nu, mu)
@@ -240,15 +235,15 @@ class TestFridgeChannel:
 class TestTildeChannel:
     def test_equals_reset_without_coupling(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
-        frame = resolve_resonance(params)
-        pops = thermal_populations(params, frame)
+        frame = resonant_frame(params.e1, params.e3, params.gamma)
+        pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
         local = tilde_channel(2, frame, pops, params.p).superoperator()
         reset = reset_channel(2, params.p, pops.rtilde2).superoperator()
         assert np.max(np.abs(local - reset)) < 1e-15
 
     def test_fixed_point(self, p0):
-        frame = resolve_resonance(p0)
-        pops = thermal_populations(p0, frame)
+        frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
+        pops = tilde_populations(frame, p0.t2, p0.t3, t1=p0.t1)
         rho0 = product_state(frame, pops)
         for nu in (2, 3):
             assert np.max(np.abs(tilde_channel(nu, frame, pops, p0.p).apply(rho0))) < 1e-15
@@ -292,8 +287,8 @@ class TestLiouvillian:
 
     def test_uncoupled_case_is_sum_of_resets(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
-        frame = resolve_resonance(params)
-        pops = thermal_populations(params, frame)
+        frame = resonant_frame(params.e1, params.e3, params.gamma)
+        pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
         hams = build_hamiltonians(params, frame)
         from neqfridge.linalg import commutator_superop
 
@@ -305,8 +300,8 @@ class TestLiouvillian:
 
     def test_decoupled_target_product_annihilated(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
-        frame = resolve_resonance(params)
-        pops = thermal_populations(params, frame)
+        frame = resonant_frame(params.e1, params.e3, params.gamma)
+        pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
         residual = assemble_liouvillian(build_generator_parts(params)) @ vec(product_state(frame, pops))
         assert np.max(np.abs(residual)) < 1e-12
 

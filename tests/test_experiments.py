@@ -18,7 +18,6 @@ from neqfridge import (
     eta_star_min,
     high_temperature_saturation,
     maximize_cooling_power,
-    minimize_cop,
     random_ensemble,
     resonant_frame,
     sweep,
@@ -34,18 +33,11 @@ from neqfridge.experiments import (
     cooling_windows,
     deviation,
     extracted_current,
-    find_root,
-    golden_section_max,
     log_odds_gap,
     maximize_cooling_powers,
 )
 from neqfridge.errors import ParameterError
-from neqfridge.model import (
-    thermal_populations,
-    tilde_populations,
-    virtual_coherence,
-    virtual_temperature,
-)
+from neqfridge.model import tilde_populations, virtual_coherence, virtual_temperature
 from neqfridge.observables import (
     cooling_condition,
     cop_carnot,
@@ -55,7 +47,7 @@ from neqfridge.observables import (
 )
 from neqfridge.steadystate import steady_coefficients
 
-from conftest import bisect_root, golden_max
+from conftest import bisect_root, find_root, golden_max, golden_section_max, minimize_cop
 
 FIG4_BASE = ModelParams(e1=1.0, e3=4.0, gamma=0.2, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
 
@@ -506,12 +498,12 @@ class TestFig4Sweep:
                 pops = tilde_populations(frame, 2.0, 4.0)
                 # thermodynamic COP vanishes where the extracted current does
                 base = replace(FIG4_BASE, gamma=gamma, e1=edge)
-                from neqfridge.model import thermal_populations
                 from neqfridge.observables import currents_closed
                 from neqfridge.steadystate import steady_coefficients
 
-                d = steady_coefficients(thermal_populations(base), base.p, base.g).d
-                closed = currents_closed(base, frame, thermal_populations(base), d)
+                base_pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
+                d = steady_coefficients(base_pops, base.p, base.g).d
+                closed = currents_closed(base, frame, base_pops, d)
                 assert abs(closed["q1"] / closed["q3"]) < 1e-8
                 # frame COP agrees with the dressed endpoint identity
                 assert abs(cop_g(frame) - max_cop_identity(frame, pops, 4.0 / 3.0)) < 1e-10
@@ -524,14 +516,13 @@ class TestFig4Sweep:
     def test_coupling_enhances_cop_and_reduces_total_cop(self):
         # at the shared interior point E1 = 1 the machine COP beats the bare
         # gap ratio while the thermodynamic COP falls below it
-        from neqfridge.model import thermal_populations
         from neqfridge.observables import currents_closed
         from neqfridge.steadystate import steady_coefficients
 
         base = replace(FIG4_BASE, gamma=0.4, e1=1.0)
         frame = resonant_frame(1.0, 4.0, 0.4)
         assert cop_g(frame) > 0.25
-        pops = thermal_populations(base)
+        pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
         d = steady_coefficients(pops, base.p, base.g).d
         closed = currents_closed(base, frame, pops, d)
         assert closed["q1"] / closed["q3"] < 0.25
@@ -769,7 +760,7 @@ def _scalar_max_power(base: ModelParams, window, eta_c: float) -> dict:
     e1, q1g_max = golden_max(power, grid[max(i - 1, 0)], grid[min(i + 1, 399)], tol=1e-8)
     params = replace(base, e1=e1)
     frame = resonant_frame(e1, base.e3, base.gamma)
-    pops = thermal_populations(params, frame)
+    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
     currents = currents_closed(params, frame, pops, steady_coefficients(pops, base.p, base.g).d)
     eta_star = cop_g(frame)
     x = base.gamma / base.e3

@@ -28,7 +28,7 @@ from neqfridge.linalg import (
     rotate_superop,
 )
 from neqfridge.dissipation import reset_channel
-from neqfridge.model import resolve_resonance
+from neqfridge.model import resonant_frame, tilde_populations
 from neqfridge.steadystate import MACHINE_CHARGES
 
 from conftest import random_hermitian
@@ -140,13 +140,12 @@ class TestSteadyNullSpace:
         assert np.max(np.abs(rho - np.kron(taus[0], np.kron(taus[1], taus[2])))) < 1e-12
 
     def test_decoupled_target_gives_dressed_product(self, p0):
-        from neqfridge.model import resolve_resonance, thermal_populations
         from neqfridge.observables import product_state
 
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
         rho = steady_null_space(assemble_liouvillian(build_generator_parts(params)))
-        frame = resolve_resonance(params)
-        pops = thermal_populations(params, frame)
+        frame = resonant_frame(params.e1, params.e3, params.gamma)
+        pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
         assert np.max(np.abs(rho - product_state(frame, pops))) < 1e-12
 
     def test_matches_closed_form_at_benchmark(self, p0):
@@ -191,12 +190,10 @@ class TestPauliBasis:
 
     @pytest.mark.parametrize("case", ["p0_dressed", "p0_lab", "reset_2", "reset_1"])
     def test_real_generator_keeps_the_singular_values(self, p0, case):
-        from neqfridge.model import resolve_resonance
-
         if case.startswith("p0"):
             generator = assemble_liouvillian(build_generator_parts(p0))
             if case == "p0_dressed":
-                generator = rotate_superop(generator, resolve_resonance(p0).dressing)
+                generator = rotate_superop(generator, resonant_frame(p0.e1, p0.e3, p0.gamma).dressing)
         else:
             generator = _reset_generator(int(case[-1]))
         n_qubits = (generator.shape[0].bit_length() - 1) // 2
@@ -246,7 +243,7 @@ class TestChargeBlocks:
     def test_blocks_hold_every_singular_value(self, p0, frame):
         generator = assemble_liouvillian(build_generator_parts(p0))
         if frame == "dressed":
-            generator = rotate_superop(generator, resolve_resonance(p0).dressing)
+            generator = rotate_superop(generator, resonant_frame(p0.e1, p0.e3, p0.gamma).dressing)
         _, t0, block0, blocks, between = charge_sectors(MACHINE_CHARGES)
         assert [generator[block].shape for block in (block0, *blocks)] == [(24, 24), (16, 16), (4, 4)]
         assert np.max(np.abs(generator[between])) <= 1e-15 * np.max(np.abs(generator))

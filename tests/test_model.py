@@ -10,7 +10,6 @@ from neqfridge import (
     ResonanceInfeasibleError,
     VirtualTemperaturePoleError,
     build_hamiltonians,
-    resolve_resonance,
     resonant_frame,
     thermal_population,
     tilde_populations,
@@ -131,7 +130,7 @@ class TestResonantFrame:
         rng = np.random.default_rng(8)
         for _ in range(20):
             params = random_feasible(rng)
-            frame = resolve_resonance(params)
+            frame = resonant_frame(params.e1, params.e3, params.gamma)
             u = frame.unitary
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
             # dressed diagonal transforms back to the machine Hamiltonian
@@ -200,7 +199,7 @@ class TestTildePopulations:
         rng = np.random.default_rng(9)
         for _ in range(10):
             params = random_feasible(rng)
-            frame = resolve_resonance(params)
+            frame = resonant_frame(params.e1, params.e3, params.gamma)
             pops = tilde_populations(frame, params.t2, params.t3)
             c2, s2 = frame.cos_half_sq, frame.sin_half_sq
             assert pops.rtilde2 == pytest.approx(c2 * pops.r22 + s2 * pops.r23, abs=1e-15)
@@ -305,7 +304,7 @@ class TestHamiltonians:
         rng = np.random.default_rng(10)
         for _ in range(10):
             params = random_feasible(rng)
-            frame = resolve_resonance(params)
+            frame = resonant_frame(params.e1, params.e3, params.gamma)
             hams = build_hamiltonians(params, frame)
             for h in (hams.h1, hams.hfridge, hams.hg, hams.htot):
                 assert np.max(np.abs(h - h.conj().T)) < 1e-12
@@ -315,17 +314,17 @@ class TestHamiltonians:
 
     def test_uncoupled_machine_is_diagonal(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
-        hams = build_hamiltonians(params, resolve_resonance(params))
+        hams = build_hamiltonians(params, resonant_frame(params.e1, params.e3, params.gamma))
         assert np.max(np.abs(hams.hfridge - np.diag(np.diag(hams.hfridge)))) == 0.0
 
     def test_no_tripartite_coupling(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
-        hams = build_hamiltonians(params, resolve_resonance(params))
+        hams = build_hamiltonians(params, resonant_frame(params.e1, params.e3, params.gamma))
         assert np.max(np.abs(hams.hg)) == 0.0
 
     def test_interaction_matrix_elements(self, p0):
         # direct assembly from the eigenvector columns as the oracle
-        frame = resolve_resonance(p0)
+        frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
         hams = build_hamiltonians(p0, frame)
         eigvecs = frame.unitary.conj().T
         psi01 = eigvecs[:, 1]
@@ -343,7 +342,7 @@ class TestHamiltonians:
     def test_degenerate_bath_collapse_to_gibbs(self):
         # T2 = T3 makes the dressed product the Gibbs state of the machine
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.35, t1=2.0, t2=2.0, t3=2.0, p=0.01, g=0.01)
-        frame = resolve_resonance(params)
+        frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, 2.0, 2.0, t1=2.0)
         hams = build_hamiltonians(params, frame)
         hfridge4 = hams.hfridge.reshape(2, 4, 2, 4)[0, :, 0, :]

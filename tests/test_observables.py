@@ -9,6 +9,7 @@ from neqfridge import (
     NonCoolingRegimeError,
     ParameterError,
     PopulationInversionError,
+    VirtualTemperaturePoleError,
     analytic_steady_state,
     build_generator_parts,
     cooling_condition,
@@ -22,17 +23,17 @@ from neqfridge import (
     local_target_temperature,
     max_cop_identity,
     numeric_steady_state,
-    performance_report,
     resonant_frame,
-    resolve_resonance,
+    solve_oracle,
     tilde_populations,
     virtual_temperature,
 )
-from neqfridge.model import thermal_populations
-from neqfridge.observables import currents_closed, internal_current
+from neqfridge import observables
+from neqfridge.model import PARAM_NAMES
+from neqfridge.observables import closed_form_table, currents_closed, internal_current
 from neqfridge.steadystate import steady_coefficients
 
-from conftest import P0, random_feasible
+from conftest import P0, benchmark_workloads, find_root, minimize_cop, random_feasible
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +100,8 @@ class TestHeatCurrents:
         rng = np.random.default_rng(23)
         for _ in range(50):
             params = random_feasible(rng)
-            frame = resolve_resonance(params)
-            pops = thermal_populations(params, frame)
+            frame = resonant_frame(params.e1, params.e3, params.gamma)
+            pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
             d = steady_coefficients(pops, params.p, params.g).d
             scalar = currents_closed(params, frame, pops, d)
             if scalar["q1g"] > 0:
@@ -120,8 +121,6 @@ class TestCoolingCondition:
         assert abs(critical_gamma(1.0, 4.0) - math.sqrt(2.0 * math.sqrt(17.0) - 8.0)) < 1e-15
 
     def test_critical_gamma_from_finite_differences(self):
-        from neqfridge.experiments import find_root
-
         def slope(gamma, h=1e-6):
             frame = resonant_frame(1.0, 4.0, gamma)
 
@@ -171,7 +170,7 @@ class TestEndpointIdentity:
             params = random_feasible(rng)
             if not cooling_condition(params.e1, params.e3, params.gamma):
                 continue
-            frame = resolve_resonance(params)
+            frame = resonant_frame(params.e1, params.e3, params.gamma)
             pops = tilde_populations(frame, params.t2, params.t3)
             tv = virtual_temperature(frame, pops)
             if tv <= 0:
@@ -222,8 +221,6 @@ class TestPowerCopBounds:
         assert all(v > 0 for v in values)
 
     def test_lower_bound_matches_window_minimum(self):
-        from neqfridge.experiments import minimize_cop
-
         base = ModelParams(e1=1.0, e3=4.0, gamma=0.2, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
         result = minimize_cop(base)
         assert result.eta_g_min == pytest.approx(eta_star_min(0.05), abs=1e-9)
@@ -231,7 +228,7 @@ class TestPowerCopBounds:
 
 class TestLocalTemperature:
     def test_thermal_state_returns_bath_temperature(self, p0):
-        pops = thermal_populations(p0)
+        pops = tilde_populations(resonant_frame(p0.e1, p0.e3, p0.gamma), p0.t2, p0.t3, t1=p0.t1)
         assert local_target_temperature(pops.s1, p0.e1) == pytest.approx(p0.t1, abs=1e-12)
 
     def test_infinite_temperature_reported(self):
@@ -250,12 +247,108 @@ class TestLocalTemperature:
 
 class TestPerformanceReport:
     def test_benchmark_report(self, benchmark_currents):
-        frame, pops, steady, currents = benchmark_currents
-        report = performance_report(P0, frame, pops, steady, currents)
-        assert report.cooling
-        assert report.eta_g == pytest.approx(0.33112582781456956, abs=1e-12)
-        assert report.eta_c == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 < report.eta_tot < report.eta_g
-        assert report.tv == pytest.approx(0.8251033339169167, abs=1e-10)
-        assert report.t1s < P0.t1
-        assert report.coherence == pytest.approx(0.324776673327092, abs=1e-12)
+        # the `steady` performance block: the closed-form table for one
+        # point, with eta_tot and cooling from the trace-route currents
+        *_, currents = benchmark_currents
+        report = {name: column[0] for name, column in closed_form_table(P0).items()}
+        assert currents.q1g > 0.0  # cooling
+        assert report["eta_g"] == pytest.approx(0.33112582781456956, abs=1e-12)
+        assert report["eta_c"] == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < currents.eta_tot < report["eta_g"]
+        assert report["tv"] == pytest.approx(0.8251033339169167, abs=1e-10)
+        assert report["t1s"] < P0.t1
+        assert report["coherence"] == pytest.approx(0.324776673327092, abs=1e-12)
+
+
+def _oracle_points() -> list[ModelParams]:
+    """The benchmark's 100 seeded oracle points of seed 1."""
+    workloads = benchmark_workloads()
+    return [ModelParams(**point) for point in workloads.oracle_points(1, workloads.ORACLE_POINTS)]
+
+
+def _reference_point(**fields) -> dict[str, float]:
+    """The table of one reference model with ``fields`` replaced, as floats."""
+    table = closed_form_table(replace(P0, **fields))
+    return {name: float(column[0]) for name, column in table.items()}
+
+
+class TestClosedFormTable:
+    COLUMNS = PARAM_NAMES + ("d", "q1", "q3", "q1g", "q23", "eta_g", "eta_tot", "eta_c",
+                             "eta_tilde", "tv", "t1s", "coherence")
+
+    def test_columns(self):
+        table = closed_form_table(replace(P0, t3=np.array([[3.0], [4.0]]), g=np.array([0.01, 0.02])))
+        assert tuple(table) == self.COLUMNS
+        assert all(column.shape == (4,) for column in table.values())
+        assert table["t3"].tolist() == [3.0, 3.0, 4.0, 4.0]
+
+    def test_batch_equals_batches_of_one(self):
+        points = _oracle_points()
+        batch = ModelParams(**{name: np.array([getattr(m, name) for m in points])
+                               for name in PARAM_NAMES})
+        table = closed_form_table(batch)
+        for i, params in enumerate(points):
+            single = closed_form_table(batch.take(slice(i, i + 1)))
+            for name in self.COLUMNS:
+                assert table[name][i:i + 1].tobytes() == single[name].tobytes(), (name, params)
+
+    def test_matches_the_oracle_within_benchmark_bounds(self):
+        # the benchmark's bounds on the oracle points: 1e-8 on a coefficient
+        # delta, 1e-9 on a current route delta
+        for params in _oracle_points():
+            oracle = solve_oracle(params)
+            currents = heat_currents(oracle.parts, oracle.numeric)
+            table = closed_form_table(params)
+            assert abs(table["d"][0] - oracle.numeric.decomposition.d) <= 1e-8
+            assert abs(table["q1g"][0] - currents.q1g) <= 1e-9
+            assert abs(table["q23"][0] - currents.q23) <= 1e-9
+
+    def test_eta_g_is_nan_past_the_cooling_condition(self):
+        with pytest.raises(NonCoolingRegimeError):
+            cop_g(resonant_frame(1.0, 4.0, 0.4999999))
+        assert math.isnan(_reference_point(gamma=0.4999999)["eta_g"])
+        assert _reference_point()["eta_g"] == pytest.approx(0.33112582781456956, abs=1e-15)
+
+    def test_tv_is_nan_at_its_pole(self):
+        # at T = 1e300 every population rounds to 1/2: the virtual qubit's
+        # populations are equal, where the unmasked temperature raises
+        hot = dict(t1=1e300, t2=1e300, t3=1e300)
+        frame = resonant_frame(P0.e1, P0.e3, P0.gamma)
+        with pytest.raises(VirtualTemperaturePoleError):
+            virtual_temperature(frame, tilde_populations(frame, 1e300, 1e300))
+        assert math.isnan(_reference_point(**hot)["tv"])
+
+    def test_t1s_is_nan_where_the_target_is_inverted(self, monkeypatch):
+        # no valid model inverts the target, so the coefficients are shifted
+        # to a1 > 0 here; the table masks the point where the unmasked form raises
+        exact = observables.steady_coefficients
+        monkeypatch.setattr(observables, "steady_coefficients",
+                            lambda pops, p, g: replace(exact(pops, p, g), a1=np.array([0.2])))
+        with pytest.raises(PopulationInversionError):
+            local_target_temperature(0.2, P0.e1)
+        assert math.isnan(_reference_point()["t1s"])
+
+    def test_t1s_is_nan_where_the_closed_form_a1_is_minus_one(self):
+        # at T1 = 0.01 the closed-form a1 rounds to -1.0 exactly
+        point = _reference_point(t1=0.01, t2=0.02, t3=0.03)
+        assert math.isnan(point["t1s"])
+        assert point["tv"] > 0.0
+
+    def test_eta_c_is_nan_at_equal_target_and_spiral_temperatures(self):
+        with pytest.raises(ParameterError):
+            cop_carnot(2.0, 2.0, 4.0)
+        assert math.isnan(_reference_point(t1=2.0)["eta_c"])
+        assert _reference_point()["eta_c"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_eta_tot_is_nan_where_q3_vanishes(self):
+        # without the three-body coupling and with equal machine baths, q3 = 0 exactly
+        point = _reference_point(t3=2.0, g=0.0)
+        assert point["q3"] == 0.0
+        assert math.isnan(point["eta_tot"])
+        reference = _reference_point()
+        assert reference["eta_tot"] == reference["q1"] / reference["q3"]
+
+    def test_eta_tilde_is_nan_where_beta1_equals_dressed_beta2(self):
+        frame = resonant_frame(P0.e1, P0.e3, P0.gamma)
+        pops = tilde_populations(frame, P0.t2, P0.t3)
+        assert math.isnan(cop_tilde(pops, 1.0 / pops.btilde2))

@@ -1,8 +1,5 @@
-import importlib.util
-import sys
 from dataclasses import replace
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,26 +14,18 @@ from neqfridge import (
 )
 from neqfridge.dissipation import assemble_liouvillian, build_generator_parts, reset_channel
 from neqfridge.linalg import density_matrix_defects, rotate_superop
-from neqfridge.model import (
-    build_hamiltonians,
-    resolve_resonance,
-    thermal_populations,
-    tilde_populations,
-)
+from neqfridge.model import build_hamiltonians, resonant_frame, tilde_populations
 from neqfridge.observables import local_target_temperature
 from neqfridge.steadystate import decompose, family_operators, reconstruct_state
 
-from conftest import P0, pauli_null_space, random_feasible, random_hermitian, tilde_operator
-
-
-def benchmark_workloads():
-    """The benchmark's workload module, which draws its seeded oracle points."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return workloads
+from conftest import (
+    P0,
+    benchmark_workloads,
+    pauli_null_space,
+    random_feasible,
+    random_hermitian,
+    tilde_operator,
+)
 
 
 def loop_decompose(rho, frame):
@@ -57,11 +46,12 @@ def loop_decompose(rho, frame):
 
 class TestClosedForm:
     def test_benchmark_deviation(self, p0):
-        decomp = steady_coefficients(thermal_populations(p0), p0.p, p0.g)
+        frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
+        decomp = steady_coefficients(tilde_populations(frame, p0.t2, p0.t3, t1=p0.t1), p0.p, p0.g)
         assert decomp.d == pytest.approx(-0.04775738017024425, abs=1e-14)
 
     def test_no_interaction_gives_product_coefficients(self, p0):
-        pops = thermal_populations(p0)
+        pops = tilde_populations(resonant_frame(p0.e1, p0.e3, p0.gamma), p0.t2, p0.t3, t1=p0.t1)
         decomp = steady_coefficients(pops, p0.p, 0.0)
         assert decomp.d == 0.0
         assert decomp.a1 == pops.s1
@@ -74,15 +64,16 @@ class TestClosedForm:
 
     def test_matched_temperatures_zero_deviation(self):
         # setting the cold bath at the virtual temperature crosses d = 0
-        frame = resolve_resonance(P0)
+        frame = resonant_frame(P0.e1, P0.e3, P0.gamma)
         pops = tilde_populations(frame, P0.t2, P0.t3)
         tv = virtual_temperature(frame, pops)
         params = replace(P0, t1=tv)
-        decomp = steady_coefficients(thermal_populations(params), params.p, params.g)
+        decomp = steady_coefficients(tilde_populations(frame, params.t2, params.t3, t1=params.t1),
+                                     params.p, params.g)
         assert abs(decomp.d) < 1e-14
 
     def test_rate_rescaling_leaves_deviation_invariant(self, p0):
-        pops = thermal_populations(p0)
+        pops = tilde_populations(resonant_frame(p0.e1, p0.e3, p0.gamma), p0.t2, p0.t3, t1=p0.t1)
         d1 = steady_coefficients(pops, p0.p, p0.g).d
         for kappa in (0.1, 3.0, 40.0):
             dk = steady_coefficients(pops, kappa * p0.p, kappa * p0.g).d
@@ -114,7 +105,7 @@ class TestOracleEquivalence:
     def test_doubled_pair_sum_rejected(self, p0):
         # regression guard: counting the population-overlap sum twice
         # changes d well beyond the oracle tolerance
-        pops = thermal_populations(p0)
+        pops = tilde_populations(resonant_frame(p0.e1, p0.e3, p0.gamma), p0.t2, p0.t3, t1=p0.t1)
         numeric = numeric_steady_state(build_generator_parts(p0))
         r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
         num = 48.0 * ((1 - r1) * rt2 * (1 - rt3) - r1 * (1 - rt2) * rt3) * p0.p * p0.g
@@ -125,8 +116,8 @@ class TestOracleEquivalence:
 
     def test_doubled_triple_sum_rejected(self, p0):
         numeric = numeric_steady_state(build_generator_parts(p0))
-        decomp = steady_coefficients(thermal_populations(p0), p0.p, p0.g)
-        pops = thermal_populations(p0)
+        pops = tilde_populations(resonant_frame(p0.e1, p0.e3, p0.gamma), p0.t2, p0.t3, t1=p0.t1)
+        decomp = steady_coefficients(pops, p0.p, p0.g)
         k = (p0.g / p0.p) * decomp.d / 2.0
         six_term_c = (2.0 * (pops.s1 * decomp.b23 + pops.s2 * decomp.b13 + pops.s3 * decomp.b12) - k) / 3.0
         assert abs(six_term_c - numeric.decomposition.c) > 1e-3
@@ -134,8 +125,8 @@ class TestOracleEquivalence:
     def test_flipped_population_exponent_rejected(self, p0):
         # the wrong Boltzmann-exponent sign for the machine populations
         # no longer matches the generator kernel
-        frame = resolve_resonance(p0)
-        pops = thermal_populations(p0, frame)
+        frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
+        pops = tilde_populations(frame, p0.t2, p0.t3, t1=p0.t1)
         flipped = replace(
             pops,
             rtilde2=frame.cos_half_sq * (1 - pops.r22) + frame.sin_half_sq * (1 - pops.r23),
@@ -163,7 +154,7 @@ class TestNumericRoute:
             assert herm < 1e-12 and trace_dev < 1e-12 and min_eig > -1e-10
 
     def test_decompose_reconstruct_round_trip(self, p0):
-        frame = resolve_resonance(p0)
+        frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
         result = analytic_steady_state(build_generator_parts(p0))
         decomp, off = decompose(result.rho, frame)
         assert off < 1e-12
@@ -172,8 +163,12 @@ class TestNumericRoute:
 
     def test_decompose_matches_loop_reference(self, p0):
         rng = np.random.default_rng(23)
-        cases = [(analytic_steady_state(build_generator_parts(p0)).rho, resolve_resonance(p0))]
-        cases += [(random_hermitian(rng), resolve_resonance(random_feasible(rng))) for _ in range(5)]
+        cases = [(analytic_steady_state(build_generator_parts(p0)).rho,
+                  resonant_frame(p0.e1, p0.e3, p0.gamma))]
+        for _ in range(5):
+            rho = random_hermitian(rng)
+            params = random_feasible(rng)
+            cases.append((rho, resonant_frame(params.e1, params.e3, params.gamma)))
         for rho, frame in cases:
             decomp, off = decompose(rho, frame)
             coeffs, ref_off = loop_decompose(rho, frame)
@@ -183,7 +178,7 @@ class TestNumericRoute:
         assert ref_off > 0.1  # a random matrix leaves the family
 
     def test_family_operators_are_orthogonal(self, p0):
-        ops = list(family_operators(resolve_resonance(p0)).values())
+        ops = list(family_operators(resonant_frame(p0.e1, p0.e3, p0.gamma)).values())
         for i, a in enumerate(ops):
             for b in ops[i + 1:]:
                 assert abs(np.trace(a.conj().T @ b)) < 1e-12
@@ -214,8 +209,8 @@ class TestSignChain:
             params = random_feasible(rng)
             if params.t2 == params.t3:
                 continue
-            frame = resolve_resonance(params)
-            pops = thermal_populations(params, frame)
+            frame = resonant_frame(params.e1, params.e3, params.gamma)
+            pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
             decomp = steady_coefficients(pops, params.p, params.g)
             if abs(decomp.d) < 1e-13:
                 continue
@@ -232,7 +227,7 @@ class TestSignChain:
         rng = np.random.default_rng(21)
         for _ in range(10):
             params = random_feasible(rng)
-            frame = resolve_resonance(params)
+            frame = resonant_frame(params.e1, params.e3, params.gamma)
             steady = analytic_steady_state(build_generator_parts(params))
             hams = build_hamiltonians(params, frame)
             a1 = steady.decomposition.a1
