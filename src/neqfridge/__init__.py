@@ -6,12 +6,9 @@ from .errors import (
     DegenerateSteadyStateError,
     EmptyCoolingWindowError,
     NeqFridgeError,
-    NonCoolingRegimeError,
     NonHermitianGeneratorError,
     ParameterError,
-    PopulationInversionError,
     ResonanceInfeasibleError,
-    VirtualTemperaturePoleError,
 )
 from .linalg import steady_null_space, vec
 from .model import (

@@ -161,7 +161,7 @@ def cmd_steady(args) -> int:
         "performance": {
             "eta_g": point["eta_g"], "eta_tot": currents.eta_tot, "eta_c": point["eta_c"],
             "eta_tilde": point["eta_tilde"], "tv": point["tv"], "t1s": point["t1s"],
-            "coherence": point["coherence"], "cooling": currents.q1g > 0.0,
+            "coherence": point["coherence"], "cooling": currents.cooling,
         },
     }, args.out)
     return 0

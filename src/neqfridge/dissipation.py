@@ -98,10 +98,6 @@ def reset_channel(qubit: int, rate: float, population: float, n_qubits: int = 3)
     The excitation weight is rate*r and the decay weight rate*(1-r);
     single-qubit coherences decay at half the reset rate.
     """
-    if not 0.0 < population < 1.0:
-        raise ParameterError(f"population must lie in (0, 1), got {population}")
-    if rate <= 0:
-        raise ParameterError(f"rate must be positive, got {rate}")
     return LindbladChannel(_reset_raising(qubit, n_qubits), rate, (population,))
 
 

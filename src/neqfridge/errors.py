@@ -21,17 +21,5 @@ class NonHermitianGeneratorError(NeqFridgeError):
     """A generator matrix that does not map Hermitian operators to Hermitian ones."""
 
 
-class VirtualTemperaturePoleError(NeqFridgeError):
-    """Virtual-qubit population ratio equals one: infinite virtual temperature."""
-
-
-class NonCoolingRegimeError(NeqFridgeError):
-    """COP denominator is not positive: the machine cannot act as a fridge here."""
-
-
-class PopulationInversionError(NeqFridgeError):
-    """Target-qubit populations are inverted: no positive local temperature."""
-
-
 class EmptyCoolingWindowError(NeqFridgeError):
     """No target-gap interval with a positive extracted heat current."""

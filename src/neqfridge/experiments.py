@@ -149,7 +149,7 @@ def log_odds_gap(e1, base: ModelParams):
     the cooling window is {f < 0}, and f depends on neither p nor g.
     """
     frame = resonant_frame(e1, base.e3, base.gamma)
-    pops = tilde_populations(frame, base.t2, base.t3)
+    pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
     return e1 / base.t1 - pops.virtual_log_odds
 
 
@@ -282,13 +282,12 @@ def _scan_range(models: ModelParams) -> tuple:
     that fails at lo.  The dressed gap eps3 only grows with E1, so a frame
     that holds at lo holds on the whole range.
     """
-    e3, gamma, t1, t2, t3 = models.e3, models.gamma, models.t1, models.t2, models.t3
+    e3, gamma = models.e3, models.gamma
     cold = models.beta1 > models.beta2
     lo = np.where(gamma > 0, 2.0 * gamma * (1.0 + 1e-9), 1e-9 * e3)
-    # the right root never exceeds E3 times the Carnot COP; at gamma = 0 it
-    # sits exactly there, so pad the scan a little past it
-    hi = np.full(e3.shape, np.nan)
-    hi[cold] = e3[cold] * cop_carnot(t1[cold], t2[cold], t3[cold]) * (1.0 + 1e-6)
+    # the right root never exceeds E3 times the Carnot COP (NaN unless cold);
+    # at gamma = 0 it sits exactly there, so pad the scan a little past it
+    hi = e3 * cop_carnot(models.t1, models.t2, models.t3) * (1.0 + 1e-6)
     framed = _gaps(lo, e3, gamma)[2]
     errors = [None] * e3.size
     for i in np.flatnonzero(~(cold & (hi > lo) & framed)).tolist():
@@ -550,19 +549,19 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     table = closed_form_table(replace(models, e1=np.array([r.e1_star for r in results])))
     x = table["gamma"] / table["e3"]
     eta_star = np.array([r.eta_g_star for r in results])
-    upper = [eta_star_max(spec.eta_c, v) for v in x.tolist()]
-    lower = [eta_star_min(v) for v in x.tolist()]
-    near_bound = [int(((hi - eta) / (hi - lo) if hi > lo else 0.0) < 0.05)
-                  for hi, lo, eta in zip(upper, lower, eta_star.tolist())]
+    upper, lower = eta_star_max(spec.eta_c, x), eta_star_min(x)
+    # an undefined (NaN) upper bound is near nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(upper <= lower, 0.0, (upper - eta_star) / (upper - lower))
     table.update(
         gamma_over_e3=x,
         eta_star=eta_star,
         eta_star_ratio=eta_star / spec.eta_c,
-        eta_star_max=np.array(upper),
-        eta_star_min=np.array(lower),
+        eta_star_max=upper,
+        eta_star_min=lower,
         eta_tot_star=table["eta_tot"],
         q1g_max=np.array([r.q1g_max for r in results]),
-        near_bound=np.array(near_bound),
+        near_bound=(ratio < 0.05).astype(int),
     )
     # every spec field, the ranges as lists, which is how the CSV metadata prints them
     spec_fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(spec).items()}
@@ -586,7 +585,7 @@ def high_temperature_saturation(
                      t1=ref.t1 * kappa, t2=ref.t2 * kappa, t3=ref.t3 * kappa)
     results = maximize_cooling_powers(models)
     e1_star, eta_star = np.array([(r.e1_star, r.eta_g_star) for r in results]).T
-    bound = np.array([eta_star_max(eta_c, v) for v in x.tolist()])
+    bound = eta_star_max(eta_c, x)
     return {
         **replace(models, e1=e1_star).as_batch().as_dict(),
         "gamma_over_e3": x,

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, ResonanceInfeasibleError, VirtualTemperaturePoleError
+from .errors import ParameterError, ResonanceInfeasibleError
 from .linalg import pauli_string
 
 # bare three-qubit tables; the Hamiltonians are these times the model's scalars
@@ -251,13 +251,6 @@ def resonant_frame(e1, e3, gamma) -> Frame:
 
 def thermal_population(energy, temperature):
     """Excited-state population of a thermal qubit, 1/(1 + exp(E/T)), elementwise."""
-    if np.any((energy <= 0) | (temperature <= 0)):
-        raise ParameterError(f"need E > 0 and T > 0, got E={energy}, T={temperature}")
-    return _population(energy, temperature)
-
-
-def _population(energy, temperature):
-    """:func:`thermal_population` without its check, for validated gaps and temperatures."""
     x = energy / temperature
     # past E/T = 700 exp would overflow; the population is numerically zero
     return (x <= 700.0) / (1.0 + np.exp(np.minimum(x, 700.0)))
@@ -269,8 +262,8 @@ class ThermalPopulations:
 
     ``r22 .. r33`` are the four bath populations r_{nu,mu} at gap eps_nu and
     bath temperature T_mu; ``rtilde`` are the mixed populations of the
-    dressed qubits at the dressed gaps ``eps2``/``eps3``.  ``r1`` is the
-    target population, only set when a target temperature was supplied.  The
+    dressed qubits at the dressed gaps ``eps2``/``eps3``; ``r1`` is the
+    target population at gap E1 and temperature T1.  The
     effective temperatures ``ttilde``, their inverses ``btilde``, the Bloch
     z components ``s*`` and the virtual qubit's log-odds are derived on
     read, so a caller that needs only the populations (the deviation
@@ -285,7 +278,7 @@ class ThermalPopulations:
     r33: float
     rtilde2: float
     rtilde3: float
-    r1: float | None = None
+    r1: float
 
     def r(self, nu: int, mu: int) -> float:
         return {(2, 2): self.r22, (2, 3): self.r23, (3, 2): self.r32, (3, 3): self.r33}[(nu, mu)]
@@ -313,8 +306,8 @@ class ThermalPopulations:
         return 1.0 / self.ttilde3
 
     @property
-    def s1(self) -> float | None:
-        return None if self.r1 is None else 2.0 * self.r1 - 1.0
+    def s1(self) -> float:
+        return 2.0 * self.r1 - 1.0
 
     @property
     def s2(self) -> float:
@@ -325,19 +318,16 @@ class ThermalPopulations:
         return 2.0 * self.rtilde3 - 1.0
 
 
-def tilde_populations(frame: Frame, t2, t3, t1=None,
-                      population=_population) -> ThermalPopulations:
-    """Populations of the dressed machine qubits.
+def tilde_populations(frame: Frame, t2, t3, t1,
+                      population=thermal_population) -> ThermalPopulations:
+    """Populations of the dressed machine qubits and of the target.
 
     Each dressed qubit is pushed by both baths; the combined fixed point is
     the mixture rtilde_nu = cos^2(theta/2) r_{nu,nu} + sin^2(theta/2) r_{nu,mu}
     and defines the effective temperature ttilde_nu through the Boltzmann
     ratio at gap eps_nu.  ``population(E, T)`` gives the machine-bath
-    populations r_{nu,mu}.  The gaps come from a checked frame, so one check
-    of the temperatures, the target's included, covers the population law.
+    populations r_{nu,mu}; the target's r1 always follows the thermal law.
     """
-    _require((t2 > 0) & (t3 > 0) & (t1 is None or t1 > 0), ParameterError,
-             "temperatures must be positive: T=({}, {}, {})", t1, t2, t3)
     c2 = frame.cos_half_sq
     s2 = frame.sin_half_sq
     r22 = population(frame.eps2, t2)
@@ -348,24 +338,26 @@ def tilde_populations(frame: Frame, t2, t3, t1=None,
         eps2=frame.eps2, eps3=frame.eps3,
         r22=r22, r23=r23, r32=r32, r33=r33,
         rtilde2=c2 * r22 + s2 * r23, rtilde3=c2 * r33 + s2 * r32,
-        r1=None if t1 is None else _population(frame.e1, t1),
+        r1=thermal_population(frame.e1, t1),
     )
 
 
-def virtual_temperature(frame: Frame, pops: ThermalPopulations, masked: bool = False):
+def quotient(numerator, denominator, defined):
+    """numerator / denominator where ``defined`` holds and NaN elsewhere,
+    elementwise, without dividing at the undefined points."""
+    if np.all(defined):
+        return numerator / denominator
+    return np.where(defined, numerator / np.where(defined, denominator, 1.0), np.nan)
+
+
+def virtual_temperature(frame: Frame, pops: ThermalPopulations):
     """Effective temperature of the virtual qubit from its population ratio.
 
-    Raises :class:`VirtualTemperaturePoleError` at the pole where the two
-    singly-excited machine eigenstates are equally populated; with
-    ``masked`` the pole points are NaN instead.
+    NaN at the pole where the two singly-excited machine eigenstates are
+    equally populated.
     """
     log_ratio = pops.virtual_log_odds
-    pole = log_ratio == 0.0
-    if not np.any(pole):
-        return (frame.eps2 - frame.eps3) / log_ratio
-    if not masked:
-        raise VirtualTemperaturePoleError("virtual-qubit populations are equal")
-    return np.where(pole, np.nan, (frame.eps2 - frame.eps3) / np.where(pole, 1.0, log_ratio))
+    return quotient(frame.eps2 - frame.eps3, log_ratio, log_ratio != 0.0)
 
 
 def virtual_coherence(frame: Frame, pops: ThermalPopulations):

@@ -15,19 +15,18 @@ on a batch of models; every sweep, figure and ensemble row and the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dissipation import GeneratorParts
-from .errors import NonCoolingRegimeError, ParameterError, PopulationInversionError
 from .model import (
     SIGMA_Z2,
     SIGMA_Z3,
     Frame,
     ModelParams,
     ThermalPopulations,
+    quotient,
     resonant_frame,
     tilde_populations,
     virtual_coherence,
@@ -73,11 +72,15 @@ class CurrentReport:
         routes' disagreement and so rounding noise."""
         return self.q1 / self.q3 if abs(self.q3) > self.max_route_delta else None
 
+    @property
+    def cooling(self) -> bool | None:
+        """Whether the machine cools, q1g > 0, or None where |q1g| is within
+        the two routes' disagreement and so rounding noise."""
+        return self.q1g > 0.0 if abs(self.q1g) > self.max_route_delta else None
+
 
 def product_state(frame: Frame, pops: ThermalPopulations) -> np.ndarray:
     """Lab-frame product of the target thermal state and the dressed machine state."""
-    if pops.r1 is None:
-        raise ParameterError("populations lack the target entry r1")
     target = np.array([pops.r1, 1.0 - pops.r1])
     fridge = np.array([
         pops.rtilde2 * pops.rtilde3,
@@ -161,29 +164,22 @@ def critical_gamma(e1: float, e3: float) -> float:
     return np.sqrt(0.5 * e3 * (np.sqrt(e3 * e3 + e1 * e1) - e3))
 
 
-def cop_g(frame: Frame, masked: bool = False):
+def cop_g(frame: Frame):
     """Machine COP E1 / (eps3 cos^2(theta/2) - eps2 sin^2(theta/2)).
 
-    Raises :class:`NonCoolingRegimeError` where the denominator is not
-    positive; with ``masked`` those points are NaN instead.
+    NaN where the denominator is not positive (the cooling condition fails).
     """
     denominator = frame.eps3 * frame.cos_half_sq - frame.eps2 * frame.sin_half_sq
-    invalid = denominator <= 0.0
-    if not np.any(invalid):
-        return frame.e1 / denominator
-    if not masked:
-        raise NonCoolingRegimeError(
-            f"COP denominator not positive ({np.min(denominator):.3e}); cooling condition violated"
-        )
-    return np.where(invalid, np.nan, frame.e1 / np.where(invalid, 1.0, denominator))
+    return quotient(frame.e1, denominator, denominator > 0.0)
 
 
-def cop_carnot(t1: float, t2: float, t3: float) -> float:
-    """Carnot COP (b2 - b3) / (b1 - b2) of the three-bath refrigerator."""
+def cop_carnot(t1, t2, t3):
+    """Carnot COP (b2 - b3) / (b1 - b2) of the three-bath refrigerator.
+
+    NaN where T1 >= T2, where no refrigerator has a Carnot COP.
+    """
     b1, b2, b3 = 1.0 / t1, 1.0 / t2, 1.0 / t3
-    if np.any(b1 <= b2):
-        raise ParameterError(f"Carnot COP needs T1 < T2, got T1={t1}, T2={t2}")
-    return (b2 - b3) / (b1 - b2)
+    return quotient(b2 - b3, b1 - b2, b1 > b2)
 
 
 def cop_tilde(pops: ThermalPopulations, t1):
@@ -193,10 +189,7 @@ def cop_tilde(pops: ThermalPopulations, t1):
     """
     bt2 = pops.btilde2
     denominator = 1.0 / t1 - bt2
-    invalid = denominator == 0.0
-    if not np.any(invalid):
-        return (bt2 - pops.btilde3) / denominator
-    return np.where(invalid, np.nan, (bt2 - pops.btilde3) / np.where(invalid, 1.0, denominator))
+    return quotient(bt2 - pops.btilde3, denominator, denominator != 0.0)
 
 
 def max_cop_identity(frame: Frame, pops: ThermalPopulations, t1: float) -> float:
@@ -215,47 +208,36 @@ def max_cop_identity(frame: Frame, pops: ThermalPopulations, t1: float) -> float
     return (bt2 - bt3) / denominator
 
 
-def eta_star_max(eta_c: float, gamma_over_e3: float) -> float:
-    """Tight upper bound on the COP at maximum cooling power."""
+def eta_star_max(eta_c, gamma_over_e3):
+    """Tight upper bound on the COP at maximum cooling power.
+
+    NaN where gamma/E3 lies outside the cooling range, at which the
+    denominator eta_c/2 - 2 (gamma/E3)^2 is not positive.
+    """
     x2 = gamma_over_e3 * gamma_over_e3
     denominator = 0.5 * eta_c - 2.0 * x2
-    if denominator <= 0.0:
-        raise NonCoolingRegimeError(
-            f"bound undefined: gamma/E3 = {gamma_over_e3} outside the cooling range"
-        )
-    return (0.25 * eta_c * eta_c + 4.0 * x2) / denominator
+    return quotient(0.25 * eta_c * eta_c + 4.0 * x2, denominator, denominator > 0.0)
 
 
-def eta_star_min(gamma_over_e3: float) -> float:
+def eta_star_min(gamma_over_e3):
     """Tight lower bound: the minimum of the machine COP over the target gap.
 
     Minimizing E1^2 / (E3 * delta_e - 2 gamma^2) over delta_e gives an
     interior optimum at delta_e/E3 = 2x(x + sqrt(1 + x^2)), x = gamma/E3.
+    The bound is 0 at x = 0 and NaN at x < 0.
     """
     x = gamma_over_e3
-    if x < 0:
-        raise ParameterError(f"gamma/E3 must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    u = 2.0 * x * (x + math.sqrt(1.0 + x * x))
-    return (u * u + 4.0 * x * x) / (u - 2.0 * x * x)
+    u = 2.0 * x * (x + np.sqrt(1.0 + x * x))
+    return np.where(x == 0.0, 0.0, quotient(u * u + 4.0 * x * x, u - 2.0 * x * x, x > 0.0))
 
 
-def local_target_temperature(a1, e1, masked: bool = False):
+def local_target_temperature(a1, e1):
     """Temperature of the reduced target state from its Bloch z component.
 
     a1 = 0 means equal populations (infinite temperature, returned as inf);
-    a1 > 0 means inversion and raises, as does |a1| >= 1.  With ``masked``
-    the points that would raise are NaN instead.
+    the temperature is NaN where a1 > 0 (inversion) or |a1| >= 1.
     """
-    out_of_range = np.abs(a1) >= 1.0
-    invalid = out_of_range | (a1 > 0.0)
-    if np.any(invalid) and not masked:
-        if np.any(out_of_range):
-            raise ParameterError(f"Bloch component out of range: a1={a1}")
-        raise PopulationInversionError(
-            f"target populations inverted (a1={np.max(a1):.3e}): no positive temperature"
-        )
+    invalid = (np.abs(a1) >= 1.0) | (a1 > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         temperature = e1 / np.log((1.0 - a1) / (1.0 + a1))
     return np.where(invalid, np.nan, temperature) if np.any(invalid) else temperature
@@ -282,10 +264,6 @@ def closed_form_table(params: ModelParams) -> dict[str, np.ndarray]:
     decomp = steady_coefficients(pops, params.p, params.g)
     currents = currents_closed(params, frame, pops, decomp.d)
     q3 = currents["q3"]
-    t1, t2, t3 = np.broadcast_arrays(params.t1, params.t2, params.t3)
-    cold = 1.0 / t1 > 1.0 / t2
-    eta_c = np.full(cold.shape, np.nan)
-    eta_c[cold] = cop_carnot(t1[cold], t2[cold], t3[cold])
     columns = {
         **params.as_dict(),
         "d": decomp.d,
@@ -293,12 +271,12 @@ def closed_form_table(params: ModelParams) -> dict[str, np.ndarray]:
         "q3": q3,
         "q1g": currents["q1g"],
         "q23": currents["q23"],
-        "eta_g": cop_g(frame, masked=True),
-        "eta_tot": currents["q1"] / np.where(q3 != 0.0, q3, np.nan),
-        "eta_c": eta_c,
+        "eta_g": cop_g(frame),
+        "eta_tot": quotient(currents["q1"], q3, q3 != 0.0),
+        "eta_c": cop_carnot(params.t1, params.t2, params.t3),
         "eta_tilde": cop_tilde(pops, params.t1),
-        "tv": virtual_temperature(frame, pops, masked=True),
-        "t1s": local_target_temperature(decomp.a1, params.e1, masked=True),
+        "tv": virtual_temperature(frame, pops),
+        "t1s": local_target_temperature(decomp.a1, params.e1),
         "coherence": virtual_coherence(frame, pops),
     }
     block = np.empty((len(columns),) + np.broadcast(*columns.values()).shape)

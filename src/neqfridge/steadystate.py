@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipation import GeneratorParts, assemble_liouvillian, build_generator_parts
-from .errors import ParameterError
 from .linalg import charge_sectors, pauli_basis, pauli_string, rotate_superop, steady_null_space
 from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, Frame, ModelParams, ThermalPopulations
 
@@ -94,8 +93,6 @@ def deviation_coefficient(pops: ThermalPopulations, p: float, g: float) -> float
     r1 and the two mixed populations, so window and power searches call it
     without the other seven coefficients.
     """
-    if pops.r1 is None:
-        raise ParameterError("populations lack the target entry r1")
     r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
     q1, qt2, qt3 = 1.0 - r1, 1.0 - rt2, 1.0 - rt3  # ground-state populations
     numerator = 48.0 * (q1 * rt2 * qt3 - r1 * qt2 * rt3) * p * g

@@ -87,7 +87,7 @@ def test_criterion_3_critical_coupling():
         frame = resonant_frame(1.0, 4.0, gamma)
 
         def tv(t3):
-            return virtual_temperature(frame, tilde_populations(frame, 2.0, t3))
+            return virtual_temperature(frame, tilde_populations(frame, 2.0, t3, t1=2.0))
 
         return (tv(2.0 + h) - tv(2.0 - h)) / (2.0 * h)
 
@@ -123,14 +123,14 @@ def test_criterion_4_fig3_reproduction():
     frame = resonant_frame(1.0, 4.0, 0.49)
     from neqfridge.model import virtual_coherence
 
-    base_c = virtual_coherence(frame, tilde_populations(frame, 2.0, 2.0))
+    base_c = virtual_coherence(frame, tilde_populations(frame, 2.0, 2.0, t1=2.0))
 
     def q1g(beta3):
         pops = tilde_populations(frame, 2.0, 1.0 / beta3, t1=2.0)
         return -0.25 * 0.01 * steady_coefficients(pops, 0.01, 0.01).d
 
     def delta_c(beta3):
-        return virtual_coherence(frame, tilde_populations(frame, 2.0, 1.0 / beta3)) - base_c
+        return virtual_coherence(frame, tilde_populations(frame, 2.0, 1.0 / beta3, t1=2.0)) - base_c
 
     root_q = find_root(q1g, 0.02, 0.49, tol=1e-12)
     root_c = find_root(delta_c, 0.02, 0.49, tol=1e-12)
@@ -153,7 +153,7 @@ def test_criterion_5_fig4_reproduction():
             d = steady_coefficients(pops, params.p, params.g).d
             closed = currents_closed(params, frame, pops, d)
             worst_tot = max(worst_tot, abs(closed["q1"] / closed["q3"]))
-            fridge_pops = tilde_populations(frame, 2.0, 4.0)
+            fridge_pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
             worst_identity = max(
                 worst_identity,
                 abs(cop_g(frame) - max_cop_identity(frame, fridge_pops, 4.0 / 3.0)),

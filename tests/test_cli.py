@@ -140,6 +140,16 @@ class TestSteadyCommand:
         assert performance["t1s"] is None
         assert performance["tv"] == pytest.approx(0.028144787439425716, rel=1e-12)
 
+    def test_cooling_is_null_where_q1g_is_rounding_noise(self, tmp_path):
+        # q1g is 2.9e-18 here, below the 2.5e-17 disagreement of the two
+        # current routes, so its sign says nothing about cooling
+        out = tmp_path / "steady.json"
+        assert main(["steady", "--t1", "0.01", "--t2", "0.02", "--t3", "0.03",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert abs(report["currents"]["q1g"]) <= report["currents"]["route_delta"]
+        assert report["performance"]["cooling"] is None
+
     def test_equal_temperatures_write_strict_json(self, tmp_path):
         # eta_c is infinite at T1 = T2; strict JSON has no Infinity
         out = tmp_path / "steady.json"
@@ -152,6 +162,31 @@ class TestSteadyCommand:
     def test_unread_flags_are_rejected(self, flag):
         with pytest.raises(SystemExit):
             main(["steady", flag, "0"])
+
+
+# frozen target baths: E1/T1 past 700 rounds the target population to 0,
+# which the target's reset channel takes as a valid population
+COLD_TARGETS = [["--t1", "0.001", "--t2", "0.002"], ["--t1", "1e-300"]]
+
+
+class TestColdTargetBath:
+    @pytest.mark.parametrize("flags", COLD_TARGETS)
+    def test_steady_exits_0_with_both_routes_agreeing(self, tmp_path, flags):
+        out = tmp_path / "steady.json"
+        assert main(["steady", *flags, "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert report["populations"]["r1"] == 0.0
+        assert report["residuals"]["numeric"] <= 1e-10
+        assert report["residuals"]["max_coefficient_delta"] <= 1e-8
+
+    @pytest.mark.parametrize("flags", COLD_TARGETS)
+    def test_validate_passes_every_group(self, tmp_path, flags):
+        out = tmp_path / "validate.json"
+        assert main(["validate", *flags, "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        groups = report["results"][0]["groups"]
+        assert list(groups) == GROUPS
+        assert all(group["passed"] for group in groups.values())
 
 
 class TestFigureCommand:

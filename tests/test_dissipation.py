@@ -86,10 +86,17 @@ class TestResetChannel:
             )) < 1e-12
 
     def test_invalid_inputs(self):
-        with pytest.raises(ParameterError):
-            reset_channel(1, rate=0.01, population=1.2)
-        with pytest.raises(ParameterError):
-            reset_channel(1, rate=0.0, population=0.3)
+        # the qubit index is the one argument a ModelParams does not check
+        for qubit in (0, 4):
+            with pytest.raises(ParameterError, match="qubit must lie in 1..3"):
+                reset_channel(qubit, rate=0.01, population=0.3)
+
+    def test_frozen_bath_is_a_valid_channel(self):
+        # r = 0 (E/T past 700) only decays: the ground state is its fixed point
+        channel = reset_channel(1, rate=0.01, population=0.0, n_qubits=1)
+        assert np.max(np.abs(channel.apply(np.diag([0.0, 1.0]).astype(complex)))) == 0.0
+        excited = channel.apply(np.diag([1.0, 0.0]).astype(complex))
+        assert excited[0, 0] == pytest.approx(-0.01, abs=1e-18)
 
     def test_ladder_is_a_shared_read_only_table(self):
         raising = reset_channel(2, rate=0.01, population=0.3).raising

@@ -203,7 +203,7 @@ class TestDeviationKernel:
 
         calls, points = collections.Counter(), collections.Counter()
         kernels = (experiments.deviation, experiments.log_odds_gap)
-        watched = (experiments._draw_model, model.thermal_population)
+        watched = (experiments._draw_model, model._require)
         for function in (*kernels, steadystate.steady_coefficients, *watched):
             def counted(*args, _function=function, **kwargs):
                 calls[_function.__name__] += 1
@@ -225,8 +225,9 @@ class TestDeviationKernel:
         assert 0 < sum(calls[kernel.__name__] for kernel in kernels) <= 70
         assert sum(points[kernel.__name__] for kernel in kernels) <= 100 * 100
         assert calls["steady_coefficients"] <= 2
-        # validated once per draw and once per batch; the kernels check only their frames
-        assert calls["thermal_population"] == 0
+        # validated once per draw and once per batch, each time by ModelParams' four rules;
+        # the kernels' frames hold, so they run no rule of their own
+        assert calls["_require"] == 4 * calls["ModelParams"]
         assert 100 <= calls["_draw_model"] <= calls["ModelParams"] <= calls["_draw_model"] + 10
 
 
@@ -235,7 +236,7 @@ class TestDeviationKernel:
         # before they read the ThermalPopulations property
         for e1, params in _kernel_cases():
             frame = resonant_frame(e1, params.e3, params.gamma)
-            pops = tilde_populations(frame, params.t2, params.t3)
+            pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
             rt2, rt3 = pops.rtilde2, pops.rtilde3
             log_odds = np.log((1.0 - rt2) * rt3 / (rt2 * (1.0 - rt3)))
             np.testing.assert_array_equal(pops.virtual_log_odds, log_odds)
@@ -462,14 +463,15 @@ class TestFig3Sweep:
         from neqfridge.steadystate import steady_coefficients
 
         frame = resonant_frame(1.0, 4.0, 0.49)
-        base_c = virtual_coherence(frame, tilde_populations(frame, 2.0, 2.0))
+        base_c = virtual_coherence(frame, tilde_populations(frame, 2.0, 2.0, t1=2.0))
 
         def q1g(beta3):
             pops = tilde_populations(frame, 2.0, 1.0 / beta3, t1=2.0)
             return -0.25 * 0.01 * steady_coefficients(pops, 0.01, 0.01).d
 
         def delta_c(beta3):
-            return virtual_coherence(frame, tilde_populations(frame, 2.0, 1.0 / beta3)) - base_c
+            pops = tilde_populations(frame, 2.0, 1.0 / beta3, t1=2.0)
+            return virtual_coherence(frame, pops) - base_c
 
         root_q = find_root(q1g, 0.02, 0.49, tol=1e-12)
         root_c = find_root(delta_c, 0.02, 0.49, tol=1e-12)
@@ -495,7 +497,7 @@ class TestFig4Sweep:
         for gamma, window in windows.items():
             for edge in (window.left, window.right):
                 frame = resonant_frame(edge, 4.0, gamma)
-                pops = tilde_populations(frame, 2.0, 4.0)
+                pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
                 # thermodynamic COP vanishes where the extracted current does
                 base = replace(FIG4_BASE, gamma=gamma, e1=edge)
                 from neqfridge.observables import currents_closed
@@ -589,9 +591,7 @@ class TestGenericSweep:
 
     def test_non_cooling_points_are_nan(self):
         # past the critical coupling the machine COP is undefined; the sweep
-        # marks exactly the points where the single-point call raises
-        from neqfridge.errors import NonCoolingRegimeError
-
+        # marks exactly the points where the single-point call is NaN
         gamma_c = critical_gamma(1.0, 4.0)
         spec = SweepSpec(base=replace(FIG4_BASE, e1=1.0), axis="gamma",
                          lo=gamma_c - 0.02, hi=0.5, points=41)
@@ -599,14 +599,10 @@ class TestGenericSweep:
         assert table["axis_value"].size == 41 and not skipped
         flags = []
         for e1, e3, gamma, eta_g in zip(*(table[k].tolist() for k in ("e1", "e3", "gamma", "eta_g"))):
-            try:
-                cop_g(resonant_frame(e1, e3, gamma))
-                raises = False
-            except NonCoolingRegimeError:
-                raises = True
-            assert np.isnan(eta_g) == raises
-            assert raises == (not cooling_condition(e1, e3, gamma))
-            flags.append(raises)
+            undefined = bool(np.isnan(cop_g(resonant_frame(e1, e3, gamma))))
+            assert np.isnan(eta_g) == undefined
+            assert undefined == (not cooling_condition(e1, e3, gamma))
+            flags.append(undefined)
         assert any(flags) and not all(flags)
 
     def test_negative_dressed_gap_points_are_skipped(self):

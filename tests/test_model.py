@@ -8,7 +8,6 @@ from neqfridge import (
     ModelParams,
     ParameterError,
     ResonanceInfeasibleError,
-    VirtualTemperaturePoleError,
     build_hamiltonians,
     resonant_frame,
     thermal_population,
@@ -165,15 +164,16 @@ class TestThermalPopulation:
         assert values == sorted(values)
         assert all(0.0 < v < 0.5 for v in values)
 
-    def test_invalid(self):
-        with pytest.raises(ParameterError):
-            thermal_population(-1.0, 2.0)
+    def test_negative_gap_gives_the_inverted_population(self):
+        # the law is total; a negative gap only arises outside a ModelParams
+        assert thermal_population(-1.0, 2.0) == pytest.approx(1.0 - thermal_population(1.0, 2.0),
+                                                               abs=1e-15)
 
 
 class TestTildePopulations:
     def test_degenerate_baths(self):
         frame = resonant_frame(1.0, 4.0, 0.3)
-        pops = tilde_populations(frame, 2.0, 2.0)
+        pops = tilde_populations(frame, 2.0, 2.0, t1=2.0)
         assert pops.rtilde2 == pytest.approx(thermal_population(frame.eps2, 2.0), abs=1e-15)
         assert pops.rtilde3 == pytest.approx(thermal_population(frame.eps3, 2.0), abs=1e-15)
         assert pops.ttilde2 == pytest.approx(2.0, abs=1e-12)
@@ -181,7 +181,7 @@ class TestTildePopulations:
 
     def test_no_delocalization(self):
         frame = resonant_frame(1.0, 4.0, 0.0)
-        pops = tilde_populations(frame, 2.0, 4.0)
+        pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
         assert pops.rtilde2 == pops.r22
         assert pops.rtilde3 == pops.r33
         assert pops.ttilde2 == pytest.approx(2.0, abs=1e-12)
@@ -189,7 +189,7 @@ class TestTildePopulations:
 
     def test_benchmark_values(self):
         frame = resonant_frame(1.0, 4.0, 0.3)
-        pops = tilde_populations(frame, 2.0, 4.0)
+        pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
         assert pops.rtilde2 == pytest.approx(0.09420046832590666, abs=1e-12)
         assert pops.rtilde3 == pytest.approx(0.25895185268404036, abs=1e-12)
         assert pops.ttilde2 == pytest.approx(2.1648915151351646, abs=1e-10)
@@ -200,7 +200,7 @@ class TestTildePopulations:
         for _ in range(10):
             params = random_feasible(rng)
             frame = resonant_frame(params.e1, params.e3, params.gamma)
-            pops = tilde_populations(frame, params.t2, params.t3)
+            pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
             c2, s2 = frame.cos_half_sq, frame.sin_half_sq
             assert pops.rtilde2 == pytest.approx(c2 * pops.r22 + s2 * pops.r23, abs=1e-15)
             assert pops.rtilde3 == pytest.approx(c2 * pops.r33 + s2 * pops.r32, abs=1e-15)
@@ -221,54 +221,56 @@ class TestTildePopulations:
     @pytest.mark.parametrize("t2, t3, t1", [(-2.0, 4.0, None), (2.0, 0.0, None), (2.0, 4.0, 0.0),
                                             (2.0, np.array([4.0, -1.0]), 1.0)])
     def test_nonpositive_temperature_raises(self, t2, t3, t1):
-        # the gaps come from a checked frame; the temperatures are checked here
-        frame = resonant_frame(1.0, 4.0, 0.3)
+        # the populations take checked temperatures: ModelParams is where they are checked
         with pytest.raises(ParameterError, match="temperatures must be positive"):
-            tilde_populations(frame, t2, t3, t1=t1)
+            ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=1.0 if t1 is None else t1, t2=t2, t3=t3,
+                        p=0.01, g=0.01)
 
 
 class TestVirtualQubit:
     def test_degenerate_baths_give_bath_temperature(self):
         frame = resonant_frame(1.0, 4.0, 0.3)
-        pops = tilde_populations(frame, 2.0, 2.0)
+        pops = tilde_populations(frame, 2.0, 2.0, t1=2.0)
         assert virtual_temperature(frame, pops) == pytest.approx(2.0, abs=1e-12)
 
     def test_uncoupled_formula(self):
         frame = resonant_frame(1.0, 4.0, 0.0)
-        pops = tilde_populations(frame, 2.0, 4.0)
+        pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
         expected = 1.0 / (5.0 / 2.0 - 4.0 / 4.0)
         assert virtual_temperature(frame, pops) == pytest.approx(expected, abs=1e-12)
 
     def test_benchmark_value(self):
         frame = resonant_frame(1.0, 4.0, 0.3)
-        pops = tilde_populations(frame, 2.0, 4.0)
+        pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
         assert virtual_temperature(frame, pops) == pytest.approx(0.8251033339169167, abs=1e-12)
 
     def test_pole_reported(self):
         from dataclasses import replace
 
         frame = resonant_frame(1.0, 4.0, 0.3)
-        pops = tilde_populations(frame, 2.0, 4.0)
+        pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
         broken = replace(pops, rtilde3=pops.rtilde2)
-        with pytest.raises(VirtualTemperaturePoleError):
-            virtual_temperature(frame, broken)
+        assert math.isnan(virtual_temperature(frame, broken))
+        batch = replace(pops, rtilde3=np.array([pops.rtilde2, pops.rtilde3]))
+        tv = virtual_temperature(frame, batch)
+        assert math.isnan(tv[0]) and tv[1] == virtual_temperature(frame, pops)
 
     def test_coherence_vanishes_without_coupling(self):
         frame = resonant_frame(1.0, 4.0, 0.0)
-        pops = tilde_populations(frame, 2.0, 4.0)
+        pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
         assert virtual_coherence(frame, pops) == 0.0
 
     def test_coherence_vanishes_for_equal_populations(self):
         from dataclasses import replace
 
         frame = resonant_frame(1.0, 4.0, 0.3)
-        pops = tilde_populations(frame, 2.0, 4.0)
+        pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
         equal = replace(pops, rtilde3=pops.rtilde2)
         assert virtual_coherence(frame, equal) == 0.0
 
     def test_coherence_benchmark_value(self):
         frame = resonant_frame(1.0, 4.0, 0.3)
-        pops = tilde_populations(frame, 2.0, 4.0)
+        pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
         assert virtual_coherence(frame, pops) == pytest.approx(0.324776673327092, abs=1e-12)
 
     def test_coherence_decreases_with_virtual_temperature(self):
@@ -276,7 +278,7 @@ class TestVirtualQubit:
         frame = resonant_frame(1.0, 4.0, 0.3)
         points = []
         for t3 in np.linspace(2.0, 30.0, 40):
-            pops = tilde_populations(frame, 2.0, t3)
+            pops = tilde_populations(frame, 2.0, t3, t1=2.0)
             points.append((virtual_temperature(frame, pops), virtual_coherence(frame, pops)))
         points.sort()
         coherences = [c for _, c in points]
@@ -291,7 +293,7 @@ class TestVirtualQubit:
             h = 1e-6
 
             def tv(t3):
-                return virtual_temperature(frame, tilde_populations(frame, 2.0, t3))
+                return virtual_temperature(frame, tilde_populations(frame, 2.0, t3, t1=2.0))
 
             slope = (tv(2.0 + h) - tv(2.0 - h)) / (2 * h)
             condition = cooling_condition(1.0, 4.0, gamma)

@@ -6,10 +6,6 @@ import pytest
 
 from neqfridge import (
     ModelParams,
-    NonCoolingRegimeError,
-    ParameterError,
-    PopulationInversionError,
-    VirtualTemperaturePoleError,
     analytic_steady_state,
     build_generator_parts,
     cooling_condition,
@@ -125,7 +121,7 @@ class TestCoolingCondition:
             frame = resonant_frame(1.0, 4.0, gamma)
 
             def tv(t3):
-                return virtual_temperature(frame, tilde_populations(frame, 2.0, t3))
+                return virtual_temperature(frame, tilde_populations(frame, 2.0, t3, t1=2.0))
 
             return (tv(2.0 + h) - tv(2.0 - h)) / (2 * h)
 
@@ -141,9 +137,10 @@ class TestCops:
         assert cop_g(resonant_frame(1.0, 4.0, 0.3)) == pytest.approx(
             0.33112582781456956, abs=1e-15)
 
-    def test_non_cooling_raises(self):
-        with pytest.raises(NonCoolingRegimeError):
-            cop_g(resonant_frame(1.0, 4.0, 0.4999999))
+    def test_non_cooling_is_nan(self):
+        assert math.isnan(cop_g(resonant_frame(1.0, 4.0, 0.4999999)))
+        eta = cop_g(resonant_frame(1.0, 4.0, np.array([0.3, 0.4999999])))
+        assert eta[0] == cop_g(resonant_frame(1.0, 4.0, 0.3)) and math.isnan(eta[1])
 
     def test_diverges_at_condition_boundary(self):
         gamma_c = critical_gamma(1.0, 4.0)
@@ -155,8 +152,9 @@ class TestCops:
 
     def test_carnot_for_standard_temperatures(self):
         assert cop_carnot(4.0 / 3.0, 2.0, 4.0) == pytest.approx(1.0, abs=1e-14)
-        with pytest.raises(ParameterError):
-            cop_carnot(2.0, 2.0, 4.0)
+        assert math.isnan(cop_carnot(2.0, 2.0, 4.0))
+        eta_c = cop_carnot(np.array([4.0 / 3.0, 2.0, 3.0]), 2.0, 4.0)
+        assert eta_c[0] == cop_carnot(4.0 / 3.0, 2.0, 4.0) and np.isnan(eta_c[1:]).all()
 
 
 class TestEndpointIdentity:
@@ -171,7 +169,7 @@ class TestEndpointIdentity:
             if not cooling_condition(params.e1, params.e3, params.gamma):
                 continue
             frame = resonant_frame(params.e1, params.e3, params.gamma)
-            pops = tilde_populations(frame, params.t2, params.t3)
+            pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
             tv = virtual_temperature(frame, pops)
             if tv <= 0:
                 continue
@@ -183,7 +181,7 @@ class TestEndpointIdentity:
         # the same expression with the dressed beta3 term subtracted does
         # not reproduce the frame COP at any finite mixing angle
         frame = resonant_frame(1.0, 4.0, 0.3)
-        pops = tilde_populations(frame, 2.0, 4.0)
+        pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
         tv = virtual_temperature(frame, pops)
         b1 = 1.0 / tv
         minus_variant = (pops.btilde2 - pops.btilde3) / (
@@ -195,7 +193,7 @@ class TestEndpointIdentity:
 
     def test_tilde_cop_reaches_carnot_on_matched_surface(self):
         frame = resonant_frame(1.0, 4.0, 0.2)
-        pops = tilde_populations(frame, 2.0, 4.0)
+        pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
         tv = virtual_temperature(frame, pops)
         dressed = cop_tilde(pops, tv)
         # dressed-picture Carnot value between the two effective baths
@@ -211,14 +209,17 @@ class TestPowerCopBounds:
         assert eta_star_max(1.0, 1.0 / math.sqrt(24.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_upper_bound_out_of_range(self):
-        with pytest.raises(NonCoolingRegimeError):
-            eta_star_max(1.0, 0.6)
+        assert math.isnan(eta_star_max(1.0, 0.6))
+        bounds = eta_star_max(1.0, np.array([0.1, 0.5, 0.6]))
+        assert bounds[0] == eta_star_max(1.0, 0.1) and np.isnan(bounds[1:]).all()
 
     def test_lower_bound_properties(self):
         assert eta_star_min(0.0) == 0.0
-        values = [eta_star_min(x) for x in (0.01, 0.05, 0.1, 0.15, 0.2)]
-        assert values == sorted(values)
-        assert all(v > 0 for v in values)
+        assert math.isnan(eta_star_min(-0.1))
+        xs = [0.0, 0.01, 0.05, 0.1, 0.15, 0.2]
+        values = eta_star_min(np.array(xs))
+        assert values.tolist() == [eta_star_min(x) for x in xs]
+        assert values[0] == 0.0 and (np.diff(values) > 0).all()
 
     def test_lower_bound_matches_window_minimum(self):
         base = ModelParams(e1=1.0, e3=4.0, gamma=0.2, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
@@ -234,9 +235,9 @@ class TestLocalTemperature:
     def test_infinite_temperature_reported(self):
         assert local_target_temperature(0.0, 1.0) == math.inf
 
-    def test_inversion_raises(self):
-        with pytest.raises(PopulationInversionError):
-            local_target_temperature(0.2, 1.0)
+    def test_inversion_is_nan(self):
+        assert math.isnan(local_target_temperature(0.2, 1.0))
+        assert np.isnan(local_target_temperature(np.array([0.2, 1.0, -1.0]), 1.0)).all()
 
     def test_benchmark_cooling(self, p0):
         steady = analytic_steady_state(build_generator_parts(p0))
@@ -304,28 +305,24 @@ class TestClosedFormTable:
             assert abs(table["q23"][0] - currents.q23) <= 1e-9
 
     def test_eta_g_is_nan_past_the_cooling_condition(self):
-        with pytest.raises(NonCoolingRegimeError):
-            cop_g(resonant_frame(1.0, 4.0, 0.4999999))
         assert math.isnan(_reference_point(gamma=0.4999999)["eta_g"])
         assert _reference_point()["eta_g"] == pytest.approx(0.33112582781456956, abs=1e-15)
 
     def test_tv_is_nan_at_its_pole(self):
         # at T = 1e300 every population rounds to 1/2: the virtual qubit's
-        # populations are equal, where the unmasked temperature raises
+        # populations are equal
         hot = dict(t1=1e300, t2=1e300, t3=1e300)
         frame = resonant_frame(P0.e1, P0.e3, P0.gamma)
-        with pytest.raises(VirtualTemperaturePoleError):
-            virtual_temperature(frame, tilde_populations(frame, 1e300, 1e300))
+        pops = tilde_populations(frame, 1e300, 1e300, t1=1e300)
+        assert math.isnan(virtual_temperature(frame, pops))
         assert math.isnan(_reference_point(**hot)["tv"])
 
     def test_t1s_is_nan_where_the_target_is_inverted(self, monkeypatch):
         # no valid model inverts the target, so the coefficients are shifted
-        # to a1 > 0 here; the table masks the point where the unmasked form raises
+        # to a1 > 0 here
         exact = observables.steady_coefficients
         monkeypatch.setattr(observables, "steady_coefficients",
                             lambda pops, p, g: replace(exact(pops, p, g), a1=np.array([0.2])))
-        with pytest.raises(PopulationInversionError):
-            local_target_temperature(0.2, P0.e1)
         assert math.isnan(_reference_point()["t1s"])
 
     def test_t1s_is_nan_where_the_closed_form_a1_is_minus_one(self):
@@ -335,8 +332,6 @@ class TestClosedFormTable:
         assert point["tv"] > 0.0
 
     def test_eta_c_is_nan_at_equal_target_and_spiral_temperatures(self):
-        with pytest.raises(ParameterError):
-            cop_carnot(2.0, 2.0, 4.0)
         assert math.isnan(_reference_point(t1=2.0)["eta_c"])
         assert _reference_point()["eta_c"] == pytest.approx(1.0, abs=1e-12)
 
@@ -350,5 +345,5 @@ class TestClosedFormTable:
 
     def test_eta_tilde_is_nan_where_beta1_equals_dressed_beta2(self):
         frame = resonant_frame(P0.e1, P0.e3, P0.gamma)
-        pops = tilde_populations(frame, P0.t2, P0.t3)
+        pops = tilde_populations(frame, P0.t2, P0.t3, t1=P0.t1)
         assert math.isnan(cop_tilde(pops, 1.0 / pops.btilde2))

@@ -65,7 +65,7 @@ class TestClosedForm:
     def test_matched_temperatures_zero_deviation(self):
         # setting the cold bath at the virtual temperature crosses d = 0
         frame = resonant_frame(P0.e1, P0.e3, P0.gamma)
-        pops = tilde_populations(frame, P0.t2, P0.t3)
+        pops = tilde_populations(frame, P0.t2, P0.t3, t1=P0.t1)
         tv = virtual_temperature(frame, pops)
         params = replace(P0, t1=tv)
         decomp = steady_coefficients(tilde_populations(frame, params.t2, params.t3, t1=params.t1),
