@@ -44,7 +44,6 @@ from .steadystate import (
 from .observables import (
     CurrentReport,
     closed_form_table,
-    cooling_condition,
     cop_carnot,
     cop_g,
     cop_tilde,
@@ -53,7 +52,6 @@ from .observables import (
     eta_star_min,
     heat_currents,
     local_target_temperature,
-    max_cop_identity,
 )
 from .experiments import (
     CoolingWindow,
@@ -62,7 +60,6 @@ from .experiments import (
     SweepSpec,
     cooling_window,
     cooling_windows,
-    high_temperature_saturation,
     maximize_cooling_power,
     maximize_cooling_powers,
     random_ensemble,

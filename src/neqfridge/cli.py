@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .dissipation import build_generator_parts
 from .errors import (
     DegenerateSteadyStateError,
     EmptyCoolingWindowError,
@@ -119,10 +120,11 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_steady(args) -> int:
     params = _resolve_params(args)
-    oracle = solve_oracle(params)
-    frame, pops = oracle.parts.frame, oracle.parts.pops
+    parts = build_generator_parts(params)
+    oracle = solve_oracle(parts)
+    frame, pops = parts.frame, parts.pops
     analytic, numeric = oracle.analytic, oracle.numeric
-    currents = heat_currents(oracle.parts, numeric)
+    currents = heat_currents(parts, numeric)
     point = {name: column[0] for name, column in closed_form_table(params).items()}
     norm = params.e1 * params.p
     _emit({
@@ -169,31 +171,33 @@ def cmd_steady(args) -> int:
 
 def cmd_figure(args) -> int:
     name = args.name
-    if name == "fig6" and args.gamma is not None:
-        raise ParameterError("figure fig6 does not read --gamma")
-    if name != "fig6" and args.n is not None:
-        raise ParameterError(f"figure {name} does not read --n")
+    for flag in ("gamma", "points") if name == "fig6" else ("n", "seed"):
+        if getattr(args, flag) is not None:
+            raise ParameterError(f"figure {name} does not read --{flag}")
+    points = 200 if args.points is None else args.points
+    seed = 7 if args.seed is None else args.seed
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
-    meta = {"figure": name, "points": args.points, "seed": args.seed}
+    # every figure records both defaults, whether it reads them or not
+    meta = {"figure": name, "points": points, "seed": seed}
     gammas = (args.gamma,) if args.gamma is not None else None
     if name == "fig3":
-        table = sweep_fig3(points=args.points, gammas=gammas)
+        table = sweep_fig3(points=points, gammas=gammas)
         cols = ["beta3", "gamma", "e1", "e3", "t1", "t2", "t3", "p", "g"]
         own = (["q1g"], ["delta_c"])
     elif name == "fig4":
-        table, windows = sweep_fig4(points=args.points, gammas=gammas)
+        table, windows = sweep_fig4(points=points, gammas=gammas)
         meta.update({f"window_gamma_{g}": f"[{w.left!r}, {w.right!r}]"
                      for g, w in windows.items()})
         cols = ["e1", "gamma", "e3", "t1", "t2", "t3", "p", "g", "window_left", "window_right"]
         own = (["eta_g", "eta_tot"], ["coherence"])
     elif name == "fig5":
-        table, skipped = sweep_fig5(points=args.points, gammas=gammas)
+        table, skipped = sweep_fig5(points=points, gammas=gammas)
         meta["skipped_points"] = len(skipped)
         cols = ["beta3", "gamma", "e1", "e3", "t1", "t2", "t3", "p", "g"]
         own = (["eta_ratio"], ["coherence"])
     else:  # fig6; the parser accepts no other name
-        spec = EnsembleSpec(n=1000 if args.n is None else args.n, seed=args.seed)
+        spec = EnsembleSpec(n=1000 if args.n is None else args.n, seed=seed)
         table, ensemble_meta = random_ensemble(spec)
         meta.update(ensemble_meta)
         cols = ["gamma_over_e3", "e1", "e3", "gamma", "t1", "t2", "t3", "p", "g"]
@@ -235,13 +239,17 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.grid < 1:
+        raise ParameterError(f"validate --grid must be at least 1, got {args.grid}")
+    if not 0.0 <= args.tol < math.inf:
+        raise ParameterError(f"validate --tol must be finite and nonnegative, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     points = []
     if any(getattr(args, name) is not None for name in PARAM_NAMES) or args.config:
         points.append(_resolve_params(args))
     else:
         points.append(REFERENCE)
-        for _ in range(max(args.grid - 1, 0)):
+        for _ in range(args.grid - 1):
             e1 = rng.uniform(0.5, 2.0)
             points.append(ModelParams(
                 e1=e1,
@@ -295,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figure", help="write CSV data for a standard figure")
     p_fig.add_argument("name", choices=("fig3", "fig4", "fig5", "fig6"))
     p_fig.add_argument("--gamma", type=float, default=None, help="a single coupling curve (fig3-fig5)")
-    p_fig.add_argument("--points", type=int, default=200)
-    p_fig.add_argument("--seed", type=int, default=7)
+    p_fig.add_argument("--points", type=int, default=None, help="points per curve (fig3-fig5, default 200)")
+    p_fig.add_argument("--seed", type=int, default=None, help="ensemble seed (fig6, default 7)")
     p_fig.add_argument("--n", type=int, default=None, help="ensemble size (fig6, default 1000)")
     p_fig.set_defaults(func=cmd_figure)
 

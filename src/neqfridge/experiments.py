@@ -3,9 +3,8 @@
 These regenerate the data behind the package's standard figures, each
 varying the reference refrigerator ``model.REFERENCE``: the cooling-current
 sweeps over the engine-bath inverse temperature, the COP sweeps over the
-target gap with cooling-window endpoints, the endpoint-COP ratio sweeps, the
-random-refrigerator ensemble for the power-COP bounds, and the
-high-temperature saturation study.
+target gap with cooling-window endpoints, the endpoint-COP ratio sweeps and
+the random-refrigerator ensemble for the power-COP bounds.
 
 All evaluations go through the matrix-free closed-form coefficients, which
 are validated against the generator null space elsewhere.  The closed forms
@@ -42,6 +41,10 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _ROOT_TOL = 1e-13  # window-endpoint root tolerance
 _SEARCH_TOL = 1e-8  # tolerance of the window-screening and power searches
+# f = E1/T1 - ln(population ratio) rounds to a few ulps of E1/T1 (inside
+# ensemble scan ranges, at most 3.4 eps hi/T1 against mpmath), so a window
+# needs f below this many eps of the range's largest E1/T1, hi/T1
+_F_ROUNDING = 8.0 * np.finfo(float).eps
 _CHUNK = 8  # the fewest draws random_ensemble screens in one round
 BatchFunc = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, idx): x for models idx
 
@@ -207,9 +210,11 @@ def _brent_max(func: BatchFunc, a, b, tol: float, stop=np.inf) -> tuple[np.ndarr
     ``scipy.optimize.fminbound``: per interval, x is the best point so far,
     w the second best and v the one before; a search stops once both
     bracket ends lie within 2 (sqrt(eps) |x| + tol/3) of x, or as soon as
-    func(x) exceeds ``stop``, and returns x and func(x).
+    func(x) exceeds ``stop`` (one bound, or one per interval), and returns
+    x and func(x).
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    stop = np.broadcast_to(stop, a.shape)
     best = np.empty((2, a.size))
     idx = np.arange(a.size)
     x = a + _GOLDEN * (b - a)
@@ -223,8 +228,8 @@ def _brent_max(func: BatchFunc, a, b, tol: float, stop=np.inf) -> tuple[np.ndarr
             wide = (np.abs(px[0] - xm) > 2.0 * tol1 - 0.5 * (b - a)) & ~(px[1] < -stop)
             if not wide.all():
                 best[:, idx[~wide]] = px[:, ~wide]
-                idx, a, b, px, pw, pv, e, rat, xm, tol1 = (
-                    z[..., wide] for z in (idx, a, b, px, pw, pv, e, rat, xm, tol1))
+                idx, a, b, px, pw, pv, e, rat, xm, tol1, stop = (
+                    z[..., wide] for z in (idx, a, b, px, pw, pv, e, rat, xm, tol1, stop))
             if not idx.size:
                 return best[0], -best[1]
             (x, fx), (w, fw), (v, fv) = px, pw, pv
@@ -305,27 +310,30 @@ def _screen_windows(models: ModelParams) -> list:
     """Find a point inside each batch model's cooling window, which brackets both edges.
 
     f (:func:`log_odds_gap`) is read at both ends of every scan range that
-    :func:`_scan_range` accepts in one call; where neither end has f < 0, a
-    batched Brent minimization of f stops at its first point with f < 0.
-    Per model the result is the error its window search raises, or the pair
-    (left edge is the scan boundary, brackets (a, b, f(a), f(b)) of both edges).
+    :func:`_scan_range` accepts in one call.  Only f below its rounding
+    bound, ``_F_ROUNDING * hi / T1``, is taken as cooling: where neither end
+    is below it, a batched Brent minimization of f stops at its first point
+    that is, and a model whose best point is not has no window.  Per model
+    the result is the error its window search raises, or the pair (left
+    edge is the scan boundary, brackets (a, b, f(a), f(b)) of both edges).
     """
     lo, hi, out = _scan_range(models)
     index = np.flatnonzero([error is None for error in out])
     models, lo, hi = models.take(index), lo[index], hi[index]
     f_lo, f_hi = log_odds_gap(np.array([lo, hi]), models)
+    bound = _F_ROUNDING * hi / models.t1
     # the lower end is the best point until a search finds a lower one
     low = f_hi < f_lo
     x, fx = np.where(low, hi, lo), np.where(low, f_hi, f_lo)
-    search = np.flatnonzero((f_lo >= 0.0) & (f_hi >= 0.0))
+    search = np.flatnonzero((f_lo >= -bound) & (f_hi >= -bound))
     if search.size:
         x[search], negative = _brent_max(lambda e1, j: -log_odds_gap(e1, models.take(search[j])),
-                                         lo[search], hi[search], _SEARCH_TOL, stop=0.0)
+                                         lo[search], hi[search], _SEARCH_TOL, stop=bound[search])
         fx[search] = -negative
-    columns = (v.tolist() for v in (index, lo, hi, f_lo, f_hi, x, fx, models.gamma, models.g))
-    for i, a, b, fa, fb, c, fc, gamma, g in zip(*columns):
+    columns = (v.tolist() for v in (index, lo, hi, f_lo, f_hi, x, fx, bound, models.gamma, models.g))
+    for i, a, b, fa, fb, c, fc, rounding, gamma, g in zip(*columns):
         scanned = f"[{a!r}, {b!r}]"
-        if not (fc < 0.0 and g > 0.0):  # at g = 0 nothing cools
+        if not (fc < -rounding and g > 0.0):  # at g = 0 nothing cools
             out[i] = EmptyCoolingWindowError(f"no cooling found in {scanned} for gamma={gamma}")
         elif fb < 0.0:
             out[i] = EmptyCoolingWindowError(
@@ -355,10 +363,11 @@ def cooling_windows(models: ModelParams) -> list:
     of ``models``, one model or a batch whose fields broadcast.
 
     The E1 field is ignored.  The scan range is (2*gamma, E3 * Carnot COP),
-    whose right end lies outside the window.  A window needs a point x with
-    f(x) < 0 (f of :func:`log_odds_gap`, which has d's sign) and f >= 0 at
-    the right end; Chandrupatla's method finds its edges between x and the
-    ends, and f < 0 at the left end makes that end the left edge.  At g = 0
+    whose right end lies outside the window.  A window needs a point x where
+    f (:func:`log_odds_gap`, which has d's sign) is below its rounding
+    bound, f(x) < -8 eps hi/T1, and f >= 0 at the right end; Chandrupatla's
+    method finds its edges between x and the ends, and f < 0 at the left end
+    makes that end the left edge.  At g = 0
     every window is empty.  The root tolerance, 1e-13, is tight enough that
     the endpoint COP identity holds to better than 1e-10.  A model with
     T1 >= T2, an empty range or a frame that fails at the range's low end
@@ -567,31 +576,3 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     spec_fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(spec).items()}
     return table, {"rng": "numpy-PCG64", "resamples": resamples, **spec_fields}
 
-
-def high_temperature_saturation(
-    x_values: tuple[float, ...] = (0.0, 0.05, 0.1),
-    kappas: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0),
-) -> dict[str, np.ndarray]:
-    """Approach of the max-power COP to its upper bound as temperatures grow.
-
-    The reference refrigerator at gamma = x E3, with all three bath
-    temperatures scaled by kappa, which leaves the Carnot COP fixed; the
-    relative gap to the bound should shrink toward zero.
-    """
-    ref = REFERENCE
-    eta_c = cop_carnot(ref.t1, ref.t2, ref.t3)
-    x, kappa = np.array([(x, kappa) for x in x_values for kappa in kappas]).T
-    models = replace(ref, e1=np.fmax(1.0, 2.5 * x * ref.e3), gamma=x * ref.e3,
-                     t1=ref.t1 * kappa, t2=ref.t2 * kappa, t3=ref.t3 * kappa)
-    results = maximize_cooling_powers(models)
-    e1_star, eta_star = np.array([(r.e1_star, r.eta_g_star) for r in results]).T
-    bound = eta_star_max(eta_c, x)
-    return {
-        **replace(models, e1=e1_star).as_batch().as_dict(),
-        "gamma_over_e3": x,
-        "kappa": kappa,
-        "eta_star": eta_star,
-        "eta_star_bound": bound,
-        "rel_gap": (bound - eta_star) / bound,
-        "e1_over_t1": e1_star / models.t1,
-    }

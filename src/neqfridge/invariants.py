@@ -18,31 +18,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import reset_channel, tilde_channel
+from .dissipation import build_generator_parts, reset_channel, tilde_channel
 from .errors import DegenerateSteadyStateError
 from .linalg import density_matrix_defects, hermiticity_defect
-from .model import ModelParams, resonant_frame, thermal_population, tilde_populations
+from .model import ModelParams, thermal_population
 from .observables import heat_currents
-from .steadystate import family_operators, solve_oracle
+from .steadystate import OracleSolve, family_operators, solve_oracle
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Named invariant groups at one point, with the oracle's headline figures.
+    """Named invariant groups at one point, with the oracle solve they read.
 
     When the steady space is degenerate, ``oracle_equivalence`` fails with
-    the solver's message, the later groups are absent and the figures are
-    infinite.
+    the solver's message, the later groups are absent and ``oracle`` is None.
     """
 
     groups: dict[str, dict]
-    deltas: dict[str, float]
-    residual_numeric: float
-    off_family_max: float
-
-    @property
-    def max_delta(self) -> float:
-        return max(self.deltas.values(), default=math.inf)
+    oracle: OracleSolve | None
 
     @property
     def passed(self) -> bool:
@@ -53,35 +46,31 @@ def _group(error: float, limit: float) -> dict:
     return {"passed": bool(error <= limit), "max_error": float(error)}
 
 
-def validate(params: ModelParams, tol: float = 1e-8, rng: np.random.Generator | None = None,
-             population=thermal_population) -> ValidationReport:
+def validate(params: ModelParams, tol: float = 1e-8,
+             rng: np.random.Generator | None = None) -> ValidationReport:
     """Run every invariant group at one point.
 
     ``tol`` bounds the coefficient deltas between the two routes.  ``rng``
     draws the Hermitian probe of the channel-algebra group (seed 0 when
-    omitted).  ``population(E, T)`` gives the machine-bath populations that
-    the two population groups check, as in
-    :func:`neqfridge.model.tilde_populations`; a wrong law fails them.  The
-    oracle solve and the later groups use the model's own populations.
+    omitted).  The point's generator parts are built once: the two
+    population groups check the populations that the oracle then solves with.
     """
-    frame = resonant_frame(params.e1, params.e3, params.gamma)
-    law = tilde_populations(frame, params.t2, params.t3, t1=params.t1, population=population)
-    pop_values = (law.r1, law.r22, law.r23, law.r32, law.r33, law.rtilde2, law.rtilde3)
+    parts = build_generator_parts(params)
+    frame, pops = parts.frame, parts.pops
+    pop_values = (pops.r1, pops.r22, pops.r23, pops.r32, pops.r33, pops.rtilde2, pops.rtilde3)
     groups = {
         "population_range": _group(max(max(0.0, r - 0.5, -r) for r in pop_values), 0.0),
         "detailed_balance": _group(max(
-            abs(law.r(nu, mu) - thermal_population(frame.eps2 if nu == 2 else frame.eps3,
-                                                   params.t2 if mu == 2 else params.t3))
+            abs(pops.r(nu, mu) - thermal_population(frame.eps2 if nu == 2 else frame.eps3,
+                                                    params.t2 if mu == 2 else params.t3))
             for nu in (2, 3) for mu in (2, 3)), 1e-12),
     }
     try:
-        oracle = solve_oracle(params)
+        oracle = solve_oracle(parts)
     except DegenerateSteadyStateError as exc:
         groups["oracle_equivalence"] = {"passed": False, "max_error": math.inf, "error": str(exc)}
-        return ValidationReport(groups=groups, deltas={}, residual_numeric=math.inf,
-                                off_family_max=math.inf)
-    parts, steady = oracle.parts, oracle.numeric
-    frame, pops = parts.frame, parts.pops
+        return ValidationReport(groups=groups, oracle=None)
+    steady = oracle.numeric
     off = max(oracle.analytic.off_family_max, steady.off_family_max)
     groups["oracle_equivalence"] = {
         "passed": bool(oracle.max_delta <= tol and steady.residual <= 1e-10 and off <= 1e-10),
@@ -129,5 +118,4 @@ def validate(params: ModelParams, tol: float = 1e-8, rng: np.random.Generator | 
     fictitious = reset_channel(1, params.p, 0.5 * (1.0 + a1))
     groups["fictitious_bath"] = _group(
         abs(np.trace(parts.hams.htot @ fictitious.apply(steady.rho)).real), 1e-10)
-    return ValidationReport(groups=groups, deltas=oracle.deltas,
-                            residual_numeric=steady.residual, off_family_max=off)
+    return ValidationReport(groups=groups, oracle=oracle)

@@ -22,6 +22,10 @@ import numpy as np
 
 from .errors import DegenerateSteadyStateError, NonHermitianGeneratorError, ParameterError
 
+# a block whose singular values outside the kernel fall to this fraction of
+# its largest one leaves the steady space degenerate
+DEGENERACY_RATIO = 1e-9
+
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -134,8 +138,7 @@ def charge_sectors(charges: tuple[int, ...]) -> tuple:
     return out[0], out[1], blocks[0], blocks[1:], out[2]
 
 
-def steady_null_space(liouvillian: np.ndarray, charges: tuple[int, ...] | None = None,
-                      degeneracy_ratio: float = 1e-9) -> np.ndarray:
+def steady_null_space(liouvillian: np.ndarray, charges: tuple[int, ...] | None = None) -> np.ndarray:
     """Unique trace-one Hermitian kernel state of a Lindblad generator matrix.
 
     G acts on the operators of n >= 1 qubits (else :class:`ParameterError`)
@@ -145,8 +148,10 @@ def steady_null_space(liouvillian: np.ndarray, charges: tuple[int, ...] | None =
     which is real for a generator that preserves Hermiticity (an imaginary
     part above 1e-12 of the real one raises :class:`NonHermitianGeneratorError`).
     The block of difference -c conjugates that of +c, so G_0 and the positive
-    blocks hold every singular value of G: a second one below
-    ``degeneracy_ratio * s_max`` signals a degenerate steady space.
+    blocks hold every singular value of G.  Each block is judged against its
+    own largest singular value: a second one of G_0, or any one of a positive
+    block, at or below ``DEGENERACY_RATIO`` times it signals a degenerate
+    steady space (an all-zero block included).
     """
     liouvillian = np.asarray(liouvillian, dtype=complex)
     d = math.isqrt(liouvillian.shape[0])
@@ -160,12 +165,12 @@ def steady_null_space(liouvillian: np.ndarray, charges: tuple[int, ...] | None =
         raise NonHermitianGeneratorError("generator does not preserve Hermiticity")
     _, s, vh = np.linalg.svd(rotated.real)
     others = [np.linalg.svd(liouvillian[block], compute_uv=False) for block in blocks]
-    s_max, second = max([s[0], *(o[0] for o in others)]), min([s[-2], *(o[-1] for o in others)])
-    if s_max == 0.0 or second < degeneracy_ratio * s_max:
-        raise DegenerateSteadyStateError(
-            f"steady space is degenerate: singular values {second:.3e}, {s[-1]:.3e} "
-            f"below threshold {degeneracy_ratio:.0e} * {s_max:.3e}"
-        )
+    for values in (s[:-1], *others):  # per block, largest first; G_0's kernel value left out
+        if values[-1] <= DEGENERACY_RATIO * values[0]:
+            raise DegenerateSteadyStateError(
+                f"steady space is degenerate: singular values {values[-1]:.3e}, {s[-1]:.3e} "
+                f"at or below threshold {DEGENERACY_RATIO:.0e} * {values[0]:.3e}"
+            )
     rho = np.tensordot(vh[-1], strings, axes=1)
     tr = np.trace(rho)
     if abs(tr) < 1e-12:

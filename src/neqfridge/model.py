@@ -318,22 +318,20 @@ class ThermalPopulations:
         return 2.0 * self.rtilde3 - 1.0
 
 
-def tilde_populations(frame: Frame, t2, t3, t1,
-                      population=thermal_population) -> ThermalPopulations:
+def tilde_populations(frame: Frame, t2, t3, t1) -> ThermalPopulations:
     """Populations of the dressed machine qubits and of the target.
 
     Each dressed qubit is pushed by both baths; the combined fixed point is
     the mixture rtilde_nu = cos^2(theta/2) r_{nu,nu} + sin^2(theta/2) r_{nu,mu}
     and defines the effective temperature ttilde_nu through the Boltzmann
-    ratio at gap eps_nu.  ``population(E, T)`` gives the machine-bath
-    populations r_{nu,mu}; the target's r1 always follows the thermal law.
+    ratio at gap eps_nu.  Every population follows :func:`thermal_population`.
     """
     c2 = frame.cos_half_sq
     s2 = frame.sin_half_sq
-    r22 = population(frame.eps2, t2)
-    r23 = population(frame.eps2, t3)
-    r32 = population(frame.eps3, t2)
-    r33 = population(frame.eps3, t3)
+    r22 = thermal_population(frame.eps2, t2)
+    r23 = thermal_population(frame.eps2, t3)
+    r32 = thermal_population(frame.eps3, t2)
+    r33 = thermal_population(frame.eps3, t3)
     return ThermalPopulations(
         eps2=frame.eps2, eps3=frame.eps3,
         r22=r22, r23=r23, r32=r32, r33=r33,

@@ -150,15 +150,6 @@ def currents_closed(
     }
 
 
-def cooling_condition(e1: float, e3: float, gamma: float) -> bool:
-    """Whether heating the engine bath can lower the virtual temperature.
-
-    Requires 2 gamma^2 < E3 * sqrt(E1^2 - 4 gamma^2); equivalently the COP
-    denominator is positive.
-    """
-    return 2.0 * gamma * gamma < e3 * resonant_frame(e1, e3, gamma).delta_e
-
-
 def critical_gamma(e1: float, e3: float) -> float:
     """Coupling at which the cooling condition turns off (closed form)."""
     return np.sqrt(0.5 * e3 * (np.sqrt(e3 * e3 + e1 * e1) - e3))
@@ -190,22 +181,6 @@ def cop_tilde(pops: ThermalPopulations, t1):
     bt2 = pops.btilde2
     denominator = 1.0 / t1 - bt2
     return quotient(bt2 - pops.btilde3, denominator, denominator != 0.0)
-
-
-def max_cop_identity(frame: Frame, pops: ThermalPopulations, t1: float) -> float:
-    """COP at a cooling-window endpoint from dressed inverse temperatures.
-
-    Valid on the surface T1 = Tv, where it coincides with :func:`cop_g`.
-    Derived from the dressed-current identities; the beta~3 term enters with
-    a plus sign (the version with a minus sign fails the identity for any
-    theta > 0, see the regression test).
-    """
-    b1 = 1.0 / t1
-    bt2, bt3 = pops.btilde2, pops.btilde3
-    denominator = (
-        b1 * np.cos(frame.theta) - bt2 * frame.cos_half_sq + bt3 * frame.sin_half_sq
-    )
-    return (bt2 - bt3) / denominator
 
 
 def eta_star_max(eta_c, gamma_over_e3):

@@ -12,8 +12,9 @@ It conserves the machine charge n2 + n3, and the kernel is a real SVD of
 its 24x24 charge-0 block; the state is rotated back to the lab frame.  The two
 routes adjudicate one another; the package treats the null space as ground
 truth and the closed form as the fast path validated against it.  Both
-routes take a point's :class:`~neqfridge.dissipation.GeneratorParts`;
-:func:`solve_oracle` builds it once from the parameters and runs both.
+routes take a point's :class:`~neqfridge.dissipation.GeneratorParts`, built
+once by :func:`~neqfridge.dissipation.build_generator_parts`, and
+:func:`solve_oracle` runs both on it.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import GeneratorParts, assemble_liouvillian, build_generator_parts
+from .dissipation import GeneratorParts, assemble_liouvillian
 from .linalg import charge_sectors, pauli_basis, pauli_string, rotate_superop, steady_null_space
-from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, Frame, ModelParams, ThermalPopulations
+from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, Frame, ThermalPopulations
 
 # The nine-operator family in the dressed frame (target, dressed spiral,
 # dressed engine), in SteadyDecomposition order after the identity; the last
@@ -74,7 +75,6 @@ class SteadyStateResult:
 
     rho: np.ndarray
     decomposition: SteadyDecomposition
-    method: str  # "analytic" | "numeric"
     residual: float
     off_family_max: float
     charge_leakage: float = 0.0
@@ -153,7 +153,7 @@ def analytic_steady_state(parts: GeneratorParts) -> SteadyStateResult:
     rho = reconstruct_state(decomposition, parts.frame)
     _, off = decompose(rho, parts.frame)
     return SteadyStateResult(
-        rho=rho, decomposition=decomposition, method="analytic",
+        rho=rho, decomposition=decomposition,
         residual=float(np.linalg.norm(parts.apply(rho))), off_family_max=off,
     )
 
@@ -175,7 +175,7 @@ def numeric_steady_state(parts: GeneratorParts) -> SteadyStateResult:
     entries = np.abs(generator)
     leakage = np.max(entries[charge_sectors(MACHINE_CHARGES)[-1]]) / np.max(entries)
     return SteadyStateResult(
-        rho=rho, decomposition=decomposition, method="numeric",
+        rho=rho, decomposition=decomposition,
         residual=float(np.linalg.norm(parts.apply(rho))), off_family_max=off,
         charge_leakage=float(leakage),
     )
@@ -185,7 +185,6 @@ def numeric_steady_state(parts: GeneratorParts) -> SteadyStateResult:
 class OracleSolve:
     """Both steady-state routes at one point, from one generator and one kernel solve."""
 
-    parts: GeneratorParts
     analytic: SteadyStateResult
     numeric: SteadyStateResult
     deltas: dict[str, float]
@@ -195,16 +194,15 @@ class OracleSolve:
         return max(self.deltas.values())
 
 
-def solve_oracle(params: ModelParams) -> OracleSolve:
-    """Solve one point both ways and compare the routes coefficient by coefficient.
+def solve_oracle(parts: GeneratorParts) -> OracleSolve:
+    """Solve the point ``parts`` both ways and compare the routes coefficient by coefficient.
 
     Raises :class:`DegenerateSteadyStateError` when the generator kernel is
     not one-dimensional.
     """
-    parts = build_generator_parts(params)
     analytic = analytic_steady_state(parts)
     numeric = numeric_steady_state(parts)
     a = analytic.decomposition.as_dict()
     n = numeric.decomposition.as_dict()
-    return OracleSolve(parts=parts, analytic=analytic, numeric=numeric,
+    return OracleSolve(analytic=analytic, numeric=numeric,
                        deltas={name: abs(a[name] - n[name]) for name in a})

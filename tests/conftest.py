@@ -1,14 +1,25 @@
+import collections
 import importlib.util
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neqfridge import CoolingWindow, ModelParams, cooling_window, cop_g, resonant_frame
+from neqfridge import (
+    CoolingWindow,
+    ModelParams,
+    cooling_window,
+    cop_carnot,
+    cop_g,
+    eta_star_max,
+    maximize_cooling_powers,
+    resonant_frame,
+)
 from neqfridge.experiments import _brent_max, _chandrupatla
+from neqfridge.model import REFERENCE
 from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 # canonical benchmark point used throughout the suite
@@ -41,6 +52,23 @@ def benchmark_workloads():
     sys.modules[spec.name] = workloads  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
     return workloads
+
+
+def counting(monkeypatch, *functions) -> tuple[collections.Counter, collections.Counter]:
+    """Count each function's calls, and the elements of their first
+    arguments, through every package module that binds its name, so that no
+    caller goes around the counter."""
+    calls, points = collections.Counter(), collections.Counter()
+    for function in functions:
+        def counted(*args, _function=function, **kwargs):
+            calls[_function.__name__] += 1
+            points[_function.__name__] += np.size(args[0])
+            return _function(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("neqfridge") and getattr(module, function.__name__, None) is function:
+                monkeypatch.setattr(module, function.__name__, counted)
+    return calls, points
 
 
 def random_hermitian(rng: np.random.Generator, dim: int = 8) -> np.ndarray:
@@ -219,3 +247,60 @@ def per_cell_csv(metadata: dict, columns: list[str], rows: list[dict], version: 
         lines.append(",".join(format(row[col], ".17g") if isinstance(row[col], float)
                               else str(row[col]) for col in columns))
     return "\n".join(lines) + "\n"
+
+
+# Closed-form references that only the tests read: the cooling condition,
+# the endpoint-COP identity and the high-temperature saturation study.
+
+def cooling_condition(e1: float, e3: float, gamma: float) -> bool:
+    """Whether heating the engine bath can lower the virtual temperature.
+
+    Requires 2 gamma^2 < E3 * sqrt(E1^2 - 4 gamma^2); equivalently the COP
+    denominator is positive.
+    """
+    return 2.0 * gamma * gamma < e3 * resonant_frame(e1, e3, gamma).delta_e
+
+
+def max_cop_identity(frame, pops, t1: float) -> float:
+    """COP at a cooling-window endpoint from dressed inverse temperatures.
+
+    Valid on the surface T1 = Tv, where it coincides with ``cop_g``.
+    Derived from the dressed-current identities; the beta~3 term enters with
+    a plus sign (the version with a minus sign fails the identity for any
+    theta > 0, see the regression test).
+    """
+    b1 = 1.0 / t1
+    bt2, bt3 = pops.btilde2, pops.btilde3
+    denominator = (
+        b1 * np.cos(frame.theta) - bt2 * frame.cos_half_sq + bt3 * frame.sin_half_sq
+    )
+    return (bt2 - bt3) / denominator
+
+
+def high_temperature_saturation(
+    x_values: tuple[float, ...] = (0.0, 0.05, 0.1),
+    kappas: tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0),
+) -> dict[str, np.ndarray]:
+    """Approach of the max-power COP to its upper bound as temperatures grow.
+
+    The reference refrigerator at gamma = x E3, with all three bath
+    temperatures scaled by kappa, which leaves the Carnot COP fixed; the
+    relative gap to the bound should shrink toward zero.
+    """
+    ref = REFERENCE
+    eta_c = cop_carnot(ref.t1, ref.t2, ref.t3)
+    x, kappa = np.array([(x, kappa) for x in x_values for kappa in kappas]).T
+    models = replace(ref, e1=np.fmax(1.0, 2.5 * x * ref.e3), gamma=x * ref.e3,
+                     t1=ref.t1 * kappa, t2=ref.t2 * kappa, t3=ref.t3 * kappa)
+    results = maximize_cooling_powers(models)
+    e1_star, eta_star = np.array([(r.e1_star, r.eta_g_star) for r in results]).T
+    bound = eta_star_max(eta_c, x)
+    return {
+        **replace(models, e1=e1_star).as_batch().as_dict(),
+        "gamma_over_e3": x,
+        "kappa": kappa,
+        "eta_star": eta_star,
+        "eta_star_bound": bound,
+        "rel_gap": (bound - eta_star) / bound,
+        "e1_over_t1": e1_star / models.t1,
+    }

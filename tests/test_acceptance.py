@@ -22,9 +22,7 @@ from neqfridge import (
     eta_star_max,
     eta_star_min,
     heat_currents,
-    high_temperature_saturation,
     local_target_temperature,
-    max_cop_identity,
     numeric_steady_state,
     random_ensemble,
     resonant_frame,
@@ -40,7 +38,14 @@ from neqfridge.linalg import hermiticity_defect
 from neqfridge.observables import currents_closed
 from neqfridge.steadystate import family_operators, steady_coefficients
 
-from conftest import P0, find_root, random_feasible, random_hermitian
+from conftest import (
+    P0,
+    find_root,
+    high_temperature_saturation,
+    max_cop_identity,
+    random_feasible,
+    random_hermitian,
+)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -53,9 +58,9 @@ def test_criterion_1_oracle_equivalence():
     worst_delta = worst_residual = 0.0
     for params in points:
         report = validate(params, tol=1e-8)
-        assert report.passed, (params, report.deltas)
-        worst_delta = max(worst_delta, report.max_delta)
-        worst_residual = max(worst_residual, report.residual_numeric)
+        assert report.passed, (params, report.groups)
+        worst_delta = max(worst_delta, report.oracle.max_delta)
+        worst_residual = max(worst_residual, report.oracle.numeric.residual)
     print(f"\nACCEPTANCE 1 PASS: {len(points)} points, max coefficient delta "
           f"{worst_delta:.2e} <= 1e-8, max numeric residual {worst_residual:.2e} <= 1e-10")
 

@@ -1,11 +1,10 @@
 import collections
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from neqfridge import (
     CoolingWindow,
@@ -16,7 +15,6 @@ from neqfridge import (
     cooling_window,
     cop_g,
     eta_star_min,
-    high_temperature_saturation,
     maximize_cooling_power,
     random_ensemble,
     resonant_frame,
@@ -26,6 +24,7 @@ from neqfridge import (
     sweep_fig5,
 )
 from neqfridge.experiments import (
+    _F_ROUNDING,
     _chandrupatla,
     _draw_model,
     _scan_range,
@@ -39,7 +38,6 @@ from neqfridge.experiments import (
 from neqfridge.errors import ParameterError
 from neqfridge.model import tilde_populations, virtual_coherence, virtual_temperature
 from neqfridge.observables import (
-    cooling_condition,
     cop_carnot,
     critical_gamma,
     currents_closed,
@@ -47,7 +45,17 @@ from neqfridge.observables import (
 )
 from neqfridge.steadystate import steady_coefficients
 
-from conftest import bisect_root, find_root, golden_max, golden_section_max, minimize_cop
+from conftest import (
+    bisect_root,
+    cooling_condition,
+    counting,
+    find_root,
+    golden_max,
+    golden_section_max,
+    high_temperature_saturation,
+    max_cop_identity,
+    minimize_cop,
+)
 
 FIG4_BASE = ModelParams(e1=1.0, e3=4.0, gamma=0.2, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
 
@@ -142,7 +150,7 @@ class TestRootFinderEdges:
     # fraction = 0.5703125, s = 0.0234375, tol = 1e-3), so tolerances here
     # stay at or below 1e-4 of the bracket; the window search uses 1e-13 on
     # grid cells of about 1e-2.
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         family=st.sampled_from(sorted(MONOTONE)),
         a=st.floats(-10.0, 10.0),
@@ -201,19 +209,9 @@ class TestDeviationKernel:
         # once cost 250 ModelParams checks, and the kernels checked every population
         from neqfridge import experiments, model, steadystate
 
-        calls, points = collections.Counter(), collections.Counter()
         kernels = (experiments.deviation, experiments.log_odds_gap)
-        watched = (experiments._draw_model, model._require)
-        for function in (*kernels, steadystate.steady_coefficients, *watched):
-            def counted(*args, _function=function, **kwargs):
-                calls[_function.__name__] += 1
-                points[_function.__name__] += np.size(args[0])
-                return _function(*args, **kwargs)
-
-            # every module that binds the name, so no caller goes around the counter
-            for name, module in list(sys.modules.items()):
-                if name.startswith("neqfridge") and getattr(module, function.__name__, None) is function:
-                    monkeypatch.setattr(module, function.__name__, counted)
+        calls, points = counting(monkeypatch, *kernels, steadystate.steady_coefficients,
+                                 experiments._draw_model, model._require)
         post_init = ModelParams.__post_init__
 
         def counted_post_init(self):
@@ -362,10 +360,14 @@ def ensemble_draws(draw) -> ModelParams:
 
 
 class TestWindowsAgainstFineScan:
-    # The search trusts f to dip below zero on one interval; a 4000-point
-    # scan of d over the same range checks that on a batch of draws
-    @settings(max_examples=120, deadline=None)
+    # The search trusts f to dip below its rounding bound on one interval; a
+    # 4000-point scan of d over the same range checks that on a batch of draws
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(bases=st.lists(ensemble_draws(), min_size=1, max_size=6))
+    # T1, T2 and T3 within 1e-9: f stays within 2 ulps of zero, yet d is
+    # negative at one grid point and the search once returned a window there
+    @example(bases=[ModelParams(e1=3.75, e3=2.0, gamma=1.5, t1=0.9999999998333333, t2=1.0,
+                                t3=1.000000001, p=0.005, g=0.005)])
     def test_windows_match_a_fine_scan(self, bases):
         lo, hi, errors = _scan_range(_stack(bases))
         for base, window, a, b, error in zip(bases, cooling_windows(_stack(bases)), lo, hi, errors):
@@ -378,7 +380,10 @@ class TestWindowsAgainstFineScan:
                 continue
             d = deviation(grid, base)  # the frame at a holds on the whole range
             cell, cool = grid[1] - grid[0], grid[d < 0.0]
-            if 0 < cool.size < grid.size:  # the scan sees a sign change
+            if np.min(log_odds_gap(grid, base)) >= -_F_ROUNDING * b / base.t1:
+                # f never leaves its rounding bound: the sign of d is noise
+                assert not isinstance(window, CoolingWindow)
+            elif 0 < cool.size < grid.size:  # the scan sees a sign change
                 assert isinstance(window, CoolingWindow)
                 assert abs(window.left - cool[0]) <= cell
                 assert abs(window.right - cool[-1]) <= cell
@@ -491,7 +496,6 @@ def fig4_data():
 class TestFig4Sweep:
     def test_endpoint_properties(self, fig4_data):
         from neqfridge.model import tilde_populations
-        from neqfridge.observables import max_cop_identity
 
         _, windows = fig4_data
         for gamma, window in windows.items():
@@ -666,8 +670,6 @@ class TestEnsemble:
             assert lower == pytest.approx(eta_star_min(x), abs=1e-12)
 
     def test_every_model_is_feasible(self, small):
-        from neqfridge.observables import cooling_condition
-
         table, _ = small
         for e1, e3, gamma in zip(*(table[k].tolist() for k in ("e1", "e3", "gamma"))):
             assert cooling_condition(e1, e3, gamma)

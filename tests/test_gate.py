@@ -3,7 +3,8 @@
 Past the gate every closed form and the oracle are total on the model: an
 observable undefined at a point is NaN there, never a ParameterError.  The
 property test draws valid models down to a frozen target bath; the source
-walk keeps new re-checks from creeping back into the package.
+walks keep new re-checks from creeping back into the package, and new
+knobs (defaulted parameters and dataclass fields) from appearing unnamed.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from neqfridge import ModelParams, closed_form_table, solve_oracle, validate
+from neqfridge import ModelParams, closed_form_table, validate
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "neqfridge"
 LOG_T1_MIN = math.log(1e-300)
@@ -46,11 +47,10 @@ def test_every_valid_model_passes_without_an_error_or_a_warning(params):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = closed_form_table(params)
-        oracle = solve_oracle(params)
         report = validate(params)
     assert np.isfinite([table["d"], table["q1g"], table["q23"]]).all()
-    assert oracle.numeric.residual <= 1e-10
     assert report.passed, {name: g for name, g in report.groups.items() if not g["passed"]}
+    assert report.oracle.numeric.residual <= 1e-10
 
 
 # the functions that may name ParameterError (or its subclass) outside an
@@ -61,7 +61,7 @@ ALLOWED = {
     "model.ModelParams.__post_init__", "model._frame_gaps",
     "experiments.SweepSpec.__post_init__", "experiments.EnsembleSpec.__post_init__",
     "experiments._check_points", "experiments._scan_range", "experiments.random_ensemble",
-    "cli._load_config", "cli.cmd_figure",
+    "cli._load_config", "cli.cmd_figure", "cli.cmd_validate",
     "linalg.steady_null_space", "dissipation._reset_raising", "dissipation.tilde_channel",
 }
 PARAMETER_ERRORS = {"ParameterError", "ResonanceInfeasibleError"}
@@ -94,3 +94,61 @@ def parameter_error_sites() -> set[str]:
 
 def test_parameter_errors_come_only_from_the_gate():
     assert parameter_error_sites() == ALLOWED
+
+
+# every defaulted parameter and dataclass field default in the package, as
+# module.qualname.name: a new knob fails here until it is named
+DEFAULTED = {
+    "cli.main.argv",
+    "dissipation.reset_channel.n_qubits",
+    "experiments.CoolingWindow.left_is_boundary",
+    "experiments.EnsembleSpec.e3_range", "experiments.EnsembleSpec.eta_c",
+    "experiments.EnsembleSpec.gamma_steps", "experiments.EnsembleSpec.max_gamma_step",
+    "experiments.EnsembleSpec.seed", "experiments.EnsembleSpec.t2_range",
+    "experiments.EnsembleSpec.t3_mult_range",
+    "experiments._brent_max.stop",
+    "experiments.maximize_cooling_powers.windows",
+    "experiments.sweep_fig3.gammas", "experiments.sweep_fig3.points",
+    "experiments.sweep_fig4.gammas", "experiments.sweep_fig4.points",
+    "experiments.sweep_fig5.beta3_hi", "experiments.sweep_fig5.beta3_lo",
+    "experiments.sweep_fig5.gammas", "experiments.sweep_fig5.points",
+    "invariants.validate.rng", "invariants.validate.tol",
+    "linalg.steady_null_space.charges",
+    "steadystate.SteadyStateResult.charge_leakage",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def defaulted_names() -> set[str]:
+    """module.qualname.name of every parameter with a default (functions and
+    lambdas, nested ones too) and every dataclass field with a default."""
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                    args, qual = child.args, scope + [getattr(child, "name", "<lambda>")]
+                    positional = args.posonlyargs + args.args
+                    defaulted = positional[len(positional) - len(args.defaults):]
+                    defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                    names.update(".".join([path.stem, *qual, a.arg]) for a in defaulted)
+                elif isinstance(child, ast.ClassDef):
+                    qual = scope + [child.name]
+                    if _is_dataclass(child):
+                        names.update(".".join([path.stem, *qual, stmt.target.id]) for stmt in child.body
+                                     if isinstance(stmt, ast.AnnAssign) and stmt.value is not None)
+                else:
+                    qual = scope
+                visit(child, qual)
+
+        visit(ast.parse(path.read_text()), [])
+    return names
+
+
+def test_every_default_is_named():
+    assert defaulted_names() == DEFAULTED

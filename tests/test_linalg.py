@@ -239,6 +239,12 @@ class TestChargeBlocks:
         rho = steady_null_space(_population_generator(0.3, 0.1, 0.2), charges)
         assert np.max(np.abs(rho - np.diag([0.75, 0.25]))) < 1e-15
 
+    def test_each_block_is_judged_on_its_own_scale(self):
+        # a charged block 1e12 times stiffer than the populations' block leaves
+        # their one-dimensional kernel well posed
+        rho = steady_null_space(_population_generator(0.3, 0.1, 1e12), (0, 1))
+        assert np.max(np.abs(rho - np.diag([0.75, 0.25]))) < 1e-15
+
     @pytest.mark.parametrize("frame", ["dressed", "lab"])
     def test_blocks_hold_every_singular_value(self, p0, frame):
         generator = assemble_liouvillian(build_generator_parts(p0))

@@ -19,7 +19,7 @@ from neqfridge.dissipation import tilde_channel
 from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
 from neqfridge.observables import product_state
 
-from conftest import fridge_tilde_operator, random_feasible
+from conftest import cooling_condition, fridge_tilde_operator, random_feasible
 
 
 class TestModelParams:
@@ -286,8 +286,6 @@ class TestVirtualQubit:
 
     def test_virtual_temperature_slope_sign(self):
         # the derivative of Tv in T3 at T3 = T2 follows the cooling condition
-        from neqfridge.observables import cooling_condition
-
         for gamma in (0.1, 0.3, 0.45, 0.49, 0.4962, 0.499):
             frame = resonant_frame(1.0, 4.0, gamma)
             h = 1e-6

@@ -8,7 +8,6 @@ from neqfridge import (
     ModelParams,
     analytic_steady_state,
     build_generator_parts,
-    cooling_condition,
     cop_carnot,
     cop_g,
     cop_tilde,
@@ -17,7 +16,6 @@ from neqfridge import (
     eta_star_min,
     heat_currents,
     local_target_temperature,
-    max_cop_identity,
     numeric_steady_state,
     resonant_frame,
     solve_oracle,
@@ -29,7 +27,15 @@ from neqfridge.model import PARAM_NAMES
 from neqfridge.observables import closed_form_table, currents_closed, internal_current
 from neqfridge.steadystate import steady_coefficients
 
-from conftest import P0, benchmark_workloads, find_root, minimize_cop, random_feasible
+from conftest import (
+    P0,
+    benchmark_workloads,
+    cooling_condition,
+    find_root,
+    max_cop_identity,
+    minimize_cop,
+    random_feasible,
+)
 
 
 @pytest.fixture(scope="module")
@@ -297,8 +303,9 @@ class TestClosedFormTable:
         # the benchmark's bounds on the oracle points: 1e-8 on a coefficient
         # delta, 1e-9 on a current route delta
         for params in _oracle_points():
-            oracle = solve_oracle(params)
-            currents = heat_currents(oracle.parts, oracle.numeric)
+            parts = build_generator_parts(params)
+            oracle = solve_oracle(parts)
+            currents = heat_currents(parts, oracle.numeric)
             table = closed_form_table(params)
             assert abs(table["d"][0] - oracle.numeric.decomposition.d) <= 1e-8
             assert abs(table["q1g"][0] - currents.q1g) <= 1e-9

@@ -84,23 +84,24 @@ class TestOracleEquivalence:
     def test_benchmark_point(self, p0):
         report = validate(p0, tol=1e-8)
         assert report.passed
-        assert report.max_delta < 1e-10
-        assert report.residual_numeric < 1e-10
-        assert report.off_family_max < 1e-10
+        oracle = report.oracle
+        assert oracle.max_delta < 1e-10
+        assert oracle.numeric.residual < 1e-10
+        assert max(oracle.analytic.off_family_max, oracle.numeric.off_family_max) < 1e-10
 
     def test_random_grid(self):
         rng = np.random.default_rng(17)
         for _ in range(8):
             params = random_feasible(rng)
             report = validate(params, tol=1e-8)
-            assert report.passed, (params, report.deltas)
+            assert report.passed, (params, report.oracle.deltas)
 
     def test_no_interaction_grid_over_coupling(self):
         for gamma in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
             params = ModelParams(e1=1.0, e3=4.0, gamma=gamma,
                                  t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
             report = validate(params, tol=1e-8)
-            assert report.max_delta < 1e-12
+            assert report.oracle.max_delta < 1e-12
 
     def test_doubled_pair_sum_rejected(self, p0):
         # regression guard: counting the population-overlap sum twice
@@ -240,7 +241,7 @@ class TestValidateReport:
     def test_passes_at_benchmark(self, p0):
         report = validate(p0, tol=1e-7)
         assert report.passed
-        assert set(report.deltas) == {"a1", "a2", "a3", "b12", "b13", "b23", "c", "d"}
+        assert set(report.oracle.deltas) == {"a1", "a2", "a3", "b12", "b13", "b23", "c", "d"}
 
     def test_fails_for_impossible_tolerance(self, p0):
         report = validate(p0, tol=0.0)
