@@ -3,8 +3,8 @@
 Subcommands: steady | figure {fig3,fig4,fig5,fig6} | sweep | maximize |
 validate | ensemble.  Single-point reports are JSON; tables are CSV with
 '#'-prefixed metadata lines carrying the fully resolved configuration, so
-identical invocations produce byte-identical files; a table's columns are
-formatted once per command (:func:`_cells`), for all the files it writes.
+identical invocations produce byte-identical files; each distinct value of a
+column is formatted once per command (:func:`_cells`), for every file it writes.
 
 Exit codes: 0 success, 2 user/config error, 3 numerical degeneracy,
 4 invariant failure or another package error.
@@ -67,11 +67,21 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
+_FLOAT_CELL = "%.17g".__mod__
+
+
 def _cells(table: dict[str, np.ndarray], columns) -> dict[str, list[str]]:
-    """The named columns of a table as CSV cells: floats as %.17g, integers as str."""
-    return {name: list(map("%.17g".__mod__ if table[name].dtype.kind == "f" else str,
-                           table[name].tolist()))
-            for name in columns}
+    """The named columns of a table as CSV cells: floats as %.17g, integers as str,
+    each distinct value (floats told apart by their bits) formatted once."""
+    cells = {}
+    for name in columns:
+        column = table[name]
+        floats = column.dtype.kind == "f"
+        _, first, inverse = np.unique(column.view(np.int64) if floats else column,
+                                      return_index=True, return_inverse=True)
+        text = np.array([*map(_FLOAT_CELL if floats else str, column[first].tolist())], object)
+        cells[name] = text[inverse].tolist()
+    return cells
 
 
 def write_csv(path: Path, metadata: dict, columns: list[str], cells: dict[str, list[str]]) -> None:
@@ -176,8 +186,6 @@ def cmd_figure(args) -> int:
             raise ParameterError(f"figure {name} does not read --{flag}")
     points = 200 if args.points is None else args.points
     seed = 7 if args.seed is None else args.seed
-    outdir = Path(args.out) if args.out else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
     # every figure records both defaults, whether it reads them or not
     meta = {"figure": name, "points": points, "seed": seed}
     gammas = (args.gamma,) if args.gamma is not None else None
@@ -204,6 +212,8 @@ def cmd_figure(args) -> int:
         own = (["eta_star_ratio", "eta_star_max", "eta_star_min", "eta_tot_star", "near_bound"],
                ["coherence", "near_bound"])
     cells = _cells(table, cols + own[0] + own[1])
+    outdir = Path(args.out or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
     for suffix, extra in zip("ab", own):
         write_csv(outdir / f"{name}{suffix}.csv", meta, cols + extra, cells)
     return 0
@@ -239,17 +249,21 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.grid < 1:
-        raise ParameterError(f"validate --grid must be at least 1, got {args.grid}")
+    single = any(getattr(args, name) is not None for name in PARAM_NAMES) or args.config
+    if single and args.grid is not None:
+        raise ParameterError("validate with parameter flags or --config does not read --grid")
+    grid = 5 if args.grid is None else args.grid
+    if grid < 1:
+        raise ParameterError(f"validate --grid must be at least 1, got {grid}")
     if not 0.0 <= args.tol < math.inf:
         raise ParameterError(f"validate --tol must be finite and nonnegative, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     points = []
-    if any(getattr(args, name) is not None for name in PARAM_NAMES) or args.config:
+    if single:
         points.append(_resolve_params(args))
     else:
         points.append(REFERENCE)
-        for _ in range(args.grid - 1):
+        for _ in range(grid - 1):
             e1 = rng.uniform(0.5, 2.0)
             points.append(ModelParams(
                 e1=e1,
@@ -322,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     _add_param_flags(p_val)
-    p_val.add_argument("--grid", type=int, default=5, help="number of random grid points")
+    p_val.add_argument("--grid", type=int, default=None, help="grid points (default 5)")
     p_val.add_argument("--tol", type=float, default=1e-8)
     p_val.add_argument("--seed", type=int, default=7)
     p_val.set_defaults(func=cmd_validate)

@@ -235,6 +235,14 @@ def minimize_cop(base: ModelParams, tol: float = 1e-8) -> MinCopResult:
     return MinCopResult(float(e1_star[0]), -float(negative_cop[0]), window)
 
 
+def per_cell_cells(table: dict[str, np.ndarray], columns) -> dict[str, list[str]]:
+    """The named columns of a table as CSV cells formatted cell by cell, floats
+    as %.17g and integers as str: the reference for ``cli._cells``."""
+    return {name: list(map("%.17g".__mod__ if table[name].dtype.kind == "f" else str,
+                           table[name].tolist()))
+            for name in columns}
+
+
 def per_cell_csv(metadata: dict, columns: list[str], rows: list[dict], version: str) -> str:
     """A table as CSV text written cell by cell from row dicts, floats through
     ``format(v, ".17g")``: the reference for the package's column writer."""

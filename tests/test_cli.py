@@ -8,13 +8,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import neqfridge
 from neqfridge import build_generator_parts, solve_oracle, validate
 from neqfridge.cli import _cells, main, write_csv
 from neqfridge.model import build_hamiltonians, thermal_population
 
-from conftest import P0, counting, per_cell_csv
+from conftest import P0, counting, per_cell_cells, per_cell_csv
 
 # group names of `validate`, in report order
 GROUPS = [
@@ -256,9 +257,11 @@ class TestFigureCommand:
 
     def test_infinite_coupling_exits_2_without_a_warning(self, tmp_path, capsys):
         # E1 = 2.5 gamma is infinite too; the suite turns a RuntimeWarning into an error
-        assert main(["figure", "fig4", "--gamma", "inf", "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["figure", "fig4", "--gamma", "inf", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: dressed engine gap must be positive: eps3=nan at E1=inf, E3=4.0, gamma=inf\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, points", [("fig3", "-1"), ("fig4", "0"), ("fig5", "1")])
     def test_too_few_points_exit_2(self, tmp_path, capsys, name, points):
@@ -363,6 +366,76 @@ class TestCsvWriter:
         self._same_bytes(tmp_path, table, ["x", "near_bound"])
 
 
+# values that a per-value cache must keep apart or may confuse: both zeros,
+# NaNs with other payloads and signs, infinities, subnormals and huge values
+EDGE_FLOATS = np.concatenate([
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1e308, -1e308, 0.1],
+    np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF4000000000000],
+             dtype=np.uint64).view(np.float64),
+])
+
+
+@st.composite
+def repetitive_tables(draw):
+    """Columns of few distinct values: drawn from a small pool, the pool's head
+    tiled (like a figure's beta3 grid under each coupling) and held in runs."""
+    rows = draw(st.integers(0, 40))
+    pool = np.concatenate([EDGE_FLOATS, draw(st.lists(st.floats(), min_size=1, max_size=6))])
+    index = st.integers(0, pool.size - 1)
+    head = pool[draw(st.lists(index, min_size=1, max_size=5))]
+    integers = st.sampled_from([0, -3, 7, 2**63 - 1, -(2**63)]) | st.integers(-(2**63), 2**63 - 1)
+    return {
+        "repeated": pool[draw(st.lists(index, min_size=rows, max_size=rows))],
+        "tiled": np.resize(head, rows),
+        "runs": np.repeat(head, rows)[:rows],
+        "count": np.array(draw(st.lists(integers, min_size=rows, max_size=rows)), dtype=np.int64),
+    }
+
+
+class TestDistinctValueCells:
+    """``_cells`` formats each distinct value once; its cells are the per-cell formatter's."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(table=repetitive_tables())
+    @example(table={"x": np.array([]), "count": np.array([], dtype=np.int64)})
+    @example(table={"x": EDGE_FLOATS[1:2], "count": np.array([2**63 - 1])})
+    def test_cells_match_the_per_cell_formatter(self, table):
+        assert _cells(table, list(table)) == per_cell_cells(table, list(table))
+
+    @pytest.mark.parametrize("command", [
+        ["figure", "fig3"], ["figure", "fig4"], ["figure", "fig5"],
+        ["figure", "fig3", "--gamma", "0.3"], ["figure", "fig4", "--gamma", "0.3"],
+        ["figure", "fig5", "--gamma", "0.3"], ["figure", "fig6", "--n", "20"],
+        ["sweep", "--axis", "beta3", "--lo", "0", "--hi", "0.45"],
+        ["sweep", "--axis", "gamma", "--lo", "0", "--hi", "0.45"],
+        ["sweep", "--axis", "e1", "--lo", "0.7", "--hi", "3"],
+        ["ensemble", "--n", "10"],
+    ], ids=" ".join)
+    def test_table_commands_write_the_per_cell_bytes(self, monkeypatch, tmp_path, command):
+        def written(out):
+            out.mkdir()
+            assert main([*command, "--out", str(out if command[0] == "figure" else out / "t.csv")]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        distinct = written(tmp_path / "distinct")
+        monkeypatch.setattr(neqfridge.cli, "_cells", per_cell_cells)
+        assert written(tmp_path / "per_cell") == distinct
+
+    def test_fig3_formats_each_distinct_value_once(self, monkeypatch, tmp_path):
+        formatted = []
+        float_cell = neqfridge.cli._FLOAT_CELL
+
+        def counted(value):
+            formatted.append(value)
+            return float_cell(value)
+
+        monkeypatch.setattr(neqfridge.cli, "_FLOAT_CELL", counted)
+        assert main(["figure", "fig3", "--points", "200", "--out", str(tmp_path)]) == 0
+        # 11 columns of 800 rows, 8,800 cells: beta3 and t3 hold 200 values each,
+        # gamma 4, the six fixed fields 1 each, q1g 800 and delta_c 797
+        assert len(formatted) == 2007
+
+
 class TestMaximizeCommand:
     def test_reports_window_and_optimum(self, tmp_path):
         out = tmp_path / "max.json"
@@ -456,6 +529,24 @@ class TestValidateCommand:
         assert main(["validate", flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: validate {flag} {rule}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--config"])
+    def test_grid_at_a_single_point_exits_2(self, tmp_path, capsys, flag):
+        config = tmp_path / "model.cfg"
+        config.write_text("gamma = 0.3\n")
+        value = str(config) if flag == "--config" else "0.3"
+        out = tmp_path / "validate.json"
+        assert main(["validate", flag, value, "--grid", "7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: validate with parameter flags or --config does not read --grid\n")
+        assert not out.exists()
+
+    def test_default_grid_is_5(self, tmp_path):
+        default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert main(["validate", "--out", str(default)]) == 0
+        assert main(["validate", "--grid", "5", "--out", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+        assert json.loads(default.read_text())["points"] == 5
 
     def test_seeded_grid_groups_unchanged(self, tmp_path):
         # every group passes at every point of the seed-7 grid
