@@ -30,7 +30,6 @@ from .dissipation import (
     build_generator_parts,
     jump_operator_set,
     reset_channel,
-    tilde_channel,
 )
 from .steadystate import (
     OracleSolve,

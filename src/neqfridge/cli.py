@@ -257,6 +257,8 @@ def cmd_validate(args) -> int:
         raise ParameterError(f"validate --grid must be at least 1, got {grid}")
     if not 0.0 <= args.tol < math.inf:
         raise ParameterError(f"validate --tol must be finite and nonnegative, got {args.tol}")
+    if args.seed < 0:
+        raise ParameterError(f"validate --seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     points = []
     if single:

@@ -12,7 +12,8 @@ the dressed qubits (the "tilde" channels; Hofer et al., NJP 19, 123037
 
 Every jump is a constant Pauli-string table, rotated into the lab frame by
 one batched product with the frame's dressing; channels stack their jumps
-once and act, or assemble their 64x64 matrix, without Kronecker products.
+once and act without Kronecker products.  In the dressed frame the 64x64
+generator is one contraction of the point's weights with constant tables.
 """
 
 from __future__ import annotations
@@ -24,8 +25,12 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import commutator_superop, pauli_string, sandwich_superop
+from .linalg import commutator_superop, dissipator_superop, pauli_string
 from .model import (
+    _TRIPARTITE,
+    SIGMA_Z1,
+    SIGMA_Z2,
+    SIGMA_Z3,
     Frame,
     Hamiltonians,
     ModelParams,
@@ -40,7 +45,8 @@ from .model import (
 # the transition frequency, mu the bath driving it
 _JUMP_SPECS = ((2, 2, "+i"), (3, 2, "z+"), (3, 3, "i+"), (2, 3, "+z"))
 _JUMP_STRINGS = np.array([pauli_string("i" + ops) for _, _, ops in _JUMP_SPECS])
-_TILDE_RAISING = {2: _JUMP_STRINGS[0], 3: _JUMP_STRINGS[2]}
+# the raising jumps of the generator tables: the target's, then the machine's
+_DRESSED_JUMPS = np.concatenate([pauli_string("+ii")[None], _JUMP_STRINGS])
 
 
 @dataclass(frozen=True)
@@ -72,14 +78,6 @@ class LindbladChannel:
         rho = np.asarray(rho, dtype=complex)
         jumped = (weighted @ rho[..., None, :, :] @ ops_dag).sum(axis=-3)
         return jumped - 0.5 * (anti @ rho + rho @ anti)
-
-    def superoperator(self) -> np.ndarray:
-        """Matrix sum w kron(conj L, L) - (kron(I, K) + kron(K^T, I))/2, as one contraction."""
-        weighted, ops_dag, anti = self._stacked
-        eye = np.eye(anti.shape[0], dtype=complex)
-        half = -0.5 * anti
-        return sandwich_superop(np.concatenate([weighted, [half, eye]]),
-                                np.concatenate([ops_dag, [eye, half]]))
 
 
 @cache
@@ -116,14 +114,6 @@ def jump_operator_set(frame: Frame) -> np.ndarray:
     return np.reshape((c, s, c, -s), (4, 1, 1)) * frame.to_lab(_JUMP_STRINGS)
 
 
-def tilde_channel(nu: int, frame: Frame, pops: ThermalPopulations, rate: float) -> LindbladChannel:
-    """Local reset channel on dressed qubit nu with its mixed population."""
-    if nu not in (2, 3):
-        raise ParameterError(f"dressed machine qubits are 2 and 3, got {nu}")
-    r = pops.rtilde2 if nu == 2 else pops.rtilde3
-    return LindbladChannel(frame.to_lab(_TILDE_RAISING[nu])[None], rate, (r,))
-
-
 @dataclass(frozen=True)
 class GeneratorParts:
     """Everything needed to evaluate the master equation at one point."""
@@ -140,7 +130,8 @@ class GeneratorParts:
         """Generator action -i[H, rho] + D1(rho) + D2(rho) + D3(rho) on an 8x8 operator.
 
         Its Frobenius norm equals the norm of the 64x64 generator times
-        vec(rho), at a fraction of the cost of assembling that matrix.
+        vec(rho), in either frame: this lab-frame action checks the
+        dressed-frame solve of :func:`assemble_liouvillian`.
         """
         htot = self.hams.htot
         return (-1j * (htot @ rho - rho @ htot)
@@ -165,10 +156,41 @@ def build_generator_parts(params: ModelParams) -> GeneratorParts:
     )
 
 
+@cache
+def generator_tables() -> np.ndarray:
+    """The 14 constant dressed-frame superoperators (14, 64, 64), read-only and built on
+    first use: -i[B, .] for B = Z1, Z2, Z3 and the tripartite term T, then the unit
+    dissipators of ``_DRESSED_JUMPS`` and then of their adjoints."""
+    jumps = [*_DRESSED_JUMPS, *_DRESSED_JUMPS.conj().transpose(0, 2, 1)]
+    tables = np.array([*map(commutator_superop, (SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, _TRIPARTITE)),
+                       *map(dissipator_superop, jumps)])
+    tables.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def _weights(parts: GeneratorParts, prefactors_sq, populations) -> np.ndarray:
+    """Weights of :func:`generator_tables`: the Hamiltonian's, then p pref^2 r for
+    each raising jump (the target reset's, then the machine jumps' ``prefactors_sq``
+    and ``populations``) and p pref^2 (1 - r) for its adjoint."""
+    params, frame = parts.params, parts.frame
+    rates, r = params.p * np.array([1.0, *prefactors_sq]), np.array([parts.pops.r1, *populations])
+    return np.concatenate([(0.5 * params.e1, 0.5 * frame.eps2, 0.5 * frame.eps3, params.g),
+                           rates * r, rates * (1.0 - r)])
+
+
+def generator_weights(parts: GeneratorParts) -> np.ndarray:
+    """The weights of the master equation, with the jumps of :func:`jump_operator_set`."""
+    c2, s2, pops = parts.frame.cos_half_sq, parts.frame.sin_half_sq, parts.pops
+    return _weights(parts, (c2, s2, c2, s2), (pops.r22, pops.r32, pops.r33, pops.r23))
+
+
+def localized_weights(parts: GeneratorParts) -> np.ndarray:
+    """The weights with the machine baths replaced by local resets of the dressed
+    qubits 2 and 3 at their mixed populations r~2 and r~3 (the tilde channels)."""
+    return _weights(parts, (1.0, 0.0, 1.0, 0.0), (parts.pops.rtilde2, 0.0, parts.pops.rtilde3, 0.0))
+
+
 def assemble_liouvillian(parts: GeneratorParts) -> np.ndarray:
-    """64x64 generator matrix of the full master equation."""
-    total = commutator_superop(parts.hams.htot)
-    total += parts.d1.superoperator()
-    total += parts.d2.superoperator()
-    total += parts.d3.superoperator()
-    return total
+    """64x64 generator of the master equation in the dressed frame, the matrix of
+    B -> W L(W^+ B W) W^+ for the lab-frame generator L and W = ``parts.frame.dressing``."""
+    return np.tensordot(generator_weights(parts), generator_tables(), 1)

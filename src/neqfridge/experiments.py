@@ -95,7 +95,8 @@ class EnsembleSpec:
         mult_lo, mult_hi = self.t3_mult_range
         rules = {
             "n": (">= 1", self.n >= 1),
-            "eta_c": ("positive", self.eta_c > 0),
+            "eta_c": ("finite and positive", 0 < self.eta_c < math.inf),
+            "seed": (">= 0", self.seed >= 0),
             "e3_range": ("0 < lo <= hi", 0 < self.e3_range[0] <= self.e3_range[1]),
             "t2_range": ("0 < lo <= hi", 0 < self.t2_range[0] <= self.t2_range[1]),
             # at hi = 1 every draw has T1 = T2 = T3, and nothing can cool

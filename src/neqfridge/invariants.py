@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import build_generator_parts, reset_channel, tilde_channel
+from .dissipation import build_generator_parts, generator_weights, localized_weights, reset_channel
 from .errors import DegenerateSteadyStateError
 from .linalg import density_matrix_defects, hermiticity_defect
 from .model import ModelParams, thermal_population
 from .observables import heat_currents
-from .steadystate import OracleSolve, family_operators, solve_oracle
+from .steadystate import OracleSolve, family_action, solve_oracle
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,9 @@ def validate(params: ModelParams, tol: float = 1e-8,
     groups["channel_algebra"] = _group(
         max(max(abs(np.trace(out)), hermiticity_defect(out)) for out in outs), 1e-10)
 
-    t2c = tilde_channel(2, frame, pops, params.p)
-    t3c = tilde_channel(3, frame, pops, params.p)
-    family = np.array(list(family_operators(frame).values()))
-    groups["localization_identity"] = _group(np.max(np.abs(
-        (parts.d2.apply(family) + parts.d3.apply(family)) - (t2c.apply(family) + t3c.apply(family)))),
-        1e-12)
+    # the machine channels against the dressed-local resets, on the family
+    difference = np.tensordot(generator_weights(parts) - localized_weights(parts), family_action(), 1)
+    groups["localization_identity"] = _group(np.max(np.abs(frame.to_lab(difference))), 1e-12)
 
     # d < 0 iff the machine cools iff the target ends below its bath
     # temperature; a |d| at SVD noise level carries no sign

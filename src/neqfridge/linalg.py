@@ -82,21 +82,12 @@ def commutator_superop(h: np.ndarray) -> np.ndarray:
     return sandwich_superop([-1j * h, eye], [eye, 1j * h])
 
 
-def rotate_superop(superop: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """S G S^+ with S = kron(conj u, u), the matrix of rho -> u rho u^+.
-
-    This is the generator G acting on operators written in the basis that u
-    rotates into.  S is never formed: u and conj u act on the two halves of
-    the row index, and again on the column index through the adjoint.
-    """
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-
-    def rotate_rows(m: np.ndarray) -> np.ndarray:
-        half = np.matmul(u, m.reshape(d, d, d * d))
-        return (u.conj() @ half.reshape(d, d ** 3)).reshape(d * d, d * d)
-
-    return rotate_rows(rotate_rows(np.asarray(superop, dtype=complex)).conj().T).conj().T
+def dissipator_superop(jump: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> L rho L+ - {L+L, rho}/2 under column-stacking, L = ``jump``."""
+    jump = np.asarray(jump, dtype=complex)
+    eye = np.eye(jump.shape[0], dtype=complex)
+    half = -0.5 * jump.conj().T @ jump
+    return sandwich_superop([jump, half, eye], [jump.conj().T, eye, half])
 
 
 @cache

@@ -34,6 +34,11 @@ from .model import (
 )
 from .steadystate import SteadyStateResult, steady_coefficients
 
+# a current within this many eps (p + g) eps2 is rounding noise: at 20,000 seeded
+# models with T1 = T2 = T3 log-uniform over [0.05, 50] (the rest over the box of
+# `validate --grid`, g from 0), |q3| and |q1g| exceeded the routes' disagreement by 5.3 at most
+_CURRENT_FLOOR = 64.0
+
 
 @dataclass(frozen=True)
 class CurrentReport:
@@ -42,7 +47,8 @@ class CurrentReport:
     q1..q3 flow from the baths into the system (trace route), q23 is the
     machine-internal current, q1g..q3g the tripartite-interaction currents
     and qt2g/qt3g their dressed-frame counterparts.  q1_closed..q3_closed
-    repeat the bath currents through the closed forms in d.
+    repeat the bath currents through the closed forms in d.  ``floor`` is
+    the rounding floor ``_CURRENT_FLOOR`` eps (p + g) eps2 of the point.
     """
 
     q1: float
@@ -57,6 +63,7 @@ class CurrentReport:
     q1_closed: float
     q2_closed: float
     q3_closed: float
+    floor: float
 
     @property
     def max_route_delta(self) -> float:
@@ -67,16 +74,19 @@ class CurrentReport:
         )
 
     @property
+    def noise(self) -> float:
+        """The largest |q| that is rounding noise: the routes' disagreement or the floor."""
+        return max(self.max_route_delta, self.floor)
+
+    @property
     def eta_tot(self) -> float | None:
-        """Total-current COP q1/q3, or None where q3 is within the two
-        routes' disagreement and so rounding noise."""
-        return self.q1 / self.q3 if abs(self.q3) > self.max_route_delta else None
+        """Total-current COP q1/q3, or None where q3 is rounding noise."""
+        return self.q1 / self.q3 if abs(self.q3) > self.noise else None
 
     @property
     def cooling(self) -> bool | None:
-        """Whether the machine cools, q1g > 0, or None where |q1g| is within
-        the two routes' disagreement and so rounding noise."""
-        return self.q1g > 0.0 if abs(self.q1g) > self.max_route_delta else None
+        """Whether the machine cools, q1g > 0, or None where q1g is rounding noise."""
+        return self.q1g > 0.0 if abs(self.q1g) > self.noise else None
 
 
 def product_state(frame: Frame, pops: ThermalPopulations) -> np.ndarray:
@@ -116,6 +126,7 @@ def heat_currents(parts: GeneratorParts, steady: SteadyStateResult) -> CurrentRe
         q1g=q1g, q2g=q2 + q23, q3g=q3 - q23,
         qt2g=qt2g, qt3g=qt3g,
         q1_closed=closed["q1"], q2_closed=closed["q2"], q3_closed=closed["q3"],
+        floor=_CURRENT_FLOOR * np.finfo(float).eps * (params.p + params.g) * frame.eps2,
     )
 
 

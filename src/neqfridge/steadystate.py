@@ -6,8 +6,8 @@ triple products, and one antisymmetric coherence operator Y).  The family
 closes under the generator, so the coefficients solve a small linear system
 whose solution is implemented here verbatim.
 
-The numeric route: the 64x64 generator is assembled from constant operator
-tables (no per-point Kronecker products) and taken into the dressed frame.
+The numeric route: the 64x64 generator is built in the dressed frame, as
+one contraction of constant superoperator tables with the point's weights.
 It conserves the machine charge n2 + n3, and the kernel is a real SVD of
 its 24x24 charge-0 block; the state is rotated back to the lab frame.  The two
 routes adjudicate one another; the package treats the null space as ground
@@ -20,17 +20,17 @@ once by :func:`~neqfridge.dissipation.build_generator_parts`, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .dissipation import GeneratorParts, assemble_liouvillian
-from .linalg import charge_sectors, pauli_basis, pauli_string, rotate_superop, steady_null_space
+from .dissipation import GeneratorParts, assemble_liouvillian, generator_tables
+from .linalg import charge_sectors, pauli_basis, pauli_string, steady_null_space
 from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, Frame, ThermalPopulations
 
 # The nine-operator family in the dressed frame (target, dressed spiral,
 # dressed engine), in SteadyDecomposition order after the identity; the last
 # entry is the coherence operator Y = -i s1+ s2~- s3~+ + i s1- s2~+ s3~-.
-_FAMILY_NAMES = ("identity", "a1", "a2", "a3", "b12", "b13", "b23", "c", "d")
 _FAMILY = np.array([
     np.eye(8), SIGMA_Z1, SIGMA_Z2, SIGMA_Z3,
     SIGMA_Z1 @ SIGMA_Z2, SIGMA_Z1 @ SIGMA_Z3, SIGMA_Z2 @ SIGMA_Z3, SIGMA_Z1 @ SIGMA_Z2 @ SIGMA_Z3,
@@ -80,9 +80,11 @@ class SteadyStateResult:
     charge_leakage: float = 0.0
 
 
-def family_operators(frame: Frame) -> dict[str, np.ndarray]:
-    """The nine-operator family spanning the steady state, keyed by name."""
-    return dict(zip(_FAMILY_NAMES, frame.to_lab(_FAMILY)))
+@cache
+def family_action() -> np.ndarray:
+    """Each generator table on each dressed family operator, (14, 9, 8, 8), built on first use."""
+    acted = _FAMILY.transpose(0, 2, 1).reshape(9, 64) @ generator_tables().transpose(0, 2, 1)
+    return acted.reshape(14, 9, 8, 8).transpose(0, 1, 3, 2)  # from column-stacked
 
 
 def deviation_coefficient(pops: ThermalPopulations, p: float, g: float) -> float:
@@ -159,7 +161,7 @@ def analytic_steady_state(parts: GeneratorParts) -> SteadyStateResult:
 
 
 def numeric_steady_state(parts: GeneratorParts) -> SteadyStateResult:
-    """Steady state of the point ``parts`` from the kernel of its assembled generator.
+    """Steady state of the point ``parts`` from the kernel of its generator.
 
     The kernel is read in the dressed frame (the same singular values), where
     the dissipators map diagonal states to diagonal states entry by entry,
@@ -169,7 +171,7 @@ def numeric_steady_state(parts: GeneratorParts) -> SteadyStateResult:
     between charge blocks, which the solve does not read, over the largest.
     """
     frame = parts.frame
-    generator = rotate_superop(assemble_liouvillian(parts), frame.dressing)
+    generator = assemble_liouvillian(parts)
     rho = frame.to_lab(steady_null_space(generator, MACHINE_CHARGES))
     decomposition, off = decompose(rho, frame)
     entries = np.abs(generator)

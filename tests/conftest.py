@@ -18,9 +18,11 @@ from neqfridge import (
     maximize_cooling_powers,
     resonant_frame,
 )
+from neqfridge.dissipation import LindbladChannel
 from neqfridge.experiments import _brent_max, _chandrupatla
 from neqfridge.model import REFERENCE
-from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_string
+from neqfridge.steadystate import _FAMILY
 
 # canonical benchmark point used throughout the suite
 P0 = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4.0 / 3.0, t2=2.0, t3=4.0, p=0.01, g=0.01)
@@ -158,6 +160,42 @@ def kron_dissipator_superop(jump: np.ndarray, weight: float) -> np.ndarray:
     anti = jump.conj().T @ jump
     return weight * (np.kron(jump.conj(), jump) - 0.5 * np.kron(eye, anti)
                      - 0.5 * np.kron(anti.T, eye))
+
+
+def channel_superop(channel) -> np.ndarray:
+    """64x64 matrix of a channel, summed one weighted jump at a time from
+    :func:`kron_dissipator_superop`."""
+    return sum(kron_dissipator_superop(op, weight) for op, weight in weighted_jumps(channel))
+
+
+def kron_generator(parts) -> np.ndarray:
+    """Lab-frame 64x64 generator of a point's Hamiltonian and three channels,
+    from the kron references."""
+    return kron_commutator_superop(parts.hams.htot) + sum(
+        channel_superop(channel) for channel in (parts.d1, parts.d2, parts.d3))
+
+
+def dressed(superop: np.ndarray, frame) -> np.ndarray:
+    """A lab-frame superoperator in the dressed frame: S G S^+ with S =
+    kron(conj W, W), the matrix of rho -> W rho W^+, formed explicitly."""
+    s = np.kron(frame.dressing.conj(), frame.dressing)
+    return s @ superop @ s.conj().T
+
+
+# Lab-frame operators of the localization identity (Hofer et al., NJP 19,
+# 123037 (2017)): the package checks it as a contraction of its dressed
+# tables; the tests build the local channels and the family here.
+
+def tilde_channel(nu: int, frame, pops, rate: float) -> LindbladChannel:
+    """Local reset channel on dressed qubit nu (2 or 3) with its mixed population."""
+    r = pops.rtilde2 if nu == 2 else pops.rtilde3
+    return LindbladChannel(frame.to_lab(pauli_string("i+i" if nu == 2 else "ii+"))[None], rate, (r,))
+
+
+def family_operators(frame) -> dict[str, np.ndarray]:
+    """The lab-frame nine-operator family spanning the steady state, keyed by name."""
+    names = ("identity", "a1", "a2", "a3", "b12", "b13", "b23", "c", "d")  # _FAMILY order
+    return dict(zip(names, frame.to_lab(_FAMILY)))
 
 
 # Plain scalar search references.  The package finds roots by Chandrupatla's

@@ -33,18 +33,20 @@ from neqfridge import (
     validate,
     virtual_temperature,
 )
-from neqfridge.dissipation import build_generator_parts, reset_channel, tilde_channel
+from neqfridge.dissipation import build_generator_parts, reset_channel
 from neqfridge.linalg import hermiticity_defect
 from neqfridge.observables import currents_closed
-from neqfridge.steadystate import family_operators, steady_coefficients
+from neqfridge.steadystate import steady_coefficients
 
 from conftest import (
     P0,
+    family_operators,
     find_root,
     high_temperature_saturation,
     max_cop_identity,
     random_feasible,
     random_hermitian,
+    tilde_channel,
 )
 
 

@@ -122,15 +122,18 @@ class TestSteadyCommand:
 
     @pytest.mark.parametrize("temps, resolved", [
         (("2", "2", "2"), False), (("1", "1", "1"), False), (("1.99", "2", "2.01"), True),
+        (("0.5", "0.5", "0.5"), False), (("1.999999", "2", "2.000001"), True),
     ])
     def test_eta_tot_needs_resolved_currents(self, tmp_path, temps, resolved):
         # with all baths at one temperature q1 and q3 are rounding noise, no
-        # larger than the disagreement of the two current routes
+        # larger than the disagreement of the two current routes or the
+        # rounding floor
         out = tmp_path / "steady.json"
         t1, t2, t3 = temps
         assert main(["steady", "--t1", t1, "--t2", t2, "--t3", t3, "--out", str(out)]) == 0
         report = json.loads(out.read_text(), parse_constant=_reject_constant)
         assert (report["performance"]["eta_tot"] is not None) == resolved
+        assert (report["performance"]["cooling"] is not None) == resolved
 
     def test_cold_point_reports_t1s_as_null(self, tmp_path):
         # the closed-form a1 is -1.0 exactly here, outside the range of a
@@ -470,15 +473,24 @@ class TestValidateCommand:
         assert main(["validate", "--grid", "3", "--seed", "5", "--out", str(out)]) == 0
 
     def test_charge_breaking_term_fails_charge_symmetry(self, monkeypatch, tmp_path):
-        from neqfridge import dissipation
-        from neqfridge.linalg import pauli_string
+        from neqfridge import dissipation, steadystate
+        from neqfridge.dissipation import assemble_liouvillian
+        from neqfridge.linalg import commutator_superop, pauli_string
 
         def with_spiral_drive(params, frame):
             # sigma_x on qubit 2 changes the machine charge n2 + n3 by one
             hams = build_hamiltonians(params, frame)
             return replace(hams, htot=hams.htot + 0.01 * pauli_string("ixi"))
 
+        def with_spiral_drive_superop(parts):
+            # the same drive in the dressed generator that the kernel solve reads
+            drive = parts.frame.to_dressed(0.01 * pauli_string("ixi"))
+            return assemble_liouvillian(parts) + commutator_superop(drive)
+
+        # the lab-frame Hamiltonians feed the residuals and currents, the
+        # dressed generator the kernel solve and the charge leakage
         monkeypatch.setattr(dissipation, "build_hamiltonians", with_spiral_drive)
+        monkeypatch.setattr(steadystate, "assemble_liouvillian", with_spiral_drive_superop)
         group = validate(P0).groups["charge_symmetry"]
         assert group["passed"] is False
         assert group["max_error"] > 1e-4
@@ -487,6 +499,20 @@ class TestValidateCommand:
         residuals = json.loads(out.read_text())["residuals"]
         assert residuals["charge_leakage"] == group["max_error"]
         assert residuals["numeric"] > 1e-5
+
+    def test_swapped_population_fails_localization_identity(self, monkeypatch):
+        # r23 in place of r32 on the (nu=3, mu=2) machine jump: the machine
+        # channels no longer act as the dressed-local resets on the family
+        from neqfridge import invariants
+
+        def swapped(params):
+            parts = build_generator_parts(params)
+            return replace(parts, pops=replace(parts.pops, r32=parts.pops.r23))
+
+        monkeypatch.setattr(invariants, "build_generator_parts", swapped)
+        group = validate(P0).groups["localization_identity"]
+        assert group["passed"] is False
+        assert group["max_error"] > 1e-6
 
     def test_flipped_exponent_fails_named_invariants(self, monkeypatch):
         # the wrong Boltzmann-exponent sign for the populations the oracle solves with;
@@ -523,6 +549,7 @@ class TestValidateCommand:
         ("--grid", "0", "must be at least 1, got 0"), ("--grid", "-3", "must be at least 1, got -3"),
         ("--tol", "nan", "must be finite and nonnegative, got nan"),
         ("--tol", "-1", "must be finite and nonnegative, got -1.0"),
+        ("--seed", "-1", "must be nonnegative, got -1"),
     ])
     def test_values_validate_cannot_use_exit_2(self, tmp_path, capsys, flag, value, rule):
         out = tmp_path / "validate.json"
@@ -567,6 +594,18 @@ class TestEnsembleCommand:
         data = [l for l in lines if not l.startswith("#")]
         assert len(data) == 21
         assert "eta_star_ratio" in data[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ensemble", "--n", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["figure", "fig6", "--n", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["ensemble", "--n", "5", "--eta-c", "inf"], "eta_c must be finite and positive, got inf"),
+    ])
+    def test_unusable_spec_exits_2(self, tmp_path, capsys, argv, message):
+        # numpy rejects a negative seed, and an infinite Carnot COP stalls the sampling
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestGeneratorBuilds:
@@ -637,7 +676,7 @@ class TestExitCodes:
         from neqfridge.linalg import commutator_superop
 
         # a generator that does not preserve Hermiticity reaches the kernel solve
-        monkeypatch.setattr(steadystate, "rotate_superop",
+        monkeypatch.setattr(steadystate, "assemble_liouvillian",
                             lambda *args: commutator_superop(1j * np.diag(np.arange(8.0))))
         assert main(["steady", "--out", str(tmp_path / "x.json")]) == 4
         assert "does not preserve Hermiticity" in capsys.readouterr().err
@@ -661,3 +700,12 @@ class TestParserReuse:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("neqfridge ")
+
+    def test_import_does_not_build_the_tables(self):
+        code = ("import neqfridge.cli, neqfridge.dissipation as d, neqfridge.steadystate as s; "
+                "assert d.generator_tables.cache_info().currsize == 0; "
+                "assert s.family_action.cache_info().currsize == 0")
+        src = os.path.dirname(os.path.dirname(neqfridge.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

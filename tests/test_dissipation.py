@@ -10,21 +10,29 @@ from neqfridge import (
     assemble_liouvillian,
     jump_operator_set,
     reset_channel,
-    tilde_channel,
 )
-from neqfridge.dissipation import LindbladChannel, build_generator_parts
-from neqfridge.linalg import IDENTITY_2, SIGMA_PLUS, hermiticity_defect, vec
+from neqfridge.dissipation import (
+    LindbladChannel,
+    build_generator_parts,
+    generator_tables,
+    localized_weights,
+)
+from neqfridge.linalg import IDENTITY_2, SIGMA_PLUS, charge_sectors, hermiticity_defect, pauli_basis, vec
 from neqfridge.model import build_hamiltonians, resonant_frame, tilde_populations
 from neqfridge.observables import product_state
-from neqfridge.steadystate import family_operators
+from neqfridge.steadystate import MACHINE_CHARGES
 
 from conftest import (
     P0,
+    channel_superop,
+    dressed,
+    family_operators,
     kron_commutator_superop,
-    kron_dissipator_superop,
+    kron_generator,
     loop_apply,
     random_feasible,
     random_hermitian,
+    tilde_channel,
     tilde_operator,
     weighted_jumps,
 )
@@ -174,7 +182,7 @@ class TestJumpOperators:
     def test_sign_of_cross_jump_is_observably_irrelevant(self, p0):
         channel = build_generator_parts(p0).d3
         flipped = replace(channel, raising=channel.raising * np.reshape([1.0, -1.0], (2, 1, 1)))
-        assert np.max(np.abs(channel.superoperator() - flipped.superoperator())) < 1e-15
+        assert np.max(np.abs(channel_superop(channel) - channel_superop(flipped))) < 1e-15
 
 
 class TestFridgeChannel:
@@ -182,8 +190,8 @@ class TestFridgeChannel:
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
         parts = build_generator_parts(params)
         for channel, qubit in ((parts.d2, 2), (parts.d3, 3)):
-            local = reset_channel(qubit, params.p, parts.pops.r(qubit, qubit)).superoperator()
-            assert np.max(np.abs(channel.superoperator() - local)) < 1e-15
+            local = channel_superop(reset_channel(qubit, params.p, parts.pops.r(qubit, qubit)))
+            assert np.max(np.abs(channel_superop(channel) - local)) < 1e-15
 
     def test_equilibrium_baths_fix_gibbs_state(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.35, t1=2.0, t2=2.0, t3=2.0, p=0.01, g=0.01)
@@ -244,8 +252,8 @@ class TestTildeChannel:
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-        local = tilde_channel(2, frame, pops, params.p).superoperator()
-        reset = reset_channel(2, params.p, pops.rtilde2).superoperator()
+        local = channel_superop(tilde_channel(2, frame, pops, params.p))
+        reset = channel_superop(reset_channel(2, params.p, pops.rtilde2))
         assert np.max(np.abs(local - reset)) < 1e-15
 
     def test_fixed_point(self, p0):
@@ -280,36 +288,39 @@ class TestStackedChannel:
 
 
 class TestLiouvillian:
+    # assemble_liouvillian is the dressed-frame generator: each test compares it
+    # with the kron references rotated into the dressed frame, or reads it on
+    # dressed-frame operators
     @pytest.mark.parametrize("localized", [False, True])
     def test_matches_per_jump_kron_reference(self, localized):
         for params in grid_box_points(33, 20):
             parts = build_generator_parts(params)
             if localized:
+                got = np.tensordot(localized_weights(parts), generator_tables(), 1)
                 parts = localize(parts)
-            expected = kron_commutator_superop(parts.hams.htot)
-            for channel in (parts.d1, parts.d2, parts.d3):
-                for op, weight in weighted_jumps(channel):
-                    expected = expected + kron_dissipator_superop(op, weight)
-            assert np.max(np.abs(assemble_liouvillian(parts) - expected)) < 1e-14
+            else:
+                got = assemble_liouvillian(parts)
+            assert np.max(np.abs(got - dressed(kron_generator(parts), parts.frame))) < 1e-14
 
     def test_uncoupled_case_is_sum_of_resets(self):
+        # at gamma = 0 the dressing is the identity and the frames coincide
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
         hams = build_hamiltonians(params, frame)
-        from neqfridge.linalg import commutator_superop
 
-        expected = commutator_superop(hams.htot)
-        expected += reset_channel(1, params.p, pops.r1).superoperator()
-        expected += reset_channel(2, params.p, pops.r22).superoperator()
-        expected += reset_channel(3, params.p, pops.r33).superoperator()
+        expected = kron_commutator_superop(hams.htot)
+        expected += channel_superop(reset_channel(1, params.p, pops.r1))
+        expected += channel_superop(reset_channel(2, params.p, pops.r22))
+        expected += channel_superop(reset_channel(3, params.p, pops.r33))
         assert np.max(np.abs(assemble_liouvillian(build_generator_parts(params)) - expected)) < 1e-15
 
     def test_decoupled_target_product_annihilated(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-        residual = assemble_liouvillian(build_generator_parts(params)) @ vec(product_state(frame, pops))
+        product = frame.to_dressed(product_state(frame, pops))
+        residual = assemble_liouvillian(build_generator_parts(params)) @ vec(product)
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_trace_preserving(self, p0):
@@ -328,15 +339,15 @@ class TestLiouvillian:
         for _ in range(5):
             parts = build_generator_parts(random_feasible(rng))
             rho = random_hermitian(rng)
-            expected = assemble_liouvillian(parts) @ vec(rho)
-            assert np.max(np.abs(vec(parts.apply(rho)) - expected)) < 1e-13
+            expected = assemble_liouvillian(parts) @ vec(parts.frame.to_dressed(rho))
+            assert np.max(np.abs(vec(parts.frame.to_dressed(parts.apply(rho))) - expected)) < 1e-13
 
     def test_localized_variant_shares_steady_state(self, p0):
         from neqfridge.linalg import steady_null_space
 
         parts = build_generator_parts(p0)
         rho_full = steady_null_space(assemble_liouvillian(parts))
-        rho_localized = steady_null_space(assemble_liouvillian(localize(parts)))
+        rho_localized = steady_null_space(np.tensordot(localized_weights(parts), generator_tables(), 1))
         assert np.max(np.abs(rho_full - rho_localized)) < 1e-10
 
     def test_channel_algebra_random_parameters(self):
@@ -349,3 +360,41 @@ class TestLiouvillian:
                 out = channel.apply(rho)
                 assert abs(np.trace(out)) < 1e-12
                 assert hermiticity_defect(out) < 1e-12
+
+
+# the edges of the parameter domain: no mixing, maximal mixing, no tripartite
+# coupling, one temperature, and every bath frozen (eps3/T3 = 1000, past the
+# 700 at which a population is zero)
+EDGE_POINTS = [replace(P0, gamma=0.0), replace(P0, gamma=0.5 * P0.e1), replace(P0, g=0.0),
+               replace(P0, t1=2.0, t2=2.0, t3=2.0), replace(P0, t1=1e-3, t2=2e-3, t3=4e-3)]
+
+
+class TestGeneratorTables:
+    def test_shared_read_only_stack(self):
+        tables = generator_tables()
+        assert tables is generator_tables()
+        assert tables.shape == (14, 64, 64)
+        assert not tables.flags.writeable
+
+    @pytest.mark.parametrize("params", grid_box_points(34, 8) + EDGE_POINTS)
+    def test_dressed_generator_matches_rotated_kron_reference(self, params):
+        parts = build_generator_parts(params)
+        expected = dressed(kron_generator(parts), parts.frame)
+        assert np.max(np.abs(assemble_liouvillian(parts) - expected)) < 1e-14
+
+    def test_frozen_edge_freezes_the_engine_bath(self):
+        assert build_generator_parts(EDGE_POINTS[-1]).pops.r33 == 0.0
+
+    def test_each_table_conserves_the_charge_difference(self):
+        between = charge_sectors(MACHINE_CHARGES)[-1]
+        for table in generator_tables():
+            assert np.count_nonzero(table) > 0
+            assert np.count_nonzero(table[between]) == 0
+
+    def test_each_table_is_real_in_the_pauli_basis(self):
+        _, t = pauli_basis(3)
+        for table in generator_tables():
+            pauli = t.conj().T @ table @ t / 8
+            assert np.max(np.abs(pauli.real)) > 0.0
+            assert np.max(np.abs(pauli.imag)) == 0.0
+

@@ -62,7 +62,7 @@ ALLOWED = {
     "experiments.SweepSpec.__post_init__", "experiments.EnsembleSpec.__post_init__",
     "experiments._check_points", "experiments._scan_range", "experiments.random_ensemble",
     "cli._load_config", "cli.cmd_figure", "cli.cmd_validate",
-    "linalg.steady_null_space", "dissipation._reset_raising", "dissipation.tilde_channel",
+    "linalg.steady_null_space", "dissipation._reset_raising",
 }
 PARAMETER_ERRORS = {"ParameterError", "ResonanceInfeasibleError"}
 

@@ -3,7 +3,6 @@ import pytest
 
 from neqfridge import (
     DegenerateSteadyStateError,
-    LindbladChannel,
     ModelParams,
     NeqFridgeError,
     NonHermitianGeneratorError,
@@ -23,15 +22,15 @@ from neqfridge.linalg import (
     charge_sectors,
     commutator_superop,
     density_matrix_defects,
+    dissipator_superop,
     pauli_basis,
     pauli_string,
-    rotate_superop,
 )
 from neqfridge.dissipation import reset_channel
 from neqfridge.model import resonant_frame, tilde_populations
 from neqfridge.steadystate import MACHINE_CHARGES
 
-from conftest import random_hermitian
+from conftest import channel_superop, kron_generator, random_hermitian
 
 
 class TestKron:
@@ -121,8 +120,8 @@ class TestVectorization:
             return weight * (op @ x @ op.conj().T - 0.5 * (anti @ x + x @ anti))
 
         direct = dissipator(jump, 0.7 * 0.3) + dissipator(jump.conj().T, 0.7 * (1.0 - 0.3))
-        channel = LindbladChannel(jump[None], 0.7, (0.3,))
-        assert np.allclose(channel.superoperator() @ vec(x), vec(direct))
+        superop = 0.7 * 0.3 * dissipator_superop(jump) + 0.7 * (1.0 - 0.3) * dissipator_superop(jump.conj().T)
+        assert np.allclose(superop @ vec(x), vec(direct))
 
 
 class TestSteadyNullSpace:
@@ -143,19 +142,19 @@ class TestSteadyNullSpace:
         from neqfridge.observables import product_state
 
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
-        rho = steady_null_space(assemble_liouvillian(build_generator_parts(params)))
+        rho = steady_null_space(kron_generator(build_generator_parts(params)))
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
         assert np.max(np.abs(rho - product_state(frame, pops))) < 1e-12
 
     def test_matches_closed_form_at_benchmark(self, p0):
-        liouvillian = assemble_liouvillian(build_generator_parts(p0))
+        liouvillian = kron_generator(build_generator_parts(p0))
         rho = steady_null_space(liouvillian)
         assert np.max(np.abs(rho - analytic_steady_state(build_generator_parts(p0)).rho)) < 1e-8
         assert np.linalg.norm(liouvillian @ vec(rho)) < 1e-10
 
     def test_output_is_density_matrix(self, p0):
-        rho = steady_null_space(assemble_liouvillian(build_generator_parts(p0)))
+        rho = steady_null_space(kron_generator(build_generator_parts(p0)))
         herm, trace_dev, min_eig = density_matrix_defects(rho)
         assert herm < 1e-12
         assert trace_dev < 1e-12
@@ -170,12 +169,12 @@ class TestSteadyNullSpace:
         # four-dimensional kernel
         channel = reset_channel(1, rate=0.1, population=0.3, n_qubits=2)
         with pytest.raises(DegenerateSteadyStateError):
-            steady_null_space(channel.superoperator())
+            steady_null_space(channel_superop(channel))
 
 
 def _reset_generator(n_qubits):
     """Sum of one reset channel per qubit: a generator with a one-dimensional kernel."""
-    return sum(reset_channel(q, rate=0.1 * q, population=0.2 + 0.1 * q, n_qubits=n_qubits).superoperator()
+    return sum(channel_superop(reset_channel(q, rate=0.1 * q, population=0.2 + 0.1 * q, n_qubits=n_qubits))
                for q in range(1, n_qubits + 1))
 
 
@@ -191,9 +190,8 @@ class TestPauliBasis:
     @pytest.mark.parametrize("case", ["p0_dressed", "p0_lab", "reset_2", "reset_1"])
     def test_real_generator_keeps_the_singular_values(self, p0, case):
         if case.startswith("p0"):
-            generator = assemble_liouvillian(build_generator_parts(p0))
-            if case == "p0_dressed":
-                generator = rotate_superop(generator, resonant_frame(p0.e1, p0.e3, p0.gamma).dressing)
+            parts = build_generator_parts(p0)
+            generator = assemble_liouvillian(parts) if case == "p0_dressed" else kron_generator(parts)
         else:
             generator = _reset_generator(int(case[-1]))
         n_qubits = (generator.shape[0].bit_length() - 1) // 2
@@ -247,9 +245,8 @@ class TestChargeBlocks:
 
     @pytest.mark.parametrize("frame", ["dressed", "lab"])
     def test_blocks_hold_every_singular_value(self, p0, frame):
-        generator = assemble_liouvillian(build_generator_parts(p0))
-        if frame == "dressed":
-            generator = rotate_superop(generator, resonant_frame(p0.e1, p0.e3, p0.gamma).dressing)
+        parts = build_generator_parts(p0)
+        generator = assemble_liouvillian(parts) if frame == "dressed" else kron_generator(parts)
         _, t0, block0, blocks, between = charge_sectors(MACHINE_CHARGES)
         assert [generator[block].shape for block in (block0, *blocks)] == [(24, 24), (16, 16), (4, 4)]
         assert np.max(np.abs(generator[between])) <= 1e-15 * np.max(np.abs(generator))

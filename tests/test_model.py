@@ -15,11 +15,10 @@ from neqfridge import (
     virtual_coherence,
     virtual_temperature,
 )
-from neqfridge.dissipation import tilde_channel
 from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
 from neqfridge.observables import product_state
 
-from conftest import cooling_condition, fridge_tilde_operator, random_feasible
+from conftest import cooling_condition, fridge_tilde_operator, random_feasible, tilde_channel
 
 
 class TestModelParams:

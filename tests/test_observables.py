@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neqfridge import (
     ModelParams,
@@ -265,6 +266,27 @@ class TestPerformanceReport:
         assert report["tv"] == pytest.approx(0.8251033339169167, abs=1e-10)
         assert report["t1s"] < P0.t1
         assert report["coherence"] == pytest.approx(0.324776673327092, abs=1e-12)
+
+
+@st.composite
+def equal_temperature_models(draw) -> ModelParams:
+    """Models with T1 = T2 = T3 log-uniform over [0.05, 50], the other fields
+    over the box of `validate --grid`."""
+    e1 = draw(st.floats(0.5, 2.0))
+    t = math.exp(draw(st.floats(math.log(0.05), math.log(50.0))))
+    return ModelParams(e1=e1, e3=draw(st.floats(2.0, 8.0)), gamma=draw(st.floats(0.0, 0.49)) * e1,
+                       t1=t, t2=t, t3=t, p=draw(st.floats(0.002, 0.03)), g=draw(st.floats(0.002, 0.03)))
+
+
+class TestRoundingNoise:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(params=equal_temperature_models())
+    def test_equal_temperatures_leave_eta_tot_and_cooling_null(self, params):
+        # at one temperature every current vanishes: q3 and q1g are rounding noise
+        parts = build_generator_parts(params)
+        currents = heat_currents(parts, solve_oracle(parts).numeric)
+        assert currents.eta_tot is None
+        assert currents.cooling is None
 
 
 def _oracle_points() -> list[ModelParams]:

@@ -12,15 +12,18 @@ from neqfridge import (
     validate,
     virtual_temperature,
 )
-from neqfridge.dissipation import assemble_liouvillian, build_generator_parts, reset_channel
-from neqfridge.linalg import density_matrix_defects, rotate_superop
+from neqfridge.dissipation import build_generator_parts, reset_channel
+from neqfridge.linalg import density_matrix_defects
 from neqfridge.model import build_hamiltonians, resonant_frame, tilde_populations
 from neqfridge.observables import local_target_temperature
-from neqfridge.steadystate import decompose, family_operators, reconstruct_state
+from neqfridge.steadystate import decompose, reconstruct_state
 
 from conftest import (
     P0,
     benchmark_workloads,
+    dressed,
+    family_operators,
+    kron_generator,
     pauli_null_space,
     random_feasible,
     random_hermitian,
@@ -192,7 +195,7 @@ class TestChargeGradedSolve:
         for point in workloads.oracle_points(seed, workloads.ORACLE_POINTS):
             parts = build_generator_parts(ModelParams(**point))
             frame = parts.frame
-            generator = rotate_superop(assemble_liouvillian(parts), frame.dressing)
+            generator = dressed(kron_generator(parts), frame)
             reference, _ = decompose(frame.to_lab(pauli_null_space(generator)), frame)
             numeric = numeric_steady_state(parts)
             assert numeric.charge_leakage <= 1e-15
