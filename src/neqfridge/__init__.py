@@ -23,14 +23,7 @@ from .model import (
     virtual_coherence,
     virtual_temperature,
 )
-from .dissipation import (
-    GeneratorParts,
-    LindbladChannel,
-    assemble_liouvillian,
-    build_generator_parts,
-    jump_operator_set,
-    reset_channel,
-)
+from .dissipation import GeneratorParts, assemble_liouvillian, build_generator_parts
 from .steadystate import (
     OracleSolve,
     SteadyDecomposition,

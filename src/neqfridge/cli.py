@@ -157,7 +157,7 @@ def cmd_steady(args) -> int:
             "numeric": numeric.residual,
             "max_coefficient_delta": oracle.max_delta,
             "off_family_max": numeric.off_family_max,
-            "charge_leakage": numeric.charge_leakage,
+            "charge_leakage": oracle.charge_leakage,
         },
         "currents": {
             "q1": currents.q1, "q2": currents.q2, "q3": currents.q3,

@@ -14,11 +14,11 @@ groups read one oracle solve (:func:`neqfridge.steadystate.solve_oracle`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dissipation import build_generator_parts, generator_weights, localized_weights, reset_channel
+from .dissipation import bath_actions, build_generator_parts, generator_weights, localized_weights
 from .errors import DegenerateSteadyStateError
 from .linalg import density_matrix_defects, hermiticity_defect
 from .model import ModelParams, thermal_population
@@ -76,7 +76,7 @@ def validate(params: ModelParams, tol: float = 1e-8,
         "passed": bool(oracle.max_delta <= tol and steady.residual <= 1e-10 and off <= 1e-10),
         "max_error": float(oracle.max_delta),
     }
-    groups["charge_symmetry"] = _group(steady.charge_leakage, 1e-12)
+    groups["charge_symmetry"] = _group(oracle.charge_leakage, 1e-12)
     herm, trace_dev, min_eig = density_matrix_defects(steady.rho)
     groups["steady_state_positivity"] = {
         "passed": herm <= 1e-12 and trace_dev <= 1e-12 and min_eig >= -1e-10,
@@ -84,27 +84,28 @@ def validate(params: ModelParams, tol: float = 1e-8,
     }
 
     currents = heat_currents(parts, steady)
-    groups["first_law"] = _group(abs(currents.q1 + currents.q2 + currents.q3), 1e-10)
-    groups["current_route_agreement"] = _group(currents.max_route_delta, 1e-9)
+    unit = (params.p + params.g) * frame.eps2  # of the currents
+    groups["first_law"] = _group(abs(currents.q1 + currents.q2 + currents.q3), 1e-10 * unit)
+    groups["current_route_agreement"] = _group(currents.max_route_delta, 1e-9 * unit)
     c2, s2 = frame.cos_half_sq, frame.sin_half_sq
     groups["tilde_current_identities"] = _group(max(
         abs(currents.q1g - currents.q1),
         abs(currents.q1g + currents.qt2g + currents.qt3g),
         abs(currents.q2g - (currents.qt2g * c2 + currents.qt3g * s2)),
         abs(currents.q3g - (currents.qt3g * c2 + currents.qt2g * s2)),
-    ), 1e-10)
+    ), 1e-10 * unit)
 
     # trace-free, Hermiticity-preserving channels, on a random Hermitian probe
     rng = rng if rng is not None else np.random.default_rng(0)
     raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     probe = 0.5 * (raw + raw.conj().T)
-    outs = [channel.apply(probe) for channel in (parts.d1, parts.d2, parts.d3)]
-    groups["channel_algebra"] = _group(
-        max(max(abs(np.trace(out)), hermiticity_defect(out)) for out in outs), 1e-10)
+    weights = generator_weights(parts)
+    groups["channel_algebra"] = _group(max(max(abs(np.trace(out)), hermiticity_defect(out))
+                                           for out in bath_actions(weights, probe)), 1e-10)
 
     # the machine channels against the dressed-local resets, on the family
-    difference = np.tensordot(generator_weights(parts) - localized_weights(parts), family_action(), 1)
-    groups["localization_identity"] = _group(np.max(np.abs(frame.to_lab(difference))), 1e-12)
+    difference = np.tensordot(weights - localized_weights(parts), family_action(), 1)
+    groups["localization_identity"] = _group(np.max(np.abs(difference)), 1e-12)
 
     # d < 0 iff the machine cools iff the target ends below its bath
     # temperature; a |d| at SVD noise level carries no sign
@@ -112,7 +113,8 @@ def validate(params: ModelParams, tol: float = 1e-8,
     sign_ok = abs(d) <= 1e-13 or (d < 0.0) == (currents.q1g > 0.0) == (a1 < pops.s1)
     groups["sign_chain"] = _group(0.0 if sign_ok else 1.0, 0.0)
 
-    fictitious = reset_channel(1, params.p, 0.5 * (1.0 + a1))
-    groups["fictitious_bath"] = _group(
-        abs(np.trace(parts.hams.htot @ fictitious.apply(steady.rho)).real), 1e-10)
+    # the target bath moved to the temperature the target reaches
+    achieved = replace(parts, pops=replace(pops, r1=0.5 * (1.0 + a1)))
+    fictitious = bath_actions(generator_weights(achieved), steady.rho)[0]
+    groups["fictitious_bath"] = _group(abs(np.trace(parts.hams.htot @ fictitious).real), 1e-10 * unit)
     return ValidationReport(groups=groups, oracle=oracle)

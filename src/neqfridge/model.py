@@ -16,18 +16,16 @@ of a thermal qubit with gap E at temperature T is r = 1/(1 + exp(E/T)) < 1/2.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError, ResonanceInfeasibleError
 from .linalg import pauli_string
 
-# bare three-qubit tables; the Hamiltonians are these times the model's scalars
+# bare three-qubit tables; the dressed-frame Hamiltonians are these times the model's scalars
 SIGMA_Z1 = pauli_string("zii")
 SIGMA_Z2 = pauli_string("izi")
 SIGMA_Z3 = pauli_string("iiz")
-_EXCHANGE = pauli_string("i+-") + pauli_string("i-+")
 # the tripartite coupling in the dressed frame: s1+ s2~- s3~+ + s1- s2~+ s3~-
 _TRIPARTITE = pauli_string("+-+") + pauli_string("-+-")
 
@@ -136,7 +134,8 @@ def _gaps(e1, e3, gamma) -> tuple:
     An infinite E1 gives nan and huge finite fields overflow eps3 to inf,
     both without a warning; either fails an eps3 rule, which names it.
     """
-    delta_e = np.sqrt(np.maximum(e1 * e1 - 4.0 * gamma * gamma, 0.0))
+    two_gamma = 2.0 * gamma  # the factored difference keeps delta_e exact near E1 = 2 gamma
+    delta_e = np.sqrt(np.maximum((e1 - two_gamma) * (e1 + two_gamma), 0.0))
     eps3 = 0.5 * ((e3 + delta_e) + e3) - 0.5 * e1
     return delta_e, eps3, ((e1 > 0) & (e3 > 0) & (gamma >= 0) & (gamma <= 0.5 * e1)
                            & (eps3 > 0) & (eps3 < np.inf))
@@ -176,12 +175,12 @@ class Frame:
     """Derived diagonalization data of the two-qubit machine.
 
     The fields are floats, or arrays of one shape for a batch of frames.
-    ``unitary`` is the 4x4 rotation mixing the singly-excited machine states;
-    its adjoint holds the machine eigenvectors as columns ordered
-    (psi_00, psi_01, psi_10, psi_11) with eigenvalues (ebar, lam, -lam, -ebar).
-    ``dressing`` is W = kron(I2, unitary) on the three qubits, which takes a
-    dressed-frame operator B to its lab-frame form W^+ B W.  Both exist for
-    single frames only and are built on first use, as do the two rotations.
+    The mixing angle ``theta`` rotates the singly-excited machine states
+    into the eigenvectors psi_01 = c|01> + s|10> and psi_10 = -s|01> + c|10>
+    (c, s = cos, sin of theta/2), so the eigenbasis (psi_00, psi_01, psi_10,
+    psi_11) has eigenvalues (ebar, lam, -lam, -ebar).  With the target's
+    basis it spans the dressed frame, in which every operator of the
+    package is written.
     """
 
     e2: float
@@ -203,25 +202,6 @@ class Frame:
     @property
     def sin_half_sq(self) -> float:
         return np.sin(0.5 * self.theta) ** 2
-
-    @cached_property
-    def unitary(self) -> np.ndarray:
-        c, s = np.cos(0.5 * self.theta), np.sin(0.5 * self.theta)
-        return np.array([[1, 0, 0, 0], [0, c, s, 0], [0, -s, c, 0], [0, 0, 0, 1]], dtype=complex)
-
-    @cached_property
-    def dressing(self) -> np.ndarray:
-        w = np.zeros((8, 8), dtype=complex)
-        w[:4, :4] = w[4:, 4:] = self.unitary
-        return w
-
-    def to_lab(self, dressed: np.ndarray) -> np.ndarray:
-        """W^+ B W for one dressed-frame operator B or a stack (..., 8, 8)."""
-        return self.dressing.conj().T @ dressed @ self.dressing
-
-    def to_dressed(self, lab: np.ndarray) -> np.ndarray:
-        """W A W^+, the inverse of :meth:`to_lab`."""
-        return self.dressing @ lab @ self.dressing.conj().T
 
 
 def resonant_frame(e1, e3, gamma) -> Frame:
@@ -366,7 +346,7 @@ def virtual_coherence(frame: Frame, pops: ThermalPopulations):
 
 @dataclass(frozen=True)
 class Hamiltonians:
-    """The 8x8 target, machine, interaction and total Hamiltonians."""
+    """The 8x8 target, machine, interaction and total Hamiltonians in the dressed frame."""
 
     h1: np.ndarray
     hfridge: np.ndarray
@@ -375,14 +355,13 @@ class Hamiltonians:
 
 
 def build_hamiltonians(params: ModelParams, frame: Frame) -> Hamiltonians:
-    """Assemble the three-qubit Hamiltonians in the lab frame.
-
-    The tripartite term couples the target ladder operators to the virtual
-    qubit raising/lowering operators |psi_01><psi_10| and its adjoint; at
-    resonance it commutes with the free part.  Every term is a constant
-    table times a model scalar; only the tripartite one needs the frame.
+    """The three-qubit Hamiltonians in the dressed frame, each a constant
+    table times a model scalar: the target's 0.5 E1 Z1, the diagonal machine
+    0.5 eps2 Z2 + 0.5 eps3 Z3, and the tripartite g T, which couples the
+    target ladder operators to the virtual qubit's |psi_01><psi_10| and its
+    adjoint and at resonance commutes with the free part.
     """
     h1 = 0.5 * params.e1 * SIGMA_Z1
-    hfridge = 0.5 * frame.e2 * SIGMA_Z2 + 0.5 * params.e3 * SIGMA_Z3 + params.gamma * _EXCHANGE
-    hg = params.g * frame.to_lab(_TRIPARTITE)
+    hfridge = 0.5 * frame.eps2 * SIGMA_Z2 + 0.5 * frame.eps3 * SIGMA_Z3
+    hg = params.g * _TRIPARTITE
     return Hamiltonians(h1=h1, hfridge=hfridge, hg=hg, htot=h1 + hfridge + hg)

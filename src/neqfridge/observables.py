@@ -1,10 +1,11 @@
 """Heat currents, temperatures, COPs and their bounds.
 
 Bath currents are evaluated two ways: as traces of the total Hamiltonian
-against each dissipator at the steady state, and through closed forms in the
-deviation coefficient d.  The tripartite-interaction currents Q_i^g isolate
-the part of the flow caused by the weak three-body coupling; the machine
-COP eta_g = Q1^g / Q3^g depends only on the diagonalization frame.
+against each dissipator at the dressed-frame steady state, and through
+closed forms in the deviation coefficient d.  The tripartite-interaction
+currents Q_i^g isolate the part of the flow caused by the weak three-body
+coupling; the machine COP eta_g = Q1^g / Q3^g depends only on the
+diagonalization frame.
 
 :func:`closed_form_table` is the one closed-form chain from parameters to
 observables (frame, populations, coefficients, currents, then the COPs, the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import GeneratorParts
+from .dissipation import GeneratorParts, bath_actions, generator_weights
 from .model import (
     SIGMA_Z2,
     SIGMA_Z3,
@@ -89,8 +90,8 @@ class CurrentReport:
         return self.q1g > 0.0 if abs(self.q1g) > self.noise else None
 
 
-def product_state(frame: Frame, pops: ThermalPopulations) -> np.ndarray:
-    """Lab-frame product of the target thermal state and the dressed machine state."""
+def product_state(pops: ThermalPopulations) -> np.ndarray:
+    """Dressed-frame product of the target thermal state and the dressed machine state."""
     target = np.array([pops.r1, 1.0 - pops.r1])
     fridge = np.array([
         pops.rtilde2 * pops.rtilde3,
@@ -98,27 +99,22 @@ def product_state(frame: Frame, pops: ThermalPopulations) -> np.ndarray:
         (1.0 - pops.rtilde2) * pops.rtilde3,
         (1.0 - pops.rtilde2) * (1.0 - pops.rtilde3),
     ])
-    return frame.to_lab(np.diag(np.outer(target, fridge).ravel()))
+    return np.diag(np.outer(target, fridge).ravel())
 
 
 def heat_currents(parts: GeneratorParts, steady: SteadyStateResult) -> CurrentReport:
     """All stationary currents at the point of ``parts``, with the closed forms alongside the traces."""
     params, frame, pops, hams = parts.params, parts.frame, parts.pops, parts.hams
-    rho = steady.rho
-    q1 = float(np.trace(hams.htot @ parts.d1.apply(rho)).real)
-    q2 = float(np.trace(hams.htot @ parts.d2.apply(rho)).real)
-    q3 = float(np.trace(hams.htot @ parts.d3.apply(rho)).real)
-
-    rho0 = product_state(frame, pops)
-    q23 = float(np.trace(hams.hfridge @ parts.d3.apply(rho0)).real)
+    rho, weights = steady.rho, generator_weights(parts)
+    # tr(H A) for each bath's action A
+    q1, q2, q3 = np.einsum("ij,bji->b", hams.htot, bath_actions(weights, rho)).real.tolist()
+    q23 = float(np.trace(hams.hfridge @ bath_actions(weights, product_state(pops))[2]).real)
 
     hg = hams.hg
     dg_rho = -1j * (hg @ rho - rho @ hg)
     q1g = -float(np.trace(hams.h1 @ dg_rho).real)
-    # the dressed sigma_z's are the bare tables in the dressed frame
-    dg_dressed = frame.to_dressed(dg_rho)
-    qt2g = -float(np.trace(0.5 * frame.eps2 * SIGMA_Z2 @ dg_dressed).real)
-    qt3g = -float(np.trace(0.5 * frame.eps3 * SIGMA_Z3 @ dg_dressed).real)
+    qt2g = -float(np.trace(0.5 * frame.eps2 * SIGMA_Z2 @ dg_rho).real)
+    qt3g = -float(np.trace(0.5 * frame.eps3 * SIGMA_Z3 @ dg_rho).real)
 
     closed = currents_closed(params, frame, pops, steady.decomposition.d)
     return CurrentReport(

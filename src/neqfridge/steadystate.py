@@ -1,4 +1,4 @@
-"""The stationary state, two independent ways.
+"""The stationary state, two independent ways, in the dressed frame.
 
 The closed-form route: in the dressed frame the steady state lives in a
 nine-operator family (identity, the three dressed sigma_z's, their pair and
@@ -9,12 +9,13 @@ whose solution is implemented here verbatim.
 The numeric route: the 64x64 generator is built in the dressed frame, as
 one contraction of constant superoperator tables with the point's weights.
 It conserves the machine charge n2 + n3, and the kernel is a real SVD of
-its 24x24 charge-0 block; the state is rotated back to the lab frame.  The two
-routes adjudicate one another; the package treats the null space as ground
-truth and the closed form as the fast path validated against it.  Both
-routes take a point's :class:`~neqfridge.dissipation.GeneratorParts`, built
-once by :func:`~neqfridge.dissipation.build_generator_parts`, and
-:func:`solve_oracle` runs both on it.
+its 24x24 charge-0 block.  The two routes adjudicate one another; the
+package treats the null space as ground truth and the closed form as the
+fast path validated against it.  :func:`solve_oracle` runs both on a
+point's :class:`~neqfridge.dissipation.GeneratorParts`, built once by
+:func:`~neqfridge.dissipation.build_generator_parts`, with one assembled
+generator whose action on each state is that state's residual.  Every
+state here is a dressed-frame density matrix.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from functools import cache
 import numpy as np
 
 from .dissipation import GeneratorParts, assemble_liouvillian, generator_tables
-from .linalg import charge_sectors, pauli_basis, pauli_string, steady_null_space
-from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, Frame, ThermalPopulations
+from .linalg import charge_sectors, pauli_basis, pauli_string, steady_null_space, vec
+from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, ThermalPopulations
 
 # The nine-operator family in the dressed frame (target, dressed spiral,
 # dressed engine), in SteadyDecomposition order after the identity; the last
@@ -71,13 +72,14 @@ class SteadyDecomposition:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """A steady state with its decomposition and solver diagnostics."""
+    """A dressed-frame steady state ``rho`` with its decomposition and solver
+    diagnostics: the norm of the generator's action on it and the largest
+    coefficient it leaves outside the family."""
 
     rho: np.ndarray
     decomposition: SteadyDecomposition
     residual: float
     off_family_max: float
-    charge_leakage: float = 0.0
 
 
 @cache
@@ -123,73 +125,64 @@ def steady_coefficients(pops: ThermalPopulations, p: float, g: float) -> SteadyD
     return SteadyDecomposition(a1=a1, a2=a2, a3=a3, b12=b12, b13=b13, b23=b23, c=c, d=d)
 
 
-def reconstruct_state(decomposition: SteadyDecomposition, frame: Frame) -> np.ndarray:
-    """Lab-frame density matrix from decomposition coefficients."""
+def reconstruct_state(decomposition: SteadyDecomposition) -> np.ndarray:
+    """Dressed-frame density matrix from decomposition coefficients."""
     coeffs = np.array([1.0, *decomposition.as_dict().values()])
-    return frame.to_lab(np.tensordot(coeffs, _FAMILY, 1)) / 8.0
+    return np.tensordot(coeffs, _FAMILY, 1) / 8.0
 
 
-def decompose(rho: np.ndarray, frame: Frame) -> tuple[SteadyDecomposition, float]:
-    """Project a state onto the family; also return the largest leftover.
+def decompose(rho: np.ndarray) -> tuple[SteadyDecomposition, float]:
+    """Project a dressed-frame state onto the family; also return the largest leftover.
 
     Coefficients use the Hilbert-Schmidt convention 8 <B, rho> / <B, B>, so
     the identity coefficient of a unit-trace state is one.  The leftover is
     the largest coefficient on the dressed Pauli strings orthogonal to the
-    family.  Both are read off one basis change into the dressed frame.
+    family.
     """
-    dressed = frame.to_dressed(rho)
-    coeffs = 8.0 * np.einsum("kij,ij->k", _FAMILY.conj(), dressed).real / _FAMILY_NORM_SQ
+    coeffs = 8.0 * np.einsum("kij,ij->k", _FAMILY.conj(), rho).real / _FAMILY_NORM_SQ
     coeffs[0] = 1.0  # the reconstruction keeps unit trace
-    leftover = dressed - np.tensordot(coeffs, _FAMILY, 1) / 8.0
+    leftover = rho - np.tensordot(coeffs, _FAMILY, 1) / 8.0
     off = np.max(np.abs(np.einsum("kij,ij->k", _PAULI_STRINGS.conj(), leftover)))
     return SteadyDecomposition(*coeffs[1:]), float(off)
 
 
-def analytic_steady_state(parts: GeneratorParts) -> SteadyStateResult:
-    """Closed-form steady state of the point ``parts``, reconstructed in the lab frame.
+def _result(rho: np.ndarray, decomposition: SteadyDecomposition, off: float,
+            generator: np.ndarray) -> SteadyStateResult:
+    """The result for ``rho``, with the norm of ``generator`` times vec(rho) as its residual."""
+    return SteadyStateResult(rho=rho, decomposition=decomposition,
+                             residual=float(np.linalg.norm(generator @ vec(rho))), off_family_max=off)
 
-    The residual is the norm of the generator's action on the state.
+
+def analytic_steady_state(parts: GeneratorParts, generator: np.ndarray) -> SteadyStateResult:
+    """Closed-form steady state of the point ``parts``; its residual is the norm
+    of the action of ``generator``, the point's assembled generator."""
+    decomposition = steady_coefficients(parts.pops, parts.params.p, parts.params.g)
+    rho = reconstruct_state(decomposition)
+    return _result(rho, decomposition, decompose(rho)[1], generator)
+
+
+def numeric_steady_state(generator: np.ndarray) -> SteadyStateResult:
+    """Steady state from the kernel of a dressed-frame generator.
+
+    In the dressed frame the dissipators map diagonal states to diagonal
+    states entry by entry, and the kernel is read from the charge-0 block in
+    Pauli-type strings: at g = 0 the coefficient d then comes out below
+    1e-30, where a lab-frame kernel leaves it at the 1e-14 rounding level.
     """
-    params = parts.params
-    decomposition = steady_coefficients(parts.pops, params.p, params.g)
-    rho = reconstruct_state(decomposition, parts.frame)
-    _, off = decompose(rho, parts.frame)
-    return SteadyStateResult(
-        rho=rho, decomposition=decomposition,
-        residual=float(np.linalg.norm(parts.apply(rho))), off_family_max=off,
-    )
-
-
-def numeric_steady_state(parts: GeneratorParts) -> SteadyStateResult:
-    """Steady state of the point ``parts`` from the kernel of its generator.
-
-    The kernel is read in the dressed frame (the same singular values), where
-    the dissipators map diagonal states to diagonal states entry by entry,
-    from the charge-0 block in Pauli-type strings: at g = 0 the coefficient d
-    then comes out below 1e-30, where the lab-frame kernel leaves it at the
-    1e-14 rounding level.  ``charge_leakage`` is the largest generator entry
-    between charge blocks, which the solve does not read, over the largest.
-    """
-    frame = parts.frame
-    generator = assemble_liouvillian(parts)
-    rho = frame.to_lab(steady_null_space(generator, MACHINE_CHARGES))
-    decomposition, off = decompose(rho, frame)
-    entries = np.abs(generator)
-    leakage = np.max(entries[charge_sectors(MACHINE_CHARGES)[-1]]) / np.max(entries)
-    return SteadyStateResult(
-        rho=rho, decomposition=decomposition,
-        residual=float(np.linalg.norm(parts.apply(rho))), off_family_max=off,
-        charge_leakage=float(leakage),
-    )
+    rho = steady_null_space(generator, MACHINE_CHARGES)
+    return _result(rho, *decompose(rho), generator)
 
 
 @dataclass(frozen=True)
 class OracleSolve:
-    """Both steady-state routes at one point, from one generator and one kernel solve."""
+    """Both steady-state routes at one point, from one generator and one kernel
+    solve.  ``charge_leakage`` is the generator's largest entry between charge
+    blocks, which the kernel solve does not read, over its largest entry."""
 
     analytic: SteadyStateResult
     numeric: SteadyStateResult
     deltas: dict[str, float]
+    charge_leakage: float
 
     @property
     def max_delta(self) -> float:
@@ -202,9 +195,13 @@ def solve_oracle(parts: GeneratorParts) -> OracleSolve:
     Raises :class:`DegenerateSteadyStateError` when the generator kernel is
     not one-dimensional.
     """
-    analytic = analytic_steady_state(parts)
-    numeric = numeric_steady_state(parts)
+    generator = assemble_liouvillian(parts)
+    analytic = analytic_steady_state(parts, generator)
+    numeric = numeric_steady_state(generator)
     a = analytic.decomposition.as_dict()
     n = numeric.decomposition.as_dict()
+    entries = np.abs(generator)
     return OracleSolve(analytic=analytic, numeric=numeric,
-                       deltas={name: abs(a[name] - n[name]) for name in a})
+                       deltas={name: abs(a[name] - n[name]) for name in a},
+                       charge_leakage=float(np.max(entries[charge_sectors(MACHINE_CHARGES)[-1]])
+                                            / np.max(entries)))

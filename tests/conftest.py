@@ -1,7 +1,9 @@
 import collections
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import product
 from pathlib import Path
 
@@ -18,10 +20,9 @@ from neqfridge import (
     maximize_cooling_powers,
     resonant_frame,
 )
-from neqfridge.dissipation import LindbladChannel
 from neqfridge.experiments import _brent_max, _chandrupatla
-from neqfridge.model import REFERENCE
-from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, pauli_string
+from neqfridge.model import REFERENCE, Hamiltonians
+from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from neqfridge.steadystate import _FAMILY
 
 # canonical benchmark point used throughout the suite
@@ -96,10 +97,34 @@ SINGLE_QUBIT = {
 }
 
 
+def unitary(frame) -> np.ndarray:
+    """The 4x4 rotation mixing the singly-excited machine states; its adjoint
+    holds the machine eigenvectors (psi_00, psi_01, psi_10, psi_11) as columns."""
+    c, s = math.cos(0.5 * frame.theta), math.sin(0.5 * frame.theta)
+    return np.array([[1, 0, 0, 0], [0, c, s, 0], [0, -s, c, 0], [0, 0, 0, 1]], dtype=complex)
+
+
+def dressing(frame) -> np.ndarray:
+    """W = kron(I2, U) on the three qubits: a dressed-frame operator B is W^+ B W in the lab frame."""
+    return np.kron(IDENTITY_2, unitary(frame))
+
+
+def to_lab(frame, op: np.ndarray) -> np.ndarray:
+    """W^+ B W for one dressed-frame operator B or a stack (..., 8, 8)."""
+    w = dressing(frame)
+    return w.conj().T @ op @ w
+
+
+def to_dressed(frame, op: np.ndarray) -> np.ndarray:
+    """W A W^+, the inverse of :func:`to_lab`."""
+    w = dressing(frame)
+    return w @ op @ w.conj().T
+
+
 def fridge_tilde_operator(frame, ops: str) -> np.ndarray:
     """4x4 machine operator from dressed single-qubit operators, e.g. 'z+'."""
     bare = np.kron(SINGLE_QUBIT[ops[0]], SINGLE_QUBIT[ops[1]])
-    return frame.unitary.conj().T @ bare @ frame.unitary
+    return unitary(frame).conj().T @ bare @ unitary(frame)
 
 
 def tilde_operator(frame, first: str, fridge_ops: str) -> np.ndarray:
@@ -168,34 +193,127 @@ def channel_superop(channel) -> np.ndarray:
     return sum(kron_dissipator_superop(op, weight) for op, weight in weighted_jumps(channel))
 
 
-def kron_generator(parts) -> np.ndarray:
-    """Lab-frame 64x64 generator of a point's Hamiltonian and three channels,
-    from the kron references."""
-    return kron_commutator_superop(parts.hams.htot) + sum(
-        channel_superop(channel) for channel in (parts.d1, parts.d2, parts.d3))
+def kron_generator(lab) -> np.ndarray:
+    """Lab-frame 64x64 generator of a point's :class:`LabParts`, from the kron references."""
+    return kron_commutator_superop(lab.hams.htot) + sum(
+        channel_superop(channel) for channel in (lab.d1, lab.d2, lab.d3))
 
 
 def dressed(superop: np.ndarray, frame) -> np.ndarray:
     """A lab-frame superoperator in the dressed frame: S G S^+ with S =
     kron(conj W, W), the matrix of rho -> W rho W^+, formed explicitly."""
-    s = np.kron(frame.dressing.conj(), frame.dressing)
+    w = dressing(frame)
+    s = np.kron(w.conj(), w)
     return s @ superop @ s.conj().T
 
 
-# Lab-frame operators of the localization identity (Hofer et al., NJP 19,
-# 123037 (2017)): the package checks it as a contraction of its dressed
-# tables; the tests build the local channels and the family here.
+# The lab-frame reference of the master equation.  The package writes every
+# operator in the dressed frame, the machine eigenbasis; the tests build the
+# same physics in the lab frame, with the exchange term in the machine
+# Hamiltonian, jumps rotated by the dressing and channels that act one
+# weighted jump at a time, and compare the package against it.
+
+@dataclass(frozen=True)
+class LindbladChannel:
+    """Dissipator of raising jumps L_k, a stack (k, d, d), each paired with its
+    lowering L_k+: L_k at weight rate*r_k and L_k+ at rate*(1 - r_k)."""
+
+    raising: np.ndarray
+    rate: float
+    populations: tuple[float, ...]
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        return loop_apply(weighted_jumps(self), rho)
+
+
+def reset_channel(qubit: int, rate: float, population: float, n_qubits: int = 3) -> LindbladChannel:
+    """Local thermalizing channel whose fixed point on ``qubit`` is diag(r, 1 - r)."""
+    raising = reduce(np.kron, [SIGMA_PLUS if q == qubit else IDENTITY_2 for q in range(1, n_qubits + 1)])
+    return LindbladChannel(raising[None], rate, (population,))
+
+
+# (nu, mu, dressed machine ladder) of the four machine jumps, in order: nu
+# labels the dressed qubit whose gap is the transition frequency, mu the bath
+# driving it
+JUMP_SPECS = ((2, 2, "+i"), (3, 2, "z+"), (3, 3, "i+"), (2, 3, "+z"))
+
+
+def jump_operator_set(frame) -> np.ndarray:
+    """The four lab-frame raising eigenoperators of the machine baths, (4, 8, 8):
+    the dressed ladders of ``JUMP_SPECS`` with prefactors (cos, sin, cos, -sin) of theta/2."""
+    c, s = math.cos(0.5 * frame.theta), math.sin(0.5 * frame.theta)
+    return np.array([prefactor * tilde_operator(frame, "i", ladder)
+                     for prefactor, (_, _, ladder) in zip((c, s, c, -s), JUMP_SPECS)])
+
+
+def lab_hamiltonians(params, frame) -> Hamiltonians:
+    """The lab-frame Hamiltonians: the bare machine with its exchange coupling,
+    and the tripartite term on the dressed ladders."""
+    z, eye = SIGMA_Z, IDENTITY_2
+    h1 = 0.5 * params.e1 * np.kron(z, np.eye(4))
+    exchange = np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS)
+    hfridge = np.kron(eye, 0.5 * frame.e2 * np.kron(z, eye) + 0.5 * params.e3 * np.kron(eye, z)
+                      + params.gamma * exchange)
+    hg = params.g * (tilde_operator(frame, "+", "-+") + tilde_operator(frame, "-", "+-"))
+    return Hamiltonians(h1=h1, hfridge=hfridge, hg=hg, htot=h1 + hfridge + hg)
+
+
+@dataclass(frozen=True)
+class LabParts:
+    """A point's lab-frame Hamiltonians and its target, bath-2 and bath-3 channels."""
+
+    hams: Hamiltonians
+    d1: LindbladChannel
+    d2: LindbladChannel
+    d3: LindbladChannel
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """Generator action -i[H, rho] + D1(rho) + D2(rho) + D3(rho)."""
+        htot = self.hams.htot
+        return (-1j * (htot @ rho - rho @ htot)
+                + self.d1.apply(rho) + self.d2.apply(rho) + self.d3.apply(rho))
+
+
+def lab_parts(parts) -> LabParts:
+    """The lab-frame reference of the package's point ``parts``, at its populations."""
+    params, frame, pops = parts.params, parts.frame, parts.pops
+    jumps = jump_operator_set(frame)
+    return LabParts(
+        hams=lab_hamiltonians(params, frame),
+        d1=reset_channel(1, params.p, pops.r1),
+        d2=LindbladChannel(jumps[:2], params.p, (pops.r22, pops.r32)),
+        d3=LindbladChannel(jumps[2:], params.p, (pops.r33, pops.r23)),
+    )
+
+
+def lab_heat_currents(parts, rho: np.ndarray) -> dict[str, float]:
+    """The trace-route currents of a dressed-frame state ``rho`` at the point
+    ``parts``, read in the lab frame from :func:`lab_parts`."""
+    lab, frame, pops = lab_parts(parts), parts.frame, parts.pops
+    rho = to_lab(frame, rho)
+    hams = lab.hams
+    q1, q2, q3 = (np.trace(hams.htot @ channel.apply(rho)).real for channel in (lab.d1, lab.d2, lab.d3))
+    target = np.diag([pops.r1, 1.0 - pops.r1])
+    fridge = np.kron(np.diag([pops.rtilde2, 1.0 - pops.rtilde2]), np.diag([pops.rtilde3, 1.0 - pops.rtilde3]))
+    rho0 = np.kron(target, unitary(frame).conj().T @ fridge @ unitary(frame))
+    q23 = np.trace(hams.hfridge @ lab.d3.apply(rho0)).real
+    dg_rho = -1j * (hams.hg @ rho - rho @ hams.hg)
+    qt2g = -np.trace(0.5 * frame.eps2 * tilde_operator(frame, "i", "zi") @ dg_rho).real
+    qt3g = -np.trace(0.5 * frame.eps3 * tilde_operator(frame, "i", "iz") @ dg_rho).real
+    return {"q1": q1, "q2": q2, "q3": q3, "q23": q23, "q1g": -np.trace(hams.h1 @ dg_rho).real,
+            "q2g": q2 + q23, "q3g": q3 - q23, "qt2g": qt2g, "qt3g": qt3g}
+
 
 def tilde_channel(nu: int, frame, pops, rate: float) -> LindbladChannel:
     """Local reset channel on dressed qubit nu (2 or 3) with its mixed population."""
     r = pops.rtilde2 if nu == 2 else pops.rtilde3
-    return LindbladChannel(frame.to_lab(pauli_string("i+i" if nu == 2 else "ii+"))[None], rate, (r,))
+    return LindbladChannel(tilde_operator(frame, "i", "+i" if nu == 2 else "i+")[None], rate, (r,))
 
 
 def family_operators(frame) -> dict[str, np.ndarray]:
     """The lab-frame nine-operator family spanning the steady state, keyed by name."""
     names = ("identity", "a1", "a2", "a3", "b12", "b13", "b23", "c", "d")  # _FAMILY order
-    return dict(zip(names, frame.to_lab(_FAMILY)))
+    return dict(zip(names, to_lab(frame, _FAMILY)))
 
 
 # Plain scalar search references.  The package finds roots by Chandrupatla's

@@ -16,37 +16,34 @@ import pytest
 from neqfridge import (
     EnsembleSpec,
     ModelParams,
-    analytic_steady_state,
     cop_g,
     critical_gamma,
     eta_star_max,
     eta_star_min,
     heat_currents,
     local_target_temperature,
-    numeric_steady_state,
     random_ensemble,
     resonant_frame,
     sweep_fig3,
     sweep_fig4,
+    solve_oracle,
     sweep_fig5,
     tilde_populations,
     validate,
     virtual_temperature,
 )
-from neqfridge.dissipation import build_generator_parts, reset_channel
+from neqfridge.dissipation import bath_actions, build_generator_parts, generator_weights, localized_weights
 from neqfridge.linalg import hermiticity_defect
 from neqfridge.observables import currents_closed
-from neqfridge.steadystate import steady_coefficients
+from neqfridge.steadystate import _FAMILY, steady_coefficients
 
 from conftest import (
     P0,
-    family_operators,
     find_root,
     high_temperature_saturation,
     max_cop_identity,
     random_feasible,
     random_hermitian,
-    tilde_channel,
 )
 
 
@@ -74,7 +71,7 @@ def test_criterion_2_first_law_and_current_identity():
     for _ in range(200):
         params = random_feasible(rng)
         parts = build_generator_parts(params)
-        currents = heat_currents(parts, numeric_steady_state(parts))
+        currents = heat_currents(parts, solve_oracle(parts).numeric)
         worst_sum = max(worst_sum, abs(currents.q1 + currents.q2 + currents.q3))
         worst_id = max(worst_id, abs(currents.q1g - currents.q1))
     assert worst_sum <= 1e-10
@@ -257,24 +254,22 @@ def test_criterion_9_property_suite():
         params = random_feasible(rng)
         parts = build_generator_parts(params)
         frame, pops = parts.frame, parts.pops
+        weights = generator_weights(parts)
 
         # channel algebra on a random Hermitian matrix
         probe = random_hermitian(rng)
-        for channel in (parts.d1, parts.d2, parts.d3):
-            out = channel.apply(probe)
+        for out in bath_actions(weights, probe):
             assert abs(np.trace(out)) < 1e-12
             assert hermiticity_defect(out) < 1e-12
 
-        # localized channels match the delocalized pair on the family
-        t2c = tilde_channel(2, frame, pops, params.p)
-        t3c = tilde_channel(3, frame, pops, params.p)
-        for op in family_operators(frame).values():
-            delocalized = parts.d2.apply(op) + parts.d3.apply(op)
-            localized = t2c.apply(op) + t3c.apply(op)
+        # localized channels match the delocalized pair on the (dressed) family
+        for op in _FAMILY:
+            delocalized = bath_actions(weights, op)[1:].sum(axis=0)
+            localized = bath_actions(localized_weights(parts), op)[1:].sum(axis=0)
             assert np.max(np.abs(delocalized - localized)) < 1e-12
 
         # steady state: validity, residual, sign chain, dressed currents
-        steady = analytic_steady_state(build_generator_parts(params))
+        steady = solve_oracle(parts).analytic
         assert steady.residual < 1e-10
         eigs = np.linalg.eigvalsh(steady.rho)
         assert eigs.min() > -1e-10
@@ -296,8 +291,9 @@ def test_criterion_9_property_suite():
         assert abs(currents.q3g - (currents.qt3g * c2 + currents.qt2g * s2)) < 1e-10
 
         # zero net flow against a fictitious bath at the achieved temperature
-        fictitious = reset_channel(1, params.p, 0.5 * (1.0 + steady.decomposition.a1))
-        flow = np.trace(parts.hams.htot @ fictitious.apply(steady.rho)).real
+        achieved = replace(parts, pops=replace(pops, r1=0.5 * (1.0 + steady.decomposition.a1)))
+        fictitious = bath_actions(generator_weights(achieved), steady.rho)[0]
+        flow = np.trace(parts.hams.htot @ fictitious).real
         assert abs(flow) < 1e-10
     print(f"\nACCEPTANCE 9 PASS: {trials} randomized trials of the invariant chain, "
           f"zero failures")

@@ -13,9 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 import neqfridge
 from neqfridge import build_generator_parts, solve_oracle, validate
 from neqfridge.cli import _cells, main, write_csv
-from neqfridge.model import build_hamiltonians, thermal_population
+from neqfridge.model import thermal_population
 
-from conftest import P0, counting, per_cell_cells, per_cell_csv
+from conftest import P0, counting, per_cell_cells, per_cell_csv, to_dressed
 
 # group names of `validate`, in report order
 GROUPS = [
@@ -435,8 +435,9 @@ class TestDistinctValueCells:
         monkeypatch.setattr(neqfridge.cli, "_FLOAT_CELL", counted)
         assert main(["figure", "fig3", "--points", "200", "--out", str(tmp_path)]) == 0
         # 11 columns of 800 rows, 8,800 cells: beta3 and t3 hold 200 values each,
-        # gamma 4, the six fixed fields 1 each, q1g 800 and delta_c 797
-        assert len(formatted) == 2007
+        # gamma 4, the six fixed fields 1 each, q1g 799 (gamma = 0.48 and 0.5
+        # both give -0.0 at beta3 = beta2) and delta_c 797
+        assert len(formatted) == 2006
 
 
 class TestMaximizeCommand:
@@ -468,29 +469,31 @@ class TestValidateCommand:
         assert groups["oracle_equivalence"]["passed"] is True
         assert groups["oracle_equivalence"]["max_error"] < 1e-7
 
+    @pytest.mark.parametrize("lam", [1e-4, 1e4])
+    def test_reference_in_other_units_passes(self, lam, tmp_path):
+        # energies, temperatures, p and g all times lam: the current bounds scale with (p + g) eps2
+        params = {name: lam * value for name, value in P0.as_dict().items()}
+        report = validate(neqfridge.ModelParams(**params))
+        assert report.passed, {name: g for name, g in report.groups.items() if not g["passed"]}
+        flags = [item for name, value in params.items() for item in (f"--{name}", repr(value))]
+        assert main(["validate", *flags, "--out", str(tmp_path / "validate.json")]) == 0
+
     def test_small_grid_passes(self, tmp_path):
         out = tmp_path / "validate.json"
         assert main(["validate", "--grid", "3", "--seed", "5", "--out", str(out)]) == 0
 
     def test_charge_breaking_term_fails_charge_symmetry(self, monkeypatch, tmp_path):
-        from neqfridge import dissipation, steadystate
+        from neqfridge import steadystate
         from neqfridge.dissipation import assemble_liouvillian
         from neqfridge.linalg import commutator_superop, pauli_string
 
-        def with_spiral_drive(params, frame):
-            # sigma_x on qubit 2 changes the machine charge n2 + n3 by one
-            hams = build_hamiltonians(params, frame)
-            return replace(hams, htot=hams.htot + 0.01 * pauli_string("ixi"))
-
-        def with_spiral_drive_superop(parts):
-            # the same drive in the dressed generator that the kernel solve reads
-            drive = parts.frame.to_dressed(0.01 * pauli_string("ixi"))
+        def with_spiral_drive(parts):
+            # sigma_x on the lab-frame spiral changes the machine charge n2 + n3 by one
+            drive = to_dressed(parts.frame, 0.01 * pauli_string("ixi"))
             return assemble_liouvillian(parts) + commutator_superop(drive)
 
-        # the lab-frame Hamiltonians feed the residuals and currents, the
-        # dressed generator the kernel solve and the charge leakage
-        monkeypatch.setattr(dissipation, "build_hamiltonians", with_spiral_drive)
-        monkeypatch.setattr(steadystate, "assemble_liouvillian", with_spiral_drive_superop)
+        # the one generator feeds the kernel solve, both residuals and the leakage
+        monkeypatch.setattr(steadystate, "assemble_liouvillian", with_spiral_drive)
         group = validate(P0).groups["charge_symmetry"]
         assert group["passed"] is False
         assert group["max_error"] > 1e-4
@@ -498,6 +501,8 @@ class TestValidateCommand:
         assert main(["steady", "--out", str(out)]) == 0
         residuals = json.loads(out.read_text())["residuals"]
         assert residuals["charge_leakage"] == group["max_error"]
+        # neither state is stationary under the driven generator
+        assert residuals["analytic"] > 1e-5
         assert residuals["numeric"] > 1e-5
 
     def test_swapped_population_fails_localization_identity(self, monkeypatch):
@@ -614,21 +619,24 @@ class TestGeneratorBuilds:
         from neqfridge import dissipation, model
 
         return counting(monkeypatch, dissipation.build_generator_parts, model.resonant_frame,
-                        model.tilde_populations)[0]
+                        model.tilde_populations, dissipation.assemble_liouvillian)[0]
 
     def test_one_build_per_steady_call(self, build_count, tmp_path):
         assert main(["steady", "--out", str(tmp_path / "steady.json")]) == 0
         assert build_count["build_generator_parts"] == 1
+        assert build_count["assemble_liouvillian"] == 1  # both routes' residuals read it
 
     def test_one_build_per_single_point_validate(self, build_count, tmp_path):
         # a parameter flag makes validate check that one point instead of a grid
         assert main(["validate", "--gamma", "0.3", "--out", str(tmp_path / "validate.json")]) == 0
         assert build_count["build_generator_parts"] == 1
+        assert build_count["assemble_liouvillian"] == 1
 
     def test_validate_checks_the_populations_it_solves_with(self, build_count):
         # one frame and one population build, which the population groups and the oracle share
         assert validate(P0).passed
-        assert build_count == {"build_generator_parts": 1, "resonant_frame": 1, "tilde_populations": 1}
+        assert build_count == {"build_generator_parts": 1, "resonant_frame": 1, "tilde_populations": 1,
+                               "assemble_liouvillian": 1}
 
 
 class TestDegeneracyPerBlock:

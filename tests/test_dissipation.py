@@ -3,37 +3,53 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from neqfridge import (
-    ModelParams,
-    ParameterError,
-    assemble_liouvillian,
-    jump_operator_set,
-    reset_channel,
-)
+from neqfridge import ModelParams, assemble_liouvillian, heat_currents, solve_oracle
 from neqfridge.dissipation import (
-    LindbladChannel,
+    _DRESSED_JUMPS,
+    _JUMP_STRINGS,
+    bath_actions,
     build_generator_parts,
     generator_tables,
+    generator_weights,
     localized_weights,
 )
-from neqfridge.linalg import IDENTITY_2, SIGMA_PLUS, charge_sectors, hermiticity_defect, pauli_basis, vec
-from neqfridge.model import build_hamiltonians, resonant_frame, tilde_populations
+from neqfridge.linalg import (
+    IDENTITY_2,
+    SIGMA_PLUS,
+    charge_sectors,
+    dissipator_superop,
+    hermiticity_defect,
+    pauli_basis,
+    vec,
+)
+from neqfridge.model import resonant_frame, tilde_populations
 from neqfridge.observables import product_state
 from neqfridge.steadystate import MACHINE_CHARGES
 
 from conftest import (
+    JUMP_SPECS,
     P0,
+    LindbladChannel,
     channel_superop,
     dressed,
     family_operators,
+    jump_operator_set,
     kron_commutator_superop,
     kron_generator,
+    lab_hamiltonians,
+    lab_heat_currents,
+    lab_parts,
     loop_apply,
     random_feasible,
     random_hermitian,
+    reset_channel,
     tilde_channel,
     tilde_operator,
+    to_dressed,
+    to_lab,
+    unitary,
     weighted_jumps,
 )
 
@@ -57,12 +73,14 @@ def grid_box_points(seed: int, count: int) -> list[ModelParams]:
 
 
 def localize(parts):
-    """The point with its machine baths acting through the dressed-local channels."""
+    """The lab-frame reference of the point with its machine baths acting
+    through the dressed-local channels."""
     frame, pops, p = parts.frame, parts.pops, parts.params.p
-    return replace(parts, d2=tilde_channel(2, frame, pops, p), d3=tilde_channel(3, frame, pops, p))
+    return replace(lab_parts(parts), d2=tilde_channel(2, frame, pops, p), d3=tilde_channel(3, frame, pops, p))
 
 
 class TestResetChannel:
+    # the lab-frame reference channel, which the package's tables are checked against
     def test_fixed_point_annihilated(self):
         channel = reset_channel(1, rate=0.01, population=0.3, n_qubits=1)
         tau = np.diag([0.3, 0.7]).astype(complex)
@@ -93,30 +111,12 @@ class TestResetChannel:
                 channel.apply(general).conj().T - channel.apply(general.conj().T)
             )) < 1e-12
 
-    def test_invalid_inputs(self):
-        # the qubit index is the one argument a ModelParams does not check
-        for qubit in (0, 4):
-            with pytest.raises(ParameterError, match="qubit must lie in 1..3"):
-                reset_channel(qubit, rate=0.01, population=0.3)
-
     def test_frozen_bath_is_a_valid_channel(self):
         # r = 0 (E/T past 700) only decays: the ground state is its fixed point
         channel = reset_channel(1, rate=0.01, population=0.0, n_qubits=1)
         assert np.max(np.abs(channel.apply(np.diag([0.0, 1.0]).astype(complex)))) == 0.0
         excited = channel.apply(np.diag([1.0, 0.0]).astype(complex))
         assert excited[0, 0] == pytest.approx(-0.01, abs=1e-18)
-
-    def test_ladder_is_a_shared_read_only_table(self):
-        raising = reset_channel(2, rate=0.01, population=0.3).raising
-        assert raising is reset_channel(2, rate=0.02, population=0.4).raising
-        assert not raising.flags.writeable
-        assert np.array_equal(raising, [np.kron(IDENTITY_2, np.kron(SIGMA_PLUS, IDENTITY_2))])
-
-
-# (nu, mu, dressed machine ladder) of the four jumps of jump_operator_set, in
-# order: nu labels the dressed qubit whose gap is the transition frequency, mu
-# the bath driving it
-JUMP_SPECS = ((2, 2, "+i"), (3, 2, "z+"), (3, 3, "i+"), (2, 3, "+z"))
 
 
 def read_prefactors(frame, jumps) -> list[float]:
@@ -132,6 +132,7 @@ def read_prefactors(frame, jumps) -> list[float]:
 
 
 class TestJumpOperators:
+    # the lab-frame reference jumps, and the dressed tables they rotate to
     def test_decoupled_frame(self):
         jumps = jump_operator_set(resonant_frame(1.0, 4.0, 0.0))
         assert jumps.shape == (4, 8, 8)
@@ -153,24 +154,27 @@ class TestJumpOperators:
     def test_adjoint_pairs_and_completeness(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
-            parts = build_generator_parts(random_feasible(rng))
-            prefactors = read_prefactors(parts.frame, jump_operator_set(parts.frame))
+            frame = build_generator_parts(random_feasible(rng)).frame
+            jumps = jump_operator_set(frame)
+            prefactors = read_prefactors(frame, jumps)
             # each bath's two prefactors square to one
             assert prefactors[0] ** 2 + prefactors[1] ** 2 == pytest.approx(1.0, abs=1e-12)
             assert prefactors[2] ** 2 + prefactors[3] ** 2 == pytest.approx(1.0, abs=1e-12)
-            # every channel pairs each raising jump with its adjoint as the lowering one
-            for channel in (parts.d1, parts.d2, parts.d3):
-                _, ops_dag, _ = channel._stacked
-                ops = ops_dag.conj().transpose(0, 2, 1)
-                assert np.array_equal(ops[0::2], channel.raising)
-                assert np.max(np.abs(ops[1::2] - channel.raising.conj().transpose(0, 2, 1))) < 1e-12
+            # in the dressed frame each jump is its table's string times its prefactor
+            expected = np.reshape(prefactors, (4, 1, 1)) * _JUMP_STRINGS
+            assert np.max(np.abs(to_dressed(frame, jumps) - expected)) < 1e-15
+        # the tables pair each raising jump with its adjoint as the lowering one
+        tables = generator_tables()
+        for k, jump in enumerate(_DRESSED_JUMPS):
+            assert np.array_equal(tables[4 + k], dissipator_superop(jump))
+            assert np.array_equal(tables[9 + k], dissipator_superop(jump.conj().T))
 
     def test_eigenoperator_frequencies(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             params = random_feasible(rng)
             frame = resonant_frame(params.e1, params.e3, params.gamma)
-            hfridge = build_hamiltonians(params, frame).hfridge
+            hfridge = lab_hamiltonians(params, frame).hfridge
             for jump, (nu, _, _) in zip(jump_operator_set(frame), JUMP_SPECS):
                 frequency = frame.eps2 if nu == 2 else frame.eps3
                 lowering = jump.conj().T
@@ -180,7 +184,7 @@ class TestJumpOperators:
                 assert np.max(np.abs(comm + frequency * lowering)) < 1e-12
 
     def test_sign_of_cross_jump_is_observably_irrelevant(self, p0):
-        channel = build_generator_parts(p0).d3
+        channel = lab_parts(build_generator_parts(p0)).d3
         flipped = replace(channel, raising=channel.raising * np.reshape([1.0, -1.0], (2, 1, 1)))
         assert np.max(np.abs(channel_superop(channel) - channel_superop(flipped))) < 1e-15
 
@@ -189,26 +193,28 @@ class TestFridgeChannel:
     def test_reduces_to_reset_without_coupling(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
         parts = build_generator_parts(params)
-        for channel, qubit in ((parts.d2, 2), (parts.d3, 3)):
+        lab = lab_parts(parts)
+        for channel, qubit in ((lab.d2, 2), (lab.d3, 3)):
             local = channel_superop(reset_channel(qubit, params.p, parts.pops.r(qubit, qubit)))
             assert np.max(np.abs(channel_superop(channel) - local)) < 1e-15
 
     def test_equilibrium_baths_fix_gibbs_state(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.35, t1=2.0, t2=2.0, t3=2.0, p=0.01, g=0.01)
         parts = build_generator_parts(params)
-        rho = product_state(parts.frame, parts.pops)  # equals tau_1 x Gibbs at T2 = T3
-        assert np.max(np.abs(parts.d2.apply(rho) + parts.d3.apply(rho))) < 1e-16
+        rho = product_state(parts.pops)  # equals tau_1 x Gibbs at T2 = T3
+        _, d2, d3 = bath_actions(generator_weights(parts), rho)
+        assert np.max(np.abs(d2 + d3)) < 1e-16
 
     def test_localization_identity_on_family(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             params = random_feasible(rng)
             parts = build_generator_parts(params)
-            frame, pops = parts.frame, parts.pops
+            frame, pops, lab = parts.frame, parts.pops, lab_parts(parts)
             t2 = tilde_channel(2, frame, pops, params.p)
             t3 = tilde_channel(3, frame, pops, params.p)
             for op in family_operators(frame).values():
-                delocalized = parts.d2.apply(op) + parts.d3.apply(op)
+                delocalized = lab.d2.apply(op) + lab.d3.apply(op)
                 localized = t2.apply(op) + t3.apply(op)
                 assert np.max(np.abs(delocalized - localized)) < 1e-12
 
@@ -216,12 +222,10 @@ class TestFridgeChannel:
         # a state diagonal in the dressed machine basis stays diagonal there
         rng = np.random.default_rng(15)
         parts = build_generator_parts(p0)
-        w = np.kron(np.eye(2), parts.frame.unitary)
         target_block = random_hermitian(rng, 2)
         fridge_diag = np.diag(rng.uniform(0.1, 1.0, size=4)).astype(complex)
-        rho = w.conj().T @ np.kron(target_block, fridge_diag) @ w
-        for channel in (parts.d2, parts.d3):
-            out = w @ channel.apply(rho) @ w.conj().T
+        rho = np.kron(target_block, fridge_diag)
+        for out in bath_actions(generator_weights(parts), rho)[1:]:
             blocks = out.reshape(2, 4, 2, 4)
             for f1 in range(4):
                 for f2 in range(4):
@@ -242,12 +246,13 @@ class TestFridgeChannel:
             diag2 = np.diag([r, 1.0 - r]).astype(complex)
             other = np.diag([0.35, 0.65]).astype(complex)
             fridge4 = np.kron(diag2, other) if nu == 2 else np.kron(other, diag2)
-            rho = np.kron(np.eye(2) / 2.0, frame.unitary.conj().T @ fridge4 @ frame.unitary)
+            rho = np.kron(np.eye(2) / 2.0, unitary(frame).conj().T @ fridge4 @ unitary(frame))
             flow = np.trace(z_nu @ single.apply(rho))
             assert abs(flow) < 1e-15
 
 
 class TestTildeChannel:
+    # the lab-frame reference of the dressed-local channels
     def test_equals_reset_without_coupling(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
         frame = resonant_frame(params.e1, params.e3, params.gamma)
@@ -259,32 +264,40 @@ class TestTildeChannel:
     def test_fixed_point(self, p0):
         frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
         pops = tilde_populations(frame, p0.t2, p0.t3, t1=p0.t1)
-        rho0 = product_state(frame, pops)
+        rho0 = to_lab(frame, product_state(pops))
         for nu in (2, 3):
             assert np.max(np.abs(tilde_channel(nu, frame, pops, p0.p).apply(rho0))) < 1e-15
 
 
 class TestStackedChannel:
+    # bath_actions reads the three baths off the stacked dissipator tables
     def test_apply_matches_loop_reference(self):
         rng = np.random.default_rng(31)
         for params in grid_box_points(31, 5):
             parts = build_generator_parts(params)
-            frame, pops = parts.frame, parts.pops
-            channels = (parts.d1, parts.d2, parts.d3,
-                        tilde_channel(2, frame, pops, params.p), tilde_channel(3, frame, pops, params.p))
-            for channel in channels:
-                jumps = weighted_jumps(channel)
+            frame = parts.frame
+            for weights, lab in ((generator_weights(parts), lab_parts(parts)),
+                                 (localized_weights(parts), localize(parts))):
                 for _ in range(3):
                     probe = random_hermitian(rng)
-                    assert np.max(np.abs(channel.apply(probe) - loop_apply(jumps, probe))) < 1e-15
+                    got = bath_actions(weights, probe)
+                    for out, channel in zip(got, (lab.d1, lab.d2, lab.d3)):
+                        want = to_dressed(frame, loop_apply(weighted_jumps(channel), to_lab(frame, probe)))
+                        assert np.max(np.abs(out - want)) < 1e-15
 
     def test_apply_on_a_stack_matches_one_at_a_time(self, p0):
+        # each bath sums its weighted tables, applied one at a time, and the
+        # three baths with the Hamiltonian's part make up the generator
         rng = np.random.default_rng(32)
-        channel = build_generator_parts(p0).d3
-        probes = np.array([random_hermitian(rng) for _ in range(4)])
-        stacked = channel.apply(probes)
-        for probe, out in zip(probes, stacked):
-            assert np.max(np.abs(out - channel.apply(probe))) < 1e-16
+        parts = build_generator_parts(p0)
+        weights, tables = generator_weights(parts), generator_tables()
+        probe = random_hermitian(rng)
+        one_at_a_time = [w * (table @ vec(probe)) for w, table in zip(weights, tables)]
+        got = bath_actions(weights, probe)
+        for bath, tables_of_bath in enumerate(((4, 9), (5, 6, 10, 11), (7, 8, 12, 13))):
+            assert np.max(np.abs(vec(got[bath]) - sum(one_at_a_time[k] for k in tables_of_bath))) < 1e-16
+        action = sum(one_at_a_time[:4]) + vec(got.sum(axis=0))
+        assert np.max(np.abs(action - assemble_liouvillian(parts) @ vec(probe))) < 1e-14
 
 
 class TestLiouvillian:
@@ -297,17 +310,18 @@ class TestLiouvillian:
             parts = build_generator_parts(params)
             if localized:
                 got = np.tensordot(localized_weights(parts), generator_tables(), 1)
-                parts = localize(parts)
+                lab = localize(parts)
             else:
                 got = assemble_liouvillian(parts)
-            assert np.max(np.abs(got - dressed(kron_generator(parts), parts.frame))) < 1e-14
+                lab = lab_parts(parts)
+            assert np.max(np.abs(got - dressed(kron_generator(lab), parts.frame))) < 1e-14
 
     def test_uncoupled_case_is_sum_of_resets(self):
         # at gamma = 0 the dressing is the identity and the frames coincide
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-        hams = build_hamiltonians(params, frame)
+        hams = lab_hamiltonians(params, frame)
 
         expected = kron_commutator_superop(hams.htot)
         expected += channel_superop(reset_channel(1, params.p, pops.r1))
@@ -319,7 +333,7 @@ class TestLiouvillian:
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-        product = frame.to_dressed(product_state(frame, pops))
+        product = product_state(pops)
         residual = assemble_liouvillian(build_generator_parts(params)) @ vec(product)
         assert np.max(np.abs(residual)) < 1e-12
 
@@ -338,9 +352,11 @@ class TestLiouvillian:
         rng = np.random.default_rng(22)
         for _ in range(5):
             parts = build_generator_parts(random_feasible(rng))
+            frame = parts.frame
             rho = random_hermitian(rng)
-            expected = assemble_liouvillian(parts) @ vec(parts.frame.to_dressed(rho))
-            assert np.max(np.abs(vec(parts.frame.to_dressed(parts.apply(rho))) - expected)) < 1e-13
+            expected = assemble_liouvillian(parts) @ vec(rho)
+            lab_action = lab_parts(parts).apply(to_lab(frame, rho))
+            assert np.max(np.abs(vec(to_dressed(frame, lab_action)) - expected)) < 1e-13
 
     def test_localized_variant_shares_steady_state(self, p0):
         from neqfridge.linalg import steady_null_space
@@ -356,8 +372,7 @@ class TestLiouvillian:
             params = random_feasible(rng)
             parts = build_generator_parts(params)
             rho = random_hermitian(rng)
-            for channel in (parts.d1, parts.d2, parts.d3):
-                out = channel.apply(rho)
+            for out in bath_actions(generator_weights(parts), rho):
                 assert abs(np.trace(out)) < 1e-12
                 assert hermiticity_defect(out) < 1e-12
 
@@ -379,7 +394,7 @@ class TestGeneratorTables:
     @pytest.mark.parametrize("params", grid_box_points(34, 8) + EDGE_POINTS)
     def test_dressed_generator_matches_rotated_kron_reference(self, params):
         parts = build_generator_parts(params)
-        expected = dressed(kron_generator(parts), parts.frame)
+        expected = dressed(kron_generator(lab_parts(parts)), parts.frame)
         assert np.max(np.abs(assemble_liouvillian(parts) - expected)) < 1e-14
 
     def test_frozen_edge_freezes_the_engine_bath(self):
@@ -398,3 +413,56 @@ class TestGeneratorTables:
             assert np.max(np.abs(pauli.real)) > 0.0
             assert np.max(np.abs(pauli.imag)) == 0.0
 
+
+
+@st.composite
+def grid_box_models(draw) -> ModelParams:
+    """Models over the box of `validate --grid`."""
+    e1 = draw(st.floats(0.5, 2.0))
+    t1 = draw(st.floats(0.5, 2.0))
+    t2 = t1 + draw(st.floats(0.0, 2.0))
+    return ModelParams(e1=e1, e3=draw(st.floats(2.0, 8.0)), gamma=draw(st.floats(0.0, 0.49)) * e1,
+                       t1=t1, t2=t2, t3=t2 + draw(st.floats(0.0, 4.0)),
+                       p=draw(st.floats(0.002, 0.03)), g=draw(st.floats(0.002, 0.03)))
+
+
+def scaled(params: ModelParams, lam: float) -> ModelParams:
+    """The model in units lam times smaller: energies, temperatures, p and g all times lam."""
+    return ModelParams(**{name: lam * value for name, value in params.as_dict().items()})
+
+
+PROBE = random_hermitian(np.random.default_rng(35))
+
+
+class TestAgainstTheLabFrame:
+    # the package reads every operator in the dressed frame; the lab-frame
+    # reference of the tests rebuilds the channels and Hamiltonians there.
+    # Currents are energy times rate, within 1e-14 (p + g) eps2; the bath
+    # actions are rates, within 1e-14 (p + g); a residual carries the
+    # Hamiltonian's rounding too, within 1e-15 eps2
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(params=grid_box_models())
+    @example(params=replace(P0, gamma=0.0))
+    @example(params=replace(P0, gamma=0.5 * P0.e1))
+    @example(params=replace(P0, gamma=0.5 * P0.e1 * (1.0 - 1e-12)))
+    @example(params=replace(P0, t1=2.0, t2=2.0, t3=2.0))
+    @example(params=replace(P0, g=0.0))
+    @example(params=scaled(P0, 1e-4))
+    @example(params=scaled(P0, 1e4))
+    def test_currents_residuals_and_bath_actions(self, params):
+        parts = build_generator_parts(params)
+        frame, lab = parts.frame, lab_parts(parts)
+        rate = params.p + params.g
+        oracle = solve_oracle(parts)
+        currents = heat_currents(parts, oracle.numeric)
+        reference = lab_heat_currents(parts, oracle.numeric.rho)
+        for name, value in reference.items():
+            assert abs(getattr(currents, name) - value) <= 1e-14 * rate * frame.eps2, name
+        for steady in (oracle.analytic, oracle.numeric):
+            lab_residual = np.linalg.norm(lab.apply(to_lab(frame, steady.rho)))
+            assert abs(steady.residual - lab_residual) <= 1e-15 * frame.eps2
+        for rho in (oracle.numeric.rho, PROBE):
+            got = bath_actions(generator_weights(parts), rho)
+            for out, channel in zip(got, (lab.d1, lab.d2, lab.d3)):
+                want = to_dressed(frame, channel.apply(to_lab(frame, rho)))
+                assert np.max(np.abs(out - want)) <= 1e-14 * rate

@@ -62,7 +62,7 @@ ALLOWED = {
     "experiments.SweepSpec.__post_init__", "experiments.EnsembleSpec.__post_init__",
     "experiments._check_points", "experiments._scan_range", "experiments.random_ensemble",
     "cli._load_config", "cli.cmd_figure", "cli.cmd_validate",
-    "linalg.steady_null_space", "dissipation._reset_raising",
+    "linalg.steady_null_space",
 }
 PARAMETER_ERRORS = {"ParameterError", "ResonanceInfeasibleError"}
 
@@ -100,7 +100,6 @@ def test_parameter_errors_come_only_from_the_gate():
 # module.qualname.name: a new knob fails here until it is named
 DEFAULTED = {
     "cli.main.argv",
-    "dissipation.reset_channel.n_qubits",
     "experiments.CoolingWindow.left_is_boundary",
     "experiments.EnsembleSpec.e3_range", "experiments.EnsembleSpec.eta_c",
     "experiments.EnsembleSpec.gamma_steps", "experiments.EnsembleSpec.max_gamma_step",
@@ -114,7 +113,6 @@ DEFAULTED = {
     "experiments.sweep_fig5.gammas", "experiments.sweep_fig5.points",
     "invariants.validate.rng", "invariants.validate.tol",
     "linalg.steady_null_space.charges",
-    "steadystate.SteadyStateResult.charge_leakage",
 }
 
 

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,9 +17,18 @@ from neqfridge import (
     virtual_temperature,
 )
 from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
+from neqfridge.model import _gaps
 from neqfridge.observables import product_state
 
-from conftest import cooling_condition, fridge_tilde_operator, random_feasible, tilde_channel
+from conftest import (
+    cooling_condition,
+    fridge_tilde_operator,
+    lab_hamiltonians,
+    random_feasible,
+    tilde_channel,
+    to_lab,
+    unitary,
+)
 
 
 class TestModelParams:
@@ -87,7 +97,7 @@ class TestResonantFrame:
         assert frame.e2 == pytest.approx(5.0)
         assert frame.lam == 0.5
         assert frame.theta == 0.0
-        assert np.array_equal(frame.unitary, np.eye(4))
+        assert np.array_equal(unitary(frame), np.eye(4))
         assert frame.eps2 == pytest.approx(5.0)
         assert frame.eps3 == pytest.approx(4.0)
 
@@ -109,6 +119,18 @@ class TestResonantFrame:
         with pytest.raises(ResonanceInfeasibleError):
             resonant_frame(1.0, 4.0, 0.51)
 
+    @pytest.mark.parametrize("gamma", [0.3, 1.7])
+    @pytest.mark.parametrize("delta", [1e-14, 1e-12, 1e-9])
+    def test_gap_is_exact_near_maximal_mixing(self, gamma, delta):
+        # E1 = 2 gamma (1 + delta): E1^2 - 4 gamma^2 would cancel to a few bits
+        e1 = 2.0 * gamma * (1.0 + delta)
+        delta_e, _, holds = _gaps(e1, 4.0, gamma)
+        with mpmath.workdps(50):
+            exact = mpmath.sqrt(mpmath.mpf(e1) ** 2 - 4 * mpmath.mpf(gamma) ** 2)
+            error = float(abs(delta_e - exact) / exact)
+        assert holds
+        assert error <= 4 * np.finfo(float).eps
+
     def test_unitary_against_operator_formula(self):
         # cos^2(t/4) + sin^2(t/4) ZZ + sin(t/2)(s2+ s3- - s2- s3+)
         rng = np.random.default_rng(7)
@@ -122,14 +144,14 @@ class TestResonantFrame:
                 + math.sin(t / 4) ** 2 * np.kron(SIGMA_Z, SIGMA_Z)
                 + math.sin(t / 2) * (np.kron(SIGMA_PLUS, SIGMA_MINUS) - np.kron(SIGMA_MINUS, SIGMA_PLUS))
             )
-            assert np.max(np.abs(frame.unitary - formula)) < 1e-14
+            assert np.max(np.abs(unitary(frame) - formula)) < 1e-14
 
     def test_frame_invariants(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             params = random_feasible(rng)
             frame = resonant_frame(params.e1, params.e3, params.gamma)
-            u = frame.unitary
+            u = unitary(frame)
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
             # dressed diagonal transforms back to the machine Hamiltonian
             diag = 0.5 * frame.eps2 * np.kron(SIGMA_Z, IDENTITY_2) + 0.5 * frame.eps3 * np.kron(IDENTITY_2, SIGMA_Z)
@@ -212,7 +234,7 @@ class TestTildePopulations:
         # claimed mixed populations
         frame = resonant_frame(1.0, 4.0, 0.3)
         pops = tilde_populations(frame, 2.0, 4.0, t1=4 / 3)
-        rho0 = product_state(frame, pops)
+        rho0 = to_lab(frame, product_state(pops))
         for nu in (2, 3):
             out = tilde_channel(nu, frame, pops, 0.01).apply(rho0)
             assert np.max(np.abs(out)) < 1e-15
@@ -312,9 +334,22 @@ class TestHamiltonians:
             assert np.max(np.abs(comm)) < 1e-12
 
     def test_uncoupled_machine_is_diagonal(self):
+        # the dressed machine Hamiltonian is diagonal, and without coupling
+        # it is the lab-frame one
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
-        hams = build_hamiltonians(params, resonant_frame(params.e1, params.e3, params.gamma))
+        frame = resonant_frame(params.e1, params.e3, params.gamma)
+        hams = build_hamiltonians(params, frame)
         assert np.max(np.abs(hams.hfridge - np.diag(np.diag(hams.hfridge)))) == 0.0
+        assert np.max(np.abs(hams.hfridge - lab_hamiltonians(params, frame).hfridge)) == 0.0
+
+    def test_dressed_hamiltonians_are_the_lab_ones_rotated(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            params = random_feasible(rng)
+            frame = resonant_frame(params.e1, params.e3, params.gamma)
+            dressed, lab = build_hamiltonians(params, frame), lab_hamiltonians(params, frame)
+            for name in ("h1", "hfridge", "hg", "htot"):
+                assert np.max(np.abs(to_lab(frame, getattr(dressed, name)) - getattr(lab, name))) < 1e-12
 
     def test_no_tripartite_coupling(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
@@ -324,8 +359,8 @@ class TestHamiltonians:
     def test_interaction_matrix_elements(self, p0):
         # direct assembly from the eigenvector columns as the oracle
         frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
-        hams = build_hamiltonians(p0, frame)
-        eigvecs = frame.unitary.conj().T
+        hams = lab_hamiltonians(p0, frame)
+        eigvecs = unitary(frame).conj().T
         psi01 = eigvecs[:, 1]
         psi10 = eigvecs[:, 2]
         zero = np.array([1.0, 0.0])
@@ -348,5 +383,5 @@ class TestHamiltonians:
         evals, evecs = np.linalg.eigh(hfridge4)
         weights = np.exp(-evals / 2.0)
         gibbs = (evecs * (weights / weights.sum())) @ evecs.conj().T
-        fridge_part = product_state(frame, pops).reshape(2, 4, 2, 4)[0, :, 0, :] / pops.r1
+        fridge_part = product_state(pops).reshape(2, 4, 2, 4)[0, :, 0, :] / pops.r1
         assert np.max(np.abs(fridge_part - gibbs)) < 1e-12

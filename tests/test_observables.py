@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from neqfridge import (
     ModelParams,
-    analytic_steady_state,
     build_generator_parts,
     cop_carnot,
     cop_g,
@@ -17,7 +16,6 @@ from neqfridge import (
     eta_star_min,
     heat_currents,
     local_target_temperature,
-    numeric_steady_state,
     resonant_frame,
     solve_oracle,
     tilde_populations,
@@ -42,7 +40,7 @@ from conftest import (
 @pytest.fixture(scope="module")
 def benchmark_currents():
     parts = build_generator_parts(P0)
-    steady = numeric_steady_state(parts)
+    steady = solve_oracle(parts).numeric
     return parts.frame, parts.pops, steady, heat_currents(parts, steady)
 
 
@@ -68,7 +66,7 @@ class TestHeatCurrents:
     def test_no_interaction_currents(self):
         params = replace(P0, g=0.0)
         parts = build_generator_parts(params)
-        currents = heat_currents(parts, numeric_steady_state(parts))
+        currents = heat_currents(parts, solve_oracle(parts).numeric)
         assert abs(currents.q1) < 1e-15
         assert abs(currents.q1g) < 1e-15
         assert currents.q2 == pytest.approx(-currents.q23, abs=1e-14)
@@ -77,7 +75,7 @@ class TestHeatCurrents:
     def test_equal_machine_baths_kill_internal_current(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=2.0, t2=2.0, t3=2.0, p=0.01, g=0.01)
         parts = build_generator_parts(params)
-        currents = heat_currents(parts, numeric_steady_state(parts))
+        currents = heat_currents(parts, solve_oracle(parts).numeric)
         assert abs(currents.q23) < 1e-15
 
     def test_scalar_route_matches_trace_route(self):
@@ -86,7 +84,7 @@ class TestHeatCurrents:
             params = random_feasible(rng)
             parts = build_generator_parts(params)
             frame, pops = parts.frame, parts.pops
-            steady = numeric_steady_state(parts)
+            steady = solve_oracle(parts).numeric
             trace_route = heat_currents(parts, steady)
             scalar = currents_closed(params, frame, pops, steady.decomposition.d)
             assert scalar["q23"] == pytest.approx(trace_route.q23, abs=1e-12)
@@ -247,7 +245,7 @@ class TestLocalTemperature:
         assert np.isnan(local_target_temperature(np.array([0.2, 1.0, -1.0]), 1.0)).all()
 
     def test_benchmark_cooling(self, p0):
-        steady = analytic_steady_state(build_generator_parts(p0))
+        steady = solve_oracle(build_generator_parts(p0)).analytic
         t1s = local_target_temperature(steady.decomposition.a1, p0.e1)
         assert t1s == pytest.approx(1.2416939114838779, abs=1e-10)
         assert t1s < p0.t1

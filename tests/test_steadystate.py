@@ -6,15 +6,16 @@ import pytest
 
 from neqfridge import (
     ModelParams,
-    analytic_steady_state,
+    assemble_liouvillian,
     numeric_steady_state,
+    solve_oracle,
     steady_coefficients,
     validate,
     virtual_temperature,
 )
-from neqfridge.dissipation import build_generator_parts, reset_channel
+from neqfridge.dissipation import build_generator_parts
 from neqfridge.linalg import density_matrix_defects
-from neqfridge.model import build_hamiltonians, resonant_frame, tilde_populations
+from neqfridge.model import resonant_frame, tilde_populations
 from neqfridge.observables import local_target_temperature
 from neqfridge.steadystate import decompose, reconstruct_state
 
@@ -24,10 +25,15 @@ from conftest import (
     dressed,
     family_operators,
     kron_generator,
+    lab_hamiltonians,
+    lab_parts,
     pauli_null_space,
     random_feasible,
     random_hermitian,
+    reset_channel,
     tilde_operator,
+    to_dressed,
+    to_lab,
 )
 
 
@@ -110,7 +116,7 @@ class TestOracleEquivalence:
         # regression guard: counting the population-overlap sum twice
         # changes d well beyond the oracle tolerance
         pops = tilde_populations(resonant_frame(p0.e1, p0.e3, p0.gamma), p0.t2, p0.t3, t1=p0.t1)
-        numeric = numeric_steady_state(build_generator_parts(p0))
+        numeric = numeric_steady_state(assemble_liouvillian(build_generator_parts(p0)))
         r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
         num = 48.0 * ((1 - r1) * rt2 * (1 - rt3) - r1 * (1 - rt2) * rt3) * p0.p * p0.g
         om = (r1 * (1 - rt2) + (1 - r1) * rt2) + (rt2 * (1 - rt3) + (1 - rt2) * rt3) \
@@ -119,7 +125,7 @@ class TestOracleEquivalence:
         assert abs(d_doubled - numeric.decomposition.d) > 1e-4
 
     def test_doubled_triple_sum_rejected(self, p0):
-        numeric = numeric_steady_state(build_generator_parts(p0))
+        numeric = numeric_steady_state(assemble_liouvillian(build_generator_parts(p0)))
         pops = tilde_populations(resonant_frame(p0.e1, p0.e3, p0.gamma), p0.t2, p0.t3, t1=p0.t1)
         decomp = steady_coefficients(pops, p0.p, p0.g)
         k = (p0.g / p0.p) * decomp.d / 2.0
@@ -137,7 +143,7 @@ class TestOracleEquivalence:
             rtilde3=frame.cos_half_sq * (1 - pops.r33) + frame.sin_half_sq * (1 - pops.r32),
         )
         wrong = steady_coefficients(flipped, p0.p, p0.g)
-        numeric = numeric_steady_state(build_generator_parts(p0))
+        numeric = numeric_steady_state(assemble_liouvillian(build_generator_parts(p0)))
         assert abs(wrong.d - numeric.decomposition.d) > 1e-3
 
 
@@ -146,35 +152,35 @@ class TestNumericRoute:
         # the kernel state carries no weight outside the nine-operator family
         rng = np.random.default_rng(18)
         for _ in range(10):
-            result = numeric_steady_state(build_generator_parts(random_feasible(rng)))
+            result = numeric_steady_state(assemble_liouvillian(build_generator_parts(random_feasible(rng))))
             assert result.off_family_max < 1e-10
             assert result.residual < 1e-10
 
     def test_density_matrix_invariants(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
-            result = numeric_steady_state(build_generator_parts(random_feasible(rng)))
+            result = numeric_steady_state(assemble_liouvillian(build_generator_parts(random_feasible(rng))))
             herm, trace_dev, min_eig = density_matrix_defects(result.rho)
             assert herm < 1e-12 and trace_dev < 1e-12 and min_eig > -1e-10
 
     def test_decompose_reconstruct_round_trip(self, p0):
-        frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
-        result = analytic_steady_state(build_generator_parts(p0))
-        decomp, off = decompose(result.rho, frame)
+        result = solve_oracle(build_generator_parts(p0)).analytic
+        decomp, off = decompose(result.rho)
         assert off < 1e-12
-        rebuilt = reconstruct_state(decomp, frame)
+        rebuilt = reconstruct_state(decomp)
         assert np.max(np.abs(rebuilt - result.rho)) < 1e-14
 
     def test_decompose_matches_loop_reference(self, p0):
+        # the package reads a dressed-frame state, the reference its lab-frame form
         rng = np.random.default_rng(23)
-        cases = [(analytic_steady_state(build_generator_parts(p0)).rho,
-                  resonant_frame(p0.e1, p0.e3, p0.gamma))]
+        frame0 = resonant_frame(p0.e1, p0.e3, p0.gamma)
+        cases = [(to_lab(frame0, solve_oracle(build_generator_parts(p0)).analytic.rho), frame0)]
         for _ in range(5):
             rho = random_hermitian(rng)
             params = random_feasible(rng)
             cases.append((rho, resonant_frame(params.e1, params.e3, params.gamma)))
         for rho, frame in cases:
-            decomp, off = decompose(rho, frame)
+            decomp, off = decompose(to_dressed(frame, rho))
             coeffs, ref_off = loop_decompose(rho, frame)
             for name, value in decomp.as_dict().items():
                 assert abs(value - coeffs[name]) < 1e-12
@@ -195,10 +201,11 @@ class TestChargeGradedSolve:
         for point in workloads.oracle_points(seed, workloads.ORACLE_POINTS):
             parts = build_generator_parts(ModelParams(**point))
             frame = parts.frame
-            generator = dressed(kron_generator(parts), frame)
-            reference, _ = decompose(frame.to_lab(pauli_null_space(generator)), frame)
-            numeric = numeric_steady_state(parts)
-            assert numeric.charge_leakage <= 1e-15
+            generator = dressed(kron_generator(lab_parts(parts)), frame)
+            reference, _ = decompose(pauli_null_space(generator))
+            oracle = solve_oracle(parts)
+            numeric = oracle.numeric
+            assert oracle.charge_leakage <= 1e-15
             got, want = numeric.decomposition.as_dict(), reference.as_dict()
             assert max(abs(got[name] - want[name]) for name in want) <= 1e-12, point
 
@@ -232,11 +239,11 @@ class TestSignChain:
         for _ in range(10):
             params = random_feasible(rng)
             frame = resonant_frame(params.e1, params.e3, params.gamma)
-            steady = analytic_steady_state(build_generator_parts(params))
-            hams = build_hamiltonians(params, frame)
+            steady = solve_oracle(build_generator_parts(params)).analytic
+            hams = lab_hamiltonians(params, frame)
             a1 = steady.decomposition.a1
             fictitious = reset_channel(1, params.p, 0.5 * (1.0 + a1))
-            flow = np.trace(hams.htot @ fictitious.apply(steady.rho)).real
+            flow = np.trace(hams.htot @ fictitious.apply(to_lab(frame, steady.rho))).real
             assert abs(flow) < 1e-10
 
 
