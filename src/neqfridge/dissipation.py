@@ -17,7 +17,7 @@ the tables' actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,13 +36,10 @@ from .model import (
     tilde_populations,
 )
 
-# (nu, mu, dressed machine ladder) of the four nonzero machine jumps:
-# projecting sigma_mu^+ onto the machine eigenbasis leaves them, with
-# prefactors (cos, sin, cos, -sin) of theta/2; nu labels the dressed qubit
-# whose gap eps_nu is the transition frequency, mu the bath driving it, so
-# bath 2 drives the first two and bath 3 the last two
-_JUMP_SPECS = ((2, 2, "+i"), (3, 2, "z+"), (3, 3, "i+"), (2, 3, "+z"))
-_JUMP_STRINGS = np.array([pauli_string("i" + ops) for _, _, ops in _JUMP_SPECS])
+# the dressed ladders of the four nonzero machine jumps: projecting sigma_mu^+
+# onto the machine eigenbasis leaves them, with prefactors (cos, sin, cos, -sin)
+# of theta/2; bath 2 drives the first two and bath 3 the last two
+_JUMP_STRINGS = np.array([pauli_string("i" + ops) for ops in ("+i", "z+", "i+", "+z")])
 # the raising jumps of the generator tables: the target's, then the machine's
 _DRESSED_JUMPS = np.concatenate([pauli_string("+ii")[None], _JUMP_STRINGS])
 # which bath (target, 2, 3) each dissipator table belongs to, the raising jumps'
@@ -59,6 +56,13 @@ class GeneratorParts:
     frame: Frame
     pops: ThermalPopulations
     hams: Hamiltonians
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The point's :func:`generator_weights`, computed once and read-only."""
+        weights = generator_weights(self)
+        weights.flags.writeable = False  # shared by every caller
+        return weights
 
 
 def build_generator_parts(params: ModelParams) -> GeneratorParts:
@@ -109,7 +113,7 @@ def localized_weights(parts: GeneratorParts) -> np.ndarray:
 
 def assemble_liouvillian(parts: GeneratorParts) -> np.ndarray:
     """64x64 generator of the master equation in the dressed frame, under column-stacking."""
-    return np.tensordot(generator_weights(parts), generator_tables(), 1)
+    return np.tensordot(parts.weights, generator_tables(), 1)
 
 
 def bath_actions(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:

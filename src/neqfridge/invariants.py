@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dissipation import bath_actions, build_generator_parts, generator_weights, localized_weights
+from .dissipation import bath_actions, build_generator_parts, localized_weights
 from .errors import DegenerateSteadyStateError
 from .linalg import density_matrix_defects, hermiticity_defect
 from .model import ModelParams, thermal_population
@@ -84,27 +84,28 @@ def validate(params: ModelParams, tol: float = 1e-8,
     }
 
     currents = heat_currents(parts, steady)
-    unit = (params.p + params.g) * frame.eps2  # of the currents
-    groups["first_law"] = _group(abs(currents.q1 + currents.q2 + currents.q3), 1e-10 * unit)
-    groups["current_route_agreement"] = _group(currents.max_route_delta, 1e-9 * unit)
+    # currents are bounded in their unit (p + g) eps2, above the trace route's rounding
+    # floor eps eps2^2: the kernel state's error grows as eps2 / (p + g)
+    unit, floor = (params.p + params.g) * frame.eps2, np.finfo(float).eps * frame.eps2 ** 2
+    groups["first_law"] = _group(abs(currents.q1 + currents.q2 + currents.q3), 1e-10 * unit + floor)
+    groups["current_route_agreement"] = _group(currents.max_route_delta, 1e-9 * unit + floor)
     c2, s2 = frame.cos_half_sq, frame.sin_half_sq
     groups["tilde_current_identities"] = _group(max(
         abs(currents.q1g - currents.q1),
         abs(currents.q1g + currents.qt2g + currents.qt3g),
         abs(currents.q2g - (currents.qt2g * c2 + currents.qt3g * s2)),
         abs(currents.q3g - (currents.qt3g * c2 + currents.qt2g * s2)),
-    ), 1e-10 * unit)
+    ), 1e-10 * unit + floor)
 
     # trace-free, Hermiticity-preserving channels, on a random Hermitian probe
     rng = rng if rng is not None else np.random.default_rng(0)
     raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     probe = 0.5 * (raw + raw.conj().T)
-    weights = generator_weights(parts)
     groups["channel_algebra"] = _group(max(max(abs(np.trace(out)), hermiticity_defect(out))
-                                           for out in bath_actions(weights, probe)), 1e-10)
+                                           for out in bath_actions(parts.weights, probe)), 1e-10)
 
     # the machine channels against the dressed-local resets, on the family
-    difference = np.tensordot(weights - localized_weights(parts), family_action(), 1)
+    difference = np.tensordot(parts.weights - localized_weights(parts), family_action(), 1)
     groups["localization_identity"] = _group(np.max(np.abs(difference)), 1e-12)
 
     # d < 0 iff the machine cools iff the target ends below its bath
@@ -115,6 +116,6 @@ def validate(params: ModelParams, tol: float = 1e-8,
 
     # the target bath moved to the temperature the target reaches
     achieved = replace(parts, pops=replace(pops, r1=0.5 * (1.0 + a1)))
-    fictitious = bath_actions(generator_weights(achieved), steady.rho)[0]
-    groups["fictitious_bath"] = _group(abs(np.trace(parts.hams.htot @ fictitious).real), 1e-10 * unit)
+    fictitious = bath_actions(achieved.weights, steady.rho)[0]
+    groups["fictitious_bath"] = _group(abs(np.trace(parts.hams.htot @ fictitious).real), 1e-10 * unit + floor)
     return ValidationReport(groups=groups, oracle=oracle)

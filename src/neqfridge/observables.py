@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import GeneratorParts, bath_actions, generator_weights
+from .dissipation import GeneratorParts, bath_actions
 from .model import (
     SIGMA_Z2,
     SIGMA_Z3,
@@ -105,7 +105,7 @@ def product_state(pops: ThermalPopulations) -> np.ndarray:
 def heat_currents(parts: GeneratorParts, steady: SteadyStateResult) -> CurrentReport:
     """All stationary currents at the point of ``parts``, with the closed forms alongside the traces."""
     params, frame, pops, hams = parts.params, parts.frame, parts.pops, parts.hams
-    rho, weights = steady.rho, generator_weights(parts)
+    rho, weights = steady.rho, parts.weights
     # tr(H A) for each bath's action A
     q1, q2, q3 = np.einsum("ij,bji->b", hams.htot, bath_actions(weights, rho)).real.tolist()
     q23 = float(np.trace(hams.hfridge @ bath_actions(weights, product_state(pops))[2]).real)

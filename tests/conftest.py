@@ -232,9 +232,10 @@ def reset_channel(qubit: int, rate: float, population: float, n_qubits: int = 3)
     return LindbladChannel(raising[None], rate, (population,))
 
 
-# (nu, mu, dressed machine ladder) of the four machine jumps, in order: nu
-# labels the dressed qubit whose gap is the transition frequency, mu the bath
-# driving it
+# (nu, mu, dressed machine ladder) of the four nonzero machine jumps:
+# projecting sigma_mu^+ onto the machine eigenbasis leaves them, with
+# prefactors (cos, sin, cos, -sin) of theta/2; nu labels the dressed qubit
+# whose gap eps_nu is the transition frequency, mu the bath driving it
 JUMP_SPECS = ((2, 2, "+i"), (3, 2, "z+"), (3, 3, "i+"), (2, 3, "+z"))
 
 

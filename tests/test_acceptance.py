@@ -24,9 +24,9 @@ from neqfridge import (
     local_target_temperature,
     random_ensemble,
     resonant_frame,
+    solve_oracle,
     sweep_fig3,
     sweep_fig4,
-    solve_oracle,
     sweep_fig5,
     tilde_populations,
     validate,
@@ -39,11 +39,16 @@ from neqfridge.steadystate import _FAMILY, steady_coefficients
 
 from conftest import (
     P0,
+    family_operators,
     find_root,
     high_temperature_saturation,
+    lab_hamiltonians,
     max_cop_identity,
     random_feasible,
     random_hermitian,
+    reset_channel,
+    tilde_channel,
+    to_lab,
 )
 
 
@@ -262,11 +267,15 @@ def test_criterion_9_property_suite():
             assert abs(np.trace(out)) < 1e-12
             assert hermiticity_defect(out) < 1e-12
 
-        # localized channels match the delocalized pair on the (dressed) family
-        for op in _FAMILY:
-            delocalized = bath_actions(weights, op)[1:].sum(axis=0)
-            localized = bath_actions(localized_weights(parts), op)[1:].sum(axis=0)
-            assert np.max(np.abs(delocalized - localized)) < 1e-12
+        # the package's delocalized and localized machine channels, read in the lab
+        # frame, match the reference localized pair on the family
+        t2c = tilde_channel(2, frame, pops, params.p)
+        t3c = tilde_channel(3, frame, pops, params.p)
+        for dressed_op, op in zip(_FAMILY, family_operators(frame).values()):
+            reference = t2c.apply(op) + t3c.apply(op)
+            for package_weights in (weights, localized_weights(parts)):
+                got = to_lab(frame, bath_actions(package_weights, dressed_op)[1:].sum(axis=0))
+                assert np.max(np.abs(got - reference)) < 1e-12
 
         # steady state: validity, residual, sign chain, dressed currents
         steady = solve_oracle(parts).analytic
@@ -291,9 +300,8 @@ def test_criterion_9_property_suite():
         assert abs(currents.q3g - (currents.qt3g * c2 + currents.qt2g * s2)) < 1e-10
 
         # zero net flow against a fictitious bath at the achieved temperature
-        achieved = replace(parts, pops=replace(pops, r1=0.5 * (1.0 + steady.decomposition.a1)))
-        fictitious = bath_actions(generator_weights(achieved), steady.rho)[0]
-        flow = np.trace(parts.hams.htot @ fictitious).real
+        fictitious = reset_channel(1, params.p, 0.5 * (1.0 + steady.decomposition.a1))
+        flow = np.trace(lab_hamiltonians(params, frame).htot @ fictitious.apply(to_lab(frame, steady.rho))).real
         assert abs(flow) < 1e-10
     print(f"\nACCEPTANCE 9 PASS: {trials} randomized trials of the invariant chain, "
           f"zero failures")

@@ -478,6 +478,13 @@ class TestValidateCommand:
         flags = [item for name, value in params.items() for item in (f"--{name}", repr(value))]
         assert main(["validate", *flags, "--out", str(tmp_path / "validate.json")]) == 0
 
+    def test_weak_coupling_currents_pass_above_their_rounding_floor(self):
+        # at p = g = 2e-8 the kernel state's rounding moves the trace-route currents by
+        # about 2.5e-10 (p + g) eps2, under the floor eps eps2^2 of their bounds
+        report = validate(replace(P0, t1=0.05, p=2e-8, g=2e-8))
+        for name in ("first_law", "current_route_agreement", "tilde_current_identities", "fictitious_bath"):
+            assert report.groups[name]["passed"], (name, report.groups[name])
+
     def test_small_grid_passes(self, tmp_path):
         out = tmp_path / "validate.json"
         assert main(["validate", "--grid", "3", "--seed", "5", "--out", str(out)]) == 0
