@@ -6,7 +6,6 @@ from .errors import (
     DegenerateSteadyStateError,
     EmptyCoolingWindowError,
     NeqFridgeError,
-    NonHermitianGeneratorError,
     ParameterError,
     ResonanceInfeasibleError,
 )

@@ -9,9 +9,10 @@ the dressed qubits (the "tilde" channels; Hofer et al., NJP 19, 123037
 (2017)).
 
 In the dressed frame every jump is a constant Pauli-string table times a
-prefactor, so the 64x64 generator is one contraction of the point's weights
-with constant superoperator tables, and each bath's dissipator one sum of
-the tables' actions.
+prefactor, so the generator is one contraction of the point's weights with
+constant superoperator tables, and each bath's dissipator one sum of the
+tables' actions.  The tables conserve the machine charge n2 + n3, and the
+oracle reads them on the charge-0 sector, where the steady state lives.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .linalg import commutator_superop, dissipator_superop, pauli_string, vec
+from .linalg import charge_sectors, commutator_superop, dissipator_superop, pauli_string, vec
 from .model import (
     _TRIPARTITE,
     SIGMA_Z1,
@@ -42,6 +43,8 @@ from .model import (
 _JUMP_STRINGS = np.array([pauli_string("i" + ops) for ops in ("+i", "z+", "i+", "+z")])
 # the raising jumps of the generator tables: the target's, then the machine's
 _DRESSED_JUMPS = np.concatenate([pauli_string("+ii")[None], _JUMP_STRINGS])
+# the machine charge n2 + n3 of each basis state |q1 q2 q3>; every table conserves it
+MACHINE_CHARGES = tuple(bin(state & 3).count("1") for state in range(8))
 # which bath (target, 2, 3) each dissipator table belongs to, the raising jumps'
 # and then their adjoints', as a (3, 10) indicator (np.equal.outer would cost
 # 0.25 MB of resident memory at import)
@@ -88,6 +91,19 @@ def generator_tables() -> np.ndarray:
     return tables
 
 
+@cache
+def sector_tables() -> tuple[np.ndarray, float]:
+    """The tables on the charge-0 sector, T0^+ T_k T0 in the real basis of ``charge_sectors``
+    (14, 24, 24), read-only and built on first use, and the tables' largest entry between
+    charge blocks over their largest entry (exactly 0: the sector solve drops nothing)."""
+    _, t0, between = charge_sectors(MACHINE_CHARGES)
+    tables = generator_tables()
+    sector = (t0.conj().T @ tables @ t0).real
+    sector.flags.writeable = False  # shared by every caller
+    entries = np.abs(tables)
+    return sector, float(np.max(entries[:, between]) / np.max(entries))
+
+
 def _weights(parts: GeneratorParts, prefactors_sq, populations) -> np.ndarray:
     """Weights of :func:`generator_tables`: the Hamiltonian's, then p pref^2 r for
     each raising jump (the target reset's, then the machine jumps' ``prefactors_sq``
@@ -112,8 +128,8 @@ def localized_weights(parts: GeneratorParts) -> np.ndarray:
 
 
 def assemble_liouvillian(parts: GeneratorParts) -> np.ndarray:
-    """64x64 generator of the master equation in the dressed frame, under column-stacking."""
-    return np.tensordot(parts.weights, generator_tables(), 1)
+    """The dressed-frame generator of the master equation on the charge-0 sector, a real 24x24 block."""
+    return np.tensordot(parts.weights, sector_tables()[0], 1)
 
 
 def bath_actions(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -17,9 +17,5 @@ class DegenerateSteadyStateError(NeqFridgeError):
     """The generator kernel is not one-dimensional or carries no trace."""
 
 
-class NonHermitianGeneratorError(NeqFridgeError):
-    """A generator matrix that does not map Hermitian operators to Hermitian ones."""
-
-
 class EmptyCoolingWindowError(NeqFridgeError):
     """No target-gap interval with a positive extracted heat current."""

@@ -166,7 +166,8 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb, tol: float) -> np.ndarray:
     tol/2, so an iterate next to the root is followed by one across it, and
     a bracket at most 2 tol wide is bisected.  Per bracket, an exact zero
     ends the search, and a search stops once its bracket is at most tol wide
-    and returns the bracket's midpoint.  On a simple root this takes far
+    (tol floored at 4 eps times the larger magnitude of the bracket's initial
+    ends) and returns the bracket's midpoint.  On a simple root this takes far
     fewer evaluations than bisection; near a multiple root the interpolation
     converges only linearly and can take a few more.
     """
@@ -180,12 +181,14 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb, tol: float) -> np.ndarray:
     # the root from it, p3 the point they replaced
     p1, p2 = np.array([a[idx], fa[idx]]), np.array([b[idx], fb[idx]])
     p3, t, width = p2, np.full(idx.size, 0.5), np.abs(b[idx] - a[idx])
+    tol = np.fmax(tol, 4.0 * np.finfo(float).eps * np.fmax(np.abs(a[idx]), np.abs(b[idx])))
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             wide = width > tol
             if not wide.all():
                 root[idx[~wide]] = 0.5 * (p1[0, ~wide] + p2[0, ~wide])
-                idx, p1, p2, p3, t = idx[wide], p1[:, wide], p2[:, wide], p3[:, wide], t[wide]
+                idx, p1, p2, p3 = idx[wide], p1[:, wide], p2[:, wide], p3[:, wide]
+                t, tol = t[wide], tol[wide]
             if not idx.size:
                 return root
             x = p1[0] + t * (p2[0] - p1[0])

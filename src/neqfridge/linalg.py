@@ -1,12 +1,12 @@
 """Dense linear algebra on the small fixed dimensions used by the model.
 
 Everything works on plain numpy arrays: 2x2 single-qubit operators, 4x4
-fridge operators, 8x8 three-qubit operators and the 64x64 vectorized
-generator.  Operators on several qubits are built once as Pauli strings,
-products with one single-qubit factor per qubit.  Vectorization is
-column-stacking throughout, so vec(A @ rho @ B) = kron(B.T, A) @ vec(rho).
-The kernel solve reads a charge-conserving generator block by block, the
-state's block in a real basis of Pauli-type strings.
+fridge operators, 8x8 three-qubit operators and 64x64 superoperators.
+Operators on several qubits are built once as Pauli strings, products with
+one single-qubit factor per qubit.  Vectorization is column-stacking
+throughout, so vec(A @ rho @ B) = kron(B.T, A) @ vec(rho).  A
+charge-conserving generator is solved on its charge-0 sector, the state's
+block, as a real matrix in a basis of Pauli-type strings.
 
 Qubit ordering convention: |q1 q2 q3> with qubit 1 most significant, and
 |0> is the *higher*-energy state of each qubit (sigma_z = |0><0| - |1><1|).
@@ -14,16 +14,15 @@ Qubit ordering convention: |q1 q2 q3> with qubit 1 most significant, and
 
 from __future__ import annotations
 
-import math
 from functools import cache
 from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateSteadyStateError, NonHermitianGeneratorError, ParameterError
+from .errors import DegenerateSteadyStateError
 
-# a block whose singular values outside the kernel fall to this fraction of
-# its largest one leaves the steady space degenerate
+# a generator block whose second smallest singular value falls to this
+# fraction of its largest one leaves the steady space degenerate
 DEGENERACY_RATIO = 1e-9
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -101,15 +100,13 @@ def pauli_basis(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def charge_sectors(charges: tuple[int, ...]) -> tuple:
-    """Blocks of a generator that maps |a><b| to operators of the same charge
-    difference q_a - q_b: the charge-0 sector's orthonormal Hermitian basis
-    B_j (n0, d, d), the unitary T0 of their vectorizations there, the
-    ``np.ix_`` index of the charge-0 block and of each positive difference's
-    block, and the mask of the entries between blocks.  The B_j are
-    Gram-Schmidt over the Pauli strings cut to the sector, fewest x and y
-    factors first, which keeps coherence noise out of a diagonal kernel.
-    """
+def charge_sectors(charges: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sector of |a><b| with equal ``charges`` q_a = q_b, which a charge-conserving
+    generator maps to itself: its orthonormal Hermitian basis B_j (n0, d, d), the
+    isometry T0 (d^2, n0) of their vectorizations, and the mask of a superoperator's
+    entries between different charge differences.  The B_j are Gram-Schmidt over the
+    Pauli strings cut to the sector, fewest x and y factors first, which keeps
+    coherence noise out of a diagonal kernel."""
     q = np.asarray(charges)
     n_qubits = len(q).bit_length() - 1
     diff = np.subtract.outer(q, q).ravel(order="F")  # at vec position a + d b
@@ -120,54 +117,22 @@ def charge_sectors(charges: tuple[int, ...]) -> tuple:
         if np.linalg.norm(v) > 1e-9:
             basis.append(v / np.linalg.norm(v))
     vecs = np.array(basis)
-    positions = [np.flatnonzero(diff == c) for c in np.unique(diff[diff >= 0])]  # 0 first
-    out = (vecs.reshape(-1, len(q), len(q)).transpose(0, 2, 1), vecs[:, positions[0]].T,
-           np.subtract.outer(diff, diff) != 0, *positions)
+    out = (vecs.reshape(-1, len(q), len(q)).transpose(0, 2, 1), vecs.T, np.subtract.outer(diff, diff) != 0)
     for array in out:
         array.flags.writeable = False  # shared by every caller
-    blocks = tuple(np.ix_(idx, idx) for idx in positions)
-    return out[0], out[1], blocks[0], blocks[1:], out[2]
+    return out
 
 
-def steady_null_space(liouvillian: np.ndarray, charges: tuple[int, ...] | None = None) -> np.ndarray:
-    """Unique trace-one Hermitian kernel state of a Lindblad generator matrix.
-
-    G acts on the operators of n >= 1 qubits (else :class:`ParameterError`)
-    and conserves the ``charges`` of the basis states (all 0 when omitted).
-    The state is sum_j v_j B_j, v the right singular vector of the smallest
-    singular value of the charge-0 block G_0 = T0^+ G T0 (:func:`charge_sectors`),
-    which is real for a generator that preserves Hermiticity (an imaginary
-    part above 1e-12 of the real one raises :class:`NonHermitianGeneratorError`).
-    The block of difference -c conjugates that of +c, so G_0 and the positive
-    blocks hold every singular value of G.  Each block is judged against its
-    own largest singular value: a second one of G_0, or any one of a positive
-    block, at or below ``DEGENERACY_RATIO`` times it signals a degenerate
-    steady space (an all-zero block included).
-    """
-    liouvillian = np.asarray(liouvillian, dtype=complex)
-    d = math.isqrt(liouvillian.shape[0])
-    if liouvillian.shape != (d * d, d * d) or d < 2 or d & (d - 1):
-        raise ParameterError(
-            f"generator of shape {liouvillian.shape} does not act on the operators "
-            "of n >= 1 qubits: its side must be 4^n")
-    strings, t0, block0, blocks, _ = charge_sectors(charges or (0,) * d)
-    rotated = t0.conj().T @ liouvillian[block0] @ t0
-    if np.max(np.abs(rotated.imag)) > 1e-12 * np.max(np.abs(rotated.real)):
-        raise NonHermitianGeneratorError("generator does not preserve Hermiticity")
-    _, s, vh = np.linalg.svd(rotated.real)
-    others = [np.linalg.svd(liouvillian[block], compute_uv=False) for block in blocks]
-    for values in (s[:-1], *others):  # per block, largest first; G_0's kernel value left out
-        if values[-1] <= DEGENERACY_RATIO * values[0]:
-            raise DegenerateSteadyStateError(
-                f"steady space is degenerate: singular values {values[-1]:.3e}, {s[-1]:.3e} "
-                f"at or below threshold {DEGENERACY_RATIO:.0e} * {values[0]:.3e}"
-            )
-    rho = np.tensordot(vh[-1], strings, axes=1)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-12:
-        raise DegenerateSteadyStateError("kernel vector carries no trace")
-    rho = rho / tr
-    return 0.5 * (rho + rho.conj().T)
+def steady_null_space(block: np.ndarray) -> np.ndarray:
+    """Unit kernel vector of a real generator block, the right singular vector of its
+    smallest singular value.  A second singular value at or below ``DEGENERACY_RATIO``
+    times the largest signals a degenerate steady space (an all-zero block included)."""
+    _, s, vh = np.linalg.svd(block)
+    if s[-2] <= DEGENERACY_RATIO * s[0]:
+        raise DegenerateSteadyStateError(
+            f"steady space is degenerate: singular values {s[-2]:.3e}, {s[-1]:.3e} "
+            f"at or below threshold {DEGENERACY_RATIO:.0e} * {s[0]:.3e}")
+    return vh[-1]
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -6,16 +6,17 @@ triple products, and one antisymmetric coherence operator Y).  The family
 closes under the generator, so the coefficients solve a small linear system
 whose solution is implemented here verbatim.
 
-The numeric route: the 64x64 generator is built in the dressed frame, as
-one contraction of constant superoperator tables with the point's weights.
-It conserves the machine charge n2 + n3, and the kernel is a real SVD of
-its 24x24 charge-0 block.  The two routes adjudicate one another; the
+The numeric route: the dressed-frame generator conserves the machine charge
+n2 + n3, and so does every family operator, so the steady state lives in
+the charge-0 sector.  The generator's real 24x24 block there is one
+contraction of constant sector tables with the point's weights, and the
+kernel is one real SVD of it.  The two routes adjudicate one another; the
 package treats the null space as ground truth and the closed form as the
 fast path validated against it.  :func:`solve_oracle` runs both on a
 point's :class:`~neqfridge.dissipation.GeneratorParts`, built once by
 :func:`~neqfridge.dissipation.build_generator_parts`, with one assembled
-generator whose action on each state is that state's residual.  Every
-state here is a dressed-frame density matrix.
+block whose action on each state's sector coordinates is that state's
+residual.  Every state here is a dressed-frame density matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from functools import cache
 
 import numpy as np
 
-from .dissipation import GeneratorParts, assemble_liouvillian, generator_tables
+from .dissipation import (MACHINE_CHARGES, GeneratorParts, assemble_liouvillian, generator_tables,
+                          sector_tables)
+from .errors import DegenerateSteadyStateError
 from .linalg import charge_sectors, pauli_basis, pauli_string, steady_null_space, vec
 from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, ThermalPopulations
 
@@ -40,8 +43,6 @@ _FAMILY = np.array([
 _FAMILY_NORM_SQ = np.einsum("kij,kij->k", _FAMILY.conj(), _FAMILY).real
 # all 64 Pauli strings, the basis in which the off-family leftover is read
 _PAULI_STRINGS = pauli_basis(3)[0]
-# the machine charge n2 + n3 of each basis state |q1 q2 q3>; the generator conserves it
-MACHINE_CHARGES = tuple(bin(state & 3).count("1") for state in range(8))
 
 
 @dataclass(frozen=True)
@@ -147,37 +148,39 @@ def decompose(rho: np.ndarray) -> tuple[SteadyDecomposition, float]:
 
 
 def _result(rho: np.ndarray, decomposition: SteadyDecomposition, off: float,
-            generator: np.ndarray) -> SteadyStateResult:
-    """The result for ``rho``, with the norm of ``generator`` times vec(rho) as its residual."""
+            block: np.ndarray) -> SteadyStateResult:
+    """The result for ``rho``, with the norm of ``block`` times rho's coordinates on
+    the charge-0 sector as its residual."""
+    coords = charge_sectors(MACHINE_CHARGES)[1].conj().T @ vec(rho)
     return SteadyStateResult(rho=rho, decomposition=decomposition,
-                             residual=float(np.linalg.norm(generator @ vec(rho))), off_family_max=off)
+                             residual=float(np.linalg.norm(block @ coords)), off_family_max=off)
 
 
-def analytic_steady_state(parts: GeneratorParts, generator: np.ndarray) -> SteadyStateResult:
+def analytic_steady_state(parts: GeneratorParts, block: np.ndarray) -> SteadyStateResult:
     """Closed-form steady state of the point ``parts``; its residual is the norm
-    of the action of ``generator``, the point's assembled generator."""
+    of the action of ``block``, the point's assembled charge-0 block."""
     decomposition = steady_coefficients(parts.pops, parts.params.p, parts.params.g)
     rho = reconstruct_state(decomposition)
-    return _result(rho, decomposition, decompose(rho)[1], generator)
+    return _result(rho, decomposition, decompose(rho)[1], block)
 
 
-def numeric_steady_state(generator: np.ndarray) -> SteadyStateResult:
-    """Steady state from the kernel of a dressed-frame generator.
-
-    In the dressed frame the dissipators map diagonal states to diagonal
-    states entry by entry, and the kernel is read from the charge-0 block in
-    Pauli-type strings: at g = 0 the coefficient d then comes out below
-    1e-30, where a lab-frame kernel leaves it at the 1e-14 rounding level.
-    """
-    rho = steady_null_space(generator, MACHINE_CHARGES)
-    return _result(rho, *decompose(rho), generator)
+def numeric_steady_state(block: np.ndarray) -> SteadyStateResult:
+    """Steady state from the kernel of the dressed generator's charge-0 ``block``, read
+    on the sector's Pauli-type strings: the dressed dissipators keep diagonal states
+    diagonal, so at g = 0 d comes out below 1e-30 (a lab-frame kernel leaves 1e-14)."""
+    rho = np.tensordot(steady_null_space(block), charge_sectors(MACHINE_CHARGES)[0], 1)
+    tr = np.trace(rho)
+    if abs(tr) < 1e-12:
+        raise DegenerateSteadyStateError("kernel vector carries no trace")
+    rho = 0.5 * (rho + rho.conj().T) / tr
+    return _result(rho, *decompose(rho), block)
 
 
 @dataclass(frozen=True)
 class OracleSolve:
-    """Both steady-state routes at one point, from one generator and one kernel
-    solve.  ``charge_leakage`` is the generator's largest entry between charge
-    blocks, which the kernel solve does not read, over its largest entry."""
+    """Both steady-state routes at one point, from one charge-0 block and one
+    kernel solve.  ``charge_leakage`` is the generator tables' largest entry
+    between charge blocks, which the sector solve drops, over their largest entry."""
 
     analytic: SteadyStateResult
     numeric: SteadyStateResult
@@ -195,13 +198,11 @@ def solve_oracle(parts: GeneratorParts) -> OracleSolve:
     Raises :class:`DegenerateSteadyStateError` when the generator kernel is
     not one-dimensional.
     """
-    generator = assemble_liouvillian(parts)
-    analytic = analytic_steady_state(parts, generator)
-    numeric = numeric_steady_state(generator)
+    block = assemble_liouvillian(parts)
+    analytic = analytic_steady_state(parts, block)
+    numeric = numeric_steady_state(block)
     a = analytic.decomposition.as_dict()
     n = numeric.decomposition.as_dict()
-    entries = np.abs(generator)
     return OracleSolve(analytic=analytic, numeric=numeric,
                        deltas={name: abs(a[name] - n[name]) for name in a},
-                       charge_leakage=float(np.max(entries[charge_sectors(MACHINE_CHARGES)[-1]])
-                                            / np.max(entries)))
+                       charge_leakage=sector_tables()[1])

@@ -21,8 +21,9 @@ from neqfridge import (
     resonant_frame,
 )
 from neqfridge.experiments import _brent_max, _chandrupatla
+from neqfridge.dissipation import MACHINE_CHARGES, generator_tables
 from neqfridge.model import REFERENCE, Hamiltonians
-from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, charge_sectors
 from neqfridge.steadystate import _FAMILY
 
 # canonical benchmark point used throughout the suite
@@ -161,6 +162,30 @@ def pauli_null_space(liouvillian: np.ndarray) -> np.ndarray:
     rho = sum(v * string for v, string in zip(vh[-1], strings))
     rho = rho / np.trace(rho)
     return 0.5 * (rho + rho.conj().T)
+
+
+def full_generator(weights: np.ndarray) -> np.ndarray:
+    """The whole 64x64 dressed-frame generator at ``weights``, contracted with
+    the package's full tables; the package itself reads only its charge-0 block."""
+    return np.tensordot(weights, generator_tables(), 1)
+
+
+def sector(superop: np.ndarray) -> np.ndarray:
+    """T0^+ S T0: a 64x64 superoperator on the charge-0 sector, in the package's basis."""
+    t0 = charge_sectors(MACHINE_CHARGES)[1]
+    return t0.conj().T @ superop @ t0
+
+
+def sector_coords(rho: np.ndarray) -> np.ndarray:
+    """T0^+ vec(rho): an operator's coordinates on the charge-0 sector."""
+    return charge_sectors(MACHINE_CHARGES)[1].conj().T @ rho.reshape(-1, order="F")
+
+
+def charged_blocks() -> list:
+    """``np.ix_`` indices of the generator blocks of positive charge difference
+    q_a - q_b (1, then 2), in vec positions a + 8 b; the block of -c has the same singular values."""
+    diff = np.subtract.outer(MACHINE_CHARGES, MACHINE_CHARGES).ravel(order="F")
+    return [np.ix_(*2 * [np.flatnonzero(diff == c)]) for c in (1, 2)]
 
 
 def loop_apply(jumps, rho: np.ndarray) -> np.ndarray:

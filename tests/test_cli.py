@@ -11,11 +11,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import neqfridge
-from neqfridge import build_generator_parts, solve_oracle, validate
+from neqfridge import build_generator_parts, cooling_window, solve_oracle, validate
 from neqfridge.cli import _cells, main, write_csv
-from neqfridge.model import thermal_population
+from neqfridge.model import REFERENCE, thermal_population
 
-from conftest import P0, counting, per_cell_cells, per_cell_csv, to_dressed
+from conftest import P0, counting, per_cell_cells, per_cell_csv
 
 # group names of `validate`, in report order
 GROUPS = [
@@ -457,6 +457,23 @@ class TestMaximizeCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("scale", [300.0, 1000.0, 1024.0])
+    def test_scaled_reference_returns(self, tmp_path, scale):
+        # the right window edge sits near 3826 scale, where one ulp is wider than
+        # the 1e-13 root tolerance: each bracket's tolerance is floored at its
+        # ends' float spacing, else the root search never stops
+        out = tmp_path / "max.json"
+        flags = [item for name, value in REFERENCE.as_dict().items()
+                 for item in (f"--{name}", repr(scale * value))]
+        src = os.path.dirname(os.path.dirname(neqfridge.__file__))
+        done = subprocess.run([sys.executable, "-m", "neqfridge.cli", "maximize", *flags, "--out", str(out)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        window, unit = json.loads(out.read_text())["window"], cooling_window(REFERENCE)
+        assert window["left"] == pytest.approx(scale * unit.left, rel=4e-14, abs=0.0)
+        assert window["right"] == pytest.approx(scale * unit.right, rel=4e-14, abs=0.0)
+
 
 class TestValidateCommand:
     def test_single_point_passes(self, tmp_path):
@@ -485,32 +502,59 @@ class TestValidateCommand:
         for name in ("first_law", "current_route_agreement", "tilde_current_identities", "fictitious_bath"):
             assert report.groups[name]["passed"], (name, report.groups[name])
 
+    def test_weak_dissipation_leftover_passes_above_its_rounding_floor(self, tmp_path):
+        # at p = g = 1e-8 the kernel state's off-family leftover is rounding in the unit
+        # eps eps2 / (p + g) = 5.4e-8, and it has read up to 3e-10, above a fixed 1e-10
+        assert main(["validate", "--p", "1e-8", "--g", "1e-8", "--out", str(tmp_path / "v.json")]) == 0
+
+    @pytest.mark.parametrize("params, size", [(P0, 1e-6), (replace(P0, p=1e-8, g=1e-8), None)])
+    def test_off_family_term_fails_oracle_equivalence(self, monkeypatch, params, size):
+        # dressed XX + YY on qubits 2 and 3 conserves the machine charge but leaves
+        # the family; added to the numeric state it fails the group at 1e-6, and at
+        # p = g = 1e-8 at 100 times the leftover's floor
+        from neqfridge import steadystate
+        from neqfridge.linalg import pauli_string
+
+        if size is None:
+            size = 100 * 64 * np.finfo(float).eps * build_generator_parts(params).frame.eps2 / (params.p + params.g)
+        leftover = size * (pauli_string("ixx") + pauli_string("iyy")) / 8.0  # each string's coefficient is size
+        solve = steadystate.numeric_steady_state
+
+        def with_leftover(block):
+            steady = solve(block)
+            rho = steady.rho + leftover
+            return replace(steady, rho=rho, off_family_max=steadystate.decompose(rho)[1])
+
+        assert validate(params).groups["oracle_equivalence"]["passed"] is True
+        monkeypatch.setattr(steadystate, "numeric_steady_state", with_leftover)
+        report = validate(params)
+        assert report.oracle.numeric.off_family_max == pytest.approx(size, rel=1e-6)
+        assert report.groups["oracle_equivalence"]["passed"] is False
+
     def test_small_grid_passes(self, tmp_path):
         out = tmp_path / "validate.json"
         assert main(["validate", "--grid", "3", "--seed", "5", "--out", str(out)]) == 0
 
     def test_charge_breaking_term_fails_charge_symmetry(self, monkeypatch, tmp_path):
-        from neqfridge import steadystate
-        from neqfridge.dissipation import assemble_liouvillian
+        from neqfridge import dissipation
         from neqfridge.linalg import commutator_superop, pauli_string
 
-        def with_spiral_drive(parts):
-            # sigma_x on the lab-frame spiral changes the machine charge n2 + n3 by one
-            drive = to_dressed(parts.frame, 0.01 * pauli_string("ixi"))
-            return assemble_liouvillian(parts) + commutator_superop(drive)
-
-        # the one generator feeds the kernel solve, both residuals and the leakage
-        monkeypatch.setattr(steadystate, "assemble_liouvillian", with_spiral_drive)
-        group = validate(P0).groups["charge_symmetry"]
+        # sigma_x on the dressed spiral changes the machine charge n2 + n3 by one; it
+        # joins the tripartite table, and the sector stack is rebuilt from the tables.
+        # The solve on the charge-0 sector cannot see such a term, so this group must
+        driven = dissipation.generator_tables().copy()
+        driven[3] += commutator_superop(0.01 * pauli_string("ixi"))
+        monkeypatch.setattr(dissipation, "generator_tables", lambda: driven)
+        dissipation.sector_tables.cache_clear()
+        try:
+            group = validate(P0).groups["charge_symmetry"]
+            out = tmp_path / "steady.json"
+            assert main(["steady", "--out", str(out)]) == 0
+        finally:
+            dissipation.sector_tables.cache_clear()
         assert group["passed"] is False
         assert group["max_error"] > 1e-4
-        out = tmp_path / "steady.json"
-        assert main(["steady", "--out", str(out)]) == 0
-        residuals = json.loads(out.read_text())["residuals"]
-        assert residuals["charge_leakage"] == group["max_error"]
-        # neither state is stationary under the driven generator
-        assert residuals["analytic"] > 1e-5
-        assert residuals["numeric"] > 1e-5
+        assert json.loads(out.read_text())["residuals"]["charge_leakage"] == group["max_error"]
 
     def test_swapped_population_fails_localization_identity(self, monkeypatch):
         # r23 in place of r32 on the (nu=3, mu=2) machine jump: the machine
@@ -686,15 +730,16 @@ class TestExitCodes:
     def test_missing_config_maps_to_2(self):
         assert main(["steady", "--config", "/nonexistent/path.cfg"]) == 2
 
-    def test_non_hermitian_generator_maps_to_4(self, monkeypatch, tmp_path, capsys):
-        from neqfridge import steadystate
-        from neqfridge.linalg import commutator_superop
+    def test_other_package_error_maps_to_4(self, monkeypatch, tmp_path, capsys):
+        from neqfridge import cli
+        from neqfridge.errors import NeqFridgeError
 
-        # a generator that does not preserve Hermiticity reaches the kernel solve
-        monkeypatch.setattr(steadystate, "assemble_liouvillian",
-                            lambda *args: commutator_superop(1j * np.diag(np.arange(8.0))))
+        def boom(*args, **kwargs):
+            raise NeqFridgeError("synthetic package error")
+
+        monkeypatch.setattr(cli, "solve_oracle", boom)
         assert main(["steady", "--out", str(tmp_path / "x.json")]) == 4
-        assert "does not preserve Hermiticity" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: synthetic package error\n"
 
 
 class TestParserReuse:
@@ -719,6 +764,7 @@ class TestParserReuse:
     def test_import_does_not_build_the_tables(self):
         code = ("import neqfridge.cli, neqfridge.dissipation as d, neqfridge.steadystate as s; "
                 "assert d.generator_tables.cache_info().currsize == 0; "
+                "assert d.sector_tables.cache_info().currsize == 0; "
                 "assert s.family_action.cache_info().currsize == 0")
         src = os.path.dirname(os.path.dirname(neqfridge.__file__))
         env = {**os.environ, "PYTHONPATH": src}

@@ -1,19 +1,22 @@
 import math
+from itertools import product
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from neqfridge import ModelParams, assemble_liouvillian, heat_currents, solve_oracle
+from neqfridge import ModelParams, assemble_liouvillian, heat_currents, numeric_steady_state, solve_oracle
 from neqfridge.dissipation import (
     _DRESSED_JUMPS,
     _JUMP_STRINGS,
+    MACHINE_CHARGES,
     bath_actions,
     build_generator_parts,
     generator_tables,
     generator_weights,
     localized_weights,
+    sector_tables,
 )
 from neqfridge.linalg import (
     IDENTITY_2,
@@ -26,15 +29,17 @@ from neqfridge.linalg import (
 )
 from neqfridge.model import resonant_frame, tilde_populations
 from neqfridge.observables import product_state
-from neqfridge.steadystate import MACHINE_CHARGES
 
 from conftest import (
     JUMP_SPECS,
     P0,
     LindbladChannel,
+    benchmark_workloads,
     channel_superop,
+    charged_blocks,
     dressed,
     family_operators,
+    full_generator,
     jump_operator_set,
     kron_commutator_superop,
     kron_generator,
@@ -45,6 +50,8 @@ from conftest import (
     random_feasible,
     random_hermitian,
     reset_channel,
+    sector,
+    sector_coords,
     tilde_channel,
     tilde_operator,
     to_dressed,
@@ -297,24 +304,26 @@ class TestStackedChannel:
         for bath, tables_of_bath in enumerate(((4, 9), (5, 6, 10, 11), (7, 8, 12, 13))):
             assert np.max(np.abs(vec(got[bath]) - sum(one_at_a_time[k] for k in tables_of_bath))) < 1e-16
         action = sum(one_at_a_time[:4]) + vec(got.sum(axis=0))
-        assert np.max(np.abs(action - assemble_liouvillian(parts) @ vec(probe))) < 1e-14
+        # the generator conserves the charge, so its sector block acts on the probe's sector part
+        sector_action = assemble_liouvillian(parts) @ sector_coords(probe)
+        assert np.max(np.abs(sector_coords(action.reshape(8, 8, order="F")) - sector_action)) < 1e-14
 
 
 class TestLiouvillian:
-    # assemble_liouvillian is the dressed-frame generator: each test compares it
-    # with the kron references rotated into the dressed frame, or reads it on
-    # dressed-frame operators
+    # assemble_liouvillian is the dressed-frame generator's charge-0 block: each
+    # test compares it with the kron references rotated into the dressed frame
+    # and cut to the sector, or reads it on dressed-frame operators' sector coordinates
     @pytest.mark.parametrize("localized", [False, True])
     def test_matches_per_jump_kron_reference(self, localized):
         for params in grid_box_points(33, 20):
             parts = build_generator_parts(params)
             if localized:
                 got = np.tensordot(localized_weights(parts), generator_tables(), 1)
-                lab = localize(parts)
+                want = dressed(kron_generator(localize(parts)), parts.frame)
             else:
                 got = assemble_liouvillian(parts)
-                lab = lab_parts(parts)
-            assert np.max(np.abs(got - dressed(kron_generator(lab), parts.frame))) < 1e-14
+                want = sector(dressed(kron_generator(lab_parts(parts)), parts.frame))
+            assert np.max(np.abs(got - want)) < 1e-14
 
     def test_uncoupled_case_is_sum_of_resets(self):
         # at gamma = 0 the dressing is the identity and the frames coincide
@@ -327,18 +336,18 @@ class TestLiouvillian:
         expected += channel_superop(reset_channel(1, params.p, pops.r1))
         expected += channel_superop(reset_channel(2, params.p, pops.r22))
         expected += channel_superop(reset_channel(3, params.p, pops.r33))
-        assert np.max(np.abs(assemble_liouvillian(build_generator_parts(params)) - expected)) < 1e-15
+        assert np.max(np.abs(assemble_liouvillian(build_generator_parts(params)) - sector(expected))) < 1e-15
 
     def test_decoupled_target_product_annihilated(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
         product = product_state(pops)
-        residual = assemble_liouvillian(build_generator_parts(params)) @ vec(product)
+        residual = assemble_liouvillian(build_generator_parts(params)) @ sector_coords(product)
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_trace_preserving(self, p0):
-        left = vec(np.eye(8)).conj() @ assemble_liouvillian(build_generator_parts(p0))
+        left = sector_coords(np.eye(8)).conj() @ assemble_liouvillian(build_generator_parts(p0))
         assert np.max(np.abs(left)) < 1e-12
 
     def test_unique_zero_eigenvalue(self, p0):
@@ -354,16 +363,14 @@ class TestLiouvillian:
             parts = build_generator_parts(random_feasible(rng))
             frame = parts.frame
             rho = random_hermitian(rng)
-            expected = assemble_liouvillian(parts) @ vec(rho)
+            expected = assemble_liouvillian(parts) @ sector_coords(rho)
             lab_action = lab_parts(parts).apply(to_lab(frame, rho))
-            assert np.max(np.abs(vec(to_dressed(frame, lab_action)) - expected)) < 1e-13
+            assert np.max(np.abs(sector_coords(to_dressed(frame, lab_action)) - expected)) < 1e-13
 
     def test_localized_variant_shares_steady_state(self, p0):
-        from neqfridge.linalg import steady_null_space
-
         parts = build_generator_parts(p0)
-        rho_full = steady_null_space(assemble_liouvillian(parts))
-        rho_localized = steady_null_space(np.tensordot(localized_weights(parts), generator_tables(), 1))
+        rho_full = numeric_steady_state(assemble_liouvillian(parts)).rho
+        rho_localized = numeric_steady_state(np.tensordot(localized_weights(parts), sector_tables()[0], 1)).rho
         assert np.max(np.abs(rho_full - rho_localized)) < 1e-10
 
     def test_channel_algebra_random_parameters(self):
@@ -394,7 +401,7 @@ class TestGeneratorTables:
     @pytest.mark.parametrize("params", grid_box_points(34, 8) + EDGE_POINTS)
     def test_dressed_generator_matches_rotated_kron_reference(self, params):
         parts = build_generator_parts(params)
-        expected = dressed(kron_generator(lab_parts(parts)), parts.frame)
+        expected = sector(dressed(kron_generator(lab_parts(parts)), parts.frame))
         assert np.max(np.abs(assemble_liouvillian(parts) - expected)) < 1e-14
 
     def test_frozen_edge_freezes_the_engine_bath(self):
@@ -405,6 +412,47 @@ class TestGeneratorTables:
         for table in generator_tables():
             assert np.count_nonzero(table) > 0
             assert np.count_nonzero(table[between]) == 0
+
+    def test_sector_stack_is_the_tables_on_the_charge_0_sector(self):
+        stack, leakage = sector_tables()
+        assert sector_tables()[0] is stack
+        assert stack.shape == (14, 24, 24) and stack.dtype == float
+        assert not stack.flags.writeable
+        assert leakage == 0.0
+        for table, block in zip(generator_tables(), stack):
+            projected = sector(table)
+            assert np.max(np.abs(projected.imag)) <= 1e-15
+            assert np.max(np.abs(projected.real - block)) <= 1e-15
+
+    def test_charged_blocks_of_the_dissipators_are_damped(self):
+        # the Hermitian part of each charged block of the dissipator tables at
+        # p = 1 has its top eigenvalue at most -(3/2 - sqrt 2); the bound is
+        # reached, to rounding, at theta = 0 or pi with frozen baths
+        rng = np.random.default_rng(41)
+        edges = np.array(list(product((0.0, 1.0), repeat=5)))
+        pops = np.concatenate([edges, edges, rng.uniform(0.0, 1.0, (2000, 5))])
+        frozen = rng.random(pops.shape) < 0.2
+        pops[64:][frozen[64:]] = rng.integers(0, 2, np.count_nonzero(frozen[64:]))
+        theta = np.concatenate([np.full(32, 1e-9), np.full(32, math.pi - 1e-9),
+                                rng.uniform(0.0, math.pi, 2000)])
+        c2, s2 = np.cos(0.5 * theta) ** 2, np.sin(0.5 * theta) ** 2
+        rates = np.stack([np.ones_like(theta), c2, s2, c2, s2], axis=1)
+        weights = np.concatenate([rates * pops, rates * (1.0 - pops)], axis=1)
+        for block in charged_blocks():
+            acted = np.tensordot(weights, generator_tables()[4:][(slice(None), *block)], 1)
+            top = np.linalg.eigvalsh(0.5 * (acted + acted.conj().transpose(0, 2, 1)))[:, -1]
+            assert np.max(top) <= -(1.5 - math.sqrt(2.0)) + 1e-14
+
+    def test_charged_blocks_are_far_from_singular(self):
+        # the Hamiltonian part is anti-Hermitian, so the dissipators' bound holds
+        # for the smallest singular value of the whole charged blocks, in units of p
+        workloads = benchmark_workloads()
+        for point in workloads.oracle_points(1, workloads.ORACLE_POINTS):
+            parts = build_generator_parts(ModelParams(**point))
+            generator = full_generator(parts.weights)
+            for block in charged_blocks():
+                smallest = np.linalg.svd(generator[block], compute_uv=False)[-1]
+                assert smallest >= (1.5 - math.sqrt(2.0)) * parts.params.p, point
 
     def test_each_table_is_real_in_the_pauli_basis(self):
         _, t = pauli_basis(3)

@@ -62,7 +62,6 @@ ALLOWED = {
     "experiments.SweepSpec.__post_init__", "experiments.EnsembleSpec.__post_init__",
     "experiments._check_points", "experiments._scan_range", "experiments.random_ensemble",
     "cli._load_config", "cli.cmd_figure", "cli.cmd_validate",
-    "linalg.steady_null_space",
 }
 PARAMETER_ERRORS = {"ParameterError", "ResonanceInfeasibleError"}
 
@@ -112,7 +111,6 @@ DEFAULTED = {
     "experiments.sweep_fig5.beta3_hi", "experiments.sweep_fig5.beta3_lo",
     "experiments.sweep_fig5.gammas", "experiments.sweep_fig5.points",
     "invariants.validate.rng", "invariants.validate.tol",
-    "linalg.steady_null_space.charges",
 }
 
 

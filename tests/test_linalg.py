@@ -4,11 +4,9 @@ import pytest
 from neqfridge import (
     DegenerateSteadyStateError,
     ModelParams,
-    NeqFridgeError,
-    NonHermitianGeneratorError,
-    ParameterError,
     assemble_liouvillian,
     build_generator_parts,
+    numeric_steady_state,
     solve_oracle,
     steady_null_space,
     thermal_population,
@@ -26,10 +24,21 @@ from neqfridge.linalg import (
     pauli_basis,
     pauli_string,
 )
+from neqfridge.dissipation import MACHINE_CHARGES
 from neqfridge.model import resonant_frame, tilde_populations
-from neqfridge.steadystate import MACHINE_CHARGES
 
-from conftest import channel_superop, kron_generator, lab_parts, random_hermitian, reset_channel, to_lab
+from conftest import (
+    channel_superop,
+    charged_blocks,
+    full_generator,
+    kron_generator,
+    lab_parts,
+    pauli_null_space,
+    random_hermitian,
+    reset_channel,
+    sector,
+    to_lab,
+)
 
 
 class TestKron:
@@ -117,10 +126,22 @@ class TestVectorization:
         assert np.allclose(superop @ vec(x), vec(direct))
 
 
+def sector_solve(generator: np.ndarray, charges: tuple[int, ...]) -> np.ndarray:
+    """The trace-one kernel state of a charge-conserving generator, from the
+    package's real SVD of its charge-0 block in the basis of ``charge_sectors``."""
+    strings, t0, _ = charge_sectors(charges)
+    block = t0.conj().T @ generator @ t0
+    assert np.max(np.abs(block.imag)) <= 1e-15 * np.max(np.abs(block.real))
+    rho = np.tensordot(steady_null_space(block.real), strings, 1)
+    return rho / np.trace(rho)
+
+
 class TestSteadyNullSpace:
+    # the package solves its generator on the charge-0 sector; lab-frame and
+    # kron-built generators go to the full Pauli-basis reference
     def test_uncoupled_resets_give_bare_product(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.0, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
-        rho = steady_null_space(assemble_liouvillian(build_generator_parts(params)))
+        rho = numeric_steady_state(assemble_liouvillian(build_generator_parts(params))).rho
         taus = [
             np.diag([r, 1.0 - r])
             for r in (
@@ -135,7 +156,7 @@ class TestSteadyNullSpace:
         from neqfridge.observables import product_state
 
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
-        rho = steady_null_space(kron_generator(lab_parts(build_generator_parts(params))))
+        rho = pauli_null_space(kron_generator(lab_parts(build_generator_parts(params))))
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
         assert np.max(np.abs(rho - to_lab(frame, product_state(pops)))) < 1e-12
@@ -143,13 +164,13 @@ class TestSteadyNullSpace:
     def test_matches_closed_form_at_benchmark(self, p0):
         parts = build_generator_parts(p0)
         liouvillian = kron_generator(lab_parts(parts))
-        rho = steady_null_space(liouvillian)
+        rho = pauli_null_space(liouvillian)
         analytic = to_lab(parts.frame, solve_oracle(parts).analytic.rho)
         assert np.max(np.abs(rho - analytic)) < 1e-8
         assert np.linalg.norm(liouvillian @ vec(rho)) < 1e-10
 
     def test_output_is_density_matrix(self, p0):
-        rho = steady_null_space(kron_generator(lab_parts(build_generator_parts(p0))))
+        rho = numeric_steady_state(assemble_liouvillian(build_generator_parts(p0))).rho
         herm, trace_dev, min_eig = density_matrix_defects(rho)
         assert herm < 1e-12
         assert trace_dev < 1e-12
@@ -157,14 +178,14 @@ class TestSteadyNullSpace:
 
     def test_degenerate_kernel_detected(self):
         with pytest.raises(DegenerateSteadyStateError):
-            steady_null_space(np.zeros((16, 16)))
+            steady_null_space(np.zeros((24, 24)))
 
     def test_genuinely_degenerate_generator_detected(self):
-        # a reset channel touching only one of two qubits leaves a
-        # four-dimensional kernel
-        channel = reset_channel(1, rate=0.1, population=0.3, n_qubits=2)
-        with pytest.raises(DegenerateSteadyStateError):
-            steady_null_space(channel_superop(channel))
+        # a reset channel touching only the target leaves the machine's
+        # charge-0 operators stationary: a six-dimensional kernel on the sector
+        channel = reset_channel(1, rate=0.1, population=0.3)
+        with pytest.raises(DegenerateSteadyStateError, match="degenerate"):
+            steady_null_space(sector(channel_superop(channel)).real)
 
 
 def _reset_generator(n_qubits):
@@ -187,7 +208,7 @@ class TestPauliBasis:
         if case.startswith("p0"):
             parts = build_generator_parts(p0)
             dressed = case == "p0_dressed"
-            generator = assemble_liouvillian(parts) if dressed else kron_generator(lab_parts(parts))
+            generator = full_generator(parts.weights) if dressed else kron_generator(lab_parts(parts))
         else:
             generator = _reset_generator(int(case[-1]))
         n_qubits = (generator.shape[0].bit_length() - 1) // 2
@@ -199,20 +220,9 @@ class TestPauliBasis:
         assert np.max(np.abs(s_real - s_complex)) <= 1e-12 * s_complex[0]
 
     def test_reset_kernel_is_the_product_of_fixed_points(self):
-        rho = steady_null_space(_reset_generator(2))
+        # with one charge for every state the sector is the whole operator space
+        rho = sector_solve(_reset_generator(2), (0,) * 4)
         assert np.max(np.abs(rho - np.kron(np.diag([0.3, 0.7]), np.diag([0.4, 0.6])))) < 1e-14
-
-    def test_non_hermitian_generator_raises(self):
-        rng = np.random.default_rng(8)
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        with pytest.raises(NonHermitianGeneratorError, match="does not preserve Hermiticity"):
-            steady_null_space(commutator_superop(h))
-        assert issubclass(NonHermitianGeneratorError, NeqFridgeError)
-
-    @pytest.mark.parametrize("shape", [(9, 9), (36, 36), (15, 15), (16, 4), (1, 1), (0, 0)])
-    def test_dimension_not_a_power_of_two_raises(self, shape):
-        with pytest.raises(ParameterError, match="its side must be 4\\^n"):
-            steady_null_space(np.zeros(shape))
 
 
 def _population_generator(up: float, down: float, dephasing: float) -> np.ndarray:
@@ -224,30 +234,24 @@ def _population_generator(up: float, down: float, dephasing: float) -> np.ndarra
 
 
 class TestChargeBlocks:
-    def test_second_mode_in_a_charged_block_is_detected(self):
-        # the charge-0 block (the populations) has a one-dimensional kernel,
-        # but the undamped coherence |1><0| of charge difference +1 is stationary too
-        charges = (0, 1)
-        with pytest.raises(DegenerateSteadyStateError, match="degenerate"):
-            steady_null_space(_population_generator(0.3, 0.1, 0.0), charges)
-        rho = steady_null_space(_population_generator(0.3, 0.1, 0.2), charges)
-        assert np.max(np.abs(rho - np.diag([0.75, 0.25]))) < 1e-15
-
-    def test_each_block_is_judged_on_its_own_scale(self):
-        # a charged block 1e12 times stiffer than the populations' block leaves
-        # their one-dimensional kernel well posed
-        rho = steady_null_space(_population_generator(0.3, 0.1, 1e12), (0, 1))
-        assert np.max(np.abs(rho - np.diag([0.75, 0.25]))) < 1e-15
+    def test_the_charged_blocks_are_not_read(self):
+        # the charge-0 sector holds the populations; the coherence |1><0| of
+        # charge difference +1, 1e12 times stiffer or undamped, does not enter the solve
+        for dephasing in (0.2, 1e12, 0.0):
+            rho = sector_solve(_population_generator(0.3, 0.1, dephasing), (0, 1))
+            assert np.max(np.abs(rho - np.diag([0.75, 0.25]))) < 1e-15
 
     @pytest.mark.parametrize("frame", ["dressed", "lab"])
     def test_blocks_hold_every_singular_value(self, p0, frame):
         parts = build_generator_parts(p0)
-        generator = assemble_liouvillian(parts) if frame == "dressed" else kron_generator(lab_parts(parts))
-        _, t0, block0, blocks, between = charge_sectors(MACHINE_CHARGES)
-        assert [generator[block].shape for block in (block0, *blocks)] == [(24, 24), (16, 16), (4, 4)]
+        generator = full_generator(parts.weights) if frame == "dressed" else kron_generator(lab_parts(parts))
+        _, _, between = charge_sectors(MACHINE_CHARGES)
+        block0 = assemble_liouvillian(parts) if frame == "dressed" else sector(generator)
+        assert [generator[block].shape for block in charged_blocks()] == [(16, 16), (4, 4)]
         assert np.max(np.abs(generator[between])) <= 1e-15 * np.max(np.abs(generator))
-        block_values = [np.linalg.svd((t0.conj().T @ generator[block0] @ t0).real, compute_uv=False)]
-        for block in blocks:  # the block of difference -c repeats that of +c
+        assert np.max(np.abs(block0.imag)) <= 1e-15 * np.max(np.abs(block0.real))
+        block_values = [np.linalg.svd(block0.real, compute_uv=False)]
+        for block in charged_blocks():  # the block of difference -c repeats that of +c
             block_values += 2 * [np.linalg.svd(generator[block], compute_uv=False)]
         union = np.sort(np.concatenate(block_values))[::-1]
         full = np.linalg.svd(generator, compute_uv=False)
@@ -255,7 +259,8 @@ class TestChargeBlocks:
         assert np.max(np.abs(union - full)) <= 1e-12 * full[0]
 
     def test_charge_sector_basis_is_pauli_type(self):
-        strings, t0, _, _, _ = charge_sectors(MACHINE_CHARGES)
+        strings, t0, _ = charge_sectors(MACHINE_CHARGES)
+        assert t0.shape == (64, 24)
         assert np.allclose(t0.conj().T @ t0, np.eye(24), atol=1e-15)
         machine = [pauli_string(labels) for labels in ("ii", "iz", "zi", "zz")]
         machine += [(pauli_string("xx") + pauli_string("yy")) / np.sqrt(2),

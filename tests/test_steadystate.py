@@ -205,7 +205,7 @@ class TestChargeGradedSolve:
             reference, _ = decompose(pauli_null_space(generator))
             oracle = solve_oracle(parts)
             numeric = oracle.numeric
-            assert oracle.charge_leakage <= 1e-15
+            assert oracle.charge_leakage == 0.0
             got, want = numeric.decomposition.as_dict(), reference.as_dict()
             assert max(abs(got[name] - want[name]) for name in want) <= 1e-12, point
 
