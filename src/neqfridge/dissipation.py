@@ -12,27 +12,29 @@ In the dressed frame every jump is a constant Pauli-string table times a
 prefactor, so the generator is one contraction of the point's weights with
 constant superoperator tables, and each bath's dissipator one sum of the
 tables' actions.  The tables conserve the machine charge n2 + n3, and the
-oracle reads them on the charge-0 sector, where the steady state lives.
+oracle reads them only on the charge-0 sector, where the steady state lives:
+the 64x64 tables are built and checked once, and every per-point operator is
+a real 24x24 block acting on a state's 24 sector coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import charge_sectors, commutator_superop, dissipator_superop, pauli_string, vec
+from .linalg import (charge_sectors, commutator_superop, coordinates, dissipator_superop, pauli_basis,
+                     pauli_string)
 from .model import (
     _TRIPARTITE,
     SIGMA_Z1,
     SIGMA_Z2,
     SIGMA_Z3,
     Frame,
-    Hamiltonians,
     ModelParams,
     ThermalPopulations,
-    build_hamiltonians,
     resonant_frame,
     tilde_populations,
 )
@@ -45,9 +47,8 @@ _JUMP_STRINGS = np.array([pauli_string("i" + ops) for ops in ("+i", "z+", "i+", 
 _DRESSED_JUMPS = np.concatenate([pauli_string("+ii")[None], _JUMP_STRINGS])
 # the machine charge n2 + n3 of each basis state |q1 q2 q3>; every table conserves it
 MACHINE_CHARGES = tuple(bin(state & 3).count("1") for state in range(8))
-# which bath (target, 2, 3) each dissipator table belongs to, the raising jumps'
-# and then their adjoints', as a (3, 10) indicator (np.equal.outer would cost
-# 0.25 MB of resident memory at import)
+# which bath (target, 2, 3) each dissipator table belongs to, the raising jumps' and then
+# their adjoints', as a (3, 10) indicator (np.equal.outer would cost 0.25 MB at import)
 _BATHS = np.eye(3)[[0, 1, 1, 2, 2] * 2].T
 
 
@@ -58,7 +59,6 @@ class GeneratorParts:
     params: ModelParams
     frame: Frame
     pops: ThermalPopulations
-    hams: Hamiltonians
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -69,14 +69,10 @@ class GeneratorParts:
 
 
 def build_generator_parts(params: ModelParams) -> GeneratorParts:
-    """The point's frame, its bath populations and its dressed-frame Hamiltonians."""
+    """The point's frame and its bath populations."""
     frame = resonant_frame(params.e1, params.e3, params.gamma)
-    return GeneratorParts(
-        params=params,
-        frame=frame,
-        pops=tilde_populations(frame, params.t2, params.t3, t1=params.t1),
-        hams=build_hamiltonians(params, frame),
-    )
+    return GeneratorParts(params=params, frame=frame,
+                          pops=tilde_populations(frame, params.t2, params.t3, t1=params.t1))
 
 
 @cache
@@ -91,17 +87,32 @@ def generator_tables() -> np.ndarray:
     return tables
 
 
+class SectorTables(NamedTuple):
+    """The generator tables T_k on the charge-0 sector, T0^+ T_k T0 in the real basis of
+    ``charge_sectors`` (14, 24, 24), the coordinates of the Hamiltonian's tables Z1, Z2, Z3 and
+    T (4, 24), and two checks of the 64x64 tables, each over their largest entry and exactly 0:
+    the largest entry between charge blocks, and the dissipators' largest imaginary part or
+    identity-row entry in the Pauli basis (trace-free, Hermiticity-preserving channels)."""
+
+    generator: np.ndarray
+    hamiltonians: np.ndarray
+    leakage: float
+    channel_defect: float
+
+
 @cache
-def sector_tables() -> tuple[np.ndarray, float]:
-    """The tables on the charge-0 sector, T0^+ T_k T0 in the real basis of ``charge_sectors``
-    (14, 24, 24), read-only and built on first use, and the tables' largest entry between
-    charge blocks over their largest entry (exactly 0: the sector solve drops nothing)."""
-    _, t0, between = charge_sectors(MACHINE_CHARGES)
+def sector_tables() -> SectorTables:
+    """The :class:`SectorTables`, read-only and built on first use; the solve reads nothing else."""
+    basis, t0, between = charge_sectors(MACHINE_CHARGES)
     tables = generator_tables()
-    sector = (t0.conj().T @ tables @ t0).real
-    sector.flags.writeable = False  # shared by every caller
-    entries = np.abs(tables)
-    return sector, float(np.max(entries[:, between]) / np.max(entries))
+    generator = (t0.conj().T @ tables @ t0).real
+    hamiltonians = coordinates(np.array([SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, _TRIPARTITE]), basis)
+    generator.flags.writeable = hamiltonians.flags.writeable = False  # shared by every caller
+    entries, pauli = np.abs(tables), pauli_basis(3)[1]
+    dissipators = pauli.conj().T @ tables[4:] @ pauli
+    defect = max(np.max(np.abs(dissipators.imag)), np.max(np.abs(dissipators[:, 0])))
+    return SectorTables(generator, hamiltonians, float(np.max(entries[:, between]) / np.max(entries)),
+                        float(defect / np.max(np.abs(dissipators))))
 
 
 def _weights(parts: GeneratorParts, prefactors_sq, populations) -> np.ndarray:
@@ -129,12 +140,11 @@ def localized_weights(parts: GeneratorParts) -> np.ndarray:
 
 def assemble_liouvillian(parts: GeneratorParts) -> np.ndarray:
     """The dressed-frame generator of the master equation on the charge-0 sector, a real 24x24 block."""
-    return np.tensordot(parts.weights, sector_tables()[0], 1)
+    return np.tensordot(parts.weights, sector_tables().generator, 1)
 
 
-def bath_actions(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The dissipators of the target bath, bath 2 and bath 3 at ``weights`` (one
-    vector of :func:`generator_weights`' form) on one dressed-frame operator, (3, 8, 8)."""
-    tables = generator_tables()[4:].reshape(640, 64)  # one product for the ten tables
-    acted = (_BATHS * weights[4:]) @ (tables @ vec(rho)).reshape(10, 64)
-    return acted.reshape(3, 8, 8).transpose(0, 2, 1)  # from column-stacked
+def bath_actions(weights: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The dissipators of the target bath, bath 2 and bath 3 at ``weights`` (one vector
+    of :func:`generator_weights`' form) on one state's charge-0 sector coordinates, as
+    the sector coordinates of each bath's action (3, 24)."""
+    return (_BATHS * weights[4:]) @ (sector_tables().generator[4:] @ coords)

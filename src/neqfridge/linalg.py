@@ -1,12 +1,13 @@
 """Dense linear algebra on the small fixed dimensions used by the model.
 
 Everything works on plain numpy arrays: 2x2 single-qubit operators, 4x4
-fridge operators, 8x8 three-qubit operators and 64x64 superoperators.
-Operators on several qubits are built once as Pauli strings, products with
-one single-qubit factor per qubit.  Vectorization is column-stacking
-throughout, so vec(A @ rho @ B) = kron(B.T, A) @ vec(rho).  A
-charge-conserving generator is solved on its charge-0 sector, the state's
-block, as a real matrix in a basis of Pauli-type strings.
+fridge operators, 8x8 three-qubit operators and 64x64 superoperators, the
+last built once, as constant tables.  Operators on several qubits are built
+as Pauli strings, products with one single-qubit factor per qubit.
+Vectorization is column-stacking throughout, so vec(A @ rho @ B) =
+kron(B.T, A) @ vec(rho).  A charge-conserving generator is solved on its
+charge-0 sector, a real matrix in an orthonormal basis of Hermitian
+Pauli-type strings, in which a state is its real coordinates.
 
 Qubit ordering convention: |q1 q2 q3> with qubit 1 most significant, and
 |0> is the *higher*-energy state of each qubit (sigma_z = |0><0| - |1><1|).
@@ -123,6 +124,12 @@ def charge_sectors(charges: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np
     return out
 
 
+def coordinates(ops: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The real coordinates tr(B_j A) of Hermitian operators A (..., d, d) on an orthonormal
+    Hermitian basis B_j (n, d, d); A is their sum over the B_j if it lies in their span."""
+    return np.einsum("...ij,nji->...n", ops, basis).real
+
+
 def steady_null_space(block: np.ndarray) -> np.ndarray:
     """Unit kernel vector of a real generator block, the right singular vector of its
     smallest singular value.  A second singular value at or below ``DEGENERACY_RATIO``
@@ -135,15 +142,9 @@ def steady_null_space(block: np.ndarray) -> np.ndarray:
     return vh[-1]
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation from m = m+."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def density_matrix_defects(rho: np.ndarray) -> tuple[float, float, float]:
-    """(hermiticity defect, |trace - 1|, smallest eigenvalue) of a candidate state."""
-    herm = hermiticity_defect(rho)
+    """(largest entry of rho - rho+, |trace - 1|, smallest eigenvalue) of a candidate state."""
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace_dev = abs(np.trace(rho) - 1.0)
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
     return herm, float(trace_dev), min_eig

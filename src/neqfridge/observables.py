@@ -1,11 +1,11 @@
 """Heat currents, temperatures, COPs and their bounds.
 
 Bath currents are evaluated two ways: as traces of the total Hamiltonian
-against each dissipator at the dressed-frame steady state, and through
-closed forms in the deviation coefficient d.  The tripartite-interaction
-currents Q_i^g isolate the part of the flow caused by the weak three-body
-coupling; the machine COP eta_g = Q1^g / Q3^g depends only on the
-diagonalization frame.
+against each dissipator at the dressed-frame steady state, dot products of
+sector coordinates on the charge-0 sector, and through closed forms in the
+deviation coefficient d.  The tripartite-interaction currents Q_i^g isolate
+the part of the flow caused by the weak three-body coupling; the machine COP
+eta_g = Q1^g / Q3^g depends only on the diagonalization frame.
 
 :func:`closed_form_table` is the one closed-form chain from parameters to
 observables (frame, populations, coefficients, currents, then the COPs, the
@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import GeneratorParts, bath_actions
+from .dissipation import GeneratorParts, bath_actions, sector_tables
 from .model import (
-    SIGMA_Z2,
-    SIGMA_Z3,
     Frame,
     ModelParams,
     ThermalPopulations,
@@ -33,7 +31,7 @@ from .model import (
     virtual_coherence,
     virtual_temperature,
 )
-from .steadystate import SteadyStateResult, steady_coefficients
+from .steadystate import SteadyStateResult, reconstruct_state, steady_coefficients
 
 # a current within this many eps (p + g) eps2 is rounding noise: at 20,000 seeded
 # models with T1 = T2 = T3 log-uniform over [0.05, 50] (the rest over the box of
@@ -91,30 +89,22 @@ class CurrentReport:
 
 
 def product_state(pops: ThermalPopulations) -> np.ndarray:
-    """Dressed-frame product of the target thermal state and the dressed machine state."""
-    target = np.array([pops.r1, 1.0 - pops.r1])
-    fridge = np.array([
-        pops.rtilde2 * pops.rtilde3,
-        pops.rtilde2 * (1.0 - pops.rtilde3),
-        (1.0 - pops.rtilde2) * pops.rtilde3,
-        (1.0 - pops.rtilde2) * (1.0 - pops.rtilde3),
-    ])
-    return np.diag(np.outer(target, fridge).ravel())
+    """Sector coordinates of the dressed product of the target's and the dressed qubits'
+    thermal states: the closed-form steady state without the tripartite coupling."""
+    return reconstruct_state(steady_coefficients(pops, 1.0, 0.0))
 
 
 def heat_currents(parts: GeneratorParts, steady: SteadyStateResult) -> CurrentReport:
     """All stationary currents at the point of ``parts``, with the closed forms alongside the traces."""
-    params, frame, pops, hams = parts.params, parts.frame, parts.pops, parts.hams
-    rho, weights = steady.rho, parts.weights
+    params, frame, pops, weights = parts.params, parts.frame, parts.pops, parts.weights
+    tables = sector_tables()
+    # the sector coordinates of 0.5 E1 Z1, 0.5 eps2 Z2, 0.5 eps3 Z3 and g T, whose sum is H
+    hams = weights[:4, None] * tables.hamiltonians
     # tr(H A) for each bath's action A
-    q1, q2, q3 = np.einsum("ij,bji->b", hams.htot, bath_actions(weights, rho)).real.tolist()
-    q23 = float(np.trace(hams.hfridge @ bath_actions(weights, product_state(pops))[2]).real)
-
-    hg = hams.hg
-    dg_rho = -1j * (hg @ rho - rho @ hg)
-    q1g = -float(np.trace(hams.h1 @ dg_rho).real)
-    qt2g = -float(np.trace(0.5 * frame.eps2 * SIGMA_Z2 @ dg_rho).real)
-    qt3g = -float(np.trace(0.5 * frame.eps3 * SIGMA_Z3 @ dg_rho).real)
+    q1, q2, q3 = (bath_actions(weights, steady.coords) @ hams.sum(axis=0)).tolist()
+    q23 = float(bath_actions(weights, product_state(pops))[2] @ (hams[1] + hams[2]))
+    # the target's and the dressed qubits' energies against -i[g T, rho]
+    q1g, qt2g, qt3g = (-weights[3] * hams[:3] @ (tables.generator[3] @ steady.coords)).tolist()
 
     closed = currents_closed(params, frame, pops, steady.decomposition.d)
     return CurrentReport(
@@ -130,7 +120,7 @@ def internal_current(frame: Frame, pops: ThermalPopulations, p: float) -> float:
     """Machine-internal current q23 as a scalar closed form.
 
     Equivalent to the trace of the machine Hamiltonian against the engine
-    dissipator at the dressed product state (property-tested against it).
+    dissipator at the dressed product state, as :func:`heat_currents` reads it.
     """
     c2, s2 = frame.cos_half_sq, frame.sin_half_sq
     return (

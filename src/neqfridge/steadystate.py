@@ -16,7 +16,10 @@ fast path validated against it.  :func:`solve_oracle` runs both on a
 point's :class:`~neqfridge.dissipation.GeneratorParts`, built once by
 :func:`~neqfridge.dissipation.build_generator_parts`, with one assembled
 block whose action on each state's sector coordinates is that state's
-residual.  Every state here is a dressed-frame density matrix.
+residual.  A state is its 24 real sector coordinates, which the family
+coefficients, the off-family leftover, the currents and the invariants read
+through constant maps; its dressed-frame density matrix is built once, for
+its positivity and the public ``rho`` field.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from functools import cache
 
 import numpy as np
 
-from .dissipation import (MACHINE_CHARGES, GeneratorParts, assemble_liouvillian, generator_tables,
-                          sector_tables)
+from .dissipation import MACHINE_CHARGES, GeneratorParts, assemble_liouvillian, sector_tables
 from .errors import DegenerateSteadyStateError
-from .linalg import charge_sectors, pauli_basis, pauli_string, steady_null_space, vec
+from .linalg import charge_sectors, coordinates, pauli_basis, pauli_string, steady_null_space
 from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, ThermalPopulations
 
 # The nine-operator family in the dressed frame (target, dressed spiral,
@@ -40,9 +42,6 @@ _FAMILY = np.array([
     SIGMA_Z1 @ SIGMA_Z2, SIGMA_Z1 @ SIGMA_Z3, SIGMA_Z2 @ SIGMA_Z3, SIGMA_Z1 @ SIGMA_Z2 @ SIGMA_Z3,
     -1j * pauli_string("+-+") + 1j * pauli_string("-+-"),
 ], dtype=complex)
-_FAMILY_NORM_SQ = np.einsum("kij,kij->k", _FAMILY.conj(), _FAMILY).real
-# all 64 Pauli strings, the basis in which the off-family leftover is read
-_PAULI_STRINGS = pauli_basis(3)[0]
 
 
 @dataclass(frozen=True)
@@ -64,30 +63,40 @@ class SteadyDecomposition:
     d: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "a1": self.a1, "a2": self.a2, "a3": self.a3,
-            "b12": self.b12, "b13": self.b13, "b23": self.b23,
-            "c": self.c, "d": self.d,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """A dressed-frame steady state ``rho`` with its decomposition and solver
-    diagnostics: the norm of the generator's action on it and the largest
-    coefficient it leaves outside the family."""
+    """A steady state, its charge-0 sector ``coords`` and its dressed-frame ``rho``,
+    with its decomposition and solver diagnostics: the norm of the generator's
+    action on it and the largest coefficient it leaves outside the family."""
 
     rho: np.ndarray
+    coords: np.ndarray
     decomposition: SteadyDecomposition
     residual: float
     off_family_max: float
 
 
 @cache
+def family_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constant maps of the charge-0 sector coordinates, read-only and built on first use:
+    the family operators' coordinates (9, 24), the map from a state's coordinates to its
+    family coefficients 8 <F_k, rho> / <F_k, F_k> (9, 24), and the map to the 64 Pauli-string
+    coefficients of what the family leaves of the state (64, 24)."""
+    basis = charge_sectors(MACHINE_CHARGES)[0]
+    family = coordinates(_FAMILY, basis)
+    project = 8.0 * family / np.sum(family ** 2, axis=1, keepdims=True)  # <F_k, F_k> in the sector
+    leftover = coordinates(pauli_basis(3)[0], basis) @ (np.eye(len(basis)) - family.T @ project / 8.0)
+    family.flags.writeable = project.flags.writeable = leftover.flags.writeable = False  # shared
+    return family, project, leftover
+
+
+@cache
 def family_action() -> np.ndarray:
-    """Each generator table on each dressed family operator, (14, 9, 8, 8), built on first use."""
-    acted = _FAMILY.transpose(0, 2, 1).reshape(9, 64) @ generator_tables().transpose(0, 2, 1)
-    return acted.reshape(14, 9, 8, 8).transpose(0, 1, 3, 2)  # from column-stacked
+    """Each sector table on each family operator's coordinates, (14, 9, 24), built on first use."""
+    return family_maps()[0] @ sector_tables().generator.transpose(0, 2, 1)
 
 
 def deviation_coefficient(pops: ThermalPopulations, p: float, g: float) -> float:
@@ -127,32 +136,26 @@ def steady_coefficients(pops: ThermalPopulations, p: float, g: float) -> SteadyD
 
 
 def reconstruct_state(decomposition: SteadyDecomposition) -> np.ndarray:
-    """Dressed-frame density matrix from decomposition coefficients."""
-    coeffs = np.array([1.0, *decomposition.as_dict().values()])
-    return np.tensordot(coeffs, _FAMILY, 1) / 8.0
+    """The charge-0 sector coordinates of the state with these family coefficients."""
+    return np.array([1.0, *decomposition.as_dict().values()]) @ family_maps()[0] / 8.0
 
 
-def decompose(rho: np.ndarray) -> tuple[SteadyDecomposition, float]:
-    """Project a dressed-frame state onto the family; also return the largest leftover.
+def decompose(coords: np.ndarray) -> tuple[SteadyDecomposition, float]:
+    """Project a state's sector coordinates onto the family; also return the largest leftover.
 
-    Coefficients use the Hilbert-Schmidt convention 8 <B, rho> / <B, B>, so
-    the identity coefficient of a unit-trace state is one.  The leftover is
-    the largest coefficient on the dressed Pauli strings orthogonal to the
-    family.
+    Coefficients use the Hilbert-Schmidt convention 8 <B, rho> / <B, B>, so the identity
+    coefficient of a unit-trace state is one.  The leftover is the largest coefficient on
+    the dressed Pauli strings of what the family leaves of the state.
     """
-    coeffs = 8.0 * np.einsum("kij,ij->k", _FAMILY.conj(), rho).real / _FAMILY_NORM_SQ
-    coeffs[0] = 1.0  # the reconstruction keeps unit trace
-    leftover = rho - np.tensordot(coeffs, _FAMILY, 1) / 8.0
-    off = np.max(np.abs(np.einsum("kij,ij->k", _PAULI_STRINGS.conj(), leftover)))
-    return SteadyDecomposition(*coeffs[1:]), float(off)
+    _, project, leftover = family_maps()
+    return SteadyDecomposition(*project[1:] @ coords), float(np.max(np.abs(leftover @ coords)))
 
 
-def _result(rho: np.ndarray, decomposition: SteadyDecomposition, off: float,
+def _result(coords: np.ndarray, decomposition: SteadyDecomposition, off: float,
             block: np.ndarray) -> SteadyStateResult:
-    """The result for ``rho``, with the norm of ``block`` times rho's coordinates on
-    the charge-0 sector as its residual."""
-    coords = charge_sectors(MACHINE_CHARGES)[1].conj().T @ vec(rho)
-    return SteadyStateResult(rho=rho, decomposition=decomposition,
+    """The state of sector coordinates ``coords``; its residual is the norm of ``block`` @ coords."""
+    rho = np.tensordot(coords, charge_sectors(MACHINE_CHARGES)[0], 1)
+    return SteadyStateResult(rho=rho, coords=coords, decomposition=decomposition,
                              residual=float(np.linalg.norm(block @ coords)), off_family_max=off)
 
 
@@ -160,32 +163,29 @@ def analytic_steady_state(parts: GeneratorParts, block: np.ndarray) -> SteadySta
     """Closed-form steady state of the point ``parts``; its residual is the norm
     of the action of ``block``, the point's assembled charge-0 block."""
     decomposition = steady_coefficients(parts.pops, parts.params.p, parts.params.g)
-    rho = reconstruct_state(decomposition)
-    return _result(rho, decomposition, decompose(rho)[1], block)
+    coords = reconstruct_state(decomposition)
+    return _result(coords, decomposition, decompose(coords)[1], block)
 
 
 def numeric_steady_state(block: np.ndarray) -> SteadyStateResult:
     """Steady state from the kernel of the dressed generator's charge-0 ``block``, read
     on the sector's Pauli-type strings: the dressed dissipators keep diagonal states
     diagonal, so at g = 0 d comes out below 1e-30 (a lab-frame kernel leaves 1e-14)."""
-    rho = np.tensordot(steady_null_space(block), charge_sectors(MACHINE_CHARGES)[0], 1)
-    tr = np.trace(rho)
+    kernel = steady_null_space(block)
+    tr = kernel @ family_maps()[0][0]  # the identity's coordinates are the basis' traces
     if abs(tr) < 1e-12:
         raise DegenerateSteadyStateError("kernel vector carries no trace")
-    rho = 0.5 * (rho + rho.conj().T) / tr
-    return _result(rho, *decompose(rho), block)
+    coords = kernel / tr
+    return _result(coords, *decompose(coords), block)
 
 
 @dataclass(frozen=True)
 class OracleSolve:
-    """Both steady-state routes at one point, from one charge-0 block and one
-    kernel solve.  ``charge_leakage`` is the generator tables' largest entry
-    between charge blocks, which the sector solve drops, over their largest entry."""
+    """Both steady-state routes at one point, from one charge-0 block and one kernel solve."""
 
     analytic: SteadyStateResult
     numeric: SteadyStateResult
     deltas: dict[str, float]
-    charge_leakage: float
 
     @property
     def max_delta(self) -> float:
@@ -204,5 +204,4 @@ def solve_oracle(parts: GeneratorParts) -> OracleSolve:
     a = analytic.decomposition.as_dict()
     n = numeric.decomposition.as_dict()
     return OracleSolve(analytic=analytic, numeric=numeric,
-                       deltas={name: abs(a[name] - n[name]) for name in a},
-                       charge_leakage=sector_tables()[1])
+                       deltas={name: abs(a[name] - n[name]) for name in a})

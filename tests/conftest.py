@@ -177,8 +177,13 @@ def sector(superop: np.ndarray) -> np.ndarray:
 
 
 def sector_coords(rho: np.ndarray) -> np.ndarray:
-    """T0^+ vec(rho): an operator's coordinates on the charge-0 sector."""
+    """T0^+ vec(rho): an operator's coordinates on the charge-0 sector, real for a Hermitian one."""
     return charge_sectors(MACHINE_CHARGES)[1].conj().T @ rho.reshape(-1, order="F")
+
+
+def sector_operator(coords: np.ndarray) -> np.ndarray:
+    """The 8x8 dressed-frame operator of charge-0 sector coordinates, (..., 24) to (..., 8, 8)."""
+    return np.tensordot(coords, charge_sectors(MACHINE_CHARGES)[0], 1)
 
 
 def charged_blocks() -> list:

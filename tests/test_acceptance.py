@@ -33,9 +33,9 @@ from neqfridge import (
     virtual_temperature,
 )
 from neqfridge.dissipation import bath_actions, build_generator_parts, generator_weights, localized_weights
-from neqfridge.linalg import hermiticity_defect
+from neqfridge.linalg import density_matrix_defects
 from neqfridge.observables import currents_closed
-from neqfridge.steadystate import _FAMILY, steady_coefficients
+from neqfridge.steadystate import family_maps, steady_coefficients
 
 from conftest import (
     P0,
@@ -47,6 +47,8 @@ from conftest import (
     random_feasible,
     random_hermitian,
     reset_channel,
+    sector_coords,
+    sector_operator,
     tilde_channel,
     to_lab,
 )
@@ -261,21 +263,21 @@ def test_criterion_9_property_suite():
         frame, pops = parts.frame, parts.pops
         weights = generator_weights(parts)
 
-        # channel algebra on a random Hermitian matrix
-        probe = random_hermitian(rng)
-        for out in bath_actions(weights, probe):
+        # channel algebra on the sector part of a random Hermitian matrix
+        probe = sector_coords(random_hermitian(rng)).real
+        for out in sector_operator(bath_actions(weights, probe)):
             assert abs(np.trace(out)) < 1e-12
-            assert hermiticity_defect(out) < 1e-12
+            assert density_matrix_defects(out)[0] < 1e-12
 
         # the package's delocalized and localized machine channels, read in the lab
         # frame, match the reference localized pair on the family
         t2c = tilde_channel(2, frame, pops, params.p)
         t3c = tilde_channel(3, frame, pops, params.p)
-        for dressed_op, op in zip(_FAMILY, family_operators(frame).values()):
+        for coords, op in zip(family_maps()[0], family_operators(frame).values()):
             reference = t2c.apply(op) + t3c.apply(op)
             for package_weights in (weights, localized_weights(parts)):
-                got = to_lab(frame, bath_actions(package_weights, dressed_op)[1:].sum(axis=0))
-                assert np.max(np.abs(got - reference)) < 1e-12
+                acted = bath_actions(package_weights, coords)[1:].sum(axis=0)
+                assert np.max(np.abs(to_lab(frame, sector_operator(acted)) - reference)) < 1e-12
 
         # steady state: validity, residual, sign chain, dressed currents
         steady = solve_oracle(parts).analytic

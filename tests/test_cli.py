@@ -15,7 +15,7 @@ from neqfridge import build_generator_parts, cooling_window, solve_oracle, valid
 from neqfridge.cli import _cells, main, write_csv
 from neqfridge.model import REFERENCE, thermal_population
 
-from conftest import P0, counting, per_cell_cells, per_cell_csv
+from conftest import P0, counting, per_cell_cells, per_cell_csv, sector_coords, sector_operator
 
 # group names of `validate`, in report order
 GROUPS = [
@@ -26,8 +26,31 @@ GROUPS = [
 ]
 
 
+# a weak-dissipation model, (p + g)/eps2 = 5.5e-10: its kernel state's coefficients are
+# rounding in the unit eps eps2 / (p + g) = 4.0e-7, and its delta of 6.0e-8 exceeds tol = 1e-8
+WEAK = neqfridge.ModelParams(e1=1.2938167584919433, e3=6.3931021989017545, gamma=0.26229708328171003,
+                             t1=0.12119826512930106, t2=3.0987947179764683, t3=4.44159607255517,
+                             p=2.9793734576578587e-09, g=1.2179233573701866e-09)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.fixture
+def patched_tables(monkeypatch):
+    """Serve ``dissipation.generator_tables`` from a stack the test edits; the caches
+    built from the tables are cleared before and after, so no other test reads it."""
+    from neqfridge import dissipation, steadystate
+
+    tables = dissipation.generator_tables().copy()
+    monkeypatch.setattr(dissipation, "generator_tables", lambda: tables)
+    caches = (dissipation.sector_tables, steadystate.family_action)
+    for cached in caches:
+        cached.cache_clear()
+    yield tables
+    for cached in caches:
+        cached.cache_clear()
 
 
 class TestSteadyCommand:
@@ -486,6 +509,35 @@ class TestValidateCommand:
         assert groups["oracle_equivalence"]["passed"] is True
         assert groups["oracle_equivalence"]["max_error"] < 1e-7
 
+    @pytest.mark.parametrize("k", [-60, -30, 20, 30, 40, 60])
+    def test_reference_scaled_by_a_power_of_two_passes(self, k):
+        # every field times 2^k: each bound is in the unit of what it bounds (the
+        # localization identity's in p, the kernel residual's in eps2 + p + g), or is a
+        # property of the constant tables
+        report = validate(neqfridge.ModelParams(**{name: 2.0 ** k * value
+                                                   for name, value in REFERENCE.as_dict().items()}))
+        assert report.passed, {name: g for name, g in report.groups.items() if not g["passed"]}
+
+    def test_weak_dissipation_deltas_pass_above_their_rounding_floor(self):
+        report = validate(WEAK)
+        assert 1e-8 < report.oracle.max_delta < 1e-7
+        assert report.groups["oracle_equivalence"]["passed"] is True
+
+    def test_coefficient_off_by_100_rounding_units_fails_oracle_equivalence(self, monkeypatch):
+        from neqfridge import steadystate
+
+        unit = 64 * np.finfo(float).eps * build_generator_parts(WEAK).frame.eps2 / (WEAK.p + WEAK.g)
+        solve = steadystate.numeric_steady_state
+
+        def shifted(block):
+            steady = solve(block)
+            return replace(steady, decomposition=replace(steady.decomposition, d=steady.decomposition.d + 100 * unit))
+
+        monkeypatch.setattr(steadystate, "numeric_steady_state", shifted)
+        group = validate(WEAK).groups["oracle_equivalence"]
+        assert group["passed"] is False
+        assert group["max_error"] > 99 * unit
+
     @pytest.mark.parametrize("lam", [1e-4, 1e4])
     def test_reference_in_other_units_passes(self, lam, tmp_path):
         # energies, temperatures, p and g all times lam: the current bounds scale with (p + g) eps2
@@ -522,8 +574,9 @@ class TestValidateCommand:
 
         def with_leftover(block):
             steady = solve(block)
-            rho = steady.rho + leftover
-            return replace(steady, rho=rho, off_family_max=steadystate.decompose(rho)[1])
+            coords = steady.coords + sector_coords(leftover).real
+            return replace(steady, coords=coords, rho=sector_operator(coords),
+                           off_family_max=steadystate.decompose(coords)[1])
 
         assert validate(params).groups["oracle_equivalence"]["passed"] is True
         monkeypatch.setattr(steadystate, "numeric_steady_state", with_leftover)
@@ -535,26 +588,31 @@ class TestValidateCommand:
         out = tmp_path / "validate.json"
         assert main(["validate", "--grid", "3", "--seed", "5", "--out", str(out)]) == 0
 
-    def test_charge_breaking_term_fails_charge_symmetry(self, monkeypatch, tmp_path):
-        from neqfridge import dissipation
+    def test_charge_breaking_term_fails_charge_symmetry(self, patched_tables, tmp_path):
         from neqfridge.linalg import commutator_superop, pauli_string
 
         # sigma_x on the dressed spiral changes the machine charge n2 + n3 by one; it
         # joins the tripartite table, and the sector stack is rebuilt from the tables.
         # The solve on the charge-0 sector cannot see such a term, so this group must
-        driven = dissipation.generator_tables().copy()
-        driven[3] += commutator_superop(0.01 * pauli_string("ixi"))
-        monkeypatch.setattr(dissipation, "generator_tables", lambda: driven)
-        dissipation.sector_tables.cache_clear()
-        try:
-            group = validate(P0).groups["charge_symmetry"]
-            out = tmp_path / "steady.json"
-            assert main(["steady", "--out", str(out)]) == 0
-        finally:
-            dissipation.sector_tables.cache_clear()
+        patched_tables[3] += commutator_superop(0.01 * pauli_string("ixi"))
+        group = validate(P0).groups["charge_symmetry"]
+        out = tmp_path / "steady.json"
+        assert main(["steady", "--out", str(out)]) == 0
         assert group["passed"] is False
         assert group["max_error"] > 1e-4
         assert json.loads(out.read_text())["residuals"]["charge_leakage"] == group["max_error"]
+
+    def test_broken_dissipator_fails_channel_algebra(self, patched_tables):
+        from neqfridge.linalg import pauli_string, sandwich_superop
+
+        # the target reset's raising jump with its anticommutator half scaled by 1.01 no
+        # longer preserves the trace: its table's identity row in the Pauli basis is not 0
+        jump, eye = pauli_string("+ii"), np.eye(8)
+        half = -0.5 * 1.01 * jump.conj().T @ jump
+        patched_tables[4] = sandwich_superop([jump, half, eye], [jump.conj().T, eye, half])
+        group = validate(P0).groups["channel_algebra"]
+        assert group["passed"] is False
+        assert group["max_error"] > 1e-3
 
     def test_swapped_population_fails_localization_identity(self, monkeypatch):
         # r23 in place of r32 on the (nu=3, mu=2) machine jump: the machine
@@ -624,6 +682,24 @@ class TestValidateCommand:
             "error: validate with parameter flags or --config does not read --grid\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--config"])
+    def test_seed_at_a_single_point_exits_2(self, tmp_path, capsys, flag):
+        # a single point reads no random numbers
+        config = tmp_path / "model.cfg"
+        config.write_text("gamma = 0.3\n")
+        value = str(config) if flag == "--config" else "0.3"
+        out = tmp_path / "validate.json"
+        assert main(["validate", flag, value, "--seed", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: validate with parameter flags or --config does not read --seed\n")
+        assert not out.exists()
+
+    def test_default_seed_is_7(self, tmp_path):
+        default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert main(["validate", "--grid", "3", "--out", str(default)]) == 0
+        assert main(["validate", "--grid", "3", "--seed", "7", "--out", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+
     def test_default_grid_is_5(self, tmp_path):
         default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
         assert main(["validate", "--out", str(default)]) == 0
@@ -682,6 +758,20 @@ class TestGeneratorBuilds:
         assert main(["validate", "--gamma", "0.3", "--out", str(tmp_path / "validate.json")]) == 0
         assert build_count["build_generator_parts"] == 1
         assert build_count["assemble_liouvillian"] == 1
+
+    def test_no_point_reads_the_64x64_tables(self, monkeypatch, tmp_path):
+        # after one solve has built the sector tables, steady and validate read only them
+        from neqfridge.dissipation import generator_tables
+
+        def unread():
+            raise AssertionError("the 64x64 generator tables were read")
+
+        solve_oracle(build_generator_parts(P0))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("neqfridge") and getattr(module, "generator_tables", None) is generator_tables:
+                monkeypatch.setattr(module, "generator_tables", unread)
+        assert main(["steady", "--g", "0.02", "--out", str(tmp_path / "steady.json")]) == 0
+        assert main(["validate", "--g", "0.02", "--out", str(tmp_path / "validate.json")]) == 0
 
     def test_validate_checks_the_populations_it_solves_with(self, build_count):
         # one frame and one population build, which the population groups and the oracle share
@@ -762,10 +852,14 @@ class TestParserReuse:
         assert done.stdout.startswith("neqfridge ")
 
     def test_import_does_not_build_the_tables(self):
-        code = ("import neqfridge.cli, neqfridge.dissipation as d, neqfridge.steadystate as s; "
+        code = ("import neqfridge.cli, neqfridge.dissipation as d, neqfridge.steadystate as s, "
+                "neqfridge.linalg as l; "
                 "assert d.generator_tables.cache_info().currsize == 0; "
                 "assert d.sector_tables.cache_info().currsize == 0; "
-                "assert s.family_action.cache_info().currsize == 0")
+                "assert s.family_maps.cache_info().currsize == 0; "
+                "assert s.family_action.cache_info().currsize == 0; "
+                "assert l.charge_sectors.cache_info().currsize == 0; "
+                "assert l.pauli_basis.cache_info().currsize == 0")
         src = os.path.dirname(os.path.dirname(neqfridge.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

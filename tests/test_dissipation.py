@@ -22,12 +22,12 @@ from neqfridge.linalg import (
     IDENTITY_2,
     SIGMA_PLUS,
     charge_sectors,
+    density_matrix_defects,
     dissipator_superop,
-    hermiticity_defect,
     pauli_basis,
     vec,
 )
-from neqfridge.model import resonant_frame, tilde_populations
+from neqfridge.model import _TRIPARTITE, SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, resonant_frame, tilde_populations
 from neqfridge.observables import product_state
 
 from conftest import (
@@ -52,6 +52,7 @@ from conftest import (
     reset_channel,
     sector,
     sector_coords,
+    sector_operator,
     tilde_channel,
     tilde_operator,
     to_dressed,
@@ -112,7 +113,7 @@ class TestResetChannel:
             rho = random_hermitian(rng)
             out = channel.apply(rho)
             assert abs(np.trace(out)) < 1e-12
-            assert hermiticity_defect(out) < 1e-12
+            assert density_matrix_defects(out)[0] < 1e-12
             general = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             assert np.max(np.abs(
                 channel.apply(general).conj().T - channel.apply(general.conj().T)
@@ -231,9 +232,9 @@ class TestFridgeChannel:
         parts = build_generator_parts(p0)
         target_block = random_hermitian(rng, 2)
         fridge_diag = np.diag(rng.uniform(0.1, 1.0, size=4)).astype(complex)
-        rho = np.kron(target_block, fridge_diag)
-        for out in bath_actions(generator_weights(parts), rho)[1:]:
-            blocks = out.reshape(2, 4, 2, 4)
+        rho = np.kron(target_block, fridge_diag)  # charge 0: the fridge part is diagonal
+        for out in bath_actions(generator_weights(parts), sector_coords(rho).real)[1:]:
+            blocks = sector_operator(out).reshape(2, 4, 2, 4)
             for f1 in range(4):
                 for f2 in range(4):
                     if f1 != f2:
@@ -271,13 +272,15 @@ class TestTildeChannel:
     def test_fixed_point(self, p0):
         frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
         pops = tilde_populations(frame, p0.t2, p0.t3, t1=p0.t1)
-        rho0 = to_lab(frame, product_state(pops))
+        rho0 = to_lab(frame, sector_operator(product_state(pops)))
         for nu in (2, 3):
             assert np.max(np.abs(tilde_channel(nu, frame, pops, p0.p).apply(rho0))) < 1e-15
 
 
 class TestStackedChannel:
-    # bath_actions reads the three baths off the stacked dissipator tables
+    # bath_actions reads the three baths off the stacked sector tables; the channels
+    # conserve the charge, so on a probe's sector coordinates they give the sector part
+    # of their action on the whole probe
     def test_apply_matches_loop_reference(self):
         rng = np.random.default_rng(31)
         for params in grid_box_points(31, 5):
@@ -287,26 +290,25 @@ class TestStackedChannel:
                                  (localized_weights(parts), localize(parts))):
                 for _ in range(3):
                     probe = random_hermitian(rng)
-                    got = bath_actions(weights, probe)
+                    got = bath_actions(weights, sector_coords(probe).real)
                     for out, channel in zip(got, (lab.d1, lab.d2, lab.d3)):
                         want = to_dressed(frame, loop_apply(weighted_jumps(channel), to_lab(frame, probe)))
-                        assert np.max(np.abs(out - want)) < 1e-15
+                        assert np.max(np.abs(out - sector_coords(want))) < 1e-15
 
     def test_apply_on_a_stack_matches_one_at_a_time(self, p0):
-        # each bath sums its weighted tables, applied one at a time, and the
-        # three baths with the Hamiltonian's part make up the generator
+        # each bath sums its weighted 64x64 tables, applied one at a time and cut to
+        # the sector, and the three baths with the Hamiltonian's part make up the block
         rng = np.random.default_rng(32)
         parts = build_generator_parts(p0)
         weights, tables = generator_weights(parts), generator_tables()
         probe = random_hermitian(rng)
-        one_at_a_time = [w * (table @ vec(probe)) for w, table in zip(weights, tables)]
-        got = bath_actions(weights, probe)
+        one_at_a_time = [w * sector_coords((table @ vec(probe)).reshape(8, 8, order="F"))
+                         for w, table in zip(weights, tables)]
+        got = bath_actions(weights, sector_coords(probe).real)
         for bath, tables_of_bath in enumerate(((4, 9), (5, 6, 10, 11), (7, 8, 12, 13))):
-            assert np.max(np.abs(vec(got[bath]) - sum(one_at_a_time[k] for k in tables_of_bath))) < 1e-16
-        action = sum(one_at_a_time[:4]) + vec(got.sum(axis=0))
-        # the generator conserves the charge, so its sector block acts on the probe's sector part
-        sector_action = assemble_liouvillian(parts) @ sector_coords(probe)
-        assert np.max(np.abs(sector_coords(action.reshape(8, 8, order="F")) - sector_action)) < 1e-14
+            assert np.max(np.abs(got[bath] - sum(one_at_a_time[k] for k in tables_of_bath))) < 1e-16
+        action = sum(one_at_a_time[:4]) + got.sum(axis=0)
+        assert np.max(np.abs(action - assemble_liouvillian(parts) @ sector_coords(probe))) < 1e-14
 
 
 class TestLiouvillian:
@@ -342,8 +344,7 @@ class TestLiouvillian:
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-        product = product_state(pops)
-        residual = assemble_liouvillian(build_generator_parts(params)) @ sector_coords(product)
+        residual = assemble_liouvillian(build_generator_parts(params)) @ product_state(pops)
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_trace_preserving(self, p0):
@@ -378,10 +379,10 @@ class TestLiouvillian:
         for _ in range(25):
             params = random_feasible(rng)
             parts = build_generator_parts(params)
-            rho = random_hermitian(rng)
-            for out in bath_actions(generator_weights(parts), rho):
+            coords = sector_coords(random_hermitian(rng)).real
+            for out in sector_operator(bath_actions(generator_weights(parts), coords)):
                 assert abs(np.trace(out)) < 1e-12
-                assert hermiticity_defect(out) < 1e-12
+                assert density_matrix_defects(out)[0] < 1e-12
 
 
 # the edges of the parameter domain: no mixing, maximal mixing, no tripartite
@@ -414,15 +415,20 @@ class TestGeneratorTables:
             assert np.count_nonzero(table[between]) == 0
 
     def test_sector_stack_is_the_tables_on_the_charge_0_sector(self):
-        stack, leakage = sector_tables()
-        assert sector_tables()[0] is stack
+        tables = sector_tables()
+        stack = tables.generator
+        assert sector_tables() is tables
         assert stack.shape == (14, 24, 24) and stack.dtype == float
-        assert not stack.flags.writeable
-        assert leakage == 0.0
+        assert not stack.flags.writeable and not tables.hamiltonians.flags.writeable
+        assert tables.leakage == 0.0 and tables.channel_defect == 0.0
         for table, block in zip(generator_tables(), stack):
             projected = sector(table)
             assert np.max(np.abs(projected.imag)) <= 1e-15
             assert np.max(np.abs(projected.real - block)) <= 1e-15
+        # the Hamiltonian's tables, whose commutators are the first four generator tables
+        for h, coords in zip((SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, _TRIPARTITE), tables.hamiltonians):
+            assert np.max(np.abs(sector_coords(h) - coords)) <= 1e-15
+            assert np.max(np.abs(sector_operator(coords) - h)) <= 1e-15
 
     def test_charged_blocks_of_the_dissipators_are_damped(self):
         # the Hermitian part of each charged block of the dissipator tables at
@@ -509,8 +515,8 @@ class TestAgainstTheLabFrame:
         for steady in (oracle.analytic, oracle.numeric):
             lab_residual = np.linalg.norm(lab.apply(to_lab(frame, steady.rho)))
             assert abs(steady.residual - lab_residual) <= 1e-15 * frame.eps2
-        for rho in (oracle.numeric.rho, PROBE):
-            got = bath_actions(generator_weights(parts), rho)
+        for coords in (oracle.numeric.coords, sector_coords(PROBE).real):
+            got = bath_actions(generator_weights(parts), coords)
             for out, channel in zip(got, (lab.d1, lab.d2, lab.d3)):
-                want = to_dressed(frame, channel.apply(to_lab(frame, rho)))
-                assert np.max(np.abs(out - want)) <= 1e-14 * rate
+                want = to_dressed(frame, channel.apply(to_lab(frame, sector_operator(coords))))
+                assert np.max(np.abs(out - sector_coords(want))) <= 1e-14 * rate

@@ -110,7 +110,7 @@ DEFAULTED = {
     "experiments.sweep_fig4.gammas", "experiments.sweep_fig4.points",
     "experiments.sweep_fig5.beta3_hi", "experiments.sweep_fig5.beta3_lo",
     "experiments.sweep_fig5.gammas", "experiments.sweep_fig5.points",
-    "invariants.validate.rng", "invariants.validate.tol",
+    "invariants.validate.tol",
 }
 
 

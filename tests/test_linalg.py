@@ -37,6 +37,7 @@ from conftest import (
     random_hermitian,
     reset_channel,
     sector,
+    sector_operator,
     to_lab,
 )
 
@@ -159,7 +160,7 @@ class TestSteadyNullSpace:
         rho = pauli_null_space(kron_generator(lab_parts(build_generator_parts(params))))
         frame = resonant_frame(params.e1, params.e3, params.gamma)
         pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-        assert np.max(np.abs(rho - to_lab(frame, product_state(pops)))) < 1e-12
+        assert np.max(np.abs(rho - to_lab(frame, sector_operator(product_state(pops))))) < 1e-12
 
     def test_matches_closed_form_at_benchmark(self, p0):
         parts = build_generator_parts(p0)
