@@ -37,10 +37,6 @@ from .observables import (
 )
 from .steadystate import deviation_coefficient
 
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-_ROOT_TOL = 1e-13  # window-endpoint root tolerance
-_SEARCH_TOL = 1e-8  # tolerance of the window-screening and power searches
 # f = E1/T1 - ln(population ratio) rounds to a few ulps of E1/T1 (inside
 # ensemble scan ranges, at most 3.4 eps hi/T1 against mpmath), so a window
 # needs f below this many eps of the range's largest E1/T1, hi/T1
@@ -157,18 +153,52 @@ def log_odds_gap(e1, base: ModelParams):
     return e1 / base.t1 - pops.virtual_log_odds
 
 
-def _chandrupatla(func: BatchFunc, a, b, fa, fb, tol: float) -> np.ndarray:
+def _e1_slopes(e1, base: ModelParams) -> tuple:
+    """E1-derivatives at target gap(s) e1, from one frame and one population pass:
+    f' of :func:`log_odds_gap`, and H = -(N D + E1 (N' D - N D')), which has the
+    sign of dQ1^g/dE1 (N = q1 r~2 q~3 - r1 q~2 r~3 and D are d's numerator and
+    positive denominator, so Q1^g is a positive multiple of -E1 N/D).
+
+    deps3/dE1 = E1/(2 delta_e) - 1/2, deps2/dE1 = deps3/dE1 + 1,
+    d cos^2(theta/2)/dE1 = 2 gamma^2/(delta_e E1^2), and each thermal
+    population has dr/dE = -r (1 - r)/T.
+    """
+    frame = resonant_frame(e1, base.e3, base.gamma)
+    pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
+    c2, s2 = frame.cos_half_sq, frame.sin_half_sq
+    dc2 = 2.0 * base.gamma ** 2 / (frame.delta_e * e1 * e1)
+    deps3 = 0.5 * e1 / frame.delta_e - 0.5
+    slope = lambda r, t: -r * (1.0 - r) / t  # dr/dE
+    r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
+    q1, qt2, qt3 = 1.0 - r1, 1.0 - rt2, 1.0 - rt3
+    dr1 = slope(r1, base.t1)
+    drt2 = dc2 * (pops.r22 - pops.r23) + (deps3 + 1.0) * (c2 * slope(pops.r22, base.t2)
+                                                          + s2 * slope(pops.r23, base.t3))
+    drt3 = dc2 * (pops.r33 - pops.r32) + deps3 * (c2 * slope(pops.r33, base.t3)
+                                                  + s2 * slope(pops.r32, base.t2))
+    f_slope = 1.0 / base.t1 + drt2 / (rt2 * qt2) - drt3 / (rt3 * qt3)
+    n = q1 * rt2 * qt3 - r1 * qt2 * rt3
+    dn = -dr1 * (rt2 * qt3 + qt2 * rt3) + drt2 * (q1 * qt3 + r1 * rt3) - drt3 * (q1 * rt2 + r1 * qt2)
+    g2 = base.g * base.g
+    omega = r1 * qt2 + q1 * rt2 + rt2 * qt3 + qt2 * rt3 + r1 * rt3 + q1 * qt3
+    d = 9.0 * base.p * base.p + (14.0 + 4.0 * omega) * g2
+    dd = 8.0 * g2 * ((rt3 - rt2) * dr1 + (1.0 - r1 - rt3) * drt2 + (r1 - rt2) * drt3)
+    return f_slope, -(n * d + e1 * (dn * d - n * dd))
+
+
+def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
     """Find a sign change in many brackets [a, b] with end values fa, fb at once.
 
     Chandrupatla's method: each step interpolates the inverse function
     quadratically through the last three points where that is safe and
-    bisects otherwise, always keeping a sign bracket; a step moves at least
-    tol/2, so an iterate next to the root is followed by one across it, and
-    a bracket at most 2 tol wide is bisected.  Per bracket, an exact zero
-    ends the search, and a search stops once its bracket is at most tol wide
-    (tol floored at 4 eps times the larger magnitude of the bracket's initial
-    ends) and returns the bracket's midpoint.  On a simple root this takes far
-    fewer evaluations than bisection; near a multiple root the interpolation
+    bisects otherwise, always keeping a sign bracket.  Each bracket's
+    tolerance is 4 eps times the larger magnitude of its initial ends, so
+    the search is the same in any units.  A step moves at least tol/2, so
+    an iterate next to the root is followed by one across it, and a bracket
+    at most 2 tol wide is bisected.  Per bracket, an exact zero ends the
+    search, and a search stops once its bracket is at most tol wide and
+    returns the bracket's midpoint.  On a simple root this takes far fewer
+    evaluations than bisection; near a multiple root the interpolation
     converges only linearly and can take a few more.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
@@ -181,7 +211,7 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb, tol: float) -> np.ndarray:
     # the root from it, p3 the point they replaced
     p1, p2 = np.array([a[idx], fa[idx]]), np.array([b[idx], fb[idx]])
     p3, t, width = p2, np.full(idx.size, 0.5), np.abs(b[idx] - a[idx])
-    tol = np.fmax(tol, 4.0 * np.finfo(float).eps * np.fmax(np.abs(a[idx]), np.abs(b[idx])))
+    tol = 4.0 * np.finfo(float).eps * np.fmax(np.abs(a[idx]), np.abs(b[idx]))
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             wide = width > tol
@@ -205,62 +235,6 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb, tol: float) -> np.ndarray:
             width = np.abs(x2 - x1)
             least = 0.5 * tol / width
             t = np.where(width > 2.0 * tol, np.clip(t, least, 1.0 - least), 0.5)
-
-
-def _brent_max(func: BatchFunc, a, b, tol: float, stop=np.inf) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize on many intervals [a, b] at once by Brent's bounded method.
-
-    Golden-section steps with safeguarded parabolic ones, as in
-    ``scipy.optimize.fminbound``: per interval, x is the best point so far,
-    w the second best and v the one before; a search stops once both
-    bracket ends lie within 2 (sqrt(eps) |x| + tol/3) of x, or as soon as
-    func(x) exceeds ``stop`` (one bound, or one per interval), and returns
-    x and func(x).
-    """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    stop = np.broadcast_to(stop, a.shape)
-    best = np.empty((2, a.size))
-    idx = np.arange(a.size)
-    x = a + _GOLDEN * (b - a)
-    # (point, value) pairs of x, w and v; the values are of -func, which is minimized
-    px = pw = pv = np.array([x, -func(x, idx)])
-    e = rat = np.zeros_like(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            xm = 0.5 * (a + b)
-            tol1 = _SQRT_EPS * np.abs(px[0]) + tol / 3.0
-            wide = (np.abs(px[0] - xm) > 2.0 * tol1 - 0.5 * (b - a)) & ~(px[1] < -stop)
-            if not wide.all():
-                best[:, idx[~wide]] = px[:, ~wide]
-                idx, a, b, px, pw, pv, e, rat, xm, tol1, stop = (
-                    z[..., wide] for z in (idx, a, b, px, pw, pv, e, rat, xm, tol1, stop))
-            if not idx.size:
-                return best[0], -best[1]
-            (x, fx), (w, fw), (v, fv) = px, pw, pv
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            p, q = np.where(q > 0.0, -p, p), np.abs(q)
-            fit = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                   & (p > q * (a - x)) & (p < q * (b - x)))
-            e = np.where(fit, rat, np.where(x >= xm, a - x, b - x))
-            rat = np.where(fit, p / q, _GOLDEN * e)
-            # a parabolic step must not land within 2 tol1 of a bracket end
-            edge = fit & ((x + rat - a < 2.0 * tol1) | (b - x - rat < 2.0 * tol1))
-            rat = np.where(edge, np.where(xm >= x, tol1, -tol1), rat)
-            u = x + np.where(rat >= 0.0, 1.0, -1.0) * np.maximum(np.abs(rat), tol1)
-            pu = np.array([u, -func(u, idx)])
-            better = pu[1] <= fx
-            won, lost = np.where(better, pu, px), np.where(better, px, pu)
-            # the losing point becomes the bracket end on its side
-            low = lost[0] < won[0]
-            a, b = np.where(low, lost[0], a), np.where(low, b, lost[0])
-            shift = better | (pu[1] <= fw) | (w == x)
-            third = (pu[1] <= fv) | (v == x) | (v == w)
-            pv = np.where(shift, pw, np.where(third, lost, pv))
-            pw = np.where(shift, lost, pw)
-            px = won
 
 
 def _raise_first(outcomes: list) -> list:
@@ -313,27 +287,34 @@ def _scan_range(models: ModelParams) -> tuple:
 def _screen_windows(models: ModelParams) -> list:
     """Find a point inside each batch model's cooling window, which brackets both edges.
 
-    f (:func:`log_odds_gap`) is read at both ends of every scan range that
-    :func:`_scan_range` accepts in one call.  Only f below its rounding
-    bound, ``_F_ROUNDING * hi / T1``, is taken as cooling: where neither end
-    is below it, a batched Brent minimization of f stops at its first point
-    that is, and a model whose best point is not has no window.  Per model
-    the result is the error its window search raises, or the pair (left
-    edge is the scan boundary, brackets (a, b, f(a), f(b)) of both edges).
+    f (:func:`log_odds_gap`) is read at both ends and the midpoint of every
+    scan range that :func:`_scan_range` accepts in one call.  Only f below
+    its rounding bound, ``_F_ROUNDING * hi / T1``, is taken as cooling.
+    Where none of the three is below it, f' (:func:`_e1_slopes`) is read at
+    both ends in one call, and where it rises from negative to positive f is
+    read once at its root, the minimum of f; a model without that sign
+    change, or whose minimum is not below the bound, has no window.  Per
+    model the result is the error its window search raises, or the pair
+    (left edge is the scan boundary, brackets (a, b, f(a), f(b)) of both
+    edges).
     """
     lo, hi, out = _scan_range(models)
     index = np.flatnonzero([error is None for error in out])
     models, lo, hi = models.take(index), lo[index], hi[index]
-    f_lo, f_hi = log_odds_gap(np.array([lo, hi]), models)
+    # the midpoint cools in about 95% of fig6's windows, which then need no search
+    points = np.array([lo, 0.5 * (lo + hi), hi])
+    values = log_odds_gap(points, models)
     bound = _F_ROUNDING * hi / models.t1
-    # the lower end is the best point until a search finds a lower one
-    low = f_hi < f_lo
-    x, fx = np.where(low, hi, lo), np.where(low, f_hi, f_lo)
-    search = np.flatnonzero((f_lo >= -bound) & (f_hi >= -bound))
+    best = np.argmin(values, axis=0), np.arange(lo.size)
+    x, fx, (f_lo, _, f_hi) = points[best], values[best], values
+    search = np.flatnonzero(fx >= -bound)
     if search.size:
-        x[search], negative = _brent_max(lambda e1, j: -log_odds_gap(e1, models.take(search[j])),
-                                         lo[search], hi[search], _SEARCH_TOL, stop=bound[search])
-        fx[search] = -negative
+        slope_lo, slope_hi = _e1_slopes(np.array([lo[search], hi[search]]), models.take(search))[0]
+        dips = (slope_lo < 0.0) & (slope_hi > 0.0)
+        dip = search[dips]
+        x[dip] = _chandrupatla(lambda e1, j: _e1_slopes(e1, models.take(dip[j]))[0],
+                               lo[dip], hi[dip], slope_lo[dips], slope_hi[dips])
+        fx[dip] = log_odds_gap(x[dip], models.take(dip))
     columns = (v.tolist() for v in (index, lo, hi, f_lo, f_hi, x, fx, bound, models.gamma, models.g))
     for i, a, b, fa, fb, c, fc, rounding, gamma, g in zip(*columns):
         scanned = f"[{a!r}, {b!r}]"
@@ -355,7 +336,7 @@ def _solve_windows(models: ModelParams, screened: list) -> list:
     # each model's left-edge bracket, then its right-edge one
     pairs = models.take(np.repeat(np.array(found, dtype=int), 2))
     roots = _chandrupatla(lambda x, j: log_odds_gap(x, pairs.take(j)),
-                          *np.array([screened[i][1] for i in found]).reshape(-1, 4).T, _ROOT_TOL)
+                          *np.array([screened[i][1] for i in found]).reshape(-1, 4).T)
     windows = list(screened)
     for i, (left, right) in zip(found, roots.reshape(-1, 2).tolist()):
         windows[i] = CoolingWindow(left, right, left_is_boundary=screened[i][0])
@@ -371,9 +352,8 @@ def cooling_windows(models: ModelParams) -> list:
     f (:func:`log_odds_gap`, which has d's sign) is below its rounding
     bound, f(x) < -8 eps hi/T1, and f >= 0 at the right end; Chandrupatla's
     method finds its edges between x and the ends, and f < 0 at the left end
-    makes that end the left edge.  At g = 0
-    every window is empty.  The root tolerance, 1e-13, is tight enough that
-    the endpoint COP identity holds to better than 1e-10.  A model with
+    makes that end the left edge, each to 4 eps of the larger end of its
+    bracket.  At g = 0 every window is empty.  A model with
     T1 >= T2, an empty range or a frame that fails at the range's low end
     (eps3 <= 0 there) is rejected before any search.  Returns per model its
     :class:`CoolingWindow`, or the :class:`ParameterError` or
@@ -392,11 +372,20 @@ def maximize_cooling_powers(
     models: ModelParams, windows: Sequence[CoolingWindow] | None = None
 ) -> list[MaxPowerResult]:
     """Maximize Q1^g over the whole cooling window of each model of
-    ``models`` (as in :func:`cooling_windows`) and report the COP there."""
+    ``models`` (as in :func:`cooling_windows`) and report the COP there.
+
+    E1* is the root of H (:func:`_e1_slopes`), which has the sign of
+    dQ1^g/dE1, between the window's edges.  H is positive at the left edge,
+    a root of d's numerator N with N' < 0 or, where the window starts at the
+    scan boundary, a point from which Q1^g (which carries a factor E1)
+    rises, and negative at the right edge, a root with N' > 0.
+    """
     models = models.as_batch()
     windows = windows if windows is not None else _raise_first(cooling_windows(models))
-    e1_star, q1g_max = _brent_max(lambda x, j: extracted_current(x, models.take(j)),
-                                  *np.array([(w.left, w.right) for w in windows]).T, _SEARCH_TOL)
+    left, right = np.array([(w.left, w.right) for w in windows]).T
+    h_left, h_right = _e1_slopes(np.array([left, right]), models)[1]
+    e1_star = _chandrupatla(lambda x, j: _e1_slopes(x, models.take(j))[1], left, right, h_left, h_right)
+    q1g_max = extracted_current(e1_star, models)
     eta_g_star = cop_g(resonant_frame(e1_star, models.e3, models.gamma))
     return [
         MaxPowerResult(e1_star=e, q1g_max=q, eta_g_star=eta, window=w)

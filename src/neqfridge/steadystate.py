@@ -18,8 +18,8 @@ point's :class:`~neqfridge.dissipation.GeneratorParts`, built once by
 block whose action on each state's sector coordinates is that state's
 residual.  A state is its 24 real sector coordinates, which the family
 coefficients, the off-family leftover, the currents and the invariants read
-through constant maps; its dressed-frame density matrix is built once, for
-its positivity and the public ``rho`` field.
+through constant maps; its dressed-frame density matrix is built on read,
+for its positivity and the public ``rho`` property.
 """
 
 from __future__ import annotations
@@ -68,15 +68,19 @@ class SteadyDecomposition:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """A steady state, its charge-0 sector ``coords`` and its dressed-frame ``rho``,
-    with its decomposition and solver diagnostics: the norm of the generator's
-    action on it and the largest coefficient it leaves outside the family."""
+    """A steady state, its charge-0 sector ``coords``, with its decomposition and
+    solver diagnostics: the norm of the generator's action on it and the largest
+    coefficient it leaves outside the family."""
 
-    rho: np.ndarray
     coords: np.ndarray
     decomposition: SteadyDecomposition
     residual: float
     off_family_max: float
+
+    @property
+    def rho(self) -> np.ndarray:
+        """The dressed-frame density matrix, contracted from ``coords`` on each read."""
+        return np.tensordot(self.coords, charge_sectors(MACHINE_CHARGES)[0], 1)
 
 
 @cache
@@ -154,8 +158,7 @@ def decompose(coords: np.ndarray) -> tuple[SteadyDecomposition, float]:
 def _result(coords: np.ndarray, decomposition: SteadyDecomposition, off: float,
             block: np.ndarray) -> SteadyStateResult:
     """The state of sector coordinates ``coords``; its residual is the norm of ``block`` @ coords."""
-    rho = np.tensordot(coords, charge_sectors(MACHINE_CHARGES)[0], 1)
-    return SteadyStateResult(rho=rho, coords=coords, decomposition=decomposition,
+    return SteadyStateResult(coords=coords, decomposition=decomposition,
                              residual=float(np.linalg.norm(block @ coords)), off_family_max=off)
 
 

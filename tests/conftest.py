@@ -7,11 +7,13 @@ from functools import reduce
 from itertools import product
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from neqfridge import (
     CoolingWindow,
+    EnsembleSpec,
     ModelParams,
     cooling_window,
     cop_carnot,
@@ -20,7 +22,7 @@ from neqfridge import (
     maximize_cooling_powers,
     resonant_frame,
 )
-from neqfridge.experiments import _brent_max, _chandrupatla
+from neqfridge.experiments import _chandrupatla
 from neqfridge.dissipation import MACHINE_CHARGES, generator_tables
 from neqfridge.model import REFERENCE, Hamiltonians
 from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, charge_sectors
@@ -391,20 +393,47 @@ def golden_max(func, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, func(x)
 
 
+def hot_spec(seed: int) -> EnsembleSpec:
+    """A 400-model ensemble with machine baths at hundreds to thousands of units,
+    where the populations sit near 1/2 and d's numerator cancels."""
+    return EnsembleSpec(n=400, seed=seed, t2_range=(200.0, 2000.0), t3_mult_range=(1.0, 50.0))
+
+
+def mp_closed_forms(e1, params: ModelParams) -> tuple:
+    """f (``log_odds_gap``), Q1^g and d's denominator D at target gap e1 in mpmath
+    at the working precision, from the model's float fields taken exactly."""
+    e1 = mpmath.mpf(e1)
+    e3, gamma, t1, t2, t3, p, g = (mpmath.mpf(float(getattr(params, name)))
+                                   for name in ("e3", "gamma", "t1", "t2", "t3", "p", "g"))
+    r = lambda energy, t: 1 / (1 + mpmath.exp(energy / t))
+    delta_e = mpmath.sqrt(e1 ** 2 - 4 * gamma ** 2)
+    eps3 = e3 + delta_e / 2 - e1 / 2
+    eps2 = eps3 + e1
+    c2 = (1 + delta_e / e1) / 2  # cos^2(theta/2), as cos theta = delta_e/E1
+    rt2 = c2 * r(eps2, t2) + (1 - c2) * r(eps2, t3)
+    rt3 = c2 * r(eps3, t3) + (1 - c2) * r(eps3, t2)
+    r1 = r(e1, t1)
+    q1, qt2, qt3 = 1 - r1, 1 - rt2, 1 - rt3
+    omega = r1 * qt2 + q1 * rt2 + rt2 * qt3 + qt2 * rt3 + r1 * rt3 + q1 * qt3
+    denominator = 9 * p * p + (14 + 4 * omega) * g * g
+    d = 48 * (q1 * rt2 * qt3 - r1 * qt2 * rt3) * p * g / denominator
+    return e1 / t1 - mpmath.log(qt2 * rt3 / (rt2 * qt3)), -g / 4 * d * e1, denominator
+
+
+def mp_power_stationary_point(params: ModelParams, guess: float):
+    """The root of dQ1^g/dE1 next to ``guess``, from 50-digit closed forms."""
+    with mpmath.workdps(50):
+        slope = lambda x: mpmath.diff(lambda y: mp_closed_forms(y, params)[1], x)
+        return mpmath.findroot(slope, mpmath.mpf(guess))
+
+
 # One-element calls of the package's batched searches, for scalar checks.
 
-def find_root(func, a: float, b: float, tol: float = 1e-10) -> float:
+def find_root(func, a: float, b: float) -> float:
     """Root of func in a sign-change bracket [a, b] by the package's
     Chandrupatla search, one evaluation per step."""
     batch = lambda x, _: np.array([func(v) for v in x.tolist()])
-    return float(_chandrupatla(batch, [a], [b], [func(a)], [func(b)], tol)[0])
-
-
-def golden_section_max(func, a: float, b: float, tol: float = 1e-8) -> tuple[float, float]:
-    """Maximizer of a unimodal function on [a, b] and its value, by the
-    package's Brent search, one evaluation per step."""
-    x, fx = _brent_max(lambda x, _: np.array([func(v) for v in x.tolist()]), [a], [b], tol)
-    return float(x[0]), float(fx[0])
+    return float(_chandrupatla(batch, [a], [b], [func(a)], [func(b)])[0])
 
 
 @dataclass(frozen=True)
@@ -415,11 +444,11 @@ class MinCopResult:
 
 
 def minimize_cop(base: ModelParams, tol: float = 1e-8) -> MinCopResult:
-    """Minimize the machine COP over the cooling window of one model by Brent's method."""
+    """Minimize the machine COP over the cooling window of one model by golden section."""
     window = cooling_window(base)
-    e1_star, negative_cop = _brent_max(lambda x, _: -cop_g(resonant_frame(x, base.e3, base.gamma)),
-                                       [window.left], [window.right], tol)
-    return MinCopResult(float(e1_star[0]), -float(negative_cop[0]), window)
+    e1_star, negative_cop = golden_max(lambda x: -cop_g(resonant_frame(x, base.e3, base.gamma)),
+                                       window.left, window.right, tol)
+    return MinCopResult(float(e1_star), -float(negative_cop), window)
 
 
 def per_cell_cells(table: dict[str, np.ndarray], columns) -> dict[str, list[str]]:

@@ -15,7 +15,7 @@ from neqfridge import build_generator_parts, cooling_window, solve_oracle, valid
 from neqfridge.cli import _cells, main, write_csv
 from neqfridge.model import REFERENCE, thermal_population
 
-from conftest import P0, counting, per_cell_cells, per_cell_csv, sector_coords, sector_operator
+from conftest import P0, counting, per_cell_cells, per_cell_csv, sector_coords
 
 # group names of `validate`, in report order
 GROUPS = [
@@ -575,8 +575,7 @@ class TestValidateCommand:
         def with_leftover(block):
             steady = solve(block)
             coords = steady.coords + sector_coords(leftover).real
-            return replace(steady, coords=coords, rho=sector_operator(coords),
-                           off_family_max=steadystate.decompose(coords)[1])
+            return replace(steady, coords=coords, off_family_max=steadystate.decompose(coords)[1])
 
         assert validate(params).groups["oracle_equivalence"]["passed"] is True
         monkeypatch.setattr(steadystate, "numeric_steady_state", with_leftover)

@@ -104,7 +104,6 @@ DEFAULTED = {
     "experiments.EnsembleSpec.gamma_steps", "experiments.EnsembleSpec.max_gamma_step",
     "experiments.EnsembleSpec.seed", "experiments.EnsembleSpec.t2_range",
     "experiments.EnsembleSpec.t3_mult_range",
-    "experiments._brent_max.stop",
     "experiments.maximize_cooling_powers.windows",
     "experiments.sweep_fig3.gammas", "experiments.sweep_fig3.points",
     "experiments.sweep_fig4.gammas", "experiments.sweep_fig4.points",

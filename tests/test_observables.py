@@ -130,7 +130,7 @@ class TestCoolingCondition:
 
             return (tv(2.0 + h) - tv(2.0 - h)) / (2 * h)
 
-        root = find_root(slope, 0.45, 0.4999, tol=1e-10)
+        root = find_root(slope, 0.45, 0.4999)
         assert abs(root - critical_gamma(1.0, 4.0)) < 1e-6
 
 

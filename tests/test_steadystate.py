@@ -22,6 +22,7 @@ from neqfridge.steadystate import decompose, reconstruct_state
 from conftest import (
     P0,
     benchmark_workloads,
+    counting,
     dressed,
     family_operators,
     kron_generator,
@@ -171,6 +172,18 @@ class TestNumericRoute:
         rebuilt = reconstruct_state(decomp)
         assert np.max(np.abs(rebuilt - result.coords)) < 1e-14
         assert np.max(np.abs(sector_operator(rebuilt) - result.rho)) < 1e-14
+
+    def test_solve_builds_no_density_matrix(self, p0, monkeypatch):
+        # a state is its sector coordinates; rho is contracted only when read
+        from neqfridge import steadystate
+
+        parts = build_generator_parts(p0)
+        solve_oracle(parts)  # builds the cached tables and maps
+        calls, _ = counting(monkeypatch, steadystate.charge_sectors)
+        oracle = solve_oracle(parts)
+        assert calls["charge_sectors"] == 0
+        assert np.array_equal(oracle.analytic.rho, sector_operator(oracle.analytic.coords))
+        assert calls["charge_sectors"] == 1
 
     def test_decompose_matches_loop_reference(self, p0):
         # the package reads a dressed-frame state's sector coordinates, the reference
