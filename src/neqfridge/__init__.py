@@ -9,7 +9,7 @@ from .errors import (
     ParameterError,
     ResonanceInfeasibleError,
 )
-from .linalg import steady_null_space, vec
+from .linalg import steady_null_space
 from .model import (
     Frame,
     Hamiltonians,

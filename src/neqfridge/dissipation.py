@@ -9,12 +9,13 @@ the dressed qubits (the "tilde" channels; Hofer et al., NJP 19, 123037
 (2017)).
 
 In the dressed frame every jump is a constant Pauli-string table times a
-prefactor, so the generator is one contraction of the point's weights with
-constant superoperator tables, and each bath's dissipator one sum of the
-tables' actions.  The tables conserve the machine charge n2 + n3, and the
-oracle reads them only on the charge-0 sector, where the steady state lives:
-the 64x64 tables are built and checked once, and every per-point operator is
-a real 24x24 block acting on a state's 24 sector coordinates.
+prefactor, so the generator is a sum of 14 constant terms, each weighted by
+the point: the commutators with the Hamiltonian's four terms and the unit
+dissipators of ten jumps.  The terms conserve the machine charge n2 + n3,
+and the oracle reads them only on the charge-0 sector, where the steady
+state lives: their action on 8x8 operators is read once on the sector's 24
+basis operators, and every per-point operator is a real 24x24 block acting
+on a state's 24 sector coordinates.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (charge_sectors, commutator_superop, coordinates, dissipator_superop, pauli_basis,
-                     pauli_string)
+from .linalg import charge_sectors, coordinates, pauli_basis, pauli_string
 from .model import (
     _TRIPARTITE,
     SIGMA_Z1,
@@ -43,11 +43,13 @@ from .model import (
 # onto the machine eigenbasis leaves them, with prefactors (cos, sin, cos, -sin)
 # of theta/2; bath 2 drives the first two and bath 3 the last two
 _JUMP_STRINGS = np.array([pauli_string("i" + ops) for ops in ("+i", "z+", "i+", "+z")])
-# the raising jumps of the generator tables: the target's, then the machine's
+# the raising jumps of the generator: the target's, then the machine's
 _DRESSED_JUMPS = np.concatenate([pauli_string("+ii")[None], _JUMP_STRINGS])
-# the machine charge n2 + n3 of each basis state |q1 q2 q3>; every table conserves it
+# the Hamiltonian's terms Z1, Z2, Z3 and the tripartite T, at weights E1/2, eps2/2, eps3/2 and g
+_HAMILTONIANS = np.array([SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, _TRIPARTITE])
+# the machine charge n2 + n3 of each basis state |q1 q2 q3>; every term conserves it
 MACHINE_CHARGES = tuple(bin(state & 3).count("1") for state in range(8))
-# which bath (target, 2, 3) each dissipator table belongs to, the raising jumps' and then
+# which bath (target, 2, 3) each dissipator term belongs to, the raising jumps' and then
 # their adjoints', as a (3, 10) indicator (np.equal.outer would cost 0.25 MB at import)
 _BATHS = np.eye(3)[[0, 1, 1, 2, 2] * 2].T
 
@@ -75,24 +77,24 @@ def build_generator_parts(params: ModelParams) -> GeneratorParts:
                           pops=tilde_populations(frame, params.t2, params.t3, t1=params.t1))
 
 
-@cache
-def generator_tables() -> np.ndarray:
-    """The 14 constant dressed-frame superoperators (14, 64, 64), read-only and built on
-    first use: -i[B, .] for B = Z1, Z2, Z3 and the tripartite term T, then the unit
-    dissipators of ``_DRESSED_JUMPS`` and then of their adjoints."""
-    jumps = [*_DRESSED_JUMPS, *_DRESSED_JUMPS.conj().transpose(0, 2, 1)]
-    tables = np.array([*map(commutator_superop, (SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, _TRIPARTITE)),
-                       *map(dissipator_superop, jumps)])
-    tables.flags.writeable = False  # shared by every caller
-    return tables
+def _act(ops: np.ndarray) -> np.ndarray:
+    """The 14 terms of the generator on a stack of operators X (n, 8, 8), as (14, n, 8, 8):
+    -i[B, X] for the Hamiltonian's terms B, then L X L+ - {L+L, X}/2 for each of
+    ``_DRESSED_JUMPS`` and then of their adjoints."""
+    jumps = np.concatenate([_DRESSED_JUMPS, _DRESSED_JUMPS.conj().transpose(0, 2, 1)])[:, None]
+    adjoints, hams = jumps.conj().swapaxes(-1, -2), _HAMILTONIANS[:, None]
+    anti = adjoints @ jumps
+    return np.concatenate([-1j * (hams @ ops - ops @ hams),
+                           jumps @ ops @ adjoints - 0.5 * (anti @ ops + ops @ anti)])
 
 
 class SectorTables(NamedTuple):
-    """The generator tables T_k on the charge-0 sector, T0^+ T_k T0 in the real basis of
-    ``charge_sectors`` (14, 24, 24), the coordinates of the Hamiltonian's tables Z1, Z2, Z3 and
-    T (4, 24), and two checks of the 64x64 tables, each over their largest entry and exactly 0:
-    the largest entry between charge blocks, and the dissipators' largest imaginary part or
-    identity-row entry in the Pauli basis (trace-free, Hermiticity-preserving channels)."""
+    """The generator's terms A_k on the charge-0 sector, tr(B_i A_k(B_j)) on the real basis
+    B_j of ``charge_sectors`` (14, 24, 24), the coordinates of the Hamiltonian's terms Z1, Z2,
+    Z3 and T (4, 24), and two checks of the terms, each over its largest entry and exactly 0:
+    the largest entry of a Hamiltonian term or jump off its own charge shift, and the
+    dissipators' largest anti-Hermitian part or trace on the Pauli strings (trace-free,
+    Hermiticity-preserving channels)."""
 
     generator: np.ndarray
     hamiltonians: np.ndarray
@@ -103,20 +105,24 @@ class SectorTables(NamedTuple):
 @cache
 def sector_tables() -> SectorTables:
     """The :class:`SectorTables`, read-only and built on first use; the solve reads nothing else."""
-    basis, t0, between = charge_sectors(MACHINE_CHARGES)
-    tables = generator_tables()
-    generator = (t0.conj().T @ tables @ t0).real
-    hamiltonians = coordinates(np.array([SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, _TRIPARTITE]), basis)
+    basis = charge_sectors(MACHINE_CHARGES)
+    # a contiguous real copy, which each point's contraction reads in place
+    generator = np.ascontiguousarray(coordinates(_act(basis), basis).transpose(0, 2, 1))
+    hamiltonians = coordinates(_HAMILTONIANS, basis)
     generator.flags.writeable = hamiltonians.flags.writeable = False  # shared by every caller
-    entries, pauli = np.abs(tables), pauli_basis(3)[1]
-    dissipators = pauli.conj().T @ tables[4:] @ pauli
-    defect = max(np.max(np.abs(dissipators.imag)), np.max(np.abs(dissipators[:, 0])))
-    return SectorTables(generator, hamiltonians, float(np.max(entries[:, between]) / np.max(entries)),
+    # the 14 operators' entries |O_cd|, off the charge shift q_c - q_d of each one's largest entry
+    ops = np.abs(np.concatenate([_HAMILTONIANS, _DRESSED_JUMPS, _DRESSED_JUMPS.transpose(0, 2, 1)]))
+    ops, shifts = ops.reshape(len(ops), -1), np.subtract.outer(MACHINE_CHARGES, MACHINE_CHARGES).ravel()
+    off = ops * (shifts != shifts[np.argmax(ops, axis=1)][:, None])
+    dissipators = _act(pauli_basis(3))[4:]
+    defect = max(np.max(np.abs(dissipators - dissipators.conj().swapaxes(-1, -2))),
+                 np.max(np.abs(np.trace(dissipators, axis1=-2, axis2=-1))))
+    return SectorTables(generator, hamiltonians, float(np.max(off) / np.max(ops)),
                         float(defect / np.max(np.abs(dissipators))))
 
 
 def _weights(parts: GeneratorParts, prefactors_sq, populations) -> np.ndarray:
-    """Weights of :func:`generator_tables`: the Hamiltonian's, then p pref^2 r for
+    """Weights of the generator's terms (:func:`_act`): the Hamiltonian's, then p pref^2 r for
     each raising jump (the target reset's, then the machine jumps' ``prefactors_sq``
     and ``populations``) and p pref^2 (1 - r) for its adjoint."""
     params, frame = parts.params, parts.frame

@@ -42,6 +42,8 @@ from .steadystate import deviation_coefficient
 # needs f below this many eps of the range's largest E1/T1, hi/T1
 _F_ROUNDING = 8.0 * np.finfo(float).eps
 _CHUNK = 8  # the fewest draws random_ensemble screens in one round
+# the most rounds a root search may take: fig4, fig6 and maximize take up to 22, bisection 53
+_MAX_ROUNDS = 100
 BatchFunc = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, idx): x for models idx
 
 
@@ -161,7 +163,9 @@ def _e1_slopes(e1, base: ModelParams) -> tuple:
 
     deps3/dE1 = E1/(2 delta_e) - 1/2, deps2/dE1 = deps3/dE1 + 1,
     d cos^2(theta/2)/dE1 = 2 gamma^2/(delta_e E1^2), and each thermal
-    population has dr/dE = -r (1 - r)/T.
+    population has dr/dE = -r (1 - r)/T.  As in ``deviation_coefficient``, p
+    and g are first multiplied by the power of two u that brings the larger
+    below 1, so the H returned is u^2 H: the same sign and root, finite at any g.
     """
     frame = resonant_frame(e1, base.e3, base.gamma)
     pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
@@ -179,9 +183,11 @@ def _e1_slopes(e1, base: ModelParams) -> tuple:
     f_slope = 1.0 / base.t1 + drt2 / (rt2 * qt2) - drt3 / (rt3 * qt3)
     n = q1 * rt2 * qt3 - r1 * qt2 * rt3
     dn = -dr1 * (rt2 * qt3 + qt2 * rt3) + drt2 * (q1 * qt3 + r1 * rt3) - drt3 * (q1 * rt2 + r1 * qt2)
-    g2 = base.g * base.g
+    unit = np.ldexp(1.0, -np.frexp(np.fmax(base.p, base.g))[1])
+    p, g = base.p * unit, base.g * unit
+    g2 = g * g
     omega = r1 * qt2 + q1 * rt2 + rt2 * qt3 + qt2 * rt3 + r1 * rt3 + q1 * qt3
-    d = 9.0 * base.p * base.p + (14.0 + 4.0 * omega) * g2
+    d = 9.0 * p * p + (14.0 + 4.0 * omega) * g2
     dd = 8.0 * g2 * ((rt3 - rt2) * dr1 + (1.0 - r1 - rt3) * drt2 + (r1 - rt2) * drt3)
     return f_slope, -(n * d + e1 * (dn * d - n * dd))
 
@@ -199,7 +205,8 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
     search, and a search stops once its bracket is at most tol wide and
     returns the bracket's midpoint.  On a simple root this takes far fewer
     evaluations than bisection; near a multiple root the interpolation
-    converges only linearly and can take a few more.
+    converges only linearly and can take a few more.  A search still open
+    after ``_MAX_ROUNDS`` evaluations raises a :class:`NeqFridgeError`.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     open_ = (fa != 0.0) & (fb != 0.0)
@@ -213,7 +220,7 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
     p3, t, width = p2, np.full(idx.size, 0.5), np.abs(b[idx] - a[idx])
     tol = 4.0 * np.finfo(float).eps * np.fmax(np.abs(a[idx]), np.abs(b[idx]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
+        for rounds in range(_MAX_ROUNDS + 1):
             wide = width > tol
             if not wide.all():
                 root[idx[~wide]] = 0.5 * (p1[0, ~wide] + p2[0, ~wide])
@@ -221,6 +228,9 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
                 t, tol = t[wide], tol[wide]
             if not idx.size:
                 return root
+            if rounds == _MAX_ROUNDS:
+                raise NeqFridgeError(f"root search still open after {_MAX_ROUNDS} rounds: "
+                                     + ", ".join(map(str, np.sort([p1[0], p2[0]], axis=0).T.tolist())))
             x = p1[0] + t * (p2[0] - p1[0])
             new = np.array([x, func(x, idx)])
             same = np.sign(new[1]) == np.sign(p1[1])

@@ -8,11 +8,12 @@ identities, the channel algebra, the equivalence of the delocalized machine
 dissipators with local channels on the dressed qubits on the steady-state
 family (Hofer et al., NJP 19, 123037 (2017)), the cooling sign chain and the
 zero flow against a fictitious bath at the achieved temperature.  The charge
-symmetry and the channel algebra are properties of the constant tables, read
-once from :func:`neqfridge.dissipation.sector_tables`; every other group
-reads one oracle solve (:func:`neqfridge.steadystate.solve_oracle`) on the
-charge-0 sector coordinates, and every bound is in the unit of what it
-bounds, so a model passes in any units.
+symmetry and the channel algebra are properties of the generator's constant
+operators, checked once by :func:`neqfridge.dissipation.sector_tables`;
+every other group reads one oracle solve
+(:func:`neqfridge.steadystate.solve_oracle`) on the charge-0 sector
+coordinates, and every bound is in the unit of what it bounds, so a model
+passes in any units.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
 """Dense linear algebra on the small fixed dimensions used by the model.
 
 Everything works on plain numpy arrays: 2x2 single-qubit operators, 4x4
-fridge operators, 8x8 three-qubit operators and 64x64 superoperators, the
-last built once, as constant tables.  Operators on several qubits are built
-as Pauli strings, products with one single-qubit factor per qubit.
-Vectorization is column-stacking throughout, so vec(A @ rho @ B) =
-kron(B.T, A) @ vec(rho).  A charge-conserving generator is solved on its
-charge-0 sector, a real matrix in an orthonormal basis of Hermitian
-Pauli-type strings, in which a state is its real coordinates.
+fridge operators and 8x8 three-qubit operators.  Operators on several
+qubits are built as Pauli strings, products with one single-qubit factor
+per qubit.  A charge-conserving generator is solved on its charge-0 sector,
+a real matrix in an orthonormal basis of Hermitian Pauli-type strings, in
+which a state is its real coordinates.
 
 Qubit ordering convention: |q1 q2 q3> with qubit 1 most significant, and
 |0> is the *higher*-energy state of each qubit (sigma_z = |0><0| - |1><1|).
@@ -32,16 +30,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |0><1|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |1><0|
-
-
-_SINGLE_QUBIT = {
-    "i": IDENTITY_2,
-    "x": SIGMA_X,
-    "y": SIGMA_Y,
-    "z": SIGMA_Z,
-    "+": SIGMA_PLUS,
-    "-": SIGMA_MINUS,
-}
+_SINGLE_QUBIT = dict(zip("ixyz+-", (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_PLUS, SIGMA_MINUS)))
 
 
 def pauli_string(labels: str) -> np.ndarray:
@@ -56,71 +45,32 @@ def pauli_string(labels: str) -> np.ndarray:
     return out
 
 
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization, the convention of every superoperator here."""
-    return np.asarray(m, dtype=complex).reshape(-1, order="F")
-
-
-def sandwich_superop(lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> sum_k lefts[k] @ rho @ rights[k] under column-stacking.
-
-    ``lefts`` and ``rights`` are stacks (k, d, d); the matrix is the sum of
-    kron(rights[k].T, lefts[k]), formed as one contraction over k.
-    """
-    lefts = np.asarray(lefts, dtype=complex)
-    rights = np.asarray(rights, dtype=complex)
-    dim = lefts.shape[-1]
-    # entry [(b, a), (d, c)] of kron(B.T, A) is B[d, b] A[a, c]
-    terms = np.tensordot(rights, lefts, axes=(0, 0))
-    return terms.transpose(1, 2, 0, 3).reshape(dim * dim, dim * dim)
-
-
-def commutator_superop(h: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> -i[h, rho] under column-stacking."""
-    h = np.asarray(h, dtype=complex)
-    eye = np.eye(h.shape[0], dtype=complex)
-    return sandwich_superop([-1j * h, eye], [eye, 1j * h])
-
-
-def dissipator_superop(jump: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> L rho L+ - {L+L, rho}/2 under column-stacking, L = ``jump``."""
-    jump = np.asarray(jump, dtype=complex)
-    eye = np.eye(jump.shape[0], dtype=complex)
-    half = -0.5 * jump.conj().T @ jump
-    return sandwich_superop([jump, half, eye], [jump.conj().T, eye, half])
-
-
 @cache
-def pauli_basis(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The d^2 Pauli strings of ``n_qubits`` qubits as a stack (d^2, d, d) and
-    the matrix T whose columns are their vectorizations; T / sqrt(d) is unitary."""
+def pauli_basis(n_qubits: int) -> np.ndarray:
+    """The d^2 Pauli strings of ``n_qubits`` qubits as a read-only stack (d^2, d, d)."""
     strings = np.array([pauli_string("".join(labels)) for labels in product("ixyz", repeat=n_qubits)])
-    t = strings.reshape(len(strings), -1, order="F").T
-    strings.flags.writeable = t.flags.writeable = False  # shared by every caller
-    return strings, t
+    strings.flags.writeable = False  # shared by every caller
+    return strings
 
 
 @cache
-def charge_sectors(charges: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sector of |a><b| with equal ``charges`` q_a = q_b, which a charge-conserving
-    generator maps to itself: its orthonormal Hermitian basis B_j (n0, d, d), the
-    isometry T0 (d^2, n0) of their vectorizations, and the mask of a superoperator's
-    entries between different charge differences.  The B_j are Gram-Schmidt over the
-    Pauli strings cut to the sector, fewest x and y factors first, which keeps
-    coherence noise out of a diagonal kernel."""
+def charge_sectors(charges: tuple[int, ...]) -> np.ndarray:
+    """The orthonormal Hermitian basis B_j (n0, d, d) of the sector of |a><b| with equal
+    ``charges`` q_a = q_b, which a charge-conserving generator maps to itself.  The B_j are
+    Gram-Schmidt over the Pauli strings cut to the sector, fewest x and y factors first,
+    which keeps coherence noise out of a diagonal kernel."""
     q = np.asarray(charges)
     n_qubits = len(q).bit_length() - 1
-    diff = np.subtract.outer(q, q).ravel(order="F")  # at vec position a + d b
     weights = [sum(c in "xy" for c in labels) for labels in product("ixyz", repeat=n_qubits)]
+    # each string flattened column by column, with its entries between charges cut
+    cut = pauli_basis(n_qubits) * np.equal.outer(q, q)
     basis: list[np.ndarray] = []
-    for v in pauli_basis(n_qubits)[1].T[np.argsort(weights, kind="stable")] * (diff == 0):
+    for v in cut.reshape(len(cut), -1, order="F")[np.argsort(weights, kind="stable")]:
         v = v - sum(np.vdot(b, v) * b for b in basis)
         if np.linalg.norm(v) > 1e-9:
             basis.append(v / np.linalg.norm(v))
-    vecs = np.array(basis)
-    out = (vecs.reshape(-1, len(q), len(q)).transpose(0, 2, 1), vecs.T, np.subtract.outer(diff, diff) != 0)
-    for array in out:
-        array.flags.writeable = False  # shared by every caller
+    out = np.array(basis).reshape(-1, len(q), len(q)).transpose(0, 2, 1)
+    out.flags.writeable = False  # shared by every caller
     return out
 
 

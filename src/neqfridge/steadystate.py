@@ -80,7 +80,7 @@ class SteadyStateResult:
     @property
     def rho(self) -> np.ndarray:
         """The dressed-frame density matrix, contracted from ``coords`` on each read."""
-        return np.tensordot(self.coords, charge_sectors(MACHINE_CHARGES)[0], 1)
+        return np.tensordot(self.coords, charge_sectors(MACHINE_CHARGES), 1)
 
 
 @cache
@@ -89,10 +89,10 @@ def family_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the family operators' coordinates (9, 24), the map from a state's coordinates to its
     family coefficients 8 <F_k, rho> / <F_k, F_k> (9, 24), and the map to the 64 Pauli-string
     coefficients of what the family leaves of the state (64, 24)."""
-    basis = charge_sectors(MACHINE_CHARGES)[0]
+    basis = charge_sectors(MACHINE_CHARGES)
     family = coordinates(_FAMILY, basis)
     project = 8.0 * family / np.sum(family ** 2, axis=1, keepdims=True)  # <F_k, F_k> in the sector
-    leftover = coordinates(pauli_basis(3)[0], basis) @ (np.eye(len(basis)) - family.T @ project / 8.0)
+    leftover = coordinates(pauli_basis(3), basis) @ (np.eye(len(basis)) - family.T @ project / 8.0)
     family.flags.writeable = project.flags.writeable = leftover.flags.writeable = False  # shared
     return family, project, leftover
 
@@ -109,8 +109,12 @@ def deviation_coefficient(pops: ThermalPopulations, p: float, g: float) -> float
     d is proportional to the imbalance between the two directions of the
     resonant three-body exchange; its sign decides cooling.  It reads only
     r1 and the two mixed populations, so window and power searches call it
-    without the other seven coefficients.
+    without the other seven coefficients.  d is homogeneous of degree 0 in
+    (p, g), so both are first scaled by the power of two that brings the
+    larger below 1, exactly, which keeps g*g finite at any g.
     """
+    unit = np.ldexp(1.0, -np.frexp(np.fmax(p, g))[1])
+    p, g = p * unit, g * unit
     r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
     q1, qt2, qt3 = 1.0 - r1, 1.0 - rt2, 1.0 - rt3  # ground-state populations
     numerator = 48.0 * (q1 * rt2 * qt3 - r1 * qt2 * rt3) * p * g

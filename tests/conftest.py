@@ -3,7 +3,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from neqfridge import (
     resonant_frame,
 )
 from neqfridge.experiments import _chandrupatla
-from neqfridge.dissipation import MACHINE_CHARGES, generator_tables
+from neqfridge.dissipation import MACHINE_CHARGES
 from neqfridge.model import REFERENCE, Hamiltonians
 from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, charge_sectors
 from neqfridge.steadystate import _FAMILY
@@ -144,19 +144,24 @@ def weighted_jumps(channel) -> list[tuple[np.ndarray, float]]:
     return pairs
 
 
+def vec(m: np.ndarray) -> np.ndarray:
+    """Column-stacking vectorization, the convention of every 64x64 reference here:
+    vec(A @ rho @ B) = kron(B.T, A) @ vec(rho)."""
+    return np.asarray(m).reshape(-1, order="F")
+
+
+def kron_string(labels: str) -> np.ndarray:
+    """The product of one ``SINGLE_QUBIT`` operator per label, built one kron at a time."""
+    return reduce(np.kron, [SINGLE_QUBIT[label] for label in labels])
+
+
 def pauli_null_space(liouvillian: np.ndarray) -> np.ndarray:
     """Kernel state from one real SVD of the whole generator in the Pauli-string
     basis, its strings built one kron at a time: the reference for the
     package's block-by-block solve."""
     d = int(round(np.sqrt(liouvillian.shape[0])))
-    n_qubits = d.bit_length() - 1
-    strings = []
-    for labels in product("ixyz", repeat=n_qubits):
-        string = np.ones((1, 1), dtype=complex)
-        for label in labels:
-            string = np.kron(string, SINGLE_QUBIT[label])
-        strings.append(string)
-    t = np.array([string.reshape(-1, order="F") for string in strings]).T
+    strings = [kron_string("".join(labels)) for labels in product("ixyz", repeat=d.bit_length() - 1)]
+    t = np.array([vec(string) for string in strings]).T
     rotated = t.conj().T @ liouvillian @ t / d
     assert np.max(np.abs(rotated.imag)) <= 1e-12 * np.max(np.abs(rotated.real))
     _, s, vh = np.linalg.svd(rotated.real)
@@ -166,33 +171,63 @@ def pauli_null_space(liouvillian: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().T)
 
 
+@cache
+def kron_tables() -> np.ndarray:
+    """The package's 14 generator terms as 64x64 superoperators from the kron references,
+    in its order: -i[B, .] for B = Z1, Z2, Z3 and T, then the unit dissipators of the
+    raising jumps (the target reset's, then the dressed machine ladders') and of their adjoints."""
+    hams = [*map(kron_string, ("zii", "izi", "iiz")), kron_string("+-+") + kron_string("-+-")]
+    raising = [*map(kron_string, ("+ii", "i+i", "iz+", "ii+", "i+z"))]
+    jumps = raising + [jump.conj().T for jump in raising]
+    tables = np.array([*map(kron_commutator_superop, hams),
+                       *(kron_dissipator_superop(jump, 1.0) for jump in jumps)])
+    tables.flags.writeable = False  # shared by every caller
+    return tables
+
+
 def full_generator(weights: np.ndarray) -> np.ndarray:
     """The whole 64x64 dressed-frame generator at ``weights``, contracted with
-    the package's full tables; the package itself reads only its charge-0 block."""
-    return np.tensordot(weights, generator_tables(), 1)
+    :func:`kron_tables`; the package itself reads only its charge-0 block."""
+    return np.tensordot(weights, kron_tables(), 1)
+
+
+def isometry(basis: np.ndarray) -> np.ndarray:
+    """T0 (d^2, n0), the vectorizations of a sector's basis operators (n0, d, d) as columns."""
+    return np.array([vec(b) for b in basis]).T
 
 
 def sector(superop: np.ndarray) -> np.ndarray:
     """T0^+ S T0: a 64x64 superoperator on the charge-0 sector, in the package's basis."""
-    t0 = charge_sectors(MACHINE_CHARGES)[1]
+    t0 = isometry(charge_sectors(MACHINE_CHARGES))
     return t0.conj().T @ superop @ t0
 
 
 def sector_coords(rho: np.ndarray) -> np.ndarray:
     """T0^+ vec(rho): an operator's coordinates on the charge-0 sector, real for a Hermitian one."""
-    return charge_sectors(MACHINE_CHARGES)[1].conj().T @ rho.reshape(-1, order="F")
+    return isometry(charge_sectors(MACHINE_CHARGES)).conj().T @ vec(rho)
 
 
 def sector_operator(coords: np.ndarray) -> np.ndarray:
     """The 8x8 dressed-frame operator of charge-0 sector coordinates, (..., 24) to (..., 8, 8)."""
-    return np.tensordot(coords, charge_sectors(MACHINE_CHARGES)[0], 1)
+    return np.tensordot(coords, charge_sectors(MACHINE_CHARGES), 1)
+
+
+def charge_differences() -> np.ndarray:
+    """q_a - q_b of the machine charges at each vec position a + 8 b."""
+    return vec(np.subtract.outer(MACHINE_CHARGES, MACHINE_CHARGES))
 
 
 def charged_blocks() -> list:
     """``np.ix_`` indices of the generator blocks of positive charge difference
     q_a - q_b (1, then 2), in vec positions a + 8 b; the block of -c has the same singular values."""
-    diff = np.subtract.outer(MACHINE_CHARGES, MACHINE_CHARGES).ravel(order="F")
+    diff = charge_differences()
     return [np.ix_(*2 * [np.flatnonzero(diff == c)]) for c in (1, 2)]
+
+
+def between_blocks() -> np.ndarray:
+    """The mask of a 64x64 superoperator's entries between different charge differences."""
+    diff = charge_differences()
+    return np.subtract.outer(diff, diff) != 0
 
 
 def loop_apply(jumps, rho: np.ndarray) -> np.ndarray:

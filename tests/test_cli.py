@@ -38,17 +38,15 @@ def _reject_constant(name):
 
 
 @pytest.fixture
-def patched_tables(monkeypatch):
-    """Serve ``dissipation.generator_tables`` from a stack the test edits; the caches
-    built from the tables are cleared before and after, so no other test reads it."""
+def fresh_tables(monkeypatch):
+    """A monkeypatch for the operators of ``dissipation`` or its ``_act``; the caches built
+    from them are cleared before and after, so no other test reads the patched ones."""
     from neqfridge import dissipation, steadystate
 
-    tables = dissipation.generator_tables().copy()
-    monkeypatch.setattr(dissipation, "generator_tables", lambda: tables)
     caches = (dissipation.sector_tables, steadystate.family_action)
     for cached in caches:
         cached.cache_clear()
-    yield tables
+    yield monkeypatch
     for cached in caches:
         cached.cache_clear()
 
@@ -498,6 +496,47 @@ class TestMaximizeCommand:
         assert window["right"] == pytest.approx(scale * unit.right, rel=4e-14, abs=0.0)
 
 
+# the power of the unit in each validate group's max_error: dimensionless, a rate (p),
+# or a current (rate times energy)
+GROUP_POWERS = {name: 0 for name in GROUPS} | {"localization_identity": 1, "first_law": 2,
+                                               "current_route_agreement": 2,
+                                               "tilde_current_identities": 2, "fictitious_bath": 2}
+# the power of the unit in each closed_form_table column
+COLUMN_POWERS = ({name: 1 for name in REFERENCE.as_dict()} | {name: 2 for name in ("q1", "q3", "q1g", "q23")}
+                 | {name: 0 for name in ("d", "eta_g", "eta_tot", "eta_c", "eta_tilde", "coherence")}
+                 | {"tv": 1, "t1s": 1})
+
+
+class TestPowerOfTwoUnits:
+    # every field times lam = 2^k is exact, and so is every result times its power of lam
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        e1=st.floats(0.5, 2.0),
+        e3=st.floats(2.0, 8.0),
+        coupling=st.one_of(st.just(0.0), st.floats(1e-12, 0.49)),  # gamma stays normal at 2^-60
+        t1=st.floats(0.5, 2.0),
+        dt2=st.floats(0.0, 2.0),
+        dt3=st.floats(0.0, 4.0),
+        p=st.floats(0.002, 0.03),
+        g=st.floats(0.002, 0.03),
+        k=st.integers(-60, 60),
+    )
+    def test_validate_and_closed_forms_scale_exactly(self, e1, e3, coupling, t1, dt2, dt3, p, g, k):
+        params = neqfridge.ModelParams(e1=e1, e3=e3, gamma=coupling * e1, t1=t1, t2=t1 + dt2,
+                                       t3=t1 + dt2 + dt3, p=p, g=g)
+        lam = 2.0 ** k
+        scaled = neqfridge.ModelParams(**{name: lam * value for name, value in params.as_dict().items()})
+        base, report = validate(params), validate(scaled)
+        assert report.passed == base.passed
+        for name, group in base.groups.items():
+            assert report.groups[name]["passed"] == group["passed"], name
+            assert report.groups[name]["max_error"] == group["max_error"] * lam ** GROUP_POWERS[name], name
+        table, scaled_table = neqfridge.closed_form_table(params), neqfridge.closed_form_table(scaled)
+        assert set(table) == set(COLUMN_POWERS)
+        for name, column in table.items():
+            np.testing.assert_array_equal(scaled_table[name], column * lam ** COLUMN_POWERS[name], err_msg=name)
+
+
 class TestValidateCommand:
     def test_single_point_passes(self, tmp_path):
         out = tmp_path / "validate.json"
@@ -587,13 +626,16 @@ class TestValidateCommand:
         out = tmp_path / "validate.json"
         assert main(["validate", "--grid", "3", "--seed", "5", "--out", str(out)]) == 0
 
-    def test_charge_breaking_term_fails_charge_symmetry(self, patched_tables, tmp_path):
-        from neqfridge.linalg import commutator_superop, pauli_string
+    def test_charge_breaking_term_fails_charge_symmetry(self, fresh_tables, tmp_path):
+        from neqfridge import dissipation
+        from neqfridge.linalg import pauli_string
 
         # sigma_x on the dressed spiral changes the machine charge n2 + n3 by one; it
-        # joins the tripartite table, and the sector stack is rebuilt from the tables.
+        # joins the tripartite term, and the sector stack is rebuilt from the terms.
         # The solve on the charge-0 sector cannot see such a term, so this group must
-        patched_tables[3] += commutator_superop(0.01 * pauli_string("ixi"))
+        hamiltonians = dissipation._HAMILTONIANS.copy()
+        hamiltonians[3] += 0.01 * pauli_string("ixi")
+        fresh_tables.setattr(dissipation, "_HAMILTONIANS", hamiltonians)
         group = validate(P0).groups["charge_symmetry"]
         out = tmp_path / "steady.json"
         assert main(["steady", "--out", str(out)]) == 0
@@ -601,14 +643,20 @@ class TestValidateCommand:
         assert group["max_error"] > 1e-4
         assert json.loads(out.read_text())["residuals"]["charge_leakage"] == group["max_error"]
 
-    def test_broken_dissipator_fails_channel_algebra(self, patched_tables):
-        from neqfridge.linalg import pauli_string, sandwich_superop
+    def test_broken_dissipator_fails_channel_algebra(self, fresh_tables):
+        from neqfridge import dissipation
+        from neqfridge.linalg import pauli_string
 
         # the target reset's raising jump with its anticommutator half scaled by 1.01 no
-        # longer preserves the trace: its table's identity row in the Pauli basis is not 0
-        jump, eye = pauli_string("+ii"), np.eye(8)
-        half = -0.5 * 1.01 * jump.conj().T @ jump
-        patched_tables[4] = sandwich_superop([jump, half, eye], [jump.conj().T, eye, half])
+        # longer preserves the trace: its dissipator of the identity has a trace
+        anti, act = pauli_string("-ii") @ pauli_string("+ii"), dissipation._act
+
+        def broken(ops):
+            acted = act(ops)
+            acted[4] -= 0.5 * 0.01 * (anti @ ops + ops @ anti)
+            return acted
+
+        fresh_tables.setattr(dissipation, "_act", broken)
         group = validate(P0).groups["channel_algebra"]
         assert group["passed"] is False
         assert group["max_error"] > 1e-3
@@ -758,17 +806,15 @@ class TestGeneratorBuilds:
         assert build_count["build_generator_parts"] == 1
         assert build_count["assemble_liouvillian"] == 1
 
-    def test_no_point_reads_the_64x64_tables(self, monkeypatch, tmp_path):
+    def test_no_point_acts_on_operators(self, monkeypatch, tmp_path):
         # after one solve has built the sector tables, steady and validate read only them
-        from neqfridge.dissipation import generator_tables
+        from neqfridge import dissipation
 
-        def unread():
-            raise AssertionError("the 64x64 generator tables were read")
+        def unread(ops):
+            raise AssertionError("the generator's terms were applied to operators")
 
         solve_oracle(build_generator_parts(P0))
-        for name, module in list(sys.modules.items()):
-            if name.startswith("neqfridge") and getattr(module, "generator_tables", None) is generator_tables:
-                monkeypatch.setattr(module, "generator_tables", unread)
+        monkeypatch.setattr(dissipation, "_act", unread)
         assert main(["steady", "--g", "0.02", "--out", str(tmp_path / "steady.json")]) == 0
         assert main(["validate", "--g", "0.02", "--out", str(tmp_path / "validate.json")]) == 0
 
@@ -806,6 +852,17 @@ class TestDegeneracyPerBlock:
 
 
 class TestExitCodes:
+    def test_open_root_search_maps_to_4(self, monkeypatch, tmp_path, capsys):
+        from neqfridge import experiments
+
+        # the reference's searches take up to about ten rounds
+        monkeypatch.setattr(experiments, "_MAX_ROUNDS", 3)
+        assert main(["maximize", "--out", str(tmp_path / "x.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: root search still open after 3 rounds: [")
+        lo, hi = map(float, err[err.index("[") + 1:err.index("]")].split(", "))
+        assert 0.0 < lo < hi
+
     def test_degenerate_solver_maps_to_3(self, monkeypatch, tmp_path):
         from neqfridge import cli
         from neqfridge.errors import DegenerateSteadyStateError
@@ -853,7 +910,6 @@ class TestParserReuse:
     def test_import_does_not_build_the_tables(self):
         code = ("import neqfridge.cli, neqfridge.dissipation as d, neqfridge.steadystate as s, "
                 "neqfridge.linalg as l; "
-                "assert d.generator_tables.cache_info().currsize == 0; "
                 "assert d.sector_tables.cache_info().currsize == 0; "
                 "assert s.family_maps.cache_info().currsize == 0; "
                 "assert s.family_action.cache_info().currsize == 0; "

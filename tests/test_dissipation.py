@@ -8,25 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from neqfridge import ModelParams, assemble_liouvillian, heat_currents, numeric_steady_state, solve_oracle
 from neqfridge.dissipation import (
-    _DRESSED_JUMPS,
     _JUMP_STRINGS,
-    MACHINE_CHARGES,
+    _act,
     bath_actions,
     build_generator_parts,
-    generator_tables,
     generator_weights,
     localized_weights,
     sector_tables,
 )
-from neqfridge.linalg import (
-    IDENTITY_2,
-    SIGMA_PLUS,
-    charge_sectors,
-    density_matrix_defects,
-    dissipator_superop,
-    pauli_basis,
-    vec,
-)
+from neqfridge.linalg import IDENTITY_2, SIGMA_PLUS, density_matrix_defects, pauli_basis
 from neqfridge.model import _TRIPARTITE, SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, resonant_frame, tilde_populations
 from neqfridge.observables import product_state
 
@@ -35,6 +25,7 @@ from conftest import (
     P0,
     LindbladChannel,
     benchmark_workloads,
+    between_blocks,
     channel_superop,
     charged_blocks,
     dressed,
@@ -43,6 +34,7 @@ from conftest import (
     jump_operator_set,
     kron_commutator_superop,
     kron_generator,
+    kron_tables,
     lab_hamiltonians,
     lab_heat_currents,
     lab_parts,
@@ -58,6 +50,7 @@ from conftest import (
     to_dressed,
     to_lab,
     unitary,
+    vec,
     weighted_jumps,
 )
 
@@ -171,11 +164,11 @@ class TestJumpOperators:
             # in the dressed frame each jump is its table's string times its prefactor
             expected = np.reshape(prefactors, (4, 1, 1)) * _JUMP_STRINGS
             assert np.max(np.abs(to_dressed(frame, jumps) - expected)) < 1e-15
-        # the tables pair each raising jump with its adjoint as the lowering one
-        tables = generator_tables()
-        for k, jump in enumerate(_DRESSED_JUMPS):
-            assert np.array_equal(tables[4 + k], dissipator_superop(jump))
-            assert np.array_equal(tables[9 + k], dissipator_superop(jump.conj().T))
+        # the generator's terms pair each raising jump with its adjoint as the lowering one
+        probes = np.array([random_hermitian(rng), rng.standard_normal((8, 8)) + 0j])
+        for table, acted in zip(kron_tables(), _act(probes)):
+            for probe, out in zip(probes, acted):
+                assert np.max(np.abs(vec(out) - table @ vec(probe))) <= 1e-15
 
     def test_eigenoperator_frequencies(self):
         rng = np.random.default_rng(13)
@@ -296,14 +289,13 @@ class TestStackedChannel:
                         assert np.max(np.abs(out - sector_coords(want))) < 1e-15
 
     def test_apply_on_a_stack_matches_one_at_a_time(self, p0):
-        # each bath sums its weighted 64x64 tables, applied one at a time and cut to
-        # the sector, and the three baths with the Hamiltonian's part make up the block
+        # each bath sums its weighted terms, applied one at a time and cut to the
+        # sector, and the three baths with the Hamiltonian's part make up the block
         rng = np.random.default_rng(32)
         parts = build_generator_parts(p0)
-        weights, tables = generator_weights(parts), generator_tables()
+        weights = generator_weights(parts)
         probe = random_hermitian(rng)
-        one_at_a_time = [w * sector_coords((table @ vec(probe)).reshape(8, 8, order="F"))
-                         for w, table in zip(weights, tables)]
+        one_at_a_time = [w * sector_coords(out) for w, out in zip(weights, _act(probe[None])[:, 0])]
         got = bath_actions(weights, sector_coords(probe).real)
         for bath, tables_of_bath in enumerate(((4, 9), (5, 6, 10, 11), (7, 8, 12, 13))):
             assert np.max(np.abs(got[bath] - sum(one_at_a_time[k] for k in tables_of_bath))) < 1e-16
@@ -320,8 +312,8 @@ class TestLiouvillian:
         for params in grid_box_points(33, 20):
             parts = build_generator_parts(params)
             if localized:
-                got = np.tensordot(localized_weights(parts), generator_tables(), 1)
-                want = dressed(kron_generator(localize(parts)), parts.frame)
+                got = np.tensordot(localized_weights(parts), sector_tables().generator, 1)
+                want = sector(dressed(kron_generator(localize(parts)), parts.frame))
             else:
                 got = assemble_liouvillian(parts)
                 want = sector(dressed(kron_generator(lab_parts(parts)), parts.frame))
@@ -393,12 +385,6 @@ EDGE_POINTS = [replace(P0, gamma=0.0), replace(P0, gamma=0.5 * P0.e1), replace(P
 
 
 class TestGeneratorTables:
-    def test_shared_read_only_stack(self):
-        tables = generator_tables()
-        assert tables is generator_tables()
-        assert tables.shape == (14, 64, 64)
-        assert not tables.flags.writeable
-
     @pytest.mark.parametrize("params", grid_box_points(34, 8) + EDGE_POINTS)
     def test_dressed_generator_matches_rotated_kron_reference(self, params):
         parts = build_generator_parts(params)
@@ -408,9 +394,12 @@ class TestGeneratorTables:
     def test_frozen_edge_freezes_the_engine_bath(self):
         assert build_generator_parts(EDGE_POINTS[-1]).pops.r33 == 0.0
 
-    def test_each_table_conserves_the_charge_difference(self):
-        between = charge_sectors(MACHINE_CHARGES)[-1]
-        for table in generator_tables():
+    def test_each_term_conserves_the_charge_difference(self):
+        # on every |a><b| the terms leave only operators of the charge difference q_a - q_b
+        between = between_blocks()
+        units = np.eye(64).reshape(64, 8, 8).transpose(0, 2, 1)  # unit at vec position a + 8 b
+        for acted in _act(units):
+            table = np.array([vec(out) for out in acted]).T
             assert np.count_nonzero(table) > 0
             assert np.count_nonzero(table[between]) == 0
 
@@ -421,7 +410,7 @@ class TestGeneratorTables:
         assert stack.shape == (14, 24, 24) and stack.dtype == float
         assert not stack.flags.writeable and not tables.hamiltonians.flags.writeable
         assert tables.leakage == 0.0 and tables.channel_defect == 0.0
-        for table, block in zip(generator_tables(), stack):
+        for table, block in zip(kron_tables(), stack):
             projected = sector(table)
             assert np.max(np.abs(projected.imag)) <= 1e-15
             assert np.max(np.abs(projected.real - block)) <= 1e-15
@@ -444,10 +433,11 @@ class TestGeneratorTables:
         c2, s2 = np.cos(0.5 * theta) ** 2, np.sin(0.5 * theta) ** 2
         rates = np.stack([np.ones_like(theta), c2, s2, c2, s2], axis=1)
         weights = np.concatenate([rates * pops, rates * (1.0 - pops)], axis=1)
+        tops = []
         for block in charged_blocks():
-            acted = np.tensordot(weights, generator_tables()[4:][(slice(None), *block)], 1)
-            top = np.linalg.eigvalsh(0.5 * (acted + acted.conj().transpose(0, 2, 1)))[:, -1]
-            assert np.max(top) <= -(1.5 - math.sqrt(2.0)) + 1e-14
+            acted = np.tensordot(weights, kron_tables()[4:][(slice(None), *block)], 1)
+            tops.append(np.max(np.linalg.eigvalsh(0.5 * (acted + acted.conj().transpose(0, 2, 1)))))
+        assert abs(max(tops) + (1.5 - math.sqrt(2.0))) <= 1e-14
 
     def test_charged_blocks_are_far_from_singular(self):
         # the Hamiltonian part is anti-Hermitian, so the dissipators' bound holds
@@ -460,10 +450,11 @@ class TestGeneratorTables:
                 smallest = np.linalg.svd(generator[block], compute_uv=False)[-1]
                 assert smallest >= (1.5 - math.sqrt(2.0)) * parts.params.p, point
 
-    def test_each_table_is_real_in_the_pauli_basis(self):
-        _, t = pauli_basis(3)
-        for table in generator_tables():
-            pauli = t.conj().T @ table @ t / 8
+    def test_each_term_is_real_in_the_pauli_basis(self):
+        # tr(P_a A_k(P_b)) / 8 on the Pauli strings P
+        strings = pauli_basis(3)
+        for acted in _act(strings):
+            pauli = np.einsum("aji,bij->ab", strings, acted) / 8
             assert np.max(np.abs(pauli.real)) > 0.0
             assert np.max(np.abs(pauli.imag)) == 0.0
 

@@ -456,8 +456,12 @@ class TestSlopes:
         with mpmath.workdps(50):
             exact_f = mpmath.diff(lambda x: mp_closed_forms(x, params)[0], e1)
             exact_q = mpmath.diff(lambda x: mp_closed_forms(x, params)[1], e1)
-            # Q1^g = -12 p g^2 E1 N / D, so H = dQ1^g/dE1 D^2 / (12 p g^2)
-            exact_h = exact_q * mp_closed_forms(e1, params)[2] ** 2 / (12 * params.p * params.g ** 2)
+            # Q1^g = -12 p g^2 E1 N / D, so H = dQ1^g/dE1 D^2 / (12 p g^2); _e1_slopes
+            # returns it at p and g times the power of two u below which max(p, g) falls,
+            # which is u^2 H
+            unit = math.ldexp(1.0, -math.frexp(max(params.p, params.g))[1])
+            exact_h = (exact_q * mp_closed_forms(e1, params)[2] ** 2 / (12 * params.p * params.g ** 2)
+                       * unit ** 2)
         assert abs(f_slope - exact_f) <= 1e-9 * abs(exact_f)
         assert abs(h - exact_h) <= 1e-9 * abs(exact_h)
 
@@ -516,6 +520,14 @@ class TestScaleFree:
     @pytest.mark.parametrize("k", [-60, -30, -10, 10, 20, 30, 60])
     def test_reference_in_power_of_two_units(self, k):
         _assert_scale_free(REFERENCE, k)
+
+    def test_huge_coupling_neither_overflows_nor_moves_the_maximum(self):
+        # p and g enter d and H at the power of two that brings the larger below 1, so
+        # g*g stays finite (a RuntimeWarning is an error here) and g = 1e300 acts as g = 1e10
+        huge, large = (maximize_cooling_power(replace(REFERENCE, g=g)) for g in (1e300, 1e10))
+        assert huge.window == large.window
+        assert huge.e1_star == pytest.approx(large.e1_star, rel=4e-15, abs=0.0)
+        assert huge.q1g_max == pytest.approx(large.q1g_max, rel=4e-15, abs=0.0)
 
     # the box of `validate --grid`; 42 of the 100 draws have a window
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)

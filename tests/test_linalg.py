@@ -10,7 +10,6 @@ from neqfridge import (
     solve_oracle,
     steady_null_space,
     thermal_population,
-    vec,
 )
 from neqfridge.linalg import (
     IDENTITY_2,
@@ -18,9 +17,7 @@ from neqfridge.linalg import (
     SIGMA_PLUS,
     SIGMA_Z,
     charge_sectors,
-    commutator_superop,
     density_matrix_defects,
-    dissipator_superop,
     pauli_basis,
     pauli_string,
 )
@@ -28,9 +25,13 @@ from neqfridge.dissipation import MACHINE_CHARGES
 from neqfridge.model import resonant_frame, tilde_populations
 
 from conftest import (
+    between_blocks,
     channel_superop,
     charged_blocks,
     full_generator,
+    isometry,
+    kron_commutator_superop,
+    kron_dissipator_superop,
     kron_generator,
     lab_parts,
     pauli_null_space,
@@ -39,6 +40,7 @@ from conftest import (
     sector,
     sector_operator,
     to_lab,
+    vec,
 )
 
 
@@ -102,35 +104,32 @@ class TestPartialTrace:
 
 
 class TestVectorization:
+    # the column-stacking convention of the tests' kron-built 64x64 references
     def test_column_stacking_convention(self):
         rng = np.random.default_rng(4)
         a, x, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3))
         assert np.allclose(np.kron(b.T, a) @ vec(x), vec(a @ x @ b))
 
-    def test_commutator_superop(self):
+    def test_kron_commutator_superop(self):
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 4)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.allclose(commutator_superop(h) @ vec(x), vec(-1j * (h @ x - x @ h)))
+        assert np.allclose(kron_commutator_superop(h) @ vec(x), vec(-1j * (h @ x - x @ h)))
 
-    def test_dissipator_superop(self):
+    def test_kron_dissipator_superop(self):
         rng = np.random.default_rng(6)
         jump = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         x = random_hermitian(rng, 4)
-
-        def dissipator(op, weight):
-            anti = op.conj().T @ op
-            return weight * (op @ x @ op.conj().T - 0.5 * (anti @ x + x @ anti))
-
-        direct = dissipator(jump, 0.7 * 0.3) + dissipator(jump.conj().T, 0.7 * (1.0 - 0.3))
-        superop = 0.7 * 0.3 * dissipator_superop(jump) + 0.7 * (1.0 - 0.3) * dissipator_superop(jump.conj().T)
-        assert np.allclose(superop @ vec(x), vec(direct))
+        anti = jump.conj().T @ jump
+        direct = 0.7 * (jump @ x @ jump.conj().T - 0.5 * (anti @ x + x @ anti))
+        assert np.allclose(kron_dissipator_superop(jump, 0.7) @ vec(x), vec(direct))
 
 
 def sector_solve(generator: np.ndarray, charges: tuple[int, ...]) -> np.ndarray:
     """The trace-one kernel state of a charge-conserving generator, from the
     package's real SVD of its charge-0 block in the basis of ``charge_sectors``."""
-    strings, t0, _ = charge_sectors(charges)
+    strings = charge_sectors(charges)
+    t0 = isometry(strings)
     block = t0.conj().T @ generator @ t0
     assert np.max(np.abs(block.imag)) <= 1e-15 * np.max(np.abs(block.real))
     rho = np.tensordot(steady_null_space(block.real), strings, 1)
@@ -197,12 +196,12 @@ def _reset_generator(n_qubits):
 
 class TestPauliBasis:
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
-    def test_columns_are_orthogonal_vectorized_strings(self, n_qubits):
-        strings, t = pauli_basis(n_qubits)
+    def test_strings_are_orthogonal_and_read_only(self, n_qubits):
+        strings = pauli_basis(n_qubits)
         d = 2 ** n_qubits
-        assert np.array_equal(t.conj().T @ t, d * np.eye(d * d))
-        for b in (0, 1, d * d - 1):
-            assert np.array_equal(t[:, b], vec(strings[b]))
+        assert strings.shape == (d * d, d, d) and not strings.flags.writeable
+        assert np.array_equal(np.einsum("aji,bji->ab", strings.conj(), strings), d * np.eye(d * d))
+        assert np.array_equal(strings[1], pauli_string("i" * (n_qubits - 1) + "x"))
 
     @pytest.mark.parametrize("case", ["p0_dressed", "p0_lab", "reset_2", "reset_1"])
     def test_real_generator_keeps_the_singular_values(self, p0, case):
@@ -213,7 +212,7 @@ class TestPauliBasis:
         else:
             generator = _reset_generator(int(case[-1]))
         n_qubits = (generator.shape[0].bit_length() - 1) // 2
-        _, t = pauli_basis(n_qubits)
+        t = isometry(pauli_basis(n_qubits))
         real = t.conj().T @ generator @ t / 2 ** n_qubits
         assert np.max(np.abs(real.imag)) <= 1e-12 * np.max(np.abs(real.real))
         s_real = np.linalg.svd(real.real, compute_uv=False)
@@ -246,7 +245,7 @@ class TestChargeBlocks:
     def test_blocks_hold_every_singular_value(self, p0, frame):
         parts = build_generator_parts(p0)
         generator = full_generator(parts.weights) if frame == "dressed" else kron_generator(lab_parts(parts))
-        _, _, between = charge_sectors(MACHINE_CHARGES)
+        between = between_blocks()
         block0 = assemble_liouvillian(parts) if frame == "dressed" else sector(generator)
         assert [generator[block].shape for block in charged_blocks()] == [(16, 16), (4, 4)]
         assert np.max(np.abs(generator[between])) <= 1e-15 * np.max(np.abs(generator))
@@ -260,8 +259,9 @@ class TestChargeBlocks:
         assert np.max(np.abs(union - full)) <= 1e-12 * full[0]
 
     def test_charge_sector_basis_is_pauli_type(self):
-        strings, t0, _ = charge_sectors(MACHINE_CHARGES)
-        assert t0.shape == (64, 24)
+        strings = charge_sectors(MACHINE_CHARGES)
+        t0 = isometry(strings)
+        assert t0.shape == (64, 24) and not strings.flags.writeable
         assert np.allclose(t0.conj().T @ t0, np.eye(24), atol=1e-15)
         machine = [pauli_string(labels) for labels in ("ii", "iz", "zi", "zz")]
         machine += [(pauli_string("xx") + pauli_string("yy")) / np.sqrt(2),
