@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 from functools import cache
@@ -58,11 +60,21 @@ def _plain(obj):
     return obj
 
 
+def _write(path: str | Path, text: str) -> None:
+    """Overwrite ``path`` with ``text`` in place.  Truncating a file to zero before
+    rewriting it makes ext4 flush it on close, so a regular file is cut to the new
+    length after the write instead; a device, FIFO or pipe cannot be cut, and is not."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode())
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _emit(report: dict, out: str | None) -> None:
     """Write a report as strict JSON to ``out``, or to stdout."""
     text = json.dumps(_plain(report), indent=2, allow_nan=False)
     if out:
-        Path(out).write_text(text + "\n")
+        _write(out, text + "\n")
     else:
         print(text)
 
@@ -91,7 +103,7 @@ def write_csv(path: Path, metadata: dict, columns: list[str], cells: dict[str, l
     lines.append(f"# columns: {','.join(columns)}")
     lines.append(",".join(columns))
     lines += map(",".join, zip(*(cells[col] for col in columns)))
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _load_config(path: str) -> dict[str, float]:
@@ -262,7 +274,7 @@ def cmd_validate(args) -> int:
     if seed < 0:
         raise ParameterError(f"validate --seed must be nonnegative, got {seed}")
     points = [_resolve_params(args) if single else REFERENCE]
-    rng = np.random.default_rng(seed)
+    rng = None if single else np.random.default_rng(seed)
     for _ in range(0 if single else grid - 1):
         e1 = rng.uniform(0.5, 2.0)
         points.append(ModelParams(

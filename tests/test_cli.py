@@ -390,6 +390,104 @@ class TestCsvWriter:
         self._same_bytes(tmp_path, table, ["x", "near_bound"])
 
 
+# one command per kind of output file, with the files it writes under --out
+WRITERS = {
+    "steady": (["steady", "--gamma", "0.3"], ["out.json"]),
+    "validate": (["validate", "--gamma", "0.3"], ["out.json"]),
+    "maximize": (["maximize", "--gamma", "0.2"], ["out.json"]),
+    "fig3": (["figure", "fig3", "--points", "5"], ["fig3a.csv", "fig3b.csv"]),
+    "sweep": (["sweep", "--axis", "e1", "--lo", "0.7", "--hi", "3", "--points", "5"], ["out.csv"]),
+    "ensemble": (["ensemble", "--n", "3"], ["out.csv"]),
+}
+
+
+def _run_writer(name, outdir):
+    """Run a ``WRITERS`` command into ``outdir``; the bytes of each file it writes."""
+    argv, files = WRITERS[name]
+    out = outdir if argv[0] == "figure" else outdir / files[0]
+    assert main([*argv, "--out", str(out)]) == 0
+    return {file: (outdir / file).read_bytes() for file in files}
+
+
+class TestOutputFiles:
+    """Outputs are overwritten in place: the bytes of a fresh write, whatever was there."""
+
+    @pytest.mark.parametrize("name", ["steady", "validate", "fig3", "sweep"])
+    @pytest.mark.parametrize("old", [b"x" * 100_000, b"#\n"], ids=["longer", "shorter"])
+    def test_overwrite_leaves_the_bytes_of_a_fresh_write(self, tmp_path, name, old):
+        (fresh := tmp_path / "fresh").mkdir()
+        (over := tmp_path / "over").mkdir()
+        expected = _run_writer(name, fresh)
+        for file in expected:
+            (over / file).write_bytes(old)
+        assert _run_writer(name, over) == expected
+
+    def test_no_output_opens_with_truncation(self, monkeypatch, tmp_path):
+        flags = []
+        real_open = neqfridge.cli.os.open
+
+        def recording(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(neqfridge.cli.os, "open", recording)
+        for name in WRITERS:
+            (tmp_path / name).mkdir()
+            _run_writer(name, tmp_path / name)
+        # one open per output file (`write_text` opens through `io`, not `os`), none truncating
+        assert len(flags) == sum(len(files) for _, files in WRITERS.values())
+        assert not any(flag & os.O_TRUNC for flag in flags)
+
+    def test_dev_null_exits_0(self):
+        assert main(["steady", "--out", os.devnull]) == 0
+
+    def test_pipe_and_fifo_receive_the_whole_report(self, tmp_path):
+        expected = _run_writer("steady", tmp_path)["out.json"]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open without blocking
+        read_end, write_end = os.pipe()
+        try:
+            for target in (fifo, f"/dev/fd/{write_end}"):
+                assert main([*WRITERS["steady"][0], "--out", str(target)]) == 0
+            os.close(write_end)
+            # the report is far below the pipe buffer, so both are whole before the reads
+            assert os.read(reader, 1 << 20) == expected
+            assert os.read(read_end, 1 << 20) == expected
+        finally:
+            os.close(reader)
+            os.close(read_end)
+
+    def test_directory_as_json_output_exits_2(self, tmp_path, capsys):
+        assert main(["steady", "--out", str(tmp_path)]) == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_existing_file_keeps_its_mode_and_inode(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("old\n")
+        out.chmod(0o600)
+        before = out.stat()
+        _run_writer("steady", tmp_path)
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            _run_writer("steady", tmp_path)
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "out.json").stat().st_mode & 0o777 == 0o640
+
+    def test_symlinked_output_writes_through_to_its_target(self, tmp_path):
+        expected = _run_writer("steady", tmp_path)["out.json"]
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * 10_000)
+        link.symlink_to(target)
+        assert main([*WRITERS["steady"][0], "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == expected
+
+
 # values that a per-value cache must keep apart or may confuse: both zeros,
 # NaNs with other payloads and signs, infinities, subnormals and huge values
 EDGE_FLOATS = np.concatenate([
@@ -740,6 +838,15 @@ class TestValidateCommand:
         assert capsys.readouterr().err == (
             "error: validate with parameter flags or --config does not read --seed\n")
         assert not out.exists()
+
+    def test_single_point_draws_no_generator(self, monkeypatch, tmp_path):
+        def drawn(seed):
+            raise AssertionError(f"a generator was drawn from seed {seed}")
+
+        monkeypatch.setattr(neqfridge.cli.np.random, "default_rng", drawn)
+        assert main(["validate", "--gamma", "0.3", "--out", str(tmp_path / "v.json")]) == 0
+        with pytest.raises(AssertionError, match="seed 7"):
+            main(["validate", "--grid", "2", "--out", str(tmp_path / "v.json")])
 
     def test_default_seed_is_7(self, tmp_path):
         default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
