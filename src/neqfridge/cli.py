@@ -168,7 +168,6 @@ def cmd_steady(args) -> int:
             "analytic": analytic.residual,
             "numeric": numeric.residual,
             "max_coefficient_delta": oracle.max_delta,
-            "off_family_max": numeric.off_family_max,
             "charge_leakage": sector_tables().leakage,
         },
         "currents": {

@@ -1,4 +1,4 @@
-"""The dissipators and the full generator, in the dressed frame.
+"""The dissipators and the generator on the steady family, in the dressed frame.
 
 The target bath acts through a local reset on qubit 1.  Baths 2 and 3 act
 on the strongly coupled machine through jumps that are eigenoperators of the
@@ -11,11 +11,17 @@ the dressed qubits (the "tilde" channels; Hofer et al., NJP 19, 123037
 In the dressed frame every jump is a constant Pauli-string table times a
 prefactor, so the generator is a sum of 14 constant terms, each weighted by
 the point: the commutators with the Hamiltonian's four terms and the unit
-dissipators of ten jumps.  The terms conserve the machine charge n2 + n3,
-and the oracle reads them only on the charge-0 sector, where the steady
-state lives: their action on 8x8 operators is read once on the sector's 24
-basis operators, and every per-point operator is a real 24x24 block acting
-on a state's 24 sector coordinates.
+dissipators of ten jumps.  Every term conserves two charges, the machine's
+n2 + n3 and n1 + n2, so the ten operators neutral under both (the eight Z
+products and the two quadratures X and Y of |010><101|) map among
+themselves.  There the free Hamiltonian's terms are one table, Z1 = -Z2 =
+Z3, at the weight (E1 - eps2 + eps3)/2 that resonance makes zero, and the
+other 11 terms keep the steady state's nine-operator family (the identity,
+the seven Z products and Y) invariant without touching X, the tripartite
+term's own quadrature.  So the oracle reads those 11 terms on the family
+only: their action on 8x8 operators is read once on its nine normalised
+operators, and every per-point operator is a real 9x9 block acting on a
+state's nine family coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import charge_sectors, coordinates, pauli_basis, pauli_string
+from .linalg import coordinates, pauli_basis, pauli_string
 from .model import (
     _TRIPARTITE,
     SIGMA_Z1,
@@ -47,8 +53,19 @@ _JUMP_STRINGS = np.array([pauli_string("i" + ops) for ops in ("+i", "z+", "i+", 
 _DRESSED_JUMPS = np.concatenate([pauli_string("+ii")[None], _JUMP_STRINGS])
 # the Hamiltonian's terms Z1, Z2, Z3 and the tripartite T, at weights E1/2, eps2/2, eps3/2 and g
 _HAMILTONIANS = np.array([SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, _TRIPARTITE])
-# the machine charge n2 + n3 of each basis state |q1 q2 q3>; every term conserves it
-MACHINE_CHARGES = tuple(bin(state & 3).count("1") for state in range(8))
+# the machine charge n2 + n3 and the charge n1 + n2 of each basis state |q1 q2 q3>;
+# every term conserves both
+_CHARGES = np.array([[bin(state & mask).count("1") for state in range(8)] for mask in (3, 6)])
+# the steady state's nine-operator family, in SteadyDecomposition order after the identity:
+# the identity, the dressed sigma_z's, their pair and triple products and the coherence
+# Y = -i s1+ s2~- s3~+ + i s1- s2~+ s3~-, each divided by its Hilbert-Schmidt norm
+FAMILY_NORMS = np.sqrt([8.0] * 8 + [2.0])
+FAMILY = np.array([
+    np.eye(8), SIGMA_Z1, SIGMA_Z2, SIGMA_Z3,
+    SIGMA_Z1 @ SIGMA_Z2, SIGMA_Z1 @ SIGMA_Z3, SIGMA_Z2 @ SIGMA_Z3, SIGMA_Z1 @ SIGMA_Z2 @ SIGMA_Z3,
+    -1j * pauli_string("+-+") + 1j * pauli_string("-+-"),
+]) / FAMILY_NORMS[:, None, None]
+FAMILY.flags.writeable = False  # shared by every caller
 # which bath (target, 2, 3) each dissipator term belongs to, the raising jumps' and then
 # their adjoints', as a (3, 10) indicator (np.equal.outer would cost 0.25 MB at import)
 _BATHS = np.eye(3)[[0, 1, 1, 2, 2] * 2].T
@@ -89,35 +106,44 @@ def _act(ops: np.ndarray) -> np.ndarray:
 
 
 class SectorTables(NamedTuple):
-    """The generator's terms A_k on the charge-0 sector, tr(B_i A_k(B_j)) on the real basis
-    B_j of ``charge_sectors`` (14, 24, 24), the coordinates of the Hamiltonian's terms Z1, Z2,
-    Z3 and T (4, 24), and two checks of the terms, each over its largest entry and exactly 0:
-    the largest entry of a Hamiltonian term or jump off its own charge shift, and the
-    dissipators' largest anti-Hermitian part or trace on the Pauli strings (trace-free,
-    Hermiticity-preserving channels)."""
+    """T's and the ten dissipators' action on the steady family, tr(F_i A_k(F_j)) on the
+    normalised ``FAMILY`` (11, 9, 9), the family coordinates of the Hamiltonian's terms Z1,
+    Z2, Z3 and T (4, 9; T's are 0), and three checks of the terms, each over its largest
+    entry and exactly 0: ``leakage``, the largest entry of a Hamiltonian term or jump off
+    its own shift of either charge; ``closure``, the largest of Z1 + Z2 and Z1 - Z3 on the
+    ten doubly neutral operators and of the 11 terms' entries between the family and X;
+    and ``channel_defect``, the dissipators' largest anti-Hermitian part or trace on the
+    Pauli strings (trace-free, Hermiticity-preserving channels)."""
 
     generator: np.ndarray
     hamiltonians: np.ndarray
     leakage: float
+    closure: float
     channel_defect: float
 
 
 @cache
 def sector_tables() -> SectorTables:
     """The :class:`SectorTables`, read-only and built on first use; the solve reads nothing else."""
-    basis = charge_sectors(MACHINE_CHARGES)
-    # a contiguous real copy, which each point's contraction reads in place
-    generator = np.ascontiguousarray(coordinates(_act(basis), basis).transpose(0, 2, 1))
-    hamiltonians = coordinates(_HAMILTONIANS, basis)
+    neutral = np.concatenate([FAMILY, _TRIPARTITE[None] / np.sqrt(2.0)])  # the family, then X
+    acted = _act(neutral)
+    tables = coordinates(acted, neutral).transpose(0, 2, 1)  # (14, 10, 10)
+    # a contiguous copy, which each point's contraction reads in place
+    generator = np.ascontiguousarray(tables[3:, :9, :9])
+    hamiltonians = coordinates(_HAMILTONIANS, FAMILY)
     generator.flags.writeable = hamiltonians.flags.writeable = False  # shared by every caller
-    # the 14 operators' entries |O_cd|, off the charge shift q_c - q_d of each one's largest entry
+    # the 14 operators' entries |O_cd|, off the shift q_c - q_d of each one's largest entry
     ops = np.abs(np.concatenate([_HAMILTONIANS, _DRESSED_JUMPS, _DRESSED_JUMPS.transpose(0, 2, 1)]))
-    ops, shifts = ops.reshape(len(ops), -1), np.subtract.outer(MACHINE_CHARGES, MACHINE_CHARGES).ravel()
-    off = ops * (shifts != shifts[np.argmax(ops, axis=1)][:, None])
+    ops, shifts = ops.reshape(len(ops), -1), (_CHARGES[:, :, None] - _CHARGES[:, None, :]).reshape(2, -1)
+    off = ops * (shifts[:, None] != shifts[:, np.argmax(ops, axis=1), None])
+    free, kept = acted[:3], tables[3:]
+    closure = max(np.max(np.abs(free[0] + free[1])), np.max(np.abs(free[0] - free[2]))) / np.max(np.abs(free[0]))
+    between = max(np.max(np.abs(kept[:, 9, :9])), np.max(np.abs(kept[:, :9, 9]))) / np.max(np.abs(kept))
     dissipators = _act(pauli_basis(3))[4:]
     defect = max(np.max(np.abs(dissipators - dissipators.conj().swapaxes(-1, -2))),
                  np.max(np.abs(np.trace(dissipators, axis1=-2, axis2=-1))))
     return SectorTables(generator, hamiltonians, float(np.max(off) / np.max(ops)),
+                        float(max(closure, between)),
                         float(defect / np.max(np.abs(dissipators))))
 
 
@@ -145,12 +171,13 @@ def localized_weights(parts: GeneratorParts) -> np.ndarray:
 
 
 def assemble_liouvillian(parts: GeneratorParts) -> np.ndarray:
-    """The dressed-frame generator of the master equation on the charge-0 sector, a real 24x24 block."""
-    return np.tensordot(parts.weights, sector_tables().generator, 1)
+    """The dressed-frame generator of the master equation on the steady family, a real 9x9
+    block: T and the ten dissipators at the point's weights."""
+    return np.tensordot(parts.weights[3:], sector_tables().generator, 1)
 
 
 def bath_actions(weights: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The dissipators of the target bath, bath 2 and bath 3 at ``weights`` (one vector
-    of :func:`generator_weights`' form) on one state's charge-0 sector coordinates, as
-    the sector coordinates of each bath's action (3, 24)."""
-    return (_BATHS * weights[4:]) @ (sector_tables().generator[4:] @ coords)
+    of :func:`generator_weights`' form) on one state's family coordinates, as the family
+    coordinates of each bath's action (3, 9)."""
+    return (_BATHS * weights[4:]) @ (sector_tables().generator[1:] @ coords)

@@ -3,9 +3,9 @@
 Everything works on plain numpy arrays: 2x2 single-qubit operators, 4x4
 fridge operators and 8x8 three-qubit operators.  Operators on several
 qubits are built as Pauli strings, products with one single-qubit factor
-per qubit.  A charge-conserving generator is solved on its charge-0 sector,
-a real matrix in an orthonormal basis of Hermitian Pauli-type strings, in
-which a state is its real coordinates.
+per qubit.  A generator is solved on a block that it maps to itself, a real
+matrix in an orthonormal basis of Hermitian operators, in which a state is
+its real coordinates.
 
 Qubit ordering convention: |q1 q2 q3> with qubit 1 most significant, and
 |0> is the *higher*-energy state of each qubit (sigma_z = |0><0| - |1><1|).
@@ -51,27 +51,6 @@ def pauli_basis(n_qubits: int) -> np.ndarray:
     strings = np.array([pauli_string("".join(labels)) for labels in product("ixyz", repeat=n_qubits)])
     strings.flags.writeable = False  # shared by every caller
     return strings
-
-
-@cache
-def charge_sectors(charges: tuple[int, ...]) -> np.ndarray:
-    """The orthonormal Hermitian basis B_j (n0, d, d) of the sector of |a><b| with equal
-    ``charges`` q_a = q_b, which a charge-conserving generator maps to itself.  The B_j are
-    Gram-Schmidt over the Pauli strings cut to the sector, fewest x and y factors first,
-    which keeps coherence noise out of a diagonal kernel."""
-    q = np.asarray(charges)
-    n_qubits = len(q).bit_length() - 1
-    weights = [sum(c in "xy" for c in labels) for labels in product("ixyz", repeat=n_qubits)]
-    # each string flattened column by column, with its entries between charges cut
-    cut = pauli_basis(n_qubits) * np.equal.outer(q, q)
-    basis: list[np.ndarray] = []
-    for v in cut.reshape(len(cut), -1, order="F")[np.argsort(weights, kind="stable")]:
-        v = v - sum(np.vdot(b, v) * b for b in basis)
-        if np.linalg.norm(v) > 1e-9:
-            basis.append(v / np.linalg.norm(v))
-    out = np.array(basis).reshape(-1, len(q), len(q)).transpose(0, 2, 1)
-    out.flags.writeable = False  # shared by every caller
-    return out
 
 
 def coordinates(ops: np.ndarray, basis: np.ndarray) -> np.ndarray:

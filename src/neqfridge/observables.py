@@ -2,7 +2,7 @@
 
 Bath currents are evaluated two ways: as traces of the total Hamiltonian
 against each dissipator at the dressed-frame steady state, dot products of
-sector coordinates on the charge-0 sector, and through closed forms in the
+coordinates on the steady family, and through closed forms in the
 deviation coefficient d.  The tripartite-interaction currents Q_i^g isolate
 the part of the flow caused by the weak three-body coupling; the machine COP
 eta_g = Q1^g / Q3^g depends only on the diagonalization frame.
@@ -89,7 +89,7 @@ class CurrentReport:
 
 
 def product_state(pops: ThermalPopulations) -> np.ndarray:
-    """Sector coordinates of the dressed product of the target's and the dressed qubits'
+    """Family coordinates of the dressed product of the target's and the dressed qubits'
     thermal states: the closed-form steady state without the tripartite coupling."""
     return reconstruct_state(steady_coefficients(pops, 1.0, 0.0))
 
@@ -98,13 +98,13 @@ def heat_currents(parts: GeneratorParts, steady: SteadyStateResult) -> CurrentRe
     """All stationary currents at the point of ``parts``, with the closed forms alongside the traces."""
     params, frame, pops, weights = parts.params, parts.frame, parts.pops, parts.weights
     tables = sector_tables()
-    # the sector coordinates of 0.5 E1 Z1, 0.5 eps2 Z2, 0.5 eps3 Z3 and g T, whose sum is H
+    # the family coordinates of 0.5 E1 Z1, 0.5 eps2 Z2, 0.5 eps3 Z3 and g T (T's are 0), whose sum is H's
     hams = weights[:4, None] * tables.hamiltonians
     # tr(H A) for each bath's action A
     q1, q2, q3 = (bath_actions(weights, steady.coords) @ hams.sum(axis=0)).tolist()
     q23 = float(bath_actions(weights, product_state(pops))[2] @ (hams[1] + hams[2]))
     # the target's and the dressed qubits' energies against -i[g T, rho]
-    q1g, qt2g, qt3g = (-weights[3] * hams[:3] @ (tables.generator[3] @ steady.coords)).tolist()
+    q1g, qt2g, qt3g = (-weights[3] * hams[:3] @ (tables.generator[0] @ steady.coords)).tolist()
 
     closed = currents_closed(params, frame, pops, steady.decomposition.d)
     return CurrentReport(

@@ -6,42 +6,36 @@ triple products, and one antisymmetric coherence operator Y).  The family
 closes under the generator, so the coefficients solve a small linear system
 whose solution is implemented here verbatim.
 
-The numeric route: the dressed-frame generator conserves the machine charge
-n2 + n3, and so does every family operator, so the steady state lives in
-the charge-0 sector.  The generator's real 24x24 block there is one
-contraction of constant sector tables with the point's weights, and the
-kernel is one real SVD of it.  The two routes adjudicate one another; the
-package treats the null space as ground truth and the closed form as the
-fast path validated against it.  :func:`solve_oracle` runs both on a
+The numeric route: the generator's terms conserve two charges, and at
+resonance the family's block splits off exactly (see
+:mod:`neqfridge.dissipation`), so the kernel is that of the generator's
+real 9x9 block on the family, one contraction of constant tables with the
+point's weights and one real SVD.  The two routes adjudicate one another;
+the package treats the null space as ground truth and the closed form as
+the fast path validated against it.  :func:`solve_oracle` runs both on a
 point's :class:`~neqfridge.dissipation.GeneratorParts`, built once by
 :func:`~neqfridge.dissipation.build_generator_parts`, with one assembled
-block whose action on each state's sector coordinates is that state's
-residual.  A state is its 24 real sector coordinates, which the family
-coefficients, the off-family leftover, the currents and the invariants read
-through constant maps; its dressed-frame density matrix is built on read,
-for its positivity and the public ``rho`` property.
+block whose action on each state's coordinates is that state's residual.
+A state is its nine real coordinates on the normalised family, a scaling
+of its family coefficients, which the currents and the invariants read
+too; its dressed-frame density matrix is built on read, for its
+positivity and the public ``rho`` property.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .dissipation import MACHINE_CHARGES, GeneratorParts, assemble_liouvillian, sector_tables
+from .dissipation import FAMILY, FAMILY_NORMS, GeneratorParts, assemble_liouvillian
 from .errors import DegenerateSteadyStateError
-from .linalg import charge_sectors, coordinates, pauli_basis, pauli_string, steady_null_space
-from .model import SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, ThermalPopulations
+from .linalg import steady_null_space
+from .model import ThermalPopulations
 
-# The nine-operator family in the dressed frame (target, dressed spiral,
-# dressed engine), in SteadyDecomposition order after the identity; the last
-# entry is the coherence operator Y = -i s1+ s2~- s3~+ + i s1- s2~+ s3~-.
-_FAMILY = np.array([
-    np.eye(8), SIGMA_Z1, SIGMA_Z2, SIGMA_Z3,
-    SIGMA_Z1 @ SIGMA_Z2, SIGMA_Z1 @ SIGMA_Z3, SIGMA_Z2 @ SIGMA_Z3, SIGMA_Z1 @ SIGMA_Z2 @ SIGMA_Z3,
-    -1j * pauli_string("+-+") + 1j * pauli_string("-+-"),
-], dtype=complex)
+# a family coefficient 8 tr(F rho) / tr(F^2) is the state's coordinate tr(B rho) on the
+# normalised B = F / |F| times 8 / |F|
+_SCALE = 8.0 / FAMILY_NORMS
 
 
 @dataclass(frozen=True)
@@ -68,39 +62,17 @@ class SteadyDecomposition:
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """A steady state, its charge-0 sector ``coords``, with its decomposition and
-    solver diagnostics: the norm of the generator's action on it and the largest
-    coefficient it leaves outside the family."""
+    """A steady state, its family ``coords``, with its decomposition and the norm of the
+    generator's action on it."""
 
     coords: np.ndarray
     decomposition: SteadyDecomposition
     residual: float
-    off_family_max: float
 
     @property
     def rho(self) -> np.ndarray:
         """The dressed-frame density matrix, contracted from ``coords`` on each read."""
-        return np.tensordot(self.coords, charge_sectors(MACHINE_CHARGES), 1)
-
-
-@cache
-def family_maps() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant maps of the charge-0 sector coordinates, read-only and built on first use:
-    the family operators' coordinates (9, 24), the map from a state's coordinates to its
-    family coefficients 8 <F_k, rho> / <F_k, F_k> (9, 24), and the map to the 64 Pauli-string
-    coefficients of what the family leaves of the state (64, 24)."""
-    basis = charge_sectors(MACHINE_CHARGES)
-    family = coordinates(_FAMILY, basis)
-    project = 8.0 * family / np.sum(family ** 2, axis=1, keepdims=True)  # <F_k, F_k> in the sector
-    leftover = coordinates(pauli_basis(3), basis) @ (np.eye(len(basis)) - family.T @ project / 8.0)
-    family.flags.writeable = project.flags.writeable = leftover.flags.writeable = False  # shared
-    return family, project, leftover
-
-
-@cache
-def family_action() -> np.ndarray:
-    """Each sector table on each family operator's coordinates, (14, 9, 24), built on first use."""
-    return family_maps()[0] @ sector_tables().generator.transpose(0, 2, 1)
+        return np.tensordot(self.coords, FAMILY, 1)
 
 
 def deviation_coefficient(pops: ThermalPopulations, p: float, g: float) -> float:
@@ -144,51 +116,42 @@ def steady_coefficients(pops: ThermalPopulations, p: float, g: float) -> SteadyD
 
 
 def reconstruct_state(decomposition: SteadyDecomposition) -> np.ndarray:
-    """The charge-0 sector coordinates of the state with these family coefficients."""
-    return np.array([1.0, *decomposition.as_dict().values()]) @ family_maps()[0] / 8.0
+    """The family coordinates of the state with these family coefficients."""
+    return np.array([1.0, *decomposition.as_dict().values()]) / _SCALE
 
 
-def decompose(coords: np.ndarray) -> tuple[SteadyDecomposition, float]:
-    """Project a state's sector coordinates onto the family; also return the largest leftover.
-
-    Coefficients use the Hilbert-Schmidt convention 8 <B, rho> / <B, B>, so the identity
-    coefficient of a unit-trace state is one.  The leftover is the largest coefficient on
-    the dressed Pauli strings of what the family leaves of the state.
-    """
-    _, project, leftover = family_maps()
-    return SteadyDecomposition(*project[1:] @ coords), float(np.max(np.abs(leftover @ coords)))
+def decompose(coords: np.ndarray) -> SteadyDecomposition:
+    """A state's family coefficients, in the Hilbert-Schmidt convention 8 <F, rho> / <F, F>,
+    from its family coordinates; the identity's is one for a unit-trace state."""
+    return SteadyDecomposition(*(coords[1:] * _SCALE[1:]).tolist())
 
 
-def _result(coords: np.ndarray, decomposition: SteadyDecomposition, off: float,
-            block: np.ndarray) -> SteadyStateResult:
-    """The state of sector coordinates ``coords``; its residual is the norm of ``block`` @ coords."""
+def _result(coords: np.ndarray, decomposition: SteadyDecomposition, block: np.ndarray) -> SteadyStateResult:
+    """The state of family coordinates ``coords``; its residual is the norm of ``block`` @ coords."""
     return SteadyStateResult(coords=coords, decomposition=decomposition,
-                             residual=float(np.linalg.norm(block @ coords)), off_family_max=off)
+                             residual=float(np.linalg.norm(block @ coords)))
 
 
 def analytic_steady_state(parts: GeneratorParts, block: np.ndarray) -> SteadyStateResult:
     """Closed-form steady state of the point ``parts``; its residual is the norm
-    of the action of ``block``, the point's assembled charge-0 block."""
+    of the action of ``block``, the point's assembled family block."""
     decomposition = steady_coefficients(parts.pops, parts.params.p, parts.params.g)
-    coords = reconstruct_state(decomposition)
-    return _result(coords, decomposition, decompose(coords)[1], block)
+    return _result(reconstruct_state(decomposition), decomposition, block)
 
 
 def numeric_steady_state(block: np.ndarray) -> SteadyStateResult:
-    """Steady state from the kernel of the dressed generator's charge-0 ``block``, read
-    on the sector's Pauli-type strings: the dressed dissipators keep diagonal states
-    diagonal, so at g = 0 d comes out below 1e-30 (a lab-frame kernel leaves 1e-14)."""
+    """Steady state from the kernel of the dressed generator's family ``block``."""
     kernel = steady_null_space(block)
-    tr = kernel @ family_maps()[0][0]  # the identity's coordinates are the basis' traces
+    tr = kernel[0] * _SCALE[0]  # the identity's coordinate is tr(rho) / sqrt 8
     if abs(tr) < 1e-12:
         raise DegenerateSteadyStateError("kernel vector carries no trace")
     coords = kernel / tr
-    return _result(coords, *decompose(coords), block)
+    return _result(coords, decompose(coords), block)
 
 
 @dataclass(frozen=True)
 class OracleSolve:
-    """Both steady-state routes at one point, from one charge-0 block and one kernel solve."""
+    """Both steady-state routes at one point, from one family block and one kernel solve."""
 
     analytic: SteadyStateResult
     numeric: SteadyStateResult

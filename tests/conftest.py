@@ -23,10 +23,18 @@ from neqfridge import (
     resonant_frame,
 )
 from neqfridge.experiments import _chandrupatla
-from neqfridge.dissipation import MACHINE_CHARGES
+from neqfridge.dissipation import FAMILY, _act
 from neqfridge.model import REFERENCE, Hamiltonians
-from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Y, SIGMA_Z, charge_sectors
-from neqfridge.steadystate import _FAMILY
+from neqfridge.linalg import (
+    IDENTITY_2,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    coordinates,
+    pauli_basis,
+)
 
 # canonical benchmark point used throughout the suite
 P0 = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4.0 / 3.0, t2=2.0, t3=4.0, p=0.01, g=0.01)
@@ -48,6 +56,41 @@ def random_feasible(rng: np.random.Generator) -> ModelParams:
         p=rng.uniform(0.002, 0.03),
         g=rng.uniform(0.002, 0.03),
     )
+
+
+def grid_box_points(seed: int, count: int) -> list[ModelParams]:
+    """P0 and seeded draws from the box of `validate --grid`, with g = 0 and gamma = E1/2 among them."""
+    rng = np.random.default_rng(seed)
+    points = [P0]
+    for _ in range(count):
+        e1 = rng.uniform(0.5, 2.0)
+        t1 = rng.uniform(0.5, 2.0)
+        t2 = t1 + rng.uniform(0.0, 2.0)
+        points.append(ModelParams(
+            e1=e1, e3=rng.uniform(2.0, 8.0), gamma=rng.uniform(0.0, 0.49) * e1,
+            t1=t1, t2=t2, t3=t2 + rng.uniform(0.0, 4.0),
+            p=rng.uniform(0.002, 0.03), g=rng.uniform(0.002, 0.03),
+        ))
+    points[1] = replace(points[1], g=0.0)
+    points[2] = replace(points[2], gamma=0.5 * points[2].e1)
+    return points
+
+
+def weak_dissipation_points(seed: int, count: int, lowest: float = 1e-9) -> list[ModelParams]:
+    """Seeded draws from the box of `validate --grid` with p log-uniform on [lowest, 0.1] and
+    g = p 10^U(-3, 2), or 0 at one draw in ten; every third draw has T1 = T2 = T3."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(count):
+        e1, p = rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(np.log10(lowest), -1.0)
+        t1 = rng.uniform(0.5, 2.0)
+        t2 = t1 + rng.uniform(0.0, 2.0)
+        t3 = t2 + rng.uniform(0.0, 4.0)
+        g = 0.0 if rng.random() < 0.1 else p * 10.0 ** rng.uniform(-3.0, 2.0)
+        points.append(ModelParams(e1=e1, e3=rng.uniform(2.0, 8.0), gamma=rng.uniform(0.0, 0.49) * e1,
+                                  t1=t1, t2=t1 if i % 3 == 0 else t2, t3=t1 if i % 3 == 0 else t3,
+                                  p=p, g=g))
+    return points
 
 
 def benchmark_workloads():
@@ -187,24 +230,77 @@ def kron_tables() -> np.ndarray:
 
 def full_generator(weights: np.ndarray) -> np.ndarray:
     """The whole 64x64 dressed-frame generator at ``weights``, contracted with
-    :func:`kron_tables`; the package itself reads only its charge-0 block."""
+    :func:`kron_tables`; the package itself reads only its family block."""
     return np.tensordot(weights, kron_tables(), 1)
 
 
 def isometry(basis: np.ndarray) -> np.ndarray:
-    """T0 (d^2, n0), the vectorizations of a sector's basis operators (n0, d, d) as columns."""
+    """T (d^2, n), the vectorizations of a block's orthonormal basis operators (n, d, d) as columns."""
     return np.array([vec(b) for b in basis]).T
 
 
+def family_block(superop: np.ndarray) -> np.ndarray:
+    """T^+ S T: a 64x64 superoperator on the package's normalised steady family."""
+    t = isometry(FAMILY)
+    return t.conj().T @ superop @ t
+
+
+def family_coords(rho: np.ndarray) -> np.ndarray:
+    """tr(F_k rho): an operator's (..., 8, 8) coordinates on the normalised family, real for a
+    Hermitian one; the package's coordinates of a state."""
+    return np.einsum("...ij,nji->...n", rho, FAMILY)
+
+
+def family_operator(coords: np.ndarray) -> np.ndarray:
+    """The 8x8 dressed-frame operator of family coordinates, (..., 9) to (..., 8, 8)."""
+    return np.tensordot(coords, FAMILY, 1)
+
+
+# The charge-0 sector of the machine charge n2 + n3: the reference block that
+# the package's family block splits off from exactly at resonance.  Its basis
+# is built by Gram-Schmidt over the Pauli strings, and its 24x24 block of the
+# generator, free Hamiltonian included, is solved by one real SVD.
+
+# the machine charge n2 + n3 of each basis state |q1 q2 q3>, and the second conserved
+# charge n1 + n2; the family and X are neutral under both
+MACHINE_CHARGES = tuple(bin(state & 3).count("1") for state in range(8))
+PAIR_CHARGES = tuple(bin(state & 6).count("1") for state in range(8))
+# the ten operators neutral under both charges: the package's normalised family, then X,
+# the normalised quadrature of the tripartite term
+NEUTRAL = np.concatenate([FAMILY, (kron_string("+-+") + kron_string("-+-"))[None] / np.sqrt(2.0)])
+
+
+@cache
+def charge_sectors(charges: tuple[int, ...]) -> np.ndarray:
+    """The orthonormal Hermitian basis B_j (n0, d, d) of the sector of |a><b| with equal
+    ``charges`` q_a = q_b, which a charge-conserving generator maps to itself.  The B_j are
+    Gram-Schmidt over the Pauli strings cut to the sector, fewest x and y factors first,
+    which keeps coherence noise out of a diagonal kernel."""
+    q = np.asarray(charges)
+    n_qubits = len(q).bit_length() - 1
+    weights = [sum(c in "xy" for c in labels) for labels in product("ixyz", repeat=n_qubits)]
+    # each string flattened column by column, with its entries between charges cut
+    cut = pauli_basis(n_qubits) * np.equal.outer(q, q)
+    basis: list[np.ndarray] = []
+    for v in cut.reshape(len(cut), -1, order="F")[np.argsort(weights, kind="stable")]:
+        v = v - sum(np.vdot(b, v) * b for b in basis)
+        if np.linalg.norm(v) > 1e-9:
+            basis.append(v / np.linalg.norm(v))
+    out = np.array(basis).reshape(-1, len(q), len(q)).transpose(0, 2, 1)
+    out.flags.writeable = False  # shared by every caller
+    return out
+
+
 def sector(superop: np.ndarray) -> np.ndarray:
-    """T0^+ S T0: a 64x64 superoperator on the charge-0 sector, in the package's basis."""
+    """T0^+ S T0: a 64x64 superoperator on the charge-0 sector, in the basis of ``charge_sectors``."""
     t0 = isometry(charge_sectors(MACHINE_CHARGES))
     return t0.conj().T @ superop @ t0
 
 
 def sector_coords(rho: np.ndarray) -> np.ndarray:
-    """T0^+ vec(rho): an operator's coordinates on the charge-0 sector, real for a Hermitian one."""
-    return isometry(charge_sectors(MACHINE_CHARGES)).conj().T @ vec(rho)
+    """tr(B_j rho), or T0^+ vec(rho): an operator's (..., 8, 8) coordinates on the charge-0
+    sector, real for a Hermitian one."""
+    return np.einsum("...ij,nji->...n", rho, charge_sectors(MACHINE_CHARGES))
 
 
 def sector_operator(coords: np.ndarray) -> np.ndarray:
@@ -212,21 +308,38 @@ def sector_operator(coords: np.ndarray) -> np.ndarray:
     return np.tensordot(coords, charge_sectors(MACHINE_CHARGES), 1)
 
 
-def charge_differences() -> np.ndarray:
-    """q_a - q_b of the machine charges at each vec position a + 8 b."""
-    return vec(np.subtract.outer(MACHINE_CHARGES, MACHINE_CHARGES))
+@cache
+def sector_tables_24() -> np.ndarray:
+    """The package's 14 generator terms on the charge-0 sector, tr(B_i A_k(B_j)) (14, 24, 24)."""
+    basis = charge_sectors(MACHINE_CHARGES)
+    tables = np.ascontiguousarray(coordinates(_act(basis), basis).transpose(0, 2, 1))
+    tables.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def sector_steady_state(weights: np.ndarray) -> np.ndarray:
+    """The unit-trace kernel state (8, 8) of the charge-0 block at ``weights``, the right
+    singular vector of the smallest singular value of the whole 24x24 block, free Hamiltonian
+    included; no degeneracy rule, as weak dissipation would trip the rule on this block."""
+    rho = sector_operator(np.linalg.svd(np.tensordot(weights, sector_tables_24(), 1))[2][-1])
+    return rho / np.trace(rho)
+
+
+def charge_differences(charges=MACHINE_CHARGES) -> np.ndarray:
+    """q_a - q_b of the ``charges`` (the machine's by default) at each vec position a + 8 b."""
+    return vec(np.subtract.outer(charges, charges))
 
 
 def charged_blocks() -> list:
-    """``np.ix_`` indices of the generator blocks of positive charge difference
+    """``np.ix_`` indices of the generator blocks of positive machine charge difference
     q_a - q_b (1, then 2), in vec positions a + 8 b; the block of -c has the same singular values."""
     diff = charge_differences()
     return [np.ix_(*2 * [np.flatnonzero(diff == c)]) for c in (1, 2)]
 
 
-def between_blocks() -> np.ndarray:
-    """The mask of a 64x64 superoperator's entries between different charge differences."""
-    diff = charge_differences()
+def between_blocks(charges=MACHINE_CHARGES) -> np.ndarray:
+    """The mask of a 64x64 superoperator's entries between different differences of ``charges``."""
+    diff = charge_differences(charges)
     return np.subtract.outer(diff, diff) != 0
 
 
@@ -379,9 +492,9 @@ def tilde_channel(nu: int, frame, pops, rate: float) -> LindbladChannel:
 
 
 def family_operators(frame) -> dict[str, np.ndarray]:
-    """The lab-frame nine-operator family spanning the steady state, keyed by name."""
-    names = ("identity", "a1", "a2", "a3", "b12", "b13", "b23", "c", "d")  # _FAMILY order
-    return dict(zip(names, to_lab(frame, _FAMILY)))
+    """The lab-frame normalised nine-operator family spanning the steady state, keyed by name."""
+    names = ("identity", "a1", "a2", "a3", "b12", "b13", "b23", "c", "d")  # FAMILY order
+    return dict(zip(names, to_lab(frame, FAMILY)))
 
 
 # Plain scalar search references.  The package finds roots by Chandrupatla's

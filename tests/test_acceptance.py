@@ -35,10 +35,12 @@ from neqfridge import (
 from neqfridge.dissipation import bath_actions, build_generator_parts, generator_weights, localized_weights
 from neqfridge.linalg import density_matrix_defects
 from neqfridge.observables import currents_closed
-from neqfridge.steadystate import family_maps, steady_coefficients
+from neqfridge.steadystate import steady_coefficients
 
 from conftest import (
     P0,
+    family_coords,
+    family_operator,
     family_operators,
     find_root,
     high_temperature_saturation,
@@ -48,8 +50,6 @@ from conftest import (
     random_feasible,
     random_hermitian,
     reset_channel,
-    sector_coords,
-    sector_operator,
     tilde_channel,
     to_lab,
 )
@@ -276,9 +276,9 @@ def test_criterion_9_property_suite():
         frame, pops = parts.frame, parts.pops
         weights = generator_weights(parts)
 
-        # channel algebra on the sector part of a random Hermitian matrix
-        probe = sector_coords(random_hermitian(rng)).real
-        for out in sector_operator(bath_actions(weights, probe)):
+        # channel algebra on the family part of a random Hermitian matrix
+        probe = family_coords(random_hermitian(rng)).real
+        for out in family_operator(bath_actions(weights, probe)):
             assert abs(np.trace(out)) < 1e-12
             assert density_matrix_defects(out)[0] < 1e-12
 
@@ -286,11 +286,11 @@ def test_criterion_9_property_suite():
         # frame, match the reference localized pair on the family
         t2c = tilde_channel(2, frame, pops, params.p)
         t3c = tilde_channel(3, frame, pops, params.p)
-        for coords, op in zip(family_maps()[0], family_operators(frame).values()):
+        for coords, op in zip(np.eye(9), family_operators(frame).values()):
             reference = t2c.apply(op) + t3c.apply(op)
             for package_weights in (weights, localized_weights(parts)):
                 acted = bath_actions(package_weights, coords)[1:].sum(axis=0)
-                assert np.max(np.abs(to_lab(frame, sector_operator(acted)) - reference)) < 1e-12
+                assert np.max(np.abs(to_lab(frame, family_operator(acted)) - reference)) < 1e-12
 
         # steady state: validity, residual, sign chain, dressed currents
         steady = solve_oracle(parts).analytic

@@ -16,21 +16,28 @@ from neqfridge.dissipation import (
     localized_weights,
     sector_tables,
 )
-from neqfridge.linalg import IDENTITY_2, SIGMA_PLUS, density_matrix_defects, pauli_basis
+from neqfridge.linalg import IDENTITY_2, SIGMA_PLUS, coordinates, density_matrix_defects, pauli_basis
 from neqfridge.model import _TRIPARTITE, SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, resonant_frame, tilde_populations
 from neqfridge.observables import product_state
 
 from conftest import (
     JUMP_SPECS,
+    MACHINE_CHARGES,
+    NEUTRAL,
     P0,
+    PAIR_CHARGES,
     LindbladChannel,
     benchmark_workloads,
     between_blocks,
     channel_superop,
     charged_blocks,
     dressed,
+    family_block,
+    family_coords,
+    family_operator,
     family_operators,
     full_generator,
+    grid_box_points,
     jump_operator_set,
     kron_commutator_superop,
     kron_generator,
@@ -42,9 +49,8 @@ from conftest import (
     random_feasible,
     random_hermitian,
     reset_channel,
-    sector,
     sector_coords,
-    sector_operator,
+    sector_tables_24,
     tilde_channel,
     tilde_operator,
     to_dressed,
@@ -53,24 +59,6 @@ from conftest import (
     vec,
     weighted_jumps,
 )
-
-
-def grid_box_points(seed: int, count: int) -> list[ModelParams]:
-    """P0 and seeded draws from the box of `validate --grid`, with g = 0 and gamma = E1/2 among them."""
-    rng = np.random.default_rng(seed)
-    points = [P0]
-    for _ in range(count):
-        e1 = rng.uniform(0.5, 2.0)
-        t1 = rng.uniform(0.5, 2.0)
-        t2 = t1 + rng.uniform(0.0, 2.0)
-        points.append(ModelParams(
-            e1=e1, e3=rng.uniform(2.0, 8.0), gamma=rng.uniform(0.0, 0.49) * e1,
-            t1=t1, t2=t2, t3=t2 + rng.uniform(0.0, 4.0),
-            p=rng.uniform(0.002, 0.03), g=rng.uniform(0.002, 0.03),
-        ))
-    points[1] = replace(points[1], g=0.0)
-    points[2] = replace(points[2], gamma=0.5 * points[2].e1)
-    return points
 
 
 def localize(parts):
@@ -226,8 +214,8 @@ class TestFridgeChannel:
         target_block = random_hermitian(rng, 2)
         fridge_diag = np.diag(rng.uniform(0.1, 1.0, size=4)).astype(complex)
         rho = np.kron(target_block, fridge_diag)  # charge 0: the fridge part is diagonal
-        for out in bath_actions(generator_weights(parts), sector_coords(rho).real)[1:]:
-            blocks = sector_operator(out).reshape(2, 4, 2, 4)
+        for out in bath_actions(generator_weights(parts), family_coords(rho).real)[1:]:
+            blocks = family_operator(out).reshape(2, 4, 2, 4)
             for f1 in range(4):
                 for f2 in range(4):
                     if f1 != f2:
@@ -265,15 +253,15 @@ class TestTildeChannel:
     def test_fixed_point(self, p0):
         frame = resonant_frame(p0.e1, p0.e3, p0.gamma)
         pops = tilde_populations(frame, p0.t2, p0.t3, t1=p0.t1)
-        rho0 = to_lab(frame, sector_operator(product_state(pops)))
+        rho0 = to_lab(frame, family_operator(product_state(pops)))
         for nu in (2, 3):
             assert np.max(np.abs(tilde_channel(nu, frame, pops, p0.p).apply(rho0))) < 1e-15
 
 
 class TestStackedChannel:
-    # bath_actions reads the three baths off the stacked sector tables; the channels
-    # conserve the charge, so on a probe's sector coordinates they give the sector part
-    # of their action on the whole probe
+    # bath_actions reads the three baths off the stacked family tables; the channels
+    # keep the family and never reach it from outside, so on a probe's family
+    # coordinates they give the family part of their action on the whole probe
     def test_apply_matches_loop_reference(self):
         rng = np.random.default_rng(31)
         for params in grid_box_points(31, 5):
@@ -283,40 +271,41 @@ class TestStackedChannel:
                                  (localized_weights(parts), localize(parts))):
                 for _ in range(3):
                     probe = random_hermitian(rng)
-                    got = bath_actions(weights, sector_coords(probe).real)
+                    got = bath_actions(weights, family_coords(probe).real)
                     for out, channel in zip(got, (lab.d1, lab.d2, lab.d3)):
                         want = to_dressed(frame, loop_apply(weighted_jumps(channel), to_lab(frame, probe)))
-                        assert np.max(np.abs(out - sector_coords(want))) < 1e-15
+                        assert np.max(np.abs(out - family_coords(want))) < 1e-15
 
     def test_apply_on_a_stack_matches_one_at_a_time(self, p0):
         # each bath sums its weighted terms, applied one at a time and cut to the
-        # sector, and the three baths with the Hamiltonian's part make up the block
+        # family, and the three baths with the Hamiltonian's part make up the block: the
+        # free Hamiltonian's part cancels at resonance
         rng = np.random.default_rng(32)
         parts = build_generator_parts(p0)
         weights = generator_weights(parts)
         probe = random_hermitian(rng)
-        one_at_a_time = [w * sector_coords(out) for w, out in zip(weights, _act(probe[None])[:, 0])]
-        got = bath_actions(weights, sector_coords(probe).real)
+        one_at_a_time = [w * family_coords(out) for w, out in zip(weights, _act(probe[None])[:, 0])]
+        got = bath_actions(weights, family_coords(probe).real)
         for bath, tables_of_bath in enumerate(((4, 9), (5, 6, 10, 11), (7, 8, 12, 13))):
             assert np.max(np.abs(got[bath] - sum(one_at_a_time[k] for k in tables_of_bath))) < 1e-16
         action = sum(one_at_a_time[:4]) + got.sum(axis=0)
-        assert np.max(np.abs(action - assemble_liouvillian(parts) @ sector_coords(probe))) < 1e-14
+        assert np.max(np.abs(action - assemble_liouvillian(parts) @ family_coords(probe))) < 1e-14
 
 
 class TestLiouvillian:
-    # assemble_liouvillian is the dressed-frame generator's charge-0 block: each
+    # assemble_liouvillian is the dressed-frame generator's family block: each
     # test compares it with the kron references rotated into the dressed frame
-    # and cut to the sector, or reads it on dressed-frame operators' sector coordinates
+    # and cut to the family, or reads it on dressed-frame operators' family coordinates
     @pytest.mark.parametrize("localized", [False, True])
     def test_matches_per_jump_kron_reference(self, localized):
         for params in grid_box_points(33, 20):
             parts = build_generator_parts(params)
             if localized:
-                got = np.tensordot(localized_weights(parts), sector_tables().generator, 1)
-                want = sector(dressed(kron_generator(localize(parts)), parts.frame))
+                got = np.tensordot(localized_weights(parts)[3:], sector_tables().generator, 1)
+                want = family_block(dressed(kron_generator(localize(parts)), parts.frame))
             else:
                 got = assemble_liouvillian(parts)
-                want = sector(dressed(kron_generator(lab_parts(parts)), parts.frame))
+                want = family_block(dressed(kron_generator(lab_parts(parts)), parts.frame))
             assert np.max(np.abs(got - want)) < 1e-14
 
     def test_uncoupled_case_is_sum_of_resets(self):
@@ -330,7 +319,7 @@ class TestLiouvillian:
         expected += channel_superop(reset_channel(1, params.p, pops.r1))
         expected += channel_superop(reset_channel(2, params.p, pops.r22))
         expected += channel_superop(reset_channel(3, params.p, pops.r33))
-        assert np.max(np.abs(assemble_liouvillian(build_generator_parts(params)) - sector(expected))) < 1e-15
+        assert np.max(np.abs(assemble_liouvillian(build_generator_parts(params)) - family_block(expected))) < 1e-15
 
     def test_decoupled_target_product_annihilated(self):
         params = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.0)
@@ -340,7 +329,7 @@ class TestLiouvillian:
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_trace_preserving(self, p0):
-        left = sector_coords(np.eye(8)).conj() @ assemble_liouvillian(build_generator_parts(p0))
+        left = family_coords(np.eye(8)).conj() @ assemble_liouvillian(build_generator_parts(p0))
         assert np.max(np.abs(left)) < 1e-12
 
     def test_unique_zero_eigenvalue(self, p0):
@@ -356,14 +345,14 @@ class TestLiouvillian:
             parts = build_generator_parts(random_feasible(rng))
             frame = parts.frame
             rho = random_hermitian(rng)
-            expected = assemble_liouvillian(parts) @ sector_coords(rho)
+            expected = assemble_liouvillian(parts) @ family_coords(rho)
             lab_action = lab_parts(parts).apply(to_lab(frame, rho))
-            assert np.max(np.abs(sector_coords(to_dressed(frame, lab_action)) - expected)) < 1e-13
+            assert np.max(np.abs(family_coords(to_dressed(frame, lab_action)) - expected)) < 1e-13
 
     def test_localized_variant_shares_steady_state(self, p0):
         parts = build_generator_parts(p0)
         rho_full = numeric_steady_state(assemble_liouvillian(parts)).rho
-        rho_localized = numeric_steady_state(np.tensordot(localized_weights(parts), sector_tables()[0], 1)).rho
+        rho_localized = numeric_steady_state(np.tensordot(localized_weights(parts)[3:], sector_tables()[0], 1)).rho
         assert np.max(np.abs(rho_full - rho_localized)) < 1e-10
 
     def test_channel_algebra_random_parameters(self):
@@ -371,10 +360,25 @@ class TestLiouvillian:
         for _ in range(25):
             params = random_feasible(rng)
             parts = build_generator_parts(params)
-            coords = sector_coords(random_hermitian(rng)).real
-            for out in sector_operator(bath_actions(generator_weights(parts), coords)):
+            coords = family_coords(random_hermitian(rng)).real
+            for out in family_operator(bath_actions(generator_weights(parts), coords)):
                 assert abs(np.trace(out)) < 1e-12
                 assert density_matrix_defects(out)[0] < 1e-12
+
+
+def sampled_dissipator_weights(seed: int) -> np.ndarray:
+    """Weights (2064, 10) of the ten dissipator tables at p = 1: every frozen corner of the five
+    populations at theta near 0 and near pi, then 2000 draws with a fifth of them frozen."""
+    rng = np.random.default_rng(seed)
+    edges = np.array(list(product((0.0, 1.0), repeat=5)))
+    pops = np.concatenate([edges, edges, rng.uniform(0.0, 1.0, (2000, 5))])
+    frozen = rng.random(pops.shape) < 0.2
+    pops[64:][frozen[64:]] = rng.integers(0, 2, np.count_nonzero(frozen[64:]))
+    theta = np.concatenate([np.full(32, 1e-9), np.full(32, math.pi - 1e-9),
+                            rng.uniform(0.0, math.pi, 2000)])
+    c2, s2 = np.cos(0.5 * theta) ** 2, np.sin(0.5 * theta) ** 2
+    rates = np.stack([np.ones_like(theta), c2, s2, c2, s2], axis=1)
+    return np.concatenate([rates * pops, rates * (1.0 - pops)], axis=1)
 
 
 # the edges of the parameter domain: no mixing, maximal mixing, no tripartite
@@ -388,51 +392,27 @@ class TestGeneratorTables:
     @pytest.mark.parametrize("params", grid_box_points(34, 8) + EDGE_POINTS)
     def test_dressed_generator_matches_rotated_kron_reference(self, params):
         parts = build_generator_parts(params)
-        expected = sector(dressed(kron_generator(lab_parts(parts)), parts.frame))
+        expected = family_block(dressed(kron_generator(lab_parts(parts)), parts.frame))
         assert np.max(np.abs(assemble_liouvillian(parts) - expected)) < 1e-14
 
     def test_frozen_edge_freezes_the_engine_bath(self):
         assert build_generator_parts(EDGE_POINTS[-1]).pops.r33 == 0.0
 
-    def test_each_term_conserves_the_charge_difference(self):
+    @pytest.mark.parametrize("charges", [MACHINE_CHARGES, PAIR_CHARGES])
+    def test_each_term_conserves_the_charge_difference(self, charges):
         # on every |a><b| the terms leave only operators of the charge difference q_a - q_b
-        between = between_blocks()
+        between = between_blocks(charges)
         units = np.eye(64).reshape(64, 8, 8).transpose(0, 2, 1)  # unit at vec position a + 8 b
         for acted in _act(units):
             table = np.array([vec(out) for out in acted]).T
             assert np.count_nonzero(table) > 0
             assert np.count_nonzero(table[between]) == 0
 
-    def test_sector_stack_is_the_tables_on_the_charge_0_sector(self):
-        tables = sector_tables()
-        stack = tables.generator
-        assert sector_tables() is tables
-        assert stack.shape == (14, 24, 24) and stack.dtype == float
-        assert not stack.flags.writeable and not tables.hamiltonians.flags.writeable
-        assert tables.leakage == 0.0 and tables.channel_defect == 0.0
-        for table, block in zip(kron_tables(), stack):
-            projected = sector(table)
-            assert np.max(np.abs(projected.imag)) <= 1e-15
-            assert np.max(np.abs(projected.real - block)) <= 1e-15
-        # the Hamiltonian's tables, whose commutators are the first four generator tables
-        for h, coords in zip((SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, _TRIPARTITE), tables.hamiltonians):
-            assert np.max(np.abs(sector_coords(h) - coords)) <= 1e-15
-            assert np.max(np.abs(sector_operator(coords) - h)) <= 1e-15
-
     def test_charged_blocks_of_the_dissipators_are_damped(self):
         # the Hermitian part of each charged block of the dissipator tables at
         # p = 1 has its top eigenvalue at most -(3/2 - sqrt 2); the bound is
         # reached, to rounding, at theta = 0 or pi with frozen baths
-        rng = np.random.default_rng(41)
-        edges = np.array(list(product((0.0, 1.0), repeat=5)))
-        pops = np.concatenate([edges, edges, rng.uniform(0.0, 1.0, (2000, 5))])
-        frozen = rng.random(pops.shape) < 0.2
-        pops[64:][frozen[64:]] = rng.integers(0, 2, np.count_nonzero(frozen[64:]))
-        theta = np.concatenate([np.full(32, 1e-9), np.full(32, math.pi - 1e-9),
-                                rng.uniform(0.0, math.pi, 2000)])
-        c2, s2 = np.cos(0.5 * theta) ** 2, np.sin(0.5 * theta) ** 2
-        rates = np.stack([np.ones_like(theta), c2, s2, c2, s2], axis=1)
-        weights = np.concatenate([rates * pops, rates * (1.0 - pops)], axis=1)
+        weights = sampled_dissipator_weights(41)
         tops = []
         for block in charged_blocks():
             acted = np.tensordot(weights, kron_tables()[4:][(slice(None), *block)], 1)
@@ -458,6 +438,74 @@ class TestGeneratorTables:
             assert np.max(np.abs(pauli.real)) > 0.0
             assert np.max(np.abs(pauli.imag)) == 0.0
 
+
+
+class TestFamilyBlock:
+    # the facts that make the family's 9x9 block the whole kernel problem, each exact,
+    # and the damping of what the charge-0 reference block holds outside it
+    def test_family_stack_is_the_tables_on_the_family(self):
+        tables = sector_tables()
+        stack = tables.generator
+        assert sector_tables() is tables
+        assert stack.shape == (11, 9, 9) and stack.dtype == float
+        assert not stack.flags.writeable and not tables.hamiltonians.flags.writeable
+        assert tables.leakage == 0.0 and tables.closure == 0.0 and tables.channel_defect == 0.0
+        # T and the ten dissipators, the terms after the free Hamiltonian's three
+        for table, block in zip(kron_tables()[3:], stack):
+            projected = family_block(table)
+            assert np.max(np.abs(projected.imag)) <= 1e-15
+            assert np.max(np.abs(projected.real - block)) <= 1e-15
+        # the Hamiltonian's terms on the family; T lies outside it
+        for h, coords in zip((SIGMA_Z1, SIGMA_Z2, SIGMA_Z3, _TRIPARTITE), tables.hamiltonians):
+            assert np.max(np.abs(family_coords(h) - coords)) <= 1e-15
+        assert np.max(np.abs(family_operator(tables.hamiltonians[:3]) - [SIGMA_Z1, SIGMA_Z2, SIGMA_Z3])) <= 1e-15
+        assert np.count_nonzero(tables.hamiltonians[3]) == 0
+
+    def test_the_neutral_operators_map_among_themselves(self):
+        acted = _act(NEUTRAL)
+        rebuilt = np.tensordot(coordinates(acted, NEUTRAL), NEUTRAL, 1)
+        assert np.max(np.abs(acted - rebuilt)) <= 1e-15
+
+    def test_the_free_hamiltonian_is_one_table_on_the_neutral_operators(self):
+        # Z1 = -Z2 = Z3 there, so the free part weighs (E1 - eps2 + eps3)/2, zero at resonance
+        z1, z2, z3 = _act(NEUTRAL)[:3]
+        assert np.count_nonzero(z1) > 0
+        assert np.array_equal(z2, -z1) and np.array_equal(z3, z1)
+
+    def test_x_decouples_from_the_family(self):
+        tables = coordinates(_act(NEUTRAL)[3:], NEUTRAL)  # [k, j, i] = tr(N_i A_k(N_j))
+        assert np.count_nonzero(tables[:, 9, :9]) == 0 and np.count_nonzero(tables[:, :9, 9]) == 0
+
+    @pytest.mark.parametrize("params", grid_box_points(36, 8) + EDGE_POINTS)
+    def test_x_decays_at_three_halves_p(self, params):
+        # half the sum of the dissipator weights, p (1 + 2 cos^2 + 2 sin^2) / 2
+        weights = build_generator_parts(params).weights
+        decay = weights[4:] @ coordinates(_act(NEUTRAL[9:])[4:, 0], NEUTRAL[9:])[:, 0]
+        assert abs(decay + 1.5 * params.p) <= 1e-15 * params.p
+
+    def test_the_rest_of_the_charge_0_block_is_damped(self):
+        # on the 24x24 charge-0 reference block the dissipator tables at p = 1 keep the
+        # 14-dimensional rest, charged under n1 + n2, apart from the neutral operators, and
+        # its Hermitian part has its top eigenvalue at most -(3/2 - sqrt 2), the bound of
+        # the machine-charged blocks, reached to rounding at frozen baths
+        neutral = sector_coords(NEUTRAL).real.T  # (24, 10), orthonormal columns
+        rest = np.linalg.qr(neutral, mode="complete")[0][:, 10:]
+        blocks = np.tensordot(sampled_dissipator_weights(42), sector_tables_24()[4:], 1)
+        assert np.max(np.abs(neutral.T @ blocks @ rest)) <= 1e-15
+        assert np.max(np.abs(rest.T @ blocks @ neutral)) <= 1e-15
+        held = rest.T @ blocks @ rest
+        top = np.max(np.linalg.eigvalsh(0.5 * (held + held.transpose(0, 2, 1))))
+        assert abs(top + (1.5 - math.sqrt(2.0))) <= 1e-14
+
+    def test_the_rest_of_the_charge_0_block_is_far_from_singular(self):
+        # with the Hamiltonian's anti-Hermitian part too, in units of p
+        neutral = sector_coords(NEUTRAL).real.T
+        rest = np.linalg.qr(neutral, mode="complete")[0][:, 10:]
+        workloads = benchmark_workloads()
+        for point in workloads.oracle_points(1, workloads.ORACLE_POINTS):
+            parts = build_generator_parts(ModelParams(**point))
+            held = rest.T @ np.tensordot(parts.weights, sector_tables_24(), 1) @ rest
+            assert np.linalg.svd(held, compute_uv=False)[-1] >= (1.5 - math.sqrt(2.0)) * parts.params.p, point
 
 
 @st.composite
@@ -506,8 +554,8 @@ class TestAgainstTheLabFrame:
         for steady in (oracle.analytic, oracle.numeric):
             lab_residual = np.linalg.norm(lab.apply(to_lab(frame, steady.rho)))
             assert abs(steady.residual - lab_residual) <= 1e-15 * frame.eps2
-        for coords in (oracle.numeric.coords, sector_coords(PROBE).real):
+        for coords in (oracle.numeric.coords, family_coords(PROBE).real):
             got = bath_actions(generator_weights(parts), coords)
             for out, channel in zip(got, (lab.d1, lab.d2, lab.d3)):
-                want = to_dressed(frame, channel.apply(to_lab(frame, sector_operator(coords))))
-                assert np.max(np.abs(out - sector_coords(want))) <= 1e-14 * rate
+                want = to_dressed(frame, channel.apply(to_lab(frame, family_operator(coords))))
+                assert np.max(np.abs(out - family_coords(want))) <= 1e-14 * rate

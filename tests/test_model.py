@@ -22,10 +22,10 @@ from neqfridge.observables import product_state
 
 from conftest import (
     cooling_condition,
+    family_operator,
     fridge_tilde_operator,
     lab_hamiltonians,
     random_feasible,
-    sector_operator,
     tilde_channel,
     to_lab,
     unitary,
@@ -235,7 +235,7 @@ class TestTildePopulations:
         # claimed mixed populations
         frame = resonant_frame(1.0, 4.0, 0.3)
         pops = tilde_populations(frame, 2.0, 4.0, t1=4 / 3)
-        rho0 = to_lab(frame, sector_operator(product_state(pops)))
+        rho0 = to_lab(frame, family_operator(product_state(pops)))
         for nu in (2, 3):
             out = tilde_channel(nu, frame, pops, 0.01).apply(rho0)
             assert np.max(np.abs(out)) < 1e-15
@@ -384,5 +384,5 @@ class TestHamiltonians:
         evals, evecs = np.linalg.eigh(hfridge4)
         weights = np.exp(-evals / 2.0)
         gibbs = (evecs * (weights / weights.sum())) @ evecs.conj().T
-        fridge_part = sector_operator(product_state(pops)).reshape(2, 4, 2, 4)[0, :, 0, :] / pops.r1
+        fridge_part = family_operator(product_state(pops)).reshape(2, 4, 2, 4)[0, :, 0, :] / pops.r1
         assert np.max(np.abs(fridge_part - gibbs)) < 1e-12
