@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EmptyCoolingWindowError, NeqFridgeError, ParameterError
-from .model import PARAM_NAMES, REFERENCE, ModelParams, _gaps, resonant_frame, tilde_populations
+from .model import (PARAM_NAMES, REFERENCE, ModelParams, _delta_e, _frame_at, _gaps,
+                    _machine_populations, _virtual_log_odds, resonant_frame, tilde_populations)
 from .observables import (
     closed_form_table,
     cop_carnot,
@@ -42,7 +43,8 @@ from .steadystate import deviation_coefficient
 # needs f below this many eps of the range's largest E1/T1, hi/T1
 _F_ROUNDING = 8.0 * np.finfo(float).eps
 _CHUNK = 8  # the fewest draws random_ensemble screens in one round
-# the most rounds a root search may take: fig4, fig6 and maximize take up to 22, bisection 53
+# the most rounds a root search may take: fig6's window edges, searched in delta_e, take up
+# to 18 (a barely cooling model's near-double root), its power maxima up to 19, bisection 53
 _MAX_ROUNDS = 100
 BatchFunc = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, idx): x for models idx
 
@@ -148,11 +150,18 @@ def log_odds_gap(e1, base: ModelParams):
 
     d's numerator is q1 r~2 q~3 - r1 q~2 r~3 (q = 1 - r), its denominator is
     positive and ln(q1/r1) = E1/T1, so f has the sign of d wherever g > 0:
-    the cooling window is {f < 0}, and f depends on neither p nor g.
+    the cooling window is {f < 0}, and f depends on neither p nor g.  A
+    search kernel: e1 must lie in a scan range whose frame holds
+    (:func:`_scan_range`), since the frame is built without its checks.
     """
-    frame = resonant_frame(e1, base.e3, base.gamma)
-    pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
-    return e1 / base.t1 - pops.virtual_log_odds
+    return _log_odds_gap_at(e1, _delta_e(e1, base.gamma), base)
+
+
+def _log_odds_gap_at(e1, delta_e, base: ModelParams):
+    """f of :func:`log_odds_gap` at target gap(s) e1 whose delta_e is given."""
+    frame = _frame_at(e1, base.e3, base.gamma, delta_e)
+    rtilde2, rtilde3 = _machine_populations(frame, base.t2, base.t3)[4:]
+    return e1 / base.t1 - _virtual_log_odds(rtilde2, rtilde3)
 
 
 def _e1_slopes(e1, base: ModelParams) -> tuple:
@@ -166,8 +175,9 @@ def _e1_slopes(e1, base: ModelParams) -> tuple:
     population has dr/dE = -r (1 - r)/T.  As in ``deviation_coefficient``, p
     and g are first multiplied by the power of two u that brings the larger
     below 1, so the H returned is u^2 H: the same sign and root, finite at any g.
+    Like :func:`log_odds_gap`, a search kernel whose frame is not checked.
     """
-    frame = resonant_frame(e1, base.e3, base.gamma)
+    frame = _frame_at(e1, base.e3, base.gamma, _delta_e(e1, base.gamma))
     pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
     c2, s2 = frame.cos_half_sq, frame.sin_half_sq
     dc2 = 2.0 * base.gamma ** 2 / (frame.delta_e * e1 * e1)
@@ -214,28 +224,29 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
         raise ValueError("root not bracketed")
     root = np.where(fa == 0.0, a, b)
     idx = np.flatnonzero(open_)
-    # (point, value) pairs: p1 the newest point, p2 the bracket end across
-    # the root from it, p3 the point they replaced
-    p1, p2 = np.array([a[idx], fa[idx]]), np.array([b[idx], fb[idx]])
-    p3, t, width = p2, np.full(idx.size, 0.5), np.abs(b[idx] - a[idx])
-    tol = 4.0 * np.finfo(float).eps * np.fmax(np.abs(a[idx]), np.abs(b[idx]))
+    # (x1, f1) the newest point, (x2, f2) the bracket end across the root
+    # from it, (x3, f3) the point they replaced
+    x1, f1, x2, f2 = a[idx], fa[idx], b[idx], fb[idx]
+    x3, f3, t, width = x2, f2, np.full(idx.size, 0.5), np.abs(x2 - x1)
+    tol = 4.0 * np.finfo(float).eps * np.fmax(np.abs(x1), np.abs(x2))
     with np.errstate(divide="ignore", invalid="ignore"):
         for rounds in range(_MAX_ROUNDS + 1):
             wide = width > tol
             if not wide.all():
-                root[idx[~wide]] = 0.5 * (p1[0, ~wide] + p2[0, ~wide])
-                idx, p1, p2, p3 = idx[wide], p1[:, wide], p2[:, wide], p3[:, wide]
-                t, tol = t[wide], tol[wide]
+                root[idx[~wide]] = 0.5 * (x1[~wide] + x2[~wide])
+                idx, x1, f1, x2, f2, x3, f3, t, tol = (
+                    v[wide] for v in (idx, x1, f1, x2, f2, x3, f3, t, tol))
             if not idx.size:
                 return root
             if rounds == _MAX_ROUNDS:
                 raise NeqFridgeError(f"root search still open after {_MAX_ROUNDS} rounds: "
-                                     + ", ".join(map(str, np.sort([p1[0], p2[0]], axis=0).T.tolist())))
-            x = p1[0] + t * (p2[0] - p1[0])
-            new = np.array([x, func(x, idx)])
-            same = np.sign(new[1]) == np.sign(p1[1])
-            p1, p2, p3 = new, np.where(same, p2, p1), np.where(same, p1, p2)
-            (x1, f1), (x2, f2), (x3, f3) = p1, p2, p3
+                                     + ", ".join(map(str, np.sort([x1, x2], axis=0).T.tolist())))
+            x = x1 + t * (x2 - x1)
+            fx = func(x, idx)
+            same = np.sign(fx) == np.sign(f1)
+            x2, f2, x3, f3 = (np.where(same, x2, x1), np.where(same, f2, f1),
+                              np.where(same, x1, x2), np.where(same, f1, f2))
+            x1, f1 = x, fx
             x2[f1 == 0.0] = x1[f1 == 0.0]  # an exact zero closes the bracket on itself
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
@@ -244,7 +255,7 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
             # step at least tol/2 from x1; within 2 tol, bisection ends the search
             width = np.abs(x2 - x1)
             least = 0.5 * tol / width
-            t = np.where(width > 2.0 * tol, np.clip(t, least, 1.0 - least), 0.5)
+            t = np.where(width > 2.0 * tol, np.minimum(np.maximum(t, least), 1.0 - least), 0.5)
 
 
 def _raise_first(outcomes: list) -> list:
@@ -341,12 +352,25 @@ def _screen_windows(models: ModelParams) -> list:
 
 
 def _solve_windows(models: ModelParams, screened: list) -> list:
-    """Root-find the brackets of all screened models of a 1-D batch at once into windows."""
+    """Root-find the brackets of all screened models of a 1-D batch at once into windows.
+
+    Each edge is searched in u = delta_e = sqrt((E1 - 2 gamma)(E1 + 2 gamma)),
+    in which f is smooth at E1 = 2 gamma, where its E1-slope diverges: f is
+    evaluated at delta_e = u and E1 = sqrt(u^2 + 4 gamma^2), to 4 eps of the
+    larger end of its bracket in u.  The root maps back to that E1, and as
+    dE1/du = delta_e/E1, the edge's error in E1 is at most delta_e/E1 times
+    that tolerance.  A bracket end where f is zero is returned exactly, so a
+    boundary left edge stays the scan's lower end; at gamma = 0, u is E1.
+    """
     found = [i for i, out in enumerate(screened) if not isinstance(out, NeqFridgeError)]
     # each model's left-edge bracket, then its right-edge one
     pairs = models.take(np.repeat(np.array(found, dtype=int), 2))
-    roots = _chandrupatla(lambda x, j: log_odds_gap(x, pairs.take(j)),
-                          *np.array([screened[i][1] for i in found]).reshape(-1, 4).T)
+    a, b, fa, fb = np.array([screened[i][1] for i in found]).reshape(-1, 4).T
+    four_gamma_sq = (2.0 * pairs.gamma) ** 2
+    u = _chandrupatla(
+        lambda x, j: _log_odds_gap_at(np.sqrt(x * x + four_gamma_sq[j]), x, pairs.take(j)),
+        _delta_e(a, pairs.gamma), _delta_e(b, pairs.gamma), fa, fb)
+    roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.sqrt(u * u + four_gamma_sq)))
     windows = list(screened)
     for i, (left, right) in zip(found, roots.reshape(-1, 2).tolist()):
         windows[i] = CoolingWindow(left, right, left_is_boundary=screened[i][0])
@@ -362,8 +386,10 @@ def cooling_windows(models: ModelParams) -> list:
     f (:func:`log_odds_gap`, which has d's sign) is below its rounding
     bound, f(x) < -8 eps hi/T1, and f >= 0 at the right end; Chandrupatla's
     method finds its edges between x and the ends, and f < 0 at the left end
-    makes that end the left edge, each to 4 eps of the larger end of its
-    bracket.  At g = 0 every window is empty.  A model with
+    makes that end the left edge.  Each edge is searched in delta_e, to 4 eps
+    of the larger end of its bracket in delta_e, so its error in E1 is at
+    most delta_e/E1 times that (:func:`_solve_windows`).  At g = 0 every
+    window is empty.  A model with
     T1 >= T2, an empty range or a frame that fails at the range's low end
     (eps3 <= 0 there) is rejected before any search.  Returns per model its
     :class:`CoolingWindow`, or the :class:`ParameterError` or
@@ -509,7 +535,8 @@ def sweep(spec: SweepSpec) -> tuple[dict[str, np.ndarray], list[dict]]:
     return {**closed_form_table(params), "axis_value": values[keep]}, skipped
 
 
-def _draw_model(rng: np.random.Generator, spec: EnsembleSpec) -> ModelParams:
+def _draw(rng: np.random.Generator, spec: EnsembleSpec) -> tuple:
+    """One random refrigerator's eight fields, in ``PARAM_NAMES`` order, not validated."""
     e3 = rng.uniform(*spec.e3_range)
     t2 = rng.uniform(*spec.t2_range)
     mult_lo, mult_hi = spec.t3_mult_range
@@ -519,9 +546,26 @@ def _draw_model(rng: np.random.Generator, spec: EnsembleSpec) -> ModelParams:
     beta1 = 1.0 / t2 + (1.0 / t2 - 1.0 / t3) / spec.eta_c
     t1 = 1.0 / beta1
     p = g = 0.01 * e3 / 4.0
-    return ModelParams(
-        e1=max(1.0, 2.5 * gamma), e3=e3, gamma=gamma, t1=t1, t2=t2, t3=t3, p=p, g=g
-    )
+    return max(1.0, 2.5 * gamma), e3, gamma, t1, t2, t3, p, g
+
+
+def _draw_model(rng: np.random.Generator, spec: EnsembleSpec) -> ModelParams:
+    """One random refrigerator, validated."""
+    return ModelParams(*_draw(rng, spec))
+
+
+def _screen_draws(fields: np.ndarray) -> list:
+    """Per draw, a column of ``fields`` (a row per name in ``PARAM_NAMES``),
+    what :func:`_screen_windows` finds for it, or the error its fields raise.
+
+    The draws are validated as one batch, and one at a time only if that
+    batch fails, as :func:`sweep` does."""
+    try:
+        return _screen_windows(ModelParams(*fields))
+    except ParameterError:
+        drawn = [_outcome(ModelParams, *column) for column in fields.T.tolist()]
+        screened = iter(_screen_windows(_stack([m for m in drawn if isinstance(m, ModelParams)])))
+        return [next(screened) if isinstance(m, ModelParams) else m for m in drawn]
 
 
 def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
@@ -532,20 +576,22 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     coherence at the optimum, and whether the model sits within 5% of the
     upper bound (relative to the bound gap).  Candidates are screened in
     rounds of half again as many draws as the acceptance ratio so far says
-    the remaining models need; each draw takes the same random numbers
-    whatever its outcome, so drawing ahead leaves the accepted models unchanged.
+    the remaining models need (:func:`_screen_draws`); each draw takes the
+    same random numbers whatever its outcome, so drawing ahead leaves the
+    accepted models unchanged.
     """
     rng = np.random.default_rng(spec.seed)
-    accepted: list[tuple[ModelParams, tuple]] = []
+    rounds: list[np.ndarray] = []  # each round's draws, a row per field
+    accepted: list[int] = []  # the accepted draws' indices over all rounds
+    screened: list[tuple] = []  # and what screening found for them
     resamples = 0
     attempts_cap = 200 * spec.n
     while len(accepted) < spec.n:
         ratio = (resamples + len(accepted)) / len(accepted) if accepted else 1.0
         size = max(_CHUNK, math.ceil(1.5 * (spec.n - len(accepted)) * ratio))
-        drawn = [_outcome(_draw_model, rng, spec) for _ in range(size)]
-        screened = iter(_screen_windows(_stack([m for m in drawn if isinstance(m, ModelParams)])))
-        for model in drawn:
-            outcome = next(screened) if isinstance(model, ModelParams) else model
+        first = sum(fields.shape[1] for fields in rounds)
+        rounds.append(np.array([_draw(rng, spec) for _ in range(size)]).T.copy())
+        for i, outcome in enumerate(_screen_draws(rounds[-1]), first):
             if len(accepted) == spec.n:
                 break
             if resamples > attempts_cap:
@@ -553,10 +599,12 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
             if isinstance(outcome, NeqFridgeError):
                 resamples += 1
             else:
-                accepted.append((model, outcome))
+                accepted.append(i)
+                screened.append(outcome)
 
-    models = _stack([model for model, _ in accepted])
-    windows = _solve_windows(models, [outcome for _, outcome in accepted])
+    # the accepted draws were validated with their rounds
+    models = ModelParams._unchecked(dict(zip(PARAM_NAMES, np.hstack(rounds)[:, accepted])))
+    windows = _solve_windows(models, screened)
     results = maximize_cooling_powers(models, windows)
     table = closed_form_table(replace(models, e1=np.array([r.e1_star for r in results])))
     x = table["gamma"] / table["e3"]

@@ -125,18 +125,29 @@ def _require(holds, error, message: str, *values) -> None:
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _gaps(e1, e3, gamma) -> tuple:
-    """delta_e = sqrt(E1^2 - 4 gamma^2), the dressed engine gap
-    eps3 = E3 + delta_e/2 - E1/2 and, elementwise, whether the frame rules
-    hold: E1, E3 > 0, 0 <= gamma <= E1/2 and 0 < eps3 < inf.
+def _delta_e(e1, gamma):
+    """delta_e = sqrt(E1^2 - 4 gamma^2), 0 where gamma > E1/2, with no rule checked."""
+    two_gamma = 2.0 * gamma  # the factored difference keeps delta_e exact near E1 = 2 gamma
+    return np.sqrt(np.maximum((e1 - two_gamma) * (e1 + two_gamma), 0.0))
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _engine_gap(e1, e3, delta_e):
+    """The dressed engine gap eps3 = E3 + delta_e/2 - E1/2, with no rule checked.
 
     eps3 only grows with E1, since d eps3/dE1 = E1/(2 delta_e) - 1/2 >= 0.
     An infinite E1 gives nan and huge finite fields overflow eps3 to inf,
-    both without a warning; either fails an eps3 rule, which names it.
+    both without a warning.
     """
-    two_gamma = 2.0 * gamma  # the factored difference keeps delta_e exact near E1 = 2 gamma
-    delta_e = np.sqrt(np.maximum((e1 - two_gamma) * (e1 + two_gamma), 0.0))
-    eps3 = 0.5 * ((e3 + delta_e) + e3) - 0.5 * e1
+    return 0.5 * ((e3 + delta_e) + e3) - 0.5 * e1
+
+
+def _gaps(e1, e3, gamma) -> tuple:
+    """delta_e, the dressed engine gap eps3 and, elementwise, whether the
+    frame rules hold: E1, E3 > 0, 0 <= gamma <= E1/2 and 0 < eps3 < inf.
+    A nan or overflowed eps3 fails an eps3 rule, which names it."""
+    delta_e = _delta_e(e1, gamma)
+    eps3 = _engine_gap(e1, e3, delta_e)
     return delta_e, eps3, ((e1 > 0) & (e3 > 0) & (gamma >= 0) & (gamma <= 0.5 * e1)
                            & (eps3 > 0) & (eps3 < np.inf))
 
@@ -213,7 +224,14 @@ def resonant_frame(e1, e3, gamma) -> Frame:
     E1, E3 > 0, gamma >= 0 and the dressed engine gap eps3 is positive, and
     :class:`ResonanceInfeasibleError` where gamma > E1/2.
     """
-    delta_e, eps3 = _frame_gaps(e1, e3, gamma)
+    return _frame_at(e1, e3, gamma, _frame_gaps(e1, e3, gamma)[0])
+
+
+def _frame_at(e1, e3, gamma, delta_e) -> Frame:
+    """The frame of :func:`resonant_frame` at target gap(s) e1 whose
+    delta_e = sqrt(E1^2 - 4 gamma^2) is given, with no rule checked: for
+    target gaps inside a range whose frame is known to hold."""
+    eps3 = _engine_gap(e1, e3, delta_e)
     e2 = e3 + delta_e
     ebar = 0.5 * (e2 + e3)
     lam = 0.5 * e1  # resonance by construction
@@ -273,9 +291,8 @@ class ThermalPopulations:
 
     @property
     def virtual_log_odds(self):
-        """ln[(1 - r~2) r~3 / (r~2 (1 - r~3))], the virtual qubit's gap over its temperature."""
-        r2, r3 = self.rtilde2, self.rtilde3
-        return np.log(((1.0 - r2) * r3) / (r2 * (1.0 - r3)))
+        """The virtual qubit's gap over its temperature; see :func:`_virtual_log_odds`."""
+        return _virtual_log_odds(self.rtilde2, self.rtilde3)
 
     @property
     def btilde2(self) -> float:
@@ -298,6 +315,23 @@ class ThermalPopulations:
         return 2.0 * self.rtilde3 - 1.0
 
 
+def _virtual_log_odds(rtilde2, rtilde3):
+    """ln[(1 - r~2) r~3 / (r~2 (1 - r~3))], the virtual qubit's gap over its temperature."""
+    return np.log(((1.0 - rtilde2) * rtilde3) / (rtilde2 * (1.0 - rtilde3)))
+
+
+def _machine_populations(frame: Frame, t2, t3) -> tuple:
+    """The bath populations r22, r23, r32, r33 and the dressed r~2, r~3 of
+    :func:`tilde_populations`, without the target's."""
+    c2 = frame.cos_half_sq
+    s2 = frame.sin_half_sq
+    r22 = thermal_population(frame.eps2, t2)
+    r23 = thermal_population(frame.eps2, t3)
+    r32 = thermal_population(frame.eps3, t2)
+    r33 = thermal_population(frame.eps3, t3)
+    return r22, r23, r32, r33, c2 * r22 + s2 * r23, c2 * r33 + s2 * r32
+
+
 def tilde_populations(frame: Frame, t2, t3, t1) -> ThermalPopulations:
     """Populations of the dressed machine qubits and of the target.
 
@@ -306,16 +340,11 @@ def tilde_populations(frame: Frame, t2, t3, t1) -> ThermalPopulations:
     and defines the effective temperature ttilde_nu through the Boltzmann
     ratio at gap eps_nu.  Every population follows :func:`thermal_population`.
     """
-    c2 = frame.cos_half_sq
-    s2 = frame.sin_half_sq
-    r22 = thermal_population(frame.eps2, t2)
-    r23 = thermal_population(frame.eps2, t3)
-    r32 = thermal_population(frame.eps3, t2)
-    r33 = thermal_population(frame.eps3, t3)
+    r22, r23, r32, r33, rtilde2, rtilde3 = _machine_populations(frame, t2, t3)
     return ThermalPopulations(
         eps2=frame.eps2, eps3=frame.eps3,
         r22=r22, r23=r23, r32=r32, r33=r33,
-        rtilde2=c2 * r22 + s2 * r23, rtilde3=c2 * r33 + s2 * r32,
+        rtilde2=rtilde2, rtilde3=rtilde3,
         r1=thermal_population(frame.e1, t1),
     )
 

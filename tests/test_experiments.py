@@ -30,6 +30,7 @@ from neqfridge.experiments import (
     _draw_model,
     _e1_slopes,
     _scan_range,
+    _screen_windows,
     _stack,
     cooling_windows,
     deviation,
@@ -209,12 +210,13 @@ class TestDeviationKernel:
         # fig6 at n = 100 made 101 deviation and 102 steady_coefficients
         # calls with bisection and golden section, and its 400-point scans
         # evaluated about 900 kernel points per accepted model; its 150 draws
-        # once cost 250 ModelParams checks, and the kernels checked every population
+        # once cost 250 ModelParams checks, then one per draw and one per batch,
+        # and the kernels checked every population
         from neqfridge import experiments, model, steadystate
 
         kernels = (experiments.deviation, experiments.log_odds_gap, experiments._e1_slopes)
         calls, points = counting(monkeypatch, *kernels, steadystate.steady_coefficients,
-                                 experiments._draw_model, model._require)
+                                 experiments._screen_draws, experiments._stack, model._require)
         post_init = ModelParams.__post_init__
 
         def counted_post_init(self):
@@ -226,10 +228,13 @@ class TestDeviationKernel:
         assert 0 < sum(calls[kernel.__name__] for kernel in kernels) <= 70
         assert sum(points[kernel.__name__] for kernel in kernels) <= 100 * 100
         assert calls["steady_coefficients"] <= 2
-        # validated once per draw and once per batch, each time by ModelParams' four rules;
-        # the kernels' frames hold, so they run no rule of their own
+        # every draw is valid, so each screening round's draws are validated as one
+        # batch, by ModelParams' four rules, and never one at a time; the accepted
+        # models are not validated again, only the table's models at their power
+        # maxima, and the kernels build their frames unchecked
         assert calls["_require"] == 4 * calls["ModelParams"]
-        assert 100 <= calls["_draw_model"] <= calls["ModelParams"] <= calls["_draw_model"] + 10
+        assert calls["ModelParams"] == calls["_screen_draws"] + 1 == 2
+        assert calls["_stack"] == 0
 
 
     def test_virtual_log_odds_is_the_stored_formula(self):
@@ -246,18 +251,26 @@ class TestDeviationKernel:
                                           (frame.eps2 - frame.eps3) / log_odds)
 
     def test_ensemble_stacks_draws_and_accepted_models_once(self, monkeypatch):
+        # a round's draws reach the screening as one array of fields, and the
+        # accepted draws are picked from the rounds' fields by index
         from neqfridge import experiments
 
-        sizes = []
+        rounds, stacked = [], []
 
-        def counted(models):
-            sizes.append(len(models))
-            return stack(models)
+        def screen_draws(fields):
+            rounds.append(fields.copy())
+            return screen(fields)
 
-        stack = experiments._stack
-        monkeypatch.setattr(experiments, "_stack", counted)
-        random_ensemble(EnsembleSpec(n=100, seed=7))
-        assert sizes == [150, 100]
+        screen = experiments._screen_draws
+        monkeypatch.setattr(experiments, "_screen_draws", screen_draws)
+        monkeypatch.setattr(experiments, "_stack", lambda models: stacked.append(models))
+        table, meta = random_ensemble(EnsembleSpec(n=100, seed=7))
+        assert [fields.shape for fields in rounds] == [(8, 150)] and not stacked
+        # the rows carry every field but E1, which is E1* there
+        accepted = np.array([table[name] for name in PARAM_NAMES[1:]])
+        drawn = rounds[0][1:, :100 + meta["resamples"]]
+        remaining = iter(drawn.T.tolist())
+        assert all(column in remaining for column in accepted.T.tolist())  # in draw order
 
 
 class TestCoolingWindow:
@@ -404,6 +417,80 @@ class TestWindowsAgainstFineScan:
                 assert abs(window.right - cool[-1]) <= cell
             else:
                 assert not isinstance(window, CoolingWindow) or window.right - window.left < cell
+
+
+def _edge_search_rounds(monkeypatch, run) -> list[int]:
+    """The rounds (function calls) of each window-edge search that run() makes."""
+    from neqfridge import experiments
+
+    rounds, solving = [], []
+    solve, search = experiments._solve_windows, experiments._chandrupatla
+
+    def solve_windows(*args):
+        solving.append(True)
+        try:
+            return solve(*args)
+        finally:
+            solving.pop()
+
+    def chandrupatla(func, *brackets):
+        calls = []
+        result = search(lambda x, idx: calls.append(x) or func(x, idx), *brackets)
+        if solving:
+            rounds.append(len(calls))
+        return result
+
+    monkeypatch.setattr(experiments, "_solve_windows", solve_windows)
+    monkeypatch.setattr(experiments, "_chandrupatla", chandrupatla)
+    run()
+    return rounds
+
+
+class TestEdgeSearchInDeltaE:
+    # the edges are searched in delta_e, where f is smooth at E1 = 2 gamma; in E1,
+    # fig6's edge searches took 21 rounds at every seed, maximize's 13 and fig4's 14
+    def test_fig6_edge_rounds(self, monkeypatch):
+        rounds = _edge_search_rounds(monkeypatch, lambda: [
+            random_ensemble(EnsembleSpec(n=100, seed=seed)) for seed in range(51, 61)])
+        assert len(rounds) == 10 and max(rounds) <= 15
+
+    def test_maximize_edge_rounds(self, monkeypatch):
+        rounds = _edge_search_rounds(monkeypatch, lambda: maximize_cooling_power(REFERENCE))
+        assert len(rounds) == 1 and rounds[0] <= 10
+
+    def test_fig4_edge_rounds(self, monkeypatch):
+        rounds = _edge_search_rounds(monkeypatch, sweep_fig4)
+        assert len(rounds) == 1 and rounds[0] <= 11
+
+    @pytest.mark.parametrize("seed", [51, 56])
+    def test_near_2_gamma_left_edges_match_mpmath(self, seed):
+        # left edges with delta_e/E1 below 0.05, where f's E1-slope is large; each
+        # agrees with a 50-digit root within 4 eps of its bracket's larger end, the
+        # point inside the window, and within the search's own error, delta_e/E1
+        # times 4 eps of that point's delta_e, plus the map's rounding
+        rng = np.random.default_rng(seed)
+        spec = EnsembleSpec(n=100, seed=seed)
+        models = _stack([_draw_model(rng, spec) for _ in range(150)])
+        checked = 0
+        for i, (screened, window) in enumerate(zip(_screen_windows(models), cooling_windows(models))):
+            if not isinstance(window, CoolingWindow) or window.left_is_boundary:
+                continue
+            base = ModelParams(**{name: float(value[i]) for name, value in models.as_dict().items()})
+            delta_e = lambda e1: math.sqrt((e1 - 2.0 * base.gamma) * (e1 + 2.0 * base.gamma))
+            left, inside = window.left, screened[1][0][1]
+            if delta_e(left) >= 0.05 * left:
+                continue
+            with mpmath.workdps(50):
+                four_gamma_sq = 4 * mpmath.mpf(base.gamma) ** 2
+                f = lambda u: mp_closed_forms(mpmath.sqrt(u * u + four_gamma_sq), base)[0]
+                u = mpmath.findroot(f, mpmath.mpf(delta_e(left)))
+                exact = float(mpmath.sqrt(u * u + four_gamma_sq))
+            eps = np.finfo(float).eps
+            assert abs(left - exact) <= 4.0 * eps * inside
+            assert abs(left - exact) <= (delta_e(left) / left * 4.0 * eps * delta_e(inside)
+                                         + np.spacing(left))
+            checked += 1
+        assert checked >= 5
 
 
 class TestOptimizers:
@@ -818,6 +905,42 @@ class TestEnsemble:
         # point-by-point bisection and golden-section search replayed on the
         # same random stream
         _check_against_scalar(EnsembleSpec(n=20, seed=seed))
+
+    def test_a_failing_batch_is_validated_draw_by_draw(self, monkeypatch):
+        # at eta_c = 10 some draws have eps3 <= 0 at their own E1, so their round's
+        # batch fails its check and its draws are validated one at a time; every
+        # rejection, its reason, and every accepted model are those of validating
+        # and screening each draw on its own
+        from neqfridge import experiments
+
+        outcomes = []
+
+        def screen_draws(fields):
+            outcomes.extend(screen(fields))
+            return outcomes[-fields.shape[1]:]
+
+        screen = experiments._screen_draws
+        monkeypatch.setattr(experiments, "_screen_draws", screen_draws)
+        spec = EnsembleSpec(n=200, eta_c=10.0, seed=5)
+        table, meta = random_ensemble(spec)
+        rng, drawn = np.random.default_rng(spec.seed), []
+        for _ in outcomes:
+            try:
+                drawn.append(_draw_model(rng, spec))
+            except ParameterError as exc:
+                drawn.append(exc)
+        screened = iter(_screen_windows(_stack([m for m in drawn if isinstance(m, ModelParams)])))
+        reference = [next(screened) if isinstance(m, ModelParams) else m for m in drawn]
+        assert any(isinstance(m, ParameterError) for m in drawn)
+        reason = lambda outcome: ((type(outcome), str(outcome))
+                                  if isinstance(outcome, NeqFridgeError) else outcome)
+        assert list(map(reason, outcomes)) == list(map(reason, reference))
+        accepted = [m for m, outcome in zip(drawn, reference)
+                    if not isinstance(outcome, NeqFridgeError)][:spec.n]
+        last = drawn.index(accepted[-1])
+        assert meta["resamples"] == last + 1 - spec.n == 543
+        for name in PARAM_NAMES[1:]:  # the rows' E1 is E1*
+            np.testing.assert_array_equal(table[name], [getattr(m, name) for m in accepted])
 
     def test_scan_errors_are_resamples(self):
         # at eta_c = 6 large couplings push the dressed gap eps3 below zero
