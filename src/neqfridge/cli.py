@@ -107,8 +107,12 @@ def write_csv(path: Path, metadata: dict, columns: list[str], cells: dict[str, l
 
 
 def _load_config(path: str) -> dict[str, float]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file {path} is not UTF-8 text: {exc}")
     values: dict[str, float] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

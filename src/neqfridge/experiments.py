@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .observables import (
     eta_star_max,
     eta_star_min,
 )
-from .steadystate import deviation_coefficient
+from .steadystate import _deviation_terms, deviation_coefficient
 
 # f = E1/T1 - ln(population ratio) rounds to a few ulps of E1/T1 (inside
 # ensemble scan ranges, at most 3.4 eps hi/T1 against mpmath), so a window
@@ -119,7 +119,7 @@ class CoolingWindow:
 
     left: float
     right: float
-    left_is_boundary: bool = False
+    left_is_boundary: bool
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,10 @@ def _e1_slopes(e1, base: ModelParams) -> tuple:
 
     deps3/dE1 = E1/(2 delta_e) - 1/2, deps2/dE1 = deps3/dE1 + 1,
     d cos^2(theta/2)/dE1 = 2 gamma^2/(delta_e E1^2), and each thermal
-    population has dr/dE = -r (1 - r)/T.  As in ``deviation_coefficient``, p
-    and g are first multiplied by the power of two u that brings the larger
-    below 1, so the H returned is u^2 H: the same sign and root, finite at any g.
-    Like :func:`log_odds_gap`, a search kernel whose frame is not checked.
+    population has dr/dE = -r (1 - r)/T.  N, D and (p, g) times the power of
+    two u that brings the larger below 1 are those of ``_deviation_terms``, so
+    the H returned is u^2 H: the same sign and root, finite at any g.  Like
+    :func:`log_odds_gap`, a search kernel whose frame is not checked.
     """
     frame = _frame_at(e1, base.e3, base.gamma, _delta_e(e1, base.gamma))
     pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
@@ -191,14 +191,9 @@ def _e1_slopes(e1, base: ModelParams) -> tuple:
     drt3 = dc2 * (pops.r33 - pops.r32) + deps3 * (c2 * slope(pops.r33, base.t3)
                                                   + s2 * slope(pops.r32, base.t2))
     f_slope = 1.0 / base.t1 + drt2 / (rt2 * qt2) - drt3 / (rt3 * qt3)
-    n = q1 * rt2 * qt3 - r1 * qt2 * rt3
+    n, d, _, g = _deviation_terms(pops, base.p, base.g)
     dn = -dr1 * (rt2 * qt3 + qt2 * rt3) + drt2 * (q1 * qt3 + r1 * rt3) - drt3 * (q1 * rt2 + r1 * qt2)
-    unit = np.ldexp(1.0, -np.frexp(np.fmax(base.p, base.g))[1])
-    p, g = base.p * unit, base.g * unit
-    g2 = g * g
-    omega = r1 * qt2 + q1 * rt2 + rt2 * qt3 + qt2 * rt3 + r1 * rt3 + q1 * qt3
-    d = 9.0 * p * p + (14.0 + 4.0 * omega) * g2
-    dd = 8.0 * g2 * ((rt3 - rt2) * dr1 + (1.0 - r1 - rt3) * drt2 + (r1 - rt2) * drt3)
+    dd = 8.0 * g * g * ((rt3 - rt2) * dr1 + (1.0 - r1 - rt3) * drt2 + (r1 - rt2) * drt3)
     return f_slope, -(n * d + e1 * (dn * d - n * dd))
 
 
@@ -404,23 +399,26 @@ def cooling_window(base: ModelParams) -> CoolingWindow:
     return _raise_first(cooling_windows(base))[0]
 
 
-def maximize_cooling_powers(
-    models: ModelParams, windows: Sequence[CoolingWindow] | None = None
-) -> list[MaxPowerResult]:
-    """Maximize Q1^g over the whole cooling window of each model of
-    ``models`` (as in :func:`cooling_windows`) and report the COP there.
-
-    E1* is the root of H (:func:`_e1_slopes`), which has the sign of
-    dQ1^g/dE1, between the window's edges.  H is positive at the left edge,
-    a root of d's numerator N with N' < 0 or, where the window starts at the
-    scan boundary, a point from which Q1^g (which carries a factor E1)
-    rises, and negative at the right edge, a root with N' > 0.
+def _power_maxima(models: ModelParams, windows: list[CoolingWindow]) -> np.ndarray:
+    """E1* of each model of the batch ``models`` in its cooling window: the root of
+    H (:func:`_e1_slopes`), which has the sign of dQ1^g/dE1, between the window's
+    edges.  H is positive at the left edge, a root of d's numerator N with N' < 0
+    or, where the window starts at the scan boundary, a point from which Q1^g
+    (which carries a factor E1) rises, and negative at the right edge, a root
+    with N' > 0.
     """
-    models = models.as_batch()
-    windows = windows if windows is not None else _raise_first(cooling_windows(models))
     left, right = np.array([(w.left, w.right) for w in windows]).T
     h_left, h_right = _e1_slopes(np.array([left, right]), models)[1]
-    e1_star = _chandrupatla(lambda x, j: _e1_slopes(x, models.take(j))[1], left, right, h_left, h_right)
+    return _chandrupatla(lambda x, j: _e1_slopes(x, models.take(j))[1], left, right, h_left, h_right)
+
+
+def maximize_cooling_powers(models: ModelParams) -> list[MaxPowerResult]:
+    """Maximize Q1^g over the whole cooling window of each model of
+    ``models`` (as in :func:`cooling_windows`) at E1* (:func:`_power_maxima`),
+    and report the COP there."""
+    models = models.as_batch()
+    windows = _raise_first(cooling_windows(models))
+    e1_star = _power_maxima(models, windows)
     q1g_max = extracted_current(e1_star, models)
     eta_g_star = cop_g(resonant_frame(e1_star, models.e3, models.gamma))
     return [
@@ -434,7 +432,7 @@ def maximize_cooling_power(base: ModelParams) -> MaxPowerResult:
     return maximize_cooling_powers(base)[0]
 
 
-def sweep_fig3(points: int = 200, gammas: tuple[float, ...] | None = None) -> dict[str, np.ndarray]:
+def sweep_fig3(points: int, gammas: tuple[float, ...] | None = None) -> dict[str, np.ndarray]:
     """Cooling current and coherence change versus engine-bath coldness.
 
     One curve per coupling value of the reference refrigerator with
@@ -458,7 +456,7 @@ def sweep_fig3(points: int = 200, gammas: tuple[float, ...] | None = None) -> di
 
 
 def sweep_fig4(
-    points: int = 200, gammas: tuple[float, ...] | None = None
+    points: int, gammas: tuple[float, ...] | None = None
 ) -> tuple[dict[str, np.ndarray], dict[float, CoolingWindow]]:
     """COPs and coherence versus target gap inside each cooling window.
 
@@ -482,10 +480,7 @@ def sweep_fig4(
 
 
 def sweep_fig5(
-    points: int = 200,
-    gammas: tuple[float, ...] | None = None,
-    beta3_lo: float = 0.01,
-    beta3_hi: float | None = None,
+    points: int, gammas: tuple[float, ...] | None = None
 ) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Endpoint COP over Carnot, and coherence, versus engine-bath coldness.
 
@@ -499,9 +494,7 @@ def sweep_fig5(
     _check_points(points)
     gammas = gammas if gammas is not None else (0.1, 0.2, 0.3)
     t2 = REFERENCE.t2
-    if beta3_hi is None:
-        beta3_hi = 1.0 / t2 - 1e-4  # the Carnot ratio is 0/0 at beta3 = beta2
-    beta3 = np.linspace(beta3_lo, beta3_hi, points)
+    beta3 = np.linspace(0.01, 1.0 / t2 - 1e-4, points)  # the Carnot ratio is 0/0 at beta3 = beta2
     grid = closed_form_table(replace(REFERENCE, gamma=np.array(gammas, dtype=float)[:, None],
                                      t3=1.0 / beta3))
     beta3, tv = np.tile(beta3, len(gammas)), grid["tv"]
@@ -547,11 +540,6 @@ def _draw(rng: np.random.Generator, spec: EnsembleSpec) -> tuple:
     t1 = 1.0 / beta1
     p = g = 0.01 * e3 / 4.0
     return max(1.0, 2.5 * gamma), e3, gamma, t1, t2, t3, p, g
-
-
-def _draw_model(rng: np.random.Generator, spec: EnsembleSpec) -> ModelParams:
-    """One random refrigerator, validated."""
-    return ModelParams(*_draw(rng, spec))
 
 
 def _screen_draws(fields: np.ndarray) -> list:
@@ -604,11 +592,8 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
 
     # the accepted draws were validated with their rounds
     models = ModelParams._unchecked(dict(zip(PARAM_NAMES, np.hstack(rounds)[:, accepted])))
-    windows = _solve_windows(models, screened)
-    results = maximize_cooling_powers(models, windows)
-    table = closed_form_table(replace(models, e1=np.array([r.e1_star for r in results])))
-    x = table["gamma"] / table["e3"]
-    eta_star = np.array([r.eta_g_star for r in results])
+    table = closed_form_table(replace(models, e1=_power_maxima(models, _solve_windows(models, screened))))
+    x, eta_star = table["gamma"] / table["e3"], table["eta_g"]
     upper, lower = eta_star_max(spec.eta_c, x), eta_star_min(x)
     # an undefined (NaN) upper bound is near nothing
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -620,7 +605,7 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
         eta_star_max=upper,
         eta_star_min=lower,
         eta_tot_star=table["eta_tot"],
-        q1g_max=np.array([r.q1g_max for r in results]),
+        q1g_max=table["q1g"],
         near_bound=(ratio < 0.05).astype(int),
     )
     # every spec field, the ranges as lists, which is how the CSV metadata prints them

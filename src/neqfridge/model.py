@@ -53,6 +53,11 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         t1, t2, t3 = self.t1, self.t2, self.t3
+        # the sum is below inf unless a field is nan or inf (-inf alone is left to the sign rules)
+        finite = self.e1 + self.e3 + self.gamma + t1 + t2 + t3 + self.p + self.g < np.inf
+        if not (finite.all() if getattr(finite, "ndim", 0) else finite):
+            for name, value in self.as_dict().items():  # overflowing finite fields pass here
+                _require(np.isfinite(value), ParameterError, f"{name} must be finite, got {{}}", value)
         _frame_gaps(
             self.e1, self.e3, self.gamma,
             ((t1 > 0) & (t2 > 0) & (t3 > 0), ParameterError,
@@ -62,11 +67,6 @@ class ModelParams:
             (self.p > 0, ParameterError, "dissipation rate must be positive: p={}", self.p),
             (self.g >= 0, ParameterError, "tripartite coupling must be nonnegative: g={}", self.g),
         )
-        # the fields are nonnegative, so one sum is finite unless a field is not
-        finite = self.e1 + self.e3 + self.gamma + t1 + t2 + t3 + self.p + self.g < np.inf
-        if not (finite.all() if getattr(finite, "ndim", 0) else finite):
-            for name, value in self.as_dict().items():  # overflowing finite fields pass here
-                _require(np.isfinite(value), ParameterError, f"{name} must be finite, got {{}}", value)
 
     @property
     def beta1(self) -> float:
@@ -171,8 +171,7 @@ def _frame_gaps(e1, e3, gamma, *rules) -> tuple:
     if not framed:
         _require(eps3 > 0, ParameterError, "dressed engine gap must be positive: "
                  "eps3={} at E1={}, E3={}, gamma={}", eps3, e1, e3, gamma)
-        # an infinite E3 is left to ModelParams' finite-field rule, which names it
-        _require(holds | (e3 == np.inf), ParameterError, "dressed engine gap overflows: "
+        _require(holds, ParameterError, "dressed engine gap overflows: "
                  "eps3={} at E1={}, E3={}, gamma={}", eps3, e1, e3, gamma)
     return delta_e, eps3
 

@@ -75,25 +75,32 @@ class SteadyStateResult:
         return np.tensordot(self.coords, FAMILY, 1)
 
 
+def _deviation_terms(pops: ThermalPopulations, p, g) -> tuple:
+    """d = 48 N p g / D as (N, D, p, g), N = q1 r~2 q~3 - r1 q~2 r~3 (q = 1 - r) and
+    D > 0.  d is homogeneous of degree 0 in (p, g), so both are first scaled, exactly,
+    by the power of two that brings the larger below 1, which keeps g*g finite at any g.
+    """
+    unit = np.ldexp(1.0, -np.frexp(np.fmax(p, g))[1])
+    p, g = p * unit, g * unit
+    r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
+    q1, qt2, qt3 = 1.0 - r1, 1.0 - rt2, 1.0 - rt3  # ground-state populations
+    om12 = r1 * qt2 + q1 * rt2
+    om23 = rt2 * qt3 + qt2 * rt3
+    om31 = r1 * rt3 + q1 * qt3
+    return (q1 * rt2 * qt3 - r1 * qt2 * rt3,
+            9.0 * p * p + (14.0 + 4.0 * (om12 + om23 + om31)) * g * g, p, g)
+
+
 def deviation_coefficient(pops: ThermalPopulations, p: float, g: float) -> float:
     """Closed-form deviation coefficient d from the bath populations.
 
     d is proportional to the imbalance between the two directions of the
     resonant three-body exchange; its sign decides cooling.  It reads only
     r1 and the two mixed populations, so window and power searches call it
-    without the other seven coefficients.  d is homogeneous of degree 0 in
-    (p, g), so both are first scaled by the power of two that brings the
-    larger below 1, exactly, which keeps g*g finite at any g.
+    without the other seven coefficients.
     """
-    unit = np.ldexp(1.0, -np.frexp(np.fmax(p, g))[1])
-    p, g = p * unit, g * unit
-    r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
-    q1, qt2, qt3 = 1.0 - r1, 1.0 - rt2, 1.0 - rt3  # ground-state populations
-    numerator = 48.0 * (q1 * rt2 * qt3 - r1 * qt2 * rt3) * p * g
-    om12 = r1 * qt2 + q1 * rt2
-    om23 = rt2 * qt3 + qt2 * rt3
-    om31 = r1 * rt3 + q1 * qt3
-    return numerator / (9.0 * p * p + (14.0 + 4.0 * (om12 + om23 + om31)) * g * g)
+    n, d, p, g = _deviation_terms(pops, p, g)
+    return 48.0 * n * p * g / d
 
 
 def steady_coefficients(pops: ThermalPopulations, p: float, g: float) -> SteadyDecomposition:

