@@ -31,7 +31,6 @@ from .model import (PARAM_NAMES, REFERENCE, ModelParams, _delta_e, _frame_at, _g
 from .observables import (
     closed_form_table,
     cop_carnot,
-    cop_g,
     critical_gamma,
     eta_star_max,
     eta_star_min,
@@ -46,6 +45,11 @@ _CHUNK = 8  # the fewest draws random_ensemble screens in one round
 # the most rounds a root search may take: fig6's window edges, searched in delta_e, take up
 # to 18 (a barely cooling model's near-double root), its power maxima up to 19, bisection 53
 _MAX_ROUNDS = 100
+# the ensemble's fixed sampling box: E3 is uniform over _E3_RANGE, and gamma is
+# k E3 eta_c/_GAMMA_STEPS with the integer k uniform over 1.._MAX_GAMMA_STEP
+_E3_RANGE = (2.0, 8.0)
+_GAMMA_STEPS = 200
+_MAX_GAMMA_STEP = 40
 BatchFunc = Callable[[np.ndarray, np.ndarray], np.ndarray]  # f(x, idx): x for models idx
 
 
@@ -76,20 +80,18 @@ def _check_points(points: int) -> None:
 class EnsembleSpec:
     """Sampling plan for the random-refrigerator ensemble.
 
-    The internal coupling is an integer multiple of E3*eta_c/gamma_steps and
-    the cold-bath temperature is fixed by the Carnot constraint
-    b1 = b2 + (b2 - b3)/eta_c.  Draws whose window search finds no window,
-    or raises, are rejected and redrawn.
+    E3 and the internal coupling are drawn from the fixed box of
+    ``_E3_RANGE``, ``_GAMMA_STEPS`` and ``_MAX_GAMMA_STEP``, T2 from
+    ``t2_range``, T3/T2 from ``t3_mult_range``, and the cold-bath temperature
+    is fixed by the Carnot constraint b1 = b2 + (b2 - b3)/eta_c.  Draws whose
+    window search finds no window, or raises, are rejected and redrawn.
     """
 
     n: int
     eta_c: float = 1.0
     seed: int = 7
-    e3_range: tuple[float, float] = (2.0, 8.0)
     t2_range: tuple[float, float] = (1.0, 4.0)
     t3_mult_range: tuple[float, float] = (1.0, 5.0)
-    gamma_steps: int = 200
-    max_gamma_step: int = 40
 
     def __post_init__(self) -> None:
         mult_lo, mult_hi = self.t3_mult_range
@@ -97,12 +99,9 @@ class EnsembleSpec:
             "n": (">= 1", self.n >= 1),
             "eta_c": ("finite and positive", 0 < self.eta_c < math.inf),
             "seed": (">= 0", self.seed >= 0),
-            "e3_range": ("0 < lo <= hi", 0 < self.e3_range[0] <= self.e3_range[1]),
             "t2_range": ("0 < lo <= hi", 0 < self.t2_range[0] <= self.t2_range[1]),
             # at hi = 1 every draw has T1 = T2 = T3, and nothing can cool
             "t3_mult_range": ("1 <= lo <= hi, 1 < hi", 1 <= mult_lo <= mult_hi and 1 < mult_hi),
-            "gamma_steps": (">= 1", self.gamma_steps >= 1),
-            "max_gamma_step": (">= 1", self.max_gamma_step >= 1),
         }
         for name, (rule, holds) in rules.items():
             if not holds:
@@ -138,11 +137,6 @@ def deviation(e1, base: ModelParams):
     frame = resonant_frame(e1, base.e3, base.gamma)
     pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
     return deviation_coefficient(pops, base.p, base.g)
-
-
-def extracted_current(e1, base: ModelParams):
-    """Tripartite cooling current Q1^g at target gap(s) e1."""
-    return -0.25 * base.g * deviation(e1, base) * e1
 
 
 def log_odds_gap(e1, base: ModelParams):
@@ -210,13 +204,15 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
     search, and a search stops once its bracket is at most tol wide and
     returns the bracket's midpoint.  On a simple root this takes far fewer
     evaluations than bisection; near a multiple root the interpolation
-    converges only linearly and can take a few more.  A search still open
-    after ``_MAX_ROUNDS`` evaluations raises a :class:`NeqFridgeError`.
+    converges only linearly and can take a few more.  End values of one
+    sign, or a search still open after ``_MAX_ROUNDS`` evaluations, raise a
+    :class:`NeqFridgeError` that names the brackets.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     open_ = (fa != 0.0) & (fb != 0.0)
-    if np.any(open_ & (np.sign(fa) == np.sign(fb))):
-        raise ValueError("root not bracketed")
+    unbracketed = open_ & (np.sign(fa) == np.sign(fb))
+    if unbracketed.any():
+        raise NeqFridgeError("root not bracketed: " + _brackets(a[unbracketed], b[unbracketed]))
     root = np.where(fa == 0.0, a, b)
     idx = np.flatnonzero(open_)
     # (x1, f1) the newest point, (x2, f2) the bracket end across the root
@@ -235,7 +231,7 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
                 return root
             if rounds == _MAX_ROUNDS:
                 raise NeqFridgeError(f"root search still open after {_MAX_ROUNDS} rounds: "
-                                     + ", ".join(map(str, np.sort([x1, x2], axis=0).T.tolist())))
+                                     + _brackets(x1, x2))
             x = x1 + t * (x2 - x1)
             fx = func(x, idx)
             same = np.sign(fx) == np.sign(f1)
@@ -253,6 +249,11 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
             t = np.where(width > 2.0 * tol, np.minimum(np.maximum(t, least), 1.0 - least), 0.5)
 
 
+def _brackets(a, b) -> str:
+    """Brackets between a and b, elementwise and in either order, as "[lo, hi], ..."."""
+    return ", ".join(map(str, np.sort([a, b], axis=0).T.tolist()))
+
+
 def _raise_first(outcomes: list) -> list:
     """The outcomes, unless one is an error: then the first error is raised."""
     for outcome in outcomes:
@@ -267,12 +268,6 @@ def _outcome(func, *args, **kwargs):
         return func(*args, **kwargs)
     except NeqFridgeError as exc:
         return exc
-
-
-def _stack(models: list[ModelParams]) -> ModelParams:
-    """One-model parameter sets as one batch, each field an array over them."""
-    fields = {name: np.array([getattr(m, name) for m in models]) for name in PARAM_NAMES}
-    return ModelParams(**fields)
 
 
 def _scan_range(models: ModelParams) -> tuple:
@@ -415,15 +410,15 @@ def _power_maxima(models: ModelParams, windows: list[CoolingWindow]) -> np.ndarr
 def maximize_cooling_powers(models: ModelParams) -> list[MaxPowerResult]:
     """Maximize Q1^g over the whole cooling window of each model of
     ``models`` (as in :func:`cooling_windows`) at E1* (:func:`_power_maxima`),
-    and report the COP there."""
+    and report the COP there; both are read from the closed-form table at E1*."""
     models = models.as_batch()
     windows = _raise_first(cooling_windows(models))
     e1_star = _power_maxima(models, windows)
-    q1g_max = extracted_current(e1_star, models)
-    eta_g_star = cop_g(resonant_frame(e1_star, models.e3, models.gamma))
+    table = closed_form_table(replace(models, e1=e1_star))
     return [
         MaxPowerResult(e1_star=e, q1g_max=q, eta_g_star=eta, window=w)
-        for e, q, eta, w in zip(e1_star.tolist(), q1g_max.tolist(), eta_g_star.tolist(), windows)
+        for e, q, eta, w in zip(e1_star.tolist(), table["q1g"].tolist(), table["eta_g"].tolist(),
+                                windows)
     ]
 
 
@@ -530,12 +525,12 @@ def sweep(spec: SweepSpec) -> tuple[dict[str, np.ndarray], list[dict]]:
 
 def _draw(rng: np.random.Generator, spec: EnsembleSpec) -> tuple:
     """One random refrigerator's eight fields, in ``PARAM_NAMES`` order, not validated."""
-    e3 = rng.uniform(*spec.e3_range)
+    e3 = rng.uniform(*_E3_RANGE)
     t2 = rng.uniform(*spec.t2_range)
     mult_lo, mult_hi = spec.t3_mult_range
     t3 = t2 * (mult_lo + (mult_hi - mult_lo) * (1.0 - rng.random()))
-    k = int(rng.integers(1, spec.max_gamma_step + 1))
-    gamma = k * e3 * spec.eta_c / spec.gamma_steps
+    k = int(rng.integers(1, _MAX_GAMMA_STEP + 1))
+    gamma = k * e3 * spec.eta_c / _GAMMA_STEPS
     beta1 = 1.0 / t2 + (1.0 / t2 - 1.0 / t3) / spec.eta_c
     t1 = 1.0 / beta1
     p = g = 0.01 * e3 / 4.0
@@ -552,7 +547,8 @@ def _screen_draws(fields: np.ndarray) -> list:
         return _screen_windows(ModelParams(*fields))
     except ParameterError:
         drawn = [_outcome(ModelParams, *column) for column in fields.T.tolist()]
-        screened = iter(_screen_windows(_stack([m for m in drawn if isinstance(m, ModelParams)])))
+        valid = np.array([isinstance(m, ModelParams) for m in drawn])
+        screened = iter(_screen_windows(ModelParams(*fields[:, valid])))
         return [next(screened) if isinstance(m, ModelParams) else m for m in drawn]
 
 
@@ -608,7 +604,8 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
         q1g_max=table["q1g"],
         near_bound=(ratio < 0.05).astype(int),
     )
-    # every spec field, the ranges as lists, which is how the CSV metadata prints them
-    spec_fields = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(spec).items()}
-    return table, {"rng": "numpy-PCG64", "resamples": resamples, **spec_fields}
+    meta = {"rng": "numpy-PCG64", "resamples": resamples, **asdict(spec), "e3_range": _E3_RANGE,
+            "gamma_steps": _GAMMA_STEPS, "max_gamma_step": _MAX_GAMMA_STEP}
+    # the ranges as lists, which is how the CSV metadata prints them
+    return table, {k: list(v) if isinstance(v, tuple) else v for k, v in meta.items()}
 

@@ -83,18 +83,6 @@ class ModelParams:
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
-    def __eq__(self, other) -> bool:
-        """Field-by-field equality of scalars or arrays."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in PARAM_NAMES)
-
-    def __hash__(self) -> int:
-        values = self.as_dict().values()
-        if any(np.ndim(value) for value in values):
-            raise TypeError("a batch ModelParams is unhashable")
-        return hash(tuple(float(value) for value in values))
-
     def take(self, idx) -> ModelParams:
         """The models ``idx`` of a batch whose fields are arrays, not validated again."""
         return self._unchecked({name: value[idx] for name, value in self.as_dict().items()})

@@ -24,7 +24,7 @@ from neqfridge import (
 )
 from neqfridge.experiments import _chandrupatla
 from neqfridge.dissipation import FAMILY, _act
-from neqfridge.model import REFERENCE, Hamiltonians
+from neqfridge.model import PARAM_NAMES, REFERENCE, Hamiltonians
 from neqfridge.linalg import (
     IDENTITY_2,
     SIGMA_MINUS,
@@ -38,6 +38,11 @@ from neqfridge.linalg import (
 
 # canonical benchmark point used throughout the suite
 P0 = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=4.0 / 3.0, t2=2.0, t3=4.0, p=0.01, g=0.01)
+
+
+def stack(models: list[ModelParams]) -> ModelParams:
+    """One-model parameter sets as one validated batch, each field an array over them."""
+    return ModelParams(**{name: np.array([getattr(m, name) for m in models]) for name in PARAM_NAMES})
 
 
 def random_feasible(rng: np.random.Generator) -> ModelParams:

@@ -15,7 +15,7 @@ from neqfridge import build_generator_parts, cooling_window, solve_oracle, valid
 from neqfridge.cli import _cells, main, write_csv
 from neqfridge.model import REFERENCE, thermal_population
 
-from conftest import P0, counting, per_cell_cells, per_cell_csv
+from conftest import P0, counting, per_cell_cells, per_cell_csv, stack
 
 # group names of `validate`, in report order
 GROUPS = [
@@ -264,13 +264,13 @@ class TestFigureCommand:
 
     def test_fig4_empty_window_prints_the_scanned_range(self, tmp_path, capsys):
         # E1 = 5 at gamma = 2: the scan runs from 4 (1 + 1e-9) to 4 (1 + 1e-6)
-        from neqfridge.experiments import _scan_range, _stack
+        from neqfridge.experiments import _scan_range
         from neqfridge.model import REFERENCE
 
         assert main(["figure", "fig4", "--gamma", "2.0", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: no cooling found in [")
-        lo, hi, _ = _scan_range(_stack([replace(REFERENCE, e1=5.0, gamma=2.0)]))
+        lo, hi, _ = _scan_range(stack([replace(REFERENCE, e1=5.0, gamma=2.0)]))
         scanned = err.split("[", 1)[1].split("]", 1)[0]
         assert [float(v) for v in scanned.split(", ")] == [lo[0], hi[0]]
         assert lo[0] < hi[0]
@@ -337,6 +337,30 @@ class TestFigureCommand:
         lines = (d1 / "fig6a.csv").read_text().splitlines()
         assert any("near_bound" in line for line in lines if not line.startswith("#"))
         assert any(line.startswith("# rng: numpy-PCG64") for line in lines)
+
+    def test_fig6_metadata(self, tmp_path):
+        # the fixed E3 range and coupling steps are printed too, so the CSV records
+        # the whole sampling box
+        assert main(["figure", "fig6", "--n", "5", "--seed", "7", "--out", str(tmp_path)]) == 0
+        expected = [
+            f"# neqfridge {neqfridge.__version__}",
+            "# e3_range: [2.0, 8.0]",
+            "# eta_c: 1.0",
+            "# figure: fig6",
+            "# gamma_steps: 200",
+            "# max_gamma_step: 40",
+            "# n: 5",
+            "# points: 200",
+            "# resamples: 0",
+            "# rng: numpy-PCG64",
+            "# seed: 7",
+            "# t2_range: [1.0, 4.0]",
+            "# t3_mult_range: [1.0, 5.0]",
+        ]
+        for name in ("fig6a.csv", "fig6b.csv"):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[:len(expected)] == expected
+            assert lines[len(expected)].startswith("# columns: ")
 
 
 class TestSweepCommand:
@@ -925,6 +949,28 @@ class TestEnsembleCommand:
         assert len(data) == 21
         assert "eta_star_ratio" in data[0]
 
+    def test_metadata(self, tmp_path):
+        # eta_c = 10 rejects some draws as models, so the draw-by-draw validation runs;
+        # the fixed E3 range and coupling steps are printed with the spec's fields
+        out = tmp_path / "ens.csv"
+        assert main(["ensemble", "--n", "20", "--eta-c", "10", "--seed", "5", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        expected = [
+            f"# neqfridge {neqfridge.__version__}",
+            "# e3_range: [2.0, 8.0]",
+            "# eta_c: 10.0",
+            "# gamma_steps: 200",
+            "# max_gamma_step: 40",
+            "# n: 20",
+            "# resamples: 52",
+            "# rng: numpy-PCG64",
+            "# seed: 5",
+            "# t2_range: [1.0, 4.0]",
+            "# t3_mult_range: [1.0, 5.0]",
+        ]
+        assert lines[:len(expected)] == expected
+        assert lines[len(expected)].startswith("# columns: ")
+
     @pytest.mark.parametrize("argv, message", [
         (["ensemble", "--n", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["figure", "fig6", "--n", "5", "--seed", "-1"], "seed must be >= 0, got -1"),
@@ -1036,6 +1082,21 @@ class TestExitCodes:
         assert err.startswith("error: root search still open after 3 rounds: [")
         lo, hi = map(float, err[err.index("[") + 1:err.index("]")].split(", "))
         assert 0.0 < lo < hi
+
+    def test_unbracketed_root_search_maps_to_4(self):
+        # the reference in units of 2^500: dQ1^g/dE1's E1-slope terms overflow and its
+        # values at the window's edges share a sign, which ends in one error line
+        flags = ["--e1", "3.273390607896142e+150", "--e3", "1.3093562431584567e+151",
+                 "--gamma", "9.820171823688425e+149", "--t1", "4.364520810528189e+150",
+                 "--t2", "6.546781215792284e+150", "--t3", "1.3093562431584567e+151"]
+        src = os.path.dirname(os.path.dirname(neqfridge.__file__))
+        done = subprocess.run([sys.executable, "-m", "neqfridge.cli", "maximize", *flags],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 4, done.stderr
+        assert "Traceback" not in done.stderr
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and errors[0].startswith("error: root not bracketed: [")
 
     def test_degenerate_solver_maps_to_3(self, monkeypatch, tmp_path):
         from neqfridge import cli

@@ -25,16 +25,17 @@ from neqfridge import (
     sweep_fig5,
 )
 from neqfridge.experiments import (
+    _E3_RANGE,
     _F_ROUNDING,
+    _GAMMA_STEPS,
+    _MAX_GAMMA_STEP,
     _chandrupatla,
     _draw,
     _e1_slopes,
     _scan_range,
     _screen_windows,
-    _stack,
     cooling_windows,
     deviation,
-    extracted_current,
     log_odds_gap,
     maximize_cooling_powers,
 )
@@ -65,6 +66,7 @@ from conftest import (
     minimize_cop,
     mp_closed_forms,
     mp_power_stationary_point,
+    stack,
 )
 
 FIG4_BASE = ModelParams(e1=1.0, e3=4.0, gamma=0.2, t1=4 / 3, t2=2.0, t3=4.0, p=0.01, g=0.01)
@@ -136,7 +138,7 @@ class TestRootFinderEdges:
         assert all(batch == [1] for batch in batches[1:])
 
     def test_unbracketed_input_raises(self):
-        with pytest.raises(ValueError, match="root not bracketed"):
+        with pytest.raises(NeqFridgeError, match=r"root not bracketed: \[-1\.0, 1\.0\]$"):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
     def test_boundary_window_comes_back_unchanged(self):
@@ -144,7 +146,7 @@ class TestRootFinderEdges:
         base = replace(FIG4_BASE, gamma=0.0)
         window = cooling_window(base)
         assert window.left_is_boundary
-        assert window.left == _scan_range(_stack([base]))[0][0]
+        assert window.left == _scan_range(stack([base]))[0][0]
 
     # Interpolation wins once the function is close to linear at the
     # tolerance scale and enough halvings remain to make up for the steps
@@ -176,9 +178,9 @@ def _kernel_cases() -> list:
     ensemble models as one batch, then eight of its points per model as floats."""
     rng = np.random.default_rng(3)
     bases = [ModelParams(*_draw(rng, EnsembleSpec(n=8, seed=3))) for _ in range(8)]
-    lo, hi, _ = _scan_range(_stack(bases))
+    lo, hi, _ = _scan_range(stack(bases))
     grid = np.linspace(lo, hi, 400, axis=1)
-    cases = [(grid, _stack(bases).take(np.arange(8)[:, None]))]
+    cases = [(grid, stack(bases).take(np.arange(8)[:, None]))]
     return cases + [(x, base) for base, row in zip(bases, grid) for x in row[::57].tolist()]
 
 
@@ -215,7 +217,7 @@ class TestDeviationKernel:
 
         kernels = (experiments.deviation, experiments.log_odds_gap, experiments._e1_slopes)
         calls, points = counting(monkeypatch, *kernels, steadystate.steady_coefficients,
-                                 experiments._screen_draws, experiments._stack, model._require)
+                                 experiments._screen_draws, model._require)
         post_init = ModelParams.__post_init__
 
         def counted_post_init(self):
@@ -233,7 +235,6 @@ class TestDeviationKernel:
         # maxima, and the kernels build their frames unchecked
         assert calls["_require"] == 4 * calls["ModelParams"]
         assert calls["ModelParams"] == calls["_screen_draws"] + 1 == 2
-        assert calls["_stack"] == 0
 
 
     def test_virtual_log_odds_is_the_stored_formula(self):
@@ -254,7 +255,7 @@ class TestDeviationKernel:
         # accepted draws are picked from the rounds' fields by index
         from neqfridge import experiments
 
-        rounds, stacked = [], []
+        rounds = []
 
         def screen_draws(fields):
             rounds.append(fields.copy())
@@ -262,9 +263,8 @@ class TestDeviationKernel:
 
         screen = experiments._screen_draws
         monkeypatch.setattr(experiments, "_screen_draws", screen_draws)
-        monkeypatch.setattr(experiments, "_stack", lambda models: stacked.append(models))
         table, meta = random_ensemble(EnsembleSpec(n=100, seed=7))
-        assert [fields.shape for fields in rounds] == [(8, 150)] and not stacked
+        assert [fields.shape for fields in rounds] == [(8, 150)]
         # the rows carry every field but E1, which is E1* there
         accepted = np.array([table[name] for name in PARAM_NAMES[1:]])
         drawn = rounds[0][1:, :100 + meta["resamples"]]
@@ -300,9 +300,9 @@ class TestCoolingWindow:
         # search raises and the models batched with it keep their windows
         bad = ModelParams(e1=6.0, e3=2.0, gamma=2.4, t1=1.8, t2=2.0, t3=4.0, p=0.005, g=0.005)
         with pytest.raises(ParameterError, match="dressed engine gap must be positive"):
-            deviation(_scan_range(_stack([bad]))[0], bad)
+            deviation(_scan_range(stack([bad]))[0], bad)
         uncoupled = replace(FIG4_BASE, gamma=0.0)
-        first, raised, last = cooling_windows(_stack([FIG4_BASE, bad, uncoupled]))
+        first, raised, last = cooling_windows(stack([FIG4_BASE, bad, uncoupled]))
         assert isinstance(raised, ParameterError)
         assert first.left == pytest.approx(0.40653601327, abs=1e-9)
         assert first.right == pytest.approx(3.92413296025, abs=1e-9)
@@ -347,7 +347,7 @@ class TestCoolingWindow:
 
     def test_empty_scan_range_message_prints_its_ends_exactly(self):
         base = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=1.99, t2=2.0, t3=2.0000001, p=0.01, g=0.01)
-        lo, hi, errors = _scan_range(_stack([base]))
+        lo, hi, errors = _scan_range(stack([base]))
         assert str(errors[0]).startswith("scan range empty: [")
         scanned = str(errors[0]).split("[", 1)[1].split("]", 1)[0]
         assert [float(v) for v in scanned.split(", ")] == [lo[0], hi[0]]
@@ -356,7 +356,7 @@ class TestCoolingWindow:
         # T1 near T2 stretches the scan range to E3 times a large Carnot COP, and
         # the window ends short of the range's midpoint, where f is positive
         base = replace(FIG4_BASE, t1=1.95)
-        lo, hi, _ = _scan_range(_stack([base]))
+        lo, hi, _ = _scan_range(stack([base]))
         assert log_odds_gap(0.5 * (lo[0] + hi[0]), base) > 0.0
         window = cooling_window(base)
         grid = np.linspace(lo[0], hi[0], 4000)
@@ -374,13 +374,14 @@ class TestCoolingWindow:
 
 @st.composite
 def ensemble_draws(draw) -> ModelParams:
-    """One model drawn like random_ensemble's, over the default EnsembleSpec
-    ranges.  T3/T2 stays 1e-9 above one: at 1 + 2e-16 the three temperatures
-    agree to rounding, and d and f are rounding noise that can disagree in sign."""
+    """One model drawn like random_ensemble's, over its sampling box and the
+    default EnsembleSpec ranges.  T3/T2 stays 1e-9 above one: at 1 + 2e-16
+    the three temperatures agree to rounding, and d and f are rounding noise
+    that can disagree in sign."""
     spec = EnsembleSpec(n=1, eta_c=draw(st.sampled_from([0.5, 1.0, 3.0, 6.0])))
-    e3, t2 = draw(st.floats(*spec.e3_range)), draw(st.floats(*spec.t2_range))
+    e3, t2 = draw(st.floats(*_E3_RANGE)), draw(st.floats(*spec.t2_range))
     t3 = t2 * draw(st.floats(1.0 + 1e-9, spec.t3_mult_range[1]))
-    gamma = draw(st.integers(1, spec.max_gamma_step)) * e3 * spec.eta_c / spec.gamma_steps
+    gamma = draw(st.integers(1, _MAX_GAMMA_STEP)) * e3 * spec.eta_c / _GAMMA_STEPS
     t1 = 1.0 / (1.0 / t2 + (1.0 / t2 - 1.0 / t3) / spec.eta_c)
     p = g = 0.01 * e3 / 4.0
     return ModelParams(e1=max(1.0, 2.5 * gamma), e3=e3, gamma=gamma, t1=t1, t2=t2, t3=t3, p=p, g=g)
@@ -396,8 +397,8 @@ class TestWindowsAgainstFineScan:
     @example(bases=[ModelParams(e1=3.75, e3=2.0, gamma=1.5, t1=0.9999999998333333, t2=1.0,
                                 t3=1.000000001, p=0.005, g=0.005)])
     def test_windows_match_a_fine_scan(self, bases):
-        lo, hi, errors = _scan_range(_stack(bases))
-        for base, window, a, b, error in zip(bases, cooling_windows(_stack(bases)), lo, hi, errors):
+        lo, hi, errors = _scan_range(stack(bases))
+        for base, window, a, b, error in zip(bases, cooling_windows(stack(bases)), lo, hi, errors):
             grid = np.linspace(a, b, 4000)
             if error is not None:
                 assert type(window) is type(error)
@@ -469,7 +470,7 @@ class TestEdgeSearchInDeltaE:
         # times 4 eps of that point's delta_e, plus the map's rounding
         rng = np.random.default_rng(seed)
         spec = EnsembleSpec(n=100, seed=seed)
-        models = _stack([ModelParams(*_draw(rng, spec)) for _ in range(150)])
+        models = stack([ModelParams(*_draw(rng, spec)) for _ in range(150)])
         checked = 0
         for i, (screened, window) in enumerate(zip(_screen_windows(models), cooling_windows(models))):
             if not isinstance(window, CoolingWindow) or window.left_is_boundary:
@@ -496,15 +497,34 @@ class TestOptimizers:
     def test_maximum_beats_fine_grid(self):
         result = maximize_cooling_power(FIG4_BASE)
         grid = np.linspace(result.window.left, result.window.right, 1000)
-        best_on_grid = max(extracted_current(e, FIG4_BASE) for e in grid)
+        best_on_grid = max(-0.25 * FIG4_BASE.g * deviation(e, FIG4_BASE) * e for e in grid)
         assert result.q1g_max >= best_on_grid - 1e-12
         assert result.window.left < result.e1_star < result.window.right
 
     def test_endpoints_have_no_power(self):
         result = maximize_cooling_power(FIG4_BASE)
         for edge in (result.window.left, result.window.right):
-            assert abs(extracted_current(edge, FIG4_BASE)) < 1e-14
+            assert abs(-0.25 * FIG4_BASE.g * deviation(edge, FIG4_BASE) * edge) < 1e-14
         assert result.q1g_max > 0
+
+    @pytest.mark.parametrize("case", ["reference", "gamma-0.2", "uncoupled", "draws"])
+    def test_max_power_observables_are_the_closed_forms_at_e1_star(self, case):
+        # Q1^g = -g d E1 / 4 and the COP of the resonant frame at E1*, to the last bit
+        if case == "draws":
+            rng = np.random.default_rng(11)
+            drawn = [ModelParams(*_draw(rng, EnsembleSpec(n=1))) for _ in range(60)]
+            models = stack([m for m, w in zip(drawn, cooling_windows(stack(drawn)))
+                            if isinstance(w, CoolingWindow)])
+        else:
+            base = {"reference": REFERENCE, "gamma-0.2": FIG4_BASE,
+                    "uncoupled": replace(REFERENCE, gamma=0.0)}[case]
+            models = base.as_batch()
+        results = maximize_cooling_powers(models)
+        e1 = np.array([r.e1_star for r in results])
+        assert np.array_equal([r.q1g_max for r in results],
+                              -0.25 * models.g * deviation(e1, models) * e1)
+        assert np.array_equal([r.eta_g_star for r in results],
+                              cop_g(resonant_frame(e1, models.e3, models.gamma)))
 
     def test_min_cop_beats_fine_grid(self):
         result = minimize_cop(FIG4_BASE)
@@ -804,16 +824,11 @@ class TestGenericSweep:
 
 
 @pytest.mark.parametrize("field, value", [
-    ("e3_range", (-1.0, -0.5)),
-    ("e3_range", (0.0, 1.0)),
-    ("e3_range", (3.0, 2.0)),
     ("t2_range", (0.0, 4.0)),
     ("t2_range", (4.0, 1.0)),
     ("t3_mult_range", (0.5, 5.0)),
     ("t3_mult_range", (3.0, 2.0)),
     ("t3_mult_range", (1.0, 1.0)),
-    ("gamma_steps", 0),
-    ("max_gamma_step", 0),
 ])
 def test_bad_ensemble_spec(field, value):
     # these once leaked a ZeroDivisionError or stalled the sampler
@@ -888,7 +903,7 @@ class TestEnsemble:
                 drawn.append(ModelParams(*_draw(rng, spec)))
             except ParameterError as exc:
                 drawn.append(exc)
-        screened = iter(_screen_windows(_stack([m for m in drawn if isinstance(m, ModelParams)])))
+        screened = iter(_screen_windows(stack([m for m in drawn if isinstance(m, ModelParams)])))
         reference = [next(screened) if isinstance(m, ModelParams) else m for m in drawn]
         assert any(isinstance(m, ParameterError) for m in drawn)
         reason = lambda outcome: ((type(outcome), str(outcome))
@@ -927,7 +942,7 @@ def _check_against_scalar(spec: EnsembleSpec) -> int:
         else:
             reference.append((base, window, _scalar_max_power(base, window, spec.eta_c)))
     assert meta["resamples"] == resamples
-    batch_windows = cooling_windows(_stack([base for base, _, _ in reference]))
+    batch_windows = cooling_windows(stack([base for base, _, _ in reference]))
     assert table["e1"].size == len(reference)
     for i, (window, (base, ref_window, ref)) in enumerate(zip(batch_windows, reference)):
         assert [table[k][i] for k in ("e3", "t2", "t3", "gamma", "t1")] == \
@@ -962,7 +977,7 @@ def _scalar_window(base: ModelParams):
 def _scalar_max_power(base: ModelParams, window, eta_c: float) -> dict:
     """Max-power observables from a 400-point scan (one array call) and a
     point-by-point golden-section search between the neighbours of its maximum."""
-    power = lambda e1: extracted_current(e1, base)
+    power = lambda e1: -0.25 * base.g * deviation(e1, base) * e1
     grid = np.linspace(window[0], window[1], 400)
     i = int(np.argmax(power(grid)))
     e1, q1g_max = golden_max(power, grid[max(i - 1, 0)], grid[min(i + 1, 399)], tol=1e-8)

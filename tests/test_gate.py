@@ -99,9 +99,8 @@ def test_parameter_errors_come_only_from_the_gate():
 # module.qualname.name: a new knob fails here until it is named
 DEFAULTED = {
     "cli.main.argv",
-    "experiments.EnsembleSpec.e3_range", "experiments.EnsembleSpec.eta_c",
-    "experiments.EnsembleSpec.gamma_steps", "experiments.EnsembleSpec.max_gamma_step",
-    "experiments.EnsembleSpec.seed", "experiments.EnsembleSpec.t2_range",
+    "experiments.EnsembleSpec.eta_c", "experiments.EnsembleSpec.seed",
+    "experiments.EnsembleSpec.t2_range",
     "experiments.EnsembleSpec.t3_mult_range",
     "experiments.sweep_fig3.gammas", "experiments.sweep_fig4.gammas",
     "experiments.sweep_fig5.gammas",

@@ -80,16 +80,6 @@ class TestModelParams:
         assert replace(p0, g=0.02) != p0
         assert len({p0, same, replace(p0, g=0.02)}) == 2
 
-    def test_batch_equality_and_hash(self, p0):
-        batch = replace(p0, e1=np.array([1.0, 2.0]), t3=np.array([4.0, 5.0]))
-        same = replace(p0, e1=np.array([1.0, 2.0]), t3=np.array([4.0, 5.0]))
-        assert batch == same
-        assert batch != replace(same, t3=np.array([4.0, 6.0]))
-        assert batch != replace(same, e1=np.array([1.0, 2.0, 1.5]), t3=4.0)
-        assert batch != p0
-        with pytest.raises(TypeError, match="a batch ModelParams is unhashable"):
-            hash(batch)
-
 
 class TestResonantFrame:
     def test_no_coupling(self):
