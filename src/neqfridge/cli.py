@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 user/config error, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -374,6 +375,15 @@ def main(argv: list[str] | None = None) -> int:
     process, so in-process callers pay for it once; importing the module
     does not build it.
     """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a negative number such as -1e-3 or -inf after a --flag as another
+    # flag, so each is joined to its flag as --flag=value, from the last one back
+    for i in reversed(range(1, len(argv))):
+        flag, value = argv[i - 1], argv[i]
+        if flag.startswith("--") and flag != "--" and "=" not in flag and value.startswith("-"):
+            with contextlib.suppress(ValueError):
+                float(value)
+                argv[i - 1:i + 1] = [f"{flag}={value}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -537,21 +537,6 @@ def _draw(rng: np.random.Generator, spec: EnsembleSpec) -> tuple:
     return max(1.0, 2.5 * gamma), e3, gamma, t1, t2, t3, p, g
 
 
-def _screen_draws(fields: np.ndarray) -> list:
-    """Per draw, a column of ``fields`` (a row per name in ``PARAM_NAMES``),
-    what :func:`_screen_windows` finds for it, or the error its fields raise.
-
-    The draws are validated as one batch, and one at a time only if that
-    batch fails, as :func:`sweep` does."""
-    try:
-        return _screen_windows(ModelParams(*fields))
-    except ParameterError:
-        drawn = [_outcome(ModelParams, *column) for column in fields.T.tolist()]
-        valid = np.array([isinstance(m, ModelParams) for m in drawn])
-        screened = iter(_screen_windows(ModelParams(*fields[:, valid])))
-        return [next(screened) if isinstance(m, ModelParams) else m for m in drawn]
-
-
 def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     """Max-power COPs of seeded random refrigerators at fixed Carnot COP.
 
@@ -560,14 +545,14 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     coherence at the optimum, and whether the model sits within 5% of the
     upper bound (relative to the bound gap).  Candidates are screened in
     rounds of half again as many draws as the acceptance ratio so far says
-    the remaining models need (:func:`_screen_draws`); each draw takes the
-    same random numbers whatever its outcome, so drawing ahead leaves the
-    accepted models unchanged.
+    the remaining models need, unchecked (:func:`cooling_windows` rejects what
+    ``ModelParams`` would); each draw takes the same random numbers whatever
+    its outcome, so drawing ahead leaves the accepted models unchanged.
     """
     rng = np.random.default_rng(spec.seed)
     rounds: list[np.ndarray] = []  # each round's draws, a row per field
     accepted: list[int] = []  # the accepted draws' indices over all rounds
-    screened: list[tuple] = []  # and what screening found for them
+    windows: list[CoolingWindow] = []  # and their cooling windows
     resamples = 0
     attempts_cap = 200 * spec.n
     while len(accepted) < spec.n:
@@ -575,7 +560,8 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
         size = max(_CHUNK, math.ceil(1.5 * (spec.n - len(accepted)) * ratio))
         first = sum(fields.shape[1] for fields in rounds)
         rounds.append(np.array([_draw(rng, spec) for _ in range(size)]).T.copy())
-        for i, outcome in enumerate(_screen_draws(rounds[-1]), first):
+        drawn = ModelParams._unchecked(dict(zip(PARAM_NAMES, rounds[-1])))
+        for i, outcome in enumerate(cooling_windows(drawn), first):
             if len(accepted) == spec.n:
                 break
             if resamples > attempts_cap:
@@ -584,11 +570,11 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
                 resamples += 1
             else:
                 accepted.append(i)
-                screened.append(outcome)
+                windows.append(outcome)
 
-    # the accepted draws were validated with their rounds
+    # replace checks the accepted models, at E1*
     models = ModelParams._unchecked(dict(zip(PARAM_NAMES, np.hstack(rounds)[:, accepted])))
-    table = closed_form_table(replace(models, e1=_power_maxima(models, _solve_windows(models, screened))))
+    table = closed_form_table(replace(models, e1=_power_maxima(models, windows)))
     x, eta_star = table["gamma"] / table["e3"], table["eta_g"]
     upper, lower = eta_star_max(spec.eta_c, x), eta_star_min(x)
     # an undefined (NaN) upper bound is near nothing

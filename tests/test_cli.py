@@ -106,6 +106,12 @@ class TestSteadyCommand:
         assert main([command, flag, "inf"]) == 2
         assert capsys.readouterr().err == f"error: {flag[2:]} must be finite, got inf\n"
 
+    def test_negative_infinite_gap_is_a_value(self, capsys):
+        # argparse alone reads "-inf" after a flag as another flag, and exits 2 with
+        # its usage text; the gate reports the value instead
+        assert main(["steady", "--e1", "-inf"]) == 2
+        assert capsys.readouterr().err == "error: qubit gaps must be positive: E1=-inf, E3=4.0\n"
+
     @pytest.mark.parametrize("command", ["steady", "maximize"])
     def test_overflowing_dressed_gap_exits_2(self, capsys, command):
         # a finite E3 whose dressed gap eps3 = E3 + delta_e/2 - E1/2 overflows;
@@ -387,6 +393,14 @@ class TestSweepCommand:
         assert [row.split(",")[0] for row in data[1:]] == [
             "0.10000000000000001", "0.20000000000000001", "0.30000000000000004",
             "0.40000000000000002"]
+
+    def test_negative_exponent_literal_is_a_value(self, tmp_path):
+        # argparse alone reads "-1e-3" after a flag as another flag, but "-0.001" as a number
+        outs = [tmp_path / "exponent.csv", tmp_path / "decimal.csv"]
+        for lo, out in zip(["-1e-3", "-0.001"], outs):
+            assert main(["sweep", "--axis", "gamma", "--lo", lo, "--hi", "0.1",
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_all_points_skipped_writes_the_header_only(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -950,8 +964,9 @@ class TestEnsembleCommand:
         assert "eta_star_ratio" in data[0]
 
     def test_metadata(self, tmp_path):
-        # eta_c = 10 rejects some draws as models, so the draw-by-draw validation runs;
-        # the fixed E3 range and coupling steps are printed with the spec's fields
+        # at eta_c = 10 the window scan rejects some draws that ModelParams would
+        # reject too; the fixed E3 range and coupling steps are printed with the
+        # spec's fields
         out = tmp_path / "ens.csv"
         assert main(["ensemble", "--n", "20", "--eta-c", "10", "--seed", "5", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()

@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -212,12 +213,13 @@ class TestDeviationKernel:
         # calls with bisection and golden section, and its 400-point scans
         # evaluated about 900 kernel points per accepted model; its 150 draws
         # once cost 250 ModelParams checks, then one per draw and one per batch,
-        # and the kernels checked every population
+        # then one per screening round and one for the table; the kernels once
+        # checked every population
         from neqfridge import experiments, model, steadystate
 
         kernels = (experiments.deviation, experiments.log_odds_gap, experiments._e1_slopes)
         calls, points = counting(monkeypatch, *kernels, steadystate.steady_coefficients,
-                                 experiments._screen_draws, model._require)
+                                 model._require)
         post_init = ModelParams.__post_init__
 
         def counted_post_init(self):
@@ -229,12 +231,11 @@ class TestDeviationKernel:
         assert 0 < sum(calls[kernel.__name__] for kernel in kernels) <= 70
         assert sum(points[kernel.__name__] for kernel in kernels) <= 100 * 100
         assert calls["steady_coefficients"] <= 2
-        # every draw is valid, so each screening round's draws are validated as one
-        # batch, by ModelParams' four rules, and never one at a time; the accepted
-        # models are not validated again, only the table's models at their power
-        # maxima, and the kernels build their frames unchecked
+        # the draws go unchecked to the window scan, and only the table's models,
+        # at their power maxima, are checked, by ModelParams' four rules, once;
+        # the kernels build their frames unchecked
         assert calls["_require"] == 4 * calls["ModelParams"]
-        assert calls["ModelParams"] == calls["_screen_draws"] + 1 == 2
+        assert calls["ModelParams"] == 1
 
 
     def test_virtual_log_odds_is_the_stored_formula(self):
@@ -251,18 +252,18 @@ class TestDeviationKernel:
                                           (frame.eps2 - frame.eps3) / log_odds)
 
     def test_ensemble_stacks_draws_and_accepted_models_once(self, monkeypatch):
-        # a round's draws reach the screening as one array of fields, and the
-        # accepted draws are picked from the rounds' fields by index
+        # a round's draws reach the window search as one batch, and the accepted
+        # draws are picked from the rounds' fields by index
         from neqfridge import experiments
 
         rounds = []
 
-        def screen_draws(fields):
-            rounds.append(fields.copy())
-            return screen(fields)
+        def windows(models):
+            rounds.append(np.array([getattr(models, name) for name in PARAM_NAMES]))
+            return search(models)
 
-        screen = experiments._screen_draws
-        monkeypatch.setattr(experiments, "_screen_draws", screen_draws)
+        search = experiments.cooling_windows
+        monkeypatch.setattr(experiments, "cooling_windows", windows)
         table, meta = random_ensemble(EnsembleSpec(n=100, seed=7))
         assert [fields.shape for fields in rounds] == [(8, 150)]
         # the rows carry every field but E1, which is E1* there
@@ -880,41 +881,75 @@ class TestEnsemble:
         # same random stream
         _check_against_scalar(EnsembleSpec(n=20, seed=seed))
 
-    def test_a_failing_batch_is_validated_draw_by_draw(self, monkeypatch):
-        # at eta_c = 10 some draws have eps3 <= 0 at their own E1, so their round's
-        # batch fails its check and its draws are validated one at a time; every
-        # rejection, its reason, and every accepted model are those of validating
-        # and screening each draw on its own
+    def test_the_scan_rejects_what_the_gate_rejects(self, monkeypatch):
+        # at eta_c = 10 some draws have eps3 <= 0 at their own E1, which
+        # ModelParams rejects; unchecked, their window scan rejects them at its
+        # low end, so every rejection and every accepted model is that of checking
+        # and searching each draw on its own, and only a rejection's message,
+        # which names the scan's low end in place of the draw's E1, differs
         from neqfridge import experiments
 
         outcomes = []
 
-        def screen_draws(fields):
-            outcomes.extend(screen(fields))
-            return outcomes[-fields.shape[1]:]
+        def windows(models):
+            outcomes.extend(search(models))
+            return outcomes[-models.e1.size:]
 
-        screen = experiments._screen_draws
-        monkeypatch.setattr(experiments, "_screen_draws", screen_draws)
+        search = experiments.cooling_windows
+        monkeypatch.setattr(experiments, "cooling_windows", windows)
         spec = EnsembleSpec(n=200, eta_c=10.0, seed=5)
         table, meta = random_ensemble(spec)
-        rng, drawn = np.random.default_rng(spec.seed), []
+        rng, draws, drawn = np.random.default_rng(spec.seed), [], []
         for _ in outcomes:
+            draws.append(_draw(rng, spec))
             try:
-                drawn.append(ModelParams(*_draw(rng, spec)))
+                drawn.append(ModelParams(*draws[-1]))
             except ParameterError as exc:
                 drawn.append(exc)
-        screened = iter(_screen_windows(stack([m for m in drawn if isinstance(m, ModelParams)])))
-        reference = [next(screened) if isinstance(m, ModelParams) else m for m in drawn]
-        assert any(isinstance(m, ParameterError) for m in drawn)
+        searched = iter(cooling_windows(stack([m for m in drawn if isinstance(m, ModelParams)])))
+        reference = [next(searched) if isinstance(m, ModelParams) else m for m in drawn]
+        rejected = [i for i, m in enumerate(drawn) if isinstance(m, ParameterError)]
+        assert rejected
+        for i in rejected:
+            e1, e3, gamma = draws[i][:3]
+            rule = "dressed engine gap must be positive: eps3="
+            assert isinstance(outcomes[i], ParameterError)
+            assert str(reference[i]).startswith(rule) and f"at E1={e1}, E3={e3}," in str(reference[i])
+            assert str(outcomes[i]).startswith(rule)
+            assert f"at E1={2.0 * gamma * (1.0 + 1e-9)}, E3={e3}," in str(outcomes[i])
         reason = lambda outcome: ((type(outcome), str(outcome))
                                   if isinstance(outcome, NeqFridgeError) else outcome)
-        assert list(map(reason, outcomes)) == list(map(reason, reference))
+        kept = [i for i, m in enumerate(drawn) if isinstance(m, ModelParams)]
+        assert [reason(outcomes[i]) for i in kept] == [reason(reference[i]) for i in kept]
         accepted = [m for m, outcome in zip(drawn, reference)
                     if not isinstance(outcome, NeqFridgeError)][:spec.n]
         last = drawn.index(accepted[-1])
         assert meta["resamples"] == last + 1 - spec.n == 543
         for name in PARAM_NAMES[1:]:  # the rows' E1 is E1*
             np.testing.assert_array_equal(table[name], [getattr(m, name) for m in accepted])
+
+    def test_the_gate_implies_the_scan(self):
+        # random_ensemble checks no draw before its window scan: every draw that
+        # ModelParams rejects must be rejected by the scan's range, without a
+        # RuntimeWarning (the draw's E1 lies above the scan's low end, and eps3
+        # only grows with E1)
+        specs = [EnsembleSpec(n=1, eta_c=eta_c, seed=seed) for seed in (1, 2)
+                 for eta_c in (0.1, 1.0, 6.0, 10.0, 1e3, 1e300)]
+        specs += [hot_spec(3), EnsembleSpec(n=1, seed=11, t2_range=(4.0, 12.0))]
+        gated = 0
+        for spec in specs:
+            rng = np.random.default_rng(spec.seed)
+            draws = np.array([_draw(rng, spec) for _ in range(1000)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                errors = _scan_range(ModelParams._unchecked(dict(zip(PARAM_NAMES, draws.T))))[2]
+            for draw, error in zip(draws.tolist(), errors):
+                try:
+                    ModelParams(*draw)
+                except ParameterError:
+                    gated += 1
+                    assert isinstance(error, NeqFridgeError), (spec, draw)
+        assert gated > 1000, "too few draws failed the gate to test the property"
 
     def test_scan_errors_are_resamples(self):
         # at eta_c = 6 large couplings push the dressed gap eps3 below zero
