@@ -13,8 +13,10 @@ over a batch of models (one ``ModelParams`` whose fields broadcast) is one
 kernel call, and each figure, sweep or ensemble builds one batch and reads
 its observables from one :func:`~neqfridge.observables.closed_form_table`
 call (fig3 and fig5 make a second).  Tables hold one array per column, and
-every row carries the full resolved parameter set.  Ensembles are driven by
-a seeded numpy PCG64 generator and are bit-reproducible.
+every row carries the full resolved parameter set.  A window search's
+stages hand on columns too, with a reason code per model that has no
+window, and the ensemble root-finds only the windows it keeps.  Ensembles
+are driven by a seeded numpy PCG64 generator and are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ _CHUNK = 8  # the fewest draws random_ensemble screens in one round
 # the most rounds a root search may take: fig6's window edges, searched in delta_e, take up
 # to 18 (a barely cooling model's near-double root), its power maxima up to 19, bisection 53
 _MAX_ROUNDS = 100
+# why a window search finds no window, in the order it checks (0: it may find one)
+_NOT_COLD, _EMPTY_RANGE, _UNFRAMED, _NO_COOLING, _BEYOND_RANGE = range(1, 6)
 # the ensemble's fixed sampling box: E3 is uniform over _E3_RANGE, and gamma is
 # k E3 eta_c/_GAMMA_STEPS with the integer k uniform over 1.._MAX_GAMMA_STEP
 _E3_RANGE = (2.0, 8.0)
@@ -254,14 +258,6 @@ def _brackets(a, b) -> str:
     return ", ".join(map(str, np.sort([a, b], axis=0).T.tolist()))
 
 
-def _raise_first(outcomes: list) -> list:
-    """The outcomes, unless one is an error: then the first error is raised."""
-    for outcome in outcomes:
-        if isinstance(outcome, NeqFridgeError):
-            raise outcome
-    return outcomes
-
-
 def _outcome(func, *args, **kwargs):
     """func(*args, **kwargs), or the package error it raises."""
     try:
@@ -271,31 +267,21 @@ def _outcome(func, *args, **kwargs):
 
 
 def _scan_range(models: ModelParams) -> tuple:
-    """The scan ranges [lo, hi] of a batch, and per model None or the error
-    that rules its window search out: T1 >= T2, an empty range, or a frame
-    that fails at lo.  The dressed gap eps3 only grows with E1, so a frame
-    that holds at lo holds on the whole range.
+    """The scan ranges [lo, hi] of a batch, and per model 0 or the reason code of
+    what rules its window search out: T1 >= T2, an empty range, or a frame that
+    fails at lo, checked in that order.  The dressed gap eps3 only grows with
+    E1, so a frame that holds at lo holds on the whole range.
     """
     e3, gamma = models.e3, models.gamma
-    cold = models.beta1 > models.beta2
     lo = np.where(gamma > 0, 2.0 * gamma * (1.0 + 1e-9), 1e-9 * e3)
     # the right root never exceeds E3 times the Carnot COP (NaN unless cold);
     # at gamma = 0 it sits exactly there, so pad the scan a little past it
     hi = e3 * cop_carnot(models.t1, models.t2, models.t3) * (1.0 + 1e-6)
-    framed = _gaps(lo, e3, gamma)[2]
-    errors = [None] * e3.size
-    for i in np.flatnonzero(~(cold & (hi > lo) & framed)).tolist():
-        if not cold[i]:
-            errors[i] = ParameterError("window scan needs T1 < T2")
-        elif not hi[i] > lo[i]:
-            errors[i] = EmptyCoolingWindowError(
-                f"scan range empty: [{float(lo[i])!r}, {float(hi[i])!r}] for gamma={gamma[i]}")
-        else:
-            errors[i] = _outcome(resonant_frame, lo[i], e3[i], gamma[i])
-    return lo, hi, errors
+    return lo, hi, np.select([~(models.beta1 > models.beta2), ~(hi > lo), ~_gaps(lo, e3, gamma)[2]],
+                             [_NOT_COLD, _EMPTY_RANGE, _UNFRAMED])
 
 
-def _screen_windows(models: ModelParams) -> list:
+def _screen_windows(models: ModelParams) -> tuple:
     """Find a point inside each batch model's cooling window, which brackets both edges.
 
     f (:func:`log_odds_gap`) is read at both ends and the midpoint of every
@@ -304,45 +290,51 @@ def _screen_windows(models: ModelParams) -> list:
     Where none of the three is below it, f' (:func:`_e1_slopes`) is read at
     both ends in one call, and where it rises from negative to positive f is
     read once at its root, the minimum of f; a model without that sign
-    change, or whose minimum is not below the bound, has no window.  Per
-    model the result is the error its window search raises, or the pair
-    (left edge is the scan boundary, brackets (a, b, f(a), f(b)) of both
-    edges).
+    change, or whose minimum is not below the bound, has no window.  Returns
+    the columns x, f(x), f(lo), f(hi) (NaN where the range is not searched),
+    lo, hi and the reason code, 0 where a window was found.
     """
-    lo, hi, out = _scan_range(models)
-    index = np.flatnonzero([error is None for error in out])
-    models, lo, hi = models.take(index), lo[index], hi[index]
+    lo, hi, reason = _scan_range(models)
+    index = np.flatnonzero(reason == 0)
+    models, a, b = models.take(index), lo[index], hi[index]
     # the midpoint cools in about 95% of fig6's windows, which then need no search
-    points = np.array([lo, 0.5 * (lo + hi), hi])
+    points = np.array([a, 0.5 * (a + b), b])
     values = log_odds_gap(points, models)
-    bound = _F_ROUNDING * hi / models.t1
-    best = np.argmin(values, axis=0), np.arange(lo.size)
+    bound = _F_ROUNDING * b / models.t1
+    best = np.argmin(values, axis=0), np.arange(index.size)
     x, fx, (f_lo, _, f_hi) = points[best], values[best], values
     search = np.flatnonzero(fx >= -bound)
     if search.size:
-        slope_lo, slope_hi = _e1_slopes(np.array([lo[search], hi[search]]), models.take(search))[0]
+        slope_lo, slope_hi = _e1_slopes(np.array([a[search], b[search]]), models.take(search))[0]
         dips = (slope_lo < 0.0) & (slope_hi > 0.0)
         dip = search[dips]
         x[dip] = _chandrupatla(lambda e1, j: _e1_slopes(e1, models.take(dip[j]))[0],
-                               lo[dip], hi[dip], slope_lo[dips], slope_hi[dips])
+                               a[dip], b[dip], slope_lo[dips], slope_hi[dips])
         fx[dip] = log_odds_gap(x[dip], models.take(dip))
-    columns = (v.tolist() for v in (index, lo, hi, f_lo, f_hi, x, fx, bound, models.gamma, models.g))
-    for i, a, b, fa, fb, c, fc, rounding, gamma, g in zip(*columns):
-        scanned = f"[{a!r}, {b!r}]"
-        if not (fc < -rounding and g > 0.0):  # at g = 0 nothing cools
-            out[i] = EmptyCoolingWindowError(f"no cooling found in {scanned} for gamma={gamma}")
-        elif fb < 0.0:
-            out[i] = EmptyCoolingWindowError(
-                f"cooling region extends beyond the scan range {scanned}")
-        elif fa < 0.0:  # a zero end value makes the root finder return the boundary
-            out[i] = (True, [(a, a, 0.0, 0.0), (a, b, fa, fb)])
-        else:
-            out[i] = (False, [(a, c, fa, fc), (c, b, fc, fb)])
-    return out
+    cools = (fx < -bound) & (models.g > 0.0)  # at g = 0 nothing cools
+    reason[index] = np.select([~cools, f_hi < 0.0], [_NO_COOLING, _BEYOND_RANGE])
+    columns = np.full((4, lo.size), np.nan)
+    columns[:, index] = x, fx, f_lo, f_hi
+    return (*columns, lo, hi, reason)
 
 
-def _solve_windows(models: ModelParams, screened: list) -> list:
-    """Root-find the brackets of all screened models of a 1-D batch at once into windows.
+def _window_error(models: ModelParams, columns: tuple, i: int) -> NeqFridgeError:
+    """The error of model i of a batch, whose reason code is not 0 in the columns of
+    :func:`_scan_range` or :func:`_screen_windows`, which both end in lo, hi, reason."""
+    lo, hi, reason = (column[i] for column in columns[-3:])
+    if reason == _UNFRAMED:
+        return _outcome(resonant_frame, lo, models.e3[i], models.gamma[i])
+    scanned, gamma = f"[{float(lo)!r}, {float(hi)!r}]", float(models.gamma[i])
+    message = {_NOT_COLD: "window scan needs T1 < T2",
+               _EMPTY_RANGE: f"scan range empty: {scanned} for gamma={gamma}",
+               _NO_COOLING: f"no cooling found in {scanned} for gamma={gamma}",
+               _BEYOND_RANGE: f"cooling region extends beyond the scan range {scanned}"}[reason]
+    return (ParameterError if reason == _NOT_COLD else EmptyCoolingWindowError)(message)
+
+
+def _solve_windows(models: ModelParams, screen: tuple, index: np.ndarray) -> tuple:
+    """Root-find the edge brackets of the models ``index`` of a 1-D batch, all
+    searchable in its columns ``screen`` (:func:`_screen_windows`), at once.
 
     Each edge is searched in u = delta_e = sqrt((E1 - 2 gamma)(E1 + 2 gamma)),
     in which f is smooth at E1 = 2 gamma, where its E1-slope diverges: f is
@@ -351,20 +343,31 @@ def _solve_windows(models: ModelParams, screened: list) -> list:
     dE1/du = delta_e/E1, the edge's error in E1 is at most delta_e/E1 times
     that tolerance.  A bracket end where f is zero is returned exactly, so a
     boundary left edge stays the scan's lower end; at gamma = 0, u is E1.
+    Returns the arrays left, right and left_is_boundary.
     """
-    found = [i for i, out in enumerate(screened) if not isinstance(out, NeqFridgeError)]
-    # each model's left-edge bracket, then its right-edge one
-    pairs = models.take(np.repeat(np.array(found, dtype=int), 2))
-    a, b, fa, fb = np.array([screened[i][1] for i in found]).reshape(-1, 4).T
+    x, fx, f_lo, f_hi, lo, hi = (column[index] for column in screen[:6])
+    boundary, zero = f_lo < 0.0, np.zeros(index.size)
+    # (a, b, f(a), f(b)) of each model's left-edge bracket, then of its right-edge one
+    left = np.where(boundary, [lo, lo, zero, zero], [lo, x, f_lo, fx])
+    right = np.where(boundary, [lo, hi, f_lo, f_hi], [x, hi, fx, f_hi])
+    a, b, fa, fb = np.hstack([left, right])
+    pairs = models.take(np.tile(index, 2))
     four_gamma_sq = (2.0 * pairs.gamma) ** 2
     u = _chandrupatla(
         lambda x, j: _log_odds_gap_at(np.sqrt(x * x + four_gamma_sq[j]), x, pairs.take(j)),
         _delta_e(a, pairs.gamma), _delta_e(b, pairs.gamma), fa, fb)
     roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.sqrt(u * u + four_gamma_sq)))
-    windows = list(screened)
-    for i, (left, right) in zip(found, roots.reshape(-1, 2).tolist()):
-        windows[i] = CoolingWindow(left, right, left_is_boundary=screened[i][0])
-    return windows
+    return (*roots.reshape(2, -1), boundary)
+
+
+def _searched_windows(models: ModelParams) -> tuple:
+    """The edges left and right, and the windows, of a 1-D batch; raises the first model's error."""
+    screen = _screen_windows(models)
+    failed = np.flatnonzero(screen[-1])
+    if failed.size:
+        raise _window_error(models, screen, failed[0])
+    left, right, boundary = _solve_windows(models, screen, np.arange(screen[-1].size))
+    return left, right, list(map(CoolingWindow, left.tolist(), right.tolist(), boundary.tolist()))
 
 
 def cooling_windows(models: ModelParams) -> list:
@@ -379,30 +382,31 @@ def cooling_windows(models: ModelParams) -> list:
     makes that end the left edge.  Each edge is searched in delta_e, to 4 eps
     of the larger end of its bracket in delta_e, so its error in E1 is at
     most delta_e/E1 times that (:func:`_solve_windows`).  At g = 0 every
-    window is empty.  A model with
-    T1 >= T2, an empty range or a frame that fails at the range's low end
-    (eps3 <= 0 there) is rejected before any search.  Returns per model its
-    :class:`CoolingWindow`, or the :class:`ParameterError` or
-    :class:`EmptyCoolingWindowError` that :func:`cooling_window` raises for it.
+    window is empty.  A model with T1 >= T2, an empty range or a frame that
+    fails at the range's low end (eps3 <= 0 there) is rejected before any
+    search.  Returns per model its :class:`CoolingWindow`, or the error that
+    :func:`cooling_window` raises for it, built from its reason code.
     """
     models = models.as_batch()
-    return _solve_windows(models, _screen_windows(models))
+    screen = _screen_windows(models)
+    index = np.flatnonzero(screen[-1] == 0)
+    found = map(CoolingWindow, *(v.tolist() for v in _solve_windows(models, screen, index)))
+    return [next(found) if code == 0 else _window_error(models, screen, i)
+            for i, code in enumerate(screen[-1].tolist())]
 
 
 def cooling_window(base: ModelParams) -> CoolingWindow:
     """The cooling window of one model; see :func:`cooling_windows`."""
-    return _raise_first(cooling_windows(base))[0]
+    return _searched_windows(base.as_batch())[2][0]
 
 
-def _power_maxima(models: ModelParams, windows: list[CoolingWindow]) -> np.ndarray:
-    """E1* of each model of the batch ``models`` in its cooling window: the root of
-    H (:func:`_e1_slopes`), which has the sign of dQ1^g/dE1, between the window's
-    edges.  H is positive at the left edge, a root of d's numerator N with N' < 0
-    or, where the window starts at the scan boundary, a point from which Q1^g
-    (which carries a factor E1) rises, and negative at the right edge, a root
-    with N' > 0.
+def _power_maxima(models: ModelParams, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """E1* of each model of the batch ``models`` in its cooling window [left, right]:
+    the root of H (:func:`_e1_slopes`), which has the sign of dQ1^g/dE1, between the
+    window's edges.  H is positive at the left edge, a root of d's numerator N with
+    N' < 0 or, where the window starts at the scan boundary, a point from which Q1^g
+    (which carries a factor E1) rises, and negative at the right edge, where N' > 0.
     """
-    left, right = np.array([(w.left, w.right) for w in windows]).T
     h_left, h_right = _e1_slopes(np.array([left, right]), models)[1]
     return _chandrupatla(lambda x, j: _e1_slopes(x, models.take(j))[1], left, right, h_left, h_right)
 
@@ -412,14 +416,11 @@ def maximize_cooling_powers(models: ModelParams) -> list[MaxPowerResult]:
     ``models`` (as in :func:`cooling_windows`) at E1* (:func:`_power_maxima`),
     and report the COP there; both are read from the closed-form table at E1*."""
     models = models.as_batch()
-    windows = _raise_first(cooling_windows(models))
-    e1_star = _power_maxima(models, windows)
+    left, right, windows = _searched_windows(models)
+    e1_star = _power_maxima(models, left, right)
     table = closed_form_table(replace(models, e1=e1_star))
-    return [
-        MaxPowerResult(e1_star=e, q1g_max=q, eta_g_star=eta, window=w)
-        for e, q, eta, w in zip(e1_star.tolist(), table["q1g"].tolist(), table["eta_g"].tolist(),
-                                windows)
-    ]
+    return [MaxPowerResult(e1_star=e, q1g_max=q, eta_g_star=eta, window=w) for e, q, eta, w in
+            zip(e1_star.tolist(), table["q1g"].tolist(), table["eta_g"].tolist(), windows)]
 
 
 def maximize_cooling_power(base: ModelParams) -> MaxPowerResult:
@@ -464,8 +465,7 @@ def sweep_fig4(
     gamma = np.array(gammas, dtype=float)[:, None]
     # fmax is max(1.0, x) for every x, NaN included
     models = replace(REFERENCE, e1=np.fmax(1.0, 2.5 * gamma), gamma=gamma)
-    windows = _raise_first(cooling_windows(models))
-    lefts, rights = np.array([(w.left, w.right) for w in windows]).T
+    lefts, rights, windows = _searched_windows(models.as_batch())
     table = closed_form_table(replace(models, e1=np.linspace(lefts, rights, points, axis=1)))
     return {
         **table,
@@ -545,36 +545,32 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     coherence at the optimum, and whether the model sits within 5% of the
     upper bound (relative to the bound gap).  Candidates are screened in
     rounds of half again as many draws as the acceptance ratio so far says
-    the remaining models need, unchecked (:func:`cooling_windows` rejects what
-    ``ModelParams`` would); each draw takes the same random numbers whatever
-    its outcome, so drawing ahead leaves the accepted models unchanged.
+    the remaining models need, unchecked (the window scan rejects what
+    ``ModelParams`` would); the first draws with a window are kept, up to n,
+    and only their window edges are root-found.  Each draw takes the same
+    random numbers whatever its outcome, so drawing ahead changes nothing.
     """
     rng = np.random.default_rng(spec.seed)
-    rounds: list[np.ndarray] = []  # each round's draws, a row per field
-    accepted: list[int] = []  # the accepted draws' indices over all rounds
-    windows: list[CoolingWindow] = []  # and their cooling windows
-    resamples = 0
-    attempts_cap = 200 * spec.n
-    while len(accepted) < spec.n:
-        ratio = (resamples + len(accepted)) / len(accepted) if accepted else 1.0
-        size = max(_CHUNK, math.ceil(1.5 * (spec.n - len(accepted)) * ratio))
-        first = sum(fields.shape[1] for fields in rounds)
-        rounds.append(np.array([_draw(rng, spec) for _ in range(size)]).T.copy())
-        drawn = ModelParams._unchecked(dict(zip(PARAM_NAMES, rounds[-1])))
-        for i, outcome in enumerate(cooling_windows(drawn), first):
-            if len(accepted) == spec.n:
-                break
-            if resamples > attempts_cap:
-                raise ParameterError(f"ensemble sampling stalled after {resamples} rejected draws")
-            if isinstance(outcome, NeqFridgeError):
-                resamples += 1
-            else:
-                accepted.append(i)
-                windows.append(outcome)
+    kept_fields, edges = [], []  # per round: the kept draws, a row per field, and their windows
+    found = resamples = 0
+    while found < spec.n:
+        ratio = (resamples + found) / found if found else 1.0
+        size = max(_CHUNK, math.ceil(1.5 * (spec.n - found) * ratio))
+        fields = np.array([_draw(rng, spec) for _ in range(size)]).T.copy()
+        drawn = ModelParams._unchecked(dict(zip(PARAM_NAMES, fields)))
+        screen = _screen_windows(drawn)
+        kept = np.flatnonzero(screen[-1] == 0)[:spec.n - found]
+        # the draws with no window before the last one needed are resamples; one past the cap stalls
+        resamples += (kept[-1] + 1 if found + kept.size == spec.n else size) - kept.size
+        if resamples > 200 * spec.n:
+            raise ParameterError(f"ensemble sampling stalled after {200 * spec.n + 1} rejected draws")
+        kept_fields.append(fields[:, kept])
+        edges.append(_solve_windows(drawn, screen, kept)[:2])
+        found += kept.size
 
     # replace checks the accepted models, at E1*
-    models = ModelParams._unchecked(dict(zip(PARAM_NAMES, np.hstack(rounds)[:, accepted])))
-    table = closed_form_table(replace(models, e1=_power_maxima(models, windows)))
+    models = ModelParams._unchecked(dict(zip(PARAM_NAMES, np.hstack(kept_fields))))
+    table = closed_form_table(replace(models, e1=_power_maxima(models, *np.hstack(edges))))
     x, eta_star = table["gamma"] / table["e3"], table["eta_g"]
     upper, lower = eta_star_max(spec.eta_c, x), eta_star_min(x)
     # an undefined (NaN) upper bound is near nothing

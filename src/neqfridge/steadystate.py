@@ -135,8 +135,11 @@ def decompose(coords: np.ndarray) -> SteadyDecomposition:
 
 def _result(coords: np.ndarray, decomposition: SteadyDecomposition, block: np.ndarray) -> SteadyStateResult:
     """The state of family coordinates ``coords``; its residual is the norm of ``block`` @ coords."""
-    return SteadyStateResult(coords=coords, decomposition=decomposition,
-                             residual=float(np.linalg.norm(block @ coords)))
+    action = block @ coords
+    # scaled by its largest entry's power of two (exact unless one underflows), no square overflows
+    exponent = np.frexp(np.abs(action).max())[1]
+    residual = np.ldexp(np.linalg.norm(np.ldexp(action, -exponent)), exponent)
+    return SteadyStateResult(coords=coords, decomposition=decomposition, residual=float(residual))
 
 
 def analytic_steady_state(parts: GeneratorParts, block: np.ndarray) -> SteadyStateResult:

@@ -1085,6 +1085,16 @@ class TestDegeneracyPerBlock:
         assert oracle.max_delta <= 1e-8
         assert oracle.numeric.residual <= 1e-10
 
+    def test_huge_coupling_is_degenerate_without_an_overflow(self, tmp_path, capsys):
+        # at g = 1e300 the block is degenerate on its own scale; the residual's squares
+        # overflowed (a RuntimeWarning) before its vector was scaled by a power of two
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["steady", "--g", "1e300", "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: steady space is degenerate: singular values ")
+        assert err.endswith(" at or below threshold 1e-09 * 2.000e+300\n")
+
 
 class TestExitCodes:
     def test_open_root_search_maps_to_4(self, monkeypatch, tmp_path, capsys):

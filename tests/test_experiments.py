@@ -35,6 +35,7 @@ from neqfridge.experiments import (
     _e1_slopes,
     _scan_range,
     _screen_windows,
+    _window_error,
     cooling_windows,
     deviation,
     log_odds_gap,
@@ -258,12 +259,12 @@ class TestDeviationKernel:
 
         rounds = []
 
-        def windows(models):
+        def screen_windows(models):
             rounds.append(np.array([getattr(models, name) for name in PARAM_NAMES]))
-            return search(models)
+            return screen(models)
 
-        search = experiments.cooling_windows
-        monkeypatch.setattr(experiments, "cooling_windows", windows)
+        screen = experiments._screen_windows
+        monkeypatch.setattr(experiments, "_screen_windows", screen_windows)
         table, meta = random_ensemble(EnsembleSpec(n=100, seed=7))
         assert [fields.shape for fields in rounds] == [(8, 150)]
         # the rows carry every field but E1, which is E1* there
@@ -348,9 +349,11 @@ class TestCoolingWindow:
 
     def test_empty_scan_range_message_prints_its_ends_exactly(self):
         base = ModelParams(e1=1.0, e3=4.0, gamma=0.3, t1=1.99, t2=2.0, t3=2.0000001, p=0.01, g=0.01)
-        lo, hi, errors = _scan_range(stack([base]))
-        assert str(errors[0]).startswith("scan range empty: [")
-        scanned = str(errors[0]).split("[", 1)[1].split("]", 1)[0]
+        models = stack([base])
+        lo, hi, _ = scan = _scan_range(models)
+        error = _window_error(models, scan, 0)
+        assert str(error).startswith("scan range empty: [")
+        scanned = str(error).split("[", 1)[1].split("]", 1)[0]
         assert [float(v) for v in scanned.split(", ")] == [lo[0], hi[0]]
 
     def test_window_short_of_the_midpoint_is_found_from_the_minimum_of_f(self):
@@ -398,13 +401,13 @@ class TestWindowsAgainstFineScan:
     @example(bases=[ModelParams(e1=3.75, e3=2.0, gamma=1.5, t1=0.9999999998333333, t2=1.0,
                                 t3=1.000000001, p=0.005, g=0.005)])
     def test_windows_match_a_fine_scan(self, bases):
-        lo, hi, errors = _scan_range(stack(bases))
-        for base, window, a, b, error in zip(bases, cooling_windows(stack(bases)), lo, hi, errors):
+        lo, hi, reason = _scan_range(stack(bases))
+        for base, window, a, b, code in zip(bases, cooling_windows(stack(bases)), lo, hi, reason):
             grid = np.linspace(a, b, 4000)
-            if error is not None:
-                assert type(window) is type(error)
+            if code != 0:  # the scan rejects the model
+                assert isinstance(window, NeqFridgeError)
                 if b > a:  # a frame rejection: the grid itself must raise
-                    with pytest.raises(type(error)):
+                    with pytest.raises(type(window)):
                         deviation(grid, base)
                 continue
             d = deviation(grid, base)  # the frame at a holds on the whole range
@@ -420,11 +423,12 @@ class TestWindowsAgainstFineScan:
                 assert not isinstance(window, CoolingWindow) or window.right - window.left < cell
 
 
-def _edge_search_rounds(monkeypatch, run) -> list[int]:
-    """The rounds (function calls) of each window-edge search that run() makes."""
+def _edge_searches(monkeypatch, run) -> list[tuple[int, int]]:
+    """The rounds (function calls) and the number of brackets of each window-edge
+    search that run() makes."""
     from neqfridge import experiments
 
-    rounds, solving = [], []
+    searches, solving = [], []
     solve, search = experiments._solve_windows, experiments._chandrupatla
 
     def solve_windows(*args):
@@ -438,13 +442,18 @@ def _edge_search_rounds(monkeypatch, run) -> list[int]:
         calls = []
         result = search(lambda x, idx: calls.append(x) or func(x, idx), *brackets)
         if solving:
-            rounds.append(len(calls))
+            searches.append((len(calls), len(brackets[0])))
         return result
 
     monkeypatch.setattr(experiments, "_solve_windows", solve_windows)
     monkeypatch.setattr(experiments, "_chandrupatla", chandrupatla)
     run()
-    return rounds
+    return searches
+
+
+def _edge_search_rounds(monkeypatch, run) -> list[int]:
+    """The rounds of each window-edge search that run() makes."""
+    return [rounds for rounds, _ in _edge_searches(monkeypatch, run)]
 
 
 class TestEdgeSearchInDeltaE:
@@ -454,6 +463,13 @@ class TestEdgeSearchInDeltaE:
         rounds = _edge_search_rounds(monkeypatch, lambda: [
             random_ensemble(EnsembleSpec(n=100, seed=seed)) for seed in range(51, 61)])
         assert len(rounds) == 10 and max(rounds) <= 15
+
+    @pytest.mark.parametrize("seed", [7, 51, 52])
+    def test_fig6_searches_only_the_edges_of_the_windows_it_keeps(self, monkeypatch, seed):
+        # two edge brackets per accepted model, none for a rejected draw or one
+        # drawn ahead and not needed
+        searches = _edge_searches(monkeypatch, lambda: random_ensemble(EnsembleSpec(n=100, seed=seed)))
+        assert sum(brackets for _, brackets in searches) == 200
 
     def test_maximize_edge_rounds(self, monkeypatch):
         rounds = _edge_search_rounds(monkeypatch, lambda: maximize_cooling_power(REFERENCE))
@@ -473,12 +489,13 @@ class TestEdgeSearchInDeltaE:
         spec = EnsembleSpec(n=100, seed=seed)
         models = stack([ModelParams(*_draw(rng, spec)) for _ in range(150)])
         checked = 0
-        for i, (screened, window) in enumerate(zip(_screen_windows(models), cooling_windows(models))):
+        inside_points = _screen_windows(models)[0]  # each window's point inside it, its x column
+        for i, (inside, window) in enumerate(zip(inside_points.tolist(), cooling_windows(models))):
             if not isinstance(window, CoolingWindow) or window.left_is_boundary:
                 continue
             base = ModelParams(**{name: float(value[i]) for name, value in models.as_dict().items()})
             delta_e = lambda e1: math.sqrt((e1 - 2.0 * base.gamma) * (e1 + 2.0 * base.gamma))
-            left, inside = window.left, screened[1][0][1]
+            left = window.left
             if delta_e(left) >= 0.05 * left:
                 continue
             with mpmath.workdps(50):
@@ -889,14 +906,16 @@ class TestEnsemble:
         # which names the scan's low end in place of the draw's E1, differs
         from neqfridge import experiments
 
-        outcomes = []
+        outcomes = []  # per screened draw, None or the error of its window search
 
-        def windows(models):
-            outcomes.extend(search(models))
-            return outcomes[-models.e1.size:]
+        def screen_windows(models):
+            columns = screen(models)
+            outcomes.extend(_window_error(models, columns, i) if code else None
+                            for i, code in enumerate(columns[-1].tolist()))
+            return columns
 
-        search = experiments.cooling_windows
-        monkeypatch.setattr(experiments, "cooling_windows", windows)
+        screen = experiments._screen_windows
+        monkeypatch.setattr(experiments, "_screen_windows", screen_windows)
         spec = EnsembleSpec(n=200, eta_c=10.0, seed=5)
         table, meta = random_ensemble(spec)
         rng, draws, drawn = np.random.default_rng(spec.seed), [], []
@@ -918,7 +937,7 @@ class TestEnsemble:
             assert str(outcomes[i]).startswith(rule)
             assert f"at E1={2.0 * gamma * (1.0 + 1e-9)}, E3={e3}," in str(outcomes[i])
         reason = lambda outcome: ((type(outcome), str(outcome))
-                                  if isinstance(outcome, NeqFridgeError) else outcome)
+                                  if isinstance(outcome, NeqFridgeError) else None)
         kept = [i for i, m in enumerate(drawn) if isinstance(m, ModelParams)]
         assert [reason(outcomes[i]) for i in kept] == [reason(reference[i]) for i in kept]
         accepted = [m for m, outcome in zip(drawn, reference)
@@ -940,9 +959,12 @@ class TestEnsemble:
         for spec in specs:
             rng = np.random.default_rng(spec.seed)
             draws = np.array([_draw(rng, spec) for _ in range(1000)])
+            models = ModelParams._unchecked(dict(zip(PARAM_NAMES, draws.T)))
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                errors = _scan_range(ModelParams._unchecked(dict(zip(PARAM_NAMES, draws.T))))[2]
+                scan = _scan_range(models)
+                errors = [_window_error(models, scan, i) if code else None
+                          for i, code in enumerate(scan[-1].tolist())]
             for draw, error in zip(draws.tolist(), errors):
                 try:
                     ModelParams(*draw)

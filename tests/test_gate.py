@@ -55,12 +55,12 @@ def test_every_valid_model_passes_without_an_error_or_a_warning(params):
 
 # the functions that may name ParameterError (or its subclass) outside an
 # except clause: the ModelParams gate and the frame rules it shares, the
-# search and run specs, the window scan's range, the ensemble's stall, the
+# search and run specs, the window search's errors, the ensemble's stall, the
 # CLI's config and flag checks, and argument guards a model does not cover
 ALLOWED = {
     "model.ModelParams.__post_init__", "model._frame_gaps",
     "experiments.SweepSpec.__post_init__", "experiments.EnsembleSpec.__post_init__",
-    "experiments._check_points", "experiments._scan_range", "experiments.random_ensemble",
+    "experiments._check_points", "experiments._window_error", "experiments.random_ensemble",
     "cli._load_config", "cli.cmd_figure", "cli.cmd_validate",
 }
 PARAMETER_ERRORS = {"ParameterError", "ResonanceInfeasibleError"}

@@ -14,15 +14,20 @@ temporary directory and compares:
   innermost object or list that holds it); a non-finite float must stay the
   same;
 - rounding-noise keys (``NOISE``) against the bound ``validate`` applies to
-  them, not against the reference.
+  them, not against the reference;
+- a ``steady`` report's numeric-route keys (its decomposition, trace-route
+  currents and ``eta_tot``) within that route's noise in the two runs
+  (``_steady_bounds``), since they move with the BLAS kernels.
 
 Run as a script to print the largest move per file and column::
 
     PYTHONPATH=src python tests/test_reference.py          # compare a fresh run
     PYTHONPATH=src python tests/test_reference.py --write  # refresh the reference
 
-The bounds were chosen on one x86-64 machine (numpy 2.4, Python 3.11); the
-numpy and LAPACK builds of hosted runners have not been compared with them.
+The bounds were chosen on one x86-64 machine (numpy 2.4, Python 3.11), with
+OpenBLAS's own kernels and with ``OPENBLAS_CORETYPE`` set to Prescott, Nehalem
+and Sandybridge; the numpy and LAPACK builds of hosted runners have not been
+compared with them.
 """
 
 from __future__ import annotations
@@ -79,11 +84,27 @@ COMMANDS = {
 }
 
 
-def _steady_bounds(report: dict) -> dict[str, float]:
-    """The bounds ``validate`` applies to a steady report's rounding-noise keys."""
-    p, g, eps2 = report["params"]["p"], report["params"]["g"], report["frame"]["eps2"]
+def _steady_bounds(new: dict, ref: dict) -> dict[str, float]:
+    """Bounds on a steady report's keys, by dotted-path pattern: on the value of a
+    rounding-noise key the bound ``validate`` applies, and on the move of a
+    numeric-route key from ``ref`` to ``new`` the route's noise in the two runs."""
+    p, g, eps2 = ref["params"]["p"], ref["params"]["g"], ref["frame"]["eps2"]
     rate = p + g
+    runs = (new, ref)
+    # each run's numeric coefficients lie within its max_coefficient_delta of the closed
+    # forms, which use no BLAS and so agree between the runs
+    coefficients = max(64.0 * EPS * min(rate / p, eps2 / rate),
+                       sum(run["residuals"]["max_coefficient_delta"] for run in runs))
+    # the trace route's rounding floor in validate's current bound, eps eps2^2, without
+    # its tolerance of 1e-9 (p + g) eps2, which is 2.8 times q1 at p = 1e-9
+    currents = EPS * eps2 ** 2 + max(run["currents"]["route_delta"] for run in runs)
+    q3, eta_tot = abs(ref["currents"]["q3"]), abs(ref["performance"]["eta_tot"])
     return {
+        "decomposition.*": coefficients,
+        "currents.q*": currents,
+        "currents.normalized.*": currents / (ref["params"]["e1"] * p),
+        # eta_tot = q1/q3 moves by at most (1 + |eta_tot|)/|q3| times a current's bound
+        "performance.eta_tot": currents * (1.0 + eta_tot) / q3,
         # the routes' residuals are rates, in eps (p + g)
         "residuals.analytic": 64.0 * EPS * rate,
         "residuals.numeric": 64.0 * EPS * rate,
@@ -165,10 +186,15 @@ def _compare_json(name: str, new, ref, moves: dict, faults: list, bounds: dict,
         scale = max((abs(v) for v in floats if math.isfinite(v)), default=0.0)
         for k in keys:
             child = f"{path}.{k}" if path else str(k)
+            limit = next((bound for pattern, bound in bounds.items()
+                          if fnmatch.fnmatchcase(child, pattern)), math.inf)
             if any(fnmatch.fnmatchcase(child, pattern) for pattern in NOISE):
-                limit = bounds.get(child, math.inf)
                 if not (type(new[k]) is type(ref[k]) and (new[k] is None or new[k] <= limit)):
                     faults.append(f"{name}: {child} = {new[k]!r} is above its bound {limit!r}")
+            elif type(ref[k]) is float and type(new[k]) is float and limit < math.inf:
+                if _move(new[k], ref[k], limit) > 1.0:
+                    faults.append(f"{name}: {child} moved from {ref[k]!r} to {new[k]!r}, "
+                                  f"more than its bound {limit!r}")
             elif type(ref[k]) is float and type(new[k]) is float:
                 block = f"{name}:{path or '.'}"
                 moves[block] = max(moves.get(block, 0.0), _move(new[k], ref[k], scale))
@@ -196,7 +222,7 @@ def compare(outdir: Path, reference: Path = REFERENCE) -> tuple[dict[str, float]
                 faults.append("status.json: exit codes, error lines or warnings differ")
         else:
             new, ref = json.loads(new), json.loads(ref)
-            bounds = _steady_bounds(ref) if ref.get("command") == "steady" else {}
+            bounds = _steady_bounds(new, ref) if ref.get("command") == "steady" else {}
             _compare_json(name, new, ref, moves, faults, bounds)
     return moves, faults
 

@@ -97,6 +97,15 @@ class TestOracleEquivalence:
         assert oracle.max_delta < 1e-10
         assert oracle.numeric.residual < 1e-10
 
+    def test_residual_is_the_plain_norm_bit_for_bit(self):
+        # the residual's vector is scaled by a power of two before its norm is taken,
+        # which changes no bit unless an entry underflows
+        rng = np.random.default_rng(4)
+        for params in [P0, *(random_feasible(rng) for _ in range(10))]:
+            block = assemble_liouvillian(build_generator_parts(params))
+            result = numeric_steady_state(block)
+            assert result.residual == float(np.linalg.norm(block @ result.coords))
+
     def test_random_grid(self):
         rng = np.random.default_rng(17)
         for _ in range(8):
