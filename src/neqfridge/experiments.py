@@ -10,13 +10,15 @@ All evaluations go through the matrix-free closed-form coefficients, which
 are validated against the generator null space elsewhere.  The closed forms
 take numpy arrays, so each step of a window search or power maximization
 over a batch of models (one ``ModelParams`` whose fields broadcast) is one
-kernel call, and each figure, sweep or ensemble builds one batch and reads
-its observables from one :func:`~neqfridge.observables.closed_form_table`
-call (fig3 and fig5 make a second).  Tables hold one array per column, and
-every row carries the full resolved parameter set.  A window search's
-stages hand on columns too, with a reason code per model that has no
-window, and the ensemble root-finds only the windows it keeps.  Ensembles
-are driven by a seeded numpy PCG64 generator and are bit-reproducible.
+kernel call, in units of each model's power of two of E3, and each figure,
+sweep or ensemble builds one batch and reads its observables from one
+:func:`~neqfridge.observables.closed_form_table` call (fig3 and fig5 make a
+second).  Tables hold one array per column, and every row carries the full
+resolved parameter set.  A window search's stages hand on columns too, with
+a reason code per model that has no window, and the ensemble root-finds
+only the windows it keeps.  Sweeps and scans read which rule a point breaks
+from the gate's verdicts (``model._verdicts``), never from a caught error.
+Ensembles are driven by a seeded numpy PCG64 generator and are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyCoolingWindowError, NeqFridgeError, ParameterError
-from .model import (PARAM_NAMES, REFERENCE, ModelParams, _delta_e, _frame_at, _gaps,
-                    _machine_populations, _virtual_log_odds, resonant_frame, tilde_populations)
+from .model import (PARAM_NAMES, REFERENCE, ModelParams, _delta_e, _frame_at, _gate_values,
+                    _machine_populations, _rule_error, _verdicts, _virtual_log_odds,
+                    resonant_frame, tilde_populations)
 from .observables import (
     closed_form_table,
     cop_carnot,
@@ -258,12 +261,11 @@ def _brackets(a, b) -> str:
     return ", ".join(map(str, np.sort([a, b], axis=0).T.tolist()))
 
 
-def _outcome(func, *args, **kwargs):
-    """func(*args, **kwargs), or the package error it raises."""
-    try:
-        return func(*args, **kwargs)
-    except NeqFridgeError as exc:
-        return exc
+def _in_e3_units(models: ModelParams, *energies) -> tuple:
+    """The batch over 2^k, each model's power of two of E3 (p, g stay), k and ``energies`` over 2^k."""
+    k = np.frexp(models.e3)[1]
+    units = {n: np.ldexp(getattr(models, n), -k) for n in ("e3", "gamma", "t1", "t2", "t3")}
+    return ModelParams._unchecked({**models.as_dict(), **units}), k, *(np.ldexp(e, -k) for e in energies)
 
 
 def _scan_range(models: ModelParams) -> tuple:
@@ -277,7 +279,8 @@ def _scan_range(models: ModelParams) -> tuple:
     # the right root never exceeds E3 times the Carnot COP (NaN unless cold);
     # at gamma = 0 it sits exactly there, so pad the scan a little past it
     hi = e3 * cop_carnot(models.t1, models.t2, models.t3) * (1.0 + 1e-6)
-    return lo, hi, np.select([~(models.beta1 > models.beta2), ~(hi > lo), ~_gaps(lo, e3, gamma)[2]],
+    unframed = _verdicts(_gate_values(dict(e1=lo, e3=e3, gamma=gamma))) != 0
+    return lo, hi, np.select([~(models.beta1 > models.beta2), ~(hi > lo), unframed],
                              [_NOT_COLD, _EMPTY_RANGE, _UNFRAMED])
 
 
@@ -292,8 +295,9 @@ def _screen_windows(models: ModelParams) -> tuple:
     read once at its root, the minimum of f; a model without that sign
     change, or whose minimum is not below the bound, has no window.  Returns
     the columns x, f(x), f(lo), f(hi) (NaN where the range is not searched),
-    lo, hi and the reason code, 0 where a window was found.
+    lo, hi and the reason code, 0 where a window was found, in the caller's units.
     """
+    models, k = _in_e3_units(models)
     lo, hi, reason = _scan_range(models)
     index = np.flatnonzero(reason == 0)
     models, a, b = models.take(index), lo[index], hi[index]
@@ -315,7 +319,7 @@ def _screen_windows(models: ModelParams) -> tuple:
     reason[index] = np.select([~cools, f_hi < 0.0], [_NO_COOLING, _BEYOND_RANGE])
     columns = np.full((4, lo.size), np.nan)
     columns[:, index] = x, fx, f_lo, f_hi
-    return (*columns, lo, hi, reason)
+    return (np.ldexp(columns[0], k), *columns[1:], np.ldexp(lo, k), np.ldexp(hi, k), reason)
 
 
 def _window_error(models: ModelParams, columns: tuple, i: int) -> NeqFridgeError:
@@ -323,7 +327,8 @@ def _window_error(models: ModelParams, columns: tuple, i: int) -> NeqFridgeError
     :func:`_scan_range` or :func:`_screen_windows`, which both end in lo, hi, reason."""
     lo, hi, reason = (column[i] for column in columns[-3:])
     if reason == _UNFRAMED:
-        return _outcome(resonant_frame, lo, models.e3[i], models.gamma[i])
+        frame = _gate_values(dict(e1=lo, e3=models.e3[i], gamma=models.gamma[i]))
+        return _rule_error(frame, _verdicts(frame), 0)
     scanned, gamma = f"[{float(lo)!r}, {float(hi)!r}]", float(models.gamma[i])
     message = {_NOT_COLD: "window scan needs T1 < T2",
                _EMPTY_RANGE: f"scan range empty: {scanned} for gamma={gamma}",
@@ -346,18 +351,19 @@ def _solve_windows(models: ModelParams, screen: tuple, index: np.ndarray) -> tup
     Returns the arrays left, right and left_is_boundary.
     """
     x, fx, f_lo, f_hi, lo, hi = (column[index] for column in screen[:6])
+    models, k, x, lo, hi = _in_e3_units(models.take(index), x, lo, hi)
     boundary, zero = f_lo < 0.0, np.zeros(index.size)
     # (a, b, f(a), f(b)) of each model's left-edge bracket, then of its right-edge one
     left = np.where(boundary, [lo, lo, zero, zero], [lo, x, f_lo, fx])
     right = np.where(boundary, [lo, hi, f_lo, f_hi], [x, hi, fx, f_hi])
     a, b, fa, fb = np.hstack([left, right])
-    pairs = models.take(np.tile(index, 2))
+    pairs = models.take(np.tile(np.arange(index.size), 2))
     four_gamma_sq = (2.0 * pairs.gamma) ** 2
     u = _chandrupatla(
         lambda x, j: _log_odds_gap_at(np.sqrt(x * x + four_gamma_sq[j]), x, pairs.take(j)),
         _delta_e(a, pairs.gamma), _delta_e(b, pairs.gamma), fa, fb)
     roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.sqrt(u * u + four_gamma_sq)))
-    return (*roots.reshape(2, -1), boundary)
+    return (*np.ldexp(roots.reshape(2, -1), k), boundary)
 
 
 def _searched_windows(models: ModelParams) -> tuple:
@@ -401,26 +407,28 @@ def cooling_window(base: ModelParams) -> CoolingWindow:
 
 
 def _power_maxima(models: ModelParams, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """E1* of each model of the batch ``models`` in its cooling window [left, right]:
-    the root of H (:func:`_e1_slopes`), which has the sign of dQ1^g/dE1, between the
-    window's edges.  H is positive at the left edge, a root of d's numerator N with
-    N' < 0 or, where the window starts at the scan boundary, a point from which Q1^g
-    (which carries a factor E1) rises, and negative at the right edge, where N' > 0.
+    """E1* of each model of the batch ``models`` (in units of E3, :func:`_in_e3_units`) in
+    its cooling window [left, right]: the root of H (:func:`_e1_slopes`), which has the sign
+    of dQ1^g/dE1, between the window's edges.  H is positive at the left edge, a root of d's
+    numerator N with N' < 0 or, where the window starts at the scan boundary, a point from
+    which Q1^g (which carries a factor E1) rises, and negative at the right edge, where N' > 0.
     """
     h_left, h_right = _e1_slopes(np.array([left, right]), models)[1]
     return _chandrupatla(lambda x, j: _e1_slopes(x, models.take(j))[1], left, right, h_left, h_right)
 
 
 def maximize_cooling_powers(models: ModelParams) -> list[MaxPowerResult]:
-    """Maximize Q1^g over the whole cooling window of each model of
-    ``models`` (as in :func:`cooling_windows`) at E1* (:func:`_power_maxima`),
-    and report the COP there; both are read from the closed-form table at E1*."""
+    """Maximize Q1^g over the whole cooling window of each model of ``models`` (as
+    in :func:`cooling_windows`) at E1* (:func:`_power_maxima`), and report the COP
+    there, both read from the closed-form table at E1* in units of E3 (no underflow)."""
     models = models.as_batch()
     left, right, windows = _searched_windows(models)
-    e1_star = _power_maxima(models, left, right)
-    table = closed_form_table(replace(models, e1=e1_star))
+    units, k, left, right = _in_e3_units(models, left, right)
+    e1_units = _power_maxima(units, left, right)
+    table = closed_form_table(replace(units, e1=e1_units))
+    e1_star, q1g_max = np.ldexp([e1_units, table["q1g"]], k).tolist()
     return [MaxPowerResult(e1_star=e, q1g_max=q, eta_g_star=eta, window=w) for e, q, eta, w in
-            zip(e1_star.tolist(), table["q1g"].tolist(), table["eta_g"].tolist(), windows)]
+            zip(e1_star, q1g_max, table["eta_g"].tolist(), windows)]
 
 
 def maximize_cooling_power(base: ModelParams) -> MaxPowerResult:
@@ -504,22 +512,20 @@ def sweep_fig5(
 def sweep(spec: SweepSpec) -> tuple[dict[str, np.ndarray], list[dict]]:
     """Generic 1-D sweep emitting the standard observable set per point.
 
-    Points with invalid parameters (eps3 <= 0 or beta3 = 0 among them) are
-    skipped with the reason; an observable undefined at a point (no cooling
-    regime, virtual-temperature pole, inverted target) is NaN there.
+    Points whose verdict is not 0 (eps3 <= 0 or beta3 = 0 among them) are
+    skipped with their verdict's message; an observable undefined at a point
+    (no cooling regime, virtual-temperature pole, inverted target) is NaN there.
     """
     field = {"beta3": "t3", "e1": "e1", "gamma": "gamma"}[spec.axis]
     values = np.linspace(spec.lo, spec.hi, spec.points)
     with np.errstate(divide="ignore", over="ignore"):
         axis = 1.0 / values if spec.axis == "beta3" else values
-    try:
-        params, keep, skipped = replace(spec.base, **{field: axis}), slice(None), []
-    except ParameterError:
-        outcomes = [_outcome(replace, spec.base, **{field: x}) for x in axis.tolist()]
-        keep = np.array([isinstance(outcome, ModelParams) for outcome in outcomes])
-        skipped = [{"axis": spec.axis, "value": value, "reason": str(outcome)}
-                   for value, outcome, kept in zip(values.tolist(), outcomes, keep) if not kept]
-        params = replace(spec.base, **{field: axis[keep]})
+    points = _gate_values({**spec.base.as_dict(), field: axis})
+    verdicts = _verdicts(points)
+    keep = verdicts == 0
+    skipped = [{"axis": spec.axis, "value": values[i].item(),
+                "reason": str(_rule_error(points, verdicts, i))} for i in np.flatnonzero(~keep)]
+    params = ModelParams._unchecked({**spec.base.as_dict(), field: axis[keep]})  # verdicts 0
     return {**closed_form_table(params), "axis_value": values[keep]}, skipped
 
 
@@ -570,7 +576,8 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
 
     # replace checks the accepted models, at E1*
     models = ModelParams._unchecked(dict(zip(PARAM_NAMES, np.hstack(kept_fields))))
-    table = closed_form_table(replace(models, e1=_power_maxima(models, *np.hstack(edges))))
+    units, k, left, right = _in_e3_units(models, *np.hstack(edges))
+    table = closed_form_table(replace(models, e1=np.ldexp(_power_maxima(units, left, right), k)))
     x, eta_star = table["gamma"] / table["e3"], table["eta_g"]
     upper, lower = eta_star_max(spec.eta_c, x), eta_star_min(x)
     # an undefined (NaN) upper bound is near nothing

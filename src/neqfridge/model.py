@@ -15,6 +15,8 @@ of a thermal qubit with gap E at temperature T is r = 1/(1 + exp(E/T)) < 1/2.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,12 +36,10 @@ _TRIPARTITE = pauli_string("+-+") + pauli_string("-+-")
 class ModelParams:
     """The eight physical inputs of one refrigerator, or of a batch as arrays.
 
-    Construction checks every element, rule by rule, and reports the first
-    broken rule at its first broken element.  The spiral gap E2 is never an
-    input: it is fixed by the resonance condition (see
-    :func:`resonant_frame`), and the dressed engine gap eps3 it implies
-    must be positive.  Temperatures must satisfy T1 <= T2 <= T3, and every
-    field must be finite.
+    Construction gives every element a verdict from the ordered rule table
+    ``_RULES``, 0 or 1 plus the index of the first rule it breaks, and raises
+    the smallest nonzero one at its first element.  The spiral gap E2 is never
+    an input: the resonance condition fixes it (see :func:`resonant_frame`).
     """
 
     e1: float
@@ -52,21 +52,7 @@ class ModelParams:
     g: float
 
     def __post_init__(self) -> None:
-        t1, t2, t3 = self.t1, self.t2, self.t3
-        # the sum is below inf unless a field is nan or inf (-inf alone is left to the sign rules)
-        finite = self.e1 + self.e3 + self.gamma + t1 + t2 + t3 + self.p + self.g < np.inf
-        if not (finite.all() if getattr(finite, "ndim", 0) else finite):
-            for name, value in self.as_dict().items():  # overflowing finite fields pass here
-                _require(np.isfinite(value), ParameterError, f"{name} must be finite, got {{}}", value)
-        _frame_gaps(
-            self.e1, self.e3, self.gamma,
-            ((t1 > 0) & (t2 > 0) & (t3 > 0), ParameterError,
-             "temperatures must be positive: T=({}, {}, {})", t1, t2, t3),
-            ((t1 <= t2) & (t2 <= t3), ParameterError,
-             "fridge regime requires T1 <= T2 <= T3, got ({}, {}, {})", t1, t2, t3),
-            (self.p > 0, ParameterError, "dissipation rate must be positive: p={}", self.p),
-            (self.g >= 0, ParameterError, "tripartite coupling must be nonnegative: g={}", self.g),
-        )
+        _gate(_gate_values(vars(self)))
 
     @property
     def beta1(self) -> float:
@@ -102,16 +88,6 @@ class ModelParams:
 PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 
 
-def _require(holds, error, message: str, *values) -> None:
-    """Raise ``error(message)``, formatted with the values at the first element
-    where ``holds`` fails, unless it holds everywhere."""
-    if holds.all() if getattr(holds, "ndim", 0) else holds:  # a scalar needs no reduction
-        return
-    shape = np.broadcast_shapes(*(np.shape(value) for value in values))
-    at = np.argmin(np.broadcast_to(holds, shape))
-    raise error(message.format(*(np.broadcast_to(v, shape).flat[at] for v in values)))
-
-
 @np.errstate(invalid="ignore", over="ignore")
 def _delta_e(e1, gamma):
     """delta_e = sqrt(E1^2 - 4 gamma^2), 0 where gamma > E1/2, with no rule checked."""
@@ -124,44 +100,74 @@ def _engine_gap(e1, e3, delta_e):
     """The dressed engine gap eps3 = E3 + delta_e/2 - E1/2, with no rule checked.
 
     eps3 only grows with E1, since d eps3/dE1 = E1/(2 delta_e) - 1/2 >= 0.
-    An infinite E1 gives nan and huge finite fields overflow eps3 to inf,
-    both without a warning.
+    An infinite E1 gives nan and huge fields overflow it, without a warning.
     """
     return 0.5 * ((e3 + delta_e) + e3) - 0.5 * e1
 
 
-def _gaps(e1, e3, gamma) -> tuple:
-    """delta_e, the dressed engine gap eps3 and, elementwise, whether the
-    frame rules hold: E1, E3 > 0, 0 <= gamma <= E1/2 and 0 < eps3 < inf.
-    A nan or overflowed eps3 fails an eps3 rule, which names it."""
+def _finite(name: str):
+    """The condition that field ``name`` be finite where the fields' sum is inf or nan."""
+    return lambda v: v["summable"] | (abs(v[name]) < np.inf)
+
+
+_ENGINE_GAP = ("eps3", "e1", "e3", "gamma")
+# the gate's rules in order, each a condition on _gate_values' values, an error class, a message
+# and the values it formats; -inf alone breaks a sign rule, and the frame's rules are 8-10, 15, 16
+_RULES = (
+    *((_finite(name), ParameterError, f"{name} must be finite, got {{}}", (name,))
+      for name in PARAM_NAMES),
+    (lambda v: (v["e1"] > 0) & (v["e3"] > 0), ParameterError,
+     "qubit gaps must be positive: E1={}, E3={}", ("e1", "e3")),
+    (lambda v: v["gamma"] >= 0, ParameterError,
+     "internal coupling must be nonnegative: gamma={}", ("gamma",)),
+    (lambda v: v["gamma"] <= 0.5 * v["e1"], ResonanceInfeasibleError,
+     "resonance infeasible: gamma > E1/2 (gamma={}, E1={})", ("gamma", "e1")),
+    (lambda v: (v["t1"] > 0) & (v["t2"] > 0) & (v["t3"] > 0), ParameterError,
+     "temperatures must be positive: T=({}, {}, {})", ("t1", "t2", "t3")),
+    (lambda v: (v["t1"] <= v["t2"]) & (v["t2"] <= v["t3"]), ParameterError,
+     "fridge regime requires T1 <= T2 <= T3, got ({}, {}, {})", ("t1", "t2", "t3")),
+    (lambda v: v["p"] > 0, ParameterError, "dissipation rate must be positive: p={}", ("p",)),
+    (lambda v: v["g"] >= 0, ParameterError, "tripartite coupling must be nonnegative: g={}", ("g",)),
+    (lambda v: v["eps3"] > 0, ParameterError,
+     "dressed engine gap must be positive: eps3={} at E1={}, E3={}, gamma={}", _ENGINE_GAP),
+    (lambda v: v["eps3"] < np.inf, ParameterError,
+     "dressed engine gap overflows: eps3={} at E1={}, E3={}, gamma={}", _ENGINE_GAP),
+)
+
+
+def _gate_values(fields: dict) -> dict:
+    """What the rules read: ``fields``, a frame's E1, E3 and gamma or a model's eight, delta_e,
+    eps3, whether the fields' sum is below inf, and the rules that apply: all, or the frame's."""
+    e1, e3, gamma, model = fields["e1"], fields["e3"], fields["gamma"], len(fields) > 3
     delta_e = _delta_e(e1, gamma)
-    eps3 = _engine_gap(e1, e3, delta_e)
-    return delta_e, eps3, ((e1 > 0) & (e3 > 0) & (gamma >= 0) & (gamma <= 0.5 * e1)
-                           & (eps3 > 0) & (eps3 < np.inf))
+    return {**fields, "delta_e": delta_e, "eps3": _engine_gap(e1, e3, delta_e),
+            "summable": sum(fields.values()) < np.inf if model else True,
+            "rules": range(len(_RULES)) if model else (8, 9, 10, 15, 16)}
 
 
-def _frame_gaps(e1, e3, gamma, *rules) -> tuple:
-    """delta_e and eps3 of :func:`_gaps` once its rules hold, which costs one
-    combined ``all`` when they do.  ``rules``, more :func:`_require` argument
-    tuples, are checked before the dressed-gap rule, derived from the others.
-    """
-    delta_e, eps3, holds = _gaps(e1, e3, gamma)
-    framed = holds.all() if holds.ndim else holds
-    if not framed:
-        _require((e1 > 0) & (e3 > 0), ParameterError,
-                 "qubit gaps must be positive: E1={}, E3={}", e1, e3)
-        _require(gamma >= 0, ParameterError,
-                 "internal coupling must be nonnegative: gamma={}", gamma)
-        _require(gamma <= 0.5 * e1, ResonanceInfeasibleError,
-                 "resonance infeasible: gamma > E1/2 (gamma={}, E1={})", gamma, e1)
-    for rule in rules:
-        _require(*rule)
-    if not framed:
-        _require(eps3 > 0, ParameterError, "dressed engine gap must be positive: "
-                 "eps3={} at E1={}, E3={}, gamma={}", eps3, e1, e3, gamma)
-        _require(holds, ParameterError, "dressed engine gap overflows: "
-                 "eps3={} at E1={}, E3={}, gamma={}", eps3, e1, e3, gamma)
-    return delta_e, eps3
+def _verdicts(values: dict) -> np.ndarray:
+    """Per element, 0 where the rules of ``values`` hold, else 1 plus the index of the first
+    broken.  Valid input costs one reduction: a sum below inf stands for the finiteness rules."""
+    rules = values["rules"]
+    holds = functools.reduce(operator.and_, [_RULES[k][0](values) for k in rules
+                                             if k >= len(PARAM_NAMES)], values["summable"])
+    if holds.all() if getattr(holds, "ndim", 0) else holds:  # a scalar needs no reduction
+        return np.zeros(getattr(holds, "shape", ()), int)
+    return np.select([np.logical_not(_RULES[k][0](values)) for k in rules], [k + 1 for k in rules])
+
+
+def _rule_error(values: dict, verdicts: np.ndarray, at) -> ParameterError:
+    """The error of the flat element ``at`` of ``verdicts``, not 0, with its values."""
+    _, error, message, names = _RULES[verdicts.flat[at] - 1]
+    return error(message.format(*(np.broadcast_to(values[n], verdicts.shape).flat[at] for n in names)))
+
+
+def _gate(values: dict) -> dict:
+    """``values`` if its rules hold, else raises the smallest nonzero verdict at its first element."""
+    verdicts = _verdicts(values)
+    if verdicts.any() if verdicts.ndim else verdicts:
+        raise _rule_error(values, verdicts, np.argmax(verdicts == verdicts[verdicts > 0].min()))
+    return values
 
 
 # the reference refrigerator of the figures and the CLI defaults
@@ -207,11 +213,10 @@ def resonant_frame(e1, e3, gamma) -> Frame:
 
     delta_e = sqrt(E1^2 - 4 gamma^2) makes the dressed gap difference
     eps2 - eps3 = 2*lam equal E1 exactly.  The inputs may be floats or
-    arrays that broadcast together.  Raises :class:`ParameterError` unless
-    E1, E3 > 0, gamma >= 0 and the dressed engine gap eps3 is positive, and
-    :class:`ResonanceInfeasibleError` where gamma > E1/2.
+    arrays that broadcast together.  Raises the error of the first rule of
+    ``_RULES`` on E1, E3, gamma and eps3 that an element breaks.
     """
-    return _frame_at(e1, e3, gamma, _frame_gaps(e1, e3, gamma)[0])
+    return _frame_at(e1, e3, gamma, _gate(_gate_values(dict(e1=e1, e3=e3, gamma=gamma)))["delta_e"])
 
 
 def _frame_at(e1, e3, gamma, delta_e) -> Frame:

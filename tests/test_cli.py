@@ -1108,20 +1108,17 @@ class TestExitCodes:
         lo, hi = map(float, err[err.index("[") + 1:err.index("]")].split(", "))
         assert 0.0 < lo < hi
 
-    def test_unbracketed_root_search_maps_to_4(self):
-        # the reference in units of 2^500: dQ1^g/dE1's E1-slope terms overflow and its
-        # values at the window's edges share a sign, which ends in one error line
-        flags = ["--e1", "3.273390607896142e+150", "--e3", "1.3093562431584567e+151",
-                 "--gamma", "9.820171823688425e+149", "--t1", "4.364520810528189e+150",
-                 "--t2", "6.546781215792284e+150", "--t3", "1.3093562431584567e+151"]
-        src = os.path.dirname(os.path.dirname(neqfridge.__file__))
-        done = subprocess.run([sys.executable, "-m", "neqfridge.cli", "maximize", *flags],
-                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-                              timeout=60)
-        assert done.returncode == 4, done.stderr
-        assert "Traceback" not in done.stderr
-        errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
-        assert len(errors) == 1 and errors[0].startswith("error: root not bracketed: [")
+    def test_unbracketed_root_search_maps_to_4(self, monkeypatch, tmp_path, capsys):
+        from neqfridge import experiments
+
+        # dQ1^g/dE1's sign H made positive at every E1, so the power search's bracket
+        # holds no sign change
+        slopes = experiments._e1_slopes
+        monkeypatch.setattr(experiments, "_e1_slopes",
+                            lambda e1, base: (slopes(e1, base)[0], np.ones_like(e1)))
+        assert main(["maximize", "--out", str(tmp_path / "x.json")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: root not bracketed: [")
 
     def test_degenerate_solver_maps_to_3(self, monkeypatch, tmp_path):
         from neqfridge import cli

@@ -220,7 +220,7 @@ class TestDeviationKernel:
 
         kernels = (experiments.deviation, experiments.log_odds_gap, experiments._e1_slopes)
         calls, points = counting(monkeypatch, *kernels, steadystate.steady_coefficients,
-                                 model._require)
+                                 model._gate, model._rule_error, model.resonant_frame)
         post_init = ModelParams.__post_init__
 
         def counted_post_init(self):
@@ -233,9 +233,11 @@ class TestDeviationKernel:
         assert sum(points[kernel.__name__] for kernel in kernels) <= 100 * 100
         assert calls["steady_coefficients"] <= 2
         # the draws go unchecked to the window scan, and only the table's models,
-        # at their power maxima, are checked, by ModelParams' four rules, once;
-        # the kernels build their frames unchecked
-        assert calls["_require"] == 4 * calls["ModelParams"]
+        # at their power maxima, are checked against the rule table, once, as is
+        # the table's one frame, with no error formatted; the kernels build their
+        # frames unchecked
+        assert calls["_gate"] == calls["ModelParams"] + calls["resonant_frame"] == 2
+        assert calls["_rule_error"] == 0
         assert calls["ModelParams"] == 1
 
 
@@ -641,7 +643,9 @@ def _assert_scale_free(params: ModelParams, k: int) -> None:
 
 
 class TestScaleFree:
-    @pytest.mark.parametrize("k", [-60, -30, -10, 10, 20, 30, 60])
+    # beyond 2^-500 and 2^500 the window searches once underflowed or overflowed, and
+    # now run in units of E3
+    @pytest.mark.parametrize("k", [-600, -500, -300, -60, -30, -10, 10, 20, 30, 60, 300, 500])
     def test_reference_in_power_of_two_units(self, k):
         _assert_scale_free(REFERENCE, k)
 

@@ -17,7 +17,7 @@ from neqfridge import (
     virtual_temperature,
 )
 from neqfridge.linalg import IDENTITY_2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z
-from neqfridge.model import _gaps
+from neqfridge.model import _delta_e, _gate_values, _verdicts
 from neqfridge.observables import product_state
 
 from conftest import (
@@ -119,11 +119,11 @@ class TestResonantFrame:
     def test_gap_is_exact_near_maximal_mixing(self, gamma, delta):
         # E1 = 2 gamma (1 + delta): E1^2 - 4 gamma^2 would cancel to a few bits
         e1 = 2.0 * gamma * (1.0 + delta)
-        delta_e, _, holds = _gaps(e1, 4.0, gamma)
+        delta_e = _delta_e(e1, gamma)
         with mpmath.workdps(50):
             exact = mpmath.sqrt(mpmath.mpf(e1) ** 2 - 4 * mpmath.mpf(gamma) ** 2)
             error = float(abs(delta_e - exact) / exact)
-        assert holds
+        assert _verdicts(_gate_values(dict(e1=e1, e3=4.0, gamma=gamma))) == 0
         assert error <= 4 * np.finfo(float).eps
 
     def test_unitary_against_operator_formula(self):

@@ -68,7 +68,7 @@ COMMANDS = {
     "fig6": ["figure", "fig6", "--n", "50", "--seed", "7"],
     "ensemble.csv": ["ensemble", "--n", "50", "--eta-c", "10", "--seed", "5"],
     "sweep_e1.csv": ["sweep", "--axis", "e1", "--lo", "0.65", "--hi", "3.65", "--points", "20"],
-    # beta3 = 0 (T3 = inf) is skipped point by point
+    # beta3 = 0 (T3 = inf) breaks t3's finiteness rule and is skipped by its verdict
     "sweep_beta3.csv": ["sweep", "--axis", "beta3", "--lo", "0", "--hi", "0.5", "--points", "11"],
     "steady.json": ["steady"],
     "steady_p_1e-9.json": ["steady", "--p", "1e-9"],
@@ -81,6 +81,16 @@ COMMANDS = {
     # recorded as they are until that item lands
     "maximize_item_1.json": ["maximize", "--gamma", "0", "--e3", "4", "--t1", "1",
                              "--t2", "1.00390625", "--t3", "4.00390625"],
+    # the parameter gate's messages: one broken rule each, exit 2 and an error line
+    "steady_gamma_0.6.json": ["steady", "--gamma", "0.6"],
+    "steady_t1_3.json": ["steady", "--t1", "3"],
+    "steady_p_0.json": ["steady", "--p", "0"],
+    "steady_e1_-inf.json": ["steady", "--e1", "-inf"],
+    "steady_e3_1e308.json": ["steady", "--e3", "1e308"],
+    "maximize_t1_2.json": ["maximize", "--t1", "2.0"],
+    # 5 of the 13 points are skipped, breaking two different rules
+    "sweep_e1_two_rules.csv": ["sweep", "--axis", "e1", "--lo", "1", "--hi", "4", "--points", "13",
+                               "--e1", "3", "--e3", "0.5", "--gamma", "0.9"],
 }
 
 
