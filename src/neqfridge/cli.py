@@ -35,7 +35,7 @@ from .errors import (
 )
 from .invariants import validate
 from .model import PARAM_NAMES, REFERENCE, ModelParams
-from .observables import closed_form_table, heat_currents
+from .observables import _performance, heat_currents
 from .steadystate import solve_oracle
 from .experiments import (
     EnsembleSpec,
@@ -49,12 +49,13 @@ from .experiments import (
 )
 
 def _plain(obj):
-    """JSON-native copy of a report: numpy scalars as Python values, non-finite floats as None."""
+    """JSON-native copy of a report: numpy scalars and 0-d arrays as Python values,
+    non-finite floats as None."""
     if isinstance(obj, dict):
         return {key: _plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(value) for value in obj]
-    if isinstance(obj, np.generic):
+    if isinstance(obj, (np.generic, np.ndarray)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
@@ -152,7 +153,6 @@ def cmd_steady(args) -> int:
     frame, pops = parts.frame, parts.pops
     analytic, numeric = oracle.analytic, oracle.numeric
     currents = heat_currents(parts, numeric)
-    point = {name: column[0] for name, column in closed_form_table(params).items()}
     norm = params.e1 * params.p
     _emit({
         "version": __version__,
@@ -186,11 +186,8 @@ def cmd_steady(args) -> int:
                 "q3g": currents.q3g / norm,
             },
         },
-        "performance": {
-            "eta_g": point["eta_g"], "eta_tot": currents.eta_tot, "eta_c": point["eta_c"],
-            "eta_tilde": point["eta_tilde"], "tv": point["tv"], "t1s": point["t1s"],
-            "coherence": point["coherence"], "cooling": currents.cooling,
-        },
+        "performance": {**_performance(parts, analytic.decomposition.a1, currents.eta_tot),
+                        "cooling": currents.cooling},
     }, args.out)
     return 0
 

@@ -41,7 +41,8 @@ from .model import (
     Frame,
     ModelParams,
     ThermalPopulations,
-    resonant_frame,
+    _delta_e,
+    _frame_at,
     tilde_populations,
 )
 
@@ -73,7 +74,7 @@ _BATHS = np.eye(3)[[0, 1, 1, 2, 2] * 2].T
 
 @dataclass(frozen=True)
 class GeneratorParts:
-    """Everything needed to evaluate the master equation at one point."""
+    """Everything needed to evaluate the master equation at one point, or closed forms on a batch."""
 
     params: ModelParams
     frame: Frame
@@ -88,8 +89,9 @@ class GeneratorParts:
 
 
 def build_generator_parts(params: ModelParams) -> GeneratorParts:
-    """The point's frame and its bath populations."""
-    frame = resonant_frame(params.e1, params.e3, params.gamma)
+    """The model's frame and its bath populations.  The frame is built without the gate,
+    whose rules ``ModelParams`` already checked, the frame's among them."""
+    frame = _frame_at(params.e1, params.e3, params.gamma, _delta_e(params.e1, params.gamma))
     return GeneratorParts(params=params, frame=frame,
                           pops=tilde_populations(frame, params.t2, params.t3, t1=params.t1))
 

@@ -40,7 +40,7 @@ from .observables import (
     eta_star_max,
     eta_star_min,
 )
-from .steadystate import _deviation_terms, deviation_coefficient
+from .steadystate import _deviation_terms, steady_coefficients
 
 # f = E1/T1 - ln(population ratio) rounds to a few ulps of E1/T1 (inside
 # ensemble scan ranges, at most 3.4 eps hi/T1 against mpmath), so a window
@@ -143,7 +143,7 @@ def deviation(e1, base: ModelParams):
     broadcasts against e1, was validated when it was built."""
     frame = resonant_frame(e1, base.e3, base.gamma)
     pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
-    return deviation_coefficient(pops, base.p, base.g)
+    return steady_coefficients(pops, base.p, base.g).d
 
 
 def log_odds_gap(e1, base: ModelParams):

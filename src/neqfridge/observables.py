@@ -10,8 +10,10 @@ eta_g = Q1^g / Q3^g depends only on the diagonalization frame.
 :func:`closed_form_table` is the one closed-form chain from parameters to
 observables (frame, populations, coefficients, currents, then the COPs, the
 virtual temperature, the target temperature and the coherence), evaluated
-on a batch of models; every sweep, figure and ensemble row and the
-``steady`` performance block read it.
+on a batch of models; every sweep, figure and ensemble row reads it.  Its
+performance columns come from :func:`_performance`, which the ``steady``
+report also reads, on the frame, populations and closed-form a1 of the
+point it has just solved, so each point is framed and evaluated once.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import GeneratorParts, bath_actions, sector_tables
+from .dissipation import GeneratorParts, bath_actions, build_generator_parts, sector_tables
 from .model import (
     Frame,
     ModelParams,
     ThermalPopulations,
     quotient,
-    resonant_frame,
-    tilde_populations,
     virtual_coherence,
     virtual_temperature,
 )
@@ -215,6 +215,22 @@ def local_target_temperature(a1, e1):
     return np.where(invalid, np.nan, temperature) if np.any(invalid) else temperature
 
 
+def _performance(parts: GeneratorParts, a1, eta_tot) -> dict:
+    """The performance observables of the models of ``parts`` whose target's Bloch
+    component is ``a1``, in report order, with ``eta_tot`` given: eta_g, eta_tot,
+    eta_c, eta_tilde, tv, t1s and the coherence, each NaN where it is undefined."""
+    params, frame, pops = parts.params, parts.frame, parts.pops
+    return {
+        "eta_g": cop_g(frame),
+        "eta_tot": eta_tot,
+        "eta_c": cop_carnot(params.t1, params.t2, params.t3),
+        "eta_tilde": cop_tilde(pops, params.t1),
+        "tv": virtual_temperature(frame, pops),
+        "t1s": local_target_temperature(a1, params.e1),
+        "coherence": virtual_coherence(frame, pops),
+    }
+
+
 def closed_form_table(params: ModelParams) -> dict[str, np.ndarray]:
     """The closed-form observables of each model of ``params`` (one model, or
     a batch whose fields broadcast), as 1-D columns over ``params.as_batch()``.
@@ -231,26 +247,12 @@ def closed_form_table(params: ModelParams) -> dict[str, np.ndarray]:
     is evaluated on scalars, and the columns are broadcast and flattened at
     the end.
     """
-    frame = resonant_frame(params.e1, params.e3, params.gamma)
-    pops = tilde_populations(frame, params.t2, params.t3, t1=params.t1)
-    decomp = steady_coefficients(pops, params.p, params.g)
-    currents = currents_closed(params, frame, pops, decomp.d)
-    q3 = currents["q3"]
-    columns = {
-        **params.as_dict(),
-        "d": decomp.d,
-        "q1": currents["q1"],
-        "q3": q3,
-        "q1g": currents["q1g"],
-        "q23": currents["q23"],
-        "eta_g": cop_g(frame),
-        "eta_tot": quotient(currents["q1"], q3, q3 != 0.0),
-        "eta_c": cop_carnot(params.t1, params.t2, params.t3),
-        "eta_tilde": cop_tilde(pops, params.t1),
-        "tv": virtual_temperature(frame, pops),
-        "t1s": local_target_temperature(decomp.a1, params.e1),
-        "coherence": virtual_coherence(frame, pops),
-    }
+    parts = build_generator_parts(params)
+    decomp = steady_coefficients(parts.pops, params.p, params.g)
+    currents = currents_closed(params, parts.frame, parts.pops, decomp.d)
+    q1, q3 = currents["q1"], currents["q3"]
+    columns = {**params.as_dict(), "d": decomp.d, "q1": q1, "q3": q3, "q1g": currents["q1g"],
+               "q23": currents["q23"], **_performance(parts, decomp.a1, quotient(q1, q3, q3 != 0.0))}
     block = np.empty((len(columns),) + np.broadcast(*columns.values()).shape)
     for i, value in enumerate(columns.values()):
         block[i] = value

@@ -76,9 +76,10 @@ class SteadyStateResult:
 
 
 def _deviation_terms(pops: ThermalPopulations, p, g) -> tuple:
-    """d = 48 N p g / D as (N, D, p, g), N = q1 r~2 q~3 - r1 q~2 r~3 (q = 1 - r) and
-    D > 0.  d is homogeneous of degree 0 in (p, g), so both are first scaled, exactly,
-    by the power of two that brings the larger below 1, which keeps g*g finite at any g.
+    """d = 48 N p g / D and k = 24 N g^2 / D as (N, D, p, g), N = q1 r~2 q~3 - r1 q~2 r~3
+    (q = 1 - r) and D > 0.  Both are homogeneous of degree 0 in (p, g), so p and g are first
+    scaled, exactly, by the power of two that brings the larger below 1, which keeps g*g
+    finite at any g.
     """
     unit = np.ldexp(1.0, -np.frexp(np.fmax(p, g))[1])
     p, g = p * unit, g * unit
@@ -91,27 +92,19 @@ def _deviation_terms(pops: ThermalPopulations, p, g) -> tuple:
             9.0 * p * p + (14.0 + 4.0 * (om12 + om23 + om31)) * g * g, p, g)
 
 
-def deviation_coefficient(pops: ThermalPopulations, p: float, g: float) -> float:
-    """Closed-form deviation coefficient d from the bath populations.
-
-    d is proportional to the imbalance between the two directions of the
-    resonant three-body exchange; its sign decides cooling.  It reads only
-    r1 and the two mixed populations, so window and power searches call it
-    without the other seven coefficients.
-    """
-    n, d, p, g = _deviation_terms(pops, p, g)
-    return 48.0 * n * p * g / d
-
-
 def steady_coefficients(pops: ThermalPopulations, p: float, g: float) -> SteadyDecomposition:
     """Closed-form steady-state coefficients from the bath populations.
 
-    The deviation d comes from :func:`deviation_coefficient`; the remaining
-    coefficients follow from the per-channel balance conditions.
+    The deviation d = 48 N p g / D is proportional to the imbalance between
+    the two directions of the resonant three-body exchange, and its sign
+    decides cooling; the remaining coefficients follow from the per-channel
+    balance conditions through k = (g/p)(d/2) = 24 N g^2 / D, which is taken
+    in the scaled (p, g) of :func:`_deviation_terms`, so g/p never overflows.
     """
-    d = deviation_coefficient(pops, p, g)
+    n, den, p, g = _deviation_terms(pops, p, g)
+    d = 48.0 * n * p * g / den
+    k = 24.0 * n * g * g / den
     s1, s2, s3 = pops.s1, pops.s2, pops.s3
-    k = (g / p) * (0.5 * d)
     a1 = s1 + k
     a2 = s2 - k
     a3 = s3 + k

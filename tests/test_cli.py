@@ -15,7 +15,7 @@ from neqfridge import build_generator_parts, cooling_window, solve_oracle, valid
 from neqfridge.cli import _cells, main, write_csv
 from neqfridge.model import REFERENCE, thermal_population
 
-from conftest import P0, counting, per_cell_cells, per_cell_csv, stack
+from conftest import P0, counting, grid_box_points, per_cell_cells, per_cell_csv, stack
 
 # group names of `validate`, in report order
 GROUPS = [
@@ -69,6 +69,22 @@ class TestSteadyCommand:
         assert report["performance"]["cooling"] is True
         assert report["residuals"]["max_coefficient_delta"] < 1e-10
         assert report["frame"]["e2"] == pytest.approx(4.8)
+
+    def test_performance_block_is_the_closed_form_row(self, tmp_path):
+        # steady reads its performance block from the frame, populations and closed-form
+        # a1 of the point it solved; each value but eta_tot and cooling is the point's
+        # closed_form_table row bit for bit, a NaN or inf there a null in the report
+        edges = [dict(gamma=0.0), dict(gamma=0.5), dict(t1=2.0, t2=2.0, t3=2.0), dict(t1=1e-300),
+                 dict(g=0.0), dict(p=1e-9)]
+        out = tmp_path / "steady.json"
+        for params in grid_box_points(33, 200) + [replace(REFERENCE, **edge) for edge in edges]:
+            flags = [item for name, value in params.as_dict().items() for item in (f"--{name}", repr(value))]
+            assert main(["steady", *flags, "--out", str(out)]) == 0
+            performance = json.loads(out.read_text())["performance"]
+            table = neqfridge.closed_form_table(params)
+            row = {name: float(table[name][0]) for name in performance if name not in ("eta_tot", "cooling")}
+            expected = {name: value if math.isfinite(value) else None for name, value in row.items()}
+            assert json.dumps({name: performance[name] for name in row}) == json.dumps(expected), params
 
     def test_infeasible_coupling_exits_2(self, capsys):
         code = main(["steady", "--gamma", "0.6", "--e1", "1"])
@@ -759,14 +775,14 @@ class TestValidateCommand:
         # although the two routes, which both read the block, still agree
         from neqfridge import dissipation
 
-        frame = dissipation.resonant_frame
+        frame = dissipation._frame_at
 
         def detuned(*args):
             resonant = frame(*args)
             return replace(resonant, eps2=resonant.eps2 * (1.0 + detune))
 
         assert validate(P0).groups["oracle_equivalence"]["passed"] is True
-        monkeypatch.setattr(dissipation, "resonant_frame", detuned)
+        monkeypatch.setattr(dissipation, "_frame_at", detuned)
         report = validate(P0)
         assert report.oracle.max_delta <= 1e-13
         assert report.groups["oracle_equivalence"]["passed"] is False
@@ -1004,21 +1020,27 @@ class TestEnsembleCommand:
 class TestGeneratorBuilds:
     @pytest.fixture
     def build_count(self, monkeypatch):
-        from neqfridge import dissipation, model
+        from neqfridge import dissipation, model, observables
 
-        return counting(monkeypatch, dissipation.build_generator_parts, model.resonant_frame,
-                        model.tilde_populations, dissipation.assemble_liouvillian)[0]
+        return counting(monkeypatch, dissipation.build_generator_parts, model._frame_at,
+                        model.tilde_populations, dissipation.assemble_liouvillian, model._gate,
+                        observables.closed_form_table)[0]
 
     def test_one_build_per_steady_call(self, build_count, tmp_path):
+        # the flags' model is checked once; its frame, populations and closed forms are
+        # built once, and the performance block reads them instead of a table of its own
         assert main(["steady", "--out", str(tmp_path / "steady.json")]) == 0
         assert build_count["build_generator_parts"] == 1
         assert build_count["assemble_liouvillian"] == 1  # both routes' residuals read it
+        assert build_count["_gate"] == build_count["tilde_populations"] == 1
+        assert build_count["closed_form_table"] == 0
 
     def test_one_build_per_single_point_validate(self, build_count, tmp_path):
         # a parameter flag makes validate check that one point instead of a grid
         assert main(["validate", "--gamma", "0.3", "--out", str(tmp_path / "validate.json")]) == 0
         assert build_count["build_generator_parts"] == 1
         assert build_count["assemble_liouvillian"] == 1
+        assert build_count["_gate"] == 1
 
     def test_no_point_acts_on_operators(self, monkeypatch, tmp_path):
         # after one solve has built the sector tables, steady and validate read only them
@@ -1035,7 +1057,7 @@ class TestGeneratorBuilds:
     def test_validate_checks_the_populations_it_solves_with(self, build_count):
         # one frame and one population build, which the population groups and the oracle share
         assert validate(P0).passed
-        assert build_count == {"build_generator_parts": 1, "resonant_frame": 1, "tilde_populations": 1,
+        assert build_count == {"build_generator_parts": 1, "_frame_at": 1, "tilde_populations": 1,
                                "assemble_liouvillian": 1}
 
 

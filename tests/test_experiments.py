@@ -233,12 +233,11 @@ class TestDeviationKernel:
         assert sum(points[kernel.__name__] for kernel in kernels) <= 100 * 100
         assert calls["steady_coefficients"] <= 2
         # the draws go unchecked to the window scan, and only the table's models,
-        # at their power maxima, are checked against the rule table, once, as is
-        # the table's one frame, with no error formatted; the kernels build their
-        # frames unchecked
-        assert calls["_gate"] == calls["ModelParams"] + calls["resonant_frame"] == 2
+        # at their power maxima, are checked against the rule table, once, with no
+        # error formatted; the kernels and the table build their frames unchecked
+        assert calls["_gate"] == calls["ModelParams"] == 1
+        assert calls["resonant_frame"] == 0
         assert calls["_rule_error"] == 0
-        assert calls["ModelParams"] == 1
 
 
     def test_virtual_log_odds_is_the_stored_formula(self):

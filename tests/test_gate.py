@@ -136,8 +136,9 @@ def test_a_batch_raises_the_first_rule_broken_anywhere():
 
 
 def test_sweep_skips_each_point_with_its_own_scalar_error():
-    # seeded sweeps over signed ranges around 0 and bases with extreme fields: every
-    # skipped point's reason is the error of building that point alone
+    # seeded sweeps over signed ranges around 0 and bases with extreme fields, among them
+    # p = 5e-324 and g = 1e308, whose g/p overflows: every skipped point's reason is the
+    # error of building that point alone, and no kept point warns
     rng = np.random.default_rng(32)
     specials = [0.0, -0.0, -1.0, 0.05, 0.6, 3.0, 1e308, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
     field = {"beta3": "t3", "e1": "e1", "gamma": "gamma"}
@@ -145,7 +146,7 @@ def test_sweep_skips_each_point_with_its_own_scalar_error():
     for _ in range(150):
         axis = str(rng.choice(list(field)))
         changes = {str(name): float(rng.choice(specials))
-                   for name in rng.choice(["e1", "e3", "gamma", "t1", "t2"], 1)}
+                   for name in rng.choice(["e1", "e3", "gamma", "t1", "t2", "p", "g"], 1)}
         try:
             base = replace(REFERENCE, **changes)
         except ParameterError:

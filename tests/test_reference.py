@@ -60,6 +60,8 @@ EPS = float(np.finfo(float).eps)
 BOUNDS = {"ensemble.csv": 8192 * EPS, "fig6": 2048 * EPS}
 BOUND = 128 * EPS  # every other command
 
+# the fields of the reference refrigerator that the 2^k commands scale
+SCALED = {"e1": 1.0, "e3": 4.0, "gamma": 0.3, "t1": 4.0 / 3.0, "t2": 2.0, "t3": 4.0}
 # name -> argv; a name with a suffix is the output file, one without a figure's directory
 COMMANDS = {
     "fig3": ["figure", "fig3", "--points", "20"],
@@ -91,6 +93,12 @@ COMMANDS = {
     # 5 of the 13 points are skipped, breaking two different rules
     "sweep_e1_two_rules.csv": ["sweep", "--axis", "e1", "--lo", "1", "--hi", "4", "--points", "13",
                                "--e1", "3", "--e3", "0.5", "--gamma", "0.9"],
+    "validate_grid_20.json": ["validate", "--grid", "20"],
+    # the reference refrigerator with E1, E3, gamma, T1, T2 and T3 times 2^k (p and g
+    # unchanged), each flag the repr of the exact product
+    **{f"maximize_2^{k}.json": ["maximize", *(item for name, value in SCALED.items()
+                                              for item in (f"--{name}", repr(math.ldexp(value, k))))]
+       for k in (-600, -500, 500)},
 }
 
 
