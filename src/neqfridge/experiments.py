@@ -10,7 +10,7 @@ All evaluations go through the matrix-free closed-form coefficients, which
 are validated against the generator null space elsewhere.  The closed forms
 take numpy arrays, so each step of a window search or power maximization
 over a batch of models (one ``ModelParams`` whose fields broadcast) is one
-kernel call, in units of each model's power of two of E3, and each figure,
+kernel call in the caller's units, and each figure,
 sweep or ensemble builds one batch and reads its observables from one
 :func:`~neqfridge.observables.closed_form_table` call (fig3 and fig5 make a
 second).  Tables hold one array per column, and every row carries the full
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmptyCoolingWindowError, NeqFridgeError, ParameterError
 from .model import (PARAM_NAMES, REFERENCE, ModelParams, _delta_e, _frame_at, _gate_values,
-                    _machine_populations, _rule_error, _verdicts, _virtual_log_odds,
+                    _machine_populations, _rule_error, _target_gap, _verdicts, _virtual_log_odds,
                     resonant_frame, tilde_populations)
 from .observables import (
     closed_form_table,
@@ -173,15 +173,18 @@ def _e1_slopes(e1, base: ModelParams) -> tuple:
 
     deps3/dE1 = E1/(2 delta_e) - 1/2, deps2/dE1 = deps3/dE1 + 1,
     d cos^2(theta/2)/dE1 = 2 gamma^2/(delta_e E1^2), and each thermal
-    population has dr/dE = -r (1 - r)/T.  N, D and (p, g) times the power of
-    two u that brings the larger below 1 are those of ``_deviation_terms``, so
-    the H returned is u^2 H: the same sign and root, finite at any g.  Like
-    :func:`log_odds_gap`, a search kernel whose frame is not checked.
+    population has dr/dE = -r (1 - r)/T; the squares are taken over E1's power
+    of two 2^k.  N, D and (p, g) times the power of two u that brings the larger
+    below 1 are those of ``_deviation_terms``, so the H returned is u^2 H: the
+    same sign and root, finite at any g.  Like :func:`log_odds_gap`, a search
+    kernel whose frame is not checked.
     """
     frame = _frame_at(e1, base.e3, base.gamma, _delta_e(e1, base.gamma))
     pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
     c2, s2 = frame.cos_half_sq, frame.sin_half_sq
-    dc2 = 2.0 * base.gamma ** 2 / (frame.delta_e * e1 * e1)
+    k = np.frexp(e1)[1]
+    x, y, z = (np.ldexp(v, -k) for v in (e1, base.gamma, frame.delta_e))  # E1, gamma, delta_e over 2^k
+    dc2 = np.ldexp(2.0 * y ** 2 / (z * x * x), -k)
     deps3 = 0.5 * e1 / frame.delta_e - 0.5
     slope = lambda r, t: -r * (1.0 - r) / t  # dr/dE
     r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
@@ -261,13 +264,6 @@ def _brackets(a, b) -> str:
     return ", ".join(map(str, np.sort([a, b], axis=0).T.tolist()))
 
 
-def _in_e3_units(models: ModelParams, *energies) -> tuple:
-    """The batch over 2^k, each model's power of two of E3 (p, g stay), k and ``energies`` over 2^k."""
-    k = np.frexp(models.e3)[1]
-    units = {n: np.ldexp(getattr(models, n), -k) for n in ("e3", "gamma", "t1", "t2", "t3")}
-    return ModelParams._unchecked({**models.as_dict(), **units}), k, *(np.ldexp(e, -k) for e in energies)
-
-
 def _scan_range(models: ModelParams) -> tuple:
     """The scan ranges [lo, hi] of a batch, and per model 0 or the reason code of
     what rules its window search out: T1 >= T2, an empty range, or a frame that
@@ -295,9 +291,8 @@ def _screen_windows(models: ModelParams) -> tuple:
     read once at its root, the minimum of f; a model without that sign
     change, or whose minimum is not below the bound, has no window.  Returns
     the columns x, f(x), f(lo), f(hi) (NaN where the range is not searched),
-    lo, hi and the reason code, 0 where a window was found, in the caller's units.
+    lo, hi and the reason code, 0 where a window was found.
     """
-    models, k = _in_e3_units(models)
     lo, hi, reason = _scan_range(models)
     index = np.flatnonzero(reason == 0)
     models, a, b = models.take(index), lo[index], hi[index]
@@ -319,7 +314,7 @@ def _screen_windows(models: ModelParams) -> tuple:
     reason[index] = np.select([~cools, f_hi < 0.0], [_NO_COOLING, _BEYOND_RANGE])
     columns = np.full((4, lo.size), np.nan)
     columns[:, index] = x, fx, f_lo, f_hi
-    return (np.ldexp(columns[0], k), *columns[1:], np.ldexp(lo, k), np.ldexp(hi, k), reason)
+    return (*columns, lo, hi, reason)
 
 
 def _window_error(models: ModelParams, columns: tuple, i: int) -> NeqFridgeError:
@@ -341,29 +336,26 @@ def _solve_windows(models: ModelParams, screen: tuple, index: np.ndarray) -> tup
     """Root-find the edge brackets of the models ``index`` of a 1-D batch, all
     searchable in its columns ``screen`` (:func:`_screen_windows`), at once.
 
-    Each edge is searched in u = delta_e = sqrt((E1 - 2 gamma)(E1 + 2 gamma)),
-    in which f is smooth at E1 = 2 gamma, where its E1-slope diverges: f is
-    evaluated at delta_e = u and E1 = sqrt(u^2 + 4 gamma^2), to 4 eps of the
-    larger end of its bracket in u.  The root maps back to that E1, and as
-    dE1/du = delta_e/E1, the edge's error in E1 is at most delta_e/E1 times
-    that tolerance.  A bracket end where f is zero is returned exactly, so a
-    boundary left edge stays the scan's lower end; at gamma = 0, u is E1.
-    Returns the arrays left, right and left_is_boundary.
+    Each edge is searched in u = delta_e (:func:`~neqfridge.model._delta_e`), in
+    which f is smooth at E1 = 2 gamma, where its E1-slope diverges: f is
+    evaluated at delta_e = u and E1 = sqrt(u^2 + 4 gamma^2) (``_target_gap``),
+    to 4 eps of the larger end of its bracket in u.  The root maps back to that
+    E1; as dE1/du = delta_e/E1, its error in E1 is at most delta_e/E1 times that
+    tolerance.  A bracket end where f is zero is returned exactly, so a boundary
+    left edge stays the scan's lower end; at gamma = 0, u is E1.  Returns the
+    arrays left, right and left_is_boundary.
     """
     x, fx, f_lo, f_hi, lo, hi = (column[index] for column in screen[:6])
-    models, k, x, lo, hi = _in_e3_units(models.take(index), x, lo, hi)
     boundary, zero = f_lo < 0.0, np.zeros(index.size)
     # (a, b, f(a), f(b)) of each model's left-edge bracket, then of its right-edge one
     left = np.where(boundary, [lo, lo, zero, zero], [lo, x, f_lo, fx])
     right = np.where(boundary, [lo, hi, f_lo, f_hi], [x, hi, fx, f_hi])
     a, b, fa, fb = np.hstack([left, right])
-    pairs = models.take(np.tile(np.arange(index.size), 2))
-    four_gamma_sq = (2.0 * pairs.gamma) ** 2
-    u = _chandrupatla(
-        lambda x, j: _log_odds_gap_at(np.sqrt(x * x + four_gamma_sq[j]), x, pairs.take(j)),
-        _delta_e(a, pairs.gamma), _delta_e(b, pairs.gamma), fa, fb)
-    roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.sqrt(u * u + four_gamma_sq)))
-    return (*np.ldexp(roots.reshape(2, -1), k), boundary)
+    pairs = models.take(np.tile(index, 2))
+    u = _chandrupatla(lambda x, j: _log_odds_gap_at(_target_gap(x, pairs.gamma[j]), x, pairs.take(j)),
+                      _delta_e(a, pairs.gamma), _delta_e(b, pairs.gamma), fa, fb)
+    roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, _target_gap(u, pairs.gamma)))
+    return (*roots.reshape(2, -1), boundary)
 
 
 def _searched_windows(models: ModelParams) -> tuple:
@@ -384,14 +376,13 @@ def cooling_windows(models: ModelParams) -> list:
     whose right end lies outside the window.  A window needs a point x where
     f (:func:`log_odds_gap`, which has d's sign) is below its rounding
     bound, f(x) < -8 eps hi/T1, and f >= 0 at the right end; Chandrupatla's
-    method finds its edges between x and the ends, and f < 0 at the left end
-    makes that end the left edge.  Each edge is searched in delta_e, to 4 eps
-    of the larger end of its bracket in delta_e, so its error in E1 is at
-    most delta_e/E1 times that (:func:`_solve_windows`).  At g = 0 every
-    window is empty.  A model with T1 >= T2, an empty range or a frame that
-    fails at the range's low end (eps3 <= 0 there) is rejected before any
-    search.  Returns per model its :class:`CoolingWindow`, or the error that
-    :func:`cooling_window` raises for it, built from its reason code.
+    method finds its edges in delta_e between x and the ends
+    (:func:`_solve_windows`), and f < 0 at the left end makes that end the
+    left edge.  At g = 0 every window is empty.  A model with T1 >= T2, an
+    empty range or a frame that fails at the range's low end (eps3 <= 0
+    there) is rejected before any search.  Returns per model its
+    :class:`CoolingWindow`, or the error that :func:`cooling_window` raises
+    for it, built from its reason code.
     """
     models = models.as_batch()
     screen = _screen_windows(models)
@@ -407,11 +398,11 @@ def cooling_window(base: ModelParams) -> CoolingWindow:
 
 
 def _power_maxima(models: ModelParams, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """E1* of each model of the batch ``models`` (in units of E3, :func:`_in_e3_units`) in
-    its cooling window [left, right]: the root of H (:func:`_e1_slopes`), which has the sign
-    of dQ1^g/dE1, between the window's edges.  H is positive at the left edge, a root of d's
-    numerator N with N' < 0 or, where the window starts at the scan boundary, a point from
-    which Q1^g (which carries a factor E1) rises, and negative at the right edge, where N' > 0.
+    """E1* of each model of the batch ``models`` in its cooling window [left, right]: the
+    root of H (:func:`_e1_slopes`), which has the sign of dQ1^g/dE1, between the window's
+    edges.  H is positive at the left edge, a root of d's numerator N with N' < 0 or, where
+    the window starts at the scan boundary, a point from which Q1^g (which carries a factor
+    E1) rises, and negative at the right edge, where N' > 0.
     """
     h_left, h_right = _e1_slopes(np.array([left, right]), models)[1]
     return _chandrupatla(lambda x, j: _e1_slopes(x, models.take(j))[1], left, right, h_left, h_right)
@@ -420,15 +411,12 @@ def _power_maxima(models: ModelParams, left: np.ndarray, right: np.ndarray) -> n
 def maximize_cooling_powers(models: ModelParams) -> list[MaxPowerResult]:
     """Maximize Q1^g over the whole cooling window of each model of ``models`` (as
     in :func:`cooling_windows`) at E1* (:func:`_power_maxima`), and report the COP
-    there, both read from the closed-form table at E1* in units of E3 (no underflow)."""
+    there, both read from the closed-form table at E1*."""
     models = models.as_batch()
     left, right, windows = _searched_windows(models)
-    units, k, left, right = _in_e3_units(models, left, right)
-    e1_units = _power_maxima(units, left, right)
-    table = closed_form_table(replace(units, e1=e1_units))
-    e1_star, q1g_max = np.ldexp([e1_units, table["q1g"]], k).tolist()
+    table = closed_form_table(replace(models, e1=_power_maxima(models, left, right)))
     return [MaxPowerResult(e1_star=e, q1g_max=q, eta_g_star=eta, window=w) for e, q, eta, w in
-            zip(e1_star, q1g_max, table["eta_g"].tolist(), windows)]
+            zip(*(table[name].tolist() for name in ("e1", "q1g", "eta_g")), windows)]
 
 
 def maximize_cooling_power(base: ModelParams) -> MaxPowerResult:
@@ -576,8 +564,7 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
 
     # replace checks the accepted models, at E1*
     models = ModelParams._unchecked(dict(zip(PARAM_NAMES, np.hstack(kept_fields))))
-    units, k, left, right = _in_e3_units(models, *np.hstack(edges))
-    table = closed_form_table(replace(models, e1=np.ldexp(_power_maxima(units, left, right), k)))
+    table = closed_form_table(replace(models, e1=_power_maxima(models, *np.hstack(edges))))
     x, eta_star = table["gamma"] / table["e3"], table["eta_g"]
     upper, lower = eta_star_max(spec.eta_c, x), eta_star_min(x)
     # an undefined (NaN) upper bound is near nothing

@@ -63,11 +63,12 @@ def steady_null_space(block: np.ndarray) -> np.ndarray:
     """Unit kernel vector of a real generator block, the right singular vector of its
     smallest singular value.  A second singular value at or below ``DEGENERACY_RATIO``
     times the largest signals a degenerate steady space (an all-zero block included)."""
-    _, s, vh = np.linalg.svd(block)
+    k = np.frexp(np.abs(block).max())[1]  # the block over its largest entry's power of two
+    _, s, vh = np.linalg.svd(np.ldexp(block, -k))
     if s[-2] <= DEGENERACY_RATIO * s[0]:
         raise DegenerateSteadyStateError(
-            f"steady space is degenerate: singular values {s[-2]:.3e}, {s[-1]:.3e} "
-            f"at or below threshold {DEGENERACY_RATIO:.0e} * {s[0]:.3e}")
+            f"steady space is degenerate: singular values {abs(s[-2]):.3e}, {abs(s[-1]):.3e} "
+            f"at or below threshold {DEGENERACY_RATIO:.0e} * {s[0]:.3e}, in units of 2^{k}")
     return vh[-1]
 
 

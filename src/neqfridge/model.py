@@ -91,8 +91,16 @@ PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 @np.errstate(invalid="ignore", over="ignore")
 def _delta_e(e1, gamma):
     """delta_e = sqrt(E1^2 - 4 gamma^2), 0 where gamma > E1/2, with no rule checked."""
-    two_gamma = 2.0 * gamma  # the factored difference keeps delta_e exact near E1 = 2 gamma
-    return np.sqrt(np.maximum((e1 - two_gamma) * (e1 + two_gamma), 0.0))
+    k = np.frexp(e1)[1]  # over E1's power of two 2^k, exactly, no product under- or overflows
+    e1, two_gamma = np.ldexp(e1, -k), np.ldexp(2.0 * gamma, -k)  # factored: exact near E1 = 2 gamma
+    return np.ldexp(np.sqrt(np.maximum((e1 - two_gamma) * (e1 + two_gamma), 0.0)), k)
+
+
+def _target_gap(delta_e, gamma):
+    """E1 = sqrt(delta_e^2 + 4 gamma^2), inverting :func:`_delta_e` over a power of two."""
+    k = np.frexp(np.fmax(delta_e, 2.0 * gamma))[1]
+    u, two_gamma = np.ldexp(delta_e, -k), np.ldexp(2.0 * gamma, -k)
+    return np.ldexp(np.sqrt(u * u + two_gamma * two_gamma), k)
 
 
 @np.errstate(invalid="ignore", over="ignore")

@@ -186,9 +186,10 @@ def eta_star_max(eta_c, gamma_over_e3):
     NaN where gamma/E3 lies outside the cooling range, at which the
     denominator eta_c/2 - 2 (gamma/E3)^2 is not positive.
     """
-    x2 = gamma_over_e3 * gamma_over_e3
-    denominator = 0.5 * eta_c - 2.0 * x2
-    return quotient(0.25 * eta_c * eta_c + 4.0 * x2, denominator, denominator > 0.0)
+    k = np.frexp(np.fmax(eta_c, gamma_over_e3))[1]  # the larger's square over 4^k cannot underflow
+    eta, x = np.ldexp(eta_c, -k), np.ldexp(gamma_over_e3, -k)
+    denominator = 0.5 * eta - 2.0 * np.ldexp(x * x, k)  # over 2^k, the numerator over 4^k
+    return np.ldexp(quotient(0.25 * eta * eta + 4.0 * x * x, denominator, denominator > 0.0), k)
 
 
 def eta_star_min(gamma_over_e3):
@@ -199,8 +200,11 @@ def eta_star_min(gamma_over_e3):
     The bound is 0 at x = 0 and NaN at x < 0.
     """
     x = gamma_over_e3
-    u = 2.0 * x * (x + np.sqrt(1.0 + x * x))
-    return np.where(x == 0.0, 0.0, quotient(u * u + 4.0 * x * x, u - 2.0 * x * x, x > 0.0))
+    k = np.frexp(x)[1]
+    y = np.ldexp(x, -k)  # x over its power of two 2^k: its square over 4^k cannot underflow
+    u = 2.0 * y * (x + np.sqrt(1.0 + x * x))  # over 2^k, the numerator over 4^k
+    bound = quotient(u * u + 4.0 * y * y, u - 2.0 * np.ldexp(y * y, k), x > 0.0)
+    return np.where(x == 0.0, 0.0, np.ldexp(bound, k))
 
 
 def local_target_temperature(a1, e1):

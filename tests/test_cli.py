@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -707,6 +709,87 @@ class TestPowerOfTwoUnits:
             np.testing.assert_array_equal(scaled_table[name], column * lam ** COLUMN_POWERS[name], err_msg=name)
 
 
+# energies and temperatures times 2^k with p and g unchanged, as the reference's 2^k commands
+# scale them: the power of 2^k in each closed_form_table column (the currents are rates
+# times energies) and in each key of a steady report's blocks
+ENERGIES = ("e1", "e3", "gamma", "t1", "t2", "t3")
+ENERGY_POWERS = COLUMN_POWERS | {"p": 0, "g": 0, "q1": 1, "q3": 1, "q1g": 1, "q23": 1}
+STEADY_POWERS = {"params": ENERGY_POWERS, "performance": ENERGY_POWERS,
+                 "frame": {name: 1 for name in ("e2", "delta_e", "lambda", "eps2", "eps3")},
+                 "populations": {"ttilde2": 1, "ttilde3": 1},
+                 "currents": {name: 1 for name in ("q1", "q2", "q3", "q23", "q1g", "q2g", "q3g",
+                                                    "qt2g", "qt3g", "route_delta")}}
+# from 2^-600 to 2^500: below about 2^-540 the frame's (E1 - 2 gamma)(E1 + 2 gamma)
+# underflows unless it is taken over E1's power of two
+ENERGY_SCALES = [-600, -540, -500, -300, -60, 60, 300, 500]
+
+
+def _energy_scaled(params, k: int):
+    """``params`` with its energies and temperatures times 2^k, exactly; p and g unchanged."""
+    return replace(params, **{name: np.ldexp(getattr(params, name), k) for name in ENERGIES})
+
+
+class TestEnergyScale:
+    # every result is the unscaled one times its power of 2^k, bit for bit, compared through
+    # np.ldexp: a power of 2^k itself underflows past 2^-1074
+    @pytest.mark.parametrize("k", ENERGY_SCALES)
+    def test_closed_form_table(self, k):
+        models = stack(grid_box_points(seed=34, count=199))
+        table, scaled = (neqfridge.closed_form_table(m) for m in (models, _energy_scaled(models, k)))
+        assert set(table) == set(ENERGY_POWERS)
+        for name, column in table.items():
+            np.testing.assert_array_equal(scaled[name], np.ldexp(column, k * ENERGY_POWERS[name]),
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("k", ENERGY_SCALES)
+    @pytest.mark.parametrize("axis, lo, hi, power", [("e1", 0.5, 4.0, 1), ("gamma", -1e-3, 0.6, 1),
+                                                      ("beta3", 0.0, 0.5, -1)])
+    def test_sweep(self, k, axis, lo, hi, power):
+        (table, skipped), (scaled, scaled_skipped) = (
+            neqfridge.sweep(neqfridge.SweepSpec(base=base, axis=axis, lo=math.ldexp(lo, j),
+                                                hi=math.ldexp(hi, j), points=40))
+            for base, j in ((REFERENCE, 0), (_energy_scaled(REFERENCE, k), power * k)))
+        assert [s["value"] for s in scaled_skipped] == [math.ldexp(s["value"], power * k) for s in skipped]
+        for name, column in table.items():
+            exponent = power * k if name == "axis_value" else k * ENERGY_POWERS[name]
+            np.testing.assert_array_equal(scaled[name], np.ldexp(column, exponent), err_msg=name)
+
+    @pytest.mark.parametrize("k", ENERGY_SCALES)
+    def test_steady_report(self, tmp_path, k):
+        # the frame, the populations, the decomposition, the currents and the performance
+        # block; the family block, and so its kernel, does not depend on the energies' unit
+        for i, params in enumerate(grid_box_points(seed=34, count=4)):
+            reports = []
+            for j, model in enumerate((params, _energy_scaled(params, k))):
+                flags = [item for name, value in model.as_dict().items()
+                         for item in (f"--{name}", repr(float(value)))]
+                assert main(["steady", *flags, "--out", str(tmp_path / f"{i}_{j}.json")]) == 0
+                reports.append(json.loads((tmp_path / f"{i}_{j}.json").read_text()))
+            base, scaled = reports
+            for block, values in base.items():
+                if not isinstance(values, dict):
+                    assert scaled[block] == values
+                    continue
+                powers = STEADY_POWERS.get(block, {})
+                for key, value in values.items():
+                    expected = (math.ldexp(value, k * powers.get(key, 0)) if type(value) is float
+                                else value)  # null, a bool, or currents.normalized (over E1 p)
+                    assert scaled[block][key] == expected, (i, block, key)
+
+    @pytest.mark.parametrize("eta_c", ["1e-200", "1e-300"])
+    def test_ensemble_at_a_tiny_carnot_cop(self, tmp_path, eta_c):
+        # gamma/E3 is about eta_c here, so its square and eta_c's underflow unless the COP
+        # bounds and the window scan's slopes take them over their power of two
+        out = tmp_path / "e.csv"
+        assert main(["ensemble", "--n", "40", "--seed", "3", "--eta-c", eta_c, "--out", str(out)]) == 0
+        rows = [row for row in csv.DictReader(line for line in out.read_text().splitlines()
+                                              if not line.startswith("#"))]
+        assert len(rows) == 40
+        for row in rows:
+            lower, eta_star, upper = (float(row[name]) for name in ("eta_star_min", "eta_star", "eta_star_max"))
+            assert 0.0 < lower <= eta_star <= upper < float(eta_c), row
+
+
 class TestValidateCommand:
     def test_single_point_passes(self, tmp_path):
         out = tmp_path / "validate.json"
@@ -1110,12 +1193,30 @@ class TestDegeneracyPerBlock:
     def test_huge_coupling_is_degenerate_without_an_overflow(self, tmp_path, capsys):
         # at g = 1e300 the block is degenerate on its own scale; the residual's squares
         # overflowed (a RuntimeWarning) before its vector was scaled by a power of two
+        self._assert_degenerate(tmp_path, capsys, "1e300", "3.026e-303, 0.000e+00 at or below "
+                                "threshold 1e-09 * 1.493e+00, in units of 2^997")
+
+    def test_largest_coupling_is_degenerate_without_an_infinite_singular_value(self, tmp_path, capsys):
+        # at g = 1e308 the block's largest singular value overflows to inf, below which any
+        # other compares, unless the SVD is taken over the block's power of two
+        self._assert_degenerate(tmp_path, capsys, "1e308", "1.976e-311, 0.000e+00 at or below "
+                                "threshold 1e-09 * 1.113e+00, in units of 2^1024")
+
+    @staticmethod
+    def _assert_degenerate(tmp_path, capsys, g: str, values: str) -> None:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["steady", "--g", "1e300", "--out", str(tmp_path / "x.json")]) == 3
+            assert main(["steady", "--g", g, "--out", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: steady space is degenerate: singular values {values}\n"
+
+    @pytest.mark.parametrize("flags", [["--p", "5e-324"], ["--p", "1e-12"]])
+    def test_degenerate_message_prints_finite_unsigned_values(self, tmp_path, capsys, flags):
+        # at p = 5e-324 the SVD can return a singular value of -0.0
+        assert main(["steady", *flags, "--out", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: steady space is degenerate: singular values ")
-        assert err.endswith(" at or below threshold 1e-09 * 2.000e+300\n")
+        assert not re.search(r"inf|nan|-0\.000e", err), err
 
 
 class TestExitCodes:

@@ -642,8 +642,10 @@ def _assert_scale_free(params: ModelParams, k: int) -> None:
 
 
 class TestScaleFree:
-    # beyond 2^-500 and 2^500 the window searches once underflowed or overflowed, and
-    # now run in units of E3
+    # beyond 2^-500 and 2^500 the window searches once underflowed or overflowed; they run
+    # in the caller's units, and the few formulas that square an energy (the frame's
+    # delta_e, its inverse and the slopes' d cos^2(theta/2)/dE1) take the square over the
+    # energy's power of two
     @pytest.mark.parametrize("k", [-600, -500, -300, -60, -30, -10, 10, 20, 30, 60, 300, 500])
     def test_reference_in_power_of_two_units(self, k):
         _assert_scale_free(REFERENCE, k)

@@ -54,14 +54,23 @@ EPS = float(np.finfo(float).eps)
 # With numpy's SIMD dispatch cut to its baseline (NPY_DISABLE_CPU_FEATURES="X86_V4
 # AVX512_ICL AVX512_SPR X86_V3", which acts only on the process it is set for), the
 # largest moves were 759 eps in ensemble.csv (eta_star; E1* 636), 175 eps in fig6
-# (eta_tot_star), 8.4 in fig3, 5 in fig5, 3.5 in fig4 and 2.6 in sweep_e1.csv, and every
-# JSON report and '#' line was unchanged.  Each bound is more than ten times the
-# largest move of the commands it covers
-BOUNDS = {"ensemble.csv": 8192 * EPS, "fig6": 2048 * EPS}
+# (eta_tot_star), 60 in ensemble_eta_c_1e-200.csv (eta_tot_star), 8.4 in fig3, 5 in fig5,
+# 3.5 in fig4 and 2.6 in sweep_e1.csv, and every JSON report and '#' line was unchanged.
+# Each bound is more than ten times the largest move of the commands it covers
+BOUNDS = {"ensemble.csv": 8192 * EPS, "ensemble_eta_c_1e-200.csv": 8192 * EPS, "fig6": 2048 * EPS}
 BOUND = 128 * EPS  # every other command
 
 # the fields of the reference refrigerator that the 2^k commands scale
 SCALED = {"e1": 1.0, "e3": 4.0, "gamma": 0.3, "t1": 4.0 / 3.0, "t2": 2.0, "t3": 4.0}
+
+
+def _scaled(k: int, **flags: float) -> list[str]:
+    """The flags of the reference refrigerator, and of ``flags``, times 2^k (p and g
+    unchanged), each the repr of the exact product."""
+    return [item for name, value in {**SCALED, **flags}.items()
+            for item in (f"--{name}", repr(math.ldexp(value, k)))]
+
+
 # name -> argv; a name with a suffix is the output file, one without a figure's directory
 COMMANDS = {
     "fig3": ["figure", "fig3", "--points", "20"],
@@ -94,11 +103,13 @@ COMMANDS = {
     "sweep_e1_two_rules.csv": ["sweep", "--axis", "e1", "--lo", "1", "--hi", "4", "--points", "13",
                                "--e1", "3", "--e3", "0.5", "--gamma", "0.9"],
     "validate_grid_20.json": ["validate", "--grid", "20"],
-    # the reference refrigerator with E1, E3, gamma, T1, T2 and T3 times 2^k (p and g
-    # unchanged), each flag the repr of the exact product
-    **{f"maximize_2^{k}.json": ["maximize", *(item for name, value in SCALED.items()
-                                              for item in (f"--{name}", repr(math.ldexp(value, k))))]
-       for k in (-600, -500, 500)},
+    # the reference refrigerator with E1, E3, gamma, T1, T2 and T3 times 2^k
+    **{f"maximize_2^{k}.json": ["maximize", *_scaled(k)] for k in (-600, -500, 500)},
+    "steady_2^-500.json": ["steady", *_scaled(-500)],
+    "steady_2^-600.json": ["steady", *_scaled(-600)],
+    "ensemble_eta_c_1e-200.csv": ["ensemble", "--n", "5", "--eta-c", "1e-200"],
+    "sweep_e1_2^-500.csv": ["sweep", "--axis", "e1", "--points", "20",
+                            *_scaled(-500, lo=0.65, hi=3.65)],
 }
 
 
