@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import EmptyCoolingWindowError, NeqFridgeError, ParameterError
 from .model import (PARAM_NAMES, REFERENCE, ModelParams, _delta_e, _frame_at, _gate_values,
-                    _machine_populations, _rule_error, _target_gap, _verdicts, _virtual_log_odds,
-                    resonant_frame, tilde_populations)
+                    _log_odds, _rule_error, _target_gap, _verdicts, resonant_frame,
+                    tilde_populations)
 from .observables import (
     closed_form_table,
     cop_carnot,
@@ -42,9 +42,9 @@ from .observables import (
 )
 from .steadystate import _deviation_terms, steady_coefficients
 
-# f = E1/T1 - ln(population ratio) rounds to a few ulps of E1/T1 (inside
-# ensemble scan ranges, at most 3.4 eps hi/T1 against mpmath), so a window
-# needs f below this many eps of the range's largest E1/T1, hi/T1
+# f = E1/T1 - (L2 - L3) rounds to a few ulps of E1/T1 (inside ensemble scan
+# ranges, at most 1.9 eps hi/T1 against mpmath over 600 draws at 12 points each),
+# so a window needs f below this many eps of the range's largest E1/T1, hi/T1
 _F_ROUNDING = 8.0 * np.finfo(float).eps
 _CHUNK = 8  # the fewest draws random_ensemble screens in one round
 # the most rounds a root search may take: fig6's window edges, searched in delta_e, take up
@@ -147,12 +147,12 @@ def deviation(e1, base: ModelParams):
 
 
 def log_odds_gap(e1, base: ModelParams):
-    """f(E1) = E1/T1 - ln[(1 - r~2) r~3 / (r~2 (1 - r~3))] at target gap(s) e1.
+    """f(E1) = E1/T1 - (L2 - L3) at target gap(s) e1, L = ln(q~/r~) the dressed qubits'
+    log-odds (:func:`~neqfridge.model._log_odds`).
 
-    d's numerator is q1 r~2 q~3 - r1 q~2 r~3 (q = 1 - r), its denominator is
-    positive and ln(q1/r1) = E1/T1, so f has the sign of d wherever g > 0:
-    the cooling window is {f < 0}, and f depends on neither p nor g.  A
-    search kernel: e1 must lie in a scan range whose frame holds
+    d's numerator is r1 q~2 r~3 expm1(f) (q = 1 - r) and its denominator is positive,
+    so f has the sign of d wherever g > 0: the cooling window is {f < 0}, and f depends
+    on neither p nor g.  A search kernel: e1 must lie in a scan range whose frame holds
     (:func:`_scan_range`), since the frame is built without its checks.
     """
     return _log_odds_gap_at(e1, _delta_e(e1, base.gamma), base)
@@ -160,57 +160,57 @@ def log_odds_gap(e1, base: ModelParams):
 
 def _log_odds_gap_at(e1, delta_e, base: ModelParams):
     """f of :func:`log_odds_gap` at target gap(s) e1 whose delta_e is given."""
-    frame = _frame_at(e1, base.e3, base.gamma, delta_e)
-    rtilde2, rtilde3 = _machine_populations(frame, base.t2, base.t3)[4:]
-    return e1 / base.t1 - _virtual_log_odds(rtilde2, rtilde3)
+    return e1 / base.t1 - _log_odds(_frame_at(e1, base.e3, base.gamma, delta_e), base.t2, base.t3)[0][2]
 
 
 def _e1_slopes(e1, base: ModelParams) -> tuple:
-    """E1-derivatives at target gap(s) e1, from one frame and one population pass:
-    f' of :func:`log_odds_gap`, and H = -(N D + E1 (N' D - N D')), which has the
-    sign of dQ1^g/dE1 (N = q1 r~2 q~3 - r1 q~2 r~3 and D are d's numerator and
-    positive denominator, so Q1^g is a positive multiple of -E1 N/D).
+    """E1-derivatives at target gap(s) e1, from one frame and one log-odds pass: f' of
+    :func:`log_odds_gap`, and h = H/P, H = -(N D + E1 (N' D - N D')) of the sign of
+    dQ1^g/dE1 (Q1^g is a positive multiple of -E1 N/D, with N = P phi, P > 0 the larger
+    of N's two products, and D > 0 from :func:`~neqfridge.steadystate._deviation_terms`).
 
-    deps3/dE1 = E1/(2 delta_e) - 1/2, deps2/dE1 = deps3/dE1 + 1,
-    d cos^2(theta/2)/dE1 = 2 gamma^2/(delta_e E1^2), and each thermal
-    population has dr/dE = -r (1 - r)/T; the squares are taken over E1's power
-    of two 2^k.  N, D and (p, g) times the power of two u that brings the larger
-    below 1 are those of ``_deviation_terms``, so the H returned is u^2 H: the
-    same sign and root, finite at any g.  Like :func:`log_odds_gap`, a search
-    kernel whose frame is not checked.
+    deps3/dE1 = E1/(2 delta_e) - 1/2 = deps2/dE1 - 1, ln cos^2(theta/2) and
+    ln sin^2(theta/2) have E1-slopes tan^2(theta/2) kappa and -kappa, kappa = 1/delta_e +
+    1/E1, (ln q~)' = -(r~/q~)(ln r~)' and phi' = (1 - |phi|) f': every slope is finite
+    where r~ underflows.  With (p, g) scaled as in ``_deviation_terms``, h is u^2 H/P for
+    a power of two u: the same sign and root.  A search kernel like :func:`log_odds_gap`.
     """
     frame = _frame_at(e1, base.e3, base.gamma, _delta_e(e1, base.gamma))
-    pops = tilde_populations(frame, base.t2, base.t3, t1=base.t1)
-    c2, s2 = frame.cos_half_sq, frame.sin_half_sq
-    k = np.frexp(e1)[1]
-    x, y, z = (np.ldexp(v, -k) for v in (e1, base.gamma, frame.delta_e))  # E1, gamma, delta_e over 2^k
-    dc2 = np.ldexp(2.0 * y ** 2 / (z * x * x), -k)
+    pops = tilde_populations(frame, base.t2, base.t3, base.t1)
+    kappa = 1.0 / frame.delta_e + 1.0 / e1
+    own, other = frame.sin_half_sq / frame.cos_half_sq * kappa, -kappa  # of cos^2, sin^2
     deps3 = 0.5 * e1 / frame.delta_e - 0.5
-    slope = lambda r, t: -r * (1.0 - r) / t  # dr/dE
+    b1, b2, b3 = 1.0 / base.t1, 1.0 / base.t2, 1.0 / base.t3
+    # (ln r~)': its baths' (ln r)' = -q deps/T, weighed by their shares w of r~
+    slope = lambda w, r_own, r_other, dx_own, dx_other: (
+        (1.0 - w) * (own - (1.0 - r_own) * dx_own) + w * (other - (1.0 - r_other) * dx_other))
+    w2, w3 = (np.exp(share) for share in pops.log_shares)
+    dr2 = slope(w2, pops.r22, pops.r23, (deps3 + 1.0) * b2, (deps3 + 1.0) * b3)
+    dr3 = slope(w3, pops.r33, pops.r32, deps3 * b3, deps3 * b2)
     r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
-    q1, qt2, qt3 = 1.0 - r1, 1.0 - rt2, 1.0 - rt3
-    dr1 = slope(r1, base.t1)
-    drt2 = dc2 * (pops.r22 - pops.r23) + (deps3 + 1.0) * (c2 * slope(pops.r22, base.t2)
-                                                          + s2 * slope(pops.r23, base.t3))
-    drt3 = dc2 * (pops.r33 - pops.r32) + deps3 * (c2 * slope(pops.r33, base.t3)
-                                                  + s2 * slope(pops.r32, base.t2))
-    f_slope = 1.0 / base.t1 + drt2 / (rt2 * qt2) - drt3 / (rt3 * qt3)
-    n, d, _, g = _deviation_terms(pops, base.p, base.g)
-    dn = -dr1 * (rt2 * qt3 + qt2 * rt3) + drt2 * (q1 * qt3 + r1 * rt3) - drt3 * (q1 * rt2 + r1 * qt2)
+    odds2, odds3 = rt2 / (1.0 - rt2), rt3 / (1.0 - rt3)  # r~/q~
+    f_slope = b1 + (dr2 * (1.0 + odds2) - dr3 * (1.0 + odds3))
+    (f, _, phi), d, _, g = _deviation_terms(pops, base.p, base.g)
+    # (ln P)': P = r1 q~2 r~3 where f < 0, else q1 r~2 q~3
+    log_p = np.where(f < 0.0, dr3 - odds2 * dr2 - (1.0 - r1) * b1, dr2 - odds3 * dr3 + r1 * b1)
+    dn = log_p * phi + (1.0 - np.abs(phi)) * f_slope  # N'/P
+    dr1, drt2, drt3 = -r1 * (1.0 - r1) * b1, rt2 * dr2, rt3 * dr3
     dd = 8.0 * g * g * ((rt3 - rt2) * dr1 + (1.0 - r1 - rt3) * drt2 + (r1 - rt2) * drt3)
-    return f_slope, -(n * d + e1 * (dn * d - n * dd))
+    return f_slope, -(phi * d + e1 * (dn * d - phi * dd))
 
 
-def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
+def _chandrupatla(func: BatchFunc, a, b, fa, fb, floor) -> np.ndarray:
     """Find a sign change in many brackets [a, b] with end values fa, fb at once.
 
     Chandrupatla's method: each step interpolates the inverse function
     quadratically through the last three points where that is safe and
     bisects otherwise, always keeping a sign bracket.  Each bracket's
-    tolerance is 4 eps times the larger magnitude of its initial ends, so
-    the search is the same in any units.  A step moves at least tol/2, so
-    an iterate next to the root is followed by one across it, and a bracket
-    at most 2 tol wide is bisected.  Per bracket, an exact zero ends the
+    tolerance is 4 eps times the larger of its current ends' magnitudes and
+    its ``floor``, so the search is the same in any units: the initial ends'
+    larger magnitude fixes it, and a smaller floor finds a root far inside a
+    wide bracket to a few ulps of itself.  A step moves at least tol/2, so an
+    iterate next to the root is followed by one across it, and a bracket at
+    most 2 tol wide is bisected.  Per bracket, an exact zero ends the
     search, and a search stops once its bracket is at most tol wide and
     returns the bracket's midpoint.  On a simple root this takes far fewer
     evaluations than bisection; near a multiple root the interpolation
@@ -218,7 +218,7 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
     sign, or a search still open after ``_MAX_ROUNDS`` evaluations, raise a
     :class:`NeqFridgeError` that names the brackets.
     """
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    a, b, fa, fb, floor = (np.array(v, dtype=float) for v in (a, b, fa, fb, floor))
     open_ = (fa != 0.0) & (fb != 0.0)
     unbracketed = open_ & (np.sign(fa) == np.sign(fb))
     if unbracketed.any():
@@ -227,16 +227,16 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
     idx = np.flatnonzero(open_)
     # (x1, f1) the newest point, (x2, f2) the bracket end across the root
     # from it, (x3, f3) the point they replaced
-    x1, f1, x2, f2 = a[idx], fa[idx], b[idx], fb[idx]
+    x1, f1, x2, f2, floor = a[idx], fa[idx], b[idx], fb[idx], floor[idx]
     x3, f3, t, width = x2, f2, np.full(idx.size, 0.5), np.abs(x2 - x1)
-    tol = 4.0 * np.finfo(float).eps * np.fmax(np.abs(x1), np.abs(x2))
+    tol = 4.0 * np.finfo(float).eps * np.fmax(np.fmax(np.abs(x1), np.abs(x2)), floor)
     with np.errstate(divide="ignore", invalid="ignore"):
         for rounds in range(_MAX_ROUNDS + 1):
             wide = width > tol
             if not wide.all():
                 root[idx[~wide]] = 0.5 * (x1[~wide] + x2[~wide])
-                idx, x1, f1, x2, f2, x3, f3, t, tol = (
-                    v[wide] for v in (idx, x1, f1, x2, f2, x3, f3, t, tol))
+                idx, x1, f1, x2, f2, x3, f3, t, floor = (
+                    v[wide] for v in (idx, x1, f1, x2, f2, x3, f3, t, floor))
             if not idx.size:
                 return root
             if rounds == _MAX_ROUNDS:
@@ -254,6 +254,7 @@ def _chandrupatla(func: BatchFunc, a, b, fa, fb) -> np.ndarray:
                          f1 / (f2 - f1) * f3 / (f2 - f3)
                          + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
             # step at least tol/2 from x1; within 2 tol, bisection ends the search
+            tol = 4.0 * np.finfo(float).eps * np.fmax(np.fmax(np.abs(x1), np.abs(x2)), floor)
             width = np.abs(x2 - x1)
             least = 0.5 * tol / width
             t = np.where(width > 2.0 * tol, np.minimum(np.maximum(t, least), 1.0 - least), 0.5)
@@ -308,7 +309,7 @@ def _screen_windows(models: ModelParams) -> tuple:
         dips = (slope_lo < 0.0) & (slope_hi > 0.0)
         dip = search[dips]
         x[dip] = _chandrupatla(lambda e1, j: _e1_slopes(e1, models.take(dip[j]))[0],
-                               a[dip], b[dip], slope_lo[dips], slope_hi[dips])
+                               a[dip], b[dip], slope_lo[dips], slope_hi[dips], b[dip])
         fx[dip] = log_odds_gap(x[dip], models.take(dip))
     cools = (fx < -bound) & (models.g > 0.0)  # at g = 0 nothing cools
     reason[index] = np.select([~cools, f_hi < 0.0], [_NO_COOLING, _BEYOND_RANGE])
@@ -336,14 +337,14 @@ def _solve_windows(models: ModelParams, screen: tuple, index: np.ndarray) -> tup
     """Root-find the edge brackets of the models ``index`` of a 1-D batch, all
     searchable in its columns ``screen`` (:func:`_screen_windows`), at once.
 
-    Each edge is searched in u = delta_e (:func:`~neqfridge.model._delta_e`), in
-    which f is smooth at E1 = 2 gamma, where its E1-slope diverges: f is
-    evaluated at delta_e = u and E1 = sqrt(u^2 + 4 gamma^2) (``_target_gap``),
-    to 4 eps of the larger end of its bracket in u.  The root maps back to that
-    E1; as dE1/du = delta_e/E1, its error in E1 is at most delta_e/E1 times that
-    tolerance.  A bracket end where f is zero is returned exactly, so a boundary
-    left edge stays the scan's lower end; at gamma = 0, u is E1.  Returns the
-    arrays left, right and left_is_boundary.
+    Each edge is searched in u = delta_e (:func:`~neqfridge.model._delta_e`), in which f is
+    smooth at E1 = 2 gamma, where its E1-slope diverges: f is evaluated at delta_e = u and
+    E1 = sqrt(u^2 + 4 gamma^2) (``_target_gap``), to 4 eps of its bracket's current ends in
+    u or, if larger, for a left edge, of E1^2/delta_e at the point x inside the window.  As
+    dE1/du = delta_e/E1, a right edge's error in E1 is at most 4 eps delta_e, and a left
+    edge's 4 eps E1 where it shares x's scale.  A bracket end where f is zero is returned
+    exactly, so a boundary left edge stays the scan's lower end; at gamma = 0, u is E1.
+    Returns the arrays left, right and left_is_boundary.
     """
     x, fx, f_lo, f_hi, lo, hi = (column[index] for column in screen[:6])
     boundary, zero = f_lo < 0.0, np.zeros(index.size)
@@ -352,8 +353,10 @@ def _solve_windows(models: ModelParams, screen: tuple, index: np.ndarray) -> tup
     right = np.where(boundary, [lo, hi, f_lo, f_hi], [x, hi, fx, f_hi])
     a, b, fa, fb = np.hstack([left, right])
     pairs = models.take(np.tile(index, 2))
+    # near E1 = 2 gamma, delta_e is far below E1 and f's rounding in u is about eps E1
+    floor = np.concatenate([x * (x / _delta_e(x, models.gamma[index])), zero])
     u = _chandrupatla(lambda x, j: _log_odds_gap_at(_target_gap(x, pairs.gamma[j]), x, pairs.take(j)),
-                      _delta_e(a, pairs.gamma), _delta_e(b, pairs.gamma), fa, fb)
+                      _delta_e(a, pairs.gamma), _delta_e(b, pairs.gamma), fa, fb, floor)
     roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, _target_gap(u, pairs.gamma)))
     return (*roots.reshape(2, -1), boundary)
 
@@ -405,7 +408,8 @@ def _power_maxima(models: ModelParams, left: np.ndarray, right: np.ndarray) -> n
     E1) rises, and negative at the right edge, where N' > 0.
     """
     h_left, h_right = _e1_slopes(np.array([left, right]), models)[1]
-    return _chandrupatla(lambda x, j: _e1_slopes(x, models.take(j))[1], left, right, h_left, h_right)
+    return _chandrupatla(lambda x, j: _e1_slopes(x, models.take(j))[1], left, right, h_left, h_right,
+                         right)
 
 
 def maximize_cooling_powers(models: ModelParams) -> list[MaxPowerResult]:

@@ -207,11 +207,11 @@ class Frame:
     def e1(self) -> float:
         return 2.0 * self.lam
 
-    @property
+    @functools.cached_property
     def cos_half_sq(self) -> float:
         return np.cos(0.5 * self.theta) ** 2
 
-    @property
+    @functools.cached_property
     def sin_half_sq(self) -> float:
         return np.sin(0.5 * self.theta) ** 2
 
@@ -248,24 +248,25 @@ def _frame_at(e1, e3, gamma, delta_e) -> Frame:
 
 
 def thermal_population(energy, temperature):
-    """Excited-state population of a thermal qubit, 1/(1 + exp(E/T)), elementwise."""
+    """Excited-state population 1/(1 + exp(E/T)) of a thermal qubit, elementwise, as
+    u/(1 + u), or 1/(1 + u) at E/T < 0, with u = exp(-|E/T|), which never overflows."""
     x = energy / temperature
-    # past E/T = 700 exp would overflow; the population is numerically zero
-    return (x <= 700.0) / (1.0 + np.exp(np.minimum(x, 700.0)))
+    u = np.exp(-np.abs(x))
+    return np.where(x < 0.0, 1.0, u) / (1.0 + u)
 
 
 @dataclass(frozen=True)
 class ThermalPopulations:
-    """Excited-state populations seen by the dressed machine qubits.
+    """Excited-state populations seen by the dressed machine qubits, and their log-odds.
 
-    ``r22 .. r33`` are the four bath populations r_{nu,mu} at gap eps_nu and
-    bath temperature T_mu; ``rtilde`` are the mixed populations of the
-    dressed qubits at the dressed gaps ``eps2``/``eps3``; ``r1`` is the
-    target population at gap E1 and temperature T1.  The
-    effective temperatures ``ttilde``, their inverses ``btilde``, the Bloch
-    z components ``s*`` and the virtual qubit's log-odds are derived on
-    read, so a caller that needs only the populations (the deviation
-    kernel) never computes them.
+    ``r22 .. r33`` are the bath populations r_{nu,mu} at gap eps_nu and bath temperature
+    T_mu, which the generator's weights read, ``rtilde`` the dressed qubits' mixtures and
+    ``r1`` the target's.  ``log_odds1 .. log_odds3`` are each qubit's ln(q/r) (q = 1 - r),
+    E1/T1 and L = ln(q~/r~), finite wherever r~ underflows, ``virtual_log_odds`` is
+    L2 - L3, formed without them, and ``log_shares`` are the logs of the shares of r~2 and
+    r~3 that their other baths give (:func:`_log_odds`).  The effective temperatures
+    ``ttilde``, their inverses ``btilde`` and the Bloch z components ``s*`` derive from
+    the log-odds on read.
     """
 
     eps2: float
@@ -277,75 +278,66 @@ class ThermalPopulations:
     rtilde2: float
     rtilde3: float
     r1: float
+    log_odds1: float
+    log_odds2: float
+    log_odds3: float
+    virtual_log_odds: float
+    log_shares: tuple
+
+    ttilde2 = property(lambda self: self.eps2 / self.log_odds2)
+    ttilde3 = property(lambda self: self.eps3 / self.log_odds3)
+    btilde2 = property(lambda self: self.log_odds2 / self.eps2)
+    btilde3 = property(lambda self: self.log_odds3 / self.eps3)
+    s1 = property(lambda self: -np.tanh(0.5 * self.log_odds1))
+    s2 = property(lambda self: -np.tanh(0.5 * self.log_odds2))
+    s3 = property(lambda self: -np.tanh(0.5 * self.log_odds3))
 
     def r(self, nu: int, mu: int) -> float:
         return {(2, 2): self.r22, (2, 3): self.r23, (3, 2): self.r32, (3, 3): self.r33}[(nu, mu)]
 
-    @property
-    def ttilde2(self) -> float:
-        return self.eps2 / np.log((1.0 - self.rtilde2) / self.rtilde2)
 
-    @property
-    def ttilde3(self) -> float:
-        return self.eps3 / np.log((1.0 - self.rtilde3) / self.rtilde3)
+@np.errstate(divide="ignore")  # ln sin^2(theta/2) is -inf at gamma = 0
+def _log_odds(frame: Frame, t2, t3) -> tuple:
+    """The dressed qubits' log-odds L = ln(q~/r~) and the virtual qubit's L2 - L3, as
+    (L2, L3, L2 - L3); u = exp(-eps_nu/T_mu) as (u22, u23, u33, u32); and the logs of
+    the shares s^2 r23 / r~2 and s^2 r32 / r~3 (c, s = cos, sin of theta/2).
 
-    @property
-    def virtual_log_odds(self):
-        """The virtual qubit's gap over its temperature; see :func:`_virtual_log_odds`."""
-        return _virtual_log_odds(self.rtilde2, self.rtilde3)
-
-    @property
-    def btilde2(self) -> float:
-        return 1.0 / self.ttilde2
-
-    @property
-    def btilde3(self) -> float:
-        return 1.0 / self.ttilde3
-
-    @property
-    def s1(self) -> float:
-        return 2.0 * self.r1 - 1.0
-
-    @property
-    def s2(self) -> float:
-        return 2.0 * self.rtilde2 - 1.0
-
-    @property
-    def s3(self) -> float:
-        return 2.0 * self.rtilde3 - 1.0
-
-
-def _virtual_log_odds(rtilde2, rtilde3):
-    """ln[(1 - r~2) r~3 / (r~2 (1 - r~3))], the virtual qubit's gap over its temperature."""
-    return np.log(((1.0 - rtilde2) * rtilde3) / (rtilde2 * (1.0 - rtilde3)))
-
-
-def _machine_populations(frame: Frame, t2, t3) -> tuple:
-    """The bath populations r22, r23, r32, r33 and the dressed r~2, r~3 of
-    :func:`tilde_populations`, without the target's."""
-    c2 = frame.cos_half_sq
-    s2 = frame.sin_half_sq
-    r22 = thermal_population(frame.eps2, t2)
-    r23 = thermal_population(frame.eps2, t3)
-    r32 = thermal_population(frame.eps3, t2)
-    r33 = thermal_population(frame.eps3, t3)
-    return r22, r23, r32, r33, c2 * r22 + s2 * r23, c2 * r33 + s2 * r32
+    With x = eps/T >= 0 and u = exp(-x), which never overflows, ln q = -log1p(u) and
+    ln r = -x - log1p(u), so ln q~ and ln r~ are each an ``np.logaddexp`` of two terms:
+    L never forms 1 - r~ or the log of 0/0.  ln r~2 is shifted by eps3/T3 + E1/T2 and
+    ln r~3 by eps3/T3 (eps2 = eps3 + E1), which leaves the exponents 0, eps3 (1/T2 - 1/T3)
+    and E1 (1/T2 - 1/T3), so L2 - L3 holds no eps_nu/T_mu, which can dwarf it.
+    """
+    m2, m3 = -1.0 / t2, -1.0 / t3  # minus the inverse temperatures
+    eps2, eps3, e1 = frame.eps2, frame.eps3, frame.e1
+    low, gap = eps3 * m3, eps3 * (m3 - m2)  # -eps3/T3 and eps3 (1/T2 - 1/T3)
+    u = np.exp(eps2 * m2), np.exp(eps2 * m3), np.exp(low), np.exp(eps3 * m2)
+    l22, l23, l33, l32 = (np.log1p(v) for v in u)
+    log_c2, log_s2 = np.log(frame.cos_half_sq), np.log(frame.sin_half_sq)
+    q2_own, q2_other, q3_own, q3_other = log_c2 - l22, log_s2 - l23, log_c2 - l33, log_s2 - l32
+    r2_own, r2_other, r3_other = q2_own - gap, q2_other + e1 * (m3 - m2), q3_other - gap
+    log_q2, log_q3 = np.logaddexp(q2_own, q2_other), np.logaddexp(q3_own, q3_other)
+    log_r2, log_r3 = np.logaddexp(r2_own, r2_other), np.logaddexp(q3_own, r3_other)
+    odds2, odds3, e1_m2 = log_q2 - log_r2, log_q3 - log_r3, e1 * m2  # L2 - eps3/T3 - E1/T2, L3 - eps3/T3
+    return ((odds2 - (e1_m2 + low), odds3 - low, (odds2 - odds3) - e1_m2), u,
+            (r2_other - log_r2, r3_other - log_r3))
 
 
 def tilde_populations(frame: Frame, t2, t3, t1) -> ThermalPopulations:
-    """Populations of the dressed machine qubits and of the target.
+    """Populations of the dressed machine qubits and of the target, with their log-odds.
 
-    Each dressed qubit is pushed by both baths; the combined fixed point is
-    the mixture rtilde_nu = cos^2(theta/2) r_{nu,nu} + sin^2(theta/2) r_{nu,mu}
-    and defines the effective temperature ttilde_nu through the Boltzmann
-    ratio at gap eps_nu.  Every population follows :func:`thermal_population`.
+    Each dressed qubit is pushed by both baths; the combined fixed point is the mixture
+    rtilde_nu = cos^2(theta/2) r_{nu,nu} + sin^2(theta/2) r_{nu,mu}, whose log-odds
+    L_nu (:func:`_log_odds`) define the effective temperature ttilde_nu = eps_nu / L_nu.
+    Every population follows the law of :func:`thermal_population` at E/T >= 0.
     """
-    r22, r23, r32, r33, rtilde2, rtilde3 = _machine_populations(frame, t2, t3)
+    (l2, l3, virtual), u, shares = _log_odds(frame, t2, t3)
+    log_odds1, c2, s2 = frame.e1 / t1, frame.cos_half_sq, frame.sin_half_sq
+    r1, r22, r23, r33, r32 = (v / (1.0 + v) for v in (np.exp(-log_odds1), *u))
     return ThermalPopulations(
-        eps2=frame.eps2, eps3=frame.eps3,
-        r22=r22, r23=r23, r32=r32, r33=r33,
-        rtilde2=rtilde2, rtilde3=rtilde3,
-        r1=thermal_population(frame.e1, t1),
+        eps2=frame.eps2, eps3=frame.eps3, r22=r22, r23=r23, r32=r32, r33=r33,
+        rtilde2=c2 * r22 + s2 * r23, rtilde3=c2 * r33 + s2 * r32, r1=r1, log_odds1=log_odds1,
+        log_odds2=l2, log_odds3=l3, virtual_log_odds=virtual, log_shares=shares,
     )
 
 
@@ -368,9 +360,9 @@ def virtual_temperature(frame: Frame, pops: ThermalPopulations):
 
 
 def virtual_coherence(frame: Frame, pops: ThermalPopulations):
-    """l1 coherence of the virtual qubit in the machine steady state."""
-    r2, r3 = pops.rtilde2, pops.rtilde3
-    return np.abs(r2 - r3) / (r2 + r3 - 2.0 * r2 * r3) * np.sin(frame.theta)
+    """l1 coherence of the virtual qubit in the machine steady state, sin(theta)
+    tanh(|L2 - L3|/2), which is |r~2 - r~3| / (r~2 + r~3 - 2 r~2 r~3) sin(theta)."""
+    return np.sin(frame.theta) * np.tanh(0.5 * np.abs(pops.virtual_log_odds))
 
 
 @dataclass(frozen=True)

@@ -76,19 +76,22 @@ class SteadyStateResult:
 
 
 def _deviation_terms(pops: ThermalPopulations, p, g) -> tuple:
-    """d = 48 N p g / D and k = 24 N g^2 / D as (N, D, p, g), N = q1 r~2 q~3 - r1 q~2 r~3
-    (q = 1 - r) and D > 0.  Both are homogeneous of degree 0 in (p, g), so p and g are first
-    scaled, exactly, by the power of two that brings the larger below 1, which keeps g*g
-    finite at any g.
+    """f = E1/T1 - (L2 - L3), d = 48 N p g / D and k = 24 N g^2 / D as ((f, P, phi), D, p, g):
+    N = q1 r~2 q~3 - r1 q~2 r~3 (q = 1 - r) is r1 q~2 r~3 expm1(f) = q1 r~2 q~3 (-expm1(-f)),
+    so it is P phi, P the larger product and phi of f's sign and magnitude -expm1(-|f|):
+    nothing cancels or overflows.  d and k are homogeneous of degree 0 in (p, g), so p
+    and g are first scaled, exactly, by the power of two that brings the larger below 1.
     """
-    unit = np.ldexp(1.0, -np.frexp(np.fmax(p, g))[1])
-    p, g = p * unit, g * unit
+    exponent = np.frexp(np.fmax(p, g))[1]
+    p, g = np.ldexp(p, -exponent), np.ldexp(g, -exponent)
+    f = pops.log_odds1 - pops.virtual_log_odds
     r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
     q1, qt2, qt3 = 1.0 - r1, 1.0 - rt2, 1.0 - rt3  # ground-state populations
+    larger = np.where(f < 0.0, r1 * qt2 * rt3, q1 * rt2 * qt3)
     om12 = r1 * qt2 + q1 * rt2
     om23 = rt2 * qt3 + qt2 * rt3
     om31 = r1 * rt3 + q1 * qt3
-    return (q1 * rt2 * qt3 - r1 * qt2 * rt3,
+    return ((f, larger, np.copysign(np.expm1(-np.abs(f)), f)),
             9.0 * p * p + (14.0 + 4.0 * (om12 + om23 + om31)) * g * g, p, g)
 
 
@@ -101,7 +104,8 @@ def steady_coefficients(pops: ThermalPopulations, p: float, g: float) -> SteadyD
     balance conditions through k = (g/p)(d/2) = 24 N g^2 / D, which is taken
     in the scaled (p, g) of :func:`_deviation_terms`, so g/p never overflows.
     """
-    n, den, p, g = _deviation_terms(pops, p, g)
+    (_, larger, phi), den, p, g = _deviation_terms(pops, p, g)
+    n = larger * phi
     d = 48.0 * n * p * g / den
     k = 24.0 * n * g * g / den
     s1, s2, s3 = pops.s1, pops.s2, pops.s3

@@ -553,8 +553,9 @@ def hot_spec(seed: int) -> EnsembleSpec:
 
 
 def mp_closed_forms(e1, params: ModelParams) -> tuple:
-    """f (``log_odds_gap``), Q1^g and d's denominator D at target gap e1 in mpmath
-    at the working precision, from the model's float fields taken exactly."""
+    """f (``log_odds_gap``), Q1^g, d's denominator D and the larger P of the two products
+    whose difference is d's numerator, at target gap e1 in mpmath at the working precision,
+    from the model's float fields taken exactly."""
     e1 = mpmath.mpf(e1)
     e3, gamma, t1, t2, t3, p, g = (mpmath.mpf(float(getattr(params, name)))
                                    for name in ("e3", "gamma", "t1", "t2", "t3", "p", "g"))
@@ -570,14 +571,32 @@ def mp_closed_forms(e1, params: ModelParams) -> tuple:
     omega = r1 * qt2 + q1 * rt2 + rt2 * qt3 + qt2 * rt3 + r1 * rt3 + q1 * qt3
     denominator = 9 * p * p + (14 + 4 * omega) * g * g
     d = 48 * (q1 * rt2 * qt3 - r1 * qt2 * rt3) * p * g / denominator
-    return e1 / t1 - mpmath.log(qt2 * rt3 / (rt2 * qt3)), -g / 4 * d * e1, denominator
+    return (e1 / t1 - mpmath.log(qt2 * rt3 / (rt2 * qt3)), -g / 4 * d * e1, denominator,
+            max(q1 * rt2 * qt3, r1 * qt2 * rt3))
 
 
 def mp_power_stationary_point(params: ModelParams, guess: float):
-    """The root of dQ1^g/dE1 next to ``guess``, from 50-digit closed forms."""
+    """The root of dQ1^g/dE1 next to ``guess``, from 50-digit closed forms: the root of
+    (dQ1^g/dE1)/Q1^g, which is of order one where Q1^g is below the smallest float."""
     with mpmath.workdps(50):
-        slope = lambda x: mpmath.diff(lambda y: mp_closed_forms(y, params)[1], x)
-        return mpmath.findroot(slope, mpmath.mpf(guess))
+        power = lambda y: mp_closed_forms(y, params)[1]
+        return mpmath.findroot(lambda x: mpmath.diff(power, x) / power(x), mpmath.mpf(guess))
+
+
+def mp_window_edge(params: ModelParams, guess: float):
+    """The root of f (``log_odds_gap``), a cooling-window edge, next to ``guess``, from
+    50-digit closed forms."""
+    with mpmath.workdps(50):
+        return mpmath.findroot(lambda x: mp_closed_forms(x, params)[0], mpmath.mpf(guess))
+
+
+def mp_coefficients(e1, params: ModelParams) -> tuple:
+    """The steady state's d and a1 at target gap e1, from 50-digit closed forms:
+    d = -4 Q1^g/(g E1) and a1 = 2 r1 - 1 + (g/p)(d/2)."""
+    with mpmath.workdps(50):
+        e1 = mpmath.mpf(e1)
+        d = -4 * mp_closed_forms(e1, params)[1] / (params.g * e1)
+        return d, 2 / (1 + mpmath.exp(e1 / params.t1)) - 1 + params.g * d / (2 * params.p)
 
 
 # One-element calls of the package's batched searches, for scalar checks.
@@ -586,7 +605,7 @@ def find_root(func, a: float, b: float) -> float:
     """Root of func in a sign-change bracket [a, b] by the package's
     Chandrupatla search, one evaluation per step."""
     batch = lambda x, _: np.array([func(v) for v in x.tolist()])
-    return float(_chandrupatla(batch, [a], [b], [func(a)], [func(b)])[0])
+    return float(_chandrupatla(batch, [a], [b], [func(a)], [func(b)], [max(abs(a), abs(b))])[0])
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 import neqfridge
 from neqfridge import build_generator_parts, cooling_window, solve_oracle, validate
 from neqfridge.cli import _cells, main, write_csv
-from neqfridge.model import REFERENCE, thermal_population
+from neqfridge.model import REFERENCE
 
-from conftest import P0, counting, grid_box_points, per_cell_cells, per_cell_csv, stack
+from conftest import (P0, counting, grid_box_points, mp_window_edge, per_cell_cells, per_cell_csv,
+                      stack)
 
 # group names of `validate`, in report order
 GROUPS = [
@@ -233,8 +234,8 @@ class TestSteadyCommand:
             main(["steady", flag, "0"])
 
 
-# frozen target baths: E1/T1 past 700 rounds the target population to 0,
-# which the target's reset channel takes as a valid population
+# frozen target baths: past E1/T1 of about 745, exp(-E1/T1) underflows and the
+# target population is 0, which the target's reset channel takes as a valid population
 COLD_TARGETS = [["--t1", "0.001", "--t2", "0.002"], ["--t1", "1e-300"]]
 
 
@@ -256,6 +257,41 @@ class TestColdTargetBath:
         groups = report["results"][0]["groups"]
         assert list(groups) == GROUPS
         assert all(group["passed"] for group in groups.values())
+
+
+# frozen machine baths: at gamma = 0 with T2 = T1 + 2^-8, r~2 underflows at the window
+# scan's top, where the right edge is E3 times the Carnot COP; at E3 = 1e6 and 1e8, and at
+# E1 = E3 = 1e160, every machine population underflows while the log-odds stay finite
+FROZEN_MAXIMIZE = {
+    "spiral": ["--gamma", "0", "--e3", "4", "--t1", "1", "--t2", "1.00390625", "--t3", "4.00390625"],
+    "machine": ["--e3", "1e8"],
+}
+FROZEN_STEADY = [["--e3", "1e6"], ["--e1", "1e160", "--e3", "1e160", "--gamma", "0"]]
+
+
+class TestFrozenMachineBaths:
+    # a RuntimeWarning is an error in this suite, and every float must parse as finite
+    @pytest.mark.parametrize("name", sorted(FROZEN_MAXIMIZE))
+    def test_maximize_finds_the_window(self, tmp_path, name):
+        out = tmp_path / "max.json"
+        assert main(["maximize", *FROZEN_MAXIMIZE[name], "--out", str(out)]) == 0
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        window, params = report["window"], neqfridge.ModelParams(**report["params"])
+        assert window["left"] < report["e1_star"] < window["right"]
+        edges = [window["right"]] if window["left_is_boundary"] else [window["left"], window["right"]]
+        for edge in edges:
+            exact = mp_window_edge(params, edge)
+            assert abs(edge - exact) <= 1e-12 * exact
+            # the machine channels act as the dressed-local resets at the edge
+            assert validate(replace(params, e1=edge)).groups["localization_identity"]["passed"]
+
+    @pytest.mark.parametrize("flags", FROZEN_STEADY)
+    def test_steady_reports_finite_values(self, tmp_path, flags):
+        out = tmp_path / "steady.json"
+        assert main(["steady", *flags, "--out", str(out)]) == 0
+        populations = json.loads(out.read_text(), parse_constant=_reject_constant)["populations"]
+        assert populations["rtilde2"] == populations["rtilde3"] == 0.0
+        assert populations["ttilde2"] > 0.0 and populations["ttilde3"] > 0.0
 
 
 class TestFigureCommand:
@@ -628,9 +664,10 @@ class TestDistinctValueCells:
         monkeypatch.setattr(neqfridge.cli, "_FLOAT_CELL", counted)
         assert main(["figure", "fig3", "--points", "200", "--out", str(tmp_path)]) == 0
         # 11 columns of 800 rows, 8,800 cells: beta3 and t3 hold 200 values each,
-        # gamma 4, the six fixed fields 1 each, q1g 799 (gamma = 0.48 and 0.5
-        # both give -0.0 at beta3 = beta2) and delta_c 797
-        assert len(formatted) == 2006
+        # gamma 4, the six fixed fields 1 each, q1g 797 (every gamma gives -0.0 at
+        # beta3 = beta2, where T1 = T2 = T3 and the log-odds gap is exactly 0) and
+        # delta_c 797
+        assert len(formatted) == 2004
 
 
 class TestMaximizeCommand:
@@ -854,8 +891,10 @@ class TestValidateCommand:
     @pytest.mark.parametrize("detune", [1e-9, -1e-6])
     def test_non_resonant_frame_fails_oracle_equivalence(self, monkeypatch, detune):
         # the family block leaves out the free Hamiltonian, whose weight there is the detuning
-        # (E1 - eps2 + eps3)/2; a frame off resonance by a relative 1e-9 fails the group,
-        # although the two routes, which both read the block, still agree
+        # (E1 - eps2 + eps3)/2; a frame off resonance by a relative 1e-9 fails the group.
+        # The routes part too, since the closed forms' log-odds take eps2 - eps3 = E1, so
+        # the group is run again with its tolerance at the routes' difference: the
+        # resonance check alone must still fail it
         from neqfridge import dissipation
 
         frame = dissipation._frame_at
@@ -867,7 +906,10 @@ class TestValidateCommand:
         assert validate(P0).groups["oracle_equivalence"]["passed"] is True
         monkeypatch.setattr(dissipation, "_frame_at", detuned)
         report = validate(P0)
-        assert report.oracle.max_delta <= 1e-13
+        assert report.groups["oracle_equivalence"]["passed"] is False
+        rate = P0.p + P0.g
+        report = validate(P0, tol=report.oracle.max_delta)
+        assert report.oracle.numeric.residual <= 64.0 * np.finfo(float).eps * rate
         assert report.groups["oracle_equivalence"]["passed"] is False
 
     def test_perturbed_free_table_fails_charge_symmetry(self, fresh_tables):
@@ -955,10 +997,16 @@ class TestValidateCommand:
         assert group["max_error"] > 1e-6
 
     def test_flipped_exponent_fails_named_invariants(self, monkeypatch):
-        # the wrong Boltzmann-exponent sign for the populations the oracle solves with;
-        # the suite's own detailed-balance reference keeps the true law
-        monkeypatch.setattr(neqfridge.model, "thermal_population",
-                            lambda e, t: 1.0 - thermal_population(e, t))
+        # the wrong Boltzmann-exponent sign for the machine populations the oracle solves
+        # with, exp(+eps/T) and minus their log-odds; the suite's own detailed-balance
+        # reference, thermal_population, keeps the true law
+        log_odds = neqfridge.model._log_odds
+
+        def flipped(*args):
+            odds, u, shares = log_odds(*args)
+            return tuple(-v for v in odds), tuple(1.0 / v for v in u), shares
+
+        monkeypatch.setattr(neqfridge.model, "_log_odds", flipped)
         report = validate(P0)
         assert not report.passed
         assert report.groups["population_range"]["passed"] is False
@@ -1176,11 +1224,8 @@ class TestDegeneracyPerBlock:
 
     def test_hot_engine_exits_0(self, tmp_path):
         out = tmp_path / "steady.json"
-        # the frozen engine bath makes the performance block's closed forms
-        # warn (log of 0/0, an open defect of the cold populations); the solve does not
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["steady", "--e3", "1e7", "--out", str(out)]) == 0
+        # the frozen engine bath leaves the log-odds finite: nothing warns
+        assert main(["steady", "--e3", "1e7", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["residuals"]["max_coefficient_delta"] <= 1e-8
 
     @pytest.mark.parametrize("e3", [1e7, 1e10, 1e300])
@@ -1210,9 +1255,10 @@ class TestDegeneracyPerBlock:
         err = capsys.readouterr().err
         assert err == f"error: steady space is degenerate: singular values {values}\n"
 
-    @pytest.mark.parametrize("flags", [["--p", "5e-324"], ["--p", "1e-12"]])
+    @pytest.mark.parametrize("flags", [["--p", "5e-324"], ["--p", "1e-12"], ["--g", "0", "--p", "5e-324"]])
     def test_degenerate_message_prints_finite_unsigned_values(self, tmp_path, capsys, flags):
-        # at p = 5e-324 the SVD can return a singular value of -0.0
+        # at p = 5e-324 the SVD can return a singular value of -0.0; at g = 0 too, (p, g)
+        # is scaled by p's power of two, which would overflow as a factor of its own
         assert main(["steady", *flags, "--out", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: steady space is degenerate: singular values ")

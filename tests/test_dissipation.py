@@ -101,7 +101,8 @@ class TestResetChannel:
             )) < 1e-12
 
     def test_frozen_bath_is_a_valid_channel(self):
-        # r = 0 (E/T past 700) only decays: the ground state is its fixed point
+        # r = 0 (E/T past about 745, where exp(-E/T) underflows) only decays: the ground
+        # state is its fixed point
         channel = reset_channel(1, rate=0.01, population=0.0, n_qubits=1)
         assert np.max(np.abs(channel.apply(np.diag([0.0, 1.0]).astype(complex)))) == 0.0
         excited = channel.apply(np.diag([1.0, 0.0]).astype(complex))
@@ -382,8 +383,8 @@ def sampled_dissipator_weights(seed: int) -> np.ndarray:
 
 
 # the edges of the parameter domain: no mixing, maximal mixing, no tripartite
-# coupling, one temperature, and every bath frozen (eps3/T3 = 1000, past the
-# 700 at which a population is zero)
+# coupling, one temperature, and every bath frozen (eps3/T3 = 1000, past the E/T
+# of about 745 at which exp(-E/T), and so a population, underflows to zero)
 EDGE_POINTS = [replace(P0, gamma=0.0), replace(P0, gamma=0.5 * P0.e1), replace(P0, g=0.0),
                replace(P0, t1=2.0, t2=2.0, t3=2.0), replace(P0, t1=1e-3, t2=2e-3, t3=4e-3)]
 

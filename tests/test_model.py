@@ -265,9 +265,9 @@ class TestVirtualQubit:
 
         frame = resonant_frame(1.0, 4.0, 0.3)
         pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
-        broken = replace(pops, rtilde3=pops.rtilde2)
+        broken = replace(pops, virtual_log_odds=0.0)
         assert math.isnan(virtual_temperature(frame, broken))
-        batch = replace(pops, rtilde3=np.array([pops.rtilde2, pops.rtilde3]))
+        batch = replace(pops, virtual_log_odds=np.array([0.0, pops.virtual_log_odds]))
         tv = virtual_temperature(frame, batch)
         assert math.isnan(tv[0]) and tv[1] == virtual_temperature(frame, pops)
 
@@ -281,7 +281,7 @@ class TestVirtualQubit:
 
         frame = resonant_frame(1.0, 4.0, 0.3)
         pops = tilde_populations(frame, 2.0, 4.0, t1=2.0)
-        equal = replace(pops, rtilde3=pops.rtilde2)
+        equal = replace(pops, virtual_log_odds=0.0)
         assert virtual_coherence(frame, equal) == 0.0
 
     def test_coherence_benchmark_value(self):

@@ -335,14 +335,26 @@ class TestClosedFormTable:
         assert math.isnan(_reference_point(gamma=0.4999999)["eta_g"])
         assert _reference_point()["eta_g"] == pytest.approx(0.33112582781456956, abs=1e-15)
 
-    def test_tv_is_nan_at_its_pole(self):
-        # at T = 1e300 every population rounds to 1/2: the virtual qubit's
-        # populations are equal
-        hot = dict(t1=1e300, t2=1e300, t3=1e300)
+    def test_tv_is_nan_at_its_pole(self, monkeypatch):
+        # no model here levels the virtual qubit's populations, so L2 - L3 is set to 0
+        from neqfridge import model
+
         frame = resonant_frame(P0.e1, P0.e3, P0.gamma)
-        pops = tilde_populations(frame, 1e300, 1e300, t1=1e300)
-        assert math.isnan(virtual_temperature(frame, pops))
-        assert math.isnan(_reference_point(**hot)["tv"])
+        pops = tilde_populations(frame, P0.t2, P0.t3, t1=P0.t1)
+        assert math.isnan(virtual_temperature(frame, replace(pops, virtual_log_odds=0.0)))
+        log_odds = model._log_odds
+
+        def level(*args):
+            (l2, l3, _), u, shares = log_odds(*args)
+            return (l2, l3, 0.0), u, shares
+
+        monkeypatch.setattr(model, "_log_odds", level)
+        assert math.isnan(_reference_point()["tv"])
+
+    def test_tv_is_the_common_temperature_of_hot_baths(self):
+        # at T = 1e300 every population rounds to 1/2, but the log-odds eps/T do not,
+        # so the virtual qubit sits at the baths' temperature
+        assert _reference_point(t1=1e300, t2=1e300, t3=1e300)["tv"] == pytest.approx(1e300, rel=1e-12)
 
     def test_t1s_is_nan_where_the_target_is_inverted(self, monkeypatch):
         # no valid model inverts the target, so the coefficients are shifted
@@ -373,4 +385,8 @@ class TestClosedFormTable:
     def test_eta_tilde_is_nan_where_beta1_equals_dressed_beta2(self):
         frame = resonant_frame(P0.e1, P0.e3, P0.gamma)
         pops = tilde_populations(frame, P0.t2, P0.t3, t1=P0.t1)
-        assert math.isnan(cop_tilde(pops, 1.0 / pops.btilde2))
+        # L2 set so that beta~2 = L2/eps2 is 1/T1 exactly; no float T1 has 1/T1 equal to
+        # this model's own beta~2
+        level = replace(pops, log_odds2=frame.eps2 * (1.0 / P0.t1))
+        assert level.btilde2 == 1.0 / P0.t1
+        assert math.isnan(cop_tilde(level, P0.t1))

@@ -88,10 +88,13 @@ COMMANDS = {
     "maximize.json": ["maximize"],
     "maximize_gamma_0.2.json": ["maximize", "--gamma", "0.2"],
     "maximize_gamma_0.json": ["maximize", "--gamma", "0"],
-    # a known wrong answer at gamma = 0 (ROADMAP item 1): exit 2 and a RuntimeWarning,
-    # recorded as they are until that item lands
+    # frozen machine baths inside the window scans: at gamma = 0 r~2 underflows at the
+    # scan's top, where the right edge is E3 times the Carnot COP, 767.2507; at E3 = 1e6
+    # and 1e8 every machine population underflows, and the log-odds stay finite
     "maximize_item_1.json": ["maximize", "--gamma", "0", "--e3", "4", "--t1", "1",
                              "--t2", "1.00390625", "--t3", "4.00390625"],
+    "maximize_e3_1e8.json": ["maximize", "--e3", "1e8"],
+    "steady_e3_1e6.json": ["steady", "--e3", "1e6"],
     # the parameter gate's messages: one broken rule each, exit 2 and an error line
     "steady_gamma_0.6.json": ["steady", "--gamma", "0.6"],
     "steady_t1_3.json": ["steady", "--t1", "3"],
@@ -127,13 +130,11 @@ def _steady_bounds(new: dict, ref: dict) -> dict[str, float]:
     # the trace route's rounding floor in validate's current bound, eps eps2^2, without
     # its tolerance of 1e-9 (p + g) eps2, which is 2.8 times q1 at p = 1e-9
     currents = EPS * eps2 ** 2 + max(run["currents"]["route_delta"] for run in runs)
-    q3, eta_tot = abs(ref["currents"]["q3"]), abs(ref["performance"]["eta_tot"])
-    return {
+    q3, eta_tot = abs(ref["currents"]["q3"]), ref["performance"]["eta_tot"]
+    bounds = {
         "decomposition.*": coefficients,
         "currents.q*": currents,
         "currents.normalized.*": currents / (ref["params"]["e1"] * p),
-        # eta_tot = q1/q3 moves by at most (1 + |eta_tot|)/|q3| times a current's bound
-        "performance.eta_tot": currents * (1.0 + eta_tot) / q3,
         # the routes' residuals are rates, in eps (p + g)
         "residuals.analytic": 64.0 * EPS * rate,
         "residuals.numeric": 64.0 * EPS * rate,
@@ -142,6 +143,12 @@ def _steady_bounds(new: dict, ref: dict) -> dict[str, float]:
         "residuals.charge_leakage": 1e-12,
         "currents.route_delta": 1e-9 * rate * eps2 + EPS * eps2 ** 2,
     }
+    # eta_tot = q1/q3 moves by at most (1 + |eta_tot|)/|q3| times a current's bound; a
+    # null reference eta_tot (q3 is rounding noise) is not a float, so it is compared
+    # exactly and takes no bound
+    if eta_tot is not None:
+        bounds["performance.eta_tot"] = currents * (1.0 + abs(eta_tot)) / q3
+    return bounds
 
 
 # rounding-noise keys (dotted paths, list indices as numbers); a validate group's
