@@ -173,14 +173,17 @@ def _e1_slopes(e1, base: ModelParams) -> tuple:
     ln sin^2(theta/2) have E1-slopes tan^2(theta/2) kappa and -kappa, kappa = 1/delta_e +
     1/E1, (ln q~)' = -(r~/q~)(ln r~)' and phi' = (1 - |phi|) f': every slope is finite
     where r~ underflows.  With (p, g) scaled as in ``_deviation_terms``, h is u^2 H/P for
-    a power of two u: the same sign and root.  A search kernel like :func:`log_odds_gap`.
+    a power of two u: the same sign and root.  f' comes times 2^k, E3's power of two (one
+    per model, so a search interpolates the same).  A search kernel like :func:`log_odds_gap`.
     """
     frame = _frame_at(e1, base.e3, base.gamma, _delta_e(e1, base.gamma))
     pops = tilde_populations(frame, base.t2, base.t3, base.t1)
-    kappa = 1.0 / frame.delta_e + 1.0 / e1
+    k = np.frexp(base.e3)[1]  # slopes times 2^k, E1 in h over it: 1/E1 cannot overflow
+    e1, delta_e = np.ldexp(e1, -k), np.ldexp(frame.delta_e, -k)
+    kappa = 1.0 / delta_e + 1.0 / e1
     own, other = frame.sin_half_sq / frame.cos_half_sq * kappa, -kappa  # of cos^2, sin^2
-    deps3 = 0.5 * e1 / frame.delta_e - 0.5
-    b1, b2, b3 = 1.0 / base.t1, 1.0 / base.t2, 1.0 / base.t3
+    deps3 = 0.5 * e1 / delta_e - 0.5
+    b1, b2, b3 = (np.ldexp(1.0 / t, k) for t in (base.t1, base.t2, base.t3))
     # (ln r~)': its baths' (ln r)' = -q deps/T, weighed by their shares w of r~
     slope = lambda w, r_own, r_other, dx_own, dx_other: (
         (1.0 - w) * (own - (1.0 - r_own) * dx_own) + w * (other - (1.0 - r_other) * dx_other))

@@ -96,18 +96,15 @@ def validate(params: ModelParams, tol: float = 1e-8) -> ValidationReport:
     }
 
     currents = heat_currents(parts, steady)
-    # currents are bounded in their unit (p + g) eps2, above the trace route's rounding
-    # floor eps eps2^2: the kernel state's error grows as eps2 / (p + g)
-    unit, floor = (params.p + params.g) * frame.eps2, eps * frame.eps2 ** 2
-    groups["first_law"] = _group(abs(currents.q1 + currents.q2 + currents.q3), 1e-10 * unit + floor)
-    groups["current_route_agreement"] = _group(currents.max_route_delta, 1e-9 * unit + floor)
+    groups["first_law"] = _group(abs(currents.q1 + currents.q2 + currents.q3), currents.floor)
+    groups["current_route_agreement"] = _group(currents.max_route_delta, currents.floor)
     c2, s2 = frame.cos_half_sq, frame.sin_half_sq
     groups["tilde_current_identities"] = _group(max(
         abs(currents.q1g - currents.q1),
         abs(currents.q1g + currents.qt2g + currents.qt3g),
         abs(currents.q2g - (currents.qt2g * c2 + currents.qt3g * s2)),
         abs(currents.q3g - (currents.qt3g * c2 + currents.qt2g * s2)),
-    ), 1e-10 * unit + floor)
+    ), currents.floor)
 
     # trace-free, Hermiticity-preserving channels, on every Pauli string
     groups["channel_algebra"] = _group(tables.channel_defect, 1e-12)
@@ -125,5 +122,5 @@ def validate(params: ModelParams, tol: float = 1e-8) -> ValidationReport:
     # the target bath moved to the temperature the target reaches
     achieved = replace(parts, pops=replace(pops, r1=0.5 * (1.0 + a1)))
     flow = bath_actions(achieved.weights, steady.coords)[0] @ (parts.weights[:4] @ tables.hamiltonians)
-    groups["fictitious_bath"] = _group(abs(flow), 1e-10 * unit + floor)
+    groups["fictitious_bath"] = _group(abs(flow), currents.floor)
     return ValidationReport(groups=groups, oracle=oracle)

@@ -211,8 +211,8 @@ class TestSteadyCommand:
         assert performance["tv"] == pytest.approx(0.028144787439425716, rel=1e-12)
 
     def test_cooling_is_null_where_q1g_is_rounding_noise(self, tmp_path):
-        # q1g is 2.9e-18 here, below the 2.5e-17 disagreement of the two
-        # current routes, so its sign says nothing about cooling
+        # q1g is 1.4e-18 here, below the 9.4e-18 disagreement of the two current
+        # routes and the floor 1.1e-14, so its sign says nothing about cooling
         out = tmp_path / "steady.json"
         assert main(["steady", "--t1", "0.01", "--t2", "0.02", "--t3", "0.03",
                      "--out", str(out)]) == 0
@@ -868,6 +868,25 @@ class TestValidateCommand:
         assert group["passed"] is False
         assert group["max_error"] > 99 * unit
 
+    def test_trace_route_q1_off_by_1e_3_fails_the_current_groups(self, monkeypatch):
+        # at p = 1e-9, q1 is 1.8e-11 and the currents' floor 512 eps (p + g) eps2 is 5.6e-15,
+        # so a trace-route q1 off by a relative 1e-3 is three floors from the closed form's
+        from neqfridge import observables
+
+        act = observables.bath_actions
+
+        def skewed(weights, coords):
+            actions = act(weights, coords)
+            actions[0] *= 1.0 + 1e-3  # the target bath's action, which only q1 reads
+            return actions
+
+        params = replace(REFERENCE, p=1e-9)
+        assert validate(params).passed
+        monkeypatch.setattr(observables, "bath_actions", skewed)
+        groups = validate(params).groups
+        assert groups["current_route_agreement"]["passed"] is False
+        assert groups["first_law"]["passed"] is False
+
     @pytest.mark.parametrize("lam", [1e-4, 1e4])
     def test_reference_in_other_units_passes(self, lam, tmp_path):
         # energies, temperatures, p and g all times lam: the current bounds scale with (p + g) eps2
@@ -878,8 +897,8 @@ class TestValidateCommand:
         assert main(["validate", *flags, "--out", str(tmp_path / "validate.json")]) == 0
 
     def test_weak_coupling_currents_pass_above_their_rounding_floor(self):
-        # at p = g = 2e-8 the kernel state's rounding moves the trace-route currents by
-        # about 2.5e-10 (p + g) eps2, under the floor eps eps2^2 of their bounds
+        # at p = g = 2e-8 the current groups' errors are 0.2-0.95 eps (p + g) eps2 under
+        # six OpenBLAS kernels, far under their bound, the floor of 512 such units
         report = validate(replace(P0, t1=0.05, p=2e-8, g=2e-8))
         for name in ("first_law", "current_route_agreement", "tilde_current_identities", "fictitious_bath"):
             assert report.groups[name]["passed"], (name, report.groups[name])

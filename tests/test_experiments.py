@@ -595,7 +595,9 @@ class TestSlopes:
         e1, params = SLOPE_POINTS[name]
         f_slope, h = _e1_slopes(e1, params)
         with mpmath.workdps(50):
-            exact_f = mpmath.diff(lambda x: mp_closed_forms(x, params)[0], e1)
+            # f' times E3's power of two 2^k, below which E3 falls
+            scale = 2 ** math.frexp(params.e3)[1]
+            exact_f = mpmath.diff(lambda x: mp_closed_forms(x, params)[0], e1) * scale
             exact_q = mpmath.diff(lambda x: mp_closed_forms(x, params)[1], e1)
             # Q1^g = -12 p g^2 E1 N / D, so H = dQ1^g/dE1 D^2 / (12 p g^2); _e1_slopes
             # returns it over the larger P of N's two products, at p and g times the power

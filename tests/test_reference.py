@@ -15,9 +15,10 @@ temporary directory and compares:
   same;
 - rounding-noise keys (``NOISE``) against the bound ``validate`` applies to
   them, not against the reference;
-- a ``steady`` report's numeric-route keys (its decomposition, trace-route
-  currents and ``eta_tot``) within that route's noise in the two runs
-  (``_steady_bounds``), since they move with the BLAS kernels.
+- a ``steady`` report's numeric-route keys, which move with the BLAS kernels,
+  within that route's noise (``_steady_bounds``): its decomposition within the
+  two runs' ``max_coefficient_delta``, and its trace-route currents and
+  ``eta_tot`` within the currents' noise unit ``CurrentReport.floor``.
 
 Run as a script to print the largest move per file and column::
 
@@ -25,9 +26,9 @@ Run as a script to print the largest move per file and column::
     PYTHONPATH=src python tests/test_reference.py --write  # refresh the reference
 
 The bounds were chosen on one x86-64 machine (numpy 2.4, Python 3.11), with
-OpenBLAS's own kernels and with ``OPENBLAS_CORETYPE`` set to Prescott, Nehalem
-and Sandybridge; the numpy and LAPACK builds of hosted runners have not been
-compared with them.
+OpenBLAS's own kernels and with ``OPENBLAS_CORETYPE`` set to Prescott, Nehalem,
+Sandybridge, Haswell and Zen; the numpy and LAPACK builds of hosted runners have
+not been compared with them.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from neqfridge import ModelParams, build_generator_parts, heat_currents, solve_oracle
 from neqfridge.cli import main
 
 REFERENCE = Path(__file__).with_name("reference")
@@ -113,7 +115,17 @@ COMMANDS = {
     "ensemble_eta_c_1e-200.csv": ["ensemble", "--n", "5", "--eta-c", "1e-200"],
     "sweep_e1_2^-500.csv": ["sweep", "--axis", "e1", "--points", "20",
                             *_scaled(-500, lo=0.65, hi=3.65)],
+    # subnormal target gaps in the window scan: the slopes' 1/E1 is taken over E3's power
+    # of two and does not overflow; E/T is about 1e-310, and no cooling is found (exit 2)
+    "maximize_e1_1e-300.json": ["maximize", "--e1", "1e-300", "--e3", "1e-300", "--gamma", "0",
+                                "--t1", "1e10", "--t2", "2e10", "--t3", "4e10"],
 }
+
+
+def _current_floor(report: dict) -> float:
+    """The current noise unit of a steady report's point, ``CurrentReport.floor``."""
+    parts = build_generator_parts(ModelParams(**report["params"]))
+    return heat_currents(parts, solve_oracle(parts).numeric).floor
 
 
 def _steady_bounds(new: dict, ref: dict) -> dict[str, float]:
@@ -127,9 +139,8 @@ def _steady_bounds(new: dict, ref: dict) -> dict[str, float]:
     # forms, which use no BLAS and so agree between the runs
     coefficients = max(64.0 * EPS * min(rate / p, eps2 / rate),
                        sum(run["residuals"]["max_coefficient_delta"] for run in runs))
-    # the trace route's rounding floor in validate's current bound, eps eps2^2, without
-    # its tolerance of 1e-9 (p + g) eps2, which is 2.8 times q1 at p = 1e-9
-    currents = EPS * eps2 ** 2 + max(run["currents"]["route_delta"] for run in runs)
+    # the currents' noise, the bound of validate's current groups
+    currents = _current_floor(ref)
     q3, eta_tot = abs(ref["currents"]["q3"]), ref["performance"]["eta_tot"]
     bounds = {
         "decomposition.*": coefficients,
@@ -141,7 +152,7 @@ def _steady_bounds(new: dict, ref: dict) -> dict[str, float]:
         # validate's default tolerance over the coefficients' rounding floor
         "residuals.max_coefficient_delta": max(1e-8, 64.0 * EPS * min(rate / p, eps2 / rate)),
         "residuals.charge_leakage": 1e-12,
-        "currents.route_delta": 1e-9 * rate * eps2 + EPS * eps2 ** 2,
+        "currents.route_delta": currents,
     }
     # eta_tot = q1/q3 moves by at most (1 + |eta_tot|)/|q3| times a current's bound; a
     # null reference eta_tot (q3 is rounding noise) is not a float, so it is compared
