@@ -106,7 +106,8 @@ class EnsembleSpec:
             "n": (">= 1", self.n >= 1),
             "eta_c": ("finite and positive", 0 < self.eta_c < math.inf),
             "seed": (">= 0", self.seed >= 0),
-            "t2_range": ("0 < lo <= hi", 0 < self.t2_range[0] <= self.t2_range[1]),
+            # numpy's uniform takes only a finite range, and so do the round's draws
+            "t2_range": ("0 < lo <= hi < inf", 0 < self.t2_range[0] <= self.t2_range[1] < math.inf),
             # at hi = 1 every draw has T1 = T2 = T3, and nothing can cool
             "t3_mult_range": ("1 <= lo <= hi, 1 < hi", 1 <= mult_lo <= mult_hi and 1 < mult_hi),
         }
@@ -163,18 +164,15 @@ def _log_odds_gap_at(e1, delta_e, base: ModelParams):
     return e1 / base.t1 - _log_odds(_frame_at(e1, base.e3, base.gamma, delta_e), base.t2, base.t3)[0][2]
 
 
-def _e1_slopes(e1, base: ModelParams) -> tuple:
-    """E1-derivatives at target gap(s) e1, from one frame and one log-odds pass: f' of
-    :func:`log_odds_gap`, and h = H/P, H = -(N D + E1 (N' D - N D')) of the sign of
-    dQ1^g/dE1 (Q1^g is a positive multiple of -E1 N/D, with N = P phi, P > 0 the larger
-    of N's two products, and D > 0 from :func:`~neqfridge.steadystate._deviation_terms`).
+def _slope_pass(e1, base: ModelParams) -> tuple:
+    """f' of :func:`log_odds_gap` at target gap(s) e1, from one frame and one log-odds pass,
+    with what :func:`_e1_slopes` reads of that pass: (f', (pops, E1, b1, (ln r~2)',
+    (ln r~3)', r~2/q~2, r~3/q~3)), where the slopes and b1 come times 2^k and E1 over it.
 
     deps3/dE1 = E1/(2 delta_e) - 1/2 = deps2/dE1 - 1, ln cos^2(theta/2) and
     ln sin^2(theta/2) have E1-slopes tan^2(theta/2) kappa and -kappa, kappa = 1/delta_e +
-    1/E1, (ln q~)' = -(r~/q~)(ln r~)' and phi' = (1 - |phi|) f': every slope is finite
-    where r~ underflows.  With (p, g) scaled as in ``_deviation_terms``, h is u^2 H/P for
-    a power of two u: the same sign and root.  f' comes times 2^k, E3's power of two (one
-    per model, so a search interpolates the same).  A search kernel like :func:`log_odds_gap`.
+    1/E1, and (ln q~)' = -(r~/q~)(ln r~)': every slope is finite where r~ underflows.  f'
+    comes times 2^k, E3's power of two (one per model, so a search interpolates the same).
     """
     frame = _frame_at(e1, base.e3, base.gamma, _delta_e(e1, base.gamma))
     pops = tilde_populations(frame, base.t2, base.t3, base.t1)
@@ -190,9 +188,31 @@ def _e1_slopes(e1, base: ModelParams) -> tuple:
     w2, w3 = (np.exp(share) for share in pops.log_shares)
     dr2 = slope(w2, pops.r22, pops.r23, (deps3 + 1.0) * b2, (deps3 + 1.0) * b3)
     dr3 = slope(w3, pops.r33, pops.r32, deps3 * b3, deps3 * b2)
-    r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
+    rt2, rt3 = pops.rtilde2, pops.rtilde3
     odds2, odds3 = rt2 / (1.0 - rt2), rt3 / (1.0 - rt3)  # r~/q~
-    f_slope = b1 + (dr2 * (1.0 + odds2) - dr3 * (1.0 + odds3))
+    return b1 + (dr2 * (1.0 + odds2) - dr3 * (1.0 + odds3)), (pops, e1, b1, dr2, dr3, odds2, odds3)
+
+
+def _f_slope(e1, base: ModelParams):
+    """f' of :func:`log_odds_gap` at target gap(s) e1, times E3's power of two
+    (:func:`_slope_pass`), and nothing else: the kernel of the screen's search for the
+    minimum of f.  A search kernel like :func:`log_odds_gap`."""
+    return _slope_pass(e1, base)[0]
+
+
+def _e1_slopes(e1, base: ModelParams) -> tuple:
+    """E1-derivatives at target gap(s) e1: f' of :func:`log_odds_gap`, as :func:`_f_slope`
+    gives it, and h = H/P, H = -(N D + E1 (N' D - N D')) of the sign of dQ1^g/dE1 (Q1^g
+    is a positive multiple of -E1 N/D, with N = P phi, P > 0 the larger of N's two
+    products, and D > 0 from :func:`~neqfridge.steadystate._deviation_terms`), built on
+    the same pass (:func:`_slope_pass`) with phi' = (1 - |phi|) f'.
+
+    With (p, g) scaled as in ``_deviation_terms``, h is u^2 H/P for a power of two u:
+    the same sign and root.  The power search's kernel, a search kernel like
+    :func:`log_odds_gap`.
+    """
+    f_slope, (pops, e1, b1, dr2, dr3, odds2, odds3) = _slope_pass(e1, base)
+    r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
     (f, _, phi), d, _, g = _deviation_terms(pops, base.p, base.g)
     # (ln P)': P = r1 q~2 r~3 where f < 0, else q1 r~2 q~3
     log_p = np.where(f < 0.0, dr3 - odds2 * dr2 - (1.0 - r1) * b1, dr2 - odds3 * dr3 + r1 * b1)
@@ -272,16 +292,19 @@ def _scan_range(models: ModelParams) -> tuple:
     """The scan ranges [lo, hi] of a batch, and per model 0 or the reason code of
     what rules its window search out: T1 >= T2, an empty range, or a frame that
     fails at lo, checked in that order.  The dressed gap eps3 only grows with
-    E1, so a frame that holds at lo holds on the whole range.
+    E1, so a frame that holds at lo holds on the whole range.  An ensemble draw
+    whose beta1 overflows has T1 = 0, so beta1 = inf and a Carnot COP of 0: its
+    range is empty.
     """
     e3, gamma = models.e3, models.gamma
     lo = np.where(gamma > 0, 2.0 * gamma * (1.0 + 1e-9), 1e-9 * e3)
-    # the right root never exceeds E3 times the Carnot COP (NaN unless cold);
-    # at gamma = 0 it sits exactly there, so pad the scan a little past it
-    hi = e3 * cop_carnot(models.t1, models.t2, models.t3) * (1.0 + 1e-6)
+    with np.errstate(divide="ignore"):  # 1/T1 at T1 = 0
+        # the right root never exceeds E3 times the Carnot COP (NaN unless cold);
+        # at gamma = 0 it sits exactly there, so pad the scan a little past it
+        hi = e3 * cop_carnot(models.t1, models.t2, models.t3) * (1.0 + 1e-6)
+        not_cold = ~(models.beta1 > models.beta2)
     unframed = _verdicts(_gate_values(dict(e1=lo, e3=e3, gamma=gamma))) != 0
-    return lo, hi, np.select([~(models.beta1 > models.beta2), ~(hi > lo), unframed],
-                             [_NOT_COLD, _EMPTY_RANGE, _UNFRAMED])
+    return lo, hi, np.select([not_cold, ~(hi > lo), unframed], [_NOT_COLD, _EMPTY_RANGE, _UNFRAMED])
 
 
 def _screen_windows(models: ModelParams) -> tuple:
@@ -290,10 +313,11 @@ def _screen_windows(models: ModelParams) -> tuple:
     f (:func:`log_odds_gap`) is read at both ends and the midpoint of every
     scan range that :func:`_scan_range` accepts in one call.  Only f below
     its rounding bound, ``_F_ROUNDING * hi / T1``, is taken as cooling.
-    Where none of the three is below it, f' (:func:`_e1_slopes`) is read at
-    both ends in one call, and where it rises from negative to positive f is
-    read once at its root, the minimum of f; a model without that sign
-    change, or whose minimum is not below the bound, has no window.  Returns
+    Where none of the three is below it, f' alone (:func:`_f_slope`, which
+    skips the power search's H) is read at both ends in one call, and where
+    it rises from negative to positive f is read once at its root, the
+    minimum of f; a model without that sign change, or whose minimum is not
+    below the bound, has no window.  Returns
     the columns x, f(x), f(lo), f(hi) (NaN where the range is not searched),
     lo, hi and the reason code, 0 where a window was found.
     """
@@ -308,10 +332,10 @@ def _screen_windows(models: ModelParams) -> tuple:
     x, fx, (f_lo, _, f_hi) = points[best], values[best], values
     search = np.flatnonzero(fx >= -bound)
     if search.size:
-        slope_lo, slope_hi = _e1_slopes(np.array([a[search], b[search]]), models.take(search))[0]
+        slope_lo, slope_hi = _f_slope(np.array([a[search], b[search]]), models.take(search))
         dips = (slope_lo < 0.0) & (slope_hi > 0.0)
         dip = search[dips]
-        x[dip] = _chandrupatla(lambda e1, j: _e1_slopes(e1, models.take(dip[j]))[0],
+        x[dip] = _chandrupatla(lambda e1, j: _f_slope(e1, models.take(dip[j])),
                                a[dip], b[dip], slope_lo[dips], slope_hi[dips], b[dip])
         fx[dip] = log_odds_gap(x[dip], models.take(dip))
     cools = (fx < -bound) & (models.g > 0.0)  # at g = 0 nothing cools
@@ -524,18 +548,59 @@ def sweep(spec: SweepSpec) -> tuple[dict[str, np.ndarray], list[dict]]:
     return {**closed_form_table(params), "axis_value": values[keep]}, skipped
 
 
-def _draw(rng: np.random.Generator, spec: EnsembleSpec) -> tuple:
-    """One random refrigerator's eight fields, in ``PARAM_NAMES`` order, not validated."""
-    e3 = rng.uniform(*_E3_RANGE)
-    t2 = rng.uniform(*spec.t2_range)
+def _fields(spec: EnsembleSpec, e3, t2, u, k) -> tuple:
+    """The eight fields, in ``PARAM_NAMES`` order and not validated, of random
+    refrigerators with gap(s) E3, T2, unit double(s) u and coupling step(s) k."""
     mult_lo, mult_hi = spec.t3_mult_range
-    t3 = t2 * (mult_lo + (mult_hi - mult_lo) * (1.0 - rng.random()))
-    k = int(rng.integers(1, _MAX_GAMMA_STEP + 1))
+    t3 = t2 * (mult_lo + (mult_hi - mult_lo) * (1.0 - u))
     gamma = k * e3 * spec.eta_c / _GAMMA_STEPS
-    beta1 = 1.0 / t2 + (1.0 / t2 - 1.0 / t3) / spec.eta_c
-    t1 = 1.0 / beta1
-    p = g = 0.01 * e3 / 4.0
-    return max(1.0, 2.5 * gamma), e3, gamma, t1, t2, t3, p, g
+    t1 = 1.0 / (1.0 / t2 + (1.0 / t2 - 1.0 / t3) / spec.eta_c)
+    p = 0.01 * e3 / 4.0
+    return np.fmax(1.0, 2.5 * gamma), e3, gamma, t1, t2, t3, p, p
+
+
+def _draw(rng: np.random.Generator, spec: EnsembleSpec) -> tuple:
+    """One random refrigerator's eight fields, as floats in ``PARAM_NAMES`` order, not
+    validated, from four scalar calls on ``rng``: the reference that :func:`_draws`
+    decodes, and what it falls back on."""
+    e3, t2, u = rng.uniform(*_E3_RANGE), rng.uniform(*spec.t2_range), rng.random()
+    return tuple(map(float, _fields(spec, e3, t2, u, int(rng.integers(1, _MAX_GAMMA_STEP + 1)))))
+
+
+def _draws(rng: np.random.Generator, spec: EnsembleSpec, size: int) -> np.ndarray:
+    """The fields of ``size`` successive :func:`_draw` calls, a row per field, from one
+    ``random_raw`` call on ``rng``'s PCG64 stream, bit for bit with its end state.
+
+    A draw takes three doubles, each (w >> 11) 2^-53 of a 64-bit word w, and its coupling
+    step k in 1..40, one plus the high half of Lemire's product 40 v of a 32-bit v: the
+    low half of a fresh word, or the high half that the generator buffered from the last
+    one (``has_uint32`` and ``uinteger`` in its state), which this writes back.  Lemire's
+    method redraws v where the product's low half is below 2^32 mod 40 (about 3.7e-9 per
+    draw); a round with such a draw is rewound and drawn by :func:`_draw`.  numpy does
+    not promise this layout across versions, so a test compares the two bit for bit.
+    """
+    bits = rng.bit_generator
+    start = bits.state
+    fresh = (np.arange(size) + start["has_uint32"]) % 2 == 0  # draws whose integer takes a new word
+    before = np.cumsum(fresh) - fresh  # each draw's fresh words before it
+    first = 3 * np.arange(size) + before  # each draw's first word
+    words = bits.random_raw(3 * size + before[-1] + fresh[-1])
+    u = (words[first + np.arange(3)[:, None]] >> 11) * 2.0 ** -53
+    new = words[first[fresh] + 3]
+    halves = np.concatenate([np.array([start["uinteger"]], np.uint64), new >> 32])  # oldest first
+    draw32 = halves[before]  # a buffered integer is the high half of the last fresh word
+    draw32[fresh] = new & 0xFFFFFFFF
+    product = draw32 * _MAX_GAMMA_STEP
+    if ((product & 0xFFFFFFFF) < 2 ** 32 % _MAX_GAMMA_STEP).any():
+        bits.state = start
+        return np.array([_draw(rng, spec) for _ in range(size)]).T.copy()
+    end = bits.state
+    end.update(has_uint32=start["has_uint32"] ^ size % 2, uinteger=int(halves[-1]))
+    bits.state = end
+    (e3_lo, e3_hi), (t2_lo, t2_hi) = _E3_RANGE, spec.t2_range
+    with np.errstate(over="ignore"):  # beta1 overflows at a tiny eta_c, gamma at a huge one
+        return np.array(_fields(spec, e3_lo + (e3_hi - e3_lo) * u[0], t2_lo + (t2_hi - t2_lo) * u[1],
+                                u[2], (product >> 32) + 1))
 
 
 def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
@@ -550,6 +615,8 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     ``ModelParams`` would); the first draws with a window are kept, up to n,
     and only their window edges are root-found.  Each draw takes the same
     random numbers whatever its outcome, so drawing ahead changes nothing.
+    A round's draws are arrays decoded from one read of the seeded stream
+    (:func:`_draws`), bit for bit the scalar draws of :func:`_draw`.
     """
     rng = np.random.default_rng(spec.seed)
     kept_fields, edges = [], []  # per round: the kept draws, a row per field, and their windows
@@ -557,7 +624,7 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     while found < spec.n:
         ratio = (resamples + found) / found if found else 1.0
         size = max(_CHUNK, math.ceil(1.5 * (spec.n - found) * ratio))
-        fields = np.array([_draw(rng, spec) for _ in range(size)]).T.copy()
+        fields = _draws(rng, spec, size)
         drawn = ModelParams._unchecked(dict(zip(PARAM_NAMES, fields)))
         screen = _screen_windows(drawn)
         kept = np.flatnonzero(screen[-1] == 0)[:spec.n - found]

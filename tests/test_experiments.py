@@ -32,6 +32,7 @@ from neqfridge.experiments import (
     _MAX_GAMMA_STEP,
     _chandrupatla,
     _draw,
+    _draws,
     _e1_slopes,
     _scan_range,
     _screen_windows,
@@ -228,7 +229,8 @@ class TestDeviationKernel:
         # checked every population
         from neqfridge import experiments, model, steadystate
 
-        kernels = (experiments.deviation, experiments.log_odds_gap, experiments._e1_slopes)
+        kernels = (experiments.deviation, experiments.log_odds_gap, experiments._f_slope,
+                   experiments._e1_slopes)
         calls, points = counting(monkeypatch, *kernels, steadystate.steady_coefficients,
                                  model._gate, model._rule_error, model.resonant_frame)
         post_init = ModelParams.__post_init__
@@ -927,14 +929,76 @@ class TestGenericSweep:
 @pytest.mark.parametrize("field, value", [
     ("t2_range", (0.0, 4.0)),
     ("t2_range", (4.0, 1.0)),
+    ("t2_range", (1.0, math.inf)),
     ("t3_mult_range", (0.5, 5.0)),
     ("t3_mult_range", (3.0, 2.0)),
     ("t3_mult_range", (1.0, 1.0)),
 ])
 def test_bad_ensemble_spec(field, value):
-    # these once leaked a ZeroDivisionError or stalled the sampler
+    # these once leaked a ZeroDivisionError or numpy's OverflowError, or stalled the sampler
     with pytest.raises(ParameterError, match=field):
         EnsembleSpec(n=2, **{field: value})
+
+
+def _scalar_round(rng: np.random.Generator, spec: EnsembleSpec, size: int) -> np.ndarray:
+    """The fields of ``size`` scalar draws, a row per field, as ``_draws`` returns them."""
+    return np.array([_draw(rng, spec) for _ in range(size)]).T
+
+
+def _same_round(rng, reference, spec, size) -> dict:
+    """Draw one round from ``rng`` by ``_draws`` and from ``reference`` by ``_draw``, assert
+    the fields and the generators' whole states equal, bit for bit, and return the state."""
+    assert _draws(rng, spec, size).tobytes() == _scalar_round(reference, spec, size).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    return reference.bit_generator.state
+
+
+def _generators(seed: int, **state) -> tuple:
+    """Two generators at ``seed``, their states updated with ``state``."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in pair:
+        rng.bit_generator.state = {**rng.bit_generator.state, **state}
+    return pair
+
+
+class TestArrayDraws:
+    # _draws decodes numpy's PCG64 stream as _draw's scalar calls take it; numpy does not
+    # promise that layout across versions, and a numpy that changes it fails here instead
+    # of moving every ensemble.  Each draw's integer takes half of a 64-bit word, so a
+    # round of odd size hands the next one the generator's buffered half (has_uint32 = 1)
+    @pytest.mark.parametrize("eta_c", [0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("buffered", [0, 1])
+    def test_rounds_are_the_scalar_draws(self, eta_c, buffered):
+        spec = EnsembleSpec(n=1, eta_c=eta_c)
+        rng, reference = _generators(3)
+        if buffered:  # an integer leaves the high half of a word buffered
+            for generator in (rng, reference):
+                generator.integers(1, 41)
+        starts = []
+        for size in (1, 3, 150, 7, 10 ** 4, 2, 150):
+            starts.append(rng.bit_generator.state["has_uint32"])
+            _same_round(rng, reference, spec, size)
+        assert starts == [buffered, 1 - buffered, buffered, buffered, 1 - buffered, 1 - buffered,
+                          1 - buffered]
+
+    def test_a_rejected_first_integer(self):
+        # a buffered half of 0 makes Lemire's product 40 v = 0, whose low half is below
+        # 2^32 mod 40 = 16, so numpy draws v again: one more 32-bit value than draws
+        rng, reference = _generators(4, has_uint32=1, uinteger=0)
+        assert _same_round(rng, reference, EnsembleSpec(n=1), 5)["has_uint32"] == 1
+
+    @pytest.mark.parametrize("seed, word", [(1, 133644978), (2, 6405338)])
+    def test_a_rejection_mid_round(self, seed, word):
+        # word ``word`` of the seed's stream (found by a scan of its first 1.4e8 words)
+        # has a half whose Lemire product has a low half below 16: the low half at seed 1
+        # (product low half 8), the high half at seed 2 (0).  A round of 150 that starts
+        # 38 words before it, with nothing buffered, reads it as draw 10's fresh word, so
+        # draw 10's or draw 11's integer is redrawn
+        rng, reference = _generators(seed)
+        for generator in (rng, reference):
+            generator.bit_generator.advance(word - 38)
+        assert _same_round(rng, reference, EnsembleSpec(n=1), 150)["has_uint32"] == 1
+        _same_round(rng, reference, EnsembleSpec(n=1), 151)
 
 
 @pytest.fixture(scope="module")
@@ -1035,8 +1099,9 @@ class TestEnsemble:
         # ModelParams rejects must be rejected by the scan's range, without a
         # RuntimeWarning (the draw's E1 lies above the scan's low end, and eps3
         # only grows with E1)
+        # at eta_c = 1e-310 most draws' beta1 overflows, and at 5e-324 every one's: T1 = 0
         specs = [EnsembleSpec(n=1, eta_c=eta_c, seed=seed) for seed in (1, 2)
-                 for eta_c in (0.1, 1.0, 6.0, 10.0, 1e3, 1e300)]
+                 for eta_c in (5e-324, 1e-310, 0.1, 1.0, 6.0, 10.0, 1e3, 1e300)]
         specs += [hot_spec(3), EnsembleSpec(n=1, seed=11, t2_range=(4.0, 12.0))]
         gated = 0
         for spec in specs:

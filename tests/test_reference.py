@@ -113,6 +113,12 @@ COMMANDS = {
     "steady_2^-500.json": ["steady", *_scaled(-500)],
     "steady_2^-600.json": ["steady", *_scaled(-600)],
     "ensemble_eta_c_1e-200.csv": ["ensemble", "--n", "5", "--eta-c", "1e-200"],
+    # beta1 = 1/T2 + (1/T2 - 1/T3)/eta_c overflows in most of these draws, whose T1 = 0
+    # gives an empty scan range without a warning; a draw whose beta1 stays finite puts
+    # its window edges among the subnormals, where the edge search does not close (exit 4)
+    "ensemble_eta_c_1e-310.csv": ["ensemble", "--n", "3", "--eta-c", "1e-310"],
+    # every draw's beta1 overflows, so every range is empty and the sampler stalls (exit 2)
+    "ensemble_eta_c_5e-324.csv": ["ensemble", "--n", "3", "--eta-c", "5e-324"],
     "sweep_e1_2^-500.csv": ["sweep", "--axis", "e1", "--points", "20",
                             *_scaled(-500, lo=0.65, hi=3.65)],
     # subnormal target gaps in the window scan: the slopes' 1/E1 is taken over E3's power
