@@ -81,7 +81,9 @@ def _emit(report: dict, out: str | None) -> None:
         print(text)
 
 
-_FLOAT_CELL = "%.17g".__mod__
+def _float_cells(values: list[float]) -> list[str]:
+    """Each of ``values`` as %.17g, all in one format call."""
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
 
 
 def _cells(table: dict[str, np.ndarray], columns) -> dict[str, list[str]]:
@@ -93,7 +95,8 @@ def _cells(table: dict[str, np.ndarray], columns) -> dict[str, list[str]]:
         floats = column.dtype.kind == "f"
         _, first, inverse = np.unique(column.view(np.int64) if floats else column,
                                       return_index=True, return_inverse=True)
-        text = np.array([*map(_FLOAT_CELL if floats else str, column[first].tolist())], object)
+        values = column[first].tolist()
+        text = np.array(_float_cells(values) if floats else [*map(str, values)], object)
         cells[name] = text[inverse].tolist()
     return cells
 

@@ -47,8 +47,9 @@ from .steadystate import _deviation_terms, steady_coefficients
 # so a window needs f below this many eps of the range's largest E1/T1, hi/T1
 _F_ROUNDING = 8.0 * np.finfo(float).eps
 _CHUNK = 8  # the fewest draws random_ensemble screens in one round
-# the most rounds a root search may take: fig6's window edges, searched in delta_e, take up
-# to 18 (a barely cooling model's near-double root), its power maxima up to 19, bisection 53
+_SCREEN_SLICE = 8192  # the most draws random_ensemble screens at once, which bounds its memory
+# the most rounds a root search may take: window edges, searched in delta_e, take up to 18
+# (a barely cooling model's near-double root), fig6's power maxima up to 19, bisection 53
 _MAX_ROUNDS = 100
 # why a window search finds no window, in the order it checks (0: it may find one)
 _NOT_COLD, _EMPTY_RANGE, _UNFRAMED, _NO_COOLING, _BEYOND_RANGE = range(1, 6)
@@ -164,17 +165,18 @@ def _log_odds_gap_at(e1, delta_e, base: ModelParams):
     return e1 / base.t1 - _log_odds(_frame_at(e1, base.e3, base.gamma, delta_e), base.t2, base.t3)[0][2]
 
 
-def _slope_pass(e1, base: ModelParams) -> tuple:
-    """f' of :func:`log_odds_gap` at target gap(s) e1, from one frame and one log-odds pass,
-    with what :func:`_e1_slopes` reads of that pass: (f', (pops, E1, b1, (ln r~2)',
-    (ln r~3)', r~2/q~2, r~3/q~3)), where the slopes and b1 come times 2^k and E1 over it.
+def _slope_pass(e1, delta_e, base: ModelParams) -> tuple:
+    """f' of :func:`log_odds_gap` at target gap(s) e1 whose delta_e is given, from one frame
+    and one log-odds pass, with what :func:`_slopes_at` reads of that pass: (f', (pops, E1,
+    b1, (ln r~2)', (ln r~3)', r~2/q~2, r~3/q~3)), where the slopes and b1 come times 2^k
+    and E1 over it.
 
     deps3/dE1 = E1/(2 delta_e) - 1/2 = deps2/dE1 - 1, ln cos^2(theta/2) and
     ln sin^2(theta/2) have E1-slopes tan^2(theta/2) kappa and -kappa, kappa = 1/delta_e +
     1/E1, and (ln q~)' = -(r~/q~)(ln r~)': every slope is finite where r~ underflows.  f'
     comes times 2^k, E3's power of two (one per model, so a search interpolates the same).
     """
-    frame = _frame_at(e1, base.e3, base.gamma, _delta_e(e1, base.gamma))
+    frame = _frame_at(e1, base.e3, base.gamma, delta_e)
     pops = tilde_populations(frame, base.t2, base.t3, base.t1)
     k = np.frexp(base.e3)[1]  # slopes times 2^k, E1 in h over it: 1/E1 cannot overflow
     e1, delta_e = np.ldexp(e1, -k), np.ldexp(frame.delta_e, -k)
@@ -197,7 +199,7 @@ def _f_slope(e1, base: ModelParams):
     """f' of :func:`log_odds_gap` at target gap(s) e1, times E3's power of two
     (:func:`_slope_pass`), and nothing else: the kernel of the screen's search for the
     minimum of f.  A search kernel like :func:`log_odds_gap`."""
-    return _slope_pass(e1, base)[0]
+    return _slope_pass(e1, _delta_e(e1, base.gamma), base)[0]
 
 
 def _e1_slopes(e1, base: ModelParams) -> tuple:
@@ -211,7 +213,13 @@ def _e1_slopes(e1, base: ModelParams) -> tuple:
     the same sign and root.  The power search's kernel, a search kernel like
     :func:`log_odds_gap`.
     """
-    f_slope, (pops, e1, b1, dr2, dr3, odds2, odds3) = _slope_pass(e1, base)
+    return _slopes_at(e1, _delta_e(e1, base.gamma), base)[1:]
+
+
+def _slopes_at(e1, delta_e, base: ModelParams) -> tuple:
+    """f of :func:`log_odds_gap` and the slopes f' and h of :func:`_e1_slopes`, as
+    (f, f', h), at target gap(s) e1 whose delta_e is given, all from one pass."""
+    f_slope, (pops, e1_over, b1, dr2, dr3, odds2, odds3) = _slope_pass(e1, delta_e, base)
     r1, rt2, rt3 = pops.r1, pops.rtilde2, pops.rtilde3
     (f, _, phi), d, _, g = _deviation_terms(pops, base.p, base.g)
     # (ln P)': P = r1 q~2 r~3 where f < 0, else q1 r~2 q~3
@@ -219,7 +227,15 @@ def _e1_slopes(e1, base: ModelParams) -> tuple:
     dn = log_p * phi + (1.0 - np.abs(phi)) * f_slope  # N'/P
     dr1, drt2, drt3 = -r1 * (1.0 - r1) * b1, rt2 * dr2, rt3 * dr3
     dd = 8.0 * g * g * ((rt3 - rt2) * dr1 + (1.0 - r1 - rt3) * drt2 + (r1 - rt2) * drt3)
-    return f_slope, -(phi * d + e1 * (dn * d - phi * dd))
+    # f as _log_odds_gap_at forms it, from e1 itself: the frame's E1 = 2 (E1/2) differs
+    # where E1 is subnormal
+    return (e1 / base.t1 - pops.virtual_log_odds, f_slope,
+            -(phi * d + e1_over * (dn * d - phi * dd)))
+
+
+def _certifies(h, side):
+    """Where H (:func:`_e1_slopes`) is finite and has the sign ``side`` (+1 or -1)."""
+    return (side * h > 0.0) & (np.abs(h) < np.inf)
 
 
 def _chandrupatla(func: BatchFunc, a, b, fa, fb, floor) -> np.ndarray:
@@ -360,18 +376,20 @@ def _window_error(models: ModelParams, columns: tuple, i: int) -> NeqFridgeError
     return (ParameterError if reason == _NOT_COLD else EmptyCoolingWindowError)(message)
 
 
-def _solve_windows(models: ModelParams, screen: tuple, index: np.ndarray) -> tuple:
+def _solve_windows(models: ModelParams, screen: tuple, index: np.ndarray, kernel) -> tuple:
     """Root-find the edge brackets of the models ``index`` of a 1-D batch, all
     searchable in its columns ``screen`` (:func:`_screen_windows`), at once.
 
     Each edge is searched in u = delta_e (:func:`~neqfridge.model._delta_e`), in which f is
-    smooth at E1 = 2 gamma, where its E1-slope diverges: f is evaluated at delta_e = u and
-    E1 = sqrt(u^2 + 4 gamma^2) (``_target_gap``), to 4 eps of its bracket's current ends in
-    u or, if larger, for a left edge, of E1^2/delta_e at the point x inside the window.  As
-    dE1/du = delta_e/E1, a right edge's error in E1 is at most 4 eps delta_e, and a left
+    smooth at E1 = 2 gamma, where its E1-slope diverges: ``kernel(e1, delta_e, models, side)``
+    is evaluated at delta_e = u and E1 = sqrt(u^2 + 4 gamma^2) (``_target_gap``), side +1
+    in left-edge brackets and -1 in right-edge ones, to 4 eps of its bracket's current ends
+    in u or, if larger, for a left edge, of E1^2/delta_e at the point x inside the window.
+    As dE1/du = delta_e/E1, a right edge's error in E1 is at most 4 eps delta_e, and a left
     edge's 4 eps E1 where it shares x's scale.  A bracket end where f is zero is returned
     exactly, so a boundary left edge stays the scan's lower end; at gamma = 0, u is E1.
-    Returns the arrays left, right and left_is_boundary.
+    :func:`_edge_gap` finds the edges; :func:`_bracket_gap` stops at points that bracket
+    the power maximum.  Returns the arrays left, right and left_is_boundary.
     """
     x, fx, f_lo, f_hi, lo, hi = (column[index] for column in screen[:6])
     boundary, zero = f_lo < 0.0, np.zeros(index.size)
@@ -379,13 +397,51 @@ def _solve_windows(models: ModelParams, screen: tuple, index: np.ndarray) -> tup
     left = np.where(boundary, [lo, lo, zero, zero], [lo, x, f_lo, fx])
     right = np.where(boundary, [lo, hi, f_lo, f_hi], [x, hi, fx, f_hi])
     a, b, fa, fb = np.hstack([left, right])
-    pairs = models.take(np.tile(index, 2))
+    pairs, side = models.take(np.tile(index, 2)), np.repeat([1.0, -1.0], index.size)
     # near E1 = 2 gamma, delta_e is far below E1 and f's rounding in u is about eps E1
     floor = np.concatenate([x * (x / _delta_e(x, models.gamma[index])), zero])
-    u = _chandrupatla(lambda x, j: _log_odds_gap_at(_target_gap(x, pairs.gamma[j]), x, pairs.take(j)),
+    u = _chandrupatla(lambda x, j: kernel(_target_gap(x, pairs.gamma[j]), x, pairs.take(j), side[j]),
                       _delta_e(a, pairs.gamma), _delta_e(b, pairs.gamma), fa, fb, floor)
     roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, _target_gap(u, pairs.gamma)))
     return (*roots.reshape(2, -1), boundary)
+
+
+def _edge_gap(e1, delta_e, base: ModelParams, side):
+    """The edge search's kernel (:func:`_solve_windows`): f (:func:`_log_odds_gap_at`) on
+    either side, whose roots are the window's edges."""
+    return _log_odds_gap_at(e1, delta_e, base)
+
+
+def _bracket_gap(e1, delta_e, base: ModelParams, side):
+    """The bracket stage's kernel (:func:`_solve_windows`): f, and H (:func:`_slopes_at`)
+    from the same pass, with an exact 0 where f < 0 and H certifies E1* on the side
+    ``side`` (:func:`_certifies`): that ends the bracket's search at a point inside the
+    window from which E1* lies toward the window's middle.  A non-finite H certifies
+    nothing, and its overflow does not warn; f is :func:`_edge_gap`'s bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f, _, h = _slopes_at(e1, delta_e, base)
+    return np.where((f < 0.0) & _certifies(h, side), 0.0, f)
+
+
+def _power_brackets(models: ModelParams, screen: tuple) -> tuple:
+    """Points left and right inside or at the edge of the window of each model of a 1-D
+    batch whose screen columns ``screen`` (:func:`_screen_windows`) all have a window, with
+    H of the sign of dQ1^g/dE1 (:func:`_e1_slopes`) positive at left and negative at right.
+
+    The screen's point x settles one side by its own H: where H(x) > 0 the scan range
+    starts at x, which makes x a boundary left edge, and where H(x) < 0 it ends at x with
+    f = 0 there, which makes x the right edge.  :func:`_solve_windows` then searches the
+    other side with :func:`_bracket_gap`, which stops at the first iterate inside the
+    window where H has that side's sign, or at the window's edge, where it has it anyway.
+    H changes sign once inside each window, so the power maximum lies between the two.
+    """
+    x, fx, f_lo, f_hi, lo, hi, reason = screen
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in _bracket_gap
+        h = _e1_slopes(x, models)[1]
+    lo, f_lo = np.where(_certifies(h, 1.0), [x, fx], [lo, f_lo])
+    hi, f_hi = np.where(_certifies(h, -1.0), [x, np.zeros(x.size)], [hi, f_hi])
+    screen = x, fx, f_lo, f_hi, lo, hi, reason
+    return _solve_windows(models, screen, np.arange(x.size), _bracket_gap)[:2]
 
 
 def _searched_windows(models: ModelParams) -> tuple:
@@ -394,7 +450,7 @@ def _searched_windows(models: ModelParams) -> tuple:
     failed = np.flatnonzero(screen[-1])
     if failed.size:
         raise _window_error(models, screen, failed[0])
-    left, right, boundary = _solve_windows(models, screen, np.arange(screen[-1].size))
+    left, right, boundary = _solve_windows(models, screen, np.arange(screen[-1].size), _edge_gap)
     return left, right, list(map(CoolingWindow, left.tolist(), right.tolist(), boundary.tolist()))
 
 
@@ -417,7 +473,7 @@ def cooling_windows(models: ModelParams) -> list:
     models = models.as_batch()
     screen = _screen_windows(models)
     index = np.flatnonzero(screen[-1] == 0)
-    found = map(CoolingWindow, *(v.tolist() for v in _solve_windows(models, screen, index)))
+    found = map(CoolingWindow, *(v.tolist() for v in _solve_windows(models, screen, index, _edge_gap)))
     return [next(found) if code == 0 else _window_error(models, screen, i)
             for i, code in enumerate(screen[-1].tolist())]
 
@@ -428,11 +484,13 @@ def cooling_window(base: ModelParams) -> CoolingWindow:
 
 
 def _power_maxima(models: ModelParams, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """E1* of each model of the batch ``models`` in its cooling window [left, right]: the
-    root of H (:func:`_e1_slopes`), which has the sign of dQ1^g/dE1, between the window's
-    edges.  H is positive at the left edge, a root of d's numerator N with N' < 0 or, where
-    the window starts at the scan boundary, a point from which Q1^g (which carries a factor
-    E1) rises, and negative at the right edge, where N' > 0.
+    """E1* of each model of the batch ``models`` between left and right in its cooling
+    window: the root of H (:func:`_e1_slopes`), which has the sign of dQ1^g/dE1.  left and
+    right are the window's edges (:func:`maximize_cooling_powers`) or, for fig6, the bracket
+    stage's points (:func:`_power_brackets`), where H already has the edges' signs.  H is
+    positive at the left edge, a root of d's numerator N with N' < 0 or, where the window
+    starts at the scan boundary, a point from which Q1^g (which carries a factor E1) rises,
+    negative at the right edge, where N' > 0, and changes sign once in between.
     """
     h_left, h_right = _e1_slopes(np.array([left, right]), models)[1]
     return _chandrupatla(lambda x, j: _e1_slopes(x, models.take(j))[1], left, right, h_left, h_right,
@@ -609,36 +667,48 @@ def random_ensemble(spec: EnsembleSpec) -> tuple[dict[str, np.ndarray], dict]:
     Each accepted model is optimized over the target gap; its row carries the
     COP-at-max-power ratio, the thermodynamic COP there, the virtual-qubit
     coherence at the optimum, and whether the model sits within 5% of the
-    upper bound (relative to the bound gap).  Candidates are screened in
+    upper bound (relative to the bound gap).  Candidates are drawn in
     rounds of half again as many draws as the acceptance ratio so far says
-    the remaining models need, unchecked (the window scan rejects what
-    ``ModelParams`` would); the first draws with a window are kept, up to n,
-    and only their window edges are root-found.  Each draw takes the same
-    random numbers whatever its outcome, so drawing ahead changes nothing.
-    A round's draws are arrays decoded from one read of the seeded stream
-    (:func:`_draws`), bit for bit the scalar draws of :func:`_draw`.
+    the remaining models need, and screened unchecked (the window scan rejects
+    what ``ModelParams`` would) in slices of at most ``_SCREEN_SLICE`` draws,
+    which bounds the screen's memory; the first draws with a window are kept,
+    up to n, and a round's screen stops there.  Each draw takes the same
+    random numbers whatever its outcome, so drawing ahead, and slicing,
+    change nothing.  A round's draws are arrays decoded from one read of the
+    seeded stream (:func:`_draws`), bit for bit the scalar draws of
+    :func:`_draw`.  The rows report no window edges, so only each round's
+    kept draws' edge brackets are searched, and only until they bracket the
+    power maximum (:func:`_power_brackets`), from which :func:`_power_maxima`
+    finds E1*.
     """
     rng = np.random.default_rng(spec.seed)
-    kept_fields, edges = [], []  # per round: the kept draws, a row per field, and their windows
+    kept_fields, brackets = [], []  # per round: the kept draws, a row per field, and their brackets
     found = resamples = 0
     while found < spec.n:
         ratio = (resamples + found) / found if found else 1.0
         size = max(_CHUNK, math.ceil(1.5 * (spec.n - found) * ratio))
-        fields = _draws(rng, spec, size)
-        drawn = ModelParams._unchecked(dict(zip(PARAM_NAMES, fields)))
-        screen = _screen_windows(drawn)
-        kept = np.flatnonzero(screen[-1] == 0)[:spec.n - found]
-        # the draws with no window before the last one needed are resamples; one past the cap stalls
-        resamples += (kept[-1] + 1 if found + kept.size == spec.n else size) - kept.size
-        if resamples > 200 * spec.n:
-            raise ParameterError(f"ensemble sampling stalled after {200 * spec.n + 1} rejected draws")
+        fields, screened = _draws(rng, spec, size), []
+        for start in range(0, size, _SCREEN_SLICE):
+            part = fields[:, start:start + _SCREEN_SLICE]
+            screen = _screen_windows(ModelParams._unchecked(dict(zip(PARAM_NAMES, part))))
+            kept = np.flatnonzero(screen[-1] == 0)[:spec.n - found]
+            # the draws with no window before the last one needed are resamples; one past the
+            # cap stalls
+            resamples += (kept[-1] + 1 if found + kept.size == spec.n else part.shape[1]) - kept.size
+            if resamples > 200 * spec.n:
+                raise ParameterError(f"ensemble sampling stalled after {200 * spec.n + 1} rejected draws")
+            screened.append([start + kept, *(column[kept] for column in screen)])
+            found += kept.size
+            if found == spec.n:
+                break
+        kept, *screen = map(np.concatenate, zip(*screened))
         kept_fields.append(fields[:, kept])
-        edges.append(_solve_windows(drawn, screen, kept)[:2])
-        found += kept.size
+        drawn = ModelParams._unchecked(dict(zip(PARAM_NAMES, kept_fields[-1])))
+        brackets.append(_power_brackets(drawn, screen))
 
     # replace checks the accepted models, at E1*
     models = ModelParams._unchecked(dict(zip(PARAM_NAMES, np.hstack(kept_fields))))
-    table = closed_form_table(replace(models, e1=_power_maxima(models, *np.hstack(edges))))
+    table = closed_form_table(replace(models, e1=_power_maxima(models, *np.hstack(brackets))))
     x, eta_star = table["gamma"] / table["e3"], table["eta_g"]
     upper, lower = eta_star_max(spec.eta_c, x), eta_star_min(x)
     # an undefined (NaN) upper bound is near nothing

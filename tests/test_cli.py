@@ -655,13 +655,13 @@ class TestDistinctValueCells:
 
     def test_fig3_formats_each_distinct_value_once(self, monkeypatch, tmp_path):
         formatted = []
-        float_cell = neqfridge.cli._FLOAT_CELL
+        float_cells = neqfridge.cli._float_cells
 
-        def counted(value):
-            formatted.append(value)
-            return float_cell(value)
+        def counted(values):
+            formatted.extend(values)
+            return float_cells(values)
 
-        monkeypatch.setattr(neqfridge.cli, "_FLOAT_CELL", counted)
+        monkeypatch.setattr(neqfridge.cli, "_float_cells", counted)
         assert main(["figure", "fig3", "--points", "200", "--out", str(tmp_path)]) == 0
         # 11 columns of 800 rows, 8,800 cells: beta3 and t3 hold 200 values each,
         # gamma 4, the six fixed fields 1 each, q1g 797 (every gamma gives -0.0 at

@@ -30,6 +30,7 @@ from neqfridge.experiments import (
     _F_ROUNDING,
     _GAMMA_STEPS,
     _MAX_GAMMA_STEP,
+    _certifies,
     _chandrupatla,
     _draw,
     _draws,
@@ -230,7 +231,7 @@ class TestDeviationKernel:
         from neqfridge import experiments, model, steadystate
 
         kernels = (experiments.deviation, experiments.log_odds_gap, experiments._f_slope,
-                   experiments._e1_slopes)
+                   experiments._e1_slopes, experiments._edge_gap, experiments._bracket_gap)
         calls, points = counting(monkeypatch, *kernels, steadystate.steady_coefficients,
                                  model._gate, model._rule_error, model.resonant_frame)
         post_init = ModelParams.__post_init__
@@ -443,8 +444,8 @@ class TestWindowsAgainstFineScan:
 
 
 def _edge_searches(monkeypatch, run) -> list[tuple[int, int]]:
-    """The rounds (function calls) and the number of brackets of each window-edge
-    search that run() makes."""
+    """The rounds (function calls) and the number of brackets of each search of window-edge
+    brackets that run() makes: of the edges, or of fig6's bracket stage."""
     from neqfridge import experiments
 
     searches, solving = [], []
@@ -471,17 +472,19 @@ def _edge_searches(monkeypatch, run) -> list[tuple[int, int]]:
 
 
 def _edge_search_rounds(monkeypatch, run) -> list[int]:
-    """The rounds of each window-edge search that run() makes."""
+    """The rounds of each search of window-edge brackets that run() makes."""
     return [rounds for rounds, _ in _edge_searches(monkeypatch, run)]
 
 
 class TestEdgeSearchInDeltaE:
     # the edges are searched in delta_e, where f is smooth at E1 = 2 gamma; in E1,
     # fig6's edge searches took 21 rounds at every seed, maximize's 13 and fig4's 14
-    def test_fig6_edge_rounds(self, monkeypatch):
+    def test_fig6_bracket_stage_rounds(self, monkeypatch):
+        # fig6 searches its edge brackets only until H takes each side's sign there, in 2-4
+        # rounds at these seeds; it once root-found the edges, in 12-15
         rounds = _edge_search_rounds(monkeypatch, lambda: [
             random_ensemble(EnsembleSpec(n=100, seed=seed)) for seed in range(51, 61)])
-        assert len(rounds) == 10 and max(rounds) <= 15
+        assert len(rounds) == 10 and max(rounds) <= 6
 
     @pytest.mark.parametrize("seed", [7, 51, 52])
     def test_fig6_searches_only_the_edges_of_the_windows_it_keeps(self, monkeypatch, seed):
@@ -489,6 +492,35 @@ class TestEdgeSearchInDeltaE:
         # drawn ahead and not needed
         searches = _edge_searches(monkeypatch, lambda: random_ensemble(EnsembleSpec(n=100, seed=seed)))
         assert sum(brackets for _, brackets in searches) == 200
+
+    @pytest.mark.parametrize("seed", [7, 51])
+    def test_fig6_brackets_and_maxima_against_the_exact_windows(self, monkeypatch, seed):
+        # the bracket stage's points lie in the exact window, up to an edge's 4 eps; fig6's
+        # power search starts from them, maximize's from the exact edges, and Q1^g agrees
+        # within a few eps of the column's largest value, as the reference outputs are
+        # compared (per model, Q1^g's own rounding moves it by up to about 200 eps of
+        # itself per ulp of E1 here); E1* lies inside the window
+        from neqfridge import experiments
+
+        eps = np.finfo(float).eps
+        stages, brackets = [], experiments._power_brackets
+        monkeypatch.setattr(experiments, "_power_brackets",
+                            lambda models, screen: stages.append(brackets(models, screen)) or stages[-1])
+        table, _ = random_ensemble(EnsembleSpec(n=100, seed=seed))
+        results = maximize_cooling_powers(ModelParams._unchecked({k: table[k] for k in PARAM_NAMES}))
+        lefts, rights = np.hstack(stages)
+        for left, right, result in zip(lefts.tolist(), rights.tolist(), results):
+            window = result.window
+            assert window.left * (1.0 - 4.0 * eps) <= left <= right <= window.right * (1.0 + 4.0 * eps)
+        q1g_max = np.array([result.q1g_max for result in results])
+        assert np.abs(table["q1g_max"] - q1g_max).max() <= 8.0 * eps * q1g_max.max()
+        for e1_star, result in zip(table["e1"].tolist(), results):
+            assert result.window.left < e1_star < result.window.right
+
+    def test_only_a_finite_slope_certifies_a_side(self):
+        h = np.array([1.0, -1.0, 0.0, np.inf, -np.inf, np.nan, 5e-324])
+        np.testing.assert_array_equal(_certifies(h, 1.0), [True, False, False, False, False, False, True])
+        np.testing.assert_array_equal(_certifies(h, -1.0), [False, True, False, False, False, False, False])
 
     def test_maximize_edge_rounds(self, monkeypatch):
         rounds = _edge_search_rounds(monkeypatch, lambda: maximize_cooling_power(REFERENCE))
@@ -1029,6 +1061,32 @@ class TestEnsemble:
             assert cooling_condition(e1, e3, gamma)
         assert (table["q1g_max"] > 0).all()
         assert (table["gamma_over_e3"] <= 0.2 + 1e-12).all()
+
+    def test_a_sliced_screen_is_the_whole_round(self, monkeypatch):
+        # at 8 draws a slice, the 450 and 1601 draws of this ensemble's two rounds are
+        # screened in 57 slices, the second round's stopped once n draws are kept; the
+        # stream, the table, the resamples and a stall's error stay those of whole rounds
+        from neqfridge import experiments
+
+        def run(spec):
+            try:
+                return random_ensemble(spec)
+            except ParameterError as exc:
+                return str(exc)
+
+        specs = [EnsembleSpec(n=300, eta_c=10.0, seed=3), EnsembleSpec(n=3, eta_c=5e-324)]
+        whole = [run(spec) for spec in specs]
+        screens, screen = [], experiments._screen_windows
+        monkeypatch.setattr(experiments, "_SCREEN_SLICE", 8)
+        monkeypatch.setattr(experiments, "_screen_windows",
+                            lambda models: screens.append(models.e3.size) or screen(models))
+        sliced = [run(spec) for spec in specs]
+        assert max(screens) == 8 and 450 < sum(screens) < 450 + 1601
+        (table, meta), (sliced_table, sliced_meta) = whole[0], sliced[0]
+        assert sliced_meta == meta and sliced_table.keys() == table.keys()
+        for name in table:
+            np.testing.assert_array_equal(sliced_table[name], table[name])
+        assert sliced[1] == whole[1] == "ensemble sampling stalled after 601 rejected draws"
 
     def test_near_bound_models_have_small_coherence(self):
         # hotter machine baths approach the bound; saturating models carry

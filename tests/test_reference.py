@@ -57,8 +57,9 @@ EPS = float(np.finfo(float).eps)
 # AVX512_ICL AVX512_SPR X86_V3", which acts only on the process it is set for), the
 # largest moves were 759 eps in ensemble.csv (eta_star; E1* 636), 175 eps in fig6
 # (eta_tot_star), 60 in ensemble_eta_c_1e-200.csv (eta_tot_star), 8.4 in fig3, 5 in fig5,
-# 3.5 in fig4 and 2.6 in sweep_e1.csv, and every JSON report and '#' line was unchanged.
-# Each bound is more than ten times the largest move of the commands it covers
+# 3.5 in fig4 and 2.6 in sweep_e1.csv, and every JSON report and '#' line was unchanged;
+# CI runs this script with that setting.  Each bound is more than ten times the largest
+# move of the commands it covers
 BOUNDS = {"ensemble.csv": 8192 * EPS, "ensemble_eta_c_1e-200.csv": 8192 * EPS, "fig6": 2048 * EPS}
 BOUND = 128 * EPS  # every other command
 
